@@ -53,7 +53,6 @@ func run(args []string) error {
 		retries     = fs.Int("retries", 3, "reconnect attempts after a lost coordinator link (0 = fail fast)")
 		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "initial reconnect backoff")
 		retryMax    = fs.Duration("retry-max", 2*time.Second, "reconnect backoff cap")
-		protocol    = fs.Int("protocol", 0, "wire protocol version to advertise (0 = newest; 1 pins the seed protocol for pre-v2 coordinators)")
 
 		transport   = fs.String("transport", "stream", "wire transport: stream (TCP) or dgram (UDP + stop-and-wait ARQ)")
 		mtu         = fs.Int("mtu", fldgram.DefaultMTU, "dgram only: maximum datagram size in bytes")
@@ -101,19 +100,15 @@ func run(args []string) error {
 	// exhausted (or on a local training failure).
 	fmt.Printf("fededge %d/%d: %d samples, dialing %s (up to %d reconnect attempts)\n",
 		*id, *of, shard.Len(), *coordinator, *retries)
-	if *protocol < 0 || *protocol > int(flnet.ProtoV2) {
-		return fmt.Errorf("protocol version %d (supported: 1..%d, 0 = newest)", *protocol, flnet.ProtoV2)
-	}
 	// Frame-level byte counters: what this edge's radio would actually have
-	// transferred, printed at exit so a bench run can compare protocol
-	// versions and downlink codecs byte for byte.
+	// transferred, printed at exit so a bench run can compare downlink
+	// codecs byte for byte.
 	var wire flnet.WireCounters
 	ecfg := flnet.EdgeConfig{
 		Addr:      *coordinator,
 		Shard:     shard,
 		BatchSize: *batch,
 		Seed:      *seed + uint64(*id)*65537,
-		Protocol:  byte(*protocol),
 		Counters:  &wire,
 		Retry: flnet.RetryPolicy{
 			MaxAttempts: *retries,

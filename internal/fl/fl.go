@@ -169,10 +169,6 @@ type RoundRecord struct {
 	UplinkDeliveredBytes   int64
 }
 
-// Observer is notified after every completed round; the energy simulator
-// hooks in here.
-type Observer func(RoundRecord)
-
 // Engine runs FedAvg over in-memory shards.
 //
 // The per-round hot path is allocation-free after the first round: local
@@ -192,7 +188,6 @@ type Engine struct {
 	test         *dataset.Dataset
 	selector     Selector
 	agg          Aggregator
-	observer     Observer
 	roundObs     RoundObserver
 	sampleMem    bool
 	rng          *mat.RNG
@@ -232,11 +227,6 @@ func WithSelector(s Selector) Option {
 // WithAggregator replaces the default MeanAggregator (paper Eq. 2).
 func WithAggregator(a Aggregator) Option {
 	return func(e *Engine) { e.agg = a }
-}
-
-// WithObserver registers a per-round callback.
-func WithObserver(o Observer) Option {
-	return func(e *Engine) { e.observer = o }
 }
 
 // WithRoundObserver attaches a per-round observability sink (phase timings,
@@ -493,9 +483,6 @@ func (e *Engine) Round() (RoundRecord, error) {
 	}
 	e.round++
 	e.history = append(e.history, rec)
-	if e.observer != nil {
-		e.observer(rec)
-	}
 	if obs != nil {
 		st := pc.Finish(rec.Round)
 		st.Workers = workers

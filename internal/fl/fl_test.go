@@ -364,23 +364,6 @@ func TestRoundRobinSelector(t *testing.T) {
 	}
 }
 
-func TestObserverFires(t *testing.T) {
-	shards, _ := quickShards(t, 10)
-	var observed []int
-	e, err := NewEngine(quickConfig(), shards, WithObserver(func(r RoundRecord) {
-		observed = append(observed, r.Round)
-	}))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	if _, err := e.Run(MaxRounds(4)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(observed) != 4 || observed[3] != 3 {
-		t.Errorf("observer saw %v, want [0 1 2 3]", observed)
-	}
-}
-
 func TestStopConditions(t *testing.T) {
 	h := []RoundRecord{{TrainLoss: 0.5, TestAccuracy: 0.8}}
 	if !MaxRounds(1)(h) || MaxRounds(2)(h) {

@@ -18,15 +18,15 @@ import (
 // down cleanly.
 func scriptedCoordinator(c net.Conn, clean bool) {
 	defer c.Close()
-	typ, payload, err := readFrame(c)
+	typ, payload, err := readFrame(c, handshakeLimit)
 	if err != nil {
 		return
 	}
 	var id uint32
 	if typ == MsgRejoin {
-		id, _, _, _ = decodeRejoin(payload)
+		id, _, _ = decodeRejoin(payload)
 	}
-	if err := writeFrame(c, MsgWelcome, encodeWelcome(id, ProtoV2)); err != nil {
+	if err := writeFrame(c, MsgWelcome, encodeWelcome(id)); err != nil {
 		return
 	}
 	if clean {

@@ -54,13 +54,13 @@ type CoordinatorConfig struct {
 	// (ml.Quant8 or ml.Quant16; 0 = full precision), cutting the e^U
 	// upload energy roughly 64/bits-fold at a bounded accuracy cost.
 	UploadQuantBits ml.QuantBits
-	// DownloadQuantBits broadcasts the global model to protocol-v2 clients
-	// as a quantized residual against the last broadcast each client
-	// acknowledged (ml.Quant8 or ml.Quant16; 0 = full precision, which is
-	// bit-identical to the seed protocol). Coordinator-side error feedback
-	// subtracts each round's quantization error from the next residual, so
-	// the error never accumulates. Clients whose downlink state is unknown
-	// (fresh joins, rejoins, v1 clients) receive the full model.
+	// DownloadQuantBits broadcasts the global model as a quantized residual
+	// against the last broadcast each client acknowledged (ml.Quant8 or
+	// ml.Quant16; 0 = full precision, which is bit-identical to in-process
+	// FedAvg). Coordinator-side error feedback subtracts each round's
+	// quantization error from the next residual, so the error never
+	// accumulates. Clients whose downlink state is unknown (fresh joins,
+	// rejoins) receive the full model.
 	DownloadQuantBits ml.QuantBits
 }
 
@@ -78,9 +78,6 @@ type clientConn struct {
 	// failure observed on a stale connection cannot mark a freshly
 	// rejoined client disconnected.
 	gen int
-	// proto is the negotiated wire protocol version of the slot's current
-	// connection.
-	proto byte
 	// lastSent is the global model exactly as this client's connection
 	// last reconstructed it (error feedback: quantized residuals are
 	// dequantized back, so lastSent carries the client's rounding, not the
@@ -106,6 +103,7 @@ type Coordinator struct {
 	cfg      CoordinatorConfig
 	ln       net.Listener
 	global   *ml.Model
+	repLimit int // largest reply payload a model of the global's shape can need
 	test     *dataset.Dataset
 	testEval *ml.Evaluator // owns the batched-forward scratch reused across rounds
 	rng      *mat.RNG
@@ -160,10 +158,12 @@ func NewCoordinator(cfg CoordinatorConfig, ln net.Listener, test *dataset.Datase
 	if act == 0 {
 		act = ml.Softmax
 	}
+	global := ml.NewModel(cfg.Classes, cfg.Features, act)
 	return &Coordinator{
 		cfg:      cfg,
 		ln:       ln,
-		global:   ml.NewModel(cfg.Classes, cfg.Features, act),
+		global:   global,
+		repLimit: trainRepHeaderLen + modelBodyLimit(global),
 		test:     test,
 		testEval: ml.NewEvaluator(1),
 		rng:      mat.NewRNG(cfg.FL.Seed),
@@ -257,25 +257,23 @@ func (c *Coordinator) acceptLoop() {
 }
 
 // register performs the Join/Welcome or Rejoin/Welcome handshake on a fresh
-// connection. The Welcome echoes the negotiated protocol version back to
-// v2+ joiners; version-less (v1) joiners get the seed 4-byte body.
+// connection. A body the codec refuses (malformed, or the retired v1 shape)
+// fails before the roster is touched.
 func (c *Coordinator) register(conn net.Conn) error {
 	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return fmt.Errorf("handshake deadline: %w", err)
 	}
-	t, payload, err := readFrame(conn)
+	t, payload, err := readFrame(conn, handshakeLimit)
 	if err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
 	var id int
-	var proto byte
 	switch t {
 	case MsgJoin:
-		samples, adv, err := decodeJoin(payload)
+		samples, err := decodeJoin(payload)
 		if err != nil {
 			return fmt.Errorf("join body: %w", err)
 		}
-		proto = negotiate(adv)
 		c.mu.Lock()
 		if c.down {
 			c.mu.Unlock()
@@ -283,15 +281,14 @@ func (c *Coordinator) register(conn net.Conn) error {
 		}
 		id = len(c.clients)
 		c.clients = append(c.clients, &clientConn{
-			id: id, conn: conn, samples: int(samples), connected: true, proto: proto,
+			id: id, conn: conn, samples: int(samples),
 		})
 		c.mu.Unlock()
 	case MsgRejoin:
-		rid, samples, adv, err := decodeRejoin(payload)
+		rid, samples, err := decodeRejoin(payload)
 		if err != nil {
 			return fmt.Errorf("rejoin body: %w", err)
 		}
-		proto = negotiate(adv)
 		c.mu.Lock()
 		if c.down {
 			c.mu.Unlock()
@@ -308,9 +305,8 @@ func (c *Coordinator) register(conn net.Conn) error {
 		}
 		cl.conn = conn
 		cl.samples = int(samples)
-		cl.connected = true
+		cl.connected = false
 		cl.gen++
-		cl.proto = proto
 		// A fresh connection holds no downlink state: the next request
 		// must carry the full model, and any in-flight pending
 		// reconstruction is void.
@@ -323,17 +319,24 @@ func (c *Coordinator) register(conn net.Conn) error {
 	default:
 		return fmt.Errorf("handshake got %v: %w", t, ErrProtocol)
 	}
-	if err := writeFrame(conn, MsgWelcome, encodeWelcome(uint32(id), proto)); err != nil {
-		// The slot exists but its connection is already dead; leave it
-		// disconnected so counts stay truthful. The client retries.
-		c.mu.Lock()
-		if id < len(c.clients) && c.clients[id].conn == conn {
-			c.clients[id].connected = false
-		}
-		c.mu.Unlock()
+	// The slot stays disconnected — invisible to selection, AwaitRoster and
+	// awaitRejoin — until the Welcome is delivered and the handshake deadline
+	// cleared: a round that started on this conn any earlier would interleave
+	// with the handshake (its byte counters absorbing the Welcome, its
+	// deadline wiped by the clear below). On failure the slot simply stays
+	// down, so counts stay truthful, and the client retries.
+	if err := writeFrame(conn, MsgWelcome, encodeWelcome(uint32(id))); err != nil {
 		return fmt.Errorf("welcome: %w", err)
 	}
-	return conn.SetDeadline(time.Time{})
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return fmt.Errorf("clear handshake deadline: %w", err)
+	}
+	c.mu.Lock()
+	if id < len(c.clients) && c.clients[id].conn == conn {
+		c.clients[id].connected = true
+	}
+	c.mu.Unlock()
+	return nil
 }
 
 // WaitForClients accepts registrations until n edge servers have joined or
@@ -388,9 +391,9 @@ func (c *Coordinator) awaitConnected(ctx context.Context, n int, timeout time.Du
 // the RejoinGrace window (capped by the round deadline) passes, or the
 // coordinator shuts down. With RejoinGrace unset it declines immediately,
 // preserving fail-fast rounds.
-func (c *Coordinator) awaitRejoin(id, gen int, deadline time.Time) (net.Conn, int, byte, bool) {
+func (c *Coordinator) awaitRejoin(id, gen int, deadline time.Time) (net.Conn, int, bool) {
 	if c.cfg.RejoinGrace <= 0 {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	grace := time.Now().Add(c.cfg.RejoinGrace)
 	if deadline.Before(grace) {
@@ -402,40 +405,31 @@ func (c *Coordinator) awaitRejoin(id, gen int, deadline time.Time) (net.Conn, in
 		c.mu.Lock()
 		if c.down || id >= len(c.clients) {
 			c.mu.Unlock()
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
 		cl := c.clients[id]
 		if cl.connected && cl.gen > gen {
-			conn, g, p := cl.conn, cl.gen, cl.proto
+			conn, g := cl.conn, cl.gen
 			c.mu.Unlock()
-			return conn, g, p, true
+			return conn, g, true
 		}
 		c.mu.Unlock()
 		if time.Now().After(grace) {
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
 		<-tick.C
 	}
 }
 
 // buildFullFrame seals a pooled MsgTrainRequest frame carrying the full
-// snapshot model at the given protocol version. The caller owns the
-// returned buffer (freeFrame when done); the sealed image aliases it.
-func (c *Coordinator) buildFullFrame(proto byte, req TrainRequest) (*[]byte, []byte, error) {
+// snapshot model. The caller owns the returned buffer (freeFrame when done);
+// the sealed image aliases it.
+func (c *Coordinator) buildFullFrame(req TrainRequest) (*[]byte, []byte, error) {
+	req.DownBits = 0
+	req.BaseRound = req.Round
 	bp := newFrame()
-	var err error
-	if proto >= ProtoV2 {
-		req.DownBits = 0
-		req.BaseRound = req.Round
-		*bp = appendTrainRequestV2Header(*bp, req)
-		*bp = c.snap.AppendBinary(*bp)
-	} else {
-		*bp, err = appendTrainRequestV1(*bp, req)
-		if err != nil {
-			freeFrame(bp)
-			return nil, nil, err
-		}
-	}
+	*bp = appendTrainRequestV2Header(*bp, req)
+	*bp = c.snap.AppendBinary(*bp)
 	frame, err := finishFrame(bp, MsgTrainRequest)
 	if err != nil {
 		freeFrame(bp)
@@ -444,7 +438,7 @@ func (c *Coordinator) buildFullFrame(proto byte, req TrainRequest) (*[]byte, []b
 	return bp, frame, nil
 }
 
-// buildResidualFrame seals a pooled v2 request frame carrying the global
+// buildResidualFrame seals a pooled request frame carrying the global
 // snapshot as a quantized residual against cl.lastSent, and stages the
 // client's exact post-apply reconstruction in cl.pending (error feedback:
 // the next residual is computed against what the client actually holds,
@@ -504,7 +498,6 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 		id       int
 		gen      int
 		conn     net.Conn
-		proto    byte
 		cl       *clientConn
 		frame    []byte // sealed request frame (shared between full-model targets)
 		residual bool   // frame carries a quantized residual
@@ -531,7 +524,7 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 	if k <= len(alive) {
 		for _, idx := range c.rng.Sample(len(alive), k) {
 			cl := c.clients[alive[idx]]
-			targets = append(targets, target{id: cl.id, gen: cl.gen, conn: cl.conn, proto: cl.proto, cl: cl})
+			targets = append(targets, target{id: cl.id, gen: cl.gen, conn: cl.conn, cl: cl})
 		}
 	}
 	if targets == nil {
@@ -551,15 +544,14 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 
 	// Build the request frames while still holding the mutex: residuals
 	// read (and stage) per-client downlink state. Full-model targets share
-	// one sealed frame per protocol version; residual targets get their
-	// own. All pooled buffers are released when the round returns.
+	// one sealed frame; residual targets get their own. All pooled buffers
+	// are released when the round returns.
 	req := TrainRequest{
 		Round:        round,
 		Epochs:       c.cfg.FL.LocalEpochs,
 		LearningRate: lr,
 		ReplyBits:    c.cfg.UploadQuantBits,
 		BaseRound:    round,
-		Model:        c.snap,
 	}
 	var frames []*[]byte
 	defer func() {
@@ -567,11 +559,11 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 			freeFrame(bp)
 		}
 	}()
-	var fullV1, fullV2 []byte
+	var full []byte
 	downBits := c.cfg.DownloadQuantBits
 	for i := range targets {
 		tg := &targets[i]
-		if tg.proto >= ProtoV2 && downBits != 0 && tg.cl.lastSent != nil {
+		if downBits != 0 && tg.cl.lastSent != nil {
 			bp, frame, err := c.buildResidualFrame(tg.cl, req, downBits)
 			if err != nil {
 				c.mu.Unlock()
@@ -581,20 +573,16 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 			tg.frame, tg.residual = frame, true
 			continue
 		}
-		shared := &fullV1
-		if tg.proto >= ProtoV2 {
-			shared = &fullV2
-		}
-		if *shared == nil {
-			bp, frame, err := c.buildFullFrame(tg.proto, req)
+		if full == nil {
+			bp, frame, err := c.buildFullFrame(req)
 			if err != nil {
 				c.mu.Unlock()
 				return fl.RoundRecord{}, fmt.Errorf("round %d request: %w", round, err)
 			}
 			frames = append(frames, bp)
-			*shared = frame
+			full = frame
 		}
-		tg.frame = *shared
+		tg.frame = full
 	}
 	c.mu.Unlock()
 
@@ -607,10 +595,9 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 		rep     TrainReply
 		retries int
 		err     error
-		// residual / proto describe the frame of the last delivery attempt,
-		// which is what the downlink-state commit must mirror.
+		// residual describes the frame of the last delivery attempt, which
+		// is what the downlink-state commit must mirror.
 		residual bool
-		proto    byte
 	}
 	results := make([]outcome, len(targets))
 	// finalGen[slot] is the registration generation of the last connection
@@ -651,7 +638,7 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 			return TrainReply{}, fmt.Errorf("client %d request: %w", id, err)
 		}
 		txBytes.Add(int64(len(frame)))
-		payload, err := expectFrameInto(conn, MsgTrainReply, &cl.readBuf)
+		payload, err := expectFrameInto(conn, MsgTrainReply, &cl.readBuf, c.repLimit)
 		if err != nil {
 			return TrainReply{}, fmt.Errorf("client %d reply: %w", id, err)
 		}
@@ -673,7 +660,7 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 		wg.Add(1)
 		go func(slot int, tg target) {
 			defer wg.Done()
-			o := outcome{slot: slot, residual: tg.residual, proto: tg.proto}
+			o := outcome{slot: slot, residual: tg.residual}
 			conn, gen := tg.conn, tg.gen
 			frame := tg.frame
 			var retryBp *[]byte
@@ -691,7 +678,7 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 				// In-round repair: if the client re-registers within the
 				// grace window, re-send this round's request on its fresh
 				// connection instead of dropping it.
-				nc, ng, nproto, ok := c.awaitRejoin(tg.id, gen, deadline)
+				nc, ng, ok := c.awaitRejoin(tg.id, gen, deadline)
 				if !ok {
 					o.err = err
 					break
@@ -699,15 +686,14 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 				conn, gen = nc, ng
 				o.retries++
 				// The fresh connection lost all downlink state: re-send as a
-				// full model at the rejoined connection's protocol version.
+				// full model.
 				o.residual = false
-				o.proto = nproto
 				if retryBp != nil {
 					freeFrame(retryBp)
 					retryBp = nil
 				}
 				var ferr error
-				retryBp, frame, ferr = c.buildFullFrame(nproto, req)
+				retryBp, frame, ferr = c.buildFullFrame(req)
 				if ferr != nil {
 					o.err = ferr
 					break
@@ -733,10 +719,6 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 		}
 		cl := c.clients[tg.id]
 		if cl.gen != finalGen[slot] {
-			continue
-		}
-		if o.proto < ProtoV2 {
-			cl.lastSent = nil
 			continue
 		}
 		if o.residual {

@@ -37,11 +37,6 @@ type EdgeConfig struct {
 	DialTimeout time.Duration
 	// Seed drives local mini-batch shuffling and retry jitter.
 	Seed uint64
-	// Protocol pins the wire protocol version this edge advertises
-	// (ProtoV1 or ProtoV2). Zero advertises the newest version; the
-	// coordinator's Welcome carries the negotiated one. Pin ProtoV1 when
-	// talking to a pre-v2 coordinator, which rejects versioned handshakes.
-	Protocol byte
 	// Counters, when non-nil, accumulates frame-level TX/RX byte counts
 	// across every connection this config opens (handshakes included) —
 	// the measured transfer volume the radio energy model prices.
@@ -71,20 +66,21 @@ func (cfg EdgeConfig) dialer() func(string, time.Duration) (net.Conn, error) {
 
 // EdgeServer is a connected, registered edge server.
 type EdgeServer struct {
-	cfg   EdgeConfig
-	conn  net.Conn
-	id    int
-	proto byte
+	cfg  EdgeConfig
+	conn net.Conn
+	id   int
 	// roundsServed counts completed local-training requests.
 	roundsServed int
 
 	// Per-connection scratch for the zero-copy round path. readBuf is the
-	// frame read scratch; base is the reconstructed global model the v2
-	// residual downlink accumulates into (v1 overwrites it whole every
-	// round); work is the model actually trained (a copy of base, so base
-	// stays the pristine broadcast residuals apply to); resid is the
-	// dequantized-residual scratch; sgd persists its shuffle scratch.
+	// frame read scratch and reqLimit the largest request payload a model of
+	// the shard's shape can need; base is the reconstructed global model the
+	// residual downlink accumulates into; work is the model actually trained
+	// (a copy of base, so base stays the pristine broadcast residuals apply
+	// to); resid is the dequantized-residual scratch; sgd persists its
+	// shuffle scratch.
 	readBuf   []byte
+	reqLimit  int
 	base      *ml.Model
 	haveBase  bool
 	baseRound int
@@ -108,14 +104,6 @@ func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 	if err := cfg.Shard.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	advertised := cfg.Protocol
-	switch advertised {
-	case 0:
-		advertised = ProtoV2
-	case ProtoV1, ProtoV2:
-	default:
-		return nil, fmt.Errorf("protocol version %d: %w", advertised, ErrEdge)
-	}
 	timeout := cfg.DialTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -132,48 +120,46 @@ func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 	var regType MsgType
 	if rejoinID < 0 {
 		regType = MsgJoin
-		regBody = encodeJoin(uint32(cfg.Shard.Len()), advertised)
+		regBody = encodeJoin(uint32(cfg.Shard.Len()))
 	} else {
 		regType = MsgRejoin
-		regBody = encodeRejoinProto(uint32(rejoinID), uint32(cfg.Shard.Len()), advertised)
+		regBody = encodeRejoin(uint32(rejoinID), uint32(cfg.Shard.Len()))
 	}
 	if err := writeFrame(conn, regType, regBody); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("register: %w", err)
 	}
 	cfg.Counters.AddTx(frameHeaderLen + len(regBody))
-	payload, err := expectFrame(conn, MsgWelcome)
+	payload, err := expectFrame(conn, MsgWelcome, handshakeLimit)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("welcome: %w", err)
 	}
 	cfg.Counters.AddRx(frameHeaderLen + len(payload))
-	id, proto, err := decodeWelcome(payload)
+	id, err := decodeWelcome(payload)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("welcome body: %w", err)
-	}
-	if proto > advertised {
-		conn.Close()
-		return nil, fmt.Errorf("advertised v%d, coordinator negotiated v%d: %w",
-			advertised, proto, ErrProtocol)
 	}
 	if rejoinID >= 0 && int(id) != rejoinID {
 		conn.Close()
 		return nil, fmt.Errorf("rejoin as %d welcomed as %d: %w", rejoinID, id, ErrProtocol)
 	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("clear deadline: %w", err)
-	}
-	return &EdgeServer{cfg: cfg, conn: conn, id: int(id), proto: proto}, nil
+	// A validated Welcome means the coordinator holds a slot for this id, so
+	// the edge is registered whatever the connection does next: a conn that
+	// can no longer clear its handshake deadline (net.Pipe after the peer
+	// closed) is already dead, and Serve reports that as ErrConnLost — after
+	// which the caller rejoins under this id instead of joining as a ghost.
+	_ = conn.SetDeadline(time.Time{})
+	base := ml.NewModel(cfg.Shard.Classes, cfg.Shard.Dim(), ml.Softmax)
+	return &EdgeServer{
+		cfg: cfg, conn: conn, id: int(id),
+		base: base, reqLimit: trainReqV2HeaderLen + modelBodyLimit(base),
+	}, nil
 }
 
 // ID returns the coordinator-assigned client id.
 func (e *EdgeServer) ID() int { return e.id }
-
-// Protocol returns the negotiated wire protocol version.
-func (e *EdgeServer) Protocol() byte { return e.proto }
 
 // RoundsServed returns how many training requests this server has completed.
 func (e *EdgeServer) RoundsServed() int { return e.roundsServed }
@@ -200,7 +186,7 @@ func (e *EdgeServer) Serve(ctx context.Context) error {
 	}()
 
 	for {
-		t, payload, err := readFrameInto(e.conn, &e.readBuf)
+		t, payload, err := readFrameInto(e.conn, &e.readBuf, e.reqLimit)
 		if err != nil {
 			if ctx.Err() != nil {
 				return fmt.Errorf("serve: %w", ctx.Err())
@@ -226,26 +212,16 @@ func (e *EdgeServer) Serve(ctx context.Context) error {
 	}
 }
 
-// decodeRequest parses a train request at the connection's negotiated
-// version and reconstructs the broadcast global model into e.base: v1 and
-// v2 full-model requests overwrite it, v2 residual requests apply the
-// quantized delta against the broadcast this connection last acknowledged.
+// decodeRequest parses a train request and reconstructs the broadcast global
+// model into e.base: full-model requests overwrite it, residual requests
+// apply the quantized delta against the broadcast this connection last
+// acknowledged.
 // Wire and state mismatches wrap ErrConnLost: a reconnect resets both ends
 // to a full-model send, which is the repair.
 func (e *EdgeServer) decodeRequest(payload []byte) (TrainRequest, error) {
-	var req TrainRequest
-	var body []byte
-	var err error
-	if e.proto >= ProtoV2 {
-		req, body, err = decodeTrainRequestV2(payload)
-	} else {
-		req, body, err = decodeTrainRequestHeader(payload)
-	}
+	req, body, err := decodeTrainRequestV2(payload)
 	if err != nil {
 		return TrainRequest{}, fmt.Errorf("train request: %v: %w", err, ErrConnLost)
-	}
-	if e.base == nil {
-		e.base = &ml.Model{}
 	}
 	if req.DownBits == 0 {
 		if err := e.base.UnmarshalBinaryReuse(body); err != nil {

@@ -21,7 +21,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, MsgJoin, []byte{1, 2, 3}); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
-	typ, payload, err := readFrame(&buf)
+	typ, payload, err := readFrame(&buf, handshakeLimit)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -35,7 +35,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 	if err := writeFrame(&buf, MsgShutdown, nil); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
-	typ, payload, err := readFrame(&buf)
+	typ, payload, err := readFrame(&buf, handshakeLimit)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -47,15 +47,61 @@ func TestFrameEmptyPayload(t *testing.T) {
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, _, err := readFrame(&buf); !errors.Is(err, ErrProtocol) {
+	if _, _, err := readFrame(&buf, handshakeLimit); !errors.Is(err, ErrProtocol) {
 		t.Errorf("oversized frame = %v, want ErrProtocol", err)
+	}
+}
+
+// TestReadFrameBoundedByCallerLimit pins that the bound is the caller's, not
+// a global constant: a payload of exactly limit bytes is read, one byte more
+// is refused from its length prefix alone — before the scratch buffer grows.
+func TestReadFrameBoundedByCallerLimit(t *testing.T) {
+	const limit = 100
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, MsgTrainReply, make([]byte, limit)); err != nil {
+		t.Fatalf("writeFrame: %v", err)
+	}
+	scratch := make([]byte, 0, 8)
+	if _, payload, err := readFrameInto(&wire, &scratch, limit); err != nil || len(payload) != limit {
+		t.Fatalf("payload at the limit = (%d bytes, %v), want accepted", len(payload), err)
+	}
+
+	if err := writeFrame(&wire, MsgTrainReply, make([]byte, limit+1)); err != nil {
+		t.Fatalf("writeFrame: %v", err)
+	}
+	scratch = make([]byte, 0, 8)
+	if _, _, err := readFrameInto(&wire, &scratch, limit); !errors.Is(err, ErrProtocol) {
+		t.Errorf("payload one over the limit = %v, want ErrProtocol", err)
+	}
+	if cap(scratch) != 8 {
+		t.Errorf("refused frame grew scratch to %d bytes, want it left at 8", cap(scratch))
+	}
+}
+
+// TestFrameLimitsFollowTheModel checks both ends size their round reads
+// from the model they train, whichever codec the body travels in.
+func TestFrameLimitsFollowTheModel(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {2, 2}, {10, 64}} {
+		m := ml.NewModel(shape[0], shape[1], ml.Softmax)
+		limit := modelBodyLimit(m)
+		for _, bits := range []ml.QuantBits{ml.Quant8, ml.Quant16} {
+			if q := ml.QuantizedSize(shape[0], shape[1], bits); q > limit {
+				t.Errorf("%dx%d: %d-bit body of %d bytes exceeds limit %d", shape[0], shape[1], bits, q, limit)
+			}
+		}
+		if m.EncodedSize() > limit {
+			t.Errorf("%dx%d: full body of %d bytes exceeds limit %d", shape[0], shape[1], m.EncodedSize(), limit)
+		}
+		if limit > m.EncodedSize()+64 {
+			t.Errorf("%dx%d: limit %d is not tied to the %d-byte model", shape[0], shape[1], limit, m.EncodedSize())
+		}
 	}
 }
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 10, byte(MsgJoin)}) // promises 10, delivers 1
-	if _, _, err := readFrame(&buf); err == nil {
+	if _, _, err := readFrame(&buf, handshakeLimit); err == nil {
 		t.Error("truncated frame must error")
 	}
 }
@@ -65,7 +111,7 @@ func TestExpectFrameTypeMismatch(t *testing.T) {
 	if err := writeFrame(&buf, MsgJoin, []byte{0, 0, 0, 0}); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
-	if _, err := expectFrame(&buf, MsgWelcome); !errors.Is(err, ErrProtocol) {
+	if _, err := expectFrame(&buf, MsgWelcome, handshakeLimit); !errors.Is(err, ErrProtocol) {
 		t.Errorf("type mismatch = %v, want ErrProtocol", err)
 	}
 }
@@ -73,19 +119,20 @@ func TestExpectFrameTypeMismatch(t *testing.T) {
 func TestTrainRequestRoundTrip(t *testing.T) {
 	m := ml.NewModel(3, 4, ml.Softmax)
 	m.W.Set(1, 2, 7.5)
-	req := TrainRequest{Round: 9, Epochs: 40, LearningRate: 0.01, Model: m}
-	payload, err := encodeTrainRequest(req)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	back, err := decodeTrainRequest(payload)
+	req := TrainRequest{Round: 9, Epochs: 40, LearningRate: 0.01, BaseRound: 9}
+	payload := m.AppendBinary(appendTrainRequestV2Header(nil, req))
+	back, body, err := decodeTrainRequestV2(payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if back.Round != 9 || back.Epochs != 40 || back.LearningRate != 0.01 {
-		t.Errorf("header lost: %+v", back)
+	if back != req {
+		t.Errorf("header lost: %+v, want %+v", back, req)
 	}
-	if back.Model.ParamDistance(m) != 0 {
+	var got ml.Model
+	if err := got.UnmarshalBinary(body); err != nil {
+		t.Fatalf("decode model: %v", err)
+	}
+	if got.ParamDistance(m) != 0 {
 		t.Error("model lost in transit")
 	}
 }
@@ -94,11 +141,11 @@ func TestTrainReplyRoundTrip(t *testing.T) {
 	m := ml.NewModel(2, 2, ml.Sigmoid)
 	m.B[1] = -3
 	rep := TrainReply{Round: 4, Loss: 0.125, Samples: 3000, Model: m}
-	payload, err := encodeTrainReply(rep)
+	payload, err := appendTrainReply(nil, rep)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	back, err := decodeTrainReply(payload)
+	back, err := decodeTrainReplyInto(payload, &ml.Model{})
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -111,14 +158,11 @@ func TestTrainReplyRoundTrip(t *testing.T) {
 }
 
 func TestDecodeShortBodies(t *testing.T) {
-	if _, err := decodeTrainRequest([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
+	if _, _, err := decodeTrainRequestV2([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
 		t.Errorf("short request = %v, want ErrProtocol", err)
 	}
-	if _, err := decodeTrainReply([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeTrainReplyInto([]byte{1, 2}, &ml.Model{}); !errors.Is(err, ErrProtocol) {
 		t.Errorf("short reply = %v, want ErrProtocol", err)
-	}
-	if _, err := decodeUint32([]byte{1}); !errors.Is(err, ErrProtocol) {
-		t.Errorf("short uint32 = %v, want ErrProtocol", err)
 	}
 }
 
@@ -366,10 +410,10 @@ func TestEdgeServeContextCancel(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if _, err := expectFrame(conn, MsgJoin); err != nil {
+		if _, err := expectFrame(conn, MsgJoin, handshakeLimit); err != nil {
 			return
 		}
-		if err := writeFrame(conn, MsgWelcome, encodeUint32(0)); err != nil {
+		if err := writeFrame(conn, MsgWelcome, encodeWelcome(0)); err != nil {
 			return
 		}
 		// Hold the connection open silently.

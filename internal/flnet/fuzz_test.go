@@ -16,33 +16,13 @@ import (
 
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	_ = writeFrame(&seed, MsgJoin, encodeUint32(3000))
+	_ = writeFrame(&seed, MsgJoin, encodeJoin(3000))
 	f.Add(seed.Bytes())
 	f.Add([]byte{0, 0, 0, 1, byte(MsgShutdown)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must not panic; errors are expected and fine.
-		_, _, _ = readFrame(bytes.NewReader(data))
-	})
-}
-
-func FuzzDecodeTrainRequest(f *testing.F) {
-	m := ml.NewModel(2, 3, ml.Softmax)
-	good, err := encodeTrainRequest(TrainRequest{Round: 1, Epochs: 2, LearningRate: 0.1, Model: m})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add(make([]byte, 40))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeTrainRequest(data)
-		if err == nil {
-			// A successful decode must yield a usable model.
-			if req.Model == nil || req.Model.Classes() <= 0 || req.Model.Features() <= 0 {
-				t.Fatalf("decode accepted an unusable request: %+v", req)
-			}
-		}
+		_, _, _ = readFrame(bytes.NewReader(data), 1<<16)
 	})
 }
 
@@ -89,11 +69,11 @@ func FuzzDecodeTrainRequestV2(f *testing.F) {
 
 func FuzzDecodeTrainReply(f *testing.F) {
 	m := ml.NewModel(2, 3, ml.Sigmoid)
-	full, err := encodeTrainReply(TrainReply{Round: 1, Loss: 0.5, Samples: 10, Model: m})
+	full, err := appendTrainReply(nil, TrainReply{Round: 1, Loss: 0.5, Samples: 10, Model: m})
 	if err != nil {
 		f.Fatal(err)
 	}
-	quant, err := encodeTrainReply(TrainReply{Round: 1, Loss: 0.5, Samples: 10, Bits: ml.Quant8, Model: m})
+	quant, err := appendTrainReply(nil, TrainReply{Round: 1, Loss: 0.5, Samples: 10, Bits: ml.Quant8, Model: m})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -101,7 +81,7 @@ func FuzzDecodeTrainReply(f *testing.F) {
 	f.Add(quant)
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := decodeTrainReply(data)
+		rep, err := decodeTrainReplyInto(data, &ml.Model{})
 		if err == nil {
 			if rep.Model == nil || rep.Model.Classes() <= 0 {
 				t.Fatalf("decode accepted an unusable reply: %+v", rep)
@@ -135,12 +115,14 @@ func (c *fuzzConn) SetWriteDeadline(t time.Time) error { return nil }
 // sends first. Malformed joins and re-registrations must produce errors,
 // never panics, and must leave the roster consistent.
 func FuzzRejoinHandshake(f *testing.F) {
-	var join bytes.Buffer
-	_ = writeFrame(&join, MsgJoin, encodeUint32(50))
-	f.Add(join.Bytes())
-	var rejoin bytes.Buffer
-	_ = writeFrame(&rejoin, MsgRejoin, encodeRejoin(0, 50))
-	f.Add(rejoin.Bytes())
+	// The retired v1 shapes — version-less Join and Rejoin — are must-reject
+	// inputs now, as are several checked-in corpus files.
+	var joinV1 bytes.Buffer
+	_ = writeFrame(&joinV1, MsgJoin, []byte{50, 0, 0, 0})
+	f.Add(joinV1.Bytes())
+	var rejoinV1 bytes.Buffer
+	_ = writeFrame(&rejoinV1, MsgRejoin, []byte{0, 0, 0, 0, 50, 0, 0, 0})
+	f.Add(rejoinV1.Bytes())
 	var unknown bytes.Buffer
 	_ = writeFrame(&unknown, MsgRejoin, encodeRejoin(9999, 50))
 	f.Add(unknown.Bytes())
@@ -152,21 +134,21 @@ func FuzzRejoinHandshake(f *testing.F) {
 	f.Add(wrongType.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 42})
 	f.Add([]byte{})
-	// Versioned (v2) handshakes, plus mismatched version bytes: a versioned
-	// body advertising v1, and a far-future version that must negotiate down.
-	var joinV2 bytes.Buffer
-	_ = writeFrame(&joinV2, MsgJoin, encodeJoin(50, ProtoV2))
-	f.Add(joinV2.Bytes())
-	var rejoinV2 bytes.Buffer
-	_ = writeFrame(&rejoinV2, MsgRejoin, encodeRejoinProto(0, 50, ProtoV2))
-	f.Add(rejoinV2.Bytes())
+	// Well-formed handshakes, plus mismatched version bytes: a versioned
+	// body advertising v1, and a far-future version that is welcomed at v2.
+	var join bytes.Buffer
+	_ = writeFrame(&join, MsgJoin, encodeJoin(50))
+	f.Add(join.Bytes())
+	var rejoin bytes.Buffer
+	_ = writeFrame(&rejoin, MsgRejoin, encodeRejoin(0, 50))
+	f.Add(rejoin.Bytes())
 	var joinBadVer bytes.Buffer
-	_ = writeFrame(&joinBadVer, MsgJoin, []byte{50, 0, 0, 0, ProtoV1})
+	_ = writeFrame(&joinBadVer, MsgJoin, []byte{50, 0, 0, 0, 1})
 	f.Add(joinBadVer.Bytes())
 	var joinFuture bytes.Buffer
-	_ = writeFrame(&joinFuture, MsgJoin, encodeJoin(50, 250))
+	_ = writeFrame(&joinFuture, MsgJoin, []byte{50, 0, 0, 0, 250})
 	f.Add(joinFuture.Bytes())
-	// Oversized length prefix: promises maxFrameBytes+1, must be rejected
+	// Oversized length prefix: promises 64 MiB + 1, must be rejected
 	// deterministically before any allocation of that size.
 	f.Add([]byte{0x04, 0x00, 0x00, 0x01, byte(MsgJoin)})
 

@@ -71,10 +71,10 @@ func rawJoin(t *testing.T, addr string) net.Conn {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	if err := writeFrame(conn, MsgJoin, encodeUint32(10)); err != nil {
+	if err := writeFrame(conn, MsgJoin, encodeJoin(10)); err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	if _, err := expectFrame(conn, MsgWelcome); err != nil {
+	if _, err := expectFrame(conn, MsgWelcome, handshakeLimit); err != nil {
 		t.Fatalf("welcome: %v", err)
 	}
 	return conn

@@ -14,16 +14,14 @@
 // The protocol is strictly request/reply per connection, so no concurrent
 // writes occur on a single conn.
 //
-// Two protocol versions share this framing. ProtoV1 is the seed protocol:
-// 4-byte Join/Welcome bodies and a MsgTrainRequest that always carries the
-// full float64 global model. ProtoV2 appends a version byte to the
-// Join/Rejoin/Welcome handshake (a 4-byte Join is implicitly v1, which is
-// the interop fallback) and extends MsgTrainRequest with a downlink codec:
-// the global model may travel as a quantized residual against the last
-// broadcast the client acknowledged, cutting downlink bytes ~64/bits-fold.
-// The hot path on both ends runs over pooled frame buffers: one coalesced
-// write per frame, reads into capacity-tracked scratch, and model bodies
-// encoded/decoded directly in the frame buffer.
+// The Join/Rejoin/Welcome handshake bodies end in a protocol-version byte,
+// and MsgTrainRequest carries a downlink codec: the global model may travel
+// as a quantized residual against the last broadcast the client
+// acknowledged, cutting downlink bytes ~64/bits-fold. The hot path on both
+// ends runs over pooled frame buffers: one coalesced write per frame, reads
+// into capacity-tracked scratch, and model bodies encoded/decoded directly in
+// the frame buffer. This file is the only place that knows the format or its
+// version.
 package flnet
 
 import (
@@ -42,28 +40,25 @@ type MsgType byte
 
 const (
 	// MsgJoin is sent by an edge server immediately after dialing:
-	// payload = uint32 sample count of its local shard, optionally followed
-	// by one protocol-version byte (absent = ProtoV1).
+	// payload = uint32 sample count of its local shard, protocol-version
+	// byte.
 	MsgJoin MsgType = iota + 1
 	// MsgWelcome is the coordinator's reply to MsgJoin:
-	// payload = uint32 assigned client id, followed by the negotiated
-	// protocol version byte when the joiner advertised v2 or newer.
+	// payload = uint32 assigned client id, protocol-version byte.
 	MsgWelcome
-	// MsgTrainRequest asks a client to run local training. V1 payload =
-	// uint32 round, uint32 epochs, float64 learning rate, uint32 reply bits,
-	// serialized global model. V2 payload: see trainReqV2HeaderLen.
+	// MsgTrainRequest asks a client to run local training; payload: see
+	// trainReqV2HeaderLen.
 	MsgTrainRequest
 	// MsgTrainReply returns the locally trained model:
 	// payload = uint32 round, float64 final local loss, uint32 samples,
-	// serialized local model. Identical in v1 and v2.
+	// serialized local model.
 	MsgTrainReply
 	// MsgShutdown tells a client training is over; payload is empty.
 	MsgShutdown
 	// MsgRejoin re-registers a previously welcomed client after a
 	// reconnect: payload = uint32 previously assigned client id, uint32
-	// sample count, optional protocol-version byte (absent = ProtoV1). The
-	// coordinator replies MsgWelcome echoing the same id and revives the
-	// client's roster slot.
+	// sample count, protocol-version byte. The coordinator replies MsgWelcome
+	// echoing the same id and revives the client's roster slot.
 	MsgRejoin
 )
 
@@ -87,23 +82,26 @@ func (m MsgType) String() string {
 	}
 }
 
-// Protocol versions carried in the handshake version byte. Negotiation is
-// min(joiner's advertised version, ProtoV2); a version-less 4-byte Join is
-// the v1 fallback, so a v1 edge interoperates with a v2 coordinator
-// unchanged.
-const (
-	// ProtoV1 is the seed protocol: full float64 model downlink every round.
-	ProtoV1 byte = 1
-	// ProtoV2 adds the residual-quantized downlink codec to MsgTrainRequest.
-	ProtoV2 byte = 2
-)
+// ProtoV2 is the one protocol version this package speaks, carried in the
+// handshake version byte so a future v3 can be told apart. A joiner
+// advertising a newer version is welcomed at ProtoV2; the seed protocol (v1:
+// the same handshake bodies without the version byte) is refused.
+const ProtoV2 byte = 2
 
 // ErrProtocol is returned (wrapped) for malformed or unexpected frames.
 var ErrProtocol = errors.New("flnet: protocol error")
 
-// maxFrameBytes caps a frame so a corrupt peer cannot force a huge
-// allocation; 64 MiB comfortably covers any linear model we train.
-const maxFrameBytes = 64 << 20
+// handshakeLimit bounds the payload of a frame read during registration;
+// the largest handshake body (Rejoin) is 9 bytes.
+const handshakeLimit = 16
+
+// modelBodyLimit is the largest model body a peer may legitimately send for
+// a model of m's shape: its float64 serialization or — only for shapes of
+// under four parameters, where the fixed quantization header outweighs the
+// narrower values — its 16-bit quantized one.
+func modelBodyLimit(m *ml.Model) int {
+	return max(m.EncodedSize(), ml.QuantizedSize(m.Classes(), m.Features(), ml.Quant16))
+}
 
 // frameHeaderLen is the length prefix plus the type byte.
 const frameHeaderLen = 5
@@ -136,8 +134,8 @@ func freeFrame(bp *[]byte) { framePool.Put(bp) }
 func finishFrame(bp *[]byte, t MsgType) ([]byte, error) {
 	buf := *bp
 	payload := len(buf) - frameHeaderLen
-	if payload+1 > maxFrameBytes {
-		return nil, fmt.Errorf("frame of %d bytes exceeds cap: %w", payload, ErrProtocol)
+	if uint64(payload)+1 > math.MaxUint32 {
+		return nil, fmt.Errorf("frame of %d bytes overflows the length prefix: %w", payload, ErrProtocol)
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(payload+1))
 	buf[4] = byte(t)
@@ -177,17 +175,21 @@ func writeFrameBuf(w io.Writer, t MsgType, bp *[]byte) (int, error) {
 
 // readFrame reads one frame into freshly allocated storage. Handshake and
 // test paths use it; the per-round hot paths use readFrameInto.
-func readFrame(r io.Reader) (MsgType, []byte, error) {
+func readFrame(r io.Reader, limit int) (MsgType, []byte, error) {
 	var scratch []byte
-	return readFrameInto(r, &scratch)
+	return readFrameInto(r, &scratch, limit)
 }
 
 // readFrameInto reads one frame into *scratch, growing it only when the
-// frame exceeds its capacity. The returned payload aliases *scratch and is
-// valid until the next call with the same scratch. The length prefix is read
-// into the scratch buffer too (not a stack array, which would escape through
-// the io.Reader interface and cost one heap object per frame).
-func readFrameInto(r io.Reader, scratch *[]byte) (MsgType, []byte, error) {
+// frame exceeds its capacity. limit is the largest payload the caller's
+// state can legitimately expect; a longer length prefix is rejected before
+// any body byte is read or buffered, so a corrupt peer cannot force an
+// allocation beyond what the model needs. The returned payload aliases
+// *scratch and is valid until the next call with the same scratch. The
+// length prefix is read into the scratch buffer too (not a stack array, which
+// would escape through the io.Reader interface and cost one heap object per
+// frame).
+func readFrameInto(r io.Reader, scratch *[]byte, limit int) (MsgType, []byte, error) {
 	if cap(*scratch) < 4 {
 		*scratch = make([]byte, 0, 4096)
 	}
@@ -196,8 +198,8 @@ func readFrameInto(r io.Reader, scratch *[]byte) (MsgType, []byte, error) {
 		return 0, nil, fmt.Errorf("read frame length: %w", err)
 	}
 	n := binary.BigEndian.Uint32(lenBuf)
-	if n == 0 || n > maxFrameBytes {
-		return 0, nil, fmt.Errorf("frame length %d: %w", n, ErrProtocol)
+	if n == 0 || uint64(n)-1 > uint64(limit) {
+		return 0, nil, fmt.Errorf("frame length %d (payload limit %d): %w", n, limit, ErrProtocol)
 	}
 	if cap(*scratch) < int(n) {
 		*scratch = make([]byte, n)
@@ -210,14 +212,14 @@ func readFrameInto(r io.Reader, scratch *[]byte) (MsgType, []byte, error) {
 }
 
 // expectFrame reads a frame and verifies its type.
-func expectFrame(r io.Reader, want MsgType) ([]byte, error) {
+func expectFrame(r io.Reader, want MsgType, limit int) ([]byte, error) {
 	var scratch []byte
-	return expectFrameInto(r, want, &scratch)
+	return expectFrameInto(r, want, &scratch, limit)
 }
 
 // expectFrameInto is expectFrame reading into reusable scratch.
-func expectFrameInto(r io.Reader, want MsgType, scratch *[]byte) ([]byte, error) {
-	got, payload, err := readFrameInto(r, scratch)
+func expectFrameInto(r io.Reader, want MsgType, scratch *[]byte, limit int) ([]byte, error) {
+	got, payload, err := readFrameInto(r, scratch, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -238,69 +240,16 @@ type TrainRequest struct {
 	// width (0 = full-precision float64). Quantized uploads shrink the
 	// radio payload ~64/bits-fold — a direct e^U energy reduction.
 	ReplyBits ml.QuantBits
-	// DownBits records the codec the request's model body travelled in
-	// (v2 only): 0 = full float64 model, Quant8/Quant16 = quantized
-	// residual against the BaseRound broadcast.
+	// DownBits records the codec the request's model body travels in: 0 =
+	// full float64 model, Quant8/Quant16 = quantized residual against the
+	// BaseRound broadcast.
 	DownBits ml.QuantBits
 	// BaseRound is the round whose broadcast the residual applies to; equal
 	// to Round for full-model requests.
 	BaseRound int
-	Model     *ml.Model
 }
 
-func encodeTrainRequest(req TrainRequest) ([]byte, error) {
-	buf := make([]byte, 0, trainReqV1HeaderLen+req.Model.EncodedSize())
-	return appendTrainRequestV1(buf, req)
-}
-
-// trainReqV1HeaderLen is the fixed v1 request header: round, epochs, lr,
-// reply bits.
-const trainReqV1HeaderLen = 20
-
-// appendTrainRequestV1 appends the seed-protocol request encoding to dst.
-func appendTrainRequestV1(dst []byte, req TrainRequest) ([]byte, error) {
-	var h [trainReqV1HeaderLen]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(req.Round))
-	binary.LittleEndian.PutUint32(h[4:8], uint32(req.Epochs))
-	binary.LittleEndian.PutUint64(h[8:16], math.Float64bits(req.LearningRate))
-	binary.LittleEndian.PutUint32(h[16:20], uint32(req.ReplyBits))
-	dst = append(dst, h[:]...)
-	return req.Model.AppendBinary(dst), nil
-}
-
-// decodeTrainRequestHeader parses the fixed v1 request header, returning the
-// model body unparsed.
-func decodeTrainRequestHeader(payload []byte) (req TrainRequest, body []byte, err error) {
-	if len(payload) < trainReqV1HeaderLen {
-		return TrainRequest{}, nil, fmt.Errorf("train request of %d bytes: %w", len(payload), ErrProtocol)
-	}
-	req.Round = int(binary.LittleEndian.Uint32(payload[0:4]))
-	req.Epochs = int(binary.LittleEndian.Uint32(payload[4:8]))
-	req.LearningRate = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:16]))
-	req.ReplyBits = ml.QuantBits(binary.LittleEndian.Uint32(payload[16:20]))
-	switch req.ReplyBits {
-	case 0, ml.Quant8, ml.Quant16:
-	default:
-		return TrainRequest{}, nil, fmt.Errorf("reply bits %d: %w", req.ReplyBits, ErrProtocol)
-	}
-	req.BaseRound = req.Round
-	return req, payload[trainReqV1HeaderLen:], nil
-}
-
-func decodeTrainRequest(payload []byte) (TrainRequest, error) {
-	req, body, err := decodeTrainRequestHeader(payload)
-	if err != nil {
-		return TrainRequest{}, err
-	}
-	var m ml.Model
-	if err := m.UnmarshalBinary(body); err != nil {
-		return TrainRequest{}, fmt.Errorf("decode request model: %w", err)
-	}
-	req.Model = &m
-	return req, nil
-}
-
-// trainReqV2HeaderLen is the fixed v2 request header:
+// trainReqV2HeaderLen is the fixed request header:
 //
 //	uint32  round
 //	uint32  epochs
@@ -314,7 +263,7 @@ func decodeTrainRequest(payload []byte) (TrainRequest, error) {
 // followed by the model body.
 const trainReqV2HeaderLen = 26
 
-// appendTrainRequestV2Header appends the v2 header to dst; the caller then
+// appendTrainRequestV2Header appends the request header to dst; the caller then
 // appends the model body (ml.Model.AppendBinary or ml.AppendQuantized).
 func appendTrainRequestV2Header(dst []byte, req TrainRequest) []byte {
 	var h [trainReqV2HeaderLen]byte
@@ -328,12 +277,12 @@ func appendTrainRequestV2Header(dst []byte, req TrainRequest) []byte {
 	return append(dst, h[:]...)
 }
 
-// decodeTrainRequestV2 parses a v2 request header. The returned request's
-// Model is nil; the raw model body (aliasing payload) comes back separately
-// so the edge can decode it into long-lived scratch according to DownBits.
+// decodeTrainRequestV2 parses a request header. The raw model body (aliasing
+// payload) comes back separately so the edge can decode it into long-lived
+// scratch according to DownBits.
 func decodeTrainRequestV2(payload []byte) (req TrainRequest, body []byte, err error) {
 	if len(payload) < trainReqV2HeaderLen {
-		return TrainRequest{}, nil, fmt.Errorf("v2 train request of %d bytes: %w", len(payload), ErrProtocol)
+		return TrainRequest{}, nil, fmt.Errorf("train request of %d bytes: %w", len(payload), ErrProtocol)
 	}
 	req.Round = int(binary.LittleEndian.Uint32(payload[0:4]))
 	req.Epochs = int(binary.LittleEndian.Uint32(payload[4:8]))
@@ -365,7 +314,7 @@ func decodeTrainRequestV2(payload []byte) (req TrainRequest, body []byte, err er
 	}
 	body = payload[trainReqV2HeaderLen:]
 	if len(body) == 0 {
-		return TrainRequest{}, nil, fmt.Errorf("v2 train request without model body: %w", ErrProtocol)
+		return TrainRequest{}, nil, fmt.Errorf("train request without model body: %w", ErrProtocol)
 	}
 	return req, body, nil
 }
@@ -412,10 +361,6 @@ func appendTrainReply(dst []byte, rep TrainReply) ([]byte, error) {
 	}
 }
 
-func encodeTrainReply(rep TrainReply) ([]byte, error) {
-	return appendTrainReply(nil, rep)
-}
-
 // decodeTrainReplyInto decodes a reply, reusing m's parameter storage for
 // the model body when shapes match (the coordinator keeps one scratch model
 // per roster slot, making warm-round reply decoding allocation-free). On
@@ -447,122 +392,66 @@ func decodeTrainReplyInto(payload []byte, m *ml.Model) (TrainReply, error) {
 	return rep, nil
 }
 
-func decodeTrainReply(payload []byte) (TrainReply, error) {
-	var m ml.Model
-	return decodeTrainReplyInto(payload, &m)
+// checkVersion validates a handshake body's fixed size and its trailing
+// version byte. The seed protocol (v1) sent the same bodies without that
+// byte; those, and a version below ProtoV2, are refused by name so the
+// operator of an old peer sees why it cannot register.
+func checkVersion(what string, payload []byte, size int) error {
+	switch {
+	case len(payload) == size-1:
+		return fmt.Errorf("version-less %s: protocol v1 is no longer supported: %w", what, ErrProtocol)
+	case len(payload) != size:
+		return fmt.Errorf("%s body of %d bytes: %w", what, len(payload), ErrProtocol)
+	case payload[size-1] < ProtoV2:
+		return fmt.Errorf("%s at v%d: protocol v1 is no longer supported: %w", what, payload[size-1], ErrProtocol)
+	}
+	return nil
 }
 
-func encodeUint32(v uint32) []byte {
-	buf := make([]byte, 4)
-	binary.LittleEndian.PutUint32(buf, v)
-	return buf
+// encodeJoin builds the 5-byte MsgJoin body: shard sample count, version.
+func encodeJoin(samples uint32) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, samples), ProtoV2)
 }
 
-func decodeUint32(payload []byte) (uint32, error) {
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("uint32 body of %d bytes: %w", len(payload), ErrProtocol)
+// decodeJoin parses the MsgJoin body. Any advertised version from ProtoV2 up
+// is accepted; the Welcome answers ProtoV2.
+func decodeJoin(payload []byte) (samples uint32, err error) {
+	if err := checkVersion("join", payload, 5); err != nil {
+		return 0, err
 	}
 	return binary.LittleEndian.Uint32(payload), nil
 }
 
-// encodeJoin builds the MsgJoin body: shard sample count, plus the
-// advertised protocol version when it is v2 or newer (a 4-byte body is the
-// v1 fallback the seed coordinator understands).
-func encodeJoin(samples uint32, proto byte) []byte {
-	if proto <= ProtoV1 {
-		return encodeUint32(samples)
-	}
-	buf := make([]byte, 5)
-	binary.LittleEndian.PutUint32(buf[0:4], samples)
-	buf[4] = proto
-	return buf
+// encodeWelcome builds the 5-byte MsgWelcome body: assigned client id,
+// version.
+func encodeWelcome(id uint32) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, id), ProtoV2)
 }
 
-// decodeJoin parses the MsgJoin body. A version-less 4-byte body advertises
-// ProtoV1; a 5-byte body must advertise at least ProtoV2 (a v1 client never
-// sends the version byte).
-func decodeJoin(payload []byte) (samples uint32, proto byte, err error) {
-	switch len(payload) {
-	case 4:
-		return binary.LittleEndian.Uint32(payload), ProtoV1, nil
-	case 5:
-		proto = payload[4]
-		if proto < ProtoV2 {
-			return 0, 0, fmt.Errorf("versioned join advertising v%d: %w", proto, ErrProtocol)
-		}
-		return binary.LittleEndian.Uint32(payload[0:4]), proto, nil
-	default:
-		return 0, 0, fmt.Errorf("join body of %d bytes: %w", len(payload), ErrProtocol)
+// decodeWelcome parses the MsgWelcome body, which must carry exactly
+// ProtoV2 — the version every Join and Rejoin advertises.
+func decodeWelcome(payload []byte) (id uint32, err error) {
+	if err := checkVersion("welcome", payload, 5); err != nil {
+		return 0, err
 	}
+	if v := payload[4]; v != ProtoV2 {
+		return 0, fmt.Errorf("welcome at v%d, advertised v%d: %w", v, ProtoV2, ErrProtocol)
+	}
+	return binary.LittleEndian.Uint32(payload), nil
 }
 
-// encodeWelcome builds the MsgWelcome body: the assigned client id, plus the
-// negotiated protocol version byte for v2+ clients (v1 clients receive the
-// seed 4-byte body).
-func encodeWelcome(id uint32, proto byte) []byte {
-	if proto <= ProtoV1 {
-		return encodeUint32(id)
-	}
-	buf := make([]byte, 5)
-	binary.LittleEndian.PutUint32(buf[0:4], id)
-	buf[4] = proto
-	return buf
-}
-
-// decodeWelcome parses the MsgWelcome body; a 4-byte body negotiates v1.
-func decodeWelcome(payload []byte) (id uint32, proto byte, err error) {
-	switch len(payload) {
-	case 4:
-		return binary.LittleEndian.Uint32(payload), ProtoV1, nil
-	case 5:
-		proto = payload[4]
-		if proto < ProtoV2 {
-			return 0, 0, fmt.Errorf("versioned welcome negotiating v%d: %w", proto, ErrProtocol)
-		}
-		return binary.LittleEndian.Uint32(payload[0:4]), proto, nil
-	default:
-		return 0, 0, fmt.Errorf("welcome body of %d bytes: %w", len(payload), ErrProtocol)
-	}
-}
-
-// encodeRejoin builds the MsgRejoin body: previously assigned id + samples,
-// plus the advertised protocol version for v2+ clients.
+// encodeRejoin builds the 9-byte MsgRejoin body: previously assigned id,
+// sample count, version.
 func encodeRejoin(id, samples uint32) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint32(buf[0:4], id)
-	binary.LittleEndian.PutUint32(buf[4:8], samples)
-	return buf
+	buf := binary.LittleEndian.AppendUint32(nil, id)
+	buf = binary.LittleEndian.AppendUint32(buf, samples)
+	return append(buf, ProtoV2)
 }
 
-// encodeRejoinProto is encodeRejoin carrying a protocol version byte.
-func encodeRejoinProto(id, samples uint32, proto byte) []byte {
-	if proto <= ProtoV1 {
-		return encodeRejoin(id, samples)
+// decodeRejoin parses the MsgRejoin body, accepting versions as decodeJoin.
+func decodeRejoin(payload []byte) (id, samples uint32, err error) {
+	if err := checkVersion("rejoin", payload, 9); err != nil {
+		return 0, 0, err
 	}
-	return append(encodeRejoin(id, samples), proto)
-}
-
-// decodeRejoin parses the MsgRejoin body; an 8-byte body advertises ProtoV1.
-func decodeRejoin(payload []byte) (id, samples uint32, proto byte, err error) {
-	switch len(payload) {
-	case 8:
-		proto = ProtoV1
-	case 9:
-		proto = payload[8]
-		if proto < ProtoV2 {
-			return 0, 0, 0, fmt.Errorf("versioned rejoin advertising v%d: %w", proto, ErrProtocol)
-		}
-	default:
-		return 0, 0, 0, fmt.Errorf("rejoin body of %d bytes: %w", len(payload), ErrProtocol)
-	}
-	return binary.LittleEndian.Uint32(payload[0:4]), binary.LittleEndian.Uint32(payload[4:8]), proto, nil
-}
-
-// negotiate returns the protocol version the coordinator speaks with a
-// client that advertised the given version.
-func negotiate(advertised byte) byte {
-	if advertised > ProtoV2 {
-		return ProtoV2
-	}
-	return advertised
+	return binary.LittleEndian.Uint32(payload[0:4]), binary.LittleEndian.Uint32(payload[4:8]), nil
 }

@@ -5,95 +5,205 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"eefei/internal/dataset"
 	"eefei/internal/fl"
+	"eefei/internal/mat"
 	"eefei/internal/ml"
 )
 
-// --- v2 codec unit tests -----------------------------------------------------
+// --- codec unit tests --------------------------------------------------------
+
+// v1Refusal is what every refusal of the retired seed protocol must say.
+const v1Refusal = "protocol v1 is no longer supported"
 
 func TestHandshakeCodecs(t *testing.T) {
-	// Join: v1 stays the seed 4-byte body, v2 appends the version byte.
-	if got := encodeJoin(7, ProtoV1); len(got) != 4 {
-		t.Errorf("v1 join body = %d bytes, want 4", len(got))
+	// One fixed body each, version byte last: Join 5 B, Welcome 5 B, Rejoin 9 B.
+	join := encodeJoin(7)
+	if len(join) != 5 || join[4] != ProtoV2 {
+		t.Errorf("join body = %v, want 5 bytes ending in v%d", join, ProtoV2)
 	}
-	samples, proto, err := decodeJoin(encodeJoin(7, ProtoV2))
-	if err != nil || samples != 7 || proto != ProtoV2 {
-		t.Errorf("v2 join round trip = (%d, v%d, %v)", samples, proto, err)
-	}
-	samples, proto, err = decodeJoin(encodeJoin(7, ProtoV1))
-	if err != nil || samples != 7 || proto != ProtoV1 {
-		t.Errorf("v1 join round trip = (%d, v%d, %v)", samples, proto, err)
+	samples, err := decodeJoin(join)
+	if err != nil || samples != 7 {
+		t.Errorf("join round trip = (%d, %v)", samples, err)
 	}
 
-	// Welcome mirrors Join.
-	id, proto, err := decodeWelcome(encodeWelcome(3, ProtoV2))
-	if err != nil || id != 3 || proto != ProtoV2 {
-		t.Errorf("v2 welcome round trip = (%d, v%d, %v)", id, proto, err)
+	welcome := encodeWelcome(3)
+	if len(welcome) != 5 || welcome[4] != ProtoV2 {
+		t.Errorf("welcome body = %v, want 5 bytes ending in v%d", welcome, ProtoV2)
 	}
-	id, proto, err = decodeWelcome(encodeWelcome(3, ProtoV1))
-	if err != nil || id != 3 || proto != ProtoV1 {
-		t.Errorf("v1 welcome round trip = (%d, v%d, %v)", id, proto, err)
+	id, err := decodeWelcome(welcome)
+	if err != nil || id != 3 {
+		t.Errorf("welcome round trip = (%d, %v)", id, err)
 	}
 
-	// Rejoin: 8-byte body is v1, 9-byte carries the version.
-	rid, samples, proto, err := decodeRejoin(encodeRejoinProto(4, 50, ProtoV2))
-	if err != nil || rid != 4 || samples != 50 || proto != ProtoV2 {
-		t.Errorf("v2 rejoin round trip = (%d, %d, v%d, %v)", rid, samples, proto, err)
+	rejoin := encodeRejoin(4, 50)
+	if len(rejoin) != 9 || rejoin[8] != ProtoV2 {
+		t.Errorf("rejoin body = %v, want 9 bytes ending in v%d", rejoin, ProtoV2)
 	}
-	rid, samples, proto, err = decodeRejoin(encodeRejoin(4, 50))
-	if err != nil || rid != 4 || samples != 50 || proto != ProtoV1 {
-		t.Errorf("v1 rejoin round trip = (%d, %d, v%d, %v)", rid, samples, proto, err)
+	rid, samples, err := decodeRejoin(rejoin)
+	if err != nil || rid != 4 || samples != 50 {
+		t.Errorf("rejoin round trip = (%d, %d, %v)", rid, samples, err)
+	}
+
+	// A joiner from the future is still accepted (and welcomed at ProtoV2).
+	if samples, err := decodeJoin([]byte{7, 0, 0, 0, 250}); err != nil || samples != 7 {
+		t.Errorf("future-version join = (%d, %v), want accepted", samples, err)
+	}
+	if rid, _, err := decodeRejoin([]byte{4, 0, 0, 0, 50, 0, 0, 0, ProtoV2 + 1}); err != nil || rid != 4 {
+		t.Errorf("future-version rejoin = (%d, %v), want accepted", rid, err)
 	}
 }
 
 func TestHandshakeDecodeErrors(t *testing.T) {
+	join := func(b []byte) error { _, err := decodeJoin(b); return err }
+	welcome := func(b []byte) error { _, err := decodeWelcome(b); return err }
+	rejoin := func(b []byte) error { _, _, err := decodeRejoin(b); return err }
 	cases := []struct {
 		name string
 		err  error
+		isV1 bool // the error must name the retired protocol
 	}{
-		{"join-empty", func() error { _, _, err := decodeJoin(nil); return err }()},
-		{"join-3-bytes", func() error { _, _, err := decodeJoin([]byte{1, 2, 3}); return err }()},
-		{"join-6-bytes", func() error { _, _, err := decodeJoin([]byte{1, 2, 3, 4, 5, 6}); return err }()},
-		// A versioned body advertising v1 (or v0) is a contradiction: v1
-		// clients never send the version byte.
-		{"join-versioned-v1", func() error { _, _, err := decodeJoin([]byte{1, 0, 0, 0, 1}); return err }()},
-		{"join-versioned-v0", func() error { _, _, err := decodeJoin([]byte{1, 0, 0, 0, 0}); return err }()},
-		{"welcome-versioned-v1", func() error { _, _, err := decodeWelcome([]byte{1, 0, 0, 0, 1}); return err }()},
-		{"welcome-short", func() error { _, _, err := decodeWelcome([]byte{1}); return err }()},
-		{"rejoin-short", func() error { _, _, _, err := decodeRejoin([]byte{1, 2}); return err }()},
-		{"rejoin-versioned-v0", func() error {
-			_, _, _, err := decodeRejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0})
-			return err
-		}()},
-		{"rejoin-10-bytes", func() error {
-			_, _, _, err := decodeRejoin(make([]byte, 10))
-			return err
-		}()},
+		{name: "join-empty", err: join(nil)},
+		{name: "join-3-bytes", err: join([]byte{1, 2, 3})},
+		{name: "join-6-bytes", err: join([]byte{1, 2, 3, 4, 5, 6})},
+		{name: "welcome-short", err: welcome([]byte{1})},
+		// An edge only ever advertises v2, so a newer Welcome is an upgrade
+		// it did not ask for.
+		{name: "welcome-v3", err: welcome([]byte{1, 0, 0, 0, ProtoV2 + 1})},
+		{name: "rejoin-short", err: rejoin([]byte{1, 2})},
+		{name: "rejoin-10-bytes", err: rejoin(make([]byte, 10))},
+		// The retired v1 shapes: the same bodies without the version byte,
+		// or a version byte below 2.
+		{name: "join-v1-4-bytes", err: join([]byte{1, 0, 0, 0}), isV1: true},
+		{name: "join-versioned-v1", err: join([]byte{1, 0, 0, 0, 1}), isV1: true},
+		{name: "join-versioned-v0", err: join([]byte{1, 0, 0, 0, 0}), isV1: true},
+		{name: "welcome-v1-4-bytes", err: welcome([]byte{1, 0, 0, 0}), isV1: true},
+		{name: "welcome-versioned-v1", err: welcome([]byte{1, 0, 0, 0, 1}), isV1: true},
+		{name: "welcome-versioned-v0", err: welcome([]byte{1, 0, 0, 0, 0}), isV1: true},
+		{name: "rejoin-v1-8-bytes", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0}), isV1: true},
+		{name: "rejoin-versioned-v1", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 1}), isV1: true},
+		{name: "rejoin-versioned-v0", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0}), isV1: true},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, ErrProtocol) {
 			t.Errorf("%s: err = %v, want ErrProtocol", tc.name, tc.err)
+			continue
+		}
+		if tc.isV1 && !strings.Contains(tc.err.Error(), v1Refusal) {
+			t.Errorf("%s: err = %v, want it to name the retired v1", tc.name, tc.err)
 		}
 	}
 }
 
-func TestNegotiate(t *testing.T) {
-	for _, tc := range []struct{ adv, want byte }{
-		{ProtoV1, ProtoV1},
-		{ProtoV2, ProtoV2},
-		{ProtoV2 + 1, ProtoV2}, // future client capped at what we speak
-		{255, ProtoV2},
-	} {
-		if got := negotiate(tc.adv); got != tc.want {
-			t.Errorf("negotiate(v%d) = v%d, want v%d", tc.adv, got, tc.want)
+// pipeRegister runs Coordinator.register against one scripted handshake
+// frame over a net.Pipe and returns register's error plus the Welcome body
+// (nil when the coordinator refused and closed).
+func pipeRegister(t *testing.T, c *Coordinator, typ MsgType, body []byte) ([]byte, error) {
+	t.Helper()
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan error, 1)
+	go func() {
+		err := c.register(server)
+		if err != nil {
+			server.Close() // as acceptLoop does for a refused joiner
 		}
+		done <- err
+	}()
+	if err := writeFrame(client, typ, body); err != nil {
+		t.Fatalf("write %v: %v", typ, err)
+	}
+	welcome, _ := expectFrame(client, MsgWelcome, handshakeLimit)
+	return welcome, <-done
+}
+
+// TestSlotConnectsOnlyOnceWelcomed pins the coordinator side of the
+// registration boundary: a slot is invisible to selection and AwaitRoster
+// until its Welcome has been delivered, so no round can interleave with the
+// handshake on that connection. net.Pipe writes block until read, which
+// holds register inside the Welcome write for as long as the test likes.
+func TestSlotConnectsOnlyOnceWelcomed(t *testing.T) {
+	c := &Coordinator{}
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan error, 1)
+	go func() { done <- c.register(server) }()
+	if err := writeFrame(client, MsgJoin, encodeJoin(10)); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	for slots := 0; slots == 0; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		slots = len(c.clients)
+		c.mu.Unlock()
+	}
+	if n := c.Connected(); n != 0 {
+		t.Errorf("Connected() = %d with the Welcome still undelivered, want 0", n)
+	}
+	if _, err := expectFrame(client, MsgWelcome, handshakeLimit); err != nil {
+		t.Fatalf("welcome: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if n := c.Connected(); n != 1 {
+		t.Errorf("Connected() = %d after the Welcome, want 1", n)
+	}
+}
+
+// TestRegisterRejectsV1WithoutGhostSlot drives the coordinator's handshake
+// with the retired v1 Join and Rejoin bodies: both are refused by name, and
+// neither appends a roster slot, revives one, or disturbs the next id.
+func TestRegisterRejectsV1WithoutGhostSlot(t *testing.T) {
+	c := &Coordinator{}
+	if welcome, err := pipeRegister(t, c, MsgJoin, encodeJoin(10)); err != nil || welcome == nil {
+		t.Fatalf("v2 join: err %v, welcome %v", err, welcome)
+	}
+	c.mu.Lock()
+	c.clients[0].connected = false // a dropped client a v1 Rejoin must not revive
+	gen := c.clients[0].gen
+	c.mu.Unlock()
+
+	for _, tc := range []struct {
+		name string
+		typ  MsgType
+		body []byte
+	}{
+		{"v1 join", MsgJoin, []byte{10, 0, 0, 0}},
+		{"v1 rejoin", MsgRejoin, []byte{0, 0, 0, 0, 10, 0, 0, 0}},
+	} {
+		welcome, err := pipeRegister(t, c, tc.typ, tc.body)
+		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), v1Refusal) {
+			t.Errorf("%s: err = %v, want ErrProtocol naming v1", tc.name, err)
+		}
+		if welcome != nil {
+			t.Errorf("%s: got a Welcome %v, want none", tc.name, welcome)
+		}
+		c.mu.Lock()
+		if len(c.clients) != 1 || c.clients[0].gen != gen {
+			t.Errorf("%s: roster len %d gen %d, want 1 and %d", tc.name, len(c.clients), c.clients[0].gen, gen)
+		}
+		c.mu.Unlock()
+		if n := c.Connected(); n != 0 {
+			t.Errorf("%s: Connected() = %d, want 0", tc.name, n)
+		}
+	}
+
+	// The next well-formed Join — here from a future-version edge — takes
+	// id 1 and is welcomed at the version this coordinator speaks.
+	welcome, err := pipeRegister(t, c, MsgJoin, []byte{10, 0, 0, 0, 250})
+	if err != nil {
+		t.Fatalf("join after v1 refusals: %v", err)
+	}
+	if id, err := decodeWelcome(welcome); err != nil || id != 1 {
+		t.Errorf("join after v1 refusals welcomed as (%d, %v), want id 1 at v%d", id, err, ProtoV2)
 	}
 }
 
@@ -199,9 +309,9 @@ func TestDecodeTrainRequestV2Errors(t *testing.T) {
 	}
 }
 
-// TestEdgeRejectsProtocolMismatches drives the edge-side handshake guards: an
-// unknown pinned version fails fast, and a coordinator negotiating a version
-// higher than advertised is a protocol error.
+// TestEdgeRejectsProtocolMismatches drives the edge-side handshake guard: the
+// only Welcome an edge accepts carries ProtoV2, so a pre-v2 coordinator's
+// version-less body and an unrequested upgrade both fail the dial.
 func TestEdgeRejectsProtocolMismatches(t *testing.T) {
 	cfg := dataset.QuickSyntheticConfig()
 	cfg.Samples = 20
@@ -209,34 +319,109 @@ func TestEdgeRejectsProtocolMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-
-	if _, err := Dial(EdgeConfig{Addr: "127.0.0.1:1", Shard: d, Protocol: 7}); !errors.Is(err, ErrEdge) {
-		t.Errorf("unknown pinned protocol = %v, want ErrEdge", err)
+	for _, tc := range []struct {
+		name    string
+		welcome []byte
+		wantV1  bool
+	}{
+		{"v1 4-byte welcome", []byte{0, 0, 0, 0}, true},
+		{"welcome above advertised", []byte{0, 0, 0, 0, ProtoV2 + 1}, false},
+	} {
+		dial := func(string, time.Duration) (net.Conn, error) {
+			client, server := net.Pipe()
+			go func() {
+				defer server.Close()
+				if _, err := expectFrame(server, MsgJoin, handshakeLimit); err != nil {
+					return
+				}
+				_ = writeFrame(server, MsgWelcome, tc.welcome)
+			}()
+			return client, nil
+		}
+		_, err := Dial(EdgeConfig{Addr: "scripted", Shard: d, Dial: dial, DialTimeout: 2 * time.Second})
+		if !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s = %v, want ErrProtocol", tc.name, err)
+		} else if tc.wantV1 && !strings.Contains(err.Error(), v1Refusal) {
+			t.Errorf("%s = %v, want it to name the retired v1", tc.name, err)
+		}
 	}
+}
 
-	// A (buggy or malicious) coordinator welcoming a v1 client at v2.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// closedAfterWelcome makes the race TestEdgeRegisteredOnceWelcomed is about
+// deterministic: clearing the handshake deadline fails the way net.Pipe's
+// SetDeadline does once the peer has closed, whoever gets there first.
+type closedAfterWelcome struct{ net.Conn }
+
+func (c closedAfterWelcome) SetDeadline(t time.Time) error {
+	if t.IsZero() {
+		return io.ErrClosedPipe
+	}
+	return c.Conn.SetDeadline(t)
+}
+
+// TestEdgeRegisteredOnceWelcomed pins the registration boundary: a validated
+// Welcome means the coordinator holds a slot, so when the scripted
+// coordinator closes right after it the dial still yields a registered edge,
+// and the reconnect re-registers with MsgRejoin under the welcomed id
+// instead of leaving a ghost slot behind a second Join.
+func TestEdgeRegisteredOnceWelcomed(t *testing.T) {
+	cfg := dataset.QuickSyntheticConfig()
+	cfg.Samples = 20
+	d, err := dataset.Synthesize(cfg)
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		t.Fatalf("Synthesize: %v", err)
 	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+	type reg struct {
+		typ  MsgType
+		body []byte
+	}
+	const welcomedID = 5
+	regs := make(chan reg, 2) // one send per scripted connection
+	attempt := 0
+	dial := func(string, time.Duration) (net.Conn, error) {
+		attempt++
+		first := attempt == 1
+		client, server := net.Pipe()
+		go func() {
+			defer server.Close()
+			typ, body, err := readFrame(server, handshakeLimit)
+			if err != nil {
+				return
+			}
+			regs <- reg{typ, append([]byte(nil), body...)}
+			if err := writeFrame(server, MsgWelcome, encodeWelcome(welcomedID)); err != nil {
+				return
+			}
+			if !first {
+				_ = writeFrame(server, MsgShutdown, nil)
+			}
+		}()
+		if first {
+			return closedAfterWelcome{client}, nil
 		}
-		defer conn.Close()
-		if _, err := expectFrame(conn, MsgJoin); err != nil {
-			return
-		}
-		_ = writeFrame(conn, MsgWelcome, encodeWelcome(0, ProtoV2))
-	}()
-	_, err = Dial(EdgeConfig{
-		Addr: ln.Addr().String(), Shard: d, Protocol: ProtoV1,
-		DialTimeout: 2 * time.Second,
+		return client, nil
+	}
+	var sleeps int
+	err = RunEdgeServer(context.Background(), EdgeConfig{
+		Addr: "scripted", Shard: d, Dial: dial,
+		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 2},
+		sleep: func(context.Context, time.Duration) error { sleeps++; return nil },
 	})
-	if !errors.Is(err, ErrProtocol) {
-		t.Errorf("negotiated above advertised = %v, want ErrProtocol", err)
+	if err != nil {
+		t.Fatalf("RunEdgeServer: %v", err)
+	}
+	if attempt != 2 || sleeps != 0 {
+		t.Errorf("%d dials and %d backoffs, want 2 and 0 (a welcomed dial is not a failure)", attempt, sleeps)
+	}
+	if first := <-regs; first.typ != MsgJoin {
+		t.Errorf("first registration = %v, want %v", first.typ, MsgJoin)
+	}
+	second := <-regs
+	if second.typ != MsgRejoin {
+		t.Fatalf("registration after the lost connection = %v, want %v", second.typ, MsgRejoin)
+	}
+	if id, _, err := decodeRejoin(second.body); err != nil || id != welcomedID {
+		t.Errorf("rejoined as (%d, %v), want the welcomed id %d", id, err, welcomedID)
 	}
 }
 
@@ -268,7 +453,7 @@ func TestWriteFrameAllocationFree(t *testing.T) {
 	r := bytes.NewReader(frame)
 	if avg := testing.AllocsPerRun(200, func() {
 		r.Reset(frame)
-		if _, _, err := readFrameInto(r, &scratch); err != nil {
+		if _, _, err := readFrameInto(r, &scratch, len(payload)); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 0.1 {
@@ -278,32 +463,40 @@ func TestWriteFrameAllocationFree(t *testing.T) {
 
 // --- interop and bit-identity ------------------------------------------------
 
-// residualCluster spins up a coordinator with the given downlink codec plus
-// edges pinned at the given protocol versions, runs `rounds` rounds, and
-// returns the coordinator (still up; t.Cleanup shuts it down) and history.
-func residualCluster(t *testing.T, protos []byte, downBits ml.QuantBits, rounds int, stop fl.StopCondition) (*Coordinator, []fl.RoundRecord) {
+// clusterFixture is the data and hyper-parameters residualCluster trains on,
+// shared with the in-test reference so the two cannot drift apart. Edge i
+// trains shards[i] with seed i+1.
+func clusterFixture(t *testing.T, servers int) (shards []*dataset.Dataset, test *dataset.Dataset, cfg fl.Config) {
 	t.Helper()
-	servers := len(protos)
 	dcfg := dataset.QuickSyntheticConfig()
 	dcfg.Samples = 400
 	train, test, err := dataset.SynthesizePair(dcfg, dcfg)
 	if err != nil {
 		t.Fatalf("SynthesizePair: %v", err)
 	}
-	shards, err := dataset.IIDPartitioner{Seed: 1}.Partition(train, servers)
+	shards, err = dataset.IIDPartitioner{Seed: 1}.Partition(train, servers)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
+	return shards, test, fl.Config{
+		ClientsPerRound: servers, LocalEpochs: 3, LearningRate: 0.5, Decay: 0.99, Seed: 1,
+	}
+}
+
+// residualCluster spins up a coordinator with the given downlink codec plus
+// `servers` edges, runs `rounds` rounds, and returns the coordinator (still
+// up; t.Cleanup shuts it down) and history.
+func residualCluster(t *testing.T, servers int, downBits ml.QuantBits, rounds int, stop fl.StopCondition) (*Coordinator, []fl.RoundRecord) {
+	t.Helper()
+	shards, test, flCfg := clusterFixture(t, servers)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	coord, err := NewCoordinator(CoordinatorConfig{
-		FL: fl.Config{
-			ClientsPerRound: servers, LocalEpochs: 3, LearningRate: 0.5, Decay: 0.99, Seed: 1,
-		},
-		Classes:           train.Classes,
-		Features:          train.Dim(),
+		FL:                flCfg,
+		Classes:           test.Classes,
+		Features:          test.Dim(),
 		RoundTimeout:      30 * time.Second,
 		JoinTimeout:       10 * time.Second,
 		DownloadQuantBits: downBits,
@@ -316,9 +509,9 @@ func residualCluster(t *testing.T, protos []byte, downBits ml.QuantBits, rounds 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	// Join strictly in shard order so slot ids — and with them selection and
-	// aggregation-sum order — are identical across clusters. Bit-identity
-	// comparisons between two independently started fleets need this; a
-	// racing join would only reorder floating-point sums.
+	// aggregation-sum order — are a function of the seed alone. Bit-identity
+	// against the sequential reference needs this; a racing join would only
+	// reorder floating-point sums.
 	var wg sync.WaitGroup
 	for i := 0; i < servers; i++ {
 		wg.Add(1)
@@ -326,7 +519,6 @@ func residualCluster(t *testing.T, protos []byte, downBits ml.QuantBits, rounds 
 			defer wg.Done()
 			_ = RunEdgeServer(context.Background(), EdgeConfig{
 				Addr: coord.Addr().String(), Shard: shards[i], Seed: uint64(i + 1),
-				Protocol: protos[i],
 			})
 		}(i)
 		if err := coord.AwaitRoster(ctx, i+1, 30*time.Second); err != nil {
@@ -347,54 +539,70 @@ func residualCluster(t *testing.T, protos []byte, downBits ml.QuantBits, rounds 
 	return coord, history
 }
 
-// TestLosslessV2BitIdenticalToV1 pins the central compatibility promise: a
-// lossless v2 run (version-negotiated handshake, v2 request framing, full
-// model body) trains bit-identical weights to the seed v1 protocol, at
-// several fleet sizes including GOMAXPROCS.
-func TestLosslessV2BitIdenticalToV1(t *testing.T) {
+// directFedAvg is the reference the wire is held to: FedAvg on
+// clusterFixture computed sequentially in this goroutine with no frames, no
+// pools and no connections — the coordinator's selection stream, each edge's
+// per-round SGD seed, and Eq. 2's mean accumulated in slot order.
+func directFedAvg(t *testing.T, servers, rounds int) (global *ml.Model, losses, accs []float64) {
+	t.Helper()
+	shards, test, cfg := clusterFixture(t, servers)
+	global = ml.NewModel(test.Classes, test.Dim(), ml.Softmax)
+	rng := mat.NewRNG(cfg.Seed)
+	for round := 0; round < rounds; round++ {
+		lr := cfg.LearningRate * math.Pow(cfg.Decay, float64(round))
+		agg := ml.NewModel(test.Classes, test.Dim(), ml.Softmax)
+		selected := rng.Sample(servers, cfg.ClientsPerRound)
+		var lossSum float64
+		for _, id := range selected {
+			local := global.Clone()
+			sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: lr, Seed: uint64(id+1) ^ uint64(round)<<16})
+			if err != nil {
+				t.Fatalf("NewSGD: %v", err)
+			}
+			loss, err := sgd.TrainFinal(local, shards[id], cfg.LocalEpochs)
+			if err != nil {
+				t.Fatalf("round %d client %d: %v", round, id, err)
+			}
+			if err := agg.AddScaled(1/float64(len(selected)), local); err != nil {
+				t.Fatalf("round %d aggregate: %v", round, err)
+			}
+			lossSum += loss
+		}
+		acc, err := ml.Accuracy(agg, test)
+		if err != nil {
+			t.Fatalf("round %d accuracy: %v", round, err)
+		}
+		losses = append(losses, lossSum/float64(len(selected)))
+		accs = append(accs, acc)
+		global = agg
+	}
+	return global, losses, accs
+}
+
+// TestLosslessWireMatchesDirectArithmetic pins that the lossless wire is
+// transparent: handshake, request framing, pooled buffers and reply decode
+// change no bit of the training arithmetic, at several fleet sizes including
+// GOMAXPROCS.
+func TestLosslessWireMatchesDirectArithmetic(t *testing.T) {
+	const rounds = 3
 	sizes := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 1 && p != 2 && p != 4 {
 		sizes = append(sizes, p)
 	}
 	for _, servers := range sizes {
-		v1 := make([]byte, servers)
-		v2 := make([]byte, servers)
-		for i := range v1 {
-			v1[i], v2[i] = ProtoV1, ProtoV2
+		coord, hist := residualCluster(t, servers, 0, rounds, nil)
+		want, losses, accs := directFedAvg(t, servers, rounds)
+		if d := coord.Global().ParamDistance(want); d != 0 {
+			t.Errorf("servers=%d: wire run diverged from direct arithmetic by %v, want bit-identical", servers, d)
 		}
-		coordV1, histV1 := residualCluster(t, v1, 0, 3, nil)
-		coordV2, histV2 := residualCluster(t, v2, 0, 3, nil)
-		if d := coordV1.Global().ParamDistance(coordV2.Global()); d != 0 {
-			t.Errorf("servers=%d: lossless v2 diverged from v1 by %v, want bit-identical", servers, d)
+		if len(hist) != rounds {
+			t.Fatalf("servers=%d: %d rounds, want %d", servers, len(hist), rounds)
 		}
-		for r := range histV1 {
-			if histV1[r].TrainLoss != histV2[r].TrainLoss || histV1[r].TestAccuracy != histV2[r].TestAccuracy {
-				t.Errorf("servers=%d round %d: v1 (loss %v acc %v) vs v2 (loss %v acc %v)",
-					servers, r, histV1[r].TrainLoss, histV1[r].TestAccuracy,
-					histV2[r].TrainLoss, histV2[r].TestAccuracy)
+		for r := range hist {
+			if hist[r].TrainLoss != losses[r] || hist[r].TestAccuracy != accs[r] {
+				t.Errorf("servers=%d round %d: wire (loss %v acc %v) vs direct (loss %v acc %v)",
+					servers, r, hist[r].TrainLoss, hist[r].TestAccuracy, losses[r], accs[r])
 			}
-		}
-	}
-}
-
-// TestMixedProtocolInterop runs one fleet with v1 and v2 edges side by side
-// under a quantized downlink: v2 edges receive residuals, v1 edges full
-// models, and the round still aggregates and converges.
-func TestMixedProtocolInterop(t *testing.T) {
-	_, history := residualCluster(t, []byte{ProtoV1, ProtoV2, ProtoV1, ProtoV2}, ml.Quant8, 6, nil)
-	if len(history) != 6 {
-		t.Fatalf("got %d rounds, want 6", len(history))
-	}
-	first, last := history[0], history[len(history)-1]
-	if last.TrainLoss >= first.TrainLoss {
-		t.Errorf("mixed-fleet loss did not fall: %v -> %v", first.TrainLoss, last.TrainLoss)
-	}
-	if last.TestAccuracy < 0.5 {
-		t.Errorf("mixed-fleet accuracy = %v after 6 rounds", last.TestAccuracy)
-	}
-	for r, rec := range history {
-		if rec.DownlinkBytes <= 0 || rec.UplinkBytes <= 0 {
-			t.Errorf("round %d: bytes not counted: down %d up %d", r, rec.DownlinkBytes, rec.UplinkBytes)
 		}
 	}
 }
@@ -404,12 +612,11 @@ func TestMixedProtocolInterop(t *testing.T) {
 // 4x against the lossless run, while still training to 0.9 test accuracy.
 func TestResidualDownlinkShrinksBytesAndConverges(t *testing.T) {
 	const servers = 4
-	protos := []byte{ProtoV2, ProtoV2, ProtoV2, ProtoV2}
 	stop := func(h []fl.RoundRecord) bool {
 		return fl.TargetAccuracy(0.9)(h) || fl.MaxRounds(60)(h)
 	}
-	_, full := residualCluster(t, protos, 0, 0, stop)
-	_, quant := residualCluster(t, protos, ml.Quant8, 0, stop)
+	_, full := residualCluster(t, servers, 0, 0, stop)
+	_, quant := residualCluster(t, servers, ml.Quant8, 0, stop)
 
 	if acc := quant[len(quant)-1].TestAccuracy; acc < 0.9 {
 		t.Errorf("quantized downlink final accuracy = %v, want >= 0.9 within %d rounds", acc, len(quant))

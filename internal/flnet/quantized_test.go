@@ -14,12 +14,9 @@ import (
 
 func TestQuantizedRequestRoundTrip(t *testing.T) {
 	m := ml.NewModel(3, 4, ml.Softmax)
-	req := TrainRequest{Round: 1, Epochs: 2, LearningRate: 0.1, ReplyBits: ml.Quant8, Model: m}
-	payload, err := encodeTrainRequest(req)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	back, err := decodeTrainRequest(payload)
+	req := TrainRequest{Round: 1, Epochs: 2, LearningRate: 0.1, ReplyBits: ml.Quant8, BaseRound: 1}
+	payload := m.AppendBinary(appendTrainRequestV2Header(nil, req))
+	back, _, err := decodeTrainRequestV2(payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -34,11 +31,11 @@ func TestQuantizedReplyShrinksWire(t *testing.T) {
 	full := TrainReply{Round: 0, Loss: 1, Samples: 10, Bits: 0, Model: m}
 	q8 := TrainReply{Round: 0, Loss: 1, Samples: 10, Bits: ml.Quant8, Model: m}
 
-	fullPayload, err := encodeTrainReply(full)
+	fullPayload, err := appendTrainReply(nil, full)
 	if err != nil {
 		t.Fatalf("encode full: %v", err)
 	}
-	q8Payload, err := encodeTrainReply(q8)
+	q8Payload, err := appendTrainReply(nil, q8)
 	if err != nil {
 		t.Fatalf("encode q8: %v", err)
 	}
@@ -46,7 +43,7 @@ func TestQuantizedReplyShrinksWire(t *testing.T) {
 		t.Errorf("8-bit payload %d bytes vs full %d — expected ~8x shrink",
 			len(q8Payload), len(fullPayload))
 	}
-	back, err := decodeTrainReply(q8Payload)
+	back, err := decodeTrainReplyInto(q8Payload, &ml.Model{})
 	if err != nil {
 		t.Fatalf("decode q8: %v", err)
 	}
@@ -62,15 +59,12 @@ func TestQuantizedReplyShrinksWire(t *testing.T) {
 
 func TestInvalidQuantBitsRejected(t *testing.T) {
 	m := ml.NewModel(2, 2, ml.Softmax)
-	if _, err := encodeTrainReply(TrainReply{Bits: 12, Model: m}); err == nil {
+	if _, err := appendTrainReply(nil, TrainReply{Bits: 12, Model: m}); err == nil {
 		t.Error("bad reply bits must be rejected at encode")
 	}
-	req := TrainRequest{ReplyBits: 12, Model: m}
-	payload, err := encodeTrainRequest(req)
-	if err != nil {
-		t.Fatalf("encode: %v", err) // encode does not validate; decode does
-	}
-	if _, err := decodeTrainRequest(payload); err == nil {
+	// Encode does not validate; decode does.
+	payload := m.AppendBinary(appendTrainRequestV2Header(nil, TrainRequest{ReplyBits: 12}))
+	if _, _, err := decodeTrainRequestV2(payload); err == nil {
 		t.Error("bad request bits must be rejected at decode")
 	}
 }

@@ -97,23 +97,25 @@ func benchCluster(b *testing.B, shards []*dataset.Dataset, test *dataset.Dataset
 	}
 }
 
-// BenchmarkEncodeTrainRequest isolates the downlink encode: one request
-// frame carrying the full 10×64 global model — the per-round, per-client
-// payload the residual path shrinks.
+// BenchmarkEncodeTrainRequest isolates the downlink encode: one sealed
+// request frame carrying the full 10×64 global model, built in a pooled
+// buffer — the per-round payload the residual path shrinks.
 func BenchmarkEncodeTrainRequest(b *testing.B) {
-	m := ml.NewModel(10, 64, ml.Softmax)
-	m.W.Fill(0.25)
-	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1, Model: m}
+	snap := ml.NewModel(10, 64, ml.Softmax)
+	snap.W.Fill(0.25)
+	c := &Coordinator{snap: snap}
+	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payload, err := encodeTrainRequest(req)
+		bp, frame, err := c.buildFullFrame(req)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(payload) == 0 {
-			b.Fatal("empty payload")
+		if len(frame) == 0 {
+			b.Fatal("empty frame")
 		}
+		freeFrame(bp)
 	}
 }
 
@@ -121,14 +123,14 @@ func BenchmarkEncodeTrainRequest(b *testing.B) {
 // subtract the client's last reconstruction from the snapshot, quantize the
 // residual into a pooled frame, dequantize it back for error feedback, and
 // stage the client's next state — everything buildResidualFrame does per
-// selected v2 client per round, against the full-model encode above.
+// selected client per round, against the full-model encode above.
 func BenchmarkEncodeResidual(b *testing.B) {
 	snap := ml.NewModel(10, 64, ml.Softmax)
 	snap.W.Fill(0.25)
 	last := snap.Clone()
 	last.W.Fill(0.249) // small drift, as between consecutive rounds
 	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}, snap: snap}
-	cl := &clientConn{lastSent: last, proto: ProtoV2}
+	cl := &clientConn{lastSent: last}
 	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}
 	b.ReportAllocs()
 	b.ResetTimer()

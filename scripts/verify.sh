@@ -22,70 +22,17 @@ go test ./...
 echo "== tests (race detector) =="
 go test -race ./...
 
-echo "== observer determinism/race (explicit) =="
-# Contracts pinned under the race detector even if the full -race sweep
-# above is ever narrowed: bit-identical training with a mutating
-# RoundObserver attached (pool claims counters included), the async
-# engine's pool-size independence (same seed, worker counts 1..GOMAXPROCS,
-# byte-identical weights and histories — the virtual-time event queue, not
-# goroutine order, decides the update stream), and the batched GEMM forward
-# pass matching the per-sample sequential reference bit for bit at every
-# worker count (kernel layer in internal/mat, metric/gradient layer in
-# internal/ml).
-go test -race -run 'Observer|SpawnGate|TraceWriter|AsyncPoolBitIdentical' ./internal/fl ./internal/flnet
-go test -race -run 'BitIdentical|Forward|Metrics' ./internal/mat ./internal/ml
-
-echo "== sweep golden/resume/bit-identity (race detector, explicit) =="
-# The (K, E) sweep subsystem's contracts pinned under -race even if the
-# full -race sweep above is ever narrowed: the checked-in Quick-scale 3×3
-# golden checkpoint + frontier CSV byte-compared, resume from a killed
-# sweep's prefix byte-identical to an uninterrupted run, worker counts
-# {1,2,4,GOMAXPROCS} bit-identical, parallel dataset synthesis matching
-# workers=1, and the CLI artifact/resume paths. The Full tier itself
-# (60k samples, 100 servers) is opt-in only:
-#   EEFEI_FULL_SCALE=1 go test ./internal/experiments -run FullScaleSweep -timeout 30m
-go test -race -run 'Sweep|Frontier|ParseScale|ScaleString|TestSplitSamples' ./internal/experiments ./cmd/experiments
-go test -race -run 'SynthesizeParallel|SynthesizePairParallel' ./internal/dataset
-
-echo "== wire protocol v2 interop/residual (race detector, explicit) =="
-# The pooled v2 wire path's contracts pinned under -race even if the full
-# -race sweep above is ever narrowed: lossless v2 bit-identical to the
-# seed protocol at fleet sizes {1,2,4,GOMAXPROCS}, mixed v1/v2 fleets
-# training in one cluster, the error-feedback residual downlink shrinking
-# bytes ≥4× at Quant8 while still converging, rejoin resetting to a full
-# send then resuming residuals, the v2 handshake/header decode error
-# tables, and the 0 allocs/op frame read/write pin. The byte→joules radio
-# pricing rides with the Calibrator section below.
-go test -race -run 'LosslessV2|MixedProtocol|Residual|TrainRequestV2|Handshake|Negotiate|WriteFrameAllocationFree' ./internal/flnet
-go test -race -run 'RadioModel|RadioPricing' ./internal/energy
-
-echo "== datagram transport ARQ/determinism (race detector, explicit) =="
-# The lossy-transport contracts pinned under -race even if the full -race
-# sweep above is ever narrowed: the fldgram stop-and-wait ARQ (fragmentation,
-# CRC-rejected mutations, dup/reorder absorption, deterministic same-seed
-# attempt counters, UDP mux listener), the packet-level faultnet injector,
-# training over fldgram at 10% injected loss matching the TCP history record
-# for record with bit-identical same-seed weights and the measured ρ/p of
-# Eq. 4 within 5% of analytic, the residual-quantized downlink under
-# connection chaos with rejoins, and the reconnect-lifecycle backoff
-# schedule's seed determinism.
-go test -race ./internal/fldgram
-go test -race -run 'PacketInjector' ./internal/faultnet
-go test -race -run 'Dgram|ChaosQuantized|RetryBackoffDeterministic' ./internal/flnet
+echo "== bench module =="
+# bench/ is its own module (eefei/bench, replace eefei => ../), so the
+# ./... sweeps above never enter it: an API break there would otherwise
+# first show up as a failed benchmark run.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== reassembly fuzzer (smoke) =="
 # A short live-fuzz burst on top of the checked-in corpus (which every plain
 # `go test` replays): hostile fragment streams must never panic nor deliver
 # corrupted bytes. Longer runs: go test -fuzz FuzzReassembly ./internal/fldgram
 go test -run='^$' -fuzz 'FuzzReassembly' -fuzztime 5s ./internal/fldgram
-
-echo "== calibration round-trip (race detector, explicit) =="
-# The trace→energy loop under -race: the Calibrator observer accumulating a
-# measured ledger live (closed-loop refit onto DefaultPiTimeModel, replay
-# parity, non-perturbation of training) and the tracefmt -energy offline
-# replay path over the checked-in golden trace.
-go test -race -run 'Calibrator' ./internal/energy
-go test -race -run 'Energy|RunEnergyFlag' ./cmd/tracefmt
 
 echo "== examples =="
 go run ./examples/quickstart
