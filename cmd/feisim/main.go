@@ -78,9 +78,9 @@ func run(args []string) error {
 	if *maxRounds <= 0 {
 		*maxRounds = setup.RoundCap
 	}
+	of := observeFlags{trace: *trace, traceMem: *traceMem, calibrate: *calibrate}
 	if *async {
-		return runAsync(setup, *e, *mix, *maxStale, *workers, *target,
-			*maxRounds, *seed, *trace, *traceMem, *calibrate)
+		return runAsync(setup, *e, *mix, *maxStale, *workers, *target, *maxRounds, *seed, of)
 	}
 
 	cfg := sim.DefaultConfig()
@@ -99,29 +99,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var tw *fl.TraceWriter
-	var observers []fl.RoundObserver
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return fmt.Errorf("create trace: %w", err)
-		}
-		defer f.Close()
-		tw = fl.NewTraceWriter(f)
-		observers = append(observers, tw)
-		system.Engine().SetMemSampling(*traceMem)
+	obs, err := of.attach(system.Engine(), cfg.Device.Power, *e, setup.SamplesPerServer())
+	if err != nil {
+		return err
 	}
-	var cal *energy.Calibrator
-	if *calibrate {
-		cal, err = energy.NewCalibrator(cfg.Device.Power, *e, setup.SamplesPerServer())
-		if err != nil {
-			return err
-		}
-		observers = append(observers, cal)
-	}
-	if obs := fl.Tee(observers...); obs != nil {
-		system.Engine().SetRoundObserver(obs)
-	}
+	defer obs.close()
 	fmt.Printf("feisim: %v scale, N=%d servers, K=%d, E=%d, n̄=%d, target %.2f\n",
 		scale, setup.Servers, *k, *e, setup.SamplesPerServer(), *target)
 
@@ -129,11 +111,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if tw != nil {
-		if err := tw.Err(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Printf("trace: %d rounds written to %s\n", tw.Lines(), *trace)
+	if err := obs.reportTrace("rounds"); err != nil {
+		return err
 	}
 
 	hit := experiments.RoundsToAccuracy(res.History, *target)
@@ -152,9 +131,82 @@ func run(args []string) error {
 	if n := len(res.History); n > 0 {
 		fmt.Printf("  per round %10.2f J\n", res.TotalJoules()/float64(n))
 	}
-	if cal != nil {
-		printCalibration(cal, cfg.Device.Time)
+	if obs.cal != nil {
+		printCalibration(obs.cal, cfg.Device.Time)
 	}
+	return nil
+}
+
+// observable is the observability handle fl.Engine and fl.AsyncEngine share
+// (both embed fl's round core).
+type observable interface {
+	SetRoundObserver(fl.RoundObserver)
+	SetMemSampling(bool)
+}
+
+// observeFlags are the -trace, -trace-mem and -calibrate flags.
+type observeFlags struct {
+	trace     string
+	traceMem  bool
+	calibrate bool
+}
+
+// observers is what attach wired onto a run's engine.
+type observers struct {
+	file *os.File
+	tw   *fl.TraceWriter
+	cal  *energy.Calibrator
+}
+
+// attach wires the flags onto eng: a JSONL trace writer and/or an energy
+// calibrator for rounds of e epochs over samples rows, teed into the
+// engine's one observer slot. The caller defers close.
+func (of observeFlags) attach(eng observable, power energy.PowerModel, e, samples int) (*observers, error) {
+	o := &observers{}
+	var sinks []fl.RoundObserver
+	if of.trace != "" {
+		f, err := os.Create(of.trace)
+		if err != nil {
+			return nil, fmt.Errorf("create trace: %w", err)
+		}
+		o.file, o.tw = f, fl.NewTraceWriter(f)
+		sinks = append(sinks, o.tw)
+		eng.SetMemSampling(of.traceMem)
+	}
+	if of.calibrate {
+		cal, err := energy.NewCalibrator(power, e, samples)
+		if err != nil {
+			o.close()
+			return nil, err
+		}
+		o.cal = cal
+		sinks = append(sinks, cal)
+	}
+	eng.SetRoundObserver(fl.Tee(sinks...))
+	return o, nil
+}
+
+// close releases the trace file on paths that never reached reportTrace;
+// after it, the second Close is a harmless error.
+func (o *observers) close() {
+	if o.file != nil {
+		o.file.Close()
+	}
+}
+
+// reportTrace surfaces the trace writer's sticky error and the file's close
+// error, then prints how many records (rounds or steps) were written.
+func (o *observers) reportTrace(unit string) error {
+	if o.tw == nil {
+		return nil
+	}
+	if err := o.tw.Err(); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	if err := o.file.Close(); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	fmt.Printf("trace: %d %s written to %s\n", o.tw.Lines(), unit, o.file.Name())
 	return nil
 }
 
@@ -185,7 +237,7 @@ func printCalibration(cal *energy.Calibrator, tm energy.TimeModel) {
 // that wasted work is exactly the price the staleness cap pays to bound
 // model divergence.
 func runAsync(setup *experiments.Setup, e int, mix float64, maxStale, workers int,
-	target float64, maxSteps int, seed uint64, trace string, traceMem, calibrate bool) error {
+	target float64, maxSteps int, seed uint64, of observeFlags) error {
 	// Rescale the sync per-round decay to its per-version equivalent: the
 	// async version counter advances ~|shards|× faster than a synchronous
 	// round of fleet time (same mapping as experiments.CompareAsync).
@@ -206,30 +258,12 @@ func runAsync(setup *experiments.Setup, e int, mix float64, maxStale, workers in
 	if err != nil {
 		return err
 	}
-	var tw *fl.TraceWriter
-	var observers []fl.RoundObserver
-	if trace != "" {
-		f, err := os.Create(trace)
-		if err != nil {
-			return fmt.Errorf("create trace: %w", err)
-		}
-		defer f.Close()
-		tw = fl.NewTraceWriter(f)
-		observers = append(observers, tw)
-		engine.SetMemSampling(traceMem)
-	}
 	dm := energy.DefaultPiDeviceModel()
-	var cal *energy.Calibrator
-	if calibrate {
-		cal, err = energy.NewCalibrator(dm.Power, e, setup.SamplesPerServer())
-		if err != nil {
-			return err
-		}
-		observers = append(observers, cal)
+	obs, err := of.attach(engine, dm.Power, e, setup.SamplesPerServer())
+	if err != nil {
+		return err
 	}
-	if obs := fl.Tee(observers...); obs != nil {
-		engine.SetRoundObserver(obs)
-	}
+	defer obs.close()
 	fmt.Printf("feisim: async, N=%d servers, E=%d, α=%.2f, staleness cap %d, target %.2f\n",
 		len(setup.Shards), e, mix, maxStale, target)
 
@@ -239,11 +273,8 @@ func runAsync(setup *experiments.Setup, e int, mix float64, maxStale, workers in
 	if err != nil {
 		return err
 	}
-	if tw != nil {
-		if err := tw.Err(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Printf("trace: %d steps written to %s\n", tw.Lines(), trace)
+	if err := obs.reportTrace("steps"); err != nil {
+		return err
 	}
 
 	dropped := 0
@@ -270,8 +301,8 @@ func runAsync(setup *experiments.Setup, e int, mix float64, maxStale, workers in
 	fmt.Printf("  per update %9.2f J\n", perUpdate)
 	fmt.Printf("  wasted     %9.2f J (stale-dropped trainings)\n", float64(dropped)*perUpdate)
 	fmt.Printf("  total      %9.2f J\n", total)
-	if cal != nil {
-		printCalibration(cal, dm.Time)
+	if obs.cal != nil {
+		printCalibration(obs.cal, dm.Time)
 	}
 	return nil
 }

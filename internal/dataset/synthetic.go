@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"eefei/internal/mat"
+	"eefei/internal/par"
 )
 
 // SyntheticConfig controls the synthetic MNIST-like generator.
@@ -194,8 +193,8 @@ func rowStreamSeed(seed, stream, row uint64) uint64 {
 }
 
 // synthesizeRowStreams fills every row from its own derived RNG; rows are
-// claimed in fixed-size chunks off an atomic cursor so any pool size writes
-// exactly the same bytes.
+// claimed in fixed-size chunks off the shared pool (par.Do) so any pool size
+// writes exactly the same bytes.
 func synthesizeRowStreams(cfg SyntheticConfig, protoSeed, stream uint64, workers int) (*Dataset, error) {
 	if cfg.Samples <= 0 || cfg.Classes <= 0 || cfg.Side <= 0 {
 		return nil, fmt.Errorf("dataset: invalid synthetic config %+v", cfg)
@@ -218,39 +217,19 @@ func synthesizeRowStreams(cfg SyntheticConfig, protoSeed, stream uint64, workers
 		workers = runtime.GOMAXPROCS(0)
 	}
 	const chunk = 256
-	nChunks := (cfg.Samples + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(cursor.Add(1)) - 1
-				if ci >= nChunks {
-					return
-				}
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > cfg.Samples {
-					hi = cfg.Samples
-				}
-				for i := lo; i < hi; i++ {
-					rng := mat.NewRNG(rowStreamSeed(protoSeed, stream, uint64(i)))
-					c := i % cfg.Classes
-					out.Labels[i] = c
-					row := out.X.Row(i)
-					proto := prototypes[c].RawData()
-					for j := range row {
-						row[j] = mat.Clamp(proto[j]+rng.NormScaled(0, cfg.Noise), 0, 1)
-					}
-				}
+	par.Do((cfg.Samples+chunk-1)/chunk, workers, par.Func(func(_, ci int) {
+		hi := min((ci+1)*chunk, cfg.Samples)
+		for i := ci * chunk; i < hi; i++ {
+			rng := mat.NewRNG(rowStreamSeed(protoSeed, stream, uint64(i)))
+			c := i % cfg.Classes
+			out.Labels[i] = c
+			row := out.X.Row(i)
+			proto := prototypes[c].RawData()
+			for j := range row {
+				row[j] = mat.Clamp(proto[j]+rng.NormScaled(0, cfg.Noise), 0, 1)
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	}))
 	out.Shuffle(mat.NewRNG(rowStreamSeed(protoSeed, stream, uint64(cfg.Samples)+0x5157)))
 	return out, nil
 }

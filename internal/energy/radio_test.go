@@ -157,8 +157,10 @@ func TestCalibratorPricesAttemptedBytes(t *testing.T) {
 		UplinkBytes:   4e6,
 		DownlinkBytes: 2e6,
 		// ...but the radio attempted twice as many (p = 0.5): these must win.
-		UplinkAttemptBytes:   8e6, // 4e6 per worker → 4 s at 5 W → 20 J
-		DownlinkAttemptBytes: 4e6, // 2e6 per worker → 2 s at 4 W → 8 J
+		DgramBytes: fl.DgramBytes{
+			UplinkAttemptBytes:   8e6, // 4e6 per worker → 4 s at 5 W → 20 J
+			DownlinkAttemptBytes: 4e6, // 2e6 per worker → 2 s at 4 W → 8 J
+		},
 	}
 	cal.ObserveRound(s)
 	led := cal.Ledger()

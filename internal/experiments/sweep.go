@@ -10,11 +10,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eefei/internal/energy"
 	"eefei/internal/fl"
+	"eefei/internal/par"
 )
 
 // The (K, E) sweep subsystem: a grid of federated training cells executed on
@@ -346,10 +346,7 @@ func RunSweep(ctx context.Context, setup *Setup, spec SweepSpec, opts SweepOptio
 		next        = resumed // next grid index to flush
 		firstErr    error
 		firstErrIdx = total + 1
-		cursor      atomic.Int64
-		wg          sync.WaitGroup
 	)
-	cursor.Store(int64(resumed))
 	fail := func(i int, err error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -388,31 +385,19 @@ func RunSweep(ctx context.Context, setup *Setup, spec SweepSpec, opts SweepOptio
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if remaining := total - resumed; workers > remaining {
-		workers = remaining
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if runCtx.Err() != nil {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				r, err := runSweepCell(setup, spec, cells[i], opts.RoundObserver)
-				if err != nil {
-					fail(i, fmt.Errorf("sweep cell %d (K=%d,E=%d): %w", i, cells[i].K, cells[i].E, err))
-					return
-				}
-				commit(i, r)
-			}
-		}()
-	}
-	wg.Wait()
+	// Cells past a failure or cancellation are claimed but skipped.
+	par.Do(total-resumed, workers, par.Func(func(_, j int) {
+		if runCtx.Err() != nil {
+			return
+		}
+		i := resumed + j
+		r, err := runSweepCell(setup, spec, cells[i], opts.RoundObserver)
+		if err != nil {
+			fail(i, fmt.Errorf("sweep cell %d (K=%d,E=%d): %w", i, cells[i].K, cells[i].E, err))
+			return
+		}
+		commit(i, r)
+	}))
 	if firstErr != nil {
 		return nil, firstErr
 	}

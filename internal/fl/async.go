@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"eefei/internal/dataset"
 	"eefei/internal/mat"
@@ -30,9 +27,9 @@ import (
 // jitter factor drawn per dispatch) and completions pop off a min-heap keyed
 // by (virtual time, client id). The order of applied versions — and
 // therefore the global model — is a pure function of the seed, never of the
-// worker-pool size or goroutine scheduling. Local training itself runs on
-// the same bounded-pool / per-slot-scratch / atomic-commit architecture as
-// Engine.Round; see DESIGN.md §7 "Async parity".
+// worker-pool size or goroutine scheduling. Local training, evaluation and
+// the atomic commit are the same code Engine.Round runs (the embedded core);
+// see DESIGN.md §7 "Round core".
 
 // ErrAsync is returned (wrapped) for invalid async configurations.
 var ErrAsync = errors.New("fl: invalid async config")
@@ -80,14 +77,8 @@ func (c AsyncConfig) Validate() error {
 	if c.LocalEpochs < 1 {
 		return fmt.Errorf("E=%d: %w", c.LocalEpochs, ErrAsync)
 	}
-	if c.LearningRate <= 0 {
-		return fmt.Errorf("learning rate %v: %w", c.LearningRate, ErrAsync)
-	}
-	if math.IsInf(c.LearningRate, 0) || math.IsNaN(c.LearningRate) {
-		return fmt.Errorf("learning rate %v: %w", c.LearningRate, ErrAsync)
-	}
-	if c.Decay < 0 || c.Decay > 1 || math.IsNaN(c.Decay) {
-		return fmt.Errorf("decay %v: %w", c.Decay, ErrAsync)
+	if err := validateSchedule(c.LearningRate, c.Decay, ErrAsync); err != nil {
+		return err
 	}
 	if !(c.MixWeight > 0) || c.MixWeight > 1 {
 		return fmt.Errorf("mix weight %v outside (0,1]: %w", c.MixWeight, ErrAsync)
@@ -133,16 +124,6 @@ func eventBefore(a, b asyncEvent) bool {
 	return a.at < b.at || (a.at == b.at && a.client < b.client)
 }
 
-// asyncSlot carries one in-flight training's bookkeeping. worker records
-// which pool worker trained the slot — observability only (WorkerClaims); it
-// costs nothing to track, unlike a shared counter, which would have to be
-// heap-allocated into the pool closure even on unobserved steps (same
-// claims-tagging pattern as localResult).
-type asyncSlot struct {
-	worker int
-	err    error
-}
-
 // AsyncOption customizes an AsyncEngine.
 type AsyncOption func(*AsyncEngine)
 
@@ -151,7 +132,7 @@ type AsyncOption func(*AsyncEngine)
 // every setting: a client's training stream is derived from
 // (seed, client, version), never from which worker ran it.
 func WithAsyncParallelism(n int) AsyncOption {
-	return func(e *AsyncEngine) { e.parallel = n }
+	return func(e *AsyncEngine) { e.parallel = poolSize(n) }
 }
 
 // WithAsyncEvalParallelism caps the workers used for post-update evaluation
@@ -159,7 +140,7 @@ func WithAsyncParallelism(n int) AsyncOption {
 // sequential evaluation, 0 selects GOMAXPROCS. Results are bit-identical for
 // every setting (shard-order and chunk-order reductions).
 func WithAsyncEvalParallelism(n int) AsyncOption {
-	return func(e *AsyncEngine) { e.evalParallel = n }
+	return func(e *AsyncEngine) { e.evalParallel = poolSize(n) }
 }
 
 // AsyncEngine simulates asynchronous FL over a deterministic virtual-time
@@ -175,15 +156,8 @@ func WithAsyncEvalParallelism(n int) AsyncOption {
 // committed only after evaluation succeeds — a failing step can never
 // publish a half-applied global model.
 type AsyncEngine struct {
-	cfg          AsyncConfig
-	shards       []*dataset.Dataset
-	totalSamples int
-	global       *ml.Model
-	test         *dataset.Dataset
-	roundObs     RoundObserver
-	sampleMem    bool
-	parallel     int
-	evalParallel int
+	core
+	cfg AsyncConfig
 
 	// Virtual-time scheduler state. events is a min-heap over (at, client);
 	// now is the time of the last popped completion; speed/durRNG hold each
@@ -198,19 +172,10 @@ type AsyncEngine struct {
 	// (trained in place — indexed by client, the async analogue of the sync
 	// engine's per-selection-slot models); dispatchV the version it was
 	// dispatched at; pending the dispatched-but-untrained clients flushed
-	// through the bounded pool at the start of every Step; sgds the
-	// per-worker optimizers; slots the per-client worker/error tags.
+	// through the shared pool at the start of every Step.
 	locals    []*ml.Model
 	dispatchV []int
 	pending   []int
-	sgds      []*ml.SGD
-	slots     []asyncSlot
-
-	// Commit and evaluation scratch: the mix is formed and evaluated in
-	// mixScratch and only then copied into global.
-	mixScratch *ml.Model
-	shardLoss  shardLossMap
-	testEval   *ml.Evaluator
 
 	version int
 	history []AsyncUpdate
@@ -221,58 +186,22 @@ func NewAsyncEngine(cfg AsyncConfig, shards []*dataset.Dataset, test *dataset.Da
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("no shards: %w", ErrAsync)
+	c, err := newCore(shards, test, cfg.Activation, ErrAsync)
+	if err != nil {
+		return nil, err
 	}
-	dim, classes := shards[0].Dim(), shards[0].Classes
-	for i, s := range shards {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if s.Dim() != dim || s.Classes != classes {
-			return nil, fmt.Errorf("shard %d shape mismatch: %w", i, ErrAsync)
-		}
-	}
-	act := cfg.Activation
-	if act == 0 {
-		act = ml.Softmax
-	}
-	total := 0
-	for _, s := range shards {
-		total += s.Len()
-	}
-	e := &AsyncEngine{
-		cfg:          cfg,
-		shards:       shards,
-		totalSamples: total,
-		global:       ml.NewModel(classes, dim, act),
-		test:         test,
-		parallel:     runtime.GOMAXPROCS(0),
-		evalParallel: runtime.GOMAXPROCS(0),
-	}
+	e := &AsyncEngine{core: c, cfg: cfg}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if e.parallel <= 0 {
-		e.parallel = runtime.GOMAXPROCS(0)
-	}
-	if e.evalParallel <= 0 {
-		e.evalParallel = runtime.GOMAXPROCS(0)
 	}
 	n := len(shards)
 	e.locals = make([]*ml.Model, n)
 	for c := range e.locals {
-		e.locals[c] = ml.NewModel(classes, dim, act)
+		e.locals[c] = ml.NewModel(e.global.Classes(), e.global.Features(), e.global.Act)
 	}
 	e.dispatchV = make([]int, n)
 	e.pending = make([]int, 0, n)
-	e.slots = make([]asyncSlot, n)
 	e.events = make([]asyncEvent, 0, n)
-	e.mixScratch = ml.NewModel(classes, dim, act)
-	e.shardLoss.init(n)
-	if test != nil {
-		e.testEval = ml.NewEvaluator(e.evalParallel)
-	}
 	// Per-client duration streams, split off a dedicated scheduler RNG so
 	// the completion schedule and the training streams never share draws.
 	// Each client's mean task duration is fixed once in [0.5, 2.0) —
@@ -296,18 +225,6 @@ func (e *AsyncEngine) Version() int { return e.version }
 
 // History returns all update records.
 func (e *AsyncEngine) History() []AsyncUpdate { return e.history }
-
-// SetRoundObserver attaches (or, with nil, detaches) a per-step
-// observability sink. Each Step emits one RoundStats whose Round field is
-// the step ordinal: the train phase covers the pool flush of pending local
-// trainings (Workers/WorkerClaims report its fan-out), select the event-queue
-// pop, aggregate the staleness-discounted mix, evaluate the post-update
-// metrics. A staleness-dropped update reports Dropped=1 and skips the
-// aggregate/evaluate phases. Must not be called mid-Step.
-func (e *AsyncEngine) SetRoundObserver(o RoundObserver) { e.roundObs = o }
-
-// SetMemSampling toggles per-step memstats sampling (observed steps only).
-func (e *AsyncEngine) SetMemSampling(on bool) { e.sampleMem = on }
 
 // dispatch hands client c the current global model: snapshot it into the
 // client's local model, draw the task's virtual duration from the client's
@@ -363,99 +280,26 @@ func (e *AsyncEngine) popEvent() asyncEvent {
 	return top
 }
 
-// trainLocal runs worker w's optimizer for E epochs over client c's shard,
-// training the dispatch-time snapshot in place. The optimizer is reseeded
-// from (seed, client, version) on every assignment, so the trajectory is
-// identical whichever worker runs it and for any pool size; the learning
-// rate decays against the global version the task was dispatched at.
-func (e *AsyncEngine) trainLocal(w, c int) asyncSlot {
-	v := e.dispatchV[c]
-	lr := e.cfg.LearningRate
-	if e.cfg.Decay > 0 {
-		lr *= math.Pow(e.cfg.Decay, float64(v))
-	}
-	cfg := ml.SGDConfig{
-		LearningRate: lr,
-		Seed:         e.cfg.Seed ^ uint64(c)<<32 ^ uint64(v),
-	}
-	var err error
-	if e.sgds[w] == nil {
-		e.sgds[w], err = ml.NewSGD(cfg)
-	} else {
-		err = e.sgds[w].Reset(cfg)
-	}
-	if err != nil {
-		return asyncSlot{worker: w, err: err}
-	}
-	if _, err := e.sgds[w].TrainFinal(e.locals[c], e.shards[c], e.cfg.LocalEpochs); err != nil {
-		return asyncSlot{worker: w, err: err}
-	}
-	return asyncSlot{worker: w}
-}
+// flushJob is AsyncEngine as the pool job of a pending-dispatch flush (a
+// named type only because AsyncEngine.Run is taken): index i = pending[i].
+type flushJob AsyncEngine
 
-// flush trains every pending dispatch on the bounded worker pool. Workers
-// claim pending slots off a shared atomic cursor; which worker trains which
-// client is scheduling-dependent but harmless (see trainLocal). In steady
-// state exactly one client is pending (the re-dispatch of the previous
-// step's completion), so the flush runs inline and spawns nothing; the
-// initial dispatch of the whole fleet — and any future batched dispatch —
-// fans out across the pool.
-func (e *AsyncEngine) flush(observed bool) (workers int, claims []int, err error) {
-	n := len(e.pending)
-	if n == 0 {
-		return 0, nil, nil
+// Run trains client pending[i]'s dispatch-time snapshot in place for E
+// epochs. The stream is keyed by (seed, client, dispatch version) — see
+// core.train — and the learning rate decays against that same version, so
+// the trajectory is identical whichever worker runs it.
+func (j *flushJob) Run(w, i int) {
+	e := (*AsyncEngine)(j)
+	c := e.pending[i]
+	v := e.dispatchV[c]
+	sched := Config{LearningRate: e.cfg.LearningRate, Decay: e.cfg.Decay}
+	_, err := e.train(w, e.locals[c], c, v, ml.SGDConfig{
+		LearningRate: sched.LearningRateAt(v),
+		Seed:         e.cfg.Seed,
+	}, e.cfg.LocalEpochs, nil)
+	if err != nil {
+		e.errs[i] = fmt.Errorf("async client %d: %w", c, err)
 	}
-	workers = e.parallel
-	if workers > n {
-		workers = n
-	}
-	for len(e.sgds) < workers {
-		e.sgds = append(e.sgds, nil)
-	}
-	if workers <= 1 {
-		workers = 1
-		for _, c := range e.pending {
-			e.slots[c] = e.trainLocal(0, c)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					c := e.pending[i]
-					e.slots[c] = e.trainLocal(w, c)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	// claims[w] counts the pending slots worker w trained — the pool
-	// occupancy an observer sees. Built after the pool from the per-slot
-	// worker tags so nothing observer-related is captured by (and therefore
-	// heap-allocated into) the worker closure on unobserved steps.
-	if observed {
-		claims = make([]int, workers)
-		for _, c := range e.pending {
-			if e.slots[c].err == nil {
-				claims[e.slots[c].worker]++
-			}
-		}
-	}
-	for _, c := range e.pending {
-		if e.slots[c].err != nil {
-			err = fmt.Errorf("async client %d: %w", c, e.slots[c].err)
-			break
-		}
-	}
-	e.pending = e.pending[:0]
-	return workers, claims, err
 }
 
 // Step processes one virtual-time completion: flush any pending local
@@ -466,14 +310,15 @@ func (e *AsyncEngine) flush(observed bool) (workers int, claims []int, err error
 // evaluated there, and only if every stage succeeds are the global model,
 // version counter, and history advanced together (and the client
 // re-dispatched). A failed step leaves the model state exactly as it was.
+//
+// An observed Step emits one RoundStats whose Round field is the step
+// ordinal: the train phase covers the pool flush of pending local trainings
+// (Workers/WorkerClaims report its fan-out), select the event-queue pop,
+// aggregate the staleness-discounted mix, evaluate the post-update metrics.
+// A staleness-dropped update reports Dropped=1 and skips the
+// aggregate/evaluate phases.
 func (e *AsyncEngine) Step() (AsyncUpdate, error) {
-	// Observability is pay-for-use: with no observer attached the step
-	// takes no timestamps and allocates nothing extra.
-	obs := e.roundObs
-	var pc PhaseClock
-	if obs != nil {
-		pc = NewPhaseClock(e.sampleMem)
-	}
+	pc := e.clock()
 	// First step: every client starts training at version 0, time 0.
 	if !e.started {
 		e.started = true
@@ -485,13 +330,21 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 	}
 	// Train phase: flush the pending dispatches. Every popped completion
 	// was dispatched in an earlier Step, so its snapshot is trained by now.
-	workers, claims, err := e.flush(obs != nil)
-	if err != nil {
-		return AsyncUpdate{}, err
+	// In steady state exactly one client is pending (the re-dispatch of the
+	// previous step's completion), so the flush runs inline and spawns
+	// nothing; the initial dispatch of the whole fleet — and any future
+	// batched dispatch — fans out across the pool.
+	var workers int
+	var claims []int
+	if len(e.pending) > 0 {
+		var err error
+		workers, claims, err = e.pool(len(e.pending), (*flushJob)(e))
+		e.pending = e.pending[:0]
+		if err != nil {
+			return AsyncUpdate{}, err
+		}
 	}
-	if obs != nil {
-		pc.Lap(PhaseTrain)
-	}
+	pc.Lap(PhaseTrain)
 
 	// Select phase: pop the earliest completion in virtual time.
 	ev := e.popEvent()
@@ -504,9 +357,7 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 		TrainLoss:    math.NaN(),
 		TestAccuracy: math.NaN(),
 	}
-	if obs != nil {
-		pc.Lap(PhaseSelect)
-	}
+	pc.Lap(PhaseSelect)
 
 	if e.cfg.MaxStaleness > 0 && staleness > e.cfg.MaxStaleness {
 		// Too stale: discard the trained update (the wasted local work is
@@ -517,49 +368,32 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 			return AsyncUpdate{}, err
 		}
 		e.history = append(e.history, upd)
-		if obs != nil {
-			st := pc.Finish(len(e.history) - 1)
-			st.Workers = workers
-			st.WorkerClaims = claims
-			st.Dropped = 1
-			obs.ObserveRound(st)
-		}
+		e.finish(&pc, len(e.history)-1, workers, claims, 1)
 		return upd, nil
 	}
 
 	// Aggregate phase: ω ← (1−α_s)·ω + α_s·ω_k in the scratch model; the
 	// engine's state is untouched until the commit below.
 	alpha := e.cfg.MixWeight / float64(staleness+1)
-	if err := e.mixScratch.CopyFrom(e.global); err != nil {
+	if err := e.scratch.CopyFrom(e.global); err != nil {
 		return AsyncUpdate{}, fmt.Errorf("async mix: %w", err)
 	}
-	e.mixScratch.Scale(1 - alpha)
-	if err := e.mixScratch.AddScaled(alpha, e.locals[ev.client]); err != nil {
+	e.scratch.Scale(1 - alpha)
+	if err := e.scratch.AddScaled(alpha, e.locals[ev.client]); err != nil {
 		return AsyncUpdate{}, fmt.Errorf("async mix: %w", err)
 	}
-	if obs != nil {
-		pc.Lap(PhaseAggregate)
-	}
+	pc.Lap(PhaseAggregate)
 
 	// Evaluate phase, still against the scratch model.
-	loss, err := e.shardLoss.lossOf(e.mixScratch, e.shards, e.totalSamples, e.evalParallel)
+	var err error
+	upd.TrainLoss, upd.TestAccuracy, err = e.evaluate(e.scratch)
 	if err != nil {
 		return AsyncUpdate{}, fmt.Errorf("async step %d: %w", e.version, err)
 	}
-	upd.TrainLoss = loss
-	if e.test != nil {
-		acc, err := e.testEval.Accuracy(e.mixScratch, e.test)
-		if err != nil {
-			return AsyncUpdate{}, fmt.Errorf("async step %d accuracy: %w", e.version, err)
-		}
-		upd.TestAccuracy = acc
-	}
-	if obs != nil {
-		pc.Lap(PhaseEvaluate)
-	}
+	pc.Lap(PhaseEvaluate)
 
 	// Commit model, version, history, and the client's re-dispatch together.
-	if err := e.global.CopyFrom(e.mixScratch); err != nil {
+	if err := e.commit(); err != nil {
 		return AsyncUpdate{}, fmt.Errorf("async commit: %w", err)
 	}
 	e.version++
@@ -570,12 +404,7 @@ func (e *AsyncEngine) Step() (AsyncUpdate, error) {
 		return AsyncUpdate{}, err
 	}
 	e.history = append(e.history, upd)
-	if obs != nil {
-		st := pc.Finish(len(e.history) - 1)
-		st.Workers = workers
-		st.WorkerClaims = claims
-		obs.ObserveRound(st)
-	}
+	e.finish(&pc, len(e.history)-1, workers, claims, 0)
 	return upd, nil
 }
 

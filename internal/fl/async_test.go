@@ -20,6 +20,10 @@ func TestAsyncConfigValidate(t *testing.T) {
 		{"zero epochs", func(c *AsyncConfig) { c.LocalEpochs = 0 }, true},
 		{"zero lr", func(c *AsyncConfig) { c.LearningRate = 0 }, true},
 		{"decay above one", func(c *AsyncConfig) { c.Decay = 2 }, true},
+		{"lr NaN", func(c *AsyncConfig) { c.LearningRate = math.NaN() }, true},
+		{"lr +Inf", func(c *AsyncConfig) { c.LearningRate = math.Inf(1) }, true},
+		{"decay negative", func(c *AsyncConfig) { c.Decay = -1 }, true},
+		{"decay NaN", func(c *AsyncConfig) { c.Decay = math.NaN() }, true},
 		{"zero mix", func(c *AsyncConfig) { c.MixWeight = 0 }, true},
 		{"mix above one", func(c *AsyncConfig) { c.MixWeight = 1.5 }, true},
 		{"negative staleness", func(c *AsyncConfig) { c.MaxStaleness = -1 }, true},

@@ -10,9 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"eefei/internal/dataset"
 	"eefei/internal/mat"
@@ -65,17 +62,44 @@ func (c Config) Validate(shards int) error {
 	if c.LocalEpochs < 1 {
 		return fmt.Errorf("E=%d: %w", c.LocalEpochs, ErrConfig)
 	}
-	if c.LearningRate <= 0 {
-		return fmt.Errorf("learning rate %v: %w", c.LearningRate, ErrConfig)
-	}
-	if c.Decay < 0 || c.Decay > 1 {
-		return fmt.Errorf("decay %v: %w", c.Decay, ErrConfig)
+	if err := c.ValidateSchedule(); err != nil {
+		return err
 	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("batch size %d: %w", c.BatchSize, ErrConfig)
 	}
 	if c.ProximalMu < 0 {
 		return fmt.Errorf("proximal mu %v: %w", c.ProximalMu, ErrConfig)
+	}
+	return nil
+}
+
+// LearningRateAt returns γ_t = γ0 · decay^t, the step size of round (or
+// async version) t — the one schedule Engine, AsyncEngine and the networked
+// coordinator all train under.
+func (c Config) LearningRateAt(t int) float64 {
+	if c.Decay == 0 {
+		return c.LearningRate
+	}
+	return c.LearningRate * math.Pow(c.Decay, float64(t))
+}
+
+// ValidateSchedule checks the two fields LearningRateAt reads: γ0 must be
+// positive and finite, and decay in [0, 1] — a decay above 1 grows the step
+// every round, and a negative one eventually hands the optimizer a negative
+// γ mid-run.
+func (c Config) ValidateSchedule() error {
+	return validateSchedule(c.LearningRate, c.Decay, ErrConfig)
+}
+
+// validateSchedule is ValidateSchedule's body, shared with AsyncConfig (which
+// reports under its own sentinel). The negated comparisons reject NaN.
+func validateSchedule(lr, decay float64, sentinel error) error {
+	if !(lr > 0) || math.IsInf(lr, 0) {
+		return fmt.Errorf("learning rate %v: %w", lr, sentinel)
+	}
+	if !(decay >= 0 && decay <= 1) {
+		return fmt.Errorf("decay %v: %w", decay, sentinel)
 	}
 	return nil
 }
@@ -155,59 +179,54 @@ type RoundRecord struct {
 	// radio energy model prices, replacing the analytic estimate.
 	DownlinkBytes int64
 	UplinkBytes   int64
-	// The *AttemptBytes / *DeliveredBytes pairs are only set when the round
-	// ran over a datagram transport with per-attempt accounting
-	// (fldgram): attempted counts every packet transmission including
-	// retransmissions and injected drops — the energy the radio actually
-	// spent — while delivered counts unique acknowledged packets, both at
-	// wire size (datagram headers included). Their ratio is the measured
-	// expected attempts per delivery, which Eq. 4 predicts converges to
-	// 1/p on the unlicensed band. Zero on stream transports.
-	DownlinkAttemptBytes   int64
-	DownlinkDeliveredBytes int64
-	UplinkAttemptBytes     int64
-	UplinkDeliveredBytes   int64
+	// DgramBytes is only set when the round ran over a datagram transport
+	// with per-attempt accounting (fldgram). Zero on stream transports.
+	DgramBytes
+}
+
+// DgramBytes are the per-direction datagram transport counters of one round,
+// shared by RoundRecord and RoundStats: attempted counts every packet
+// transmission including retransmissions and injected drops — the energy the
+// radio actually spent — while delivered counts unique acknowledged packets,
+// both at wire size (datagram headers included). Their ratio is the measured
+// expected attempts per delivery, which Eq. 4's geometric retransmission
+// model predicts converges to 1/p on the unlicensed band.
+type DgramBytes struct {
+	DownlinkAttemptBytes   int64 `json:"downlink_attempt_bytes,omitempty"`
+	DownlinkDeliveredBytes int64 `json:"downlink_delivered_bytes,omitempty"`
+	UplinkAttemptBytes     int64 `json:"uplink_attempt_bytes,omitempty"`
+	UplinkDeliveredBytes   int64 `json:"uplink_delivered_bytes,omitempty"`
 }
 
 // Engine runs FedAvg over in-memory shards.
 //
 // The per-round hot path is allocation-free after the first round: local
-// training runs on a bounded worker pool whose per-slot scratch models and
-// per-worker optimizers (each owning its gradient accumulator, batched-
-// forward chunk scratch, shuffle buffer, and RNG stream) are reused round
-// over round, the
-// aggregate lands in a scratch model that is committed only when the whole
-// round — including evaluation — succeeds, and global loss / test accuracy
-// are computed by a shard-parallel map-reduce over per-worker evaluators.
+// training runs on the shared bounded worker pool (see core) whose per-slot
+// scratch models and per-worker optimizers (each owning its gradient
+// accumulator, batched-forward chunk scratch, shuffle buffer, and RNG
+// stream) are reused round over round, the aggregate lands in a scratch
+// model that is committed only when the whole round — including evaluation —
+// succeeds, and global loss / test accuracy are computed by a shard-parallel
+// map-reduce over per-worker evaluators.
 // See DESIGN.md §7 for the scratch-ownership rules.
 type Engine struct {
-	cfg          Config
-	shards       []*dataset.Dataset
-	totalSamples int
-	global       *ml.Model
-	test         *dataset.Dataset
-	selector     Selector
-	agg          Aggregator
-	roundObs     RoundObserver
-	sampleMem    bool
-	rng          *mat.RNG
-	parallel     int
-	evalParallel int
-	round        int
-	history      []RoundRecord
+	core
+	cfg      Config
+	selector Selector
+	agg      Aggregator
+	rng      *mat.RNG
+	round    int
+	history  []RoundRecord
 
-	// Round-loop scratch, all reused across rounds. localModels is indexed
-	// by selection slot (each slot's result must survive until aggregation),
-	// sgds by pool worker (a worker trains its claimed slots sequentially).
+	// Round-loop scratch, reused across rounds and indexed by selection slot
+	// (each slot's result must survive until aggregation). selected and lr
+	// are the in-flight round's inputs, kept here rather than in a closure so
+	// an unobserved round allocates nothing for the pool.
 	localModels []*ml.Model
-	sgds        []*ml.SGD
-	results     []localResult
 	updates     []Update
-	aggScratch  *ml.Model
-	// Evaluation scratch: the shard-parallel loss map-reduce (shared with
-	// AsyncEngine) and a chunk-parallel evaluator for the test set.
-	shardLoss shardLossMap
-	testEval  *ml.Evaluator
+	losses      []float64
+	selected    []int
+	lr          float64
 }
 
 // Option customizes an Engine.
@@ -236,19 +255,12 @@ func WithRoundObserver(o RoundObserver) Option {
 	return func(e *Engine) { e.roundObs = o }
 }
 
-// WithMemSampling opts the engine into sampling runtime.ReadMemStats around
-// every observed round, filling RoundStats.Mallocs/AllocBytes. It has no
-// effect without a RoundObserver.
-func WithMemSampling() Option {
-	return func(e *Engine) { e.sampleMem = true }
-}
-
 // WithParallelism caps concurrent local-training workers; 1 forces
 // sequential execution, 0 selects GOMAXPROCS. Results are bit-identical for
 // every setting: a client's training stream is derived from (seed, client,
 // round), never from which worker ran it.
 func WithParallelism(n int) Option {
-	return func(e *Engine) { e.parallel = n }
+	return func(e *Engine) { e.parallel = poolSize(n) }
 }
 
 // WithEvalParallelism caps the workers used for post-aggregation evaluation
@@ -257,58 +269,29 @@ func WithParallelism(n int) Option {
 // for every setting: per-shard losses are reduced in shard order and the
 // test pass uses a fixed chunk decomposition.
 func WithEvalParallelism(n int) Option {
-	return func(e *Engine) { e.evalParallel = n }
+	return func(e *Engine) { e.evalParallel = poolSize(n) }
 }
 
 // NewEngine validates the config and builds an engine over the given shards.
 // All shards must agree on dimensionality and class count.
 func NewEngine(cfg Config, shards []*dataset.Dataset, opts ...Option) (*Engine, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("no shards: %w", ErrConfig)
-	}
 	if err := cfg.Validate(len(shards)); err != nil {
 		return nil, err
 	}
-	dim, classes := shards[0].Dim(), shards[0].Classes
-	for i, s := range shards {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if s.Dim() != dim || s.Classes != classes {
-			return nil, fmt.Errorf("shard %d shape %d/%d differs from shard 0 %d/%d: %w",
-				i, s.Dim(), s.Classes, dim, classes, ErrConfig)
-		}
-	}
-	act := cfg.Activation
-	if act == 0 {
-		act = ml.Softmax
-	}
-	total := 0
-	for _, s := range shards {
-		total += s.Len()
+	c, err := newCore(shards, nil, cfg.Activation, ErrConfig)
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
-		cfg:          cfg,
-		shards:       shards,
-		totalSamples: total,
-		global:       ml.NewModel(classes, dim, act),
-		selector:     RandomSelector{},
-		agg:          MeanAggregator{},
-		rng:          mat.NewRNG(cfg.Seed),
-		parallel:     runtime.GOMAXPROCS(0),
-		evalParallel: runtime.GOMAXPROCS(0),
+		core:     c,
+		cfg:      cfg,
+		selector: RandomSelector{},
+		agg:      MeanAggregator{},
+		rng:      mat.NewRNG(cfg.Seed),
 	}
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.parallel <= 0 {
-		e.parallel = runtime.GOMAXPROCS(0)
-	}
-	if e.evalParallel <= 0 {
-		e.evalParallel = runtime.GOMAXPROCS(0)
-	}
-	e.aggScratch = ml.NewModel(classes, dim, act)
-	e.shardLoss.init(len(shards))
 	return e, nil
 }
 
@@ -322,36 +305,8 @@ func (e *Engine) Rounds() int { return e.round }
 // History returns the accumulated round records.
 func (e *Engine) History() []RoundRecord { return e.history }
 
-// SetRoundObserver attaches (or, with nil, detaches) the per-round
-// observability sink after construction — cmd/feisim uses this to wire its
-// -trace flag through the simulator. Must not be called while Round runs.
-func (e *Engine) SetRoundObserver(o RoundObserver) { e.roundObs = o }
-
-// SetMemSampling toggles per-round memstats sampling (see WithMemSampling).
-func (e *Engine) SetMemSampling(on bool) { e.sampleMem = on }
-
 // Shards returns the number of edge servers.
 func (e *Engine) Shards() int { return len(e.shards) }
-
-// currentLR returns γ_t = γ0 · decay^t.
-func (e *Engine) currentLR() float64 {
-	if e.cfg.Decay == 0 {
-		return e.cfg.LearningRate
-	}
-	return e.cfg.LearningRate * math.Pow(e.cfg.Decay, float64(e.round))
-}
-
-// localResult carries one client's round output. worker records which pool
-// worker trained the slot — observability only (WorkerClaims); it costs
-// nothing to track, unlike a shared counter, which would have to be heap-
-// allocated into the pool closure even on unobserved rounds.
-type localResult struct {
-	client int
-	worker int
-	model  *ml.Model
-	loss   float64
-	err    error
-}
 
 // Round performs one full FedAvg round: select K_t, broadcast ω_t, train E
 // local epochs on each selected shard, aggregate per Eq. (2), evaluate.
@@ -362,207 +317,81 @@ type localResult struct {
 // leaves the engine exactly as it was, so callers can retry or abort
 // without inheriting a half-advanced state.
 func (e *Engine) Round() (RoundRecord, error) {
-	// Observability is pay-for-use: with no observer attached the round
-	// takes no timestamps and allocates nothing extra.
-	obs := e.roundObs
-	var pc PhaseClock
-	if obs != nil {
-		pc = NewPhaseClock(e.sampleMem)
+	pc := e.clock()
+	e.selected = e.selector.Select(e.rng, len(e.shards), e.cfg.ClientsPerRound, e.round)
+	e.lr = e.cfg.LearningRateAt(e.round)
+	k := len(e.selected)
+	for len(e.localModels) < k {
+		e.localModels = append(e.localModels, ml.NewModel(e.global.Classes(), e.global.Features(), e.global.Act))
+		e.updates = append(e.updates, Update{})
+		e.losses = append(e.losses, 0)
 	}
+	pc.Lap(PhaseSelect)
 
-	selected := e.selector.Select(e.rng, len(e.shards), e.cfg.ClientsPerRound, e.round)
-	lr := e.currentLR()
-	e.ensureRoundScratch(len(selected))
-	results := e.results[:len(selected)]
-
-	// Bounded worker pool: each of up to e.parallel workers owns one SGD
-	// (and thereby its gradient/probability/shuffle buffers and RNG object)
-	// and claims selection slots off a shared cursor. Which worker trains
-	// which client is scheduling-dependent, but harmless: a client's
-	// training stream is reseeded from (seed, client, round) on every
-	// assignment, so the trajectory is identical for any pool size.
-	workers := e.parallel
-	if workers > len(selected) {
-		workers = len(selected)
+	workers, claims, err := e.pool(k, (*roundJob)(e))
+	if err != nil {
+		return RoundRecord{}, err
 	}
-	if obs != nil {
-		pc.Lap(PhaseSelect)
-	}
-	if workers <= 1 {
-		for i, c := range selected {
-			results[i] = e.trainLocal(0, i, c, lr)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(selected) {
-						return
-					}
-					results[i] = e.trainLocal(w, i, selected[i], lr)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	// claims[w] counts the selection slots worker w trained — the pool
-	// occupancy an observer sees. Built after the pool from the per-slot
-	// worker tags so nothing observer-related is captured by (and therefore
-	// heap-allocated into) the worker closure on unobserved rounds.
-	var claims []int
-	if obs != nil {
-		claims = make([]int, workers)
-		for i := range results {
-			if results[i].err == nil {
-				claims[results[i].worker]++
-			}
-		}
-	}
-
-	for _, r := range results {
-		if r.err != nil {
-			return RoundRecord{}, fmt.Errorf("round %d client %d: %w", e.round, r.client, r.err)
-		}
-	}
-	if obs != nil {
-		pc.Lap(PhaseTrain)
-	}
+	pc.Lap(PhaseTrain)
 
 	// Aggregate (default: ω_{t+1} = (1/K) Σ ω_{k,t}, paper Eq. 2) into the
 	// scratch model; the engine's state is untouched until the commit below.
-	updates := e.updates[:len(results)]
-	for i, r := range results {
-		updates[i] = Update{Client: r.client, Model: r.model, Samples: e.shards[r.client].Len()}
-	}
-	if err := e.agg.Aggregate(e.aggScratch, updates); err != nil {
+	if err := e.agg.Aggregate(e.scratch, e.updates[:k]); err != nil {
 		return RoundRecord{}, fmt.Errorf("round %d: %w", e.round, err)
 	}
-	if obs != nil {
-		pc.Lap(PhaseAggregate)
-	}
+	pc.Lap(PhaseAggregate)
 
 	rec := RoundRecord{
 		Round:        e.round,
-		Selected:     selected,
-		LearningRate: lr,
-		TestAccuracy: math.NaN(),
-		LocalLosses:  make([]float64, len(results)),
+		Selected:     e.selected,
+		LearningRate: e.lr,
+		LocalLosses:  append([]float64(nil), e.losses[:k]...),
 	}
-	for i, r := range results {
-		rec.LocalLosses[i] = r.loss
-	}
-
-	loss, err := e.globalLossOf(e.aggScratch)
+	rec.TrainLoss, rec.TestAccuracy, err = e.evaluate(e.scratch)
 	if err != nil {
-		return RoundRecord{}, fmt.Errorf("round %d global loss: %w", e.round, err)
+		return RoundRecord{}, fmt.Errorf("round %d: %w", e.round, err)
 	}
-	rec.TrainLoss = loss
-
-	if e.test != nil {
-		if e.testEval == nil {
-			e.testEval = ml.NewEvaluator(e.evalParallel)
-		}
-		acc, err := e.testEval.Accuracy(e.aggScratch, e.test)
-		if err != nil {
-			return RoundRecord{}, fmt.Errorf("round %d accuracy: %w", e.round, err)
-		}
-		rec.TestAccuracy = acc
-	}
-	if obs != nil {
-		pc.Lap(PhaseEvaluate)
-	}
+	pc.Lap(PhaseEvaluate)
 
 	// Commit model, round counter, and history together.
-	if err := e.global.CopyFrom(e.aggScratch); err != nil {
+	if err := e.commit(); err != nil {
 		return RoundRecord{}, fmt.Errorf("round %d commit: %w", e.round, err)
 	}
 	e.round++
 	e.history = append(e.history, rec)
-	if obs != nil {
-		st := pc.Finish(rec.Round)
-		st.Workers = workers
-		st.WorkerClaims = claims
-		obs.ObserveRound(st)
-	}
+	e.finish(&pc, rec.Round, workers, claims, 0)
 	return rec, nil
 }
 
-// ensureRoundScratch sizes the per-slot and per-worker reusable buffers for
-// a round over k selected clients.
-func (e *Engine) ensureRoundScratch(k int) {
-	for len(e.localModels) < k {
-		e.localModels = append(e.localModels, ml.NewModel(e.global.Classes(), e.global.Features(), e.global.Act))
-	}
-	workers := e.parallel
-	if workers > k {
-		workers = k
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for len(e.sgds) < workers {
-		e.sgds = append(e.sgds, nil)
-	}
-	if cap(e.results) < k {
-		e.results = make([]localResult, k)
-		e.updates = make([]Update, k)
-	}
-	e.results = e.results[:cap(e.results)]
-	e.updates = e.updates[:cap(e.updates)]
-}
+// roundJob is Engine as the pool job of its in-flight round (a named type
+// only because Engine.Run is taken): index = selection slot.
+type roundJob Engine
 
-// trainLocal copies the global model into slot scratch and runs E epochs of
-// worker w's optimizer on one client's shard.
-func (e *Engine) trainLocal(w, slot, client int, lr float64) localResult {
-	local := e.localModels[slot]
-	if err := local.CopyFrom(e.global); err != nil {
-		return localResult{client: client, worker: w, err: err}
-	}
-	cfg := ml.SGDConfig{
-		LearningRate: lr,
-		BatchSize:    e.cfg.BatchSize,
-		ProximalMu:   e.cfg.ProximalMu,
-		// Mini-batch order must not depend on goroutine scheduling or pool
-		// size: derive the seed from (run seed, client, round).
-		Seed: e.cfg.Seed ^ uint64(client)<<32 ^ uint64(e.round),
-	}
-	var err error
-	if e.sgds[w] == nil {
-		e.sgds[w], err = ml.NewSGD(cfg)
-	} else {
-		err = e.sgds[w].Reset(cfg)
+// Run copies the global model into the slot's scratch model and trains it
+// for E epochs on the slot's client, anchored (for FedProx) to this round's
+// immutable global snapshot.
+func (j *roundJob) Run(w, slot int) {
+	e := (*Engine)(j)
+	client, local := e.selected[slot], e.localModels[slot]
+	err := local.CopyFrom(e.global)
+	if err == nil {
+		e.losses[slot], err = e.train(w, local, client, e.round, ml.SGDConfig{
+			LearningRate: e.lr,
+			BatchSize:    e.cfg.BatchSize,
+			ProximalMu:   e.cfg.ProximalMu,
+			Seed:         e.cfg.Seed,
+		}, e.cfg.LocalEpochs, e.global)
 	}
 	if err != nil {
-		return localResult{client: client, worker: w, err: err}
+		e.errs[slot] = fmt.Errorf("round %d client %d: %w", e.round, client, err)
 	}
-	sgd := e.sgds[w]
-	if e.cfg.ProximalMu > 0 {
-		// The FedProx anchor is this round's immutable global snapshot.
-		sgd.SetProximalRef(e.global)
-	}
-	loss, err := sgd.TrainFinal(local, e.shards[client], e.cfg.LocalEpochs)
-	if err != nil {
-		return localResult{client: client, worker: w, err: err}
-	}
-	return localResult{client: client, worker: w, model: local, loss: loss}
+	e.updates[slot] = Update{Client: client, Model: local, Samples: e.shards[client].Len()}
 }
 
 // GlobalLoss evaluates the global objective F(ω) = Σ_k (n_k/n)·F_k(ω) over
 // all shards.
 func (e *Engine) GlobalLoss() (float64, error) {
-	return e.globalLossOf(e.global)
-}
-
-// globalLossOf runs the shard-parallel map-reduce for F(ω) over up to
-// evalParallel workers; see shardLossMap for the bit-identity and spawn-gate
-// contracts.
-func (e *Engine) globalLossOf(m *ml.Model) (float64, error) {
-	return e.shardLoss.lossOf(m, e.shards, e.totalSamples, e.evalParallel)
+	return e.shardLoss.lossOf(e.global, e.shards, e.totalSamples, e.evalParallel)
 }
 
 // StopCondition inspects the history after each round and reports whether

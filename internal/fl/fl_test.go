@@ -50,6 +50,11 @@ func TestConfigValidate(t *testing.T) {
 		{"E zero", func(c *Config) { c.LocalEpochs = 0 }, true},
 		{"lr zero", func(c *Config) { c.LearningRate = 0 }, true},
 		{"decay above one", func(c *Config) { c.Decay = 1.5 }, true},
+		{"lr NaN", func(c *Config) { c.LearningRate = math.NaN() }, true},
+		{"lr +Inf", func(c *Config) { c.LearningRate = math.Inf(1) }, true},
+		{"decay negative", func(c *Config) { c.Decay = -1 }, true},
+		{"decay NaN", func(c *Config) { c.Decay = math.NaN() }, true},
+		{"decay zero (off)", func(c *Config) { c.Decay = 0 }, false},
 		{"negative batch", func(c *Config) { c.BatchSize = -2 }, true},
 	}
 	for _, tt := range tests {

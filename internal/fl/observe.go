@@ -22,8 +22,9 @@ import (
 // never models or RNG state, so attaching one cannot perturb training.
 // Same-seed runs with and without an observer are bit-identical (pinned by
 // TestObserverDeterminism). With no observer attached the instrumented code
-// paths collapse to a nil check — no clock reads, no allocations — keeping
-// BenchmarkRoundTable2 at its committed ns/op and allocs/op pin.
+// paths collapse to calls on an off PhaseClock — no clock reads, no
+// allocations — keeping BenchmarkRoundTable2 at its committed ns/op and
+// allocs/op pin.
 
 // Phase identifies one stage of a federated round. The four phases map onto
 // the paper's per-round activity segments (its waiting/download/train/upload
@@ -114,15 +115,9 @@ type RoundStats struct {
 	// request bytes and client→coordinator reply bytes respectively.
 	DownlinkBytes int64 `json:"downlink_bytes,omitempty"`
 	UplinkBytes   int64 `json:"uplink_bytes,omitempty"`
-	// The attempt/delivered pairs mirror the round record's datagram
-	// transport counters (fldgram runs only): every packet transmission
-	// the radio paid for vs the unique acknowledged packets, wire size
-	// with datagram headers. attempted/delivered is the measured 1/p of
-	// Eq. 4's geometric retransmission model.
-	DownlinkAttemptBytes   int64 `json:"downlink_attempt_bytes,omitempty"`
-	DownlinkDeliveredBytes int64 `json:"downlink_delivered_bytes,omitempty"`
-	UplinkAttemptBytes     int64 `json:"uplink_attempt_bytes,omitempty"`
-	UplinkDeliveredBytes   int64 `json:"uplink_delivered_bytes,omitempty"`
+	// DgramBytes mirrors the round record's datagram transport counters
+	// (fldgram runs only).
+	DgramBytes
 }
 
 // PhaseDuration returns the duration recorded for phase p.
@@ -260,11 +255,12 @@ func ReadTrace(r io.Reader) ([]RoundStats, error) {
 }
 
 // PhaseClock accumulates the per-phase wall-clock of one in-flight round.
-// The engines in this package and the networked coordinator in flnet keep
-// one on the stack and only start it when an observer is attached, so the
-// nil-observer path performs no clock or memstats reads.
+// The zero value is off: Lap and Finish on it read no clock and no memstats,
+// so the engines in this package and the networked coordinator in flnet call
+// them unconditionally and only start the clock (NewPhaseClock) when an
+// observer is attached.
 type PhaseClock struct {
-	sampleMem      bool
+	on, sampleMem  bool
 	start, mark    time.Time
 	sel, train     time.Duration
 	agg, eval      time.Duration
@@ -275,7 +271,7 @@ type PhaseClock struct {
 // runtime.ReadMemStats briefly stops the world, which is why allocation
 // sampling is opt-in even with an observer attached.
 func NewPhaseClock(sampleMem bool) PhaseClock {
-	pc := PhaseClock{sampleMem: sampleMem}
+	pc := PhaseClock{on: true, sampleMem: sampleMem}
 	if sampleMem {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -288,6 +284,9 @@ func NewPhaseClock(sampleMem bool) PhaseClock {
 
 // Lap closes the current phase as p and opens the next one.
 func (pc *PhaseClock) Lap(p Phase) {
+	if !pc.on {
+		return
+	}
 	now := time.Now()
 	d := now.Sub(pc.mark)
 	pc.mark = now
@@ -305,6 +304,9 @@ func (pc *PhaseClock) Lap(p Phase) {
 
 // Finish stops the clock and assembles the stats record for round.
 func (pc *PhaseClock) Finish(round int) RoundStats {
+	if !pc.on {
+		return RoundStats{Round: round}
+	}
 	total := time.Since(pc.start)
 	s := RoundStats{
 		Round:     round,

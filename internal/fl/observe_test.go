@@ -41,11 +41,11 @@ func TestObserverStats(t *testing.T) {
 			s.WorkerClaims = append([]int(nil), s.WorkerClaims...)
 			stats = append(stats, s)
 		})),
-		WithMemSampling(),
 	)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	engine.SetMemSampling(true)
 	const rounds = 3
 	if _, err := engine.Run(MaxRounds(rounds)); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -78,7 +78,7 @@ func TestObserverStats(t *testing.T) {
 				i, s.WorkerClaims, claimed, quickConfig().ClientsPerRound)
 		}
 		if !s.MemSampled {
-			t.Errorf("round %d: memstats not sampled despite WithMemSampling", i)
+			t.Errorf("round %d: memstats not sampled despite SetMemSampling", i)
 		}
 		for p := PhaseSelect; p <= PhaseEvaluate; p++ {
 			if s.PhaseDuration(p) < 0 {
@@ -98,13 +98,13 @@ func TestObserverDeterminism(t *testing.T) {
 		if observed {
 			opts = append(opts,
 				WithRoundObserver(FuncObserver(func(RoundStats) { time.Sleep(time.Millisecond) })),
-				WithMemSampling(),
 			)
 		}
 		engine, err := NewEngine(quickConfig(), shards, opts...)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
+		engine.SetMemSampling(observed)
 		if _, err := engine.Run(MaxRounds(4)); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -229,10 +229,11 @@ func TestTraceWriterJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
 	engine, err := NewEngine(quickConfig(), shards, WithTestSet(test),
-		WithRoundObserver(tw), WithMemSampling())
+		WithRoundObserver(tw))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	engine.SetMemSampling(true)
 	if _, err := engine.Run(MaxRounds(2)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -2,33 +2,33 @@ package fl
 
 import (
 	"fmt"
-	"sync"
 
 	"eefei/internal/dataset"
 	"eefei/internal/ml"
+	"eefei/internal/par"
 )
 
 // shardLossMap is the shard-parallel global-loss map-reduce shared by the
 // synchronous Engine and the AsyncEngine: up to `workers` goroutines each own
 // an ml.Evaluator (whose chunk-GEMM forward scratch is reused across rounds)
-// and claim whole shards statically (worker w takes shards w, w+W, …); the
-// weighted per-shard losses are reduced in shard order, so the value is
-// bit-identical for every worker count. A min-work spawn gate
+// and claim whole shards off the shared pool (par.Do); each shard's loss lands
+// in its own slot and the weighted losses are reduced in shard order, so the
+// value is bit-identical for every worker count. A min-work spawn gate
 // (ml.GatedWorkers, à la mat.minRowsPerWorker) keeps tiny-shard evaluations
 // sequential, where goroutine overhead would dominate the row work.
 //
-// The in-flight pass state (model, shards, worker count) lives on the struct
-// rather than in closures so the sequential path — the one the async engine's
-// 0-alloc Step pin exercises — performs no heap allocations after warm-up.
+// The in-flight pass state (model, shards) lives on the struct rather than in
+// closures — the map itself is the par.Job — so the sequential path, the one
+// the async engine's 0-alloc Step pin exercises, performs no heap allocations
+// after warm-up.
 type shardLossMap struct {
 	evals  []*ml.Evaluator
 	losses []float64
 	errs   []error
 
 	// In-flight pass; valid only while lossOf runs.
-	m       *ml.Model
-	shards  []*dataset.Dataset
-	workers int
+	m      *ml.Model
+	shards []*dataset.Dataset
 }
 
 // init sizes the per-shard reduction buffers for n shards.
@@ -41,22 +41,12 @@ func (s *shardLossMap) init(n int) {
 // the shards, fanning out over at most `workers` goroutines (gated by total
 // row work and the shard count).
 func (s *shardLossMap) lossOf(m *ml.Model, shards []*dataset.Dataset, totalSamples, workers int) (float64, error) {
-	workers = ml.GatedWorkers(totalSamples, workers)
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(ml.GatedWorkers(totalSamples, workers), len(shards)))
 	for len(s.evals) < workers {
 		s.evals = append(s.evals, ml.NewEvaluator(1))
 	}
-	s.m, s.shards, s.workers = m, shards, workers
-	if workers == 1 {
-		s.worker(0)
-	} else {
-		s.runParallel(workers)
-	}
+	s.m, s.shards = m, shards
+	par.Do(len(shards), workers, s)
 	s.m, s.shards = nil, nil
 	var weighted float64
 	for i, sh := range shards {
@@ -68,26 +58,8 @@ func (s *shardLossMap) lossOf(m *ml.Model, shards []*dataset.Dataset, totalSampl
 	return weighted / float64(totalSamples), nil
 }
 
-// worker computes worker w's statically assigned shards of the in-flight
-// pass. Static assignment gives each evaluator exactly one owner.
-func (s *shardLossMap) worker(w int) {
-	for i := w; i < len(s.shards); i += s.workers {
-		s.losses[i], s.errs[i] = s.evals[w].Loss(s.m, s.shards[i])
-	}
-}
-
-// runParallel fans the in-flight pass out over the given worker count. Kept
-// out of line so the goroutine closures (and the WaitGroup) heap-allocate
-// only when workers actually spawn; the sequential path stays
-// allocation-free.
-func (s *shardLossMap) runParallel(workers int) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s.worker(w)
-		}(w)
-	}
-	wg.Wait()
+// Run implements par.Job: shard i's loss of the in-flight pass, on worker w's
+// evaluator.
+func (s *shardLossMap) Run(w, i int) {
+	s.losses[i], s.errs[i] = s.evals[w].Loss(s.m, s.shards[i])
 }

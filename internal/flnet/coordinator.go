@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eefei/internal/dataset"
@@ -135,8 +133,11 @@ func NewCoordinator(cfg CoordinatorConfig, ln net.Listener, test *dataset.Datase
 	if cfg.Classes <= 0 || cfg.Features <= 0 {
 		return nil, fmt.Errorf("model shape %dx%d: %w", cfg.Classes, cfg.Features, ErrCoordinator)
 	}
-	if cfg.FL.LocalEpochs < 1 || cfg.FL.ClientsPerRound < 1 || cfg.FL.LearningRate <= 0 {
+	if cfg.FL.LocalEpochs < 1 || cfg.FL.ClientsPerRound < 1 {
 		return nil, fmt.Errorf("fl config %+v: %w", cfg.FL, ErrCoordinator)
+	}
+	if err := cfg.FL.ValidateSchedule(); err != nil {
+		return nil, fmt.Errorf("fl config: %v: %w", err, ErrCoordinator)
 	}
 	switch cfg.UploadQuantBits {
 	case 0, ml.Quant8, ml.Quant16:
@@ -163,6 +164,8 @@ func NewCoordinator(cfg CoordinatorConfig, ln net.Listener, test *dataset.Datase
 		cfg:      cfg,
 		ln:       ln,
 		global:   global,
+		snap:     global.Clone(),
+		spare:    global.Clone(),
 		repLimit: trainRepHeaderLen + modelBodyLimit(global),
 		test:     test,
 		testEval: ml.NewEvaluator(1),
@@ -487,387 +490,6 @@ func (c *Coordinator) buildResidualFrame(cl *clientConn, req TrainRequest, bits 
 		return nil, nil, err
 	}
 	return bp, frame, nil
-}
-
-// Round runs one synchronous FedAvg round over the network. With MinReplies
-// set, clients that fail mid-round are dropped from the round (and marked
-// disconnected until they rejoin) while the aggregation proceeds over the
-// quorum of survivors; the round record lists the casualties.
-func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
-	type target struct {
-		id       int
-		gen      int
-		conn     net.Conn
-		cl       *clientConn
-		frame    []byte // sealed request frame (shared between full-model targets)
-		residual bool   // frame carries a quantized residual
-	}
-	c.mu.Lock()
-	obs := c.roundObs
-	var pc fl.PhaseClock
-	if obs != nil {
-		pc = fl.NewPhaseClock(c.sampleMem)
-	}
-	alive := make([]int, 0, len(c.clients))
-	for _, cl := range c.clients {
-		if cl.connected {
-			alive = append(alive, cl.id)
-		}
-	}
-	k := c.cfg.FL.ClientsPerRound
-	round := c.round
-	lr := c.cfg.FL.LearningRate
-	if c.cfg.FL.Decay > 0 {
-		lr *= math.Pow(c.cfg.FL.Decay, float64(round))
-	}
-	var targets []target
-	if k <= len(alive) {
-		for _, idx := range c.rng.Sample(len(alive), k) {
-			cl := c.clients[alive[idx]]
-			targets = append(targets, target{id: cl.id, gen: cl.gen, conn: cl.conn, cl: cl})
-		}
-	}
-	if targets == nil {
-		nAlive := len(alive)
-		c.mu.Unlock()
-		return fl.RoundRecord{}, fmt.Errorf("K=%d of %d alive clients: %w", k, nAlive, ErrCoordinator)
-	}
-
-	// Snapshot the global into reusable scratch; the round works off the
-	// snapshot so registrations racing the round see a consistent model.
-	if c.snap == nil {
-		c.snap = c.global.Clone()
-	} else if err := c.snap.CopyFrom(c.global); err != nil {
-		c.mu.Unlock()
-		return fl.RoundRecord{}, fmt.Errorf("round %d snapshot: %w", round, err)
-	}
-
-	// Build the request frames while still holding the mutex: residuals
-	// read (and stage) per-client downlink state. Full-model targets share
-	// one sealed frame; residual targets get their own. All pooled buffers
-	// are released when the round returns.
-	req := TrainRequest{
-		Round:        round,
-		Epochs:       c.cfg.FL.LocalEpochs,
-		LearningRate: lr,
-		ReplyBits:    c.cfg.UploadQuantBits,
-		BaseRound:    round,
-	}
-	var frames []*[]byte
-	defer func() {
-		for _, bp := range frames {
-			freeFrame(bp)
-		}
-	}()
-	var full []byte
-	downBits := c.cfg.DownloadQuantBits
-	for i := range targets {
-		tg := &targets[i]
-		if downBits != 0 && tg.cl.lastSent != nil {
-			bp, frame, err := c.buildResidualFrame(tg.cl, req, downBits)
-			if err != nil {
-				c.mu.Unlock()
-				return fl.RoundRecord{}, fmt.Errorf("round %d residual for client %d: %w", round, tg.id, err)
-			}
-			frames = append(frames, bp)
-			tg.frame, tg.residual = frame, true
-			continue
-		}
-		if full == nil {
-			bp, frame, err := c.buildFullFrame(req)
-			if err != nil {
-				c.mu.Unlock()
-				return fl.RoundRecord{}, fmt.Errorf("round %d request: %w", round, err)
-			}
-			frames = append(frames, bp)
-			full = frame
-		}
-		tg.frame = full
-	}
-	c.mu.Unlock()
-
-	if obs != nil {
-		pc.Lap(fl.PhaseSelect)
-	}
-
-	type outcome struct {
-		slot    int
-		rep     TrainReply
-		retries int
-		err     error
-		// residual describes the frame of the last delivery attempt, which
-		// is what the downlink-state commit must mirror.
-		residual bool
-	}
-	results := make([]outcome, len(targets))
-	// finalGen[slot] is the registration generation of the last connection
-	// each goroutine actually used, so post-round failure marking cannot
-	// clobber a connection it never touched. Each index is written only by
-	// its own goroutine before wg.Wait.
-	finalGen := make([]int, len(targets))
-	// Downlink (coordinator→client) and uplink (client→coordinator) frame
-	// bytes actually exchanged this round — the measured volume the radio
-	// energy model prices.
-	var txBytes, rxBytes atomic.Int64
-	// Datagram transports additionally count packet attempts and
-	// deliveries per direction (see dgramMetered); snapshot deltas around
-	// each exchange accumulate here.
-	var downAttempt, downDelivered, upAttempt, upDelivered atomic.Int64
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(c.cfg.RoundTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	exchange := func(conn net.Conn, id int, frame []byte, cl *clientConn) (TrainReply, error) {
-		if m, metered := conn.(dgramMetered); metered {
-			// Delta the conn's lifetime counters around this exchange —
-			// success or failure, the attempted bytes were spent.
-			a0, d0, p0, r0 := m.DgramCounters()
-			defer func() {
-				a1, d1, p1, r1 := m.DgramCounters()
-				downAttempt.Add(a1 - a0)
-				downDelivered.Add(d1 - d0)
-				upAttempt.Add(p1 - p0)
-				upDelivered.Add(r1 - r0)
-			}()
-		}
-		if err := conn.SetDeadline(deadline); err != nil {
-			return TrainReply{}, fmt.Errorf("client %d deadline: %w", id, err)
-		}
-		if _, err := conn.Write(frame); err != nil {
-			return TrainReply{}, fmt.Errorf("client %d request: %w", id, err)
-		}
-		txBytes.Add(int64(len(frame)))
-		payload, err := expectFrameInto(conn, MsgTrainReply, &cl.readBuf, c.repLimit)
-		if err != nil {
-			return TrainReply{}, fmt.Errorf("client %d reply: %w", id, err)
-		}
-		rxBytes.Add(int64(frameHeaderLen + len(payload)))
-		if cl.repModel == nil {
-			cl.repModel = &ml.Model{}
-		}
-		rep, err := decodeTrainReplyInto(payload, cl.repModel)
-		if err != nil {
-			return TrainReply{}, fmt.Errorf("client %d reply body: %w", id, err)
-		}
-		if rep.Round != round {
-			return TrainReply{}, fmt.Errorf("client %d replied for round %d, want %d: %w",
-				id, rep.Round, round, ErrProtocol)
-		}
-		return rep, nil
-	}
-	for slot, tg := range targets {
-		wg.Add(1)
-		go func(slot int, tg target) {
-			defer wg.Done()
-			o := outcome{slot: slot, residual: tg.residual}
-			conn, gen := tg.conn, tg.gen
-			frame := tg.frame
-			var retryBp *[]byte
-			defer func() {
-				if retryBp != nil {
-					freeFrame(retryBp)
-				}
-			}()
-			for {
-				rep, err := exchange(conn, tg.id, frame, tg.cl)
-				if err == nil {
-					o.rep = rep
-					break
-				}
-				// In-round repair: if the client re-registers within the
-				// grace window, re-send this round's request on its fresh
-				// connection instead of dropping it.
-				nc, ng, ok := c.awaitRejoin(tg.id, gen, deadline)
-				if !ok {
-					o.err = err
-					break
-				}
-				conn, gen = nc, ng
-				o.retries++
-				// The fresh connection lost all downlink state: re-send as a
-				// full model.
-				o.residual = false
-				if retryBp != nil {
-					freeFrame(retryBp)
-					retryBp = nil
-				}
-				var ferr error
-				retryBp, frame, ferr = c.buildFullFrame(req)
-				if ferr != nil {
-					o.err = ferr
-					break
-				}
-			}
-			finalGen[slot] = gen
-			results[slot] = o
-		}(slot, tg)
-	}
-	wg.Wait()
-
-	// Commit per-client downlink state for every delivered request — before
-	// quorum filtering, because delivery is a property of the wire, not of
-	// the round's outcome: an edge that received this broadcast holds it as
-	// its base whether or not the round later reaches quorum. The gen check
-	// skips slots that re-registered after the delivery (register already
-	// reset their state to full-send).
-	c.mu.Lock()
-	for slot, tg := range targets {
-		o := results[slot]
-		if o.err != nil || tg.id >= len(c.clients) {
-			continue
-		}
-		cl := c.clients[tg.id]
-		if cl.gen != finalGen[slot] {
-			continue
-		}
-		if o.residual {
-			// The staged reconstruction becomes the client's state; the
-			// old state buffer is recycled as the next staging area.
-			cl.lastSent, cl.pending = cl.pending, cl.lastSent
-		} else if cl.lastSent == nil {
-			cl.lastSent = c.snap.Clone()
-		} else if err := cl.lastSent.CopyFrom(c.snap); err != nil {
-			c.mu.Unlock()
-			return fl.RoundRecord{}, fmt.Errorf("round %d downlink state: %w", round, err)
-		}
-		cl.lastRound = round
-	}
-	c.mu.Unlock()
-
-	// Fault tolerance: with MinReplies set, drop failed clients from the
-	// round and continue on the survivors; otherwise any failure aborts.
-	var ok []outcome
-	var dropped []int // slot indices
-	for slot, r := range results {
-		if r.err != nil {
-			if c.cfg.MinReplies <= 0 {
-				return fl.RoundRecord{}, fmt.Errorf("round %d: %w", round, r.err)
-			}
-			dropped = append(dropped, slot)
-			continue
-		}
-		ok = append(ok, r)
-	}
-	if len(ok) == 0 || (c.cfg.MinReplies > 0 && len(ok) < c.cfg.MinReplies) {
-		return fl.RoundRecord{}, fmt.Errorf("round %d: %d of %d replies (need %d): %w",
-			round, len(ok), len(targets), c.cfg.MinReplies, ErrCoordinator)
-	}
-	if len(dropped) > 0 {
-		c.mu.Lock()
-		for _, slot := range dropped {
-			id := targets[slot].id
-			if id >= len(c.clients) {
-				continue // roster was torn down by Shutdown
-			}
-			cl := c.clients[id]
-			if cl.gen == finalGen[slot] {
-				// Still the connection we failed on: mark it down. A
-				// bumped gen means the client already rejoined — leave
-				// the fresh connection alone.
-				cl.connected = false
-				cl.conn.Close()
-			}
-		}
-		c.mu.Unlock()
-	}
-	if obs != nil {
-		pc.Lap(fl.PhaseTrain)
-	}
-
-	// Aggregate per Eq. (2) over the survivors, into the spare model that
-	// ping-pongs with the global at commit.
-	if c.spare == nil {
-		c.spare = ml.NewModel(c.cfg.Classes, c.cfg.Features, c.snap.Act)
-	} else {
-		c.spare.Zero()
-		c.spare.Act = c.snap.Act
-	}
-	agg := c.spare
-	for _, r := range ok {
-		if err := agg.AddScaled(1/float64(len(ok)), r.rep.Model); err != nil {
-			return fl.RoundRecord{}, fmt.Errorf("round %d aggregate: %w", round, err)
-		}
-	}
-	if obs != nil {
-		pc.Lap(fl.PhaseAggregate)
-	}
-
-	survivors := make([]int, len(ok))
-	for i, r := range ok {
-		survivors[i] = targets[r.slot].id
-	}
-	rec := fl.RoundRecord{
-		Round:         round,
-		Selected:      survivors,
-		LearningRate:  lr,
-		TestAccuracy:  math.NaN(),
-		LocalLosses:   make([]float64, len(ok)),
-		DownlinkBytes: txBytes.Load(),
-		UplinkBytes:   rxBytes.Load(),
-
-		DownlinkAttemptBytes:   downAttempt.Load(),
-		DownlinkDeliveredBytes: downDelivered.Load(),
-		UplinkAttemptBytes:     upAttempt.Load(),
-		UplinkDeliveredBytes:   upDelivered.Load(),
-	}
-	for _, slot := range dropped {
-		rec.Dropped = append(rec.Dropped, targets[slot].id)
-	}
-	for _, r := range ok {
-		rec.Retries += r.retries
-	}
-	for _, slot := range dropped {
-		rec.Retries += results[slot].retries
-	}
-	var lossSum float64
-	for i, r := range ok {
-		rec.LocalLosses[i] = r.rep.Loss
-		lossSum += r.rep.Loss
-	}
-	// Without the raw shards, the coordinator reports the mean of the
-	// clients' final local losses as its training-loss proxy.
-	rec.TrainLoss = lossSum / float64(len(ok))
-	if c.test != nil {
-		// The evaluator reuses its chunk scratch round over round, keeping
-		// warm rounds allocation-free where ml.Accuracy would allocate a
-		// predictions slice and logits block per call. Bit-identical: hit
-		// counts are integers, reduced in chunk order.
-		acc, err := c.testEval.Accuracy(agg, c.test)
-		if err != nil {
-			return fl.RoundRecord{}, fmt.Errorf("round %d accuracy: %w", round, err)
-		}
-		rec.TestAccuracy = acc
-	}
-	if obs != nil {
-		pc.Lap(fl.PhaseEvaluate)
-	}
-
-	c.mu.Lock()
-	rec.Rejoins = c.rejoins
-	c.rejoins = 0
-	// Ping-pong: the aggregated spare becomes the global; the old global's
-	// storage becomes next round's aggregation target.
-	c.spare = c.global
-	c.global = agg
-	c.round++
-	c.history = append(c.history, rec)
-	c.mu.Unlock()
-	if obs != nil {
-		st := pc.Finish(rec.Round)
-		st.Workers = len(targets)
-		st.Dropped = len(rec.Dropped)
-		st.Rejoins = rec.Rejoins
-		st.Retries = rec.Retries
-		st.DownlinkBytes = rec.DownlinkBytes
-		st.UplinkBytes = rec.UplinkBytes
-		st.DownlinkAttemptBytes = rec.DownlinkAttemptBytes
-		st.DownlinkDeliveredBytes = rec.DownlinkDeliveredBytes
-		st.UplinkAttemptBytes = rec.UplinkAttemptBytes
-		st.UplinkDeliveredBytes = rec.UplinkDeliveredBytes
-		obs.ObserveRound(st)
-	}
-	return rec, nil
 }
 
 // Run drives rounds until stop fires, then broadcasts shutdown.

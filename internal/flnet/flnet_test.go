@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -360,6 +361,26 @@ func TestCoordinatorRejectsBadConfig(t *testing.T) {
 		FL: fl.Config{ClientsPerRound: 0, LocalEpochs: 1, LearningRate: 1},
 	}, ln, nil); !errors.Is(err, ErrCoordinator) {
 		t.Errorf("K=0 = %v, want ErrCoordinator", err)
+	}
+	// The schedule is checked at start-up, not by an edge's optimizer
+	// mid-run: a decay above 1 would grow the step every round, a negative
+	// one send a negative γ.
+	for _, tt := range []struct {
+		name      string
+		lr, decay float64
+	}{
+		{"lr NaN", math.NaN(), 0.99},
+		{"lr +Inf", math.Inf(1), 0.99},
+		{"decay -1", 0.1, -1},
+		{"decay 1.5", 0.1, 1.5},
+		{"decay NaN", 0.1, math.NaN()},
+	} {
+		if _, err := NewCoordinator(CoordinatorConfig{
+			Classes: 2, Features: 2,
+			FL: fl.Config{ClientsPerRound: 1, LocalEpochs: 1, LearningRate: tt.lr, Decay: tt.decay},
+		}, ln, nil); !errors.Is(err, ErrCoordinator) {
+			t.Errorf("%s = %v, want ErrCoordinator", tt.name, err)
+		}
 	}
 }
 

@@ -106,7 +106,10 @@ func TestStragglerToleranceDropsDeadClient(t *testing.T) {
 }
 
 // TestStragglerToleranceMinRepliesEnforced verifies that a round still fails
-// when fewer than MinReplies clients respond.
+// when fewer than MinReplies clients respond — and that the aborted round,
+// with tolerance on or off, leaves no dead peer on the roster: the failed
+// slots are disconnected, so AwaitRoster waits for real rejoins instead of
+// returning at once and the next selection cannot pick the dead connections.
 func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 	dcfg := dataset.QuickSyntheticConfig()
 	dcfg.Samples = 100
@@ -118,47 +121,63 @@ func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		FL:           fl.Config{ClientsPerRound: 2, LocalEpochs: 1, LearningRate: 0.1, Seed: 1},
-		Classes:      train.Classes,
-		Features:     train.Dim(),
-		RoundTimeout: 2 * time.Second,
-		JoinTimeout:  5 * time.Second,
-		MinReplies:   2, // both must answer
-	}, ln, nil)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer coord.Shutdown()
-
-	// Both clients join, then immediately die. Dials must run concurrently
-	// with WaitForClients: the Welcome handshake is served from there.
-	dialErrs := make(chan error, 2)
-	go func() {
-		for i := 0; i < 2; i++ {
-			cl, err := Dial(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[i], Seed: uint64(i)})
+	for _, tt := range []struct {
+		name       string
+		minReplies int
+	}{
+		{"quorum of both", 2},
+		{"tolerance off", 0},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				dialErrs <- err
-				return
+				t.Fatalf("listen: %v", err)
 			}
-			cl.Close()
-		}
-		dialErrs <- nil
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := coord.WaitForClients(ctx, 2); err != nil {
-		t.Fatalf("WaitForClients: %v", err)
-	}
-	if err := <-dialErrs; err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	if _, err := coord.Round(ctx); err == nil {
-		t.Error("round with zero replies must fail even with tolerance on")
+			coord, err := NewCoordinator(CoordinatorConfig{
+				FL:           fl.Config{ClientsPerRound: 2, LocalEpochs: 1, LearningRate: 0.1, Seed: 1},
+				Classes:      train.Classes,
+				Features:     train.Dim(),
+				RoundTimeout: 2 * time.Second,
+				JoinTimeout:  5 * time.Second,
+				MinReplies:   tt.minReplies,
+			}, ln, nil)
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			defer coord.Shutdown()
+
+			// Both clients join, then immediately die. Dials must run
+			// concurrently with WaitForClients: the Welcome handshake is
+			// served from there.
+			dialErrs := make(chan error, 2)
+			go func() {
+				for i := 0; i < 2; i++ {
+					cl, err := Dial(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[i], Seed: uint64(i)})
+					if err != nil {
+						dialErrs <- err
+						return
+					}
+					cl.Close()
+				}
+				dialErrs <- nil
+			}()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := coord.WaitForClients(ctx, 2); err != nil {
+				t.Fatalf("WaitForClients: %v", err)
+			}
+			if err := <-dialErrs; err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			if _, err := coord.Round(ctx); err == nil {
+				t.Error("round with zero replies must fail")
+			}
+			if n := coord.Connected(); n != 0 {
+				t.Errorf("Connected() = %d after the aborted round, want 0", n)
+			}
+			if err := coord.AwaitRoster(ctx, 2, 50*time.Millisecond); err == nil {
+				t.Error("AwaitRoster found two connected clients; both are dead")
+			}
+		})
 	}
 }

@@ -2,9 +2,9 @@ package ml
 
 import (
 	"fmt"
-	"sync"
 
 	"eefei/internal/dataset"
+	"eefei/internal/par"
 )
 
 // evalChunk is the fixed row-block size evaluation passes are split into.
@@ -51,8 +51,8 @@ type Evaluator struct {
 	m    *Model
 	d    *dataset.Dataset
 	pass evalPass
-	// scratch holds one batched-forward chunk scratch per worker; static
-	// chunk assignment gives each exactly one owner.
+	// scratch holds one batched-forward chunk scratch per pool worker, its
+	// only owner for the duration of a pass.
 	scratch []fwdScratch
 	// sums buffers per-chunk partial results between the map and reduce
 	// halves of a pass.
@@ -107,42 +107,28 @@ func (ev *Evaluator) prepare(m *Model, d *dataset.Dataset) (int, error) {
 	return chunks, nil
 }
 
-// chunkWorker computes worker w's statically assigned chunks (w, w+workers,
-// …) of the in-flight pass, writing per-chunk results into sums/hits/errs.
-// Static assignment gives each scratch buffer exactly one owner.
-func (ev *Evaluator) chunkWorker(w, workers int) {
-	chunks := len(ev.sums)
-	for chunk := w; chunk < chunks; chunk += workers {
-		lo := chunk * evalChunk
-		hi := lo + evalChunk
-		if hi > ev.d.Len() {
-			hi = ev.d.Len()
-		}
-		sc := &ev.scratch[w]
-		wantLoss := ev.pass == passLoss || ev.pass == passMetrics
-		wantHits := ev.pass == passAccuracy || ev.pass == passMetrics
-		ev.sums[chunk], ev.hits[chunk], ev.errs[chunk] =
-			forwardRowRange(ev.m, ev.d, lo, hi, sc, wantLoss, wantHits)
-	}
+// chunkJob is Evaluator as the pool job of its in-flight pass (a named type
+// so Run stays out of the exported method set).
+type chunkJob Evaluator
+
+// Run implements par.Job: one chunk of the in-flight pass on worker w's
+// scratch, writing the chunk's results into its own sums/hits/errs slot.
+func (j *chunkJob) Run(w, chunk int) {
+	ev := (*Evaluator)(j)
+	lo := chunk * evalChunk
+	hi := min(lo+evalChunk, ev.d.Len())
+	wantLoss := ev.pass == passLoss || ev.pass == passMetrics
+	wantHits := ev.pass == passAccuracy || ev.pass == passMetrics
+	ev.sums[chunk], ev.hits[chunk], ev.errs[chunk] =
+		forwardRowRange(ev.m, ev.d, lo, hi, &ev.scratch[w], wantLoss, wantHits)
 }
 
-// run executes one pass over every chunk of d and returns the first
-// chunk-order error.
+// run executes one pass over every chunk of d on the shared pool (the
+// evaluator itself is the job, so an inline pass allocates nothing) and
+// returns the first chunk-order error.
 func (ev *Evaluator) run(m *Model, d *dataset.Dataset, pass evalPass) error {
 	ev.m, ev.d, ev.pass = m, d, pass
-	chunks := len(ev.sums)
-	workers := GatedWorkers(d.Len(), ev.workers)
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		ev.chunkWorker(0, 1)
-	} else {
-		// Kept out of line so the closure's captures (and the WaitGroup)
-		// heap-allocate only when workers actually spawn; the sequential
-		// path stays allocation-free.
-		ev.runParallel(workers)
-	}
+	par.Do(len(ev.sums), GatedWorkers(d.Len(), ev.workers), (*chunkJob)(ev))
 	ev.m, ev.d = nil, nil
 	for _, err := range ev.errs {
 		if err != nil {
@@ -150,19 +136,6 @@ func (ev *Evaluator) run(m *Model, d *dataset.Dataset, pass evalPass) error {
 		}
 	}
 	return nil
-}
-
-// runParallel fans the in-flight pass out over the given worker count.
-func (ev *Evaluator) runParallel(workers int) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ev.chunkWorker(w, workers)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Loss computes the mean loss of m over d — the same metric as the

@@ -16,6 +16,13 @@ if [ -n "$unformatted" ]; then
     echo "gofmt needed on:"; echo "$unformatted"; exit 1
 fi
 
+echo "== one pool =="
+# internal/par is the only worker pool (DESIGN.md §7 "Round core"); a fifth
+# hand-rolled one must not reappear in the packages it replaced them in.
+if git grep -nE 'cursor\.Add\(1\)|sync\.WaitGroup' -- internal/fl internal/ml internal/dataset internal/experiments ':!*_test.go'; then
+    echo "hand-rolled worker pool found: use par.Do"; exit 1
+fi
+
 echo "== tests =="
 go test ./...
 
