@@ -11,7 +11,7 @@
 // down when training completes.
 //
 // With -transport dgram it listens on a UDP socket and speaks the fldgram
-// stop-and-wait ARQ instead of TCP; -mtu bounds the datagram size, and
+// sliding-window ARQ instead of TCP; -mtu bounds the datagram size, and
 // -loss (or equivalently -success-prob) injects seeded per-attempt packet
 // loss so retransmission energy is measurable on a loopback bench. Round
 // lines then also report attempted vs delivered bytes — the measured 1/p of
@@ -74,7 +74,7 @@ func run(args []string) error {
 		downBits     = fs.Int("down-bits", 0, "quantize the broadcast global as a residual with this many bits per weight (0 = lossless full model, 8 or 16)")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
-		transport   = fs.String("transport", "stream", "wire transport: stream (TCP) or dgram (UDP + stop-and-wait ARQ)")
+		transport   = fs.String("transport", "stream", "wire transport: stream (TCP) or dgram (UDP + sliding-window ARQ)")
 		mtu         = fs.Int("mtu", fldgram.DefaultMTU, "dgram only: maximum datagram size in bytes")
 		loss        = fs.Float64("loss", 0, "dgram only: injected per-attempt data-packet loss probability in [0,1)")
 		successProb = fs.Float64("success-prob", 0, "dgram only: per-attempt delivery probability p in (0,1]; alternative to -loss (p = 1-loss)")

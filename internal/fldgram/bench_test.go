@@ -27,7 +27,8 @@ func BenchmarkPacketCodec(b *testing.B) {
 
 // BenchmarkConnFrameLossless measures one 8 KiB frame end to end through the
 // in-memory pipe at loss 0: fragmentation into MTU-sized packets, the
-// stop-and-wait ACK per fragment, reassembly, and the frame-end boundary.
+// windowed ARQ with its cumulative ACKs, reassembly, and the frame-end
+// boundary.
 func BenchmarkConnFrameLossless(b *testing.B) {
 	a, c := Pipe(Config{Seed: 1}, Config{Seed: 2})
 	defer a.Close()

@@ -14,6 +14,17 @@ import (
 // errPeerClosed reports a write against a peer that sent FIN.
 var errPeerClosed = fmt.Errorf("peer closed: %w", ErrTransport)
 
+// errBrokenStream reports a Write after a failed one: the failed Write's
+// buffer was the only copy of its unacknowledged fragments.
+var errBrokenStream = fmt.Errorf("stream broken by a failed write: %w", ErrTransport)
+
+// window is the number of data packets a Write keeps unacknowledged. Every
+// peer of a Listener sends into one socket, so the bound that matters is
+// fleet × window × skb truesize (2304 B for a 1200-byte datagram) below the
+// socket's receive buffer: 8 × 8 × 2304 B = 147 kB fits the stock 212992 B;
+// 16 overflows it and turns injected loss into real carrier loss.
+const window = 8
+
 // Stats is a snapshot of one Conn's packet accounting. The Tx side counts
 // data packets only (ACKs and FINs ride for free in the energy model — the
 // paper prices sample upload attempts, and the 20-byte ACK is noise next to
@@ -39,13 +50,18 @@ type Stats struct {
 	// AckPackets counts acknowledgments sent (including injected-dropped
 	// ones).
 	AckPackets int64
+	// GoBacks counts returns of the sender to the ACK frontier, on an RTO
+	// or a gap ACK: the carrier, not the injector, lost or reordered
+	// something. 0 on a healthy link whatever the injected loss.
+	GoBacks int64
 	// PeerAttemptBytes is the peer's cumulative attempted data bytes as
 	// last reported in a packet header.
 	PeerAttemptBytes int64
 }
 
 // Conn is a reliable net.Conn over an unreliable PacketLink: MTU
-// fragmentation, CRC-validated reassembly, and a stop-and-wait ARQ with
+// fragmentation, CRC-validated reassembly, and a go-back-N ARQ with a fixed
+// window of unacknowledged packets, count-based cumulative ACKs and
 // per-attempt accounting. One goroutine owns the link's receive side; Write
 // calls are serialized internally. Read supports a single reader at a time
 // (concurrent readers would race for the same in-order stream anyway).
@@ -58,7 +74,7 @@ type Conn struct {
 	ackChaos  *faultnet.PacketInjector
 	meter     *Meter
 
-	// writeMu serializes Write calls (one fragment in flight at a time).
+	// writeMu serializes Write calls (one window in flight at a time).
 	writeMu   sync.Mutex
 	txScratch []byte
 
@@ -72,8 +88,10 @@ type Conn struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	ra      reassembler
-	txSeq   uint32 // next data sequence number to assign
-	txAcked uint64 // fragments acknowledged (cumulative)
+	unacked int    // in-order packets absorbed since the last ACK went out
+	txSeq   uint32 // next data sequence number never yet transmitted
+	txAcked uint32 // fragments acknowledged (cumulative): the ACK frontier
+	gapAt   uint64 // 1 + the frontier the newest gap ACK reported (0: none yet)
 	stats   Stats
 	readDL  time.Time
 	writeDL time.Time
@@ -162,52 +180,72 @@ func (c *Conn) recvLoop() {
 
 // process routes one raw datagram: ACKs feed the send side, everything else
 // goes through the reassembler (which also validates and counts garbage).
+// The ACK policy lives here and counts packets, never time, so AckPackets is
+// a function of the byte stream: one cumulative ACK when a frame ends, one
+// every window/2 in-order packets (the sender's window reopens before it
+// drains), one for any duplicate (its ACK was lost), and one flagged
+// flagGap for a packet past the frontier (the carrier lost its predecessor).
 func (c *Conn) process(pkt []byte) {
 	if len(pkt) > 0 && pkt[0] == pktAck {
-		_, _, seq, attemptBytes, _, ok := decodePacket(pkt)
-		c.mu.Lock()
-		if !ok {
-			c.ra.invalidPackets++
-			c.mu.Unlock()
-			return
-		}
-		if attemptBytes > c.ra.peerAttemptBytes {
-			c.ra.peerAttemptBytes = attemptBytes
-		}
-		if a := uint64(seq) + 1; a > c.txAcked {
-			c.txAcked = a
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
+		c.processAck(pkt)
 		return
 	}
+	var flags byte
+	ack := false
 	c.mu.Lock()
-	ackSeq, ack := c.ra.absorb(pkt)
+	next, ahead := c.ra.next, c.ra.aheadPackets
+	switch _, owed := c.ra.absorb(pkt); {
+	case c.ra.next != next: // in order (and CRC-valid, so its flags are the sender's)
+		c.unacked++
+		ack = pkt[1]&flagFrameEnd != 0 || c.unacked >= window/2
+	case owed: // duplicate
+		ack = true
+	case c.ra.aheadPackets != ahead:
+		ack, flags = true, flagGap
+	}
+	// The in-order frontier, carrying this side's cumulative attempted
+	// bytes so the peer can meter our spend. next−1 wraps for an empty
+	// frontier; processAck's +1 wraps it back to "nothing acknowledged".
+	seq, cum := c.ra.next-1, uint64(c.stats.TxAttemptBytes)
+	if ack {
+		c.unacked = 0
+		c.stats.AckPackets++
+	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if ack {
-		c.sendAck(ackSeq)
-	}
-}
-
-// sendAck acknowledges the in-order frontier, carrying this side's
-// cumulative attempted bytes so the peer can meter our spend.
-func (c *Conn) sendAck(seq uint32) {
-	c.mu.Lock()
-	cum := uint64(c.stats.TxAttemptBytes)
-	c.stats.AckPackets++
-	c.mu.Unlock()
-	drop := false
-	if c.ackChaos != nil {
-		drop = c.ackChaos.Next().Drop
-	}
-	if drop {
+	if !ack || (c.ackChaos != nil && c.ackChaos.Next().Drop) {
 		return
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	c.ackScratch = encodePacket(c.ackScratch[:0], pktAck, 0, seq, cum, nil)
+	c.ackScratch = encodePacket(c.ackScratch[:0], pktAck, flags, seq, cum, nil)
 	c.link.WritePacket(c.ackScratch)
+}
+
+// processAck advances the ACK frontier. An ACK for a fragment never sent is
+// garbage however valid its CRC: believing it would complete a Write whose
+// bytes the peer never absorbed. A gap ACK for the current frontier, with
+// something beyond it sent, is recorded for Write to go back on; the plain
+// re-ACK a duplicate earns never is.
+func (c *Conn) processAck(pkt []byte) {
+	_, flags, seq, attemptBytes, _, ok := decodePacket(pkt)
+	acked := seq + 1
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !ok || acked > c.txSeq {
+		c.ra.invalidPackets++
+		return
+	}
+	if attemptBytes > c.ra.peerAttemptBytes {
+		c.ra.peerAttemptBytes = attemptBytes
+	}
+	if acked > c.txAcked {
+		c.txAcked = acked
+	}
+	if flags&flagGap != 0 && acked == c.txAcked && acked < c.txSeq {
+		c.gapAt = uint64(acked) + 1
+	}
+	c.cond.Broadcast()
 }
 
 // sendData puts one data packet on the carrier, applying the injected
@@ -230,135 +268,114 @@ func (c *Conn) sendData(pkt []byte, fate faultnet.PacketFate) {
 	}
 }
 
-// Write fragments p into MTU-sized data packets and delivers each through
-// the ARQ. It returns only when every byte is acknowledged (or the conn
-// fails), so the flnet frame protocol's write-then-await-reply sequencing
-// holds unchanged over a lossy carrier.
+// Write fragments p into MTU-sized data packets and keeps up to window of
+// them unacknowledged. It returns only when every byte is acknowledged (or
+// the conn fails), so the flnet frame protocol's write-then-await-reply
+// sequencing holds unchanged over a lossy carrier — and p itself is the
+// retransmission buffer: a fragment is re-encoded from it, never copied.
+//
+// Every transmission draws its fate from the seeded injector at the moment
+// it is made, fragments in sequence order, and an injected drop is retried
+// at once — counted, priced, never sent, never waited for, since the drop
+// already happened on "the radio" and no ACK can come. Attempt counters are
+// therefore a pure function of (seed, byte stream), and the last fragment's
+// header carries the final cumulative attempted bytes. Only genuine carrier
+// loss goes back to the frontier: after one round trip when the receiver
+// saw the gap, after an RTO without progress when the loss was at the tail.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	written := 0
-	for written < len(p) {
-		frag := p[written:]
-		var flags byte
-		if len(frag) <= c.payload {
-			flags = flagFrameEnd
-		} else {
-			frag = frag[:c.payload]
-		}
-		c.mu.Lock()
-		seq := c.txSeq
-		c.txSeq++
-		c.mu.Unlock()
-		if err := c.writeFragment(seq, flags, frag); err != nil {
-			return written, err
-		}
-		written += len(frag)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.txAcked != c.txSeq {
+		return 0, errBrokenStream
 	}
-	return written, nil
-}
+	var (
+		base     = c.txSeq                              // sequence number of p's first fragment
+		n        = (len(p) + c.payload - 1) / c.payload // fragments in p
+		acked    int                                    // fragments the ACK frontier has passed
+		next     int                                    // fragment to transmit next
+		attempts [window]int                            // transmissions of in-flight fragment i, at i%window
+		rtoAt    time.Time                              // zero until a wait begins; any progress clears it
+		recover  int                                    // gap ACKs are ignored until the frontier reaches it
+	)
+	fragment := func(i int) []byte { return p[i*c.payload : min((i+1)*c.payload, len(p))] }
+	for {
+		for ; acked < int(c.txAcked-base); acked++ {
+			size := headerLen + len(fragment(acked))
+			c.stats.TxDelivered++
+			c.stats.TxDeliveredBytes += int64(size)
+			c.meter.addDelivered(size)
+			attempts[acked%window], rtoAt = 0, time.Time{}
+		}
+		if acked == n {
+			return len(p), nil
+		}
+		now := time.Now()
+		switch {
+		case c.closed:
+			return acked * c.payload, errClosed
+		case c.err != nil:
+			return acked * c.payload, c.err
+		case c.ra.finSeen:
+			return acked * c.payload, errPeerClosed
+		case !c.writeDL.IsZero() && !now.Before(c.writeDL):
+			return acked * c.payload, os.ErrDeadlineExceeded
+		}
+		next = max(next, acked)
+		full := next == n || next-acked == window
+		if (c.gapAt == uint64(c.txAcked)+1 && acked >= recover) ||
+			(full && !rtoAt.IsZero() && !now.Before(rtoAt)) {
+			// The carrier lost something: the receiver saw a gap, or nothing
+			// came back for an RTO. Go back to the frontier — and, as in
+			// NewReno, ignore further gap reports until the frontier passes
+			// everything sent so far: they are echoes of the same flight.
+			next, recover, rtoAt, full = acked, int(c.txSeq-base), time.Time{}, false
+			c.stats.GoBacks++
+		}
+		if full {
+			// Everything is sent or the window is full: wait for the
+			// frontier to move, a gap ACK, or the RTO.
+			if rtoAt.IsZero() {
+				rtoAt = now.Add(c.cfg.RTO)
+			}
+			wake := rtoAt
+			if !c.writeDL.IsZero() && c.writeDL.Before(wake) {
+				wake = c.writeDL
+			}
+			c.ackTimer.Reset(wake.Sub(now))
+			c.cond.Wait()
+			continue
+		}
 
-// writeFragment runs the stop-and-wait ARQ for one fragment: transmit,
-// await the cumulative ACK, retransmit on RTO — except that an
-// injected-dropped attempt skips both the carrier and the RTO wait, since
-// the drop decision already happened on "the radio" and no ACK can come.
-func (c *Conn) writeFragment(seq uint32, flags byte, frag []byte) error {
-	pktLen := headerLen + len(frag)
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return errClosed
+		seq := base + uint32(next)
+		if attempts[next%window] == c.cfg.MaxAttempts {
+			return acked * c.payload, fmt.Errorf("fragment %d after %d attempts: %w", seq, c.cfg.MaxAttempts, errAttempts)
 		}
-		if c.err != nil {
-			err := c.err
-			c.mu.Unlock()
-			return err
+		attempts[next%window]++
+		frag, flags := fragment(next), byte(0)
+		if next == n-1 {
+			flags = flagFrameEnd
 		}
-		if c.ra.finSeen {
-			c.mu.Unlock()
-			return errPeerClosed
-		}
-		if c.txAcked > uint64(seq) {
-			// A late ACK (after an RTO-triggered loop) already covered this
-			// fragment.
-			c.deliveredLocked(pktLen)
-			c.mu.Unlock()
-			return nil
-		}
-		deadline := c.writeDL
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			c.mu.Unlock()
-			return os.ErrDeadlineExceeded
+		if seq == c.txSeq {
+			c.txSeq++
 		}
 		c.stats.TxAttempts++
-		c.stats.TxAttemptBytes += int64(pktLen)
+		c.stats.TxAttemptBytes += int64(headerLen + len(frag))
 		cum := uint64(c.stats.TxAttemptBytes)
-		c.mu.Unlock()
-		c.meter.addAttempt(pktLen)
-
+		c.meter.addAttempt(headerLen + len(frag))
 		var fate faultnet.PacketFate
 		if c.dataChaos != nil {
 			fate = c.dataChaos.Next()
 		}
 		if fate.Drop {
-			// Retransmit immediately: attempt counted, energy spent, no wait.
 			continue
 		}
+		next, rtoAt = next+1, time.Time{}
+		c.mu.Unlock()
 		c.txScratch = encodePacket(c.txScratch[:0], pktData, flags, seq, cum, frag)
 		c.sendData(c.txScratch, fate)
-		acked, err := c.awaitAck(seq)
-		if err != nil {
-			return err
-		}
-		if acked {
-			c.mu.Lock()
-			c.deliveredLocked(pktLen)
-			c.mu.Unlock()
-			return nil
-		}
-	}
-	return fmt.Errorf("fragment %d after %d attempts: %w", seq, c.cfg.MaxAttempts, errAttempts)
-}
-
-func (c *Conn) deliveredLocked(pktLen int) {
-	c.stats.TxDelivered++
-	c.stats.TxDeliveredBytes += int64(pktLen)
-	c.meter.addDelivered(pktLen)
-}
-
-// awaitAck blocks until the cumulative ACK covers seq, the RTO expires
-// (acked=false: retransmit), or the conn fails.
-func (c *Conn) awaitAck(seq uint32) (acked bool, err error) {
-	rtoAt := time.Now().Add(c.cfg.RTO)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.txAcked > uint64(seq) {
-			return true, nil
-		}
-		if c.closed {
-			return false, errClosed
-		}
-		if c.err != nil {
-			return false, c.err
-		}
-		if c.ra.finSeen {
-			return false, errPeerClosed
-		}
-		now := time.Now()
-		if !c.writeDL.IsZero() && !now.Before(c.writeDL) {
-			return false, os.ErrDeadlineExceeded
-		}
-		if !now.Before(rtoAt) {
-			return false, nil
-		}
-		wake := rtoAt
-		if !c.writeDL.IsZero() && c.writeDL.Before(wake) {
-			wake = c.writeDL
-		}
-		c.ackTimer.Reset(wake.Sub(now))
-		c.cond.Wait()
+		c.mu.Lock()
 	}
 }
 
@@ -405,6 +422,11 @@ func (c *Conn) Close() error {
 	c.closed = true
 	seq := c.txSeq
 	cum := uint64(c.stats.TxAttemptBytes)
+	// No waiter re-arms a timer once closed is set. Left armed, the runtime's
+	// timer heap would pin this Conn and its buffers until the last
+	// deadline set on it passes.
+	c.ackTimer.Stop()
+	c.rdTimer.Stop()
 	c.cond.Broadcast()
 	c.mu.Unlock()
 

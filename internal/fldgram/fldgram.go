@@ -11,11 +11,13 @@
 //   - Every Write is one frame, fragmented into MTU-sized datagrams with a
 //     20-byte header (type, flags, length, sequence number, the sender's
 //     cumulative attempted-byte counter, and a CRC-32C over the packet).
-//   - A stop-and-wait ARQ delivers fragments in order: each data packet is
-//     retransmitted until the peer's cumulative ACK covers it, so with a
-//     per-attempt delivery probability p the attempt count per fragment is
-//     exactly the geometric distribution of iot.Unlicensed, and
-//     attempted/delivered bytes converge to 1/p.
+//   - A go-back-N ARQ with a fixed window of 8 packets delivers fragments
+//     in order: the receiver acknowledges cumulatively, by packet count
+//     (every fourth in-order packet and every frame end), and each data
+//     packet is retransmitted until an ACK covers it, so with a per-attempt
+//     delivery probability p the attempt count per fragment is exactly the
+//     geometric distribution of iot.Unlicensed, and attempted/delivered
+//     bytes converge to 1/p.
 //   - Loss, duplication, and reordering are injected deterministically by
 //     seeded faultnet.PacketInjector streams owned by each Conn. An
 //     injected drop is decided at the sender before the packet touches the
@@ -23,7 +25,9 @@
 //     the send and the RTO wait are both skipped, and the ARQ retransmits
 //     immediately. Attempt counts are therefore a pure function of the
 //     seed and the byte stream, independent of timing, and tests run at
-//     memory speed. The real RTO only covers genuine carrier loss.
+//     memory speed. Genuine carrier loss is what the receiver's gap ACK
+//     (one round trip) and the RTO (a loss at the tail) repair, by going
+//     back to the ACK frontier; Stats.GoBacks counts it.
 //   - Both ends count attempted and delivered bytes, and every packet
 //     header carries the sender's cumulative attempted bytes, so a
 //     receiver knows the peer's spend without touching the payload

@@ -8,7 +8,8 @@ import (
 // Packet layout (big-endian), headerLen = 20 bytes:
 //
 //	[0]     type    (pktData | pktAck | pktFin)
-//	[1]     flags   (flagFrameEnd: last fragment of one Write)
+//	[1]     flags   (data: flagFrameEnd, last fragment of one Write; ack:
+//	        flagGap, a packet past the frontier provoked this ACK)
 //	[2:4]   payload length
 //	[4:8]   sequence number (data: fragment seq; ack: highest in-order
 //	        fragment received)
@@ -26,6 +27,7 @@ const (
 	pktFin  = 0x46 // 'F'
 
 	flagFrameEnd = 0x01
+	flagGap      = 0x02
 )
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64/arm64.
@@ -78,12 +80,15 @@ func decodePacket(pkt []byte) (typ, flags byte, seq uint32, attemptBytes uint64,
 }
 
 // reassembler is the receive half of one Conn: it accepts raw datagrams in
-// any order and exposes a strictly in-order byte stream. Stop-and-wait on
-// the sender side means at most one new fragment is in flight, so the
-// reassembler only ever appends (seq == next), re-acknowledges a duplicate
-// (seq < next), or rejects (seq ahead, corrupt, truncated). It never
-// delivers bytes from a packet that fails the CRC, and it never delivers a
-// fragment twice.
+// any order and exposes a strictly in-order byte stream. The sender keeps up
+// to window fragments in flight, but the receiver stays go-back-N: it only
+// ever appends (seq == next), recognises a duplicate (seq < next), or
+// rejects (seq ahead, corrupt, truncated). Injected drops never reach the
+// carrier, so fragments arrive in order unless the carrier itself lost or
+// reordered one; buffering strays for that rare case would buy one saved
+// go-back at the price of per-slot state on every Conn. It never delivers
+// bytes from a packet that fails the CRC, and it never delivers a fragment
+// twice.
 type reassembler struct {
 	// next is the next in-order data sequence number expected.
 	next uint32
@@ -99,13 +104,14 @@ type reassembler struct {
 	deliveredPackets int64 // unique data packets delivered in order
 	deliveredBytes   int64 // their wire size, headers included
 	dupPackets       int64 // retransmissions/duplicates of delivered data
-	aheadPackets     int64 // data ahead of next (reordered past the window)
+	aheadPackets     int64 // data ahead of next (the carrier lost or reordered one)
 	invalidPackets   int64 // short/corrupt/unknown datagrams
 }
 
-// absorb processes one raw datagram. ack reports whether an acknowledgment
-// is owed and ackSeq its sequence number (the highest in-order fragment
-// received, i.e. next−1).
+// absorb processes one raw datagram. ack reports whether the fragment was
+// in order or a duplicate and ackSeq the sequence number an acknowledgment
+// of it carries (the highest in-order fragment received, i.e. next−1). When
+// one is actually sent is the Conn's policy (process).
 func (ra *reassembler) absorb(pkt []byte) (ackSeq uint32, ack bool) {
 	typ, _, seq, attemptBytes, payload, ok := decodePacket(pkt)
 	if !ok {
@@ -137,9 +143,9 @@ func (ra *reassembler) absorb(pkt []byte) (ackSeq uint32, ack bool) {
 		ra.dupPackets++
 		return ra.next - 1, true
 	default:
-		// Ahead of the in-order frontier. A stop-and-wait sender never has
-		// more than one new fragment outstanding, so this is a reordered
-		// stray; dropping it forces a retransmission.
+		// Ahead of the in-order frontier: the carrier lost or reordered
+		// what came before. Dropped; the Conn answers with a gap ACK and
+		// the sender goes back to the frontier.
 		ra.aheadPackets++
 		return 0, false
 	}

@@ -3,6 +3,7 @@ package fldgram
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -56,8 +57,8 @@ func Dialer(cfg Config) (func(addr string, timeout time.Duration) (net.Conn, err
 // go straight out the socket to the peer's address.
 type muxLink struct {
 	l      *Listener
-	remote *net.UDPAddr
-	in     chan []byte
+	remote netip.AddrPort
+	in     chan *[]byte
 	once   sync.Once
 	closed chan struct{}
 }
@@ -67,16 +68,14 @@ type muxLink struct {
 const muxQueueLen = 512
 
 func (ml *muxLink) WritePacket(p []byte) error {
-	_, err := ml.l.pc.WriteToUDP(p, ml.remote)
+	_, err := ml.l.pc.WriteToUDPAddrPort(p, ml.remote)
 	return err
 }
 
 func (ml *muxLink) ReadPacket(buf []byte) (int, error) {
 	select {
 	case pkt := <-ml.in:
-		n := copy(buf, pkt)
-		ml.l.putBuf(pkt)
-		return n, nil
+		return takePacket(pkt, buf), nil
 	case <-ml.closed:
 		return 0, errClosed
 	case <-ml.l.done:
@@ -88,13 +87,13 @@ func (ml *muxLink) ReadPacket(buf []byte) (int, error) {
 func (ml *muxLink) Close() error {
 	ml.once.Do(func() {
 		close(ml.closed)
-		ml.l.forget(ml.remote.String())
+		ml.l.forget(ml.remote)
 	})
 	return nil
 }
 
 func (ml *muxLink) LocalAddr() net.Addr  { return ml.l.pc.LocalAddr() }
-func (ml *muxLink) RemoteAddr() net.Addr { return ml.remote }
+func (ml *muxLink) RemoteAddr() net.Addr { return net.UDPAddrFromAddrPort(ml.remote) }
 
 // Listener is a net.Listener over one UDP socket: inbound datagrams are
 // demultiplexed by source address, and each new source becomes a pending
@@ -106,18 +105,22 @@ type Listener struct {
 	cfg Config
 
 	mu    sync.Mutex
-	peers map[string]*muxLink
+	peers map[netip.AddrPort]*muxLink
 	next  int // conn creation index, seeds chaos streams
 
 	acceptCh chan *Conn
 	done     chan struct{}
 	once     sync.Once
-
-	bufPool sync.Pool
 }
 
 // acceptBacklog bounds conns awaiting Accept.
 const acceptBacklog = 128
+
+// listenRcvBuf is the receive buffer Listen asks the kernel for. Every peer
+// sends into this one socket, so it must hold fleet × window datagrams at
+// their skb truesize (2304 B each at the default MTU): the stock 212992 B
+// holds 92, enough for 8 peers; the paper's 20 need 160 (369 kB).
+const listenRcvBuf = 4 << 20
 
 // Listen opens a datagram listener on the given UDP address.
 func Listen(addr string, cfg Config) (*Listener, error) {
@@ -135,27 +138,26 @@ func Listen(addr string, cfg Config) (*Listener, error) {
 	l := &Listener{
 		pc:       pc,
 		cfg:      cfg,
-		peers:    make(map[string]*muxLink),
+		peers:    make(map[netip.AddrPort]*muxLink),
 		acceptCh: make(chan *Conn, acceptBacklog),
 		done:     make(chan struct{}),
 	}
-	l.bufPool.New = func() any { return make([]byte, maxMTU+1) }
+	// Best effort: the kernel clamps the request to rmem_max, and window is
+	// sized so that a refusal costs nothing at the benchmarked fleet.
+	_ = pc.SetReadBuffer(listenRcvBuf)
 	go l.readLoop()
 	return l, nil
 }
 
-func (l *Listener) putBuf(b []byte) {
-	l.bufPool.Put(b[:cap(b)]) //nolint:staticcheck // []byte in a Pool is fine here
-}
-
 // readLoop demultiplexes the socket into per-peer queues, spawning a Conn
-// for each new source address.
+// for each new source address. It reads into one scratch of its own and
+// queues a right-sized copy, so a queued datagram costs its size, not the
+// largest one the socket could have delivered.
 func (l *Listener) readLoop() {
+	buf := make([]byte, maxMTU+1)
 	for {
-		buf := l.bufPool.Get().([]byte)
-		n, raddr, err := l.pc.ReadFromUDP(buf)
+		n, raddr, err := l.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			l.putBuf(buf)
 			select {
 			case <-l.done:
 			default:
@@ -163,15 +165,14 @@ func (l *Listener) readLoop() {
 			}
 			return
 		}
-		key := raddr.String()
 		var rejected *Conn
 		l.mu.Lock()
-		ml, ok := l.peers[key]
+		ml, ok := l.peers[raddr]
 		if !ok {
 			ml = &muxLink{
 				l:      l,
 				remote: raddr,
-				in:     make(chan []byte, muxQueueLen),
+				in:     make(chan *[]byte, muxQueueLen),
 				closed: make(chan struct{}),
 			}
 			idx := l.next
@@ -179,7 +180,7 @@ func (l *Listener) readLoop() {
 			conn := newConn(ml, l.cfg, idx)
 			select {
 			case l.acceptCh <- conn:
-				l.peers[key] = ml
+				l.peers[raddr] = ml
 			default:
 				// Accept backlog full: refuse by dropping both the conn and
 				// the packet; the peer's ARQ will retry. Close outside l.mu
@@ -193,19 +194,19 @@ func (l *Listener) readLoop() {
 			rejected.Close()
 		}
 		if ml == nil {
-			l.putBuf(buf)
 			continue
 		}
+		pkt := queuedPacket(buf[:n])
 		select {
-		case ml.in <- buf[:n]:
+		case ml.in <- pkt:
 		default:
-			l.putBuf(buf) // queue full: carrier drop
+			takePacket(pkt, nil) // queue full: carrier drop
 		}
 	}
 }
 
 // forget detaches a peer address from the mux.
-func (l *Listener) forget(key string) {
+func (l *Listener) forget(key netip.AddrPort) {
 	l.mu.Lock()
 	delete(l.peers, key)
 	l.mu.Unlock()

@@ -14,7 +14,7 @@ import (
 
 // BenchmarkDgramRoundWire is BenchmarkRoundWire's datagram twin: one full
 // networked FedAvg round with the K=10 fan-out over loopback UDP through the
-// fldgram stop-and-wait ARQ — fragmentation, per-fragment ACKs, reassembly.
+// fldgram windowed ARQ — fragmentation, cumulative ACKs, reassembly.
 // The loss=0 case prices the ARQ machinery itself against the TCP baseline;
 // loss=10% adds the seeded injector so the geometric retransmission cost of
 // the paper's Eq. 4 shows up as wall-clock (injected drops skip the RTO wait,

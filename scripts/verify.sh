@@ -34,6 +34,12 @@ echo "== bench module =="
 # ./... sweeps above never enter it: an API break there would otherwise
 # first show up as a failed benchmark run.
 (cd bench && go vet ./... && go test ./...)
+# The lossy-link workload runs to ε, not the 5 rounds of -smoke: three
+# same-seed episodes must agree bit for bit, attempted/delivered must sit
+# within 2 % of 1/p and every datagram must validate. A window that
+# overflows the listener's socket buffer turns injected loss into real loss
+# and fails all three, which -smoke's 10 % tolerance would not notice.
+go run -C bench . -workload wire_dgram_loss10 -trace 0 -runs 3
 
 echo "== reassembly fuzzer (smoke) =="
 # A short live-fuzz burst on top of the checked-in corpus (which every plain
