@@ -49,17 +49,34 @@ type CoordinatorConfig struct {
 	// races the round boundary. Zero fails clients immediately.
 	RejoinGrace time.Duration
 	// UploadQuantBits asks clients to quantize their uploaded models
-	// (ml.Quant8 or ml.Quant16; 0 = full precision), cutting the e^U
-	// upload energy roughly 64/bits-fold at a bounded accuracy cost.
+	// (ml.Quant8 or ml.Quant16), cutting the e^U upload energy roughly
+	// 64/bits-fold at a bounded accuracy cost. 0 = lossless: every bit of the
+	// local model arrives, delta-coded against what the connection already
+	// holds from its second exchange on.
 	UploadQuantBits ml.QuantBits
 	// DownloadQuantBits broadcasts the global model as a quantized residual
 	// against the last broadcast each client acknowledged (ml.Quant8 or
-	// ml.Quant16; 0 = full precision, which is bit-identical to in-process
-	// FedAvg). Coordinator-side error feedback subtracts each round's
+	// ml.Quant16). Coordinator-side error feedback subtracts each round's
 	// quantization error from the next residual, so the error never
-	// accumulates. Clients whose downlink state is unknown (fresh joins,
-	// rejoins) receive the full model.
+	// accumulates. 0 = lossless, which is bit-identical to in-process FedAvg:
+	// the same residual, delta-coded instead of quantized. Either way a
+	// connection that holds nothing yet (fresh joins, rejoins) receives the
+	// full float64 model.
 	DownloadQuantBits ml.QuantBits
+}
+
+// snapshot is a global model as a connection holds it: the coordinator's own
+// model of one round, shared by every connection that round's request reached
+// losslessly, or — under a quantized downlink — one connection's private
+// reconstruction of it. It is immutable from the moment it is published; refs,
+// guarded by the coordinator mutex, counts its holders, and the last release
+// recycles the storage as a later round's aggregation or staging target. A
+// round may therefore keep reading, unlocked, the snapshots it captured when
+// it began: whatever is released meanwhile is next written by a later round.
+type snapshot struct {
+	round int
+	m     *ml.Model
+	refs  int
 }
 
 // clientConn is one roster slot. A slot is created by MsgJoin and lives for
@@ -76,16 +93,18 @@ type clientConn struct {
 	// failure observed on a stale connection cannot mark a freshly
 	// rejoined client disconnected.
 	gen int
-	// lastSent is the global model exactly as this client's connection
-	// last reconstructed it (error feedback: quantized residuals are
-	// dequantized back, so lastSent carries the client's rounding, not the
-	// coordinator's ideal). lastRound is the round of that broadcast.
-	// pending stages the candidate successor while a round is in flight;
-	// both are guarded by the coordinator mutex and reset on rejoin, since
-	// a fresh connection holds no downlink state. Nil = next send is full.
-	lastSent  *ml.Model
-	pending   *ml.Model
-	lastRound int
+	// base and prev are the global models of the last two requests delivered
+	// on this connection, exactly as its edge reconstructed them (under a
+	// quantized downlink they carry the client's rounding, not the
+	// coordinator's ideal: error feedback) — what the next request is coded
+	// against. upRound is the round whose reply was last decoded, losslessly
+	// and completely, into repModel (−1: none), which makes repModel and base
+	// the prediction of the next reply. All three follow the wire, not the
+	// round's outcome; they are guarded by the coordinator mutex and dropped
+	// whenever the connection is (a fresh one holds nothing: its first
+	// request is a full model).
+	base, prev *snapshot
+	upRound    int
 	// readBuf and repModel are the slot's reply-decode scratch, touched
 	// only by the active round's goroutine for this slot (rounds are
 	// serial, and each round selects a client at most once).
@@ -100,24 +119,30 @@ type clientConn struct {
 type Coordinator struct {
 	cfg      CoordinatorConfig
 	ln       net.Listener
-	global   *ml.Model
 	repLimit int // largest reply payload a model of the global's shape can need
 	test     *dataset.Dataset
 	testEval *ml.Evaluator // owns the batched-forward scratch reused across rounds
 	rng      *mat.RNG
 
 	// Round-scratch models, reused across rounds so warm rounds stay off
-	// the allocator: snap holds the round's global snapshot, spare is the
-	// aggregation target (swapped with global at commit), resid and recon
-	// build the residual downlink and its error-feedback reconstruction.
-	// All are touched only by the single active Round call.
-	snap  *ml.Model
-	spare *ml.Model
+	// the allocator: spare is the aggregation target (published as the next
+	// global at commit), resid and recon build the residual downlink and its
+	// error-feedback reconstruction. All are touched only by the single
+	// active Round call.
+	spare *snapshot
 	resid *ml.Model
 	recon *ml.Model
 
-	mu        sync.Mutex
-	clients   []*clientConn
+	mu sync.Mutex
+	// global is the current round's model, replaced (never written) at
+	// commit; free holds the snapshots nobody refers to any more.
+	global  *snapshot
+	free    []*snapshot
+	clients []*clientConn
+	// changed is closed, and forgotten, whenever a slot connects or the
+	// coordinator goes down — the two events awaitConnected and awaitRejoin
+	// sleep on. Nil until somebody waits.
+	changed   chan struct{}
 	round     int
 	history   []fl.RoundRecord
 	rejoins   int // re-registrations since the last completed round
@@ -163,9 +188,8 @@ func NewCoordinator(cfg CoordinatorConfig, ln net.Listener, test *dataset.Datase
 	return &Coordinator{
 		cfg:      cfg,
 		ln:       ln,
-		global:   global,
-		snap:     global.Clone(),
-		spare:    global.Clone(),
+		global:   &snapshot{m: global, refs: 1},
+		spare:    &snapshot{m: global.Clone()},
 		repLimit: trainRepHeaderLen + modelBodyLimit(global),
 		test:     test,
 		testEval: ml.NewEvaluator(1),
@@ -182,7 +206,51 @@ func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
 func (c *Coordinator) Global() *ml.Model {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.global.Clone()
+	return c.global.m.Clone()
+}
+
+// takeFree returns a snapshot nobody holds, for a round to fill (mutex held).
+func (c *Coordinator) takeFree() *snapshot {
+	if n := len(c.free); n > 0 {
+		s := c.free[n-1]
+		c.free = c.free[:n-1]
+		return s
+	}
+	return &snapshot{m: c.global.m.Clone()}
+}
+
+// release gives up one holder's reference to s (mutex held; nil is nothing).
+func (c *Coordinator) release(s *snapshot) {
+	if s == nil {
+		return
+	}
+	if s.refs--; s.refs == 0 {
+		c.free = append(c.free, s)
+	}
+}
+
+// dropLink forgets what cl's connection held: it is gone, and whatever takes
+// its place starts from a full model (mutex held).
+func (c *Coordinator) dropLink(cl *clientConn) {
+	c.release(cl.base)
+	c.release(cl.prev)
+	cl.base, cl.prev, cl.upRound = nil, nil, -1
+}
+
+// notify wakes everything sleeping on the roster (mutex held).
+func (c *Coordinator) notify() {
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
+}
+
+// rosterChanged returns the channel the next notify closes (mutex held).
+func (c *Coordinator) rosterChanged() <-chan struct{} {
+	if c.changed == nil {
+		c.changed = make(chan struct{})
+	}
+	return c.changed
 }
 
 // History returns the completed round records.
@@ -217,6 +285,10 @@ func (c *Coordinator) SetMemSampling(on bool) {
 func (c *Coordinator) Connected() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.connectedLocked()
+}
+
+func (c *Coordinator) connectedLocked() int {
 	n := 0
 	for _, cl := range c.clients {
 		if cl.connected {
@@ -284,7 +356,7 @@ func (c *Coordinator) register(conn net.Conn) error {
 		}
 		id = len(c.clients)
 		c.clients = append(c.clients, &clientConn{
-			id: id, conn: conn, samples: int(samples),
+			id: id, conn: conn, samples: int(samples), upRound: -1,
 		})
 		c.mu.Unlock()
 	case MsgRejoin:
@@ -310,12 +382,7 @@ func (c *Coordinator) register(conn net.Conn) error {
 		cl.samples = int(samples)
 		cl.connected = false
 		cl.gen++
-		// A fresh connection holds no downlink state: the next request
-		// must carry the full model, and any in-flight pending
-		// reconstruction is void.
-		cl.lastSent = nil
-		cl.pending = nil
-		cl.lastRound = 0
+		c.dropLink(cl)
 		c.rejoins++
 		id = int(rid)
 		c.mu.Unlock()
@@ -337,6 +404,7 @@ func (c *Coordinator) register(conn net.Conn) error {
 	c.mu.Lock()
 	if id < len(c.clients) && c.clients[id].conn == conn {
 		c.clients[id].connected = true
+		c.notify()
 	}
 	c.mu.Unlock()
 	return nil
@@ -362,30 +430,24 @@ func (c *Coordinator) AwaitRoster(ctx context.Context, n int, timeout time.Durat
 
 func (c *Coordinator) awaitConnected(ctx context.Context, n int, timeout time.Duration, what string) error {
 	c.ensureAcceptLoop()
-	deadline := time.Now().Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
+	expired := time.NewTimer(timeout)
+	defer expired.Stop()
 	for {
-		if c.Connected() >= n {
-			return nil
-		}
 		c.mu.Lock()
-		down := c.down
+		connected, down, changed := c.connectedLocked(), c.down, c.rosterChanged()
 		c.mu.Unlock()
-		if down {
+		switch {
+		case connected >= n:
+			return nil
+		case down:
 			return fmt.Errorf("%s: coordinator shut down: %w", what, ErrCoordinator)
 		}
 		select {
+		case <-changed:
 		case <-ctx.Done():
 			return fmt.Errorf("%s: %w", what, ctx.Err())
-		case <-tick.C:
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%s: %d of %d connected at timeout: %w",
-					what, c.Connected(), n, ErrCoordinator)
-			}
+		case <-expired.C:
+			return fmt.Errorf("%s: %d of %d connected at timeout: %w", what, connected, n, ErrCoordinator)
 		}
 	}
 }
@@ -398,12 +460,8 @@ func (c *Coordinator) awaitRejoin(id, gen int, deadline time.Time) (net.Conn, in
 	if c.cfg.RejoinGrace <= 0 {
 		return nil, 0, false
 	}
-	grace := time.Now().Add(c.cfg.RejoinGrace)
-	if deadline.Before(grace) {
-		grace = deadline
-	}
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
+	expired := time.NewTimer(min(c.cfg.RejoinGrace, time.Until(deadline)))
+	defer expired.Stop()
 	for {
 		c.mu.Lock()
 		if c.down || id >= len(c.clients) {
@@ -416,23 +474,27 @@ func (c *Coordinator) awaitRejoin(id, gen int, deadline time.Time) (net.Conn, in
 			c.mu.Unlock()
 			return conn, g, true
 		}
+		changed := c.rosterChanged()
 		c.mu.Unlock()
-		if time.Now().After(grace) {
+		select {
+		case <-changed:
+		case <-expired.C:
 			return nil, 0, false
 		}
-		<-tick.C
 	}
 }
 
-// buildFullFrame seals a pooled MsgTrainRequest frame carrying the full
-// snapshot model. The caller owns the returned buffer (freeFrame when done);
-// the sealed image aliases it.
-func (c *Coordinator) buildFullFrame(req TrainRequest) (*[]byte, []byte, error) {
-	req.DownBits = 0
-	req.BaseRound = req.Round
+// buildFrame seals a pooled MsgTrainRequest frame carrying the global model
+// losslessly: as a delta against pred (see appendLossless), models the
+// target connections hold from the broadcast of round baseRound, else — no
+// pred: a fresh connection — as the full float64 model. The caller owns the
+// returned buffer (freeFrame when done); the sealed image aliases it. The
+// global is only read, so this needs no lock.
+func (r *round) buildFrame(baseRound int, pred ...*ml.Model) (*[]byte, []byte, error) {
+	req := r.req
+	req.BaseRound = baseRound
 	bp := newFrame()
-	*bp = appendTrainRequestV2Header(*bp, req)
-	*bp = c.snap.AppendBinary(*bp)
+	*bp = appendLosslessRequest(*bp, req, r.global.m, pred...)
 	frame, err := finishFrame(bp, MsgTrainRequest)
 	if err != nil {
 		freeFrame(bp)
@@ -441,25 +503,27 @@ func (c *Coordinator) buildFullFrame(req TrainRequest) (*[]byte, []byte, error) 
 	return bp, frame, nil
 }
 
-// buildResidualFrame seals a pooled request frame carrying the global
-// snapshot as a quantized residual against cl.lastSent, and stages the
-// client's exact post-apply reconstruction in cl.pending (error feedback:
-// the next residual is computed against what the client actually holds,
-// rounding included, so quantization error cannot accumulate). Called with
-// the coordinator mutex held.
-func (c *Coordinator) buildResidualFrame(cl *clientConn, req TrainRequest, bits ml.QuantBits) (*[]byte, []byte, error) {
+// buildResidualFrame seals a pooled request frame carrying the global model
+// as a quantized residual against tg.base, and stages the client's exact
+// post-apply reconstruction as tg.next (error feedback: the next residual is
+// computed against what the client actually holds, rounding included, so
+// quantization error cannot accumulate). Called with the coordinator mutex
+// held.
+func (r *round) buildResidualFrame(tg *target, bits ml.QuantBits) (*[]byte, []byte, error) {
+	c := r.c
 	if c.resid == nil {
-		c.resid = c.snap.Clone()
-	} else if err := c.resid.CopyFrom(c.snap); err != nil {
+		c.resid = r.global.m.Clone()
+	} else if err := c.resid.CopyFrom(r.global.m); err != nil {
 		return nil, nil, err
 	}
-	if err := c.resid.AddScaled(-1, cl.lastSent); err != nil {
+	if err := c.resid.AddScaled(-1, tg.base.m); err != nil {
 		return nil, nil, err
 	}
+	req := r.req
 	req.DownBits = bits
-	req.BaseRound = cl.lastRound
+	req.BaseRound = tg.base.round
 	bp := newFrame()
-	*bp = appendTrainRequestV2Header(*bp, req)
+	*bp = appendTrainRequestHeader(*bp, req)
 	bodyStart := len(*bp)
 	out, err := ml.AppendQuantized(*bp, c.resid, bits)
 	if err != nil {
@@ -479,13 +543,14 @@ func (c *Coordinator) buildResidualFrame(cl *clientConn, req TrainRequest, bits 
 		freeFrame(bp)
 		return nil, nil, err
 	}
-	if cl.pending == nil {
-		cl.pending = cl.lastSent.Clone()
-	} else if err := cl.pending.CopyFrom(cl.lastSent); err != nil {
+	staged := c.takeFree()
+	staged.round, staged.refs = r.t, 1
+	tg.next, tg.staged = staged, true // from here the round's release gives it back
+	if err := staged.m.CopyFrom(tg.base.m); err != nil {
 		freeFrame(bp)
 		return nil, nil, err
 	}
-	if err := cl.pending.AddScaled(1, c.recon); err != nil {
+	if err := staged.m.AddScaled(1, c.recon); err != nil {
 		freeFrame(bp)
 		return nil, nil, err
 	}
@@ -518,6 +583,7 @@ func (c *Coordinator) Shutdown() {
 	c.down = true
 	clients := c.clients
 	c.clients = nil
+	c.notify()
 	c.mu.Unlock()
 	for _, cl := range clients {
 		if cl.conn == nil {

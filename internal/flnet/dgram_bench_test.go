@@ -55,9 +55,7 @@ func BenchmarkDgramRoundWire(b *testing.B) {
 			defer cleanup()
 
 			ctx := context.Background()
-			if _, err := coord.Round(ctx); err != nil {
-				b.Fatalf("warm round: %v", err)
-			}
+			warmRounds(b, coord)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

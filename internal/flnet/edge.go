@@ -74,19 +74,27 @@ type EdgeServer struct {
 
 	// Per-connection scratch for the zero-copy round path. readBuf is the
 	// frame read scratch and reqLimit the largest request payload a model of
-	// the shard's shape can need; base is the reconstructed global model the
-	// residual downlink accumulates into; work is the model actually trained
-	// (a copy of base, so base stays the pristine broadcast residuals apply
-	// to); resid is the dequantized-residual scratch; sgd persists its
-	// shuffle scratch.
-	readBuf   []byte
-	reqLimit  int
-	base      *ml.Model
-	haveBase  bool
-	baseRound int
-	work      *ml.Model
-	resid     *ml.Model
-	sgd       *ml.SGD
+	// the shard's shape can need; resid is the dequantized-residual scratch;
+	// sgd persists its shuffle scratch.
+	readBuf  []byte
+	reqLimit int
+	resid    *ml.Model
+	sgd      *ml.SGD
+
+	// What this connection holds, mirrored by the coordinator's roster slot
+	// (clientConn): base and prevBase are the global models of the last two
+	// requests decoded, from rounds baseRound and prevRound — what the next
+	// request is coded against; prevWork is the local model of the last
+	// reply written, to round workRound, which with prevBase (the model it was
+	// trained from) predicts the next one. A round of −1 means the model is
+	// not held. Each pair ping-pongs: the successor is built in the older
+	// buffer, and the state advances only once a request has been decoded, or
+	// a reply written, completely. work is the model being trained (a copy of
+	// base, so base stays the pristine broadcast).
+	base, prevBase       *ml.Model
+	baseRound, prevRound int
+	work, prevWork       *ml.Model
+	workRound            int
 }
 
 // Dial connects to the coordinator and performs the Join/Welcome handshake.
@@ -112,38 +120,10 @@ func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", cfg.Addr, err)
 	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("handshake deadline: %w", err)
-	}
-	var regBody []byte
-	var regType MsgType
-	if rejoinID < 0 {
-		regType = MsgJoin
-		regBody = encodeJoin(uint32(cfg.Shard.Len()))
-	} else {
-		regType = MsgRejoin
-		regBody = encodeRejoin(uint32(rejoinID), uint32(cfg.Shard.Len()))
-	}
-	if err := writeFrame(conn, regType, regBody); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("register: %w", err)
-	}
-	cfg.Counters.AddTx(frameHeaderLen + len(regBody))
-	payload, err := expectFrame(conn, MsgWelcome, handshakeLimit)
+	id, err := handshake(conn, cfg, rejoinID, timeout)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("welcome: %w", err)
-	}
-	cfg.Counters.AddRx(frameHeaderLen + len(payload))
-	id, err := decodeWelcome(payload)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("welcome body: %w", err)
-	}
-	if rejoinID >= 0 && int(id) != rejoinID {
-		conn.Close()
-		return nil, fmt.Errorf("rejoin as %d welcomed as %d: %w", rejoinID, id, ErrProtocol)
+		return nil, err
 	}
 	// A validated Welcome means the coordinator holds a slot for this id, so
 	// the edge is registered whatever the connection does next: a conn that
@@ -154,8 +134,49 @@ func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 	base := ml.NewModel(cfg.Shard.Classes, cfg.Shard.Dim(), ml.Softmax)
 	return &EdgeServer{
 		cfg: cfg, conn: conn, id: int(id),
-		base: base, reqLimit: trainReqV2HeaderLen + modelBodyLimit(base),
+		reqLimit: trainReqHeaderLen + modelBodyLimit(base),
+		base:     base, baseRound: -1, prevRound: -1, workRound: -1,
 	}, nil
+}
+
+// handshake registers on a fresh connection — MsgJoin, or MsgRejoin as
+// rejoinID — and returns the id the coordinator's Welcome assigns.
+//
+// Both frames are fixed-size, and their bytes are booked in cfg.Counters
+// before the first one leaves, not as they pass: the coordinator lists this
+// edge as connected the moment it has written the Welcome, and whoever was
+// waiting for that (AwaitRoster) may read the counters before this goroutine
+// runs again. A frame that does not make it is taken back.
+func handshake(conn net.Conn, cfg EdgeConfig, rejoinID int, timeout time.Duration) (uint32, error) {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return 0, fmt.Errorf("handshake deadline: %w", err)
+	}
+	regType, regBody := MsgJoin, encodeJoin(uint32(cfg.Shard.Len()))
+	if rejoinID >= 0 {
+		regType, regBody = MsgRejoin, encodeRejoin(uint32(rejoinID), uint32(cfg.Shard.Len()))
+	}
+	tx, rx := frameHeaderLen+len(regBody), frameHeaderLen+welcomeLen
+	cfg.Counters.AddTx(tx)
+	cfg.Counters.AddRx(rx)
+	if err := writeFrame(conn, regType, regBody); err != nil {
+		cfg.Counters.AddTx(-tx)
+		cfg.Counters.AddRx(-rx)
+		return 0, fmt.Errorf("register: %w", err)
+	}
+	payload, err := expectFrame(conn, MsgWelcome, handshakeLimit)
+	if err != nil {
+		cfg.Counters.AddRx(-rx)
+		return 0, fmt.Errorf("welcome: %w", err)
+	}
+	cfg.Counters.AddRx(len(payload) - welcomeLen) // nothing, unless the Welcome is about to be refused
+	id, err := decodeWelcome(payload)
+	if err != nil {
+		return 0, fmt.Errorf("welcome body: %w", err)
+	}
+	if rejoinID >= 0 && int(id) != rejoinID {
+		return 0, fmt.Errorf("rejoin as %d welcomed as %d: %w", rejoinID, id, ErrProtocol)
+	}
+	return id, nil
 }
 
 // ID returns the coordinator-assigned client id.
@@ -212,42 +233,63 @@ func (e *EdgeServer) Serve(ctx context.Context) error {
 	}
 }
 
+// copyModel makes *dst a copy of src, reusing its storage when the shapes
+// agree (they always do after a connection's first round).
+func copyModel(dst **ml.Model, src *ml.Model) error {
+	if *dst == nil || (*dst).W == nil || (*dst).Classes() != src.Classes() || (*dst).Features() != src.Features() {
+		*dst = src.Clone()
+		return nil
+	}
+	return (*dst).CopyFrom(src)
+}
+
 // decodeRequest parses a train request and reconstructs the broadcast global
-// model into e.base: full-model requests overwrite it, residual requests
-// apply the quantized delta against the broadcast this connection last
-// acknowledged.
+// model as e.base: full-model requests carry it, delta requests code it
+// against the last one or two broadcasts this connection decoded, residual
+// requests add a quantized difference to the last. The successor is built in
+// prevBase's storage — in place where that model is part of the prediction —
+// so prevBase is void from the first byte on and base only moves once the
+// whole body has decoded.
 // Wire and state mismatches wrap ErrConnLost: a reconnect resets both ends
 // to a full-model send, which is the repair.
 func (e *EdgeServer) decodeRequest(payload []byte) (TrainRequest, error) {
-	req, body, err := decodeTrainRequestV2(payload)
+	req, body, err := decodeTrainRequest(payload)
 	if err != nil {
 		return TrainRequest{}, fmt.Errorf("train request: %v: %w", err, ErrConnLost)
 	}
-	if req.DownBits == 0 {
-		if err := e.base.UnmarshalBinaryReuse(body); err != nil {
-			return TrainRequest{}, fmt.Errorf("round %d request model: %v: %w", req.Round, err, ErrConnLost)
+	if e.prevBase == nil {
+		e.prevBase = &ml.Model{}
+	}
+	next, prevRound := e.prevBase, e.prevRound
+	e.prevRound = -1
+	switch {
+	case req.DownBits == 0:
+		err = next.UnmarshalBinaryReuse(body)
+	case e.baseRound < 0 || req.BaseRound != e.baseRound:
+		err = fmt.Errorf("coded against round %d, have round %d", req.BaseRound, e.baseRound)
+	case req.DownOrder == 1:
+		err = ml.ApplyDelta(next, body, e.base)
+	case req.DownOrder == 2:
+		if prevRound != req.BaseRound-1 {
+			err = fmt.Errorf("second-order delta needs round %d, have round %d", req.BaseRound-1, prevRound)
+		} else {
+			err = ml.ApplyDelta(next, body, e.base, e.base, next)
 		}
-	} else {
-		if !e.haveBase {
-			return TrainRequest{}, fmt.Errorf("round %d residual without a base model: %w",
-				req.Round, ErrConnLost)
-		}
-		if req.BaseRound != e.baseRound {
-			return TrainRequest{}, fmt.Errorf("round %d residual against round %d, have round %d: %w",
-				req.Round, req.BaseRound, e.baseRound, ErrConnLost)
-		}
+	default: // quantized residual
 		if e.resid == nil {
 			e.resid = &ml.Model{}
 		}
-		if err := e.resid.DequantizeInto(body); err != nil {
-			return TrainRequest{}, fmt.Errorf("round %d residual: %v: %w", req.Round, err, ErrConnLost)
-		}
-		if err := e.base.AddScaled(1, e.resid); err != nil {
-			return TrainRequest{}, fmt.Errorf("round %d apply residual: %v: %w", req.Round, err, ErrConnLost)
+		if err = e.resid.DequantizeInto(body); err == nil {
+			if err = copyModel(&next, e.base); err == nil {
+				err = next.AddScaled(1, e.resid)
+			}
 		}
 	}
-	e.haveBase = true
-	e.baseRound = req.Round
+	if err != nil {
+		return TrainRequest{}, fmt.Errorf("round %d request model: %v: %w", req.Round, err, ErrConnLost)
+	}
+	e.prevBase, e.prevRound = e.base, e.baseRound
+	e.base, e.baseRound = next, req.Round
 	return req, nil
 }
 
@@ -259,11 +301,7 @@ func (e *EdgeServer) handleTrain(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	// Train a copy so base stays the pristine broadcast future residuals
-	// apply to.
-	if e.work == nil || e.work.Classes() != e.base.Classes() || e.work.Features() != e.base.Features() {
-		e.work = e.base.Clone()
-	} else if err := e.work.CopyFrom(e.base); err != nil {
+	if err := copyModel(&e.work, e.base); err != nil {
 		return fmt.Errorf("round %d work copy: %w", req.Round, err)
 	}
 	sgdCfg := ml.SGDConfig{
@@ -292,7 +330,14 @@ func (e *EdgeServer) handleTrain(payload []byte) error {
 	}
 	bp := newFrame()
 	defer freeFrame(bp)
-	out, err := appendTrainReply(*bp, rep)
+	var out []byte
+	if e.workRound == req.Round-1 && e.prevRound == req.Round-1 {
+		// This connection answered the round before: expect the local model
+		// to step away from the global as it did then.
+		out, err = appendTrainReply(*bp, rep, e.base, e.prevWork, e.prevBase)
+	} else {
+		out, err = appendTrainReply(*bp, rep, e.base)
+	}
 	if err != nil {
 		return err
 	}
@@ -300,6 +345,10 @@ func (e *EdgeServer) handleTrain(payload []byte) error {
 	n, err := writeFrameBuf(e.conn, MsgTrainReply, bp)
 	if err != nil {
 		return fmt.Errorf("round %d reply: %v: %w", req.Round, err, ErrConnLost)
+	}
+	e.workRound = -1
+	if req.ReplyBits == 0 {
+		e.work, e.prevWork, e.workRound = e.prevWork, e.work, req.Round
 	}
 	e.cfg.Counters.AddTx(n)
 	e.roundsServed++

@@ -121,8 +121,8 @@ func TestTrainRequestRoundTrip(t *testing.T) {
 	m := ml.NewModel(3, 4, ml.Softmax)
 	m.W.Set(1, 2, 7.5)
 	req := TrainRequest{Round: 9, Epochs: 40, LearningRate: 0.01, BaseRound: 9}
-	payload := m.AppendBinary(appendTrainRequestV2Header(nil, req))
-	back, body, err := decodeTrainRequestV2(payload)
+	payload := m.AppendBinary(appendTrainRequestHeader(nil, req))
+	back, body, err := decodeTrainRequest(payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -146,11 +146,11 @@ func TestTrainReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	back, err := decodeTrainReplyInto(payload, &ml.Model{})
+	back, err := decodeTrainReplyInto(payload, &ml.Model{}, nil, nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if back.Round != 4 || back.Loss != 0.125 || back.Samples != 3000 {
+	if back.Round != 4 || back.Loss != 0.125 || back.Samples != 3000 || back.Bits != 0 || back.Order != 0 {
 		t.Errorf("header lost: %+v", back)
 	}
 	if back.Model.ParamDistance(m) != 0 {
@@ -158,11 +158,75 @@ func TestTrainReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLosslessReplyRoundTrip walks a reply through the three lossless bodies:
+// raw when the coordinator holds nothing, a first-order delta against the
+// request's model, a second-order one decoded in place over the previous
+// reply — and the refusals when a body names a prediction the decoder cannot
+// form.
+func TestLosslessReplyRoundTrip(t *testing.T) {
+	sent, prevSent := randomWireModel(1), randomWireModel(1)
+	prevSent.W.Scale(1 - 1e-6)
+	prevLocal, local := sent.Clone(), sent.Clone()
+	prevLocal.W.Scale(1 + 1e-6)
+	local.W.Scale(1 + 2e-6)
+	rep := TrainReply{Round: 4, Loss: 0.5, Samples: 40, Model: local}
+
+	first, err := appendTrainReply(nil, rep, sent)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	second, err := appendTrainReply(nil, rep, sent, prevLocal, prevSent)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if len(second) >= len(first) || len(first) >= trainRepHeaderLen+local.EncodedSize() {
+		t.Errorf("bodies of %d (second order), %d (first order), %d (raw) bytes: want them to shrink in that order",
+			len(second), len(first), trainRepHeaderLen+local.EncodedSize())
+	}
+	var scratch ml.Model
+	back, err := decodeTrainReplyInto(first, &scratch, sent, nil)
+	if err != nil || back.Bits != deltaBits || back.Order != 1 || back.Model.ParamDistance(local) != 0 {
+		t.Errorf("first-order reply = %+v, %v", back, err)
+	}
+	inPlace := prevLocal.Clone() // the slot's repModel, still holding the previous reply
+	back, err = decodeTrainReplyInto(second, inPlace, sent, prevSent)
+	if err != nil || back.Bits != deltaBits || back.Order != 2 || back.Model != inPlace || inPlace.ParamDistance(local) != 0 {
+		t.Errorf("second-order reply = %+v, %v", back, err)
+	}
+	if back.WireBytes != len(second)-trainRepHeaderLen {
+		t.Errorf("WireBytes = %d, want %d", back.WireBytes, len(second)-trainRepHeaderLen)
+	}
+
+	corrupt := func(payload []byte, at int, v byte) []byte {
+		out := append([]byte(nil), payload...)
+		out[at] = v
+		return out
+	}
+	for name, tc := range map[string]struct {
+		payload        []byte
+		sent, prevSent *ml.Model
+	}{
+		"first-order-without-the-sent-model":   {first, nil, nil},
+		"second-order-without-previous-models": {second, sent, nil},
+		"delta-with-order-0":                   {corrupt(first, 17, 0), sent, nil},
+		"delta-with-order-3":                   {corrupt(first, 17, 3), sent, nil},
+		"raw-with-an-order":                    {corrupt(first, 16, 0), sent, nil},
+		"unknown-bits":                         {corrupt(first, 16, 32), sent, nil},
+		"high-codec-bytes":                     {corrupt(first, 19, 1), sent, nil},
+		"trailing-byte":                        {append(append([]byte(nil), first...), 0), sent, nil},
+		"short-body":                           {first[:len(first)-1], sent, nil},
+	} {
+		if _, err := decodeTrainReplyInto(tc.payload, &ml.Model{}, tc.sent, tc.prevSent); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestDecodeShortBodies(t *testing.T) {
-	if _, _, err := decodeTrainRequestV2([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
+	if _, _, err := decodeTrainRequest([]byte{1, 2}); !errors.Is(err, ErrProtocol) {
 		t.Errorf("short request = %v, want ErrProtocol", err)
 	}
-	if _, err := decodeTrainReplyInto([]byte{1, 2}, &ml.Model{}); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeTrainReplyInto([]byte{1, 2}, &ml.Model{}, nil, nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("short reply = %v, want ErrProtocol", err)
 	}
 }

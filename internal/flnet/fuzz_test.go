@@ -28,10 +28,10 @@ func FuzzReadFrame(f *testing.F) {
 
 func FuzzDecodeTrainRequestV2(f *testing.F) {
 	m := ml.NewModel(2, 3, ml.Softmax)
-	full := appendTrainRequestV2Header(nil, TrainRequest{Round: 2, BaseRound: 2, Epochs: 1, LearningRate: 0.1})
+	full := appendTrainRequestHeader(nil, TrainRequest{Round: 2, BaseRound: 2, Epochs: 1, LearningRate: 0.1})
 	full = m.AppendBinary(full)
 	f.Add(full)
-	resid := appendTrainRequestV2Header(nil, TrainRequest{Round: 2, BaseRound: 1, DownBits: ml.Quant8, Epochs: 1, LearningRate: 0.1})
+	resid := appendTrainRequestHeader(nil, TrainRequest{Round: 2, BaseRound: 1, DownBits: ml.Quant8, Epochs: 1, LearningRate: 0.1})
 	resid, err := ml.AppendQuantized(resid, m, ml.Quant8)
 	if err != nil {
 		f.Fatal(err)
@@ -39,14 +39,29 @@ func FuzzDecodeTrainRequestV2(f *testing.F) {
 	f.Add(resid)
 	// Truncated residual: valid header, short quantized body.
 	f.Add(resid[:len(resid)-3])
+	// Lossless delta bodies of both orders, whole, short and long. (Small
+	// models code no smaller than raw, hence the 4×16.)
+	g, g1, g2 := ml.NewModel(4, 16, ml.Softmax), ml.NewModel(4, 16, ml.Softmax), ml.NewModel(4, 16, ml.Softmax)
+	g.W.Fill(0.25)
+	g1.W.Fill(0.2499)
+	g2.W.Fill(0.2498)
+	for _, pred := range [][]*ml.Model{{g1}, {g1, g1, g2}} {
+		delta := appendLosslessRequest(nil, TrainRequest{Round: 2, BaseRound: 1, Epochs: 1, LearningRate: 0.1}, g, pred...)
+		if delta[20] != byte(deltaBits) {
+			f.Fatal("seed request did not code as a delta")
+		}
+		f.Add(delta)
+		f.Add(delta[:len(delta)-2])
+		f.Add(append(append([]byte(nil), delta...), 0))
+	}
 	// Header-only, empty, and a reserved-byte violation.
-	f.Add(full[:trainReqV2HeaderLen])
+	f.Add(full[:trainReqHeaderLen])
 	f.Add([]byte{})
 	bad := append([]byte(nil), full...)
 	bad[21] = 0xff
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, body, err := decodeTrainRequestV2(data)
+		req, body, err := decodeTrainRequest(data)
 		if err != nil {
 			return
 		}
@@ -58,13 +73,36 @@ func FuzzDecodeTrainRequestV2(f *testing.F) {
 		if req.BaseRound > req.Round {
 			t.Fatalf("future base round accepted: %+v", req)
 		}
+		if (req.DownBits == deltaBits) != (req.DownOrder != 0) || req.DownOrder > 2 {
+			t.Fatalf("codec %d accepted with predictor order %d", req.DownBits, req.DownOrder)
+		}
 		var scratch ml.Model
-		if req.DownBits == 0 {
+		switch {
+		case req.DownBits == 0:
 			_ = scratch.UnmarshalBinaryReuse(body)
-		} else {
+		case req.DownBits != deltaBits:
 			_ = scratch.DequantizeInto(body)
+		case req.DownOrder == 1:
+			decodeDeltaBounded(t, &scratch, body, g1)
+		default:
+			decodeDeltaBounded(t, &scratch, body, g1, g1, g2)
 		}
 	})
+}
+
+// decodeDeltaBounded decodes a fuzzed delta body the way an edge would: it may
+// fail, but whatever it builds has the predictors' shape — a body cannot make
+// the decoder allocate more than a model the link already carried — and a body
+// that decodes is used up exactly.
+func decodeDeltaBounded(t *testing.T, dst *ml.Model, body []byte, pred ...*ml.Model) {
+	t.Helper()
+	err := ml.ApplyDelta(dst, body, pred...)
+	if dst.W != nil && (dst.Classes() != pred[0].Classes() || dst.Features() != pred[0].Features()) {
+		t.Fatalf("delta body built a %dx%d model from %dx%d predictors", dst.Classes(), dst.Features(), pred[0].Classes(), pred[0].Features())
+	}
+	if err == nil && ml.ApplyDelta(dst, append(append([]byte(nil), body...), 0), pred...) == nil {
+		t.Fatal("delta body accepted with a trailing byte")
+	}
 }
 
 func FuzzDecodeTrainReply(f *testing.F) {
@@ -80,12 +118,39 @@ func FuzzDecodeTrainReply(f *testing.F) {
 	f.Add(full)
 	f.Add(quant)
 	f.Add([]byte{1, 2, 3})
+	// Lossless delta replies of both orders, whole, short and long.
+	sent, prevSent, prevLocal, local := ml.NewModel(4, 16, ml.Sigmoid), ml.NewModel(4, 16, ml.Sigmoid), ml.NewModel(4, 16, ml.Sigmoid), ml.NewModel(4, 16, ml.Sigmoid)
+	sent.W.Fill(0.25)
+	prevSent.W.Fill(0.2499)
+	prevLocal.W.Fill(0.2502)
+	local.W.Fill(0.2503)
+	for _, pred := range [][]*ml.Model{{sent}, {sent, prevLocal, prevSent}} {
+		delta, err := appendTrainReply(nil, TrainReply{Round: 1, Loss: 0.5, Samples: 10, Model: local}, pred...)
+		if err != nil || delta[16] != byte(deltaBits) {
+			f.Fatalf("seed reply did not code as a delta: %v", err)
+		}
+		f.Add(delta)
+		f.Add(delta[:len(delta)-2])
+		f.Add(append(append([]byte(nil), delta...), 0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := decodeTrainReplyInto(data, &ml.Model{})
-		if err == nil {
-			if rep.Model == nil || rep.Model.Classes() <= 0 {
-				t.Fatalf("decode accepted an unusable reply: %+v", rep)
-			}
+		// Decoded as the coordinator does, in place over the previous reply.
+		m := prevLocal.Clone()
+		rep, err := decodeTrainReplyInto(data, m, sent, prevSent)
+		if err != nil {
+			return
+		}
+		if rep.Model != m || rep.Model.Classes() <= 0 {
+			t.Fatalf("decode accepted an unusable reply: %+v", rep)
+		}
+		if (rep.Bits == deltaBits) != (rep.Order != 0) || rep.Order > 2 {
+			t.Fatalf("codec %d accepted with predictor order %d", rep.Bits, rep.Order)
+		}
+		if rep.Bits == deltaBits && (m.Classes() != sent.Classes() || m.Features() != sent.Features()) {
+			t.Fatalf("delta reply built a %dx%d model from %dx%d predictors", m.Classes(), m.Features(), sent.Classes(), sent.Features())
+		}
+		if _, err := decodeTrainReplyInto(append(append([]byte(nil), data...), 0), prevLocal.Clone(), sent, prevSent); err == nil {
+			t.Fatal("reply accepted with a trailing byte")
 		}
 	})
 }

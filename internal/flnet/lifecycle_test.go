@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,5 +148,82 @@ func TestJoinAfterShutdownRefused(t *testing.T) {
 		DialTimeout: 2 * time.Second,
 	}); err == nil {
 		t.Error("Dial against a shut-down coordinator must fail")
+	}
+}
+
+// TestAwaitRosterWakesOnRegistration pins the wake-up: waiters sleep on the
+// roster, not on a clock; each returns when its count is reached — or the
+// coordinator goes down, or its own timeout ends — and several at once all
+// wake.
+func TestAwaitRosterWakesOnRegistration(t *testing.T) {
+	coord := lifecycleCoordinator(t, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// Three waiters, one of them for a roster that never fills.
+	type result struct {
+		n   int
+		err error
+	}
+	results := make(chan result, 3)
+	for _, n := range []int{1, 2, 3} {
+		go func(n int) {
+			err := coord.AwaitRoster(ctx, n, 20*time.Second)
+			results <- result{n, err}
+		}(n)
+	}
+	time.Sleep(20 * time.Millisecond) // let them block
+	for i := 1; i <= 2; i++ {
+		conn := rawJoin(t, coord.Addr().String())
+		defer conn.Close()
+		if res := <-results; res.n != i || res.err != nil {
+			t.Fatalf("after join %d: waiter for %d returned %v", i, res.n, res.err)
+		}
+	}
+	coord.Shutdown()
+	if res := <-results; res.n != 3 || !errors.Is(res.err, ErrCoordinator) {
+		t.Errorf("waiter for 3 after Shutdown = %+v, want ErrCoordinator", res)
+	}
+
+	// Its own timeout, with nothing happening on the roster.
+	idle := lifecycleCoordinator(t, 0)
+	start := time.Now()
+	err := idle.AwaitRoster(ctx, 1, 30*time.Millisecond)
+	if !errors.Is(err, ErrCoordinator) || time.Since(start) < 30*time.Millisecond {
+		t.Errorf("AwaitRoster on an idle coordinator = %v after %v, want ErrCoordinator after its 30 ms", err, time.Since(start))
+	}
+}
+
+// TestCountersSettleBeforeRosterFills: the moment AwaitRoster reports an edge
+// connected, that edge's handshake — one Join out, one Welcome back — is in
+// its counters, although the edge may not have run since the Welcome was
+// written. (The bench reads the counters at exactly that moment.)
+func TestCountersSettleBeforeRosterFills(t *testing.T) {
+	cfg := dataset.QuickSyntheticConfig()
+	cfg.Samples = 20
+	shard, err := dataset.Synthesize(cfg)
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	coord := lifecycleCoordinator(t, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const join, welcome = frameHeaderLen + 5, frameHeaderLen + welcomeLen
+	var counters WireCounters
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer coord.Shutdown()
+	for i := 1; i <= 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = RunEdgeServer(ctx, EdgeConfig{Addr: coord.Addr().String(), Shard: shard, Seed: 1, Counters: &counters})
+		}()
+		if err := coord.AwaitRoster(ctx, i, 10*time.Second); err != nil {
+			t.Fatalf("edge %d: %v", i, err)
+		}
+		if tx, rx := counters.Tx(), counters.Rx(); tx != int64(i*join) || rx != int64(i*welcome) {
+			t.Fatalf("with %d edges connected the counters read tx %d rx %d, want %d and %d", i, tx, rx, i*join, i*welcome)
+		}
 	}
 }

@@ -15,13 +15,16 @@
 // writes occur on a single conn.
 //
 // The Join/Rejoin/Welcome handshake bodies end in a protocol-version byte,
-// and MsgTrainRequest carries a downlink codec: the global model may travel
-// as a quantized residual against the last broadcast the client
-// acknowledged, cutting downlink bytes ~64/bits-fold. The hot path on both
-// ends runs over pooled frame buffers: one coalesced write per frame, reads
-// into capacity-tracked scratch, and model bodies encoded/decoded directly in
-// the frame buffer. This file is the only place that knows the format or its
-// version.
+// and both training messages name the codec of their model body. A model
+// travels as raw float64 only on a connection's first exchange: after that
+// each end holds, bit for bit, the models the other is about to describe, and
+// the body is ml's lossless delta against a prediction formed from them
+// (deltaBits) — or, when the coordinator is configured for it, a lossy
+// quantized residual (downlink) or quantized model (uplink). The hot path on
+// both ends runs over pooled frame buffers: one coalesced write per frame,
+// reads into capacity-tracked scratch, and model bodies encoded/decoded
+// directly in the frame buffer. This file is the only place that knows the
+// format or its version.
 package flnet
 
 import (
@@ -47,11 +50,10 @@ const (
 	// payload = uint32 assigned client id, protocol-version byte.
 	MsgWelcome
 	// MsgTrainRequest asks a client to run local training; payload: see
-	// trainReqV2HeaderLen.
+	// trainReqHeaderLen.
 	MsgTrainRequest
-	// MsgTrainReply returns the locally trained model:
-	// payload = uint32 round, float64 final local loss, uint32 samples,
-	// serialized local model.
+	// MsgTrainReply returns the locally trained model; payload: see
+	// trainRepHeaderLen.
 	MsgTrainReply
 	// MsgShutdown tells a client training is over; payload is empty.
 	MsgShutdown
@@ -82,11 +84,18 @@ func (m MsgType) String() string {
 	}
 }
 
-// ProtoV2 is the one protocol version this package speaks, carried in the
-// handshake version byte so a future v3 can be told apart. A joiner
-// advertising a newer version is welcomed at ProtoV2; the seed protocol (v1:
-// the same handshake bodies without the version byte) is refused.
-const ProtoV2 byte = 2
+// ProtoV3 is the one protocol version this package speaks, carried in the
+// handshake version byte so a future v4 can be told apart. A joiner
+// advertising a newer version is welcomed at ProtoV3; the retired ones — v1,
+// the same handshake bodies without the version byte, and v2, whose warm
+// model bodies were raw float64 — are refused by name.
+const ProtoV3 byte = 3
+
+// deltaBits in a request's DownBits or a reply's Bits says the model body is
+// ml's lossless delta coding (ml.AppendDelta) against a prediction both ends
+// hold: all 64 bits of every parameter arrive. The field's predictor order
+// says which prediction.
+const deltaBits ml.QuantBits = 64
 
 // ErrProtocol is returned (wrapped) for malformed or unexpected frames.
 var ErrProtocol = errors.New("flnet: protocol error")
@@ -96,9 +105,10 @@ var ErrProtocol = errors.New("flnet: protocol error")
 const handshakeLimit = 16
 
 // modelBodyLimit is the largest model body a peer may legitimately send for
-// a model of m's shape: its float64 serialization or — only for shapes of
-// under four parameters, where the fixed quantization header outweighs the
-// narrower values — its 16-bit quantized one.
+// a model of m's shape: its float64 serialization (a delta body is sent only
+// when it is smaller) or — only for shapes of under four parameters, where the
+// fixed quantization header outweighs the narrower values — its 16-bit
+// quantized one.
 func modelBodyLimit(m *ml.Model) int {
 	return max(m.EncodedSize(), ml.QuantizedSize(m.Classes(), m.Features(), ml.Quant16))
 }
@@ -241,47 +251,88 @@ type TrainRequest struct {
 	// radio payload ~64/bits-fold — a direct e^U energy reduction.
 	ReplyBits ml.QuantBits
 	// DownBits records the codec the request's model body travels in: 0 =
-	// full float64 model, Quant8/Quant16 = quantized residual against the
-	// BaseRound broadcast.
+	// full float64 model, deltaBits = lossless delta, Quant8/Quant16 =
+	// quantized residual — the last two against the BaseRound broadcast.
 	DownBits ml.QuantBits
-	// BaseRound is the round whose broadcast the residual applies to; equal
-	// to Round for full-model requests.
+	// DownOrder is a delta body's predictor order: 1 predicts the BaseRound
+	// broadcast itself, 2 extrapolates it by its distance from the
+	// BaseRound−1 broadcast. Zero for the other codecs.
+	DownOrder int
+	// BaseRound is the round of the broadcast, already held by this
+	// connection, that the body is coded against; equal to Round for
+	// full-model requests.
 	BaseRound int
 }
 
-// trainReqV2HeaderLen is the fixed request header:
+// trainReqHeaderLen is the fixed request header:
 //
 //	uint32  round
 //	uint32  epochs
 //	float64 learning rate
-//	uint32  reply bits
-//	uint8   downlink bits (0 = body is a full EFM model; 8/16 = body is an
-//	        EFQ-quantized residual against the BaseRound broadcast)
-//	uint8   reserved, must be zero
+//	uint32  reply bits (0 = reply losslessly; 8/16 = quantize the reply)
+//	uint8   downlink bits (0 = body is a full EFM model; 64 = body is an EFD
+//	        lossless delta; 8/16 = body is an EFQ-quantized residual)
+//	uint8   predictor order of a delta body (1 or 2), else zero
 //	uint32  base round (== round for full-model requests)
 //
 // followed by the model body.
-const trainReqV2HeaderLen = 26
+const trainReqHeaderLen = 26
 
-// appendTrainRequestV2Header appends the request header to dst; the caller then
-// appends the model body (ml.Model.AppendBinary or ml.AppendQuantized).
-func appendTrainRequestV2Header(dst []byte, req TrainRequest) []byte {
-	var h [trainReqV2HeaderLen]byte
+// putTrainRequestHeader writes the request header into h[:trainReqHeaderLen].
+func putTrainRequestHeader(h []byte, req TrainRequest) {
+	_ = h[trainReqHeaderLen-1]
 	binary.LittleEndian.PutUint32(h[0:4], uint32(req.Round))
 	binary.LittleEndian.PutUint32(h[4:8], uint32(req.Epochs))
 	binary.LittleEndian.PutUint64(h[8:16], math.Float64bits(req.LearningRate))
 	binary.LittleEndian.PutUint32(h[16:20], uint32(req.ReplyBits))
 	h[20] = byte(req.DownBits)
-	h[21] = 0
+	h[21] = byte(req.DownOrder)
 	binary.LittleEndian.PutUint32(h[22:26], uint32(req.BaseRound))
+}
+
+// appendTrainRequestHeader appends the request header to dst; the caller then
+// appends the model body in the codec the header names.
+func appendTrainRequestHeader(dst []byte, req TrainRequest) []byte {
+	var h [trainReqHeaderLen]byte
+	putTrainRequestHeader(h[:], req)
 	return append(dst, h[:]...)
 }
 
-// decodeTrainRequestV2 parses a request header. The raw model body (aliasing
+// appendLosslessRequest appends a request carrying m losslessly: as a delta
+// against pred (see appendLossless), models the connection holds from the
+// broadcast of round req.BaseRound, when that is possible and smaller, else
+// as the full model of round req.Round. The header is written last, once the
+// body has chosen its codec.
+func appendLosslessRequest(dst []byte, req TrainRequest, m *ml.Model, pred ...*ml.Model) []byte {
+	start := len(dst)
+	dst = appendTrainRequestHeader(dst, req)
+	dst, req.DownBits, req.DownOrder = appendLossless(dst, m, pred)
+	if req.DownBits == 0 {
+		req.BaseRound = req.Round
+	}
+	putTrainRequestHeader(dst[start:], req)
+	return dst
+}
+
+// appendLossless appends m the cheapest lossless way its receiver can decode:
+// as ml's delta against pred — one model: that model (order 1); three models
+// a, b, c: a + (b − c) (order 2) — when the receiver holds them and the coded
+// body is smaller, else as the float64 serialization. It returns the codec and
+// predictor order for the header.
+func appendLossless(dst []byte, m *ml.Model, pred []*ml.Model) (out []byte, bits ml.QuantBits, order int) {
+	if len(pred) > 0 {
+		if out, ok := ml.AppendDelta(dst, m, pred...); ok {
+			return out, deltaBits, (len(pred) + 1) / 2
+		}
+	}
+	return m.AppendBinary(dst), 0, 0
+}
+
+// decodeTrainRequest parses a request header. The raw model body (aliasing
 // payload) comes back separately so the edge can decode it into long-lived
 // scratch according to DownBits.
-func decodeTrainRequestV2(payload []byte) (req TrainRequest, body []byte, err error) {
-	if len(payload) < trainReqV2HeaderLen {
+func decodeTrainRequest(payload []byte) (req TrainRequest, body []byte, err error) {
+	if len(payload) < trainReqHeaderLen {
 		return TrainRequest{}, nil, fmt.Errorf("train request of %d bytes: %w", len(payload), ErrProtocol)
 	}
 	req.Round = int(binary.LittleEndian.Uint32(payload[0:4]))
@@ -294,29 +345,44 @@ func decodeTrainRequestV2(payload []byte) (req TrainRequest, body []byte, err er
 		return TrainRequest{}, nil, fmt.Errorf("reply bits %d: %w", req.ReplyBits, ErrProtocol)
 	}
 	req.DownBits = ml.QuantBits(payload[20])
-	switch req.DownBits {
-	case 0, ml.Quant8, ml.Quant16:
-	default:
-		return TrainRequest{}, nil, fmt.Errorf("downlink bits %d: %w", req.DownBits, ErrProtocol)
-	}
-	if payload[21] != 0 {
-		return TrainRequest{}, nil, fmt.Errorf("reserved byte %d: %w", payload[21], ErrProtocol)
-	}
+	req.DownOrder = int(payload[21])
 	req.BaseRound = int(binary.LittleEndian.Uint32(payload[22:26]))
-	if req.DownBits == 0 {
-		if req.BaseRound != req.Round {
-			return TrainRequest{}, nil, fmt.Errorf("full request base round %d != round %d: %w",
-				req.BaseRound, req.Round, ErrProtocol)
-		}
-	} else if req.BaseRound > req.Round {
-		return TrainRequest{}, nil, fmt.Errorf("residual base round %d > round %d: %w",
-			req.BaseRound, req.Round, ErrProtocol)
+	if err := checkCodec("downlink", req.DownBits, req.DownOrder); err != nil {
+		return TrainRequest{}, nil, err
 	}
-	body = payload[trainReqV2HeaderLen:]
+	switch {
+	case req.DownBits == 0 && req.BaseRound != req.Round:
+		return TrainRequest{}, nil, fmt.Errorf("full request base round %d != round %d: %w",
+			req.BaseRound, req.Round, ErrProtocol)
+	case req.BaseRound > req.Round:
+		return TrainRequest{}, nil, fmt.Errorf("base round %d > round %d: %w",
+			req.BaseRound, req.Round, ErrProtocol)
+	case req.DownOrder == 2 && req.BaseRound == 0:
+		return TrainRequest{}, nil, fmt.Errorf("second-order delta against round 0: %w", ErrProtocol)
+	}
+	body = payload[trainReqHeaderLen:]
 	if len(body) == 0 {
 		return TrainRequest{}, nil, fmt.Errorf("train request without model body: %w", ErrProtocol)
 	}
 	return req, body, nil
+}
+
+// checkCodec validates a (codec, predictor order) pair from a header: delta
+// bodies carry order 1 or 2, every other codec order 0.
+func checkCodec(what string, bits ml.QuantBits, order int) error {
+	switch bits {
+	case 0, ml.Quant8, ml.Quant16:
+		if order != 0 {
+			return fmt.Errorf("%s bits %d with predictor order %d: %w", what, bits, order, ErrProtocol)
+		}
+	case deltaBits:
+		if order != 1 && order != 2 {
+			return fmt.Errorf("%s delta with predictor order %d: %w", what, order, ErrProtocol)
+		}
+	default:
+		return fmt.Errorf("%s bits %d: %w", what, bits, ErrProtocol)
+	}
+	return nil
 }
 
 // TrainReply is the decoded form of MsgTrainReply.
@@ -324,48 +390,66 @@ type TrainReply struct {
 	Round   int
 	Loss    float64
 	Samples int
-	// Bits records the codec the model travelled in (0 = float64). The
-	// decoded Model is always full precision; quantization error, if any,
-	// was incurred on the wire.
+	// Bits records the codec the model travelled in: 0 = float64, deltaBits =
+	// lossless delta against the request's model, Quant8/Quant16 = quantized.
+	// To encode, 0 asks for the cheapest lossless body and the header records
+	// which that was. The decoded Model is always full precision; quantization
+	// error, if any, was incurred on the wire.
 	Bits ml.QuantBits
+	// Order is a delta body's predictor order: 1 predicts the model the
+	// request delivered, 2 adds the step this connection's previous local
+	// model took from the model it was delivered. Zero for the other codecs.
+	Order int
 	// WireBytes is the size of the encoded model payload, which upload
 	// energy is proportional to.
 	WireBytes int
 	Model     *ml.Model
 }
 
-// trainRepHeaderLen is the fixed reply header: round, loss, samples, bits.
+// trainRepHeaderLen is the fixed reply header: uint32 round, float64 final
+// local loss, uint32 samples, uint32 codec (low byte: bits as in the request's
+// downlink byte; second byte: a delta body's predictor order; rest zero).
 const trainRepHeaderLen = 20
 
-// appendTrainReply appends the reply encoding (header + model in the
-// rep.Bits codec) to dst — the zero-copy path writing straight into a
-// pooled frame buffer.
-func appendTrainReply(dst []byte, rep TrainReply) ([]byte, error) {
+// appendTrainReply appends the reply encoding (header + model) to dst — the
+// zero-copy path writing straight into a pooled frame buffer. rep.Bits
+// Quant8/Quant16 quantizes the model; 0 sends it losslessly against pred (see
+// appendLossless), which is empty when the coordinator holds nothing this
+// reply could be predicted from.
+func appendTrainReply(dst []byte, rep TrainReply, pred ...*ml.Model) ([]byte, error) {
+	start := len(dst)
 	var h [trainRepHeaderLen]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(rep.Round))
-	binary.LittleEndian.PutUint64(h[4:12], math.Float64bits(rep.Loss))
-	binary.LittleEndian.PutUint32(h[12:16], uint32(rep.Samples))
-	binary.LittleEndian.PutUint32(h[16:20], uint32(rep.Bits))
 	dst = append(dst, h[:]...)
+	bits, order := rep.Bits, 0
 	switch rep.Bits {
 	case 0:
-		return rep.Model.AppendBinary(dst), nil
+		dst, bits, order = appendLossless(dst, rep.Model, pred)
 	case ml.Quant8, ml.Quant16:
-		out, err := ml.AppendQuantized(dst, rep.Model, rep.Bits)
-		if err != nil {
+		var err error
+		if dst, err = ml.AppendQuantized(dst, rep.Model, rep.Bits); err != nil {
 			return nil, fmt.Errorf("encode reply model: %w", err)
 		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("reply bits %d: %w", rep.Bits, ErrProtocol)
 	}
+	binary.LittleEndian.PutUint32(h[0:4], uint32(rep.Round))
+	binary.LittleEndian.PutUint64(h[4:12], math.Float64bits(rep.Loss))
+	binary.LittleEndian.PutUint32(h[12:16], uint32(rep.Samples))
+	binary.LittleEndian.PutUint32(h[16:20], uint32(bits)|uint32(order)<<8)
+	copy(dst[start:], h[:])
+	return dst, nil
 }
 
 // decodeTrainReplyInto decodes a reply, reusing m's parameter storage for
 // the model body when shapes match (the coordinator keeps one scratch model
 // per roster slot, making warm-round reply decoding allocation-free). On
-// success rep.Model == m.
-func decodeTrainReplyInto(payload []byte, m *ml.Model) (TrainReply, error) {
+// success rep.Model == m. A delta body is decoded against sent, the model the
+// request delivered, and — second order — against m itself, still holding
+// this connection's previous reply, and prevSent, the model that one was
+// trained from; nil says the coordinator holds no such model, and a body
+// that needs it is refused. m is overwritten in place, so after an error it
+// holds nothing.
+func decodeTrainReplyInto(payload []byte, m, sent, prevSent *ml.Model) (TrainReply, error) {
 	if len(payload) < trainRepHeaderLen {
 		return TrainReply{}, fmt.Errorf("train reply of %d bytes: %w", len(payload), ErrProtocol)
 	}
@@ -373,20 +457,31 @@ func decodeTrainReplyInto(payload []byte, m *ml.Model) (TrainReply, error) {
 	rep.Round = int(binary.LittleEndian.Uint32(payload[0:4]))
 	rep.Loss = math.Float64frombits(binary.LittleEndian.Uint64(payload[4:12]))
 	rep.Samples = int(binary.LittleEndian.Uint32(payload[12:16]))
-	rep.Bits = ml.QuantBits(binary.LittleEndian.Uint32(payload[16:20]))
+	codec := binary.LittleEndian.Uint32(payload[16:20])
+	if codec>>16 != 0 {
+		return TrainReply{}, fmt.Errorf("reply codec %#x: %w", codec, ErrProtocol)
+	}
+	rep.Bits, rep.Order = ml.QuantBits(codec&0xff), int(codec>>8)
+	if err := checkCodec("reply", rep.Bits, rep.Order); err != nil {
+		return TrainReply{}, err
+	}
 	rep.WireBytes = len(payload) - trainRepHeaderLen
 	body := payload[trainRepHeaderLen:]
-	switch rep.Bits {
-	case 0:
-		if err := m.UnmarshalBinaryReuse(body); err != nil {
-			return TrainReply{}, fmt.Errorf("decode reply model: %w", err)
-		}
-	case ml.Quant8, ml.Quant16:
-		if err := m.DequantizeInto(body); err != nil {
-			return TrainReply{}, fmt.Errorf("decode quantized reply: %w", err)
-		}
+	var err error
+	switch {
+	case rep.Bits == 0:
+		err = m.UnmarshalBinaryReuse(body)
+	case rep.Bits != deltaBits:
+		err = m.DequantizeInto(body)
+	case sent == nil || rep.Order == 2 && prevSent == nil:
+		err = fmt.Errorf("order-%d delta against a model this end does not hold: %w", rep.Order, ErrProtocol)
+	case rep.Order == 1:
+		err = ml.ApplyDelta(m, body, sent)
 	default:
-		return TrainReply{}, fmt.Errorf("reply bits %d: %w", rep.Bits, ErrProtocol)
+		err = ml.ApplyDelta(m, body, sent, m, prevSent)
+	}
+	if err != nil {
+		return TrainReply{}, fmt.Errorf("decode reply model: %w", err)
 	}
 	rep.Model = m
 	return rep, nil
@@ -394,7 +489,7 @@ func decodeTrainReplyInto(payload []byte, m *ml.Model) (TrainReply, error) {
 
 // checkVersion validates a handshake body's fixed size and its trailing
 // version byte. The seed protocol (v1) sent the same bodies without that
-// byte; those, and a version below ProtoV2, are refused by name so the
+// byte; those, and a version below ProtoV3, are refused by name so the
 // operator of an old peer sees why it cannot register.
 func checkVersion(what string, payload []byte, size int) error {
 	switch {
@@ -402,19 +497,20 @@ func checkVersion(what string, payload []byte, size int) error {
 		return fmt.Errorf("version-less %s: protocol v1 is no longer supported: %w", what, ErrProtocol)
 	case len(payload) != size:
 		return fmt.Errorf("%s body of %d bytes: %w", what, len(payload), ErrProtocol)
-	case payload[size-1] < ProtoV2:
-		return fmt.Errorf("%s at v%d: protocol v1 is no longer supported: %w", what, payload[size-1], ErrProtocol)
+	case payload[size-1] < ProtoV3:
+		v := payload[size-1]
+		return fmt.Errorf("%s at v%d: protocol v%d is no longer supported: %w", what, v, max(v, 1), ErrProtocol)
 	}
 	return nil
 }
 
 // encodeJoin builds the 5-byte MsgJoin body: shard sample count, version.
 func encodeJoin(samples uint32) []byte {
-	return append(binary.LittleEndian.AppendUint32(nil, samples), ProtoV2)
+	return append(binary.LittleEndian.AppendUint32(nil, samples), ProtoV3)
 }
 
-// decodeJoin parses the MsgJoin body. Any advertised version from ProtoV2 up
-// is accepted; the Welcome answers ProtoV2.
+// decodeJoin parses the MsgJoin body. Any advertised version from ProtoV3 up
+// is accepted; the Welcome answers ProtoV3.
 func decodeJoin(payload []byte) (samples uint32, err error) {
 	if err := checkVersion("join", payload, 5); err != nil {
 		return 0, err
@@ -422,20 +518,23 @@ func decodeJoin(payload []byte) (samples uint32, err error) {
 	return binary.LittleEndian.Uint32(payload), nil
 }
 
+// welcomeLen is the size of the MsgWelcome body.
+const welcomeLen = 5
+
 // encodeWelcome builds the 5-byte MsgWelcome body: assigned client id,
 // version.
 func encodeWelcome(id uint32) []byte {
-	return append(binary.LittleEndian.AppendUint32(nil, id), ProtoV2)
+	return append(binary.LittleEndian.AppendUint32(nil, id), ProtoV3)
 }
 
 // decodeWelcome parses the MsgWelcome body, which must carry exactly
-// ProtoV2 — the version every Join and Rejoin advertises.
+// ProtoV3 — the version every Join and Rejoin advertises.
 func decodeWelcome(payload []byte) (id uint32, err error) {
-	if err := checkVersion("welcome", payload, 5); err != nil {
+	if err := checkVersion("welcome", payload, welcomeLen); err != nil {
 		return 0, err
 	}
-	if v := payload[4]; v != ProtoV2 {
-		return 0, fmt.Errorf("welcome at v%d, advertised v%d: %w", v, ProtoV2, ErrProtocol)
+	if v := payload[4]; v != ProtoV3 {
+		return 0, fmt.Errorf("welcome at v%d, advertised v%d: %w", v, ProtoV3, ErrProtocol)
 	}
 	return binary.LittleEndian.Uint32(payload), nil
 }
@@ -445,7 +544,7 @@ func decodeWelcome(payload []byte) (id uint32, err error) {
 func encodeRejoin(id, samples uint32) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, id)
 	buf = binary.LittleEndian.AppendUint32(buf, samples)
-	return append(buf, ProtoV2)
+	return append(buf, ProtoV3)
 }
 
 // decodeRejoin parses the MsgRejoin body, accepting versions as decodeJoin.

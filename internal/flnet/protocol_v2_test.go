@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -15,20 +14,23 @@ import (
 
 	"eefei/internal/dataset"
 	"eefei/internal/fl"
-	"eefei/internal/mat"
 	"eefei/internal/ml"
 )
 
 // --- codec unit tests --------------------------------------------------------
 
-// v1Refusal is what every refusal of the retired seed protocol must say.
-const v1Refusal = "protocol v1 is no longer supported"
+// v1Refusal and v2Refusal are what every refusal of a retired protocol must
+// say.
+const (
+	v1Refusal = "protocol v1 is no longer supported"
+	v2Refusal = "protocol v2 is no longer supported"
+)
 
 func TestHandshakeCodecs(t *testing.T) {
 	// One fixed body each, version byte last: Join 5 B, Welcome 5 B, Rejoin 9 B.
 	join := encodeJoin(7)
-	if len(join) != 5 || join[4] != ProtoV2 {
-		t.Errorf("join body = %v, want 5 bytes ending in v%d", join, ProtoV2)
+	if len(join) != 5 || join[4] != ProtoV3 {
+		t.Errorf("join body = %v, want 5 bytes ending in v%d", join, ProtoV3)
 	}
 	samples, err := decodeJoin(join)
 	if err != nil || samples != 7 {
@@ -36,8 +38,8 @@ func TestHandshakeCodecs(t *testing.T) {
 	}
 
 	welcome := encodeWelcome(3)
-	if len(welcome) != 5 || welcome[4] != ProtoV2 {
-		t.Errorf("welcome body = %v, want 5 bytes ending in v%d", welcome, ProtoV2)
+	if len(welcome) != 5 || welcome[4] != ProtoV3 {
+		t.Errorf("welcome body = %v, want 5 bytes ending in v%d", welcome, ProtoV3)
 	}
 	id, err := decodeWelcome(welcome)
 	if err != nil || id != 3 {
@@ -45,19 +47,19 @@ func TestHandshakeCodecs(t *testing.T) {
 	}
 
 	rejoin := encodeRejoin(4, 50)
-	if len(rejoin) != 9 || rejoin[8] != ProtoV2 {
-		t.Errorf("rejoin body = %v, want 9 bytes ending in v%d", rejoin, ProtoV2)
+	if len(rejoin) != 9 || rejoin[8] != ProtoV3 {
+		t.Errorf("rejoin body = %v, want 9 bytes ending in v%d", rejoin, ProtoV3)
 	}
 	rid, samples, err := decodeRejoin(rejoin)
 	if err != nil || rid != 4 || samples != 50 {
 		t.Errorf("rejoin round trip = (%d, %d, %v)", rid, samples, err)
 	}
 
-	// A joiner from the future is still accepted (and welcomed at ProtoV2).
+	// A joiner from the future is still accepted (and welcomed at ProtoV3).
 	if samples, err := decodeJoin([]byte{7, 0, 0, 0, 250}); err != nil || samples != 7 {
 		t.Errorf("future-version join = (%d, %v), want accepted", samples, err)
 	}
-	if rid, _, err := decodeRejoin([]byte{4, 0, 0, 0, 50, 0, 0, 0, ProtoV2 + 1}); err != nil || rid != 4 {
+	if rid, _, err := decodeRejoin([]byte{4, 0, 0, 0, 50, 0, 0, 0, ProtoV3 + 1}); err != nil || rid != 4 {
 		t.Errorf("future-version rejoin = (%d, %v), want accepted", rid, err)
 	}
 }
@@ -70,14 +72,15 @@ func TestHandshakeDecodeErrors(t *testing.T) {
 		name string
 		err  error
 		isV1 bool // the error must name the retired protocol
+		isV2 bool
 	}{
 		{name: "join-empty", err: join(nil)},
 		{name: "join-3-bytes", err: join([]byte{1, 2, 3})},
 		{name: "join-6-bytes", err: join([]byte{1, 2, 3, 4, 5, 6})},
 		{name: "welcome-short", err: welcome([]byte{1})},
-		// An edge only ever advertises v2, so a newer Welcome is an upgrade
+		// An edge only ever advertises v3, so a newer Welcome is an upgrade
 		// it did not ask for.
-		{name: "welcome-v3", err: welcome([]byte{1, 0, 0, 0, ProtoV2 + 1})},
+		{name: "welcome-v4", err: welcome([]byte{1, 0, 0, 0, ProtoV3 + 1})},
 		{name: "rejoin-short", err: rejoin([]byte{1, 2})},
 		{name: "rejoin-10-bytes", err: rejoin(make([]byte, 10))},
 		// The retired v1 shapes: the same bodies without the version byte,
@@ -91,6 +94,11 @@ func TestHandshakeDecodeErrors(t *testing.T) {
 		{name: "rejoin-v1-8-bytes", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0}), isV1: true},
 		{name: "rejoin-versioned-v1", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 1}), isV1: true},
 		{name: "rejoin-versioned-v0", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0}), isV1: true},
+		// The retired v2: the same bodies, version byte 2 — its warm model
+		// bodies were raw float64, which a v3 peer no longer sends.
+		{name: "join-v2", err: join([]byte{1, 0, 0, 0, 2}), isV2: true},
+		{name: "welcome-v2", err: welcome([]byte{1, 0, 0, 0, 2}), isV2: true},
+		{name: "rejoin-v2", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 2}), isV2: true},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, ErrProtocol) {
@@ -99,6 +107,9 @@ func TestHandshakeDecodeErrors(t *testing.T) {
 		}
 		if tc.isV1 && !strings.Contains(tc.err.Error(), v1Refusal) {
 			t.Errorf("%s: err = %v, want it to name the retired v1", tc.name, tc.err)
+		}
+		if tc.isV2 && !strings.Contains(tc.err.Error(), v2Refusal) {
+			t.Errorf("%s: err = %v, want it to name the retired v2", tc.name, tc.err)
 		}
 	}
 }
@@ -159,12 +170,12 @@ func TestSlotConnectsOnlyOnceWelcomed(t *testing.T) {
 }
 
 // TestRegisterRejectsV1WithoutGhostSlot drives the coordinator's handshake
-// with the retired v1 Join and Rejoin bodies: both are refused by name, and
-// neither appends a roster slot, revives one, or disturbs the next id.
+// with the retired v1 and v2 Join and Rejoin bodies: all are refused by name,
+// and none appends a roster slot, revives one, or disturbs the next id.
 func TestRegisterRejectsV1WithoutGhostSlot(t *testing.T) {
 	c := &Coordinator{}
 	if welcome, err := pipeRegister(t, c, MsgJoin, encodeJoin(10)); err != nil || welcome == nil {
-		t.Fatalf("v2 join: err %v, welcome %v", err, welcome)
+		t.Fatalf("v3 join: err %v, welcome %v", err, welcome)
 	}
 	c.mu.Lock()
 	c.clients[0].connected = false // a dropped client a v1 Rejoin must not revive
@@ -172,16 +183,19 @@ func TestRegisterRejectsV1WithoutGhostSlot(t *testing.T) {
 	c.mu.Unlock()
 
 	for _, tc := range []struct {
-		name string
-		typ  MsgType
-		body []byte
+		name    string
+		typ     MsgType
+		body    []byte
+		refusal string
 	}{
-		{"v1 join", MsgJoin, []byte{10, 0, 0, 0}},
-		{"v1 rejoin", MsgRejoin, []byte{0, 0, 0, 0, 10, 0, 0, 0}},
+		{"v1 join", MsgJoin, []byte{10, 0, 0, 0}, v1Refusal},
+		{"v1 rejoin", MsgRejoin, []byte{0, 0, 0, 0, 10, 0, 0, 0}, v1Refusal},
+		{"v2 join", MsgJoin, []byte{10, 0, 0, 0, 2}, v2Refusal},
+		{"v2 rejoin", MsgRejoin, []byte{0, 0, 0, 0, 10, 0, 0, 0, 2}, v2Refusal},
 	} {
 		welcome, err := pipeRegister(t, c, tc.typ, tc.body)
-		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), v1Refusal) {
-			t.Errorf("%s: err = %v, want ErrProtocol naming v1", tc.name, err)
+		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), tc.refusal) {
+			t.Errorf("%s: err = %v, want ErrProtocol saying %q", tc.name, err, tc.refusal)
 		}
 		if welcome != nil {
 			t.Errorf("%s: got a Welcome %v, want none", tc.name, welcome)
@@ -200,10 +214,10 @@ func TestRegisterRejectsV1WithoutGhostSlot(t *testing.T) {
 	// id 1 and is welcomed at the version this coordinator speaks.
 	welcome, err := pipeRegister(t, c, MsgJoin, []byte{10, 0, 0, 0, 250})
 	if err != nil {
-		t.Fatalf("join after v1 refusals: %v", err)
+		t.Fatalf("join after the refusals: %v", err)
 	}
 	if id, err := decodeWelcome(welcome); err != nil || id != 1 {
-		t.Errorf("join after v1 refusals welcomed as (%d, %v), want id 1 at v%d", id, err, ProtoV2)
+		t.Errorf("join after the refusals welcomed as (%d, %v), want id 1 at v%d", id, err, ProtoV3)
 	}
 }
 
@@ -214,9 +228,9 @@ func TestTrainRequestV2RoundTrip(t *testing.T) {
 
 	// Full-model v2 request.
 	full := TrainRequest{Round: 6, Epochs: 3, LearningRate: 0.25, ReplyBits: ml.Quant8, BaseRound: 6}
-	buf := appendTrainRequestV2Header(nil, full)
+	buf := appendTrainRequestHeader(nil, full)
 	buf = m.AppendBinary(buf)
-	back, body, err := decodeTrainRequestV2(buf)
+	back, body, err := decodeTrainRequest(buf)
 	if err != nil {
 		t.Fatalf("decode full v2: %v", err)
 	}
@@ -232,14 +246,55 @@ func TestTrainRequestV2RoundTrip(t *testing.T) {
 		t.Error("full v2 model lost in transit")
 	}
 
+	// Lossless delta requests: first order against the round-5 broadcast,
+	// second order against rounds 5 and 4; with nothing to code against, or a
+	// prediction that does not help, the body falls back to the full model
+	// and the header says so.
+	g6, g5, g4 := randomWireModel(3), randomWireModel(3), randomWireModel(3)
+	g5.W.Scale(1 - 1e-6)
+	g4.W.Scale(1 - 2e-6)
+	for _, tc := range []struct {
+		name      string
+		pred      []*ml.Model
+		wantBits  ml.QuantBits
+		wantOrder int
+		wantBase  int
+	}{
+		{"first-order", []*ml.Model{g5}, deltaBits, 1, 5},
+		{"second-order", []*ml.Model{g5, g5, g4}, deltaBits, 2, 5},
+		{"nothing-held", nil, 0, 0, 6},
+		{"useless-prediction", []*ml.Model{randomWireModel(4)}, 0, 0, 6},
+	} {
+		payload := appendLosslessRequest([]byte{9}, TrainRequest{Round: 6, BaseRound: 5, Epochs: 3, LearningRate: 0.25}, g6, tc.pred...)[1:]
+		req, body, err := decodeTrainRequest(payload)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if req.Round != 6 || req.Epochs != 3 || req.DownBits != tc.wantBits || req.DownOrder != tc.wantOrder || req.BaseRound != tc.wantBase {
+			t.Errorf("%s: header %+v, want bits %d order %d base %d", tc.name, req, tc.wantBits, tc.wantOrder, tc.wantBase)
+		}
+		var back ml.Model
+		if tc.wantBits == 0 {
+			err = back.UnmarshalBinaryReuse(body)
+		} else {
+			err = ml.ApplyDelta(&back, body, tc.pred...)
+		}
+		if err != nil || back.ParamDistance(g6) != 0 {
+			t.Errorf("%s: body lost the model: %v", tc.name, err)
+		}
+		if len(body) > g6.EncodedSize() {
+			t.Errorf("%s: body of %d bytes exceeds raw (%d)", tc.name, len(body), g6.EncodedSize())
+		}
+	}
+
 	// Residual request against an earlier base round.
 	res := TrainRequest{Round: 6, Epochs: 3, LearningRate: 0.25, DownBits: ml.Quant8, BaseRound: 5}
-	buf2 := appendTrainRequestV2Header(nil, res)
+	buf2 := appendTrainRequestHeader(nil, res)
 	buf2, err = ml.AppendQuantized(buf2, m, ml.Quant8)
 	if err != nil {
 		t.Fatalf("quantize: %v", err)
 	}
-	back2, body2, err := decodeTrainRequestV2(buf2)
+	back2, body2, err := decodeTrainRequest(buf2)
 	if err != nil {
 		t.Fatalf("decode residual v2: %v", err)
 	}
@@ -260,7 +315,7 @@ func TestTrainRequestV2RoundTrip(t *testing.T) {
 // header shape a peer could send must produce a deterministic ErrProtocol.
 func TestDecodeTrainRequestV2Errors(t *testing.T) {
 	m := ml.NewModel(2, 2, ml.Softmax)
-	good := appendTrainRequestV2Header(nil, TrainRequest{Round: 3, BaseRound: 3, Epochs: 1, LearningRate: 0.1})
+	good := appendTrainRequestHeader(nil, TrainRequest{Round: 3, BaseRound: 3, Epochs: 1, LearningRate: 0.1})
 	good = m.AppendBinary(good)
 
 	corrupt := func(mutate func(b []byte) []byte) []byte {
@@ -272,11 +327,18 @@ func TestDecodeTrainRequestV2Errors(t *testing.T) {
 		payload []byte
 	}{
 		{"empty", nil},
-		{"truncated-header", good[:trainReqV2HeaderLen-1]},
-		{"header-only-no-body", good[:trainReqV2HeaderLen]},
+		{"truncated-header", good[:trainReqHeaderLen-1]},
+		{"header-only-no-body", good[:trainReqHeaderLen]},
 		{"bad-reply-bits", corrupt(func(b []byte) []byte { b[16] = 12; return b })},
 		{"bad-down-bits", corrupt(func(b []byte) []byte { b[20] = 7; return b })},
-		{"reserved-nonzero", corrupt(func(b []byte) []byte { b[21] = 1; return b })},
+		// Byte 21 is a delta body's predictor order: zero for everything
+		// else, 1 or 2 for a delta, which needs a round to be ahead of (and,
+		// second order, a round before that one).
+		{"order-without-delta", corrupt(func(b []byte) []byte { b[21] = 1; return b })},
+		{"delta-without-order", corrupt(func(b []byte) []byte { b[20] = byte(deltaBits); return b })},
+		{"delta-order-3", corrupt(func(b []byte) []byte { b[20], b[21] = byte(deltaBits), 3; return b })},
+		{"delta-future-base", corrupt(func(b []byte) []byte { b[20], b[21], b[22] = byte(deltaBits), 1, 9; return b })},
+		{"second-order-against-round-0", corrupt(func(b []byte) []byte { b[20], b[21], b[22] = byte(deltaBits), 2, 0; return b })},
 		// Full-model requests must self-describe: BaseRound == Round.
 		{"full-base-mismatch", corrupt(func(b []byte) []byte { b[22] = 99; return b })},
 		// Residual from the future: BaseRound > Round.
@@ -287,7 +349,7 @@ func TestDecodeTrainRequestV2Errors(t *testing.T) {
 		})},
 	}
 	for _, tc := range cases {
-		_, _, err := decodeTrainRequestV2(tc.payload)
+		_, _, err := decodeTrainRequest(tc.payload)
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s: err = %v, want ErrProtocol", tc.name, err)
 		}
@@ -295,13 +357,13 @@ func TestDecodeTrainRequestV2Errors(t *testing.T) {
 
 	// A truncated residual body passes the header but must fail the model
 	// decode on the edge (DequantizeInto), not panic.
-	res := appendTrainRequestV2Header(nil, TrainRequest{Round: 3, BaseRound: 2, DownBits: ml.Quant8, Epochs: 1, LearningRate: 0.1})
+	res := appendTrainRequestHeader(nil, TrainRequest{Round: 3, BaseRound: 2, DownBits: ml.Quant8, Epochs: 1, LearningRate: 0.1})
 	full, err := ml.AppendQuantized(res, m, ml.Quant8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	truncated := full[:len(full)-3]
-	if _, body, err := decodeTrainRequestV2(truncated); err == nil {
+	if _, body, err := decodeTrainRequest(truncated); err == nil {
 		var scratch ml.Model
 		if err := scratch.DequantizeInto(body); err == nil {
 			t.Error("truncated residual body must fail to decode")
@@ -310,7 +372,7 @@ func TestDecodeTrainRequestV2Errors(t *testing.T) {
 }
 
 // TestEdgeRejectsProtocolMismatches drives the edge-side handshake guard: the
-// only Welcome an edge accepts carries ProtoV2, so a pre-v2 coordinator's
+// only Welcome an edge accepts carries ProtoV3, so a pre-v2 coordinator's
 // version-less body and an unrequested upgrade both fail the dial.
 func TestEdgeRejectsProtocolMismatches(t *testing.T) {
 	cfg := dataset.QuickSyntheticConfig()
@@ -325,7 +387,7 @@ func TestEdgeRejectsProtocolMismatches(t *testing.T) {
 		wantV1  bool
 	}{
 		{"v1 4-byte welcome", []byte{0, 0, 0, 0}, true},
-		{"welcome above advertised", []byte{0, 0, 0, 0, ProtoV2 + 1}, false},
+		{"welcome above advertised", []byte{0, 0, 0, 0, ProtoV3 + 1}, false},
 	} {
 		dial := func(string, time.Duration) (net.Conn, error) {
 			client, server := net.Pipe()
@@ -539,46 +601,6 @@ func residualCluster(t *testing.T, servers int, downBits ml.QuantBits, rounds in
 	return coord, history
 }
 
-// directFedAvg is the reference the wire is held to: FedAvg on
-// clusterFixture computed sequentially in this goroutine with no frames, no
-// pools and no connections — the coordinator's selection stream, each edge's
-// per-round SGD seed, and Eq. 2's mean accumulated in slot order.
-func directFedAvg(t *testing.T, servers, rounds int) (global *ml.Model, losses, accs []float64) {
-	t.Helper()
-	shards, test, cfg := clusterFixture(t, servers)
-	global = ml.NewModel(test.Classes, test.Dim(), ml.Softmax)
-	rng := mat.NewRNG(cfg.Seed)
-	for round := 0; round < rounds; round++ {
-		lr := cfg.LearningRate * math.Pow(cfg.Decay, float64(round))
-		agg := ml.NewModel(test.Classes, test.Dim(), ml.Softmax)
-		selected := rng.Sample(servers, cfg.ClientsPerRound)
-		var lossSum float64
-		for _, id := range selected {
-			local := global.Clone()
-			sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: lr, Seed: uint64(id+1) ^ uint64(round)<<16})
-			if err != nil {
-				t.Fatalf("NewSGD: %v", err)
-			}
-			loss, err := sgd.TrainFinal(local, shards[id], cfg.LocalEpochs)
-			if err != nil {
-				t.Fatalf("round %d client %d: %v", round, id, err)
-			}
-			if err := agg.AddScaled(1/float64(len(selected)), local); err != nil {
-				t.Fatalf("round %d aggregate: %v", round, err)
-			}
-			lossSum += loss
-		}
-		acc, err := ml.Accuracy(agg, test)
-		if err != nil {
-			t.Fatalf("round %d accuracy: %v", round, err)
-		}
-		losses = append(losses, lossSum/float64(len(selected)))
-		accs = append(accs, acc)
-		global = agg
-	}
-	return global, losses, accs
-}
-
 // TestLosslessWireMatchesDirectArithmetic pins that the lossless wire is
 // transparent: handshake, request framing, pooled buffers and reply decode
 // change no bit of the training arithmetic, at several fleet sizes including
@@ -591,7 +613,7 @@ func TestLosslessWireMatchesDirectArithmetic(t *testing.T) {
 	}
 	for _, servers := range sizes {
 		coord, hist := residualCluster(t, servers, 0, rounds, nil)
-		want, losses, accs := directFedAvg(t, servers, rounds)
+		want, losses, accs := directFedAvg(t, servers, servers, rounds, -1)
 		if d := coord.Global().ParamDistance(want); d != 0 {
 			t.Errorf("servers=%d: wire run diverged from direct arithmetic by %v, want bit-identical", servers, d)
 		}

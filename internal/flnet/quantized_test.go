@@ -15,8 +15,8 @@ import (
 func TestQuantizedRequestRoundTrip(t *testing.T) {
 	m := ml.NewModel(3, 4, ml.Softmax)
 	req := TrainRequest{Round: 1, Epochs: 2, LearningRate: 0.1, ReplyBits: ml.Quant8, BaseRound: 1}
-	payload := m.AppendBinary(appendTrainRequestV2Header(nil, req))
-	back, _, err := decodeTrainRequestV2(payload)
+	payload := m.AppendBinary(appendTrainRequestHeader(nil, req))
+	back, _, err := decodeTrainRequest(payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestQuantizedReplyShrinksWire(t *testing.T) {
 		t.Errorf("8-bit payload %d bytes vs full %d — expected ~8x shrink",
 			len(q8Payload), len(fullPayload))
 	}
-	back, err := decodeTrainReplyInto(q8Payload, &ml.Model{})
+	back, err := decodeTrainReplyInto(q8Payload, &ml.Model{}, nil, nil)
 	if err != nil {
 		t.Fatalf("decode q8: %v", err)
 	}
@@ -63,8 +63,8 @@ func TestInvalidQuantBitsRejected(t *testing.T) {
 		t.Error("bad reply bits must be rejected at encode")
 	}
 	// Encode does not validate; decode does.
-	payload := m.AppendBinary(appendTrainRequestV2Header(nil, TrainRequest{ReplyBits: 12}))
-	if _, _, err := decodeTrainRequestV2(payload); err == nil {
+	payload := m.AppendBinary(appendTrainRequestHeader(nil, TrainRequest{ReplyBits: 12}))
+	if _, _, err := decodeTrainRequest(payload); err == nil {
 		t.Error("bad request bits must be rejected at decode")
 	}
 }

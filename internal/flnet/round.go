@@ -27,14 +27,22 @@ type target struct {
 	// off a connection the round never touched.
 	conn net.Conn
 	gen  int
-	// frame is the sealed request frame (shared between full-model
-	// targets); residual says whether the frame of the last delivery
-	// attempt carried a quantized residual, which is what the downlink-state
-	// commit must mirror. retry is the pooled buffer behind a repair's
-	// re-sealed frame.
-	frame    []byte
-	residual bool
-	retry    *[]byte
+	// base and prev are what the connection held when the round began (see
+	// clientConn; nil: nothing), the predictors its request and reply may be
+	// coded against; next is what it holds once the request is delivered —
+	// the global, or, staged, its private reconstruction of a quantized
+	// residual, which the round owns until commitLink hands it to the slot.
+	// prevSent is base's model while the slot's repModel still holds the
+	// reply to it, i.e. while a second-order reply can be decoded. A repair
+	// moves the target to a connection that holds nothing.
+	base, prev, next *snapshot
+	staged           bool
+	prevSent         *ml.Model
+	// frame is the sealed request frame, shared between the targets whose
+	// connections hold the same rounds; retry is the pooled buffer behind a
+	// repair's re-sealed frame.
+	frame []byte
+	retry *[]byte
 
 	rep     TrainReply
 	retries int
@@ -49,7 +57,8 @@ type round struct {
 	c        *Coordinator
 	obs      fl.RoundObserver
 	pc       fl.PhaseClock
-	t        int // round index
+	t        int       // round index
+	global   *snapshot // the model the round broadcasts
 	req      TrainRequest
 	targets  []target
 	frames   []*[]byte // pooled request buffers, released when the round returns
@@ -78,9 +87,7 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 	}
 	r.pc.Lap(fl.PhaseSelect)
 	r.exchangeAll(ctx)
-	if err := r.commitDownlink(); err != nil {
-		return fl.RoundRecord{}, err
-	}
+	r.commitLink()
 	if err := r.settle(); err != nil {
 		return fl.RoundRecord{}, err
 	}
@@ -98,9 +105,9 @@ func (c *Coordinator) Round(ctx context.Context) (fl.RoundRecord, error) {
 	return r.rec, nil
 }
 
-// begin opens the round under the coordinator mutex: it latches the observer
-// and round index, selects the targets, snapshots the global model and seals
-// the request frames.
+// begin opens the round under the coordinator mutex: it latches the observer,
+// round index and global model, selects the targets and seals the request
+// frames.
 func (r *round) begin() error {
 	c := r.c
 	c.mu.Lock()
@@ -109,14 +116,9 @@ func (r *round) begin() error {
 	if r.obs != nil {
 		r.pc = fl.NewPhaseClock(c.sampleMem)
 	}
-	r.t = c.round
+	r.t, r.global = c.round, c.global
 	if err := r.selectTargets(); err != nil {
 		return err
-	}
-	// The round works off a snapshot so registrations racing it see a
-	// consistent model.
-	if err := c.snap.CopyFrom(c.global); err != nil {
-		return fmt.Errorf("round %d snapshot: %w", r.t, err)
 	}
 	return r.buildFrames()
 }
@@ -138,14 +140,20 @@ func (r *round) selectTargets() error {
 	r.targets = make([]target, 0, k)
 	for _, idx := range c.rng.Sample(len(alive), k) {
 		cl := c.clients[alive[idx]]
-		r.targets = append(r.targets, target{cl: cl, id: cl.id, conn: cl.conn, gen: cl.gen})
+		tg := target{cl: cl, id: cl.id, conn: cl.conn, gen: cl.gen, base: cl.base, prev: cl.prev}
+		if cl.base != nil && cl.upRound == r.t-1 && cl.base.round == r.t-1 {
+			tg.prevSent = cl.base.m
+		}
+		r.targets = append(r.targets, tg)
 	}
 	return nil
 }
 
 // buildFrames seals every target's request frame. It runs while the mutex is
-// still held because residuals read (and stage) per-client downlink state.
-// Full-model targets share one sealed frame; residual targets get their own.
+// still held because residuals stage per-client downlink state. Lossless
+// frames are encoded once per distinct (base round, predictor order) — in the
+// steady state of K = N that is once — and shared; quantized residuals are
+// per target.
 func (r *round) buildFrames() error {
 	c := r.c
 	r.req = TrainRequest{
@@ -155,42 +163,83 @@ func (r *round) buildFrames() error {
 		ReplyBits:    c.cfg.UploadQuantBits,
 		BaseRound:    r.t,
 	}
-	var full []byte
+	type sealed struct {
+		base, order int
+		frame       []byte
+	}
+	shared := make([]sealed, 0, 4)
 	downBits := c.cfg.DownloadQuantBits
+targets:
 	for i := range r.targets {
 		tg := &r.targets[i]
-		if downBits != 0 && tg.cl.lastSent != nil {
-			bp, frame, err := c.buildResidualFrame(tg.cl, r.req, downBits)
+		if downBits != 0 && tg.base != nil {
+			bp, frame, err := r.buildResidualFrame(tg, downBits)
 			if err != nil {
 				return fmt.Errorf("round %d residual for client %d: %w", r.t, tg.id, err)
 			}
 			r.frames = append(r.frames, bp)
-			tg.frame, tg.residual = frame, true
+			tg.frame = frame
 			continue
 		}
-		if full == nil {
-			bp, frame, err := c.buildFullFrame(r.req)
-			if err != nil {
-				return fmt.Errorf("round %d request: %w", r.t, err)
+		tg.next = r.global
+		// Order 0 is the full model: a connection that holds nothing, or a
+		// quantized downlink's cold start.
+		base, order := r.t, 0
+		if downBits == 0 && tg.base != nil {
+			base, order = tg.base.round, 1
+			if base == r.t-1 && tg.prev != nil && tg.prev.round == r.t-2 {
+				order = 2
 			}
-			r.frames = append(r.frames, bp)
-			full = frame
 		}
-		tg.frame = full
+		for _, s := range shared {
+			if s.base == base && s.order == order {
+				tg.frame = s.frame
+				continue targets
+			}
+		}
+		var pred []*ml.Model
+		switch order {
+		case 1:
+			pred = []*ml.Model{tg.base.m}
+		case 2:
+			// The global moved from round t−2 to t−1; expect as much again.
+			pred = []*ml.Model{tg.base.m, tg.base.m, tg.prev.m}
+		}
+		bp, frame, err := r.buildFrame(base, pred...)
+		if err != nil {
+			return fmt.Errorf("round %d request: %w", r.t, err)
+		}
+		r.frames = append(r.frames, bp)
+		shared = append(shared, sealed{base, order, frame})
+		tg.frame = frame
 	}
 	return nil
 }
 
-// release returns every pooled frame buffer the round took.
+// release returns every pooled frame buffer the round took, and any staged
+// reconstruction it still owns (a round that failed before commitLink).
 func (r *round) release() {
 	for _, bp := range r.frames {
 		freeFrame(bp)
 	}
 	for i := range r.targets {
-		if bp := r.targets[i].retry; bp != nil {
-			freeFrame(bp)
+		tg := &r.targets[i]
+		if tg.retry != nil {
+			freeFrame(tg.retry)
+		}
+		if tg.staged {
+			r.unstage(tg)
 		}
 	}
+}
+
+// unstage gives back the reconstruction staged for a residual request that
+// was not delivered.
+func (r *round) unstage(tg *target) {
+	r.c.mu.Lock()
+	r.c.release(tg.next)
+	r.c.mu.Unlock()
+	tg.next, tg.staged = r.global, false
 }
 
 // exchangeAll runs every target's request/reply exchange concurrently, each
@@ -246,7 +295,7 @@ func (r *round) exchange(tg *target) (TrainReply, error) {
 	if cl.repModel == nil {
 		cl.repModel = &ml.Model{}
 	}
-	rep, err := decodeTrainReplyInto(payload, cl.repModel)
+	rep, err := decodeTrainReplyInto(payload, cl.repModel, tg.next.m, tg.prevSent)
 	if err != nil {
 		return TrainReply{}, fmt.Errorf("client %d reply body: %w", tg.id, err)
 	}
@@ -260,8 +309,8 @@ func (r *round) exchange(tg *target) (TrainReply, error) {
 // repair is the in-round recovery of a failed exchange: if the client
 // re-registers within the grace window, tg moves to the fresh connection and
 // this round's request is re-sealed for it — as a full model, because a
-// fresh connection holds no downlink state. It reports false, leaving the
-// failure as tg's outcome, when no rejoin arrives in time.
+// fresh connection holds nothing to code against. It reports false, leaving
+// the failure as tg's outcome, when no rejoin arrives in time.
 func (r *round) repair(tg *target) bool {
 	conn, gen, ok := r.c.awaitRejoin(tg.id, tg.gen, r.deadline)
 	if !ok {
@@ -269,45 +318,45 @@ func (r *round) repair(tg *target) bool {
 	}
 	tg.conn, tg.gen = conn, gen
 	tg.retries++
-	tg.residual = false
+	tg.base, tg.prev, tg.prevSent = nil, nil, nil
+	if tg.staged {
+		r.unstage(tg)
+	}
 	if tg.retry != nil {
 		freeFrame(tg.retry)
 	}
-	tg.retry, tg.frame, tg.err = r.c.buildFullFrame(r.req)
+	tg.retry, tg.frame, tg.err = r.buildFrame(r.t)
 	return tg.err == nil
 }
 
-// commitDownlink records per-client downlink state for every delivered
-// request — before quorum filtering, because delivery is a property of the
-// wire, not of the round's outcome: an edge that received this broadcast
-// holds it as its base whether or not the round later reaches quorum. The
-// gen check skips slots that re-registered after the delivery (register
-// already reset their state to full-send).
-func (r *round) commitDownlink() error {
+// commitLink records what each connection now holds, for every completed
+// exchange — before quorum filtering, because delivery is a property of the
+// wire, not of the round's outcome: an edge that received this broadcast and
+// answered it predicts the next exchange from both, whether or not the round
+// later reaches quorum. The gen check skips slots that re-registered after the
+// delivery (register already dropped their state). A failed exchange leaves
+// its slot to settle, which closes the connection and drops its state with it.
+func (r *round) commitLink() {
 	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range r.targets {
 		tg := &r.targets[i]
-		if tg.err != nil || tg.id >= len(c.clients) {
+		if tg.err != nil || tg.id >= len(c.clients) || c.clients[tg.id].gen != tg.gen {
 			continue
 		}
 		cl := c.clients[tg.id]
-		if cl.gen != tg.gen {
-			continue
+		if !tg.staged {
+			tg.next.refs++
 		}
-		if tg.residual {
-			// The staged reconstruction becomes the client's state; the
-			// old state buffer is recycled as the next staging area.
-			cl.lastSent, cl.pending = cl.pending, cl.lastSent
-		} else if cl.lastSent == nil {
-			cl.lastSent = c.snap.Clone()
-		} else if err := cl.lastSent.CopyFrom(c.snap); err != nil {
-			return fmt.Errorf("round %d downlink state: %w", r.t, err)
+		tg.staged = false // the slot owns it now
+		c.release(cl.prev)
+		cl.prev, cl.base = cl.base, tg.next
+		cl.upRound = -1
+		if tg.rep.Bits == 0 || tg.rep.Bits == deltaBits {
+			cl.upRound = r.t
 		}
-		cl.lastRound = r.t
 	}
-	return nil
 }
 
 // settle closes the exchange. Every failed target's slot is first marked
@@ -338,6 +387,7 @@ func (r *round) settle() error {
 		if cl := c.clients[tg.id]; cl.gen == tg.gen {
 			cl.connected = false
 			cl.conn.Close()
+			c.dropLink(cl)
 		}
 	}
 	c.mu.Unlock()
@@ -360,7 +410,7 @@ func (r *round) aggregate() error {
 			updates = append(updates, fl.Update{Client: tg.id, Model: tg.rep.Model})
 		}
 	}
-	if err := (fl.MeanAggregator{}).Aggregate(r.c.spare, updates); err != nil {
+	if err := (fl.MeanAggregator{}).Aggregate(r.c.spare.m, updates); err != nil {
 		return fmt.Errorf("round %d aggregate: %w", r.t, err)
 	}
 	return nil
@@ -405,7 +455,7 @@ func (r *round) evaluate() error {
 		// warm rounds allocation-free where ml.Accuracy would allocate a
 		// predictions slice and logits block per call. Bit-identical: hit
 		// counts are integers, reduced in chunk order.
-		acc, err := c.testEval.Accuracy(c.spare, c.test)
+		acc, err := c.testEval.Accuracy(c.spare.m, c.test)
 		if err != nil {
 			return fmt.Errorf("round %d accuracy: %w", r.t, err)
 		}
@@ -414,17 +464,19 @@ func (r *round) evaluate() error {
 	return nil
 }
 
-// commit publishes the round: the aggregated spare becomes the global (the
-// old global's storage becomes next round's aggregation target), and the
-// round counter and history advance with it.
+// commit publishes the round: the aggregated spare becomes the global — a new
+// snapshot; the old one lives on for as long as a connection holds it — and
+// the round counter and history advance with it.
 func (r *round) commit() {
 	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r.rec.Rejoins = c.rejoins
 	c.rejoins = 0
-	c.global, c.spare = c.spare, c.global
 	c.round++
+	c.spare.round, c.spare.refs = c.round, 1
+	c.release(c.global)
+	c.global, c.spare = c.spare, c.takeFree()
 	c.history = append(c.history, r.rec)
 }
 

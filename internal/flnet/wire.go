@@ -12,14 +12,15 @@ type WireCounters struct {
 	tx, rx atomic.Int64
 }
 
-// AddTx records n bytes written to the wire.
+// AddTx records n bytes written to the wire (negative: a frame booked ahead
+// of its write, see handshake, did not make it).
 func (w *WireCounters) AddTx(n int) {
 	if w != nil {
 		w.tx.Add(int64(n))
 	}
 }
 
-// AddRx records n bytes read from the wire.
+// AddRx records n bytes read from the wire (negative as for AddTx).
 func (w *WireCounters) AddRx(n int) {
 	if w != nil {
 		w.rx.Add(int64(n))

@@ -47,11 +47,11 @@ func BenchmarkRoundWire(b *testing.B) {
 	defer cleanup()
 
 	ctx := context.Background()
-	// Warm round: edge-side training state, coordinator scratch, and the
-	// frame pools all reach steady state before the timer starts.
-	if _, err := coord.Round(ctx); err != nil {
-		b.Fatalf("warm round: %v", err)
-	}
+	// Warm rounds: edge-side training state, coordinator scratch, the frame
+	// pools and — by the third round — every connection's link state
+	// (second-order bodies both ways, the snapshot free list at its steady
+	// size) all reach steady state before the timer starts.
+	warmRounds(b, coord)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,10 +61,20 @@ func BenchmarkRoundWire(b *testing.B) {
 	}
 }
 
+// warmRounds is what the round benchmarks run before their timers start.
+func warmRounds(b *testing.B, coord *Coordinator) {
+	b.Helper()
+	for i := 0; i < 3; i++ {
+		if _, err := coord.Round(context.Background()); err != nil {
+			b.Fatalf("warm round %d: %v", i, err)
+		}
+	}
+}
+
 // benchCluster starts a coordinator plus one edge server per shard over
 // loopback TCP, waits for full registration, and returns a cleanup that
 // shuts the fleet down.
-func benchCluster(b *testing.B, shards []*dataset.Dataset, test *dataset.Dataset, cfg CoordinatorConfig) (*Coordinator, func()) {
+func benchCluster(b testing.TB, shards []*dataset.Dataset, test *dataset.Dataset, cfg CoordinatorConfig) (*Coordinator, func()) {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -97,18 +107,21 @@ func benchCluster(b *testing.B, shards []*dataset.Dataset, test *dataset.Dataset
 	}
 }
 
-// BenchmarkEncodeTrainRequest isolates the downlink encode: one sealed
-// request frame carrying the full 10×64 global model, built in a pooled
-// buffer — the per-round payload the residual path shrinks.
+// BenchmarkEncodeTrainRequest isolates the downlink encode of a warm round:
+// one sealed request frame carrying the 10×64 global model as a second-order
+// delta against the two rounds before it, built in a pooled buffer — what
+// every connection of a K = N fleet shares.
 func BenchmarkEncodeTrainRequest(b *testing.B) {
-	snap := ml.NewModel(10, 64, ml.Softmax)
-	snap.W.Fill(0.25)
-	c := &Coordinator{snap: snap}
-	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}
+	global := ml.NewModel(10, 64, ml.Softmax)
+	global.W.Fill(0.25)
+	base, prev := global.Clone(), global.Clone()
+	base.W.Fill(0.249) // small drift, as between consecutive rounds
+	prev.W.Fill(0.2481)
+	r := &round{t: 3, global: &snapshot{round: 3, m: global}, req: TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bp, frame, err := c.buildFullFrame(req)
+		bp, frame, err := r.buildFrame(2, base, base, prev)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,22 +133,22 @@ func BenchmarkEncodeTrainRequest(b *testing.B) {
 }
 
 // BenchmarkEncodeResidual is the coordinator-side residual downlink build:
-// subtract the client's last reconstruction from the snapshot, quantize the
+// subtract the client's last reconstruction from the global, quantize the
 // residual into a pooled frame, dequantize it back for error feedback, and
 // stage the client's next state — everything buildResidualFrame does per
-// selected client per round, against the full-model encode above.
+// selected client per round, against the lossless encode above.
 func BenchmarkEncodeResidual(b *testing.B) {
-	snap := ml.NewModel(10, 64, ml.Softmax)
-	snap.W.Fill(0.25)
-	last := snap.Clone()
+	global := ml.NewModel(10, 64, ml.Softmax)
+	global.W.Fill(0.25)
+	last := global.Clone()
 	last.W.Fill(0.249) // small drift, as between consecutive rounds
-	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}, snap: snap}
-	cl := &clientConn{lastSent: last}
-	req := TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}
+	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}, global: &snapshot{round: 3, m: global, refs: 1}}
+	r := &round{c: c, t: 3, global: c.global, req: TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}}
+	tg := &target{base: &snapshot{round: 2, m: last, refs: 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bp, frame, err := c.buildResidualFrame(cl, req, ml.Quant8)
+		bp, frame, err := r.buildResidualFrame(tg, ml.Quant8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,5 +156,6 @@ func BenchmarkEncodeResidual(b *testing.B) {
 			b.Fatal("empty frame")
 		}
 		freeFrame(bp)
+		r.unstage(tg)
 	}
 }

@@ -1,0 +1,261 @@
+package ml
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
+
+// Two peers that exchange a model every round each hold, bit for bit, models
+// the next one is close to. This file codes a model losslessly against a
+// prediction formed from those: per parameter, the integer difference of the
+// IEEE-754 bit patterns of value and prediction, stored eight to a block in
+// as many bytes as the block's widest difference needs. It is integer
+// arithmetic on bit patterns from end to end, so decoding reproduces every bit
+// — −0, NaN payloads and ±Inf included — and late in training, when a round
+// moves a weight by a few parts in 10⁵, a parameter costs about five bytes
+// instead of eight.
+//
+// Body: the 16-byte header of the float64 serialization under deltaMagic, then
+// W and B, each as blocks of sixteen values (fewer in a tensor's last):
+//
+//	uint8    n ≤ 8, the bytes the block's widest difference needs, sign included
+//	         (0: the block is predicted exactly)
+//	n bytes per value, little-endian: the difference plus 2^(8n−1)
+//
+// so a full block is 1 + 16n bytes. Whole bytes, not bits: packing the widths to the
+// bit saves another tenth of the body and costs a third more per pass, which
+// on a link that is free (loopback) is all cost.
+
+// ErrDelta is returned (wrapped) for malformed delta bodies and for
+// predictors that do not fit them.
+var ErrDelta = errors.New("ml: delta coding error")
+
+// deltaMagic guards the delta body format.
+var deltaMagic = [4]byte{'E', 'F', 'D', 1}
+
+const (
+	deltaHeaderLen = 16
+	deltaBlock     = 16
+	// deltaWindow is the stretch of buffer the block coder addresses at a
+	// time. A value's bytes are written, and read, as one 8-byte word of which
+	// only the first n count, so the window is the widest block plus a word of
+	// slack — rounded up until an offset masked to seven bits plus a word
+	// stays inside it.
+	deltaWindow = 255 + 8
+)
+
+// predict forms the prediction a + (b − c) — on bit patterns, as everything
+// here: where a, b and c share sign and exponent, which models a round apart
+// do, a step in bit patterns is the step in value counted in units in the last
+// place. Both ends of a link must arrive at the same bits from the same inputs
+// on any pair of architectures, and wrapping integer addition and subtraction
+// do. Keep it to those: in float64 the sum rounds (and propagates NaN payloads
+// as the hardware pleases), twice a minus c rounds differently again, and so
+// does the fused multiply-add of package math — which Go also substitutes for
+// x*y + z on arm64, ppc64 and s390x and not on amd64. A prediction that
+// differs by one bit on one end silently desynchronises the pair, so
+// scripts/verify.sh fails on a multiplication in this function and on any
+// mention of the fused call in this file.
+func predict(a, b, c uint64) uint64 { return a + (b - c) }
+
+// predictors validates AppendDelta/ApplyDelta's variadic predictor list
+// against a classes×features shape: three models a, b, c predict a + (b − c),
+// one model a predicts a itself — which is a + (a − a).
+func predictors(classes, features int, pred []*Model) (a, b, c *Model, ok bool) {
+	if len(pred) != 1 && len(pred) != 3 {
+		return nil, nil, nil, false
+	}
+	for _, p := range pred {
+		if p == nil || p.W == nil || p.Classes() != classes || p.Features() != features || len(p.B) != classes {
+			return nil, nil, nil, false
+		}
+	}
+	return pred[0], pred[len(pred)/2], pred[len(pred)-1], true
+}
+
+// AppendDelta appends cur coded against the prediction formed from pred — one
+// model a: a itself (first order); three models a, b, c: a + (b − c), e.g.
+// g₀ + (g₀ − g₁) for a global model extrapolated from the two before it, or
+// g + (l′ − g′) for a local model expected to move as it did last round. It
+// reports false, returning dst as it was, when the predictors do not have
+// cur's shape or the coded body would not be smaller than cur.EncodedSize();
+// the caller then sends AppendBinary, which is always decodable.
+func AppendDelta(dst []byte, cur *Model, pred ...*Model) ([]byte, bool) {
+	a, b, c, ok := predictors(cur.Classes(), cur.Features(), pred)
+	if !ok || len(cur.B) != cur.Classes() {
+		return dst, false
+	}
+	// Worst case: every block at n = 8, one byte longer than its values; the
+	// block coder writes through a window.
+	n := cur.ParamCount()
+	out := slices.Grow(dst, deltaHeaderLen+n*8+n/deltaBlock+2+deltaWindow)
+	out = append(out, deltaMagic[:]...)
+	var h [12]byte
+	binary.LittleEndian.PutUint32(h[0:4], uint32(cur.Act))
+	binary.LittleEndian.PutUint32(h[4:8], uint32(cur.Classes()))
+	binary.LittleEndian.PutUint32(h[8:12], uint32(cur.Features()))
+	out = append(out, h[:]...)
+	out = appendDeltaTensor(out, cur.W.RawData(), a.W.RawData(), b.W.RawData(), c.W.RawData())
+	out = appendDeltaTensor(out, cur.B, a.B, b.B, c.B)
+	if len(out)-len(dst) >= cur.EncodedSize() {
+		return dst, false
+	}
+	return out, true
+}
+
+// appendDeltaTensor codes one tensor. The caller has grown dst for the worst
+// case plus deltaWindow.
+func appendDeltaTensor(dst []byte, cur, a, b, c []float64) []byte {
+	o := len(dst)
+	dst = dst[:cap(dst)]
+	i := 0
+	for ; i+deltaBlock <= len(cur); i += deltaBlock {
+		o += codeBlock((*[deltaWindow]byte)(dst[o:]), deltaBlock, (*[deltaBlock]float64)(cur[i:]),
+			(*[deltaBlock]float64)(a[i:]), (*[deltaBlock]float64)(b[i:]), (*[deltaBlock]float64)(c[i:]))
+	}
+	if i < len(cur) {
+		// The last, shorter block: padded (zero differences) to be coded, cut
+		// to length to be stored.
+		var pad [4][deltaBlock]float64
+		copy(pad[0][:], cur[i:])
+		copy(pad[1][:], a[i:])
+		copy(pad[2][:], b[i:])
+		copy(pad[3][:], c[i:])
+		o += codeBlock((*[deltaWindow]byte)(dst[o:]), len(cur)-i, &pad[0], &pad[1], &pad[2], &pad[3])
+	}
+	return dst[:o]
+}
+
+// codeBlock writes the block of the first m ≤ deltaBlock values at the head of
+// out and returns its length. (A function of its own, so that its handful of
+// variables live in registers.)
+func codeBlock(out *[deltaWindow]byte, m int, cur, a, b, c *[deltaBlock]float64) int {
+	vc, va, vb, vcc := cur[:], a[:], b[:], c[:] // slices: one nil check each, not one per element
+	var d [deltaBlock]uint64
+	var fold uint64 // every difference's magnitude bits, or-ed
+	for j := range d {
+		x := math.Float64bits(vc[j]) - predict(math.Float64bits(va[j]), math.Float64bits(vb[j]), math.Float64bits(vcc[j]))
+		d[j] = x
+		fold |= x ^ uint64(int64(x)>>63)
+	}
+	n := uint(0)
+	if fold != 0 {
+		n = uint(bits.Len64(fold)+8) >> 3 // magnitude and sign, in whole bytes
+	}
+	out[0] = byte(n)
+	bias := blockBias(n)
+	p := uint(1)
+	for _, x := range d[:m] {
+		// One little-endian word at out[p:], of which n bytes count. Spelled
+		// out byte by byte on the array — the compiler fuses it into one move —
+		// because slicing the array first costs more than the move; the mask
+		// changes nothing (p ≤ 121) but shows it that the word is in bounds.
+		x += bias
+		k := p & 255
+		out[k], out[k+1], out[k+2], out[k+3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
+		out[k+4], out[k+5], out[k+6], out[k+7] = byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56)
+		p += n
+	}
+	return int(p)
+}
+
+// blockMask covers the n bytes a block stores per value; blockBias is its top
+// bit — half the range, which stored differences are offset by so that the
+// decoder undoes the sign with one subtraction.
+func blockMask(n uint) uint64 { return ^uint64(0) >> (64 - 8*n) }
+func blockBias(n uint) uint64 { return blockMask(n) ^ blockMask(n)>>1 }
+
+// ApplyDelta decodes a body written by AppendDelta into dst, given the same
+// predictors the encoder had. dst's parameter storage is reused when it has
+// the predictors' shape, and dst may itself be one of the predictors —
+// decoding is element by element, so the model a link no longer needs can be
+// overwritten by its successor. On error dst's parameters are unspecified.
+// Bodies that are short, carry trailing bytes, name another shape or a value
+// width above 8 bytes are refused; nothing is read past data.
+func ApplyDelta(dst *Model, data []byte, pred ...*Model) error {
+	if len(data) < deltaHeaderLen {
+		return fmt.Errorf("delta body of %d bytes: %w", len(data), ErrDelta)
+	}
+	if [4]byte(data[:4]) != deltaMagic {
+		return fmt.Errorf("bad delta magic %x: %w", data[:4], ErrDelta)
+	}
+	act := Activation(binary.LittleEndian.Uint32(data[4:8]))
+	classes := int(binary.LittleEndian.Uint32(data[8:12]))
+	features := int(binary.LittleEndian.Uint32(data[12:16]))
+	// The predictors bound the shape, so a corrupt header cannot make this
+	// allocate more than a model the link already carried.
+	a, b, c, ok := predictors(classes, features, pred)
+	if !ok {
+		return fmt.Errorf("%d predictors do not form a %dx%d model: %w", len(pred), classes, features, ErrDelta)
+	}
+	if dst.W == nil || dst.W.Rows() != classes || dst.W.Cols() != features || len(dst.B) != classes {
+		fresh := NewModel(classes, features, act)
+		dst.W, dst.B = fresh.W, fresh.B
+	}
+	dst.Act = act
+	rest, err := applyDeltaTensor(dst.W.RawData(), data[deltaHeaderLen:], a.W.RawData(), b.W.RawData(), c.W.RawData())
+	if err == nil {
+		rest, err = applyDeltaTensor(dst.B, rest, a.B, b.B, c.B)
+	}
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%d trailing bytes: %w", len(rest), ErrDelta)
+	}
+	return nil
+}
+
+// applyDeltaTensor decodes one tensor from the head of src and returns what
+// follows it, the mirror of appendDeltaTensor. dst may be a, b or c: each
+// value is read before it is written.
+func applyDeltaTensor(dst []float64, src []byte, a, b, c []float64) ([]byte, error) {
+	var tail [deltaWindow]byte
+	for i := 0; i < len(dst); i += deltaBlock {
+		if len(src) == 0 {
+			return nil, fmt.Errorf("body ends at parameter %d of %d: %w", i, len(dst), ErrDelta)
+		}
+		m, n := min(deltaBlock, len(dst)-i), uint(src[0])
+		if n > 8 || len(src) < 1+m*int(n) {
+			return nil, fmt.Errorf("block of %d %d-byte values at parameter %d in %d bytes: %w", m, n, i, len(src), ErrDelta)
+		}
+		in := &tail
+		if len(src) >= deltaWindow {
+			in = (*[deltaWindow]byte)(src)
+		} else {
+			// The last blocks of a body: give the word reads their slack.
+			copy(tail[:], src)
+		}
+		src = src[1+m*int(n):]
+		if m == deltaBlock {
+			decodeBlock((*[deltaBlock]float64)(dst[i:]), in, n, (*[deltaBlock]float64)(a[i:]),
+				(*[deltaBlock]float64)(b[i:]), (*[deltaBlock]float64)(c[i:]))
+			continue
+		}
+		var pad [4][deltaBlock]float64
+		copy(pad[1][:], a[i:])
+		copy(pad[2][:], b[i:])
+		copy(pad[3][:], c[i:])
+		decodeBlock(&pad[0], in, n, &pad[1], &pad[2], &pad[3])
+		copy(dst[i:], pad[0][:m])
+	}
+	return src, nil
+}
+
+// decodeBlock is codeBlock's inverse for a block of n-byte values at in[1:].
+func decodeBlock(dst *[deltaBlock]float64, in *[deltaWindow]byte, n uint, a, b, c *[deltaBlock]float64) {
+	vd, va, vb, vc := dst[:], a[:], b[:], c[:] // as in codeBlock
+	mask, bias := blockMask(n), blockBias(n)
+	p := uint(1)
+	for j := range vd {
+		k := p & 255
+		x := uint64(in[k]) | uint64(in[k+1])<<8 | uint64(in[k+2])<<16 | uint64(in[k+3])<<24 |
+			uint64(in[k+4])<<32 | uint64(in[k+5])<<40 | uint64(in[k+6])<<48 | uint64(in[k+7])<<56
+		vd[j] = math.Float64frombits(predict(math.Float64bits(va[j]), math.Float64bits(vb[j]), math.Float64bits(vc[j])) + (x&mask - bias))
+		p += n
+	}
+}

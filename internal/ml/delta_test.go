@@ -1,0 +1,340 @@
+package ml
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"testing"
+
+	"eefei/internal/mat"
+)
+
+// sameBits reports whether two models agree in every bit of every parameter
+// (ParamDistance cannot: NaN ≠ NaN and −0 = 0).
+func sameBits(a, b *Model) bool {
+	if a.Act != b.Act || a.Classes() != b.Classes() || a.Features() != b.Features() {
+		return false
+	}
+	av, bv := a.W.RawData(), b.W.RawData()
+	for i := range av {
+		if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
+			return false
+		}
+	}
+	for i := range a.B {
+		if math.Float64bits(a.B[i]) != math.Float64bits(b.B[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// drifted returns m moved by a relative step of about scale per parameter —
+// what one late-training round does to a model.
+func drifted(m *Model, seed uint64, scale float64) *Model {
+	rng := mat.NewRNG(seed)
+	out := m.Clone()
+	for i, v := range out.W.RawData() {
+		out.W.RawData()[i] = v * (1 + rng.NormScaled(0, scale))
+	}
+	for i, v := range out.B {
+		out.B[i] = v * (1 + rng.NormScaled(0, scale))
+	}
+	return out
+}
+
+// codeLossless is what a sender does with AppendDelta: the delta body when it
+// is smaller, the float64 serialization when it is not.
+func codeLossless(t *testing.T, cur *Model, pred ...*Model) (body []byte, coded bool) {
+	t.Helper()
+	prefix := []byte{7, 7, 7}
+	out, ok := AppendDelta(prefix, cur, pred...)
+	if !bytes.Equal(out[:3], prefix) {
+		t.Fatal("AppendDelta clobbered the destination prefix")
+	}
+	if !ok {
+		if len(out) != len(prefix) {
+			t.Fatalf("refused AppendDelta left %d bytes behind", len(out)-len(prefix))
+		}
+		return cur.AppendBinary(nil), false
+	}
+	return out[3:], true
+}
+
+// TestDeltaRoundTrip is the codec's property: whatever the values and however
+// poor the prediction, decoding with the same predictors returns every bit,
+// and after the raw fallback a body is never longer than the float64 one.
+func TestDeltaRoundTrip(t *testing.T) {
+	nan1 := math.Float64frombits(0x7ff8000000000001)
+	nan2 := math.Float64frombits(0xfff0dead0000beef)
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), nan1, nan2,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, math.MaxFloat64, -math.MaxFloat64, 1, -1}
+	adversarial := func(seed uint64, classes, features int) *Model {
+		rng := mat.NewRNG(seed)
+		m := NewModel(classes, features, Sigmoid)
+		fill := func(v []float64) {
+			for i := range v {
+				v[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		fill(m.W.RawData())
+		fill(m.B)
+		return m
+	}
+	negated := func(m *Model) *Model {
+		out := m.Clone()
+		out.Scale(-1)
+		return out
+	}
+	filled := func(classes, features int, v float64) *Model {
+		m := NewModel(classes, features, Softmax)
+		m.W.Fill(v)
+		for i := range m.B {
+			m.B[i] = v
+		}
+		return m
+	}
+
+	type tc struct {
+		name      string
+		cur       *Model
+		pred      []*Model
+		wantCoded bool // the prediction is good enough that the delta body must win
+	}
+	var cases []tc
+	// Shapes whose parameter counts leave 0, 1 and odd remainders in the last
+	// block of W and of B; 1×1 is the smallest model there is.
+	for _, shape := range [][2]int{{1, 1}, {1, 7}, {3, 5}, {8, 8}, {10, 64}, {9, 17}} {
+		base := randomModel(uint64(shape[0]*100+shape[1]), shape[0], shape[1])
+		prev := drifted(base, 2, 1e-5)
+		next := drifted(base, 3, 1e-5)
+		warm := shape[0]*shape[1] >= 8 // a one-block model cannot amortise its header
+		cases = append(cases,
+			tc{"first-order", next, []*Model{base}, warm},
+			tc{"second-order", next, []*Model{base, base, prev}, warm},
+			tc{"local-step", next, []*Model{base, drifted(prev, 4, 1e-5), prev}, warm},
+			tc{"identical", base, []*Model{base}, true},
+			tc{"unrelated", randomModel(99, shape[0], shape[1]), []*Model{base}, false},
+			tc{"sign-flips", negated(base), []*Model{base}, false},
+			tc{"specials-vs-random", adversarial(5, shape[0], shape[1]), []*Model{base}, false},
+			tc{"random-vs-specials", base, []*Model{adversarial(6, shape[0], shape[1])}, false},
+			tc{"specials-second-order", adversarial(7, shape[0], shape[1]),
+				[]*Model{adversarial(8, shape[0], shape[1]), adversarial(9, shape[0], shape[1]), adversarial(10, shape[0], shape[1])}, false},
+			tc{"all-equal", filled(shape[0], shape[1], 0.25), []*Model{filled(shape[0], shape[1], 0.25), filled(shape[0], shape[1], 0.5), filled(shape[0], shape[1], 0.5)}, true},
+			tc{"all-nan", filled(shape[0], shape[1], nan2), []*Model{filled(shape[0], shape[1], nan2)}, true},
+			// Inf − Inf is NaN: the prediction falls back to a's own bits.
+			tc{"nan-prediction", filled(shape[0], shape[1], nan1), []*Model{filled(shape[0], shape[1], nan1), filled(shape[0], shape[1], math.Inf(1)), filled(shape[0], shape[1], math.Inf(1))}, true},
+			tc{"subnormal-walk", filled(shape[0], shape[1], 5e-324), []*Model{filled(shape[0], shape[1], 1.5e-323), filled(shape[0], shape[1], 1.5e-323), filled(shape[0], shape[1], 2.5e-323)}, true},
+		)
+	}
+	for _, c := range cases {
+		name := c.name
+		body, coded := codeLossless(t, c.cur, c.pred...)
+		if len(body) > c.cur.EncodedSize() {
+			t.Errorf("%s %dx%d: %d bytes, raw is %d", name, c.cur.Classes(), c.cur.Features(), len(body), c.cur.EncodedSize())
+		}
+		if c.wantCoded && !coded {
+			t.Errorf("%s %dx%d: a good prediction fell back to raw", name, c.cur.Classes(), c.cur.Features())
+		}
+		if !coded {
+			continue
+		}
+		var back Model
+		if err := ApplyDelta(&back, body, c.pred...); err != nil {
+			t.Errorf("%s %dx%d: decode: %v", name, c.cur.Classes(), c.cur.Features(), err)
+			continue
+		}
+		if !sameBits(&back, c.cur) {
+			t.Errorf("%s %dx%d: decode changed bits", name, c.cur.Classes(), c.cur.Features())
+		}
+		// In place: the successor overwrites the predictor the link no longer
+		// needs (the last one), storage and all.
+		last := c.pred[len(c.pred)-1].Clone()
+		pred := append(append([]*Model(nil), c.pred[:len(c.pred)-1]...), last)
+		for i, p := range c.pred[:len(c.pred)-1] {
+			if p == c.pred[len(c.pred)-1] {
+				pred[i] = last
+			}
+		}
+		w0 := &last.W.RawData()[0]
+		if err := ApplyDelta(last, body, pred...); err != nil || !sameBits(last, c.cur) {
+			t.Errorf("%s %dx%d: in-place decode: err %v", name, c.cur.Classes(), c.cur.Features(), err)
+		}
+		if w0 != &last.W.RawData()[0] {
+			t.Errorf("%s: in-place decode reallocated the parameter storage", name)
+		}
+	}
+}
+
+// TestDeltaLateTrainingSize pins what the codec is for: a model that moved by
+// parts in 10⁵ against a second-order prediction costs about five bytes a
+// parameter.
+func TestDeltaLateTrainingSize(t *testing.T) {
+	cur, a, b, c := lateTrainingModels()
+	body, ok := AppendDelta(nil, cur, a, b, c)
+	if !ok {
+		t.Fatal("late-training delta fell back to raw")
+	}
+	if perParam := float64(len(body)) / float64(cur.ParamCount()); perParam > 5.25 {
+		t.Errorf("%.2f bytes per parameter, want ≤ 5.25 (raw is 8)", perParam)
+	}
+}
+
+func TestDeltaRefusals(t *testing.T) {
+	base := randomModel(1, 3, 9)
+	cur := drifted(base, 2, 1e-6)
+	body, ok := AppendDelta(nil, cur, base)
+	if !ok {
+		t.Fatal("AppendDelta refused a near-identical model")
+	}
+	other := randomModel(1, 3, 10)
+	corrupt := func(mutate func(b []byte) []byte) []byte {
+		return mutate(append([]byte(nil), body...))
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		pred []*Model
+	}{
+		{"empty", nil, []*Model{base}},
+		{"header-only", body[:deltaHeaderLen], []*Model{base}},
+		{"short", body[:len(body)-1], []*Model{base}},
+		{"trailing", append(append([]byte(nil), body...), 0), []*Model{base}},
+		{"bad-magic", corrupt(func(b []byte) []byte { b[2] = 'M'; return b }), []*Model{base}},
+		{"other-shape-header", corrupt(func(b []byte) []byte { b[12]++; return b }), []*Model{base}},
+		{"huge-shape-header", corrupt(func(b []byte) []byte { b[11], b[15] = 0x7f, 0x7f; return b }), []*Model{base}},
+		{"block-width-65", corrupt(func(b []byte) []byte { b[deltaHeaderLen] = 65; return b }), []*Model{base}},
+		{"block-width-255", corrupt(func(b []byte) []byte { b[deltaHeaderLen] = 255; return b }), []*Model{base}},
+		{"no-predictor", body, nil},
+		{"two-predictors", body, []*Model{base, base}},
+		{"nil-predictor", body, []*Model{nil}},
+		{"empty-predictor", body, []*Model{{}}},
+		{"predictor-of-other-shape", body, []*Model{other}},
+		{"mixed-shape-predictors", body, []*Model{base, base, other}},
+	} {
+		var back Model
+		if err := ApplyDelta(&back, c.data, c.pred...); !errors.Is(err, ErrDelta) {
+			t.Errorf("%s: err = %v, want ErrDelta", c.name, err)
+		}
+	}
+	// The encoder turns predictors it cannot use into "send raw", never a panic.
+	for _, pred := range [][]*Model{nil, {base, base}, {nil}, {{}}, {other}, {base, base, other}} {
+		if out, ok := AppendDelta(nil, cur, pred...); ok || len(out) != 0 {
+			t.Errorf("AppendDelta accepted predictors %v", pred)
+		}
+	}
+}
+
+// lateTrainingModels is the benchmark workload: the 10×784 model of the
+// paper's task (7 850 parameters) a few thousand rounds in, where a round
+// moves a weight by parts in 10⁵ and the move itself changes by a tenth of
+// that from one round to the next.
+func lateTrainingModels() (cur, a, b, c *Model) {
+	c = randomModel(1, 10, 784)
+	step := drifted(c, 2, 1e-5)
+	_ = step.AddScaled(-1, c) // the per-round move; shapes agree by construction
+	a = c.Clone()
+	_ = a.AddScaled(1, step)
+	cur = a.Clone()
+	_ = cur.AddScaled(1, drifted(step, 3, 0.1))
+	return cur, a, a, c
+}
+
+// TestDeltaAllocationFree pins both passes at zero allocations once the
+// destination buffer and model are warm — the state a link is in from its
+// second round on.
+func TestDeltaAllocationFree(t *testing.T) {
+	cur, a, b, c := lateTrainingModels()
+	buf, ok := AppendDelta(nil, cur, a, b, c)
+	if !ok {
+		t.Fatal("late-training delta fell back to raw")
+	}
+	if avg := testing.AllocsPerRun(50, func() { buf, _ = AppendDelta(buf[:0], cur, a, b, c) }); avg != 0 {
+		t.Errorf("AppendDelta allocates %.1f objects per pass, want 0", avg)
+	}
+	dst := c.Clone()
+	if avg := testing.AllocsPerRun(50, func() {
+		if err := ApplyDelta(dst, buf, a, b, c); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("ApplyDelta allocates %.1f objects per pass, want 0", avg)
+	}
+	if !sameBits(dst, cur) {
+		t.Error("warm decode changed bits")
+	}
+}
+
+func FuzzApplyDelta(f *testing.F) {
+	base := randomModel(1, 3, 8)
+	prev := drifted(base, 2, 1e-6)
+	cur := drifted(base, 3, 1e-6)
+	first, ok1 := AppendDelta(nil, cur, base)
+	second, ok2 := AppendDelta(nil, cur, base, base, prev)
+	if !ok1 || !ok2 {
+		f.Fatal("seed bodies fell back to raw")
+	}
+	f.Add(first, false)
+	f.Add(second, true)
+	f.Add(first[:len(first)-2], false)
+	f.Add(append(append([]byte(nil), second...), 0), true)
+	f.Add([]byte("EFD\x01short"), false)
+	f.Add([]byte{}, true)
+	f.Fuzz(func(t *testing.T, data []byte, secondOrder bool) {
+		pred := []*Model{base}
+		if secondOrder {
+			pred = []*Model{base, base, prev}
+		}
+		var back Model
+		if err := ApplyDelta(&back, data, pred...); err != nil {
+			if !errors.Is(err, ErrDelta) {
+				t.Fatalf("err = %v, want ErrDelta", err)
+			}
+			return
+		}
+		// Whatever decodes has the predictors' shape — the only storage a body
+		// can make the decoder allocate — and codes back to a body that decodes
+		// to the same bits (the input itself may be a wider, non-canonical
+		// coding of them).
+		if back.Classes() != base.Classes() || back.Features() != base.Features() {
+			t.Fatalf("decoded a %dx%d model from %dx%d predictors", back.Classes(), back.Features(), base.Classes(), base.Features())
+		}
+		again, ok := AppendDelta(nil, &back, pred...)
+		if !ok {
+			return // not smaller than raw: a sender would not have coded it
+		}
+		var twice Model
+		if err := ApplyDelta(&twice, again, pred...); err != nil || !sameBits(&twice, &back) {
+			t.Fatalf("re-coded body does not round-trip: %v", err)
+		}
+	})
+}
+
+var deltaSink int
+
+func BenchmarkAppendDelta(b *testing.B) {
+	cur, p0, p1, p2 := lateTrainingModels()
+	buf, _ := AppendDelta(nil, cur, p0, p1, p2)
+	b.SetBytes(int64(cur.ParamCount() * 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = AppendDelta(buf[:0], cur, p0, p1, p2)
+	}
+	deltaSink = len(buf)
+}
+
+func BenchmarkApplyDelta(b *testing.B) {
+	cur, p0, p1, p2 := lateTrainingModels()
+	buf, _ := AppendDelta(nil, cur, p0, p1, p2)
+	dst := p2.Clone()
+	b.SetBytes(int64(cur.ParamCount() * 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ApplyDelta(dst, buf, p0, p1, p2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	deltaSink = dst.Classes()
+}

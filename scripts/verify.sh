@@ -23,6 +23,26 @@ if git grep -nE 'cursor\.Add\(1\)|sync\.WaitGroup' -- internal/fl internal/ml in
     echo "hand-rolled worker pool found: use par.Do"; exit 1
 fi
 
+echo "== one predictor =="
+# Both ends of a link form the lossless wire codec's prediction from models
+# they hold, and must arrive at the same bits on any pair of architectures.
+# internal/ml/delta.go's predict does, because it is wrapping integer + and −
+# on bit patterns. A float64 rewrite would round; 2*a − c would round
+# differently; and Go fuses x*y + z into one rounding (math.FMA) on arm64,
+# ppc64 and s390x but not on amd64 — a prediction off by one bit on one end
+# silently desynchronises the pair. So: no multiplication inside predict, no
+# fused multiply-add anywhere in the file.
+predict_src=$(awk '/^func predict\(/{p=1} p{print} p&&/}[[:space:]]*$/{exit}' internal/ml/delta.go)
+if [ -z "$predict_src" ]; then
+    echo "internal/ml/delta.go: func predict not found"; exit 1
+fi
+if grep -n '\*' <<<"$predict_src"; then
+    echo "internal/ml/delta.go: predict multiplies"; exit 1
+fi
+if git grep -nE 'math\.FMA|FMA\(' -- internal/ml/delta.go; then
+    echo "internal/ml/delta.go: fused multiply-add in the wire codec"; exit 1
+fi
+
 echo "== tests =="
 go test ./...
 
