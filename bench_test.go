@@ -1,6 +1,8 @@
 // Benchmarks reproducing every table and figure of the paper's evaluation
 // (see DESIGN.md §4 for the experiment index), the design-choice ablations
-// called out in DESIGN.md §5, and microbenchmarks of the hot substrates.
+// called out in DESIGN.md §5, and the substrate microbenchmarks that have no
+// twin beside the code they time (the mat/ml/fl/flnet/fldgram kernels and
+// rounds are benchmarked in their own packages and measured by bench/).
 //
 // The per-figure benchmarks wrap the same harnesses cmd/experiments runs;
 // one benchmark "op" regenerates the whole table/figure at quick scale and
@@ -238,57 +240,6 @@ func BenchmarkMatDot784(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkMatMul64(b *testing.B) {
-	rng := mat.NewRNG(2)
-	a := mat.NewDense(64, 64)
-	c := mat.NewDense(64, 64)
-	dst := mat.NewDense(64, 64)
-	for i := range a.RawData() {
-		a.RawData()[i], c.RawData()[i] = rng.Norm(), rng.Norm()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := mat.Mul(dst, a, c); err != nil {
-			b.Fatalf("Mul: %v", err)
-		}
-	}
-}
-
-func BenchmarkSGDEpochFullBatch(b *testing.B) {
-	cfg := dataset.QuickSyntheticConfig()
-	cfg.Samples = 1000
-	d, err := dataset.Synthesize(cfg)
-	if err != nil {
-		b.Fatalf("Synthesize: %v", err)
-	}
-	model := ml.NewModel(d.Classes, d.Dim(), ml.Softmax)
-	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: 0.1})
-	if err != nil {
-		b.Fatalf("NewSGD: %v", err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sgd.Epoch(model, d); err != nil {
-			b.Fatalf("Epoch: %v", err)
-		}
-	}
-}
-
-func BenchmarkModelSerialize(b *testing.B) {
-	m := ml.NewModel(10, 784, ml.Softmax)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := m.MarshalBinary()
-		if err != nil {
-			b.Fatalf("MarshalBinary: %v", err)
-		}
-		var back ml.Model
-		if err := back.UnmarshalBinary(data); err != nil {
-			b.Fatalf("UnmarshalBinary: %v", err)
-		}
-	}
-}
-
 func BenchmarkTraceRecordAndIntegrate(b *testing.B) {
 	pm := energy.DefaultPiPowerModel()
 	tm := energy.DefaultPiTimeModel()
@@ -337,26 +288,6 @@ func BenchmarkGoldenSection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := optim.GoldenSection(f, -100, 100, 1e-9); err != nil {
 			b.Fatalf("GoldenSection: %v", err)
-		}
-	}
-}
-
-func BenchmarkFedAvgRound(b *testing.B) {
-	setup := benchSetup(b)
-	cfg := fl.Config{ClientsPerRound: 10, LocalEpochs: 5, LearningRate: 0.1, Seed: 1}
-	engine, err := fl.NewEngine(cfg, setup.Shards)
-	if err != nil {
-		b.Fatalf("NewEngine: %v", err)
-	}
-	// One warmup round populates the pool's goroutine-stack free lists so
-	// allocs/op is the steady-state count, stable at small -benchtime.
-	if _, err := engine.Round(); err != nil {
-		b.Fatalf("warmup Round: %v", err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Round(); err != nil {
-			b.Fatalf("Round: %v", err)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,11 +39,14 @@ func main() {
 	}
 }
 
+// experimentIDs is every id -only accepts, in the order run executes them.
+const experimentIDs = "table1,table2,fig3,fig4,fig5,fig6,theory,constants,calibrate,ablation"
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		scaleName = fs.String("scale", "quick", "experiment scale: quick|paper|full")
-		only      = fs.String("only", "", "comma-separated experiment ids (default: all)")
+		only      = fs.String("only", "", "comma-separated experiment ids out of "+experimentIDs+" (default: all)")
 		seed      = fs.Uint64("seed", 1, "experiment seed")
 		csvDir    = fs.String("csv", "", "also write figure data as CSV files into this directory")
 
@@ -68,8 +72,13 @@ func run(args []string) error {
 
 	want := map[string]bool{}
 	if *only != "" {
+		valid := strings.Split(experimentIDs, ",")
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !slices.Contains(valid, id) {
+				return fmt.Errorf("-only: unknown experiment id %q (valid: %s)", id, experimentIDs)
+			}
+			want[id] = true
 		}
 	}
 	selected := func(id string) bool { return len(want) == 0 || want[id] }

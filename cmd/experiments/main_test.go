@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,10 +30,17 @@ func TestRunBadScale(t *testing.T) {
 	}
 }
 
-func TestRunUnknownOnlyIsNoop(t *testing.T) {
-	// Unknown ids simply select nothing; the command succeeds quietly.
-	if err := run([]string{"-only", "fig99"}); err != nil {
-		t.Fatalf("run: %v", err)
+func TestRunUnknownOnlyRejected(t *testing.T) {
+	// An id that is no experiment must not select nothing and exit 0: the
+	// error names it and lists the ids that are.
+	err := run([]string{"-only", "table2,fig99"})
+	if err == nil {
+		t.Fatal("unknown id must error")
+	}
+	for _, want := range []string{`"fig99"`, "table1", "ablation"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
 	}
 }
 

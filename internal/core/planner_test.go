@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"eefei/internal/optim"
 )
 
 func TestSolveDefaultProblem(t *testing.T) {
@@ -215,5 +217,33 @@ func TestSolveIntegerValidation(t *testing.T) {
 	p.Epsilon = 0
 	if _, err := SolveInteger(p, DefaultPlannerConfig()); err == nil {
 		t.Error("invalid problem must be rejected")
+	}
+}
+
+// TestSearchesAllocationFree pins the exhaustive grid search, the
+// integer-domain ACS and the golden-section minimizer at zero heap
+// allocations per call.
+func TestSearchesAllocationFree(t *testing.T) {
+	p := DefaultProblem()
+	cfg := DefaultPlannerConfig()
+	eMax := int(p.EMax(1)) + 1
+	f := func(x float64) float64 { return (x - 3.7) * (x - 3.7) }
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"SolveGrid", func() error { _, err := SolveGrid(p, eMax); return err }},
+		{"SolveInteger", func() error { _, err := SolveInteger(p, cfg); return err }},
+		{"GoldenSection", func() error { _, err := optim.GoldenSection(f, -100, 100, 1e-9); return err }},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %v per call, want 0", tc.name, allocs)
+		}
+		t.Logf("%s allocates %v per call", tc.name, allocs)
 	}
 }

@@ -303,8 +303,8 @@ func TestCalibratorObserveAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkCalibratorObserve is the perf pin for the live accounting path:
-// BENCH_*.json holds it at 0 allocs/op behind the benchfmt gate.
+// BenchmarkCalibratorObserve times the live accounting path;
+// TestCalibratorObserveAllocationFree holds it at 0 allocs.
 func BenchmarkCalibratorObserve(b *testing.B) {
 	dm := DefaultPiDeviceModel()
 	c, err := NewCalibrator(dm.Power, 40, 2000)

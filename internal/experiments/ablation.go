@@ -145,12 +145,6 @@ type QuantPoint struct {
 // accuracy. Upload energy is prorated from the device model's full-precision
 // upload phase by the byte ratio.
 func QuantizationAblation(setup *Setup) ([]QuantPoint, error) {
-	res, err := setup.RunTraining(5, 10, 1)
-	if err != nil {
-		return nil, fmt.Errorf("quantization training: %w", err)
-	}
-	_ = res
-	// Train a fresh reference model centrally for a clean accuracy read.
 	engine, err := fl.NewEngine(setup.flConfig(5, 10, 1), setup.Shards, fl.WithTestSet(setup.Test))
 	if err != nil {
 		return nil, err

@@ -270,8 +270,14 @@ func TestFigure6ReducedSweep(t *testing.T) {
 	if res.EStarMeasured == 1 {
 		t.Error("measured E* = 1 contradicts the paper's trade-off")
 	}
-	// Theory curve must be finite on the sweep.
-	for _, p := range res.Points {
+	// Theory curve must be finite on the sweep — and on a later, wider sweep
+	// of the same setup: the ε floor follows the largest E of each call, not
+	// of whichever call calibrated the setup first.
+	wide, err := Figure6(setup, SweepConfig{Es: []int{1, 200}, PinnedK: 2})
+	if err != nil {
+		t.Fatalf("Figure6 to E=200: %v", err)
+	}
+	for _, p := range append(res.Points, wide.Points...) {
 		if math.IsInf(p.TheoryJoules, 0) || math.IsNaN(p.TheoryJoules) {
 			t.Errorf("theory energy at E=%d is %v", p.Param, p.TheoryJoules)
 		}

@@ -171,14 +171,32 @@ func FStar(setup *Setup, epochs int) (float64, error) {
 // params. The target gap ε is taken from a reference run's gap at the
 // accuracy target, floored so every configuration with K ≥ 1 and E ≤ eMax
 // stays feasible (otherwise the theory curve would be +Inf at swept points).
-// The result is cached on the Setup.
+// The fit is cached on the Setup; the floor depends on eMax and is applied
+// per call.
 func CalibrateProblem(setup *Setup, eMax int) (core.Problem, error) {
-	if setup.calibrated != nil {
-		return *setup.calibrated, nil
-	}
 	if eMax < 1 {
 		eMax = 100
 	}
+	if setup.calibrated == nil {
+		p, err := calibrate(setup)
+		if err != nil {
+			return core.Problem{}, err
+		}
+		setup.calibrated = &p
+	}
+	p := *setup.calibrated
+	// Feasibility floor: slack at (K=1, E=eMax) must stay positive.
+	if floor := (p.Bound.A1 + p.Bound.A2*float64(eMax-1)) * 1.25; p.Epsilon < floor {
+		p.Epsilon = floor
+	}
+	if err := p.Validate(); err != nil {
+		return core.Problem{}, fmt.Errorf("calibrated problem: %w", err)
+	}
+	return p, nil
+}
+
+// calibrate is CalibrateProblem's fit: everything but the ε floor.
+func calibrate(setup *Setup) (core.Problem, error) {
 	fStar, err := FStar(setup, 0)
 	if err != nil {
 		return core.Problem{}, err
@@ -239,22 +257,12 @@ func CalibrateProblem(setup *Setup, eMax int) (core.Problem, error) {
 	}
 	eps := base1 + bound.A2*7
 
-	// Feasibility floor: slack at (K=1, E=eMax) must stay positive.
-	if floor := (bound.A1 + bound.A2*float64(eMax-1)) * 1.25; eps < floor {
-		eps = floor
-	}
-
 	params, err := core.NewEnergyParams(energy.DefaultPiDeviceModel(), iot.DefaultNBIoTConfig(),
 		setup.SamplesPerServer(), true)
 	if err != nil {
 		return core.Problem{}, fmt.Errorf("calibrate energy: %w", err)
 	}
-	p := core.Problem{Bound: bound, Energy: params, Epsilon: eps, Servers: setup.Servers}
-	if err := p.Validate(); err != nil {
-		return core.Problem{}, fmt.Errorf("calibrated problem: %w", err)
-	}
-	setup.calibrated = &p
-	return p, nil
+	return core.Problem{Bound: bound, Energy: params, Epsilon: eps, Servers: setup.Servers}, nil
 }
 
 // Figure5 runs the K-sweep and assembles theory vs measurement.

@@ -85,7 +85,7 @@ type Setup struct {
 	// LearningRate, Decay are the SGD schedule.
 	LearningRate, Decay float64
 
-	// calibrated caches the CalibrateProblem output (the fit is
+	// calibrated caches CalibrateProblem's fit, ε unfloored (the fit is
 	// deterministic per setup).
 	calibrated *core.Problem
 	// fStar caches the centralized F(ω*) estimate.

@@ -24,10 +24,11 @@ func benchShards(b *testing.B) ([]*dataset.Dataset, *dataset.Dataset) {
 	return shards, test
 }
 
-// BenchmarkRoundTable2 is the end-to-end perf pin for the paper's Table-II
-// configuration (K=10, E=40): one full FedAvg round including selection,
-// parallel local training, aggregation, and global loss + test accuracy
-// evaluation. BENCH_*.json tracks its ns/op and allocs/op across PRs.
+// BenchmarkRoundTable2 times the paper's Table-II configuration (K=10,
+// E=40): one full FedAvg round including selection, parallel local training,
+// aggregation, and global loss + test accuracy evaluation.
+// TestWarmRoundAllocations pins its allocations; bench/'s train_inproc
+// measures such rounds to ε on every core.
 func BenchmarkRoundTable2(b *testing.B) {
 	shards, test := benchShards(b)
 	engine, err := NewEngine(Config{
@@ -37,7 +38,7 @@ func BenchmarkRoundTable2(b *testing.B) {
 		b.Fatalf("NewEngine: %v", err)
 	}
 	// Warmup round: fills scratch and the runtime's goroutine free lists so
-	// allocs/op is the steady-state figure BENCH_*.json pins.
+	// allocs/op is the steady-state figure.
 	if _, err := engine.Round(); err != nil {
 		b.Fatalf("warmup Round: %v", err)
 	}
@@ -76,9 +77,8 @@ func BenchmarkRoundMiniBatch(b *testing.B) {
 // one steady-state virtual-time step — flush the pending local training, pop
 // the completion queue, staleness-discounted mix, global loss + test accuracy
 // on the scratch model, atomic commit, re-dispatch. The eval=1 variant is the
-// fully sequential hot path whose allocs/op the regression gate pins at zero
-// (the engine-side contract behind TestAsyncStepAllocationFree); eval=4 adds
-// the pooled shard-loss map-reduce.
+// fully sequential hot path TestAsyncStepAllocationFree pins at zero
+// allocations; eval=4 adds the pooled shard-loss map-reduce.
 func BenchmarkAsyncStep(b *testing.B) {
 	shards, test := benchShards(b)
 	for _, eval := range []int{1, 4} {
@@ -91,7 +91,7 @@ func BenchmarkAsyncStep(b *testing.B) {
 			}
 			// Warmup: the first Step dispatches and trains the whole fleet;
 			// a second settles every scratch buffer so allocs/op is the
-			// steady-state figure BENCH_*.json pins.
+			// steady-state figure.
 			for i := 0; i < 2; i++ {
 				if _, err := engine.Step(); err != nil {
 					b.Fatalf("warmup Step: %v", err)

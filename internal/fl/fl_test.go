@@ -424,3 +424,47 @@ func TestMoreLocalEpochsFasterPerRoundProgress(t *testing.T) {
 		t.Errorf("E=10 loss %v not better than E=1 loss %v after equal rounds", large, small)
 	}
 }
+
+// TestWarmRoundAllocations pins what a warm sequential round costs the heap:
+// the selector's draw, the record's copy of the local losses and the history
+// growing — a handful of small objects, none per sample or per parameter —
+// and that the global-loss pass on its own costs nothing. Sequential pools
+// make the count exact; the multi-core figure, goroutine spawns included, is
+// bench/'s fl.allocs_per_round.
+func TestWarmRoundAllocations(t *testing.T) {
+	shards, test := quickShards(t, 20)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		test *dataset.Dataset
+	}{
+		{"full-batch", Config{ClientsPerRound: 10, LocalEpochs: 4, LearningRate: 0.01, Decay: 0.99, Seed: 1}, test},
+		{"mini-batch", Config{ClientsPerRound: 10, LocalEpochs: 2, LearningRate: 0.05, BatchSize: 32, Seed: 1}, nil},
+	} {
+		e, err := NewEngine(tc.cfg, shards, WithTestSet(tc.test), WithParallelism(1), WithEvalParallelism(1))
+		if err != nil {
+			t.Fatalf("%s: NewEngine: %v", tc.name, err)
+		}
+		if _, err := e.Round(); err != nil {
+			t.Fatalf("%s: warm-up Round: %v", tc.name, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := e.Round(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 5 {
+			t.Errorf("%s: a warm round allocates %v objects, want ≤ 5", tc.name, allocs)
+		}
+		t.Logf("%s: a warm round allocates %v objects", tc.name, allocs)
+
+		allocs = testing.AllocsPerRun(20, func() {
+			if _, err := e.GlobalLoss(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: GlobalLoss allocates %v objects, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -30,43 +30,47 @@ func BenchmarkPacketCodec(b *testing.B) {
 // windowed ARQ with its cumulative ACKs, reassembly, and the frame-end
 // boundary.
 func BenchmarkConnFrameLossless(b *testing.B) {
-	a, c := Pipe(Config{Seed: 1}, Config{Seed: 2})
-	defer a.Close()
-	defer c.Close()
-	frame := make([]byte, 8192)
-	for i := range frame {
-		frame[i] = byte(i)
-	}
-	got := make([]byte, len(frame))
-	done := make(chan error, 1)
-	go func() {
-		buf := make([]byte, len(frame))
-		for i := 0; i < b.N; i++ {
-			if _, err := readFull(c, buf); err != nil {
-				done <- err
-				return
-			}
-			if _, err := c.Write(buf); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	b.SetBytes(int64(len(frame)))
+	echo := echoPipe(b, 8192)
+	b.SetBytes(8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		echo()
+	}
+}
+
+// echoPipe opens a lossless Pipe whose far end sends every n-byte frame
+// straight back, and returns a function that writes one frame into the near
+// end and reads its echo. The pipe closes with the test.
+func echoPipe(tb testing.TB, n int) func() {
+	a, c := Pipe(Config{Seed: 1}, Config{Seed: 2})
+	tb.Cleanup(func() {
+		a.Close()
+		c.Close()
+	})
+	go func() {
+		defer c.Close() // a failed echo must fail the near end's read, not hang it
+		buf := make([]byte, n)
+		for {
+			if _, err := readFull(c, buf); err != nil {
+				return
+			}
+			if _, err := c.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	frame, got := make([]byte, n), make([]byte, n)
+	for i := range frame {
+		frame[i] = byte(i)
+	}
+	return func() {
 		if _, err := a.Write(frame); err != nil {
-			b.Fatalf("write: %v", err)
+			tb.Fatalf("write: %v", err)
 		}
 		if _, err := readFull(a, got); err != nil {
-			b.Fatalf("read: %v", err)
+			tb.Fatalf("read: %v", err)
 		}
-	}
-	b.StopTimer()
-	if err := <-done; err != nil {
-		b.Fatalf("echo: %v", err)
 	}
 }
 

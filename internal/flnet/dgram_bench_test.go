@@ -70,7 +70,7 @@ func BenchmarkDgramRoundWire(b *testing.B) {
 // benchDgramCluster mirrors benchCluster over the datagram transport: a
 // fldgram UDP listener plus one fldgram-dialing edge per shard, with the
 // given per-attempt delivery probability on both directions.
-func benchDgramCluster(b *testing.B, shards []*dataset.Dataset, test *dataset.Dataset, successProb float64, cfg CoordinatorConfig) (*Coordinator, func()) {
+func benchDgramCluster(b testing.TB, shards []*dataset.Dataset, test *dataset.Dataset, successProb float64, cfg CoordinatorConfig) (*Coordinator, func()) {
 	b.Helper()
 	ln, err := fldgram.Listen("127.0.0.1:0", fldgram.Config{Seed: 1, SuccessProb: successProb})
 	if err != nil {

@@ -1,7 +1,6 @@
 package flnet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -484,42 +483,6 @@ func TestEdgeRegisteredOnceWelcomed(t *testing.T) {
 	}
 	if id, _, err := decodeRejoin(second.body); err != nil || id != welcomedID {
 		t.Errorf("rejoined as (%d, %v), want the welcomed id %d", id, err, welcomedID)
-	}
-}
-
-// --- allocation pins ---------------------------------------------------------
-
-// TestWriteFrameAllocationFree pins the pooled frame path: steady-state
-// writeFrame (header + payload coalesced in a pooled buffer) and
-// readFrameInto with warm scratch must not touch the heap.
-func TestWriteFrameAllocationFree(t *testing.T) {
-	payload := make([]byte, 8192)
-	// Warm the pool so the measured runs reuse a buffer.
-	if err := writeFrame(io.Discard, MsgTrainRequest, payload); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if err := writeFrame(io.Discard, MsgTrainRequest, payload); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 0.1 {
-		t.Errorf("writeFrame allocates %.1f objects per frame, want 0", avg)
-	}
-
-	var wire bytes.Buffer
-	if err := writeFrame(&wire, MsgTrainRequest, payload); err != nil {
-		t.Fatal(err)
-	}
-	frame := append([]byte(nil), wire.Bytes()...)
-	scratch := make([]byte, 0, len(frame))
-	r := bytes.NewReader(frame)
-	if avg := testing.AllocsPerRun(200, func() {
-		r.Reset(frame)
-		if _, _, err := readFrameInto(r, &scratch, len(payload)); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 0.1 {
-		t.Errorf("readFrameInto allocates %.1f objects per frame, want 0", avg)
 	}
 }
 

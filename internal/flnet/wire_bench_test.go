@@ -16,9 +16,9 @@ import (
 // TCP with the paper's K=10 fan-out: request encode + K conn writes, K local
 // trainings, K reply reads + decodes, aggregation, evaluation. One local
 // epoch over tiny shards keeps SGD cheap so the wire path (frame buffers,
-// model encode/decode, syscalls) dominates — this is the benchmark the
-// pooled zero-copy protocol is pinned by (allocs/op and B/op in
-// BENCH_<date>.json behind the benchfmt gate).
+// model encode/decode, syscalls) dominates. TestWarmRoundAllocations pins the
+// pooled zero-copy protocol's allocations; bench/'s wire_tcp measures such
+// rounds to ε.
 func BenchmarkRoundWire(b *testing.B) {
 	const servers, k = 10, 10
 	dcfg := dataset.QuickSyntheticConfig()
@@ -107,17 +107,26 @@ func benchCluster(b testing.TB, shards []*dataset.Dataset, test *dataset.Dataset
 	}
 }
 
+// downlinkFixture is round 3 of a 10×64 model for the two downlink encodes:
+// the global, the two rounds before it at a small drift (as between
+// consecutive rounds), and a target whose base is the previous round.
+func downlinkFixture() (r *round, tg *target, base, prev *ml.Model) {
+	global := ml.NewModel(10, 64, ml.Softmax)
+	global.W.Fill(0.25)
+	base, prev = global.Clone(), global.Clone()
+	base.W.Fill(0.249)
+	prev.W.Fill(0.2481)
+	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}, global: &snapshot{round: 3, m: global, refs: 1}}
+	r = &round{c: c, t: 3, global: c.global, req: TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}}
+	return r, &target{base: &snapshot{round: 2, m: base, refs: 1}}, base, prev
+}
+
 // BenchmarkEncodeTrainRequest isolates the downlink encode of a warm round:
 // one sealed request frame carrying the 10×64 global model as a second-order
 // delta against the two rounds before it, built in a pooled buffer — what
 // every connection of a K = N fleet shares.
 func BenchmarkEncodeTrainRequest(b *testing.B) {
-	global := ml.NewModel(10, 64, ml.Softmax)
-	global.W.Fill(0.25)
-	base, prev := global.Clone(), global.Clone()
-	base.W.Fill(0.249) // small drift, as between consecutive rounds
-	prev.W.Fill(0.2481)
-	r := &round{t: 3, global: &snapshot{round: 3, m: global}, req: TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}}
+	r, _, base, prev := downlinkFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -138,13 +147,7 @@ func BenchmarkEncodeTrainRequest(b *testing.B) {
 // stage the client's next state — everything buildResidualFrame does per
 // selected client per round, against the lossless encode above.
 func BenchmarkEncodeResidual(b *testing.B) {
-	global := ml.NewModel(10, 64, ml.Softmax)
-	global.W.Fill(0.25)
-	last := global.Clone()
-	last.W.Fill(0.249) // small drift, as between consecutive rounds
-	c := &Coordinator{cfg: CoordinatorConfig{Classes: 10, Features: 64}, global: &snapshot{round: 3, m: global, refs: 1}}
-	r := &round{c: c, t: 3, global: c.global, req: TrainRequest{Round: 3, Epochs: 5, LearningRate: 0.1}}
-	tg := &target{base: &snapshot{round: 2, m: last, refs: 1}}
+	r, tg, _, _ := downlinkFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -193,6 +193,37 @@ func TestSliceRowsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestKernelsAllocationFree pins the other kernels a training round leans on
+// at zero heap allocations: the backward-pass accumulate, the serial GEMM and
+// the dot product at MNIST width.
+func TestKernelsAllocationFree(t *testing.T) {
+	delta := randomSeededDense(256, 10, 3)
+	x := randomSeededDense(256, 64, 4)
+	grad := NewDense(10, 64)
+	a, c := randomSeededDense(64, 64, 5), randomSeededDense(64, 64, 6)
+	dst := NewDense(64, 64)
+	u, v := randomSeededDense(1, 784, 7).RawData(), randomSeededDense(1, 784, 8).RawData()
+	var sink float64
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"AddMulTA", func() error { return AddMulTA(grad, delta, x, 0.005) }},
+		{"Mul64", func() error { return Mul(dst, a, c) }},
+		{"Dot784", func() error { sink += Dot(u, v); return nil }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %v per run, want 0", tc.name, allocs)
+		}
+		t.Logf("%s: %v allocs per run", tc.name, allocs)
+	}
+}
+
 func BenchmarkMatMulT(b *testing.B) {
 	// 256×features by classes×features is the evaluator's chunk-GEMM shape;
 	// 64 features is quick-synthetic scale, 784 is MNIST scale.

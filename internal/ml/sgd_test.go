@@ -124,6 +124,34 @@ func TestSGDMiniBatchTrains(t *testing.T) {
 	}
 }
 
+// TestSGDEpochAllocationFree pins that once an optimizer's scratch (gradient,
+// logits, shuffle and batch buffers) is sized by a first epoch, further
+// epochs allocate nothing, full-batch or mini-batch.
+func TestSGDEpochAllocationFree(t *testing.T) {
+	cfg := dataset.QuickSyntheticConfig()
+	cfg.Samples = 1000
+	d, err := dataset.Synthesize(cfg)
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	for _, batch := range []int{0, 100} {
+		m := NewModel(d.Classes, d.Dim(), Softmax)
+		sgd, err := NewSGD(SGDConfig{LearningRate: 0.1, BatchSize: batch})
+		if err != nil {
+			t.Fatalf("NewSGD: %v", err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := sgd.Epoch(m, d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("batch=%d: a warm epoch allocates %v, want 0", batch, allocs)
+		}
+		t.Logf("batch=%d: a warm epoch allocates %v", batch, allocs)
+	}
+}
+
 func TestSGDDeterministicAcrossRuns(t *testing.T) {
 	d := twoClassToy(t)
 	run := func() *Model {

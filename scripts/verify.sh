@@ -83,58 +83,9 @@ echo "== planner CLI =="
 go run ./cmd/eefei-plan -grid
 
 echo "== benches (single shot, all packages) =="
-# Smoke-run every benchmark once so a panic or regression in a bench-only
-# code path (worker pools, blocked GEMM, evaluator scratch, the batched
-# forward kernels BenchmarkMatMulT / BenchmarkMatAddMulTA /
-# BenchmarkEvaluatorMetrics) fails verify. scripts/bench.sh is the tool
-# for real measurements and BENCH_*.json.
+# Smoke-run every benchmark once so a panic in a bench-only code path fails
+# verify. Numbers come from `go run -C bench .`; the allocation pins are
+# AllocsPerRun tests beside the code they guard and ran with the tests above.
 go test -bench=. -benchmem -benchtime=1x -run='^$' ./...
-
-echo "== bench regression gate =="
-# Re-measure the pinned packages and diff against the committed baseline
-# (policy in DESIGN.md §7). Two tiers:
-#
-#   1. Strict: >BENCH_TOL% ns/op regression (default 15) or ANY allocs/op
-#      growth fails. -min-ns keeps sub-100µs micro-benchmarks out of the
-#      wall-clock comparison (scheduler jitter dominates there).
-#   2. Allocs-only fallback: on throttled shared runners wall-clock swings
-#      far beyond any usable tolerance, so unless BENCH_STRICT=1 a strict
-#      failure downgrades ns to advisory and hard-gates only allocs/op and
-#      benchmark coverage (a huge -min-ns skips every ns comparison).
-#
-# Allocation counts are deterministic for hot-path benchmarks: each warms
-# up its worker pool before b.ResetTimer(), and 25 iterations amortize the
-# scheduler's occasional cold goroutine spawn, so allocs/op is exactly
-# reproducible and tier 2 catches real regressions. That includes the
-# async hot path: BenchmarkAsyncStep/eval=1 is pinned at 0 allocs/op (the
-# engine-side contract behind TestAsyncStepAllocationFree), and the pooled
-# wire path: BenchmarkRoundWire's allocs/op and B/op are the zero-copy
-# protocol's pins (full K=10 loopback round; warm round before the timer
-# makes the count exact), with BenchmarkEncodeResidual pinned at 0
-# allocs/op. Experiment-harness
-# benchmarks (root Figure*/Ablation*/Table*) run a whole multi-round sweep
-# per op and their allocs/op genuinely jitters — they are not re-measured
-# here and -skip exempts them from the coverage rule; the 1x smoke run
-# above still executes them. Keep GATED in sync with scripts/bench.sh.
-BASELINE="BENCH_2026-08-06.json"
-SKIP='^eefei\.Benchmark(Figure|Ablation|Table)'
-GATED='^Benchmark(Mat|SGD|Model|Trace|Golden|FedAvg|Quantize|Straggler|Sensitivity|Pareto|RoundWithFaults)'
-FRESH="$(mktemp)"
-trap 'rm -f "$FRESH"' EXIT
-{
-    go test -run='^$' -bench="$GATED" -benchmem -benchtime=25x .
-    go test -run='^$' -bench=. -benchmem -benchtime=25x \
-        ./internal/fl ./internal/ml ./internal/mat ./internal/energy \
-        ./internal/flnet ./internal/fldgram
-} | go run ./cmd/benchfmt -date regression-gate >"$FRESH"
-if ! go run ./cmd/benchfmt -diff "$BASELINE" "$FRESH" \
-        -tol "${BENCH_TOL:-15}" -min-ns 100000 -skip "$SKIP"; then
-    if [ "${BENCH_STRICT:-0}" = "1" ]; then
-        echo "bench gate: strict comparison failed (BENCH_STRICT=1)" >&2
-        exit 1
-    fi
-    echo "bench gate: ns/op outside tolerance on this runner; re-checking allocs/op only"
-    go run ./cmd/benchfmt -diff "$BASELINE" "$FRESH" -min-ns 1000000000000 -skip "$SKIP"
-fi
 
 echo "ALL VERIFICATIONS PASSED"
