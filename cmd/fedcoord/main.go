@@ -70,8 +70,8 @@ func run(args []string) error {
 		trace        = fs.String("trace", "", "write per-round phase timings as JSON lines to this file")
 		traceMem     = fs.Bool("trace-mem", false, "sample runtime.MemStats per round into the trace (requires -trace)")
 		calibrate    = fs.Bool("calibrate", false, "accumulate a measured per-phase energy ledger from round timings and report drift vs the analytic Pi model")
-		upBits       = fs.Int("up-bits", 0, "quantize client replies to this many bits per weight (0 = lossless float64, 8 or 16)")
-		downBits     = fs.Int("down-bits", 0, "quantize the broadcast global as a residual with this many bits per weight (0 = lossless full model, 8 or 16)")
+		upBits       = fs.Int("up-bits", 0, "quantize client replies to this many bits per weight (8 or 16; 0 = lossless predictive delta, raw float64 only on a cold start or when coding would not be smaller)")
+		downBits     = fs.Int("down-bits", 0, "quantize the broadcast global as a residual with this many bits per weight (8 or 16; 0 = lossless predictive delta, the raw model only on a cold start or when coding would not be smaller)")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
 		transport   = fs.String("transport", "stream", "wire transport: stream (TCP) or dgram (UDP + sliding-window ARQ)")

@@ -148,16 +148,12 @@ func (m *Dense) Apply(f func(float64) float64) {
 // dst may not alias x.
 func (m *Dense) MulVec(dst, x []float64) error {
 	if len(x) != m.cols || len(dst) != m.rows {
-		return mulVecShapeError(m, dst, x)
+		return fmt.Errorf("mulvec %dx%d by len %d into len %d: %w", m.rows, m.cols, len(x), len(dst), ErrShape)
 	}
 	for i := 0; i < m.rows; i++ {
 		dst[i] = Dot(m.Row(i), x)
 	}
 	return nil
-}
-
-func mulVecShapeError(m *Dense, dst, x []float64) error {
-	return fmt.Errorf("mulvec %dx%d by len %d into len %d: %w", m.rows, m.cols, len(x), len(dst), ErrShape)
 }
 
 // MulVecT computes dst = Mᵀ·x (length-Cols result) without forming the
@@ -176,24 +172,21 @@ func (m *Dense) MulVecT(dst, x []float64) error {
 }
 
 // Mul computes dst = A·B. dst must be preallocated with shape
-// A.Rows × B.Cols and must not alias A or B. The implementation is the
-// cache-blocked kernel in gemm.go; MulWorkers is the parallel variant and
-// produces bit-identical results.
+// A.Rows × B.Cols and must not alias A or B. Every element accumulates k
+// ascending, one Axpy of a row of B per nonzero a[i][k].
 func Mul(dst, a, b *Dense) error {
-	if err := mulShapeCheck(dst, a, b); err != nil {
-		return err
-	}
-	dst.Zero()
-	gemmRange(dst, a, b, 0, a.rows)
-	return nil
-}
-
-func mulShapeCheck(dst, a, b *Dense) error {
 	if a.cols != b.rows {
 		return fmt.Errorf("mul %dx%d by %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
 	}
 	if dst.rows != a.rows || dst.cols != b.cols {
 		return fmt.Errorf("mul into %dx%d, want %dx%d: %w", dst.rows, dst.cols, a.rows, b.cols, ErrShape)
+	}
+	dst.Zero()
+	for i := 0; i < a.rows; i++ {
+		dr := dst.Row(i)
+		for k, av := range a.Row(i) {
+			Axpy(dr, av, b.Row(k))
+		}
 	}
 	return nil
 }

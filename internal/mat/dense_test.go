@@ -174,6 +174,9 @@ func TestMul(t *testing.T) {
 	if err := Mul(dst, b, b); !errors.Is(err, ErrShape) {
 		t.Errorf("Mul incompatible = %v, want ErrShape", err)
 	}
+	if err := Mul(NewDense(3, 2), a, b); !errors.Is(err, ErrShape) {
+		t.Errorf("Mul dst mismatch = %v, want ErrShape", err)
+	}
 }
 
 func TestMulTMatchesExplicitTranspose(t *testing.T) {

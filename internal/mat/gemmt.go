@@ -1,6 +1,9 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Transposed-B GEMM kernels: dst = A·Bᵀ computed without materializing the
 // transpose. This is the batched-inference shape — logits for a row-block of
@@ -8,14 +11,46 @@ import "fmt"
 // it beats a per-row matvec loop is instruction-level parallelism, not a
 // different arithmetic: the micro-kernel keeps four output elements in
 // flight, so four independent accumulator chains hide the floating-point add
-// latency that serializes a single dot product.
+// latency that serializes a single dot product. On amd64 with AVX2 those four
+// chains are the four lanes of one register (kernels_amd64.s).
 //
-// Determinism contract (the same one Mul/MulWorkers honor): every output
-// element dst[i][j] is accumulated in exactly the order of
-// Dot(a.Row(i), b.Row(j)) — k ascending with Dot's 4-wide grouping — so the
-// blocked, the parallel, and the naive per-row formulations are bit-for-bit
-// identical. The federated engine's batched forward pass relies on this to
-// stay bit-identical to the per-sample Model.Logits reference.
+// Determinism contract: every output element dst[i][j] is accumulated in
+// exactly the order of Dot(a.Row(i), b.Row(j)) — k ascending with Dot's
+// 4-wide grouping — so the blocked, the vector, the parallel and the naive
+// per-row formulations are bit-for-bit identical. The federated engine's
+// batched forward pass relies on this to stay bit-identical to the
+// per-sample Model.Logits reference.
+
+// minRowsPerWorker gates goroutine spawn: below this many output rows per
+// worker the synchronization overhead outweighs the parallelism.
+const minRowsPerWorker = 8
+
+// parallelRows invokes fn over a disjoint cover of [0, rows) from workers
+// goroutines and waits for completion. workers <= 1 (or a row count too
+// small to amortize spawn cost) degrades to a single inline call.
+func parallelRows(rows, workers int, fn func(lo, hi int)) {
+	if workers > rows/minRowsPerWorker {
+		workers = rows / minRowsPerWorker
+	}
+	if workers <= 1 {
+		fn(0, rows)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (rows + workers - 1) / workers
+	for lo := 0; lo < rows; lo += chunk {
+		hi := lo + chunk
+		if hi > rows {
+			hi = rows
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
 
 func mulTShapeError(dst, a, b *Dense) error {
 	return fmt.Errorf("mulT %dx%d by (%dx%d)ᵀ into %dx%d: %w",
@@ -45,6 +80,9 @@ func mulTShapeCheck(dst, a, b *Dense) error {
 func mulTRange(dst, a, b *Dense, lo, hi int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
+		if mulT4Vec(dst, a, b, i) {
+			continue
+		}
 		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
 		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
 		for j := 0; j < b.rows; j++ {
@@ -165,11 +203,14 @@ func AddMulTA(dst, a, b *Dense, alpha float64) error {
 				// Fused four-sample update: dst row elements are loaded and
 				// stored once per block instead of once per sample. The four
 				// adds land in sample order, matching the Axpy sequence
-				// below bit for bit. Re-slicing the other operands to
-				// len(b0) lets the compiler drop their per-load bounds
+				// below bit for bit. The vector lanes take the longest
+				// multiple-of-4 prefix; re-slicing the other operands to the
+				// rest's length lets the compiler drop their per-load bounds
 				// checks (and panics early on a shape bug, as Axpy would).
-				dr, y1, y2, y3 := dr[:len(b0)], b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
-				for j, v := range b0 {
+				n := axpy4Vec(dr, b0, b1, b2, b3, c0, c1, c2, c3)
+				y0 := b0[n:]
+				dr, y1, y2, y3 := dr[n:][:len(y0)], b1[n:][:len(y0)], b2[n:][:len(y0)], b3[n:][:len(y0)]
+				for j, v := range y0 {
 					w := dr[j]
 					w += c0 * v
 					w += c1 * y1[j]

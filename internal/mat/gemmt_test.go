@@ -18,53 +18,72 @@ func mulTReference(dst, a, b *Dense) {
 }
 
 // addMulTAReference is the sequential per-sample outer-product accumulation
-// AddMulTA must reproduce exactly, Axpy zero-skip included.
+// AddMulTA must reproduce exactly: Axpy's portable loop per sample, zero
+// skip included.
 func addMulTAReference(dst, a, b *Dense, alpha float64) {
 	for r := 0; r < a.Rows(); r++ {
 		ar, br := a.Row(r), b.Row(r)
 		for i, av := range ar {
-			Axpy(dst.Row(i), alpha*av, br)
+			axpyReference(dst.Row(i), alpha*av, br)
 		}
 	}
 }
 
 func TestMulTMatchesDotReferenceBitIdentical(t *testing.T) {
-	// Shapes cover every micro-kernel regime: row tails 1–3 past the 4-row
-	// blocks, k tails past Dot's 4-wide unroll, and single-row/column edges.
-	shapes := []struct{ m, n, k int }{
-		{1, 1, 1}, {1, 10, 64}, {2, 3, 5}, {3, 10, 7}, {4, 10, 64},
-		{5, 10, 63}, {7, 1, 4}, {8, 16, 65}, {13, 10, 64}, {256, 10, 64},
-		{31, 9, 786},
+	// Shapes cover every kernel regime: rows 1–9 (every tail past the 4-row
+	// blocks), every k in kernelKs, classes 1–17 (every grouping of the
+	// vector kernel's 4-class and 1-class passes), and evaluator-sized
+	// blocks. The small shapes are row views of one draw per k.
+	type shape struct{ m, n, k int }
+	type tcase struct {
+		s          shape
+		a, b, want *Dense
 	}
-	for _, s := range shapes {
-		a := randomSeededDense(s.m, s.k, uint64(s.m*1000+s.k))
-		b := randomSeededDense(s.n, s.k, uint64(s.n*7777+s.k))
+	var cases []tcase
+	add := func(s shape, a, b Dense) {
 		want := NewDense(s.m, s.n)
-		mulTReference(want, a, b)
-		got := NewDense(s.m, s.n)
-		if err := MulT(got, a, b); err != nil {
-			t.Fatalf("MulT(%dx%d·(%dx%d)ᵀ): %v", s.m, s.k, s.n, s.k, err)
-		}
-		for i := 0; i < s.m; i++ {
-			for j := 0; j < s.n; j++ {
-				if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
-					t.Fatalf("shape %v: element (%d,%d) = %v differs bitwise from Dot reference %v",
-						s, i, j, got.At(i, j), want.At(i, j))
-				}
-			}
-		}
-		for _, workers := range []int{2, 3, 8, 64} {
-			par := NewDense(s.m, s.n)
-			if err := MulTWorkers(par, a, b, workers); err != nil {
-				t.Fatalf("MulTWorkers(%d): %v", workers, err)
-			}
-			for i := range par.data {
-				if math.Float64bits(par.data[i]) != math.Float64bits(want.data[i]) {
-					t.Fatalf("shape %v workers=%d: element %d differs bitwise from reference", s, workers, i)
-				}
+		mulTReference(want, &a, &b)
+		cases = append(cases, tcase{s, &a, &b, want})
+	}
+	for _, s := range []shape{{256, 10, 64}, {13, 10, 64}, {31, 9, 786}} {
+		add(s, *randomSeededDense(s.m, s.k, uint64(s.m*1000+s.k)), *randomSeededDense(s.n, s.k, uint64(s.n*7777+s.k)))
+	}
+	for _, k := range kernelKs {
+		a, b := randomSeededDense(9, k, uint64(k)), randomSeededDense(17, k, uint64(7777+k))
+		for m := 1; m <= 9; m++ {
+			for n := 1; n <= 17; n++ {
+				add(shape{m, n, k}, a.SliceRows(0, m), b.SliceRows(0, n))
 			}
 		}
 	}
+	eachKernel(t, func(t *testing.T) {
+		for _, c := range cases {
+			got := NewDense(c.s.m, c.s.n)
+			if err := MulT(got, c.a, c.b); err != nil {
+				t.Fatalf("MulT(%dx%d·(%dx%d)ᵀ): %v", c.s.m, c.s.k, c.s.n, c.s.k, err)
+			}
+			for i := range got.data {
+				if math.Float64bits(got.data[i]) != math.Float64bits(c.want.data[i]) {
+					t.Fatalf("shape %v: element %d = %v differs bitwise from Dot reference %v",
+						c.s, i, got.data[i], c.want.data[i])
+				}
+			}
+			if c.s.m < 2*minRowsPerWorker {
+				continue // MulTWorkers would run inline: MulT again
+			}
+			for _, workers := range []int{2, 3, 8, 64} {
+				par := NewDense(c.s.m, c.s.n)
+				if err := MulTWorkers(par, c.a, c.b, workers); err != nil {
+					t.Fatalf("MulTWorkers(%d): %v", workers, err)
+				}
+				for i := range par.data {
+					if math.Float64bits(par.data[i]) != math.Float64bits(c.want.data[i]) {
+						t.Fatalf("shape %v workers=%d: element %d differs bitwise from reference", c.s, workers, i)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestMulTShapeErrors(t *testing.T) {
@@ -82,53 +101,74 @@ func TestMulTShapeErrors(t *testing.T) {
 }
 
 func TestAddMulTAMatchesAxpyReferenceBitIdentical(t *testing.T) {
-	shapes := []struct{ rows, p, q int }{
-		{1, 1, 1}, {2, 10, 64}, {3, 3, 3}, {4, 10, 64}, {5, 10, 63},
-		{9, 2, 7}, {200, 10, 64}, {257, 4, 33},
+	// rows 1–9 cover every tail past the fused 4-sample blocks, p the
+	// classes 1–17, q every j tail of the vector lanes (kernelKs).
+	type shape struct{ rows, p, q int }
+	type tcase struct {
+		s           shape
+		a, b, start *Dense
+		want        *Dense
 	}
-	for _, s := range shapes {
+	var cases []tcase
+	add := func(s shape, b, start Dense) {
 		a := randomSeededDense(s.rows, s.p, uint64(s.rows*31+s.p))
-		b := randomSeededDense(s.rows, s.q, uint64(s.rows*97+s.q))
 		// Inject exact zeros so the fused path's zero-coefficient fallback is
 		// exercised mid-block, not only in the tail.
 		for i := 0; i < len(a.data); i += 5 {
 			a.data[i] = 0
 		}
-		want := randomSeededDense(s.p, s.q, 12345)
-		got := want.Clone()
-		addMulTAReference(want, a, b, 0.25)
-		if err := AddMulTA(got, a, b, 0.25); err != nil {
-			t.Fatalf("AddMulTA(%v): %v", s, err)
-		}
-		for i := range got.data {
-			if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
-				t.Fatalf("shape %v: element %d = %v differs bitwise from Axpy reference %v",
-					s, i, got.data[i], want.data[i])
+		want := start.Clone()
+		addMulTAReference(want, a, &b, 0.25)
+		cases = append(cases, tcase{s, a, &b, &start, want})
+	}
+	for _, s := range []shape{{200, 10, 64}, {257, 4, 33}} {
+		add(s, *randomSeededDense(s.rows, s.q, uint64(s.rows*97+s.q)), *randomSeededDense(s.p, s.q, 12345))
+	}
+	for _, q := range kernelKs {
+		b, start := randomSeededDense(9, q, uint64(97+q)), randomSeededDense(17, q, 12345)
+		for rows := 1; rows <= 9; rows++ {
+			for p := 1; p <= 17; p++ {
+				add(shape{rows, p, q}, b.SliceRows(0, rows), start.SliceRows(0, p))
 			}
 		}
 	}
+	eachKernel(t, func(t *testing.T) {
+		for _, c := range cases {
+			got := c.start.Clone()
+			if err := AddMulTA(got, c.a, c.b, 0.25); err != nil {
+				t.Fatalf("AddMulTA(%v): %v", c.s, err)
+			}
+			for i := range got.data {
+				if math.Float64bits(got.data[i]) != math.Float64bits(c.want.data[i]) {
+					t.Fatalf("shape %v: element %d = %v differs bitwise from Axpy reference %v",
+						c.s, i, got.data[i], c.want.data[i])
+				}
+			}
+		}
+	})
 }
 
 // TestAddMulTAZeroCoefficientKeepsNegativeZero pins the Axpy-skip contract:
 // a zero coefficient contributes nothing at all, so a -0 already in the
 // accumulator must survive (adding +0·x would flip it to +0).
 func TestAddMulTAZeroCoefficientKeepsNegativeZero(t *testing.T) {
-	const rows, p, q = 4, 1, 2 // one full 4-row block, zero coefficient inside
-	a := NewDense(rows, p)
-	b := NewDense(rows, q)
-	for r := 0; r < rows; r++ {
-		a.Set(r, 0, 0) // every coefficient exactly zero
-		b.Set(r, 0, -3.5)
-		b.Set(r, 1, 2.5)
-	}
-	dst := NewDense(p, q)
-	dst.Set(0, 0, math.Copysign(0, -1))
-	if err := AddMulTA(dst, a, b, 1); err != nil {
-		t.Fatalf("AddMulTA: %v", err)
-	}
-	if math.Signbit(dst.At(0, 0)) != true {
-		t.Errorf("zero coefficients flipped -0 to +0: got %v", dst.At(0, 0))
-	}
+	// One full 4-row block and a row of six: one vector group and a j tail.
+	const rows, p, q = 4, 1, 6
+	eachKernel(t, func(t *testing.T) {
+		a := NewDense(rows, p) // every coefficient exactly zero
+		b := NewDense(rows, q)
+		b.Fill(-3.5)
+		dst := NewDense(p, q)
+		dst.Fill(math.Copysign(0, -1))
+		if err := AddMulTA(dst, a, b, 1); err != nil {
+			t.Fatalf("AddMulTA: %v", err)
+		}
+		for j, v := range dst.Row(0) {
+			if !math.Signbit(v) {
+				t.Errorf("zero coefficients flipped -0 to +0 at column %d: got %v", j, v)
+			}
+		}
+	})
 }
 
 func TestAddMulTAShapeErrors(t *testing.T) {

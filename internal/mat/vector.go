@@ -34,6 +34,8 @@ func Axpy(dst []float64, alpha float64, x []float64) {
 	if alpha == 0 {
 		return
 	}
+	n := axpyVec(dst, alpha, x)
+	dst, x = dst[n:], x[n:]
 	for i, v := range x {
 		dst[i] += alpha * v
 	}

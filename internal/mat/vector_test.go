@@ -36,20 +36,36 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 }
 
 func TestAxpy(t *testing.T) {
-	dst := []float64{1, 2, 3}
-	Axpy(dst, 2, []float64{1, 1, 1})
-	want := []float64{3, 4, 5}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("Axpy[%d] = %v, want %v", i, dst[i], want[i])
+	eachKernel(t, func(t *testing.T) {
+		dst := []float64{1, 2, 3}
+		Axpy(dst, 2, []float64{1, 1, 1})
+		want := []float64{3, 4, 5}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Errorf("Axpy[%d] = %v, want %v", i, dst[i], want[i])
+			}
 		}
-	}
-	// alpha==0 must be a no-op even with NaN inputs.
-	dst2 := []float64{1}
-	Axpy(dst2, 0, []float64{math.NaN()})
-	if dst2[0] != 1 {
-		t.Error("Axpy with alpha=0 must not touch dst")
-	}
+		// alpha==0 must be a no-op even with NaN inputs, in the vector lanes too.
+		dst2 := []float64{1, 1, 1, 1, 1}
+		Axpy(dst2, 0, []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()})
+		for _, v := range dst2 {
+			if v != 1 {
+				t.Fatal("Axpy with alpha=0 must not touch dst")
+			}
+		}
+		// Every length through the vector prefix and its tail, bit for bit.
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 786} {
+			x, y := randomSeededDense(1, n, uint64(n)).RawData(), randomSeededDense(1, n, uint64(n+1)).RawData()
+			got, want := Clone(y), Clone(y)
+			Axpy(got, 0.3, x)
+			axpyReference(want, 0.3, x)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("len %d: Axpy[%d] = %v differs bitwise from the reference %v", n, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 func TestScaleVec(t *testing.T) {

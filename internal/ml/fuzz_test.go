@@ -66,13 +66,15 @@ func FuzzDequantizeModel(f *testing.F) {
 // the per-sample sequential reference bit for bit (loss sum, hit count, and
 // batch predictions), and must reject shape mismatches with ErrModelShape.
 func FuzzBatchedForward(f *testing.F) {
-	f.Add(uint16(1), uint8(1), uint8(2), uint64(1), false)
-	f.Add(uint16(256), uint8(64), uint8(10), uint64(7), false)
-	f.Add(uint16(257), uint8(3), uint8(5), uint64(9), true)
-	f.Add(uint16(600), uint8(17), uint8(12), uint64(42), false)
-	f.Fuzz(func(t *testing.T, rowsRaw uint16, featRaw, classRaw uint8, seed uint64, sigmoidHead bool) {
+	f.Add(uint16(1), uint16(1), uint8(2), uint64(1), false)
+	f.Add(uint16(256), uint16(64), uint8(10), uint64(7), false)
+	f.Add(uint16(257), uint16(3), uint8(5), uint64(9), true)
+	f.Add(uint16(600), uint16(17), uint8(12), uint64(42), false)
+	f.Add(uint16(300), uint16(784), uint8(10), uint64(3), false)
+	f.Add(uint16(13), uint16(999), uint8(7), uint64(5), true)
+	f.Fuzz(func(t *testing.T, rowsRaw, featRaw uint16, classRaw uint8, seed uint64, sigmoidHead bool) {
 		rows := 1 + int(rowsRaw)%600
-		features := 1 + int(featRaw)%64
+		features := 1 + int(featRaw)%1000
 		classes := 2 + int(classRaw)%11
 		act := Softmax
 		if sigmoidHead {

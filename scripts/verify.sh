@@ -10,6 +10,14 @@ go build ./...
 echo "== vet =="
 go vet ./...
 
+echo "== portable path =="
+# internal/mat's AVX2 kernels are amd64-only; every other architecture builds
+# the portable kernels alone, through kernels_other.go. An amd64 build cannot
+# notice when that file falls out of step (an undefined name there breaks
+# only the other architectures), so cross-compile one.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/mat ./internal/ml
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -41,6 +49,15 @@ if grep -n '\*' <<<"$predict_src"; then
 fi
 if git grep -nE 'math\.FMA|FMA\(' -- internal/ml/delta.go; then
     echo "internal/ml/delta.go: fused multiply-add in the wire codec"; exit 1
+fi
+
+echo "== no fused multiply-add in kernels =="
+# The vector kernels are bit-identical to the portable ones only because each
+# lane multiplies, rounds, then adds and rounds again, as Go does on amd64. A
+# fused multiply-add rounds once, so one VFMADD in internal/mat's assembly
+# moves weights, digests and every bit-identity reference.
+if grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' internal/mat/*.s; then
+    echo "internal/mat: fused multiply-add in a kernel"; exit 1
 fi
 
 echo "== tests =="
