@@ -121,12 +121,16 @@ func (m *Dense) Scale(s float64) {
 }
 
 // AddScaled adds s*other to the receiver in place (receiver += s·other).
+// Unlike Axpy it has no zero skip: s == 0 still adds 0·other, so a NaN or Inf
+// in other shows and −0 + 0 is +0.
 func (m *Dense) AddScaled(s float64, other *Dense) error {
 	if m.rows != other.rows || m.cols != other.cols {
 		return fmt.Errorf("add %dx%d to %dx%d: %w", other.rows, other.cols, m.rows, m.cols, ErrShape)
 	}
-	for i, v := range other.data {
-		m.data[i] += s * v
+	n := axpyVec(m.data, s, other.data)
+	dst := m.data[n:]
+	for i, v := range other.data[n:] {
+		dst[i] += s * v
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// AVX2 lanes under MulT, AddMulTA and Axpy. Every lane runs the portable
-// kernel's own sequence of roundings for one output element: a VMULPD then a
+// AVX2 lanes under MulT, AddMulTA, Axpy and Dense.AddScaled (the last two
+// through axpyAVX2). Every lane runs the portable kernel's own sequence of
+// roundings for one output element: a VMULPD then a
 // VADDPD wherever the Go code multiplies then adds, never a fused
 // multiply-add (it rounds once where the reference rounds twice). Tails stay
 // in Go. Every function ends in VZEROUPPER.

@@ -57,8 +57,51 @@ var kernelSpecials = []float64{
 	1e300, -1e300, 1e-300, -1e-300, math.Float64frombits(0x7ff8_0000_dead_beef),
 }
 
-// FuzzKernelsMatchReference drives MulT, AddMulTA and Axpy, on every kernel
-// the host has, against the Dot and Axpy references on shapes up to 300 rows,
+// addScaledReference is Dense.AddScaled's portable loop: no zero skip.
+func addScaledReference(dst []float64, s float64, x []float64) {
+	for i, v := range x {
+		dst[i] += s * v
+	}
+}
+
+// TestAddScaledMatchesScalarLoop pins AddScaled, lanes and tail, to its
+// scalar loop for every tail past the 4-wide groups and for the paper model's
+// 7 850 parameters. s = ±0 still adds 0·other — NaN where other is ±Inf or
+// NaN, +0 where the receiver holds −0 — in the lanes too.
+func TestAddScaledMatchesScalarLoop(t *testing.T) {
+	rng := NewRNG(1)
+	scales := []float64{0, math.Copysign(0, -1), 1, -1, 0.125, rng.Norm()}
+	eachKernel(t, func(t *testing.T) {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 7850} {
+			m, other := NewDense(1, n), NewDense(1, n)
+			for _, d := range []*Dense{m, other} {
+				for i := range d.data {
+					d.data[i] = rng.Norm()
+					if rng.Intn(2) == 0 {
+						d.data[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+					}
+				}
+			}
+			for _, s := range scales {
+				got, want := m.Clone(), Clone(m.data)
+				if err := got.AddScaled(s, other); err != nil {
+					t.Fatal(err)
+				}
+				addScaledReference(want, s, other.data)
+				for i := range want {
+					if !sameResult(got.data[i], want[i]) {
+						t.Fatalf("len %d, s %v: element %d = %v (%#x), scalar loop %v (%#x)", n, s, i,
+							got.data[i], math.Float64bits(got.data[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzKernelsMatchReference drives MulT, AddMulTA, Axpy and Dense.AddScaled,
+// on every kernel the host has, against the Dot, Axpy and AddScaled
+// references on shapes up to 300 rows,
 // 1 000 features and 20 classes. special sets how many operands are drawn
 // from kernelSpecials (up to a quarter) and how many are exact zeros (as many
 // again), so zero coefficients land mid-block.
@@ -95,6 +138,8 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		for r := 0; r < rows; r++ {
 			axpyReference(wantX.Row(r%classes), delta.At(r, 0), x.Row(r))
 		}
+		wantS := acc.Clone()
+		addScaledReference(wantS.data, alpha, w.data)
 		check := func(kernel string, got, want *Dense) {
 			for i := range got.data {
 				if !sameResult(got.data[i], want.data[i]) {
@@ -122,6 +167,11 @@ func FuzzKernelsMatchReference(f *testing.F) {
 				Axpy(gotX.Row(r%classes), delta.At(r, 0), x.Row(r))
 			}
 			check("Axpy", gotX, wantX)
+			gotS := acc.Clone()
+			if err := gotS.AddScaled(alpha, w); err != nil {
+				t.Fatal(err)
+			}
+			check("AddScaled", gotS, wantS)
 		}
 	})
 }

@@ -41,6 +41,11 @@ func Axpy(dst []float64, alpha float64, x []float64) {
 	}
 }
 
+// HasAVX2 reports whether the CPU and OS run AVX2 code (never off amd64). It
+// is the one CPUID probe in the module: other packages' vector paths select
+// on its answer rather than probing again.
+func HasAVX2() bool { return haveAVX2 }
+
 // Scale multiplies each element of x by alpha in place.
 func Scale(x []float64, alpha float64) {
 	for i := range x {

@@ -12,7 +12,7 @@ import (
 // Two peers that exchange a model every round each hold, bit for bit, models
 // the next one is close to. This file codes a model losslessly against a
 // prediction formed from those: per parameter, the integer difference of the
-// IEEE-754 bit patterns of value and prediction, stored eight to a block in
+// IEEE-754 bit patterns of value and prediction, stored sixteen to a block in
 // as many bytes as the block's widest difference needs. It is integer
 // arithmetic on bit patterns from end to end, so decoding reproduces every bit
 // — −0, NaN payloads and ±Inf included — and late in training, when a round
@@ -26,9 +26,10 @@ import (
 //	         (0: the block is predicted exactly)
 //	n bytes per value, little-endian: the difference plus 2^(8n−1)
 //
-// so a full block is 1 + 16n bytes. Whole bytes, not bits: packing the widths to the
-// bit saves another tenth of the body and costs a third more per pass, which
-// on a link that is free (loopback) is all cost.
+// so a full block is 1 + 16n bytes. Whole bytes, not bits: a value's bytes are
+// then one word move in the portable loops and one shuffle in the vector lanes
+// (delta_amd64.s). Packing the widths to the bit saves another tenth of the
+// body, at a third more per portable pass.
 
 // ErrDelta is returned (wrapped) for malformed delta bodies and for
 // predictors that do not fit them.
@@ -107,12 +108,13 @@ func AppendDelta(dst []byte, cur *Model, pred ...*Model) ([]byte, bool) {
 	return out, true
 }
 
-// appendDeltaTensor codes one tensor. The caller has grown dst for the worst
-// case plus deltaWindow.
+// appendDeltaTensor codes one tensor: the full blocks in vector lanes where
+// the CPU has them, what is left block by block. The caller has grown dst for
+// the worst case plus deltaWindow.
 func appendDeltaTensor(dst []byte, cur, a, b, c []float64) []byte {
 	o := len(dst)
 	dst = dst[:cap(dst)]
-	i := 0
+	i, o := codeBlocksVec(dst, o, cur, a, b, c)
 	for ; i+deltaBlock <= len(cur); i += deltaBlock {
 		o += codeBlock((*[deltaWindow]byte)(dst[o:]), deltaBlock, (*[deltaBlock]float64)(cur[i:]),
 			(*[deltaBlock]float64)(a[i:]), (*[deltaBlock]float64)(b[i:]), (*[deltaBlock]float64)(c[i:]))
@@ -136,16 +138,17 @@ func appendDeltaTensor(dst []byte, cur, a, b, c []float64) []byte {
 func codeBlock(out *[deltaWindow]byte, m int, cur, a, b, c *[deltaBlock]float64) int {
 	vc, va, vb, vcc := cur[:], a[:], b[:], c[:] // slices: one nil check each, not one per element
 	var d [deltaBlock]uint64
-	var fold uint64 // every difference's magnitude bits, or-ed
+	// Every difference's zigzag fold, or-ed: 2x for x ≥ 0 and −2x − 1 for
+	// x < 0, so its bit length is the bits x needs, sign included, and the
+	// fold is 0 only when every x is. (x ^ x>>63 alone maps −1 to 0 too: a
+	// block of 0s and −1s then claimed n = 0 and decoded one ULP high.)
+	var fold uint64
 	for j := range d {
 		x := math.Float64bits(vc[j]) - predict(math.Float64bits(va[j]), math.Float64bits(vb[j]), math.Float64bits(vcc[j]))
 		d[j] = x
-		fold |= x ^ uint64(int64(x)>>63)
+		fold |= x<<1 ^ uint64(int64(x)>>63)
 	}
-	n := uint(0)
-	if fold != 0 {
-		n = uint(bits.Len64(fold)+8) >> 3 // magnitude and sign, in whole bytes
-	}
+	n := uint(bits.Len64(fold)+7) >> 3 // in whole bytes
 	out[0] = byte(n)
 	bias := blockBias(n)
 	p := uint(1)
@@ -211,11 +214,14 @@ func ApplyDelta(dst *Model, data []byte, pred ...*Model) error {
 }
 
 // applyDeltaTensor decodes one tensor from the head of src and returns what
-// follows it, the mirror of appendDeltaTensor. dst may be a, b or c: each
-// value is read before it is written.
+// follows it, the mirror of appendDeltaTensor: the leading blocks that
+// decodeBlocksVec's Go scan finds well-formed in lanes, every other block —
+// and every refusal — here. dst may be a, b or c: each value is read before
+// it is written.
 func applyDeltaTensor(dst []float64, src []byte, a, b, c []float64) ([]byte, error) {
 	var tail [deltaWindow]byte
-	for i := 0; i < len(dst); i += deltaBlock {
+	i, src := decodeBlocksVec(dst, src, a, b, c)
+	for ; i < len(dst); i += deltaBlock {
 		if len(src) == 0 {
 			return nil, fmt.Errorf("body ends at parameter %d of %d: %w", i, len(dst), ErrDelta)
 		}

@@ -3,6 +3,7 @@ package ml
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,6 +41,41 @@ func drifted(m *Model, seed uint64, scale float64) *Model {
 	for i, v := range out.B {
 		out.B[i] = v * (1 + rng.NormScaled(0, scale))
 	}
+	return out
+}
+
+// eachKernel runs fn on the portable block coder and then on the AVX2 one by
+// flipping useVec for its duration, so a test that calls it must not run in
+// parallel with another.
+func eachKernel(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	for _, vec := range []bool{false, true} {
+		name := "portable"
+		if vec {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			if vec && !mat.HasAVX2() {
+				t.Skip("no AVX2 with OS-enabled YMM state on this host: only the portable coder exists here")
+			}
+			defer func(saved bool) { useVec = saved }(useVec)
+			useVec = vec
+			fn(t)
+		})
+	}
+}
+
+// ulpStep returns m with the bit pattern of parameter i (W's, then B's) moved
+// by d units in the last place.
+func ulpStep(m *Model, i int, d int64) *Model {
+	out := m.Clone()
+	v := out.B
+	if w := out.W.RawData(); i < len(w) {
+		v = w
+	} else {
+		i -= len(w)
+	}
+	v[i] = math.Float64frombits(math.Float64bits(v[i]) + uint64(d))
 	return out
 }
 
@@ -125,44 +161,103 @@ func TestDeltaRoundTrip(t *testing.T) {
 			// Inf − Inf is NaN: the prediction falls back to a's own bits.
 			tc{"nan-prediction", filled(shape[0], shape[1], nan1), []*Model{filled(shape[0], shape[1], nan1), filled(shape[0], shape[1], math.Inf(1)), filled(shape[0], shape[1], math.Inf(1))}, true},
 			tc{"subnormal-walk", filled(shape[0], shape[1], 5e-324), []*Model{filled(shape[0], shape[1], 1.5e-323), filled(shape[0], shape[1], 1.5e-323), filled(shape[0], shape[1], 2.5e-323)}, true},
+			// The one difference is −1, the value a sign fold must not map to 0.
+			tc{"minus-one-ulp", ulpStep(base, shape[0]*shape[1]/2, -1), []*Model{base}, true},
 		)
 	}
-	for _, c := range cases {
-		name := c.name
-		body, coded := codeLossless(t, c.cur, c.pred...)
-		if len(body) > c.cur.EncodedSize() {
-			t.Errorf("%s %dx%d: %d bytes, raw is %d", name, c.cur.Classes(), c.cur.Features(), len(body), c.cur.EncodedSize())
-		}
-		if c.wantCoded && !coded {
-			t.Errorf("%s %dx%d: a good prediction fell back to raw", name, c.cur.Classes(), c.cur.Features())
-		}
-		if !coded {
-			continue
-		}
-		var back Model
-		if err := ApplyDelta(&back, body, c.pred...); err != nil {
-			t.Errorf("%s %dx%d: decode: %v", name, c.cur.Classes(), c.cur.Features(), err)
-			continue
-		}
-		if !sameBits(&back, c.cur) {
-			t.Errorf("%s %dx%d: decode changed bits", name, c.cur.Classes(), c.cur.Features())
-		}
-		// In place: the successor overwrites the predictor the link no longer
-		// needs (the last one), storage and all.
-		last := c.pred[len(c.pred)-1].Clone()
-		pred := append(append([]*Model(nil), c.pred[:len(c.pred)-1]...), last)
-		for i, p := range c.pred[:len(c.pred)-1] {
-			if p == c.pred[len(c.pred)-1] {
-				pred[i] = last
+	eachKernel(t, func(t *testing.T) {
+		for _, c := range cases {
+			name := c.name
+			body, coded := codeLossless(t, c.cur, c.pred...)
+			if len(body) > c.cur.EncodedSize() {
+				t.Errorf("%s %dx%d: %d bytes, raw is %d", name, c.cur.Classes(), c.cur.Features(), len(body), c.cur.EncodedSize())
+			}
+			if c.wantCoded && !coded {
+				t.Errorf("%s %dx%d: a good prediction fell back to raw", name, c.cur.Classes(), c.cur.Features())
+			}
+			if !coded {
+				continue
+			}
+			// Cut to its length, no slack after the last block: the vector
+			// decoder's loads must stop where the body does.
+			body = bytes.Clone(body)[:len(body):len(body)]
+			var back Model
+			if err := ApplyDelta(&back, body, c.pred...); err != nil {
+				t.Errorf("%s %dx%d: decode: %v", name, c.cur.Classes(), c.cur.Features(), err)
+				continue
+			}
+			if !sameBits(&back, c.cur) {
+				t.Errorf("%s %dx%d: decode changed bits", name, c.cur.Classes(), c.cur.Features())
+			}
+			// In place: the successor overwrites the predictor the link no longer
+			// needs (the last one), storage and all.
+			last := c.pred[len(c.pred)-1].Clone()
+			pred := append(append([]*Model(nil), c.pred[:len(c.pred)-1]...), last)
+			for i, p := range c.pred[:len(c.pred)-1] {
+				if p == c.pred[len(c.pred)-1] {
+					pred[i] = last
+				}
+			}
+			w0 := &last.W.RawData()[0]
+			if err := ApplyDelta(last, body, pred...); err != nil || !sameBits(last, c.cur) {
+				t.Errorf("%s %dx%d: in-place decode: err %v", name, c.cur.Classes(), c.cur.Features(), err)
+			}
+			if w0 != &last.W.RawData()[0] {
+				t.Errorf("%s: in-place decode reallocated the parameter storage", name)
 			}
 		}
-		w0 := &last.W.RawData()[0]
-		if err := ApplyDelta(last, body, pred...); err != nil || !sameBits(last, c.cur) {
-			t.Errorf("%s %dx%d: in-place decode: err %v", name, c.cur.Classes(), c.cur.Features(), err)
-		}
-		if w0 != &last.W.RawData()[0] {
-			t.Errorf("%s: in-place decode reallocated the parameter storage", name)
-		}
+	})
+}
+
+// TestDeltaMinusOneULP pins the sign fold. A block whose only non-zero
+// differences are −1 must be stored one byte wide: a fold of x ^ x>>63 maps
+// −1 to 0, so such a block claimed "predicted exactly" (n = 0) and decoded one
+// ULP above the value sent — on the wire, a pair desynchronised for good.
+func TestDeltaMinusOneULP(t *testing.T) {
+	paper := randomModel(1, 10, 784) // W: 490 full blocks, no tail; B: one short block
+	small := randomModel(2, 3, 7)    // W: one full block and a tail of five
+	second := []*Model{paper, drifted(paper, 3, 1e-5), drifted(paper, 4, 1e-5)}
+	// cur equal to the second-order prediction, bit for bit.
+	predicted := paper.Clone()
+	for i, v := range predicted.W.RawData() {
+		predicted.W.RawData()[i] = math.Float64frombits(predict(math.Float64bits(v),
+			math.Float64bits(second[1].W.RawData()[i]), math.Float64bits(second[2].W.RawData()[i])))
+	}
+	for i, v := range predicted.B {
+		predicted.B[i] = math.Float64frombits(predict(math.Float64bits(v), math.Float64bits(second[1].B[i]), math.Float64bits(second[2].B[i])))
+	}
+	allW := paper.Clone() // a whole full block at −1
+	for i := 32; i < 48; i++ {
+		allW = ulpStep(allW, i, -1)
+	}
+	for _, c := range []struct {
+		name    string
+		cur     *Model
+		pred    []*Model
+		wantLen int // every block one byte but the stepped one's, 1 + 16·1
+	}{
+		{"W[5]", ulpStep(paper, 5, -1), []*Model{paper}, 16 + 490 + 16 + 1},
+		{"W[32:48]", allW, []*Model{paper}, 16 + 490 + 16 + 1},
+		{"B-tail", ulpStep(paper, 7840+2, -1), []*Model{paper}, 16 + 490 + 1 + 10},
+		{"W-tail", ulpStep(small, 18, -1), []*Model{small}, 16 + 1 + 1 + 5 + 1},
+		{"second-order", ulpStep(predicted, 700, -1), second, 16 + 490 + 16 + 1},
+		{"second-order-B", ulpStep(predicted, 7849, -1), second, 16 + 490 + 1 + 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eachKernel(t, func(t *testing.T) {
+				body, ok := AppendDelta(nil, c.cur, c.pred...)
+				if !ok {
+					t.Fatal("fell back to raw")
+				}
+				if len(body) != c.wantLen {
+					t.Errorf("%d-byte body, want %d", len(body), c.wantLen)
+				}
+				var back Model
+				if err := ApplyDelta(&back, body, c.pred...); err != nil || !sameBits(&back, c.cur) {
+					t.Errorf("decode err %v, or it changed bits", err)
+				}
+			})
+		})
 	}
 }
 
@@ -285,12 +380,27 @@ func FuzzApplyDelta(f *testing.F) {
 		if secondOrder {
 			pred = []*Model{base, base, prev}
 		}
-		var back Model
-		if err := ApplyDelta(&back, data, pred...); err != nil {
+		// Both decoders the host has refuse alike, message for message, or
+		// decode alike.
+		defer func(saved bool) { useVec = saved }(useVec)
+		var backs [2]Model
+		var errs [2]error
+		for k, vec := range []bool{false, mat.HasAVX2()} {
+			useVec = vec
+			errs[k] = ApplyDelta(&backs[k], data, pred...)
+		}
+		if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+			t.Fatalf("portable decoder: %v; vector decoder: %v", errs[0], errs[1])
+		}
+		back := backs[0]
+		if err := errs[0]; err != nil {
 			if !errors.Is(err, ErrDelta) {
 				t.Fatalf("err = %v, want ErrDelta", err)
 			}
 			return
+		}
+		if !sameBits(&backs[1], &back) {
+			t.Fatal("the portable and vector decoders disagree")
 		}
 		// Whatever decodes has the predictors' shape — the only storage a body
 		// can make the decoder allocate — and codes back to a body that decodes
@@ -308,6 +418,138 @@ func FuzzApplyDelta(f *testing.F) {
 			t.Fatalf("re-coded body does not round-trip: %v", err)
 		}
 	})
+}
+
+// FuzzDeltaRoundTrip is the encoder's property on every coder the host has:
+// for any cur and predictors, AppendDelta then ApplyDelta returns cur's bits,
+// and the portable and vector coders write the same body. Shapes go up to
+// 10×800. cur is the prediction moved parameter by parameter as the fuzz
+// bytes say: not at all, ±1, ±2 or ±2⁸ ULP, a copy of the first predictor, a
+// special (±0, ±Inf, payload NaNs), unrelated, or a late-training step; and
+// the last predictor takes a special where a byte's top bit is set.
+func FuzzDeltaRoundTrip(f *testing.F) {
+	f.Add(uint8(9), uint16(783), false, uint64(1), []byte{0, 0, 0, 1})
+	f.Add(uint8(9), uint16(783), true, uint64(6), []byte{0})
+	f.Add(uint8(2), uint16(6), true, uint64(2), []byte{2, 3, 4, 5, 6, 7, 0x81})
+	f.Add(uint8(0), uint16(0), false, uint64(3), []byte{})
+	f.Add(uint8(9), uint16(799), true, uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0x85})
+	f.Add(uint8(15), uint16(0), true, uint64(5), []byte{0, 0, 0, 7, 0, 0, 0, 15})
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001)}
+	f.Fuzz(func(t *testing.T, classesRaw uint8, featRaw uint16, secondOrder bool, seed uint64, mix []byte) {
+		classes, features := 1+int(classesRaw)%10, 1+int(featRaw)%800
+		rng := mat.NewRNG(seed)
+		pred := []*Model{randomModel(seed, classes, features)}
+		if secondOrder {
+			pred = append(pred, drifted(pred[0], seed+1, 1e-5), drifted(pred[0], seed+2, 1e-5))
+		}
+		cur := pred[0].Clone()
+		tensors := func(m *Model) [2][]float64 { return [2][]float64{m.W.RawData(), m.B} }
+		ta, tb, tc, tcur := tensors(pred[0]), tensors(pred[len(pred)/2]), tensors(pred[len(pred)-1]), tensors(cur)
+		j := 0
+		for x := range tcur {
+			for i := range tcur[x] {
+				k := byte(rng.Intn(256))
+				if len(mix) > 0 {
+					k = mix[j%len(mix)]
+				}
+				j++
+				if k&0x80 != 0 {
+					tc[x][i] = specials[rng.Intn(len(specials))]
+				}
+				p := predict(math.Float64bits(ta[x][i]), math.Float64bits(tb[x][i]), math.Float64bits(tc[x][i]))
+				sign := uint64(1)
+				if k&8 != 0 {
+					sign = ^uint64(0) // −1
+				}
+				switch k & 7 {
+				case 1:
+					p += sign
+				case 2:
+					p += 2 * sign
+				case 3:
+					p += 256 * sign
+				case 4:
+					p = math.Float64bits(specials[rng.Intn(len(specials))])
+				case 5:
+					p = math.Float64bits(ta[x][i])
+				case 6:
+					p = math.Float64bits(rng.Norm())
+				case 7:
+					p += uint64(rng.Intn(1<<20)) - 1<<19
+				}
+				tcur[x][i] = math.Float64frombits(p)
+			}
+		}
+		defer func(saved bool) { useVec = saved }(useVec)
+		var bodies [2][]byte
+		for k, vec := range []bool{false, mat.HasAVX2()} {
+			useVec = vec
+			body, ok := AppendDelta(nil, cur, pred...)
+			if !ok {
+				continue
+			}
+			bodies[k] = body
+			var back Model
+			if err := ApplyDelta(&back, body, pred...); err != nil || !sameBits(&back, cur) {
+				t.Fatalf("%dx%d useVec=%v: decode err %v, or it changed bits", classes, features, vec, err)
+			}
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("%dx%d: the portable and vector coders wrote different bodies (%d and %d bytes)",
+				classes, features, len(bodies[0]), len(bodies[1]))
+		}
+	})
+}
+
+// TestDeltaCutBodiesAgree decodes every prefix of bodies whose tensors end
+// in full blocks — where the vector decoder's Go scan must stop short of the
+// body's end — on both decoders: each prefix is refused alike, message for
+// message, or decoded alike. And the blocks the scan hands the assembly are
+// read, at most 1 + 14n + 16 bytes from a block's start, inside the body.
+func TestDeltaCutBodiesAgree(t *testing.T) {
+	if !mat.HasAVX2() {
+		t.Skip("no AVX2 with OS-enabled YMM state on this host: only the portable coder exists here")
+	}
+	defer func(saved bool) { useVec = saved }(useVec)
+	for _, shape := range [][2]int{{16, 1}, {16, 16}, {2, 16}, {3, 7}} {
+		base := randomModel(uint64(shape[0]*100+shape[1]), shape[0], shape[1])
+		for _, cur := range []*Model{base, ulpStep(base, 3, -1), drifted(base, 5, 1e-3), drifted(base, 6, 1e-12)} {
+			body, ok := AppendDelta(nil, cur, base)
+			if !ok {
+				continue
+			}
+			for cut := 0; cut <= len(body); cut++ {
+				data := append(make([]byte, 0, cut), body[:cut]...)
+				var backs [2]Model
+				var errs [2]error
+				for k, vec := range []bool{false, true} {
+					useVec = vec
+					errs[k] = ApplyDelta(&backs[k], data, base)
+				}
+				if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) || errs[0] == nil && !sameBits(&backs[0], &backs[1]) {
+					t.Fatalf("%dx%d cut to %d of %d bytes: portable %v, vector %v", shape[0], shape[1], cut, len(body), errs[0], errs[1])
+				}
+				if cut < deltaHeaderLen {
+					continue
+				}
+				src := data[deltaHeaderLen:]
+				done, rest := decodeBlocksVec(make([]float64, shape[0]*shape[1]), src,
+					base.W.RawData(), base.W.RawData(), base.W.RawData())
+				off := 0
+				for range done / deltaBlock {
+					n := int(src[off])
+					if off+1+14*n+16 > len(src) {
+						t.Fatalf("%dx%d cut to %d: the assembly was handed a block it reads past the body", shape[0], shape[1], cut)
+					}
+					off += 1 + deltaBlock*n
+				}
+				if off != len(src)-len(rest) {
+					t.Fatalf("%dx%d cut to %d: %d blocks span %d bytes, the scan says %d", shape[0], shape[1], cut, done/deltaBlock, off, len(src)-len(rest))
+				}
+			}
+		}
+	}
 }
 
 var deltaSink int

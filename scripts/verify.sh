@@ -56,8 +56,18 @@ echo "== no fused multiply-add in kernels =="
 # lane multiplies, rounds, then adds and rounds again, as Go does on amd64. A
 # fused multiply-add rounds once, so one VFMADD in internal/mat's assembly
 # moves weights, digests and every bit-identity reference.
-if grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' internal/mat/*.s; then
-    echo "internal/mat: fused multiply-add in a kernel"; exit 1
+if grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' internal/mat/*.s internal/ml/*.s; then
+    echo "fused multiply-add in a kernel"; exit 1
+fi
+
+echo "== integer-only codec =="
+# internal/ml's vector delta coder is bit-identical to the portable one by
+# construction: it is integer arithmetic on bit patterns (wrapping adds and
+# subtracts, shifts, compares, byte shuffles), with no rounding to agree on.
+# One floating-point add, subtract, multiply, divide or square root there
+# would round, and break that across the two ends of a link.
+if grep -nE 'V?(ADD|SUB|MUL|DIV|SQRT)(P|S)D|VFM' internal/ml/*.s; then
+    echo "internal/ml: floating-point arithmetic in the integer-only codec"; exit 1
 fi
 
 echo "== tests =="
