@@ -86,45 +86,13 @@ var (
 	LoadTrace = energy.LoadTrace
 )
 
-// Asynchronous federated learning, re-exported.
-type (
-	// AsyncConfig parameterizes staleness-weighted asynchronous FL.
-	AsyncConfig = fl.AsyncConfig
-	// AsyncUpdate records one asynchronous global update.
-	AsyncUpdate = fl.AsyncUpdate
-	// AsyncEngine runs FedAsync-style training over in-memory shards.
-	AsyncEngine = fl.AsyncEngine
-	// AsyncOption customizes an AsyncEngine (worker-pool sizes).
-	AsyncOption = fl.AsyncOption
-)
-
-// NewAsyncEngine builds an asynchronous engine over the shards; test may be
-// nil. Results are bit-identical for every worker-pool option: completion
-// order comes from the engine's deterministic virtual-time scheduler, never
-// from goroutine scheduling.
-func NewAsyncEngine(cfg AsyncConfig, shards []*Dataset, test *Dataset, opts ...AsyncOption) (*AsyncEngine, error) {
-	return fl.NewAsyncEngine(cfg, shards, test, opts...)
-}
-
-// Async engine options and stop-condition constructors, re-exported.
-var (
-	// WithAsyncParallelism caps concurrent local-training workers.
-	WithAsyncParallelism = fl.WithAsyncParallelism
-	// WithAsyncEvalParallelism caps the post-update evaluation workers.
-	WithAsyncEvalParallelism = fl.WithAsyncEvalParallelism
-	// MaxAsyncSteps stops after n asynchronous updates.
-	MaxAsyncSteps = fl.MaxAsyncSteps
-	// AsyncTargetAccuracy stops at a test-accuracy threshold.
-	AsyncTargetAccuracy = fl.AsyncTargetAccuracy
-)
-
 // Per-round observability, re-exported: attach a RoundObserver (or a
-// TraceWriter over an io.Writer) to an Engine or AsyncEngine via
-// SetRoundObserver to stream one RoundStats per round/step.
+// TraceWriter over an io.Writer) to a simulation's engine via
+// SetRoundObserver to stream one RoundStats per round.
 type (
 	// RoundStats is one round's phase timings and pool occupancy.
 	RoundStats = fl.RoundStats
-	// RoundObserver consumes RoundStats after each round or async step.
+	// RoundObserver consumes RoundStats after each round.
 	RoundObserver = fl.RoundObserver
 	// FuncObserver adapts a function to the RoundObserver interface.
 	FuncObserver = fl.FuncObserver

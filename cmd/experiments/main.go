@@ -335,13 +335,6 @@ func run(args []string) error {
 		if err := experiments.RenderQuant(out, quant); err != nil {
 			return err
 		}
-		async, err := experiments.CompareAsync(s, 4, 5, 0.6)
-		if err != nil {
-			return fmt.Errorf("async comparison: %w", err)
-		}
-		if err := async.Render(out); err != nil {
-			return err
-		}
 		stability, err := experiments.SeedStability(s, 4, 10, 5)
 		if err != nil {
 			return fmt.Errorf("seed stability: %w", err)

@@ -5,13 +5,11 @@
 //	feisim -k 1 -e 43 -target 0.88    # run the planner's optimal config
 //	feisim -scale paper -k 10 -e 40   # prototype-scale dimensions (slow)
 //	feisim -collect                   # pay IoT data-collection every round
-//	feisim -async -max-staleness 8    # FedAsync-style staleness-weighted run
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -42,10 +40,6 @@ func run(args []string) error {
 		trace     = fs.String("trace", "", "write per-round phase timings as JSON lines to this file")
 		calibrate = fs.Bool("calibrate", false, "accumulate a measured per-phase energy ledger from round timings and report drift vs the analytic device model")
 		traceMem  = fs.Bool("trace-mem", false, "sample runtime.MemStats per round into the trace (requires -trace; slows rounds)")
-		async     = fs.Bool("async", false, "asynchronous staleness-weighted scheduling instead of synchronous rounds")
-		mix       = fs.Float64("mix", 0.6, "async base mixing weight α (with -async)")
-		maxStale  = fs.Int("max-staleness", 0, "async: drop updates staler than this many versions, 0 = never (with -async)")
-		workers   = fs.Int("workers", 0, "async training/eval pool size, 0 = GOMAXPROCS; any value is bit-identical (with -async)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,11 +72,6 @@ func run(args []string) error {
 	if *maxRounds <= 0 {
 		*maxRounds = setup.RoundCap
 	}
-	of := observeFlags{trace: *trace, traceMem: *traceMem, calibrate: *calibrate}
-	if *async {
-		return runAsync(setup, *e, *mix, *maxStale, *workers, *target, *maxRounds, *seed, of)
-	}
-
 	cfg := sim.DefaultConfig()
 	cfg.Servers = setup.Servers
 	cfg.Preloaded = !*collect
@@ -99,6 +88,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	of := observeFlags{trace: *trace, traceMem: *traceMem, calibrate: *calibrate}
 	obs, err := of.attach(system.Engine(), cfg.Device.Power, *e, setup.SamplesPerServer())
 	if err != nil {
 		return err
@@ -111,7 +101,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := obs.reportTrace("rounds"); err != nil {
+	if err := obs.reportTrace(); err != nil {
 		return err
 	}
 
@@ -137,13 +127,6 @@ func run(args []string) error {
 	return nil
 }
 
-// observable is the observability handle fl.Engine and fl.AsyncEngine share
-// (both embed fl's round core).
-type observable interface {
-	SetRoundObserver(fl.RoundObserver)
-	SetMemSampling(bool)
-}
-
 // observeFlags are the -trace, -trace-mem and -calibrate flags.
 type observeFlags struct {
 	trace     string
@@ -161,7 +144,7 @@ type observers struct {
 // attach wires the flags onto eng: a JSONL trace writer and/or an energy
 // calibrator for rounds of e epochs over samples rows, teed into the
 // engine's one observer slot. The caller defers close.
-func (of observeFlags) attach(eng observable, power energy.PowerModel, e, samples int) (*observers, error) {
+func (of observeFlags) attach(eng *fl.Engine, power energy.PowerModel, e, samples int) (*observers, error) {
 	o := &observers{}
 	var sinks []fl.RoundObserver
 	if of.trace != "" {
@@ -195,8 +178,8 @@ func (o *observers) close() {
 }
 
 // reportTrace surfaces the trace writer's sticky error and the file's close
-// error, then prints how many records (rounds or steps) were written.
-func (o *observers) reportTrace(unit string) error {
+// error, then prints how many rounds were written.
+func (o *observers) reportTrace() error {
 	if o.tw == nil {
 		return nil
 	}
@@ -206,7 +189,7 @@ func (o *observers) reportTrace(unit string) error {
 	if err := o.file.Close(); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	fmt.Printf("trace: %d %s written to %s\n", o.tw.Lines(), unit, o.file.Name())
+	fmt.Printf("trace: %d rounds written to %s\n", o.tw.Lines(), o.file.Name())
 	return nil
 }
 
@@ -227,82 +210,4 @@ func printCalibration(cal *energy.Calibrator, tm energy.TimeModel) {
 		fmt.Printf("  %-9s measured %12v  modeled %12v  drift %+7.1f%%\n",
 			d.Phase, d.Measured, d.Modeled, d.Pct)
 	}
-}
-
-// runAsync is the -async path: a FedAsync-style staleness-weighted run over
-// the same setup, driven by the AsyncEngine's deterministic virtual-time
-// scheduler. -max-rounds caps total updates (applied or dropped) here, and
-// the projected energy charges every completed local training — download,
-// E epochs of compute, upload — including the stale ones that get dropped:
-// that wasted work is exactly the price the staleness cap pays to bound
-// model divergence.
-func runAsync(setup *experiments.Setup, e int, mix float64, maxStale, workers int,
-	target float64, maxSteps int, seed uint64, of observeFlags) error {
-	// Rescale the sync per-round decay to its per-version equivalent: the
-	// async version counter advances ~|shards|× faster than a synchronous
-	// round of fleet time (same mapping as experiments.CompareAsync).
-	decay := setup.Decay
-	if decay > 0 {
-		decay = math.Pow(decay, 1/float64(len(setup.Shards)))
-	}
-	cfg := fl.AsyncConfig{
-		LocalEpochs:  e,
-		LearningRate: setup.LearningRate,
-		Decay:        decay,
-		MixWeight:    mix,
-		MaxStaleness: maxStale,
-		Seed:         seed,
-	}
-	engine, err := fl.NewAsyncEngine(cfg, setup.Shards, setup.Test,
-		fl.WithAsyncParallelism(workers), fl.WithAsyncEvalParallelism(workers))
-	if err != nil {
-		return err
-	}
-	dm := energy.DefaultPiDeviceModel()
-	obs, err := of.attach(engine, dm.Power, e, setup.SamplesPerServer())
-	if err != nil {
-		return err
-	}
-	defer obs.close()
-	fmt.Printf("feisim: async, N=%d servers, E=%d, α=%.2f, staleness cap %d, target %.2f\n",
-		len(setup.Shards), e, mix, maxStale, target)
-
-	updates, err := engine.Run(func(h []fl.AsyncUpdate) bool {
-		return fl.AsyncTargetAccuracy(target)(h) || fl.MaxAsyncSteps(maxSteps)(h)
-	})
-	if err != nil {
-		return err
-	}
-	if err := obs.reportTrace("steps"); err != nil {
-		return err
-	}
-
-	dropped := 0
-	maxSeen := 0
-	for _, u := range updates {
-		if !u.Applied {
-			dropped++
-		}
-		if u.Staleness > maxSeen {
-			maxSeen = u.Staleness
-		}
-	}
-	last := updates[len(updates)-1]
-	fmt.Printf("\nupdates run       %d (%d applied, %d stale-dropped)\n",
-		len(updates), len(updates)-dropped, dropped)
-	fmt.Printf("max staleness     %d\n", maxSeen)
-	fmt.Printf("final loss        %.4f\n", last.TrainLoss)
-	fmt.Printf("final accuracy    %.4f\n", last.TestAccuracy)
-	fmt.Printf("virtual time      %.2f units\n", last.At)
-
-	perUpdate := dm.DownloadEnergy() + dm.TrainEnergy(e, setup.SamplesPerServer()) + dm.UploadEnergy()
-	total := float64(len(updates)) * perUpdate
-	fmt.Printf("\nprojected energy (no waiting phase):\n")
-	fmt.Printf("  per update %9.2f J\n", perUpdate)
-	fmt.Printf("  wasted     %9.2f J (stale-dropped trainings)\n", float64(dropped)*perUpdate)
-	fmt.Printf("  total      %9.2f J\n", total)
-	if obs.cal != nil {
-		printCalibration(obs.cal, dm.Time)
-	}
-	return nil
 }

@@ -21,24 +21,6 @@ func TestRunWithCollection(t *testing.T) {
 	}
 }
 
-func TestRunAsync(t *testing.T) {
-	// A tiny async run with tracing: 8 updates, tight staleness cap so both
-	// the applied and dropped paths execute, sequential pool.
-	trace := t.TempDir() + "/async.jsonl"
-	args := []string{"-async", "-e", "1", "-max-rounds", "8", "-target", "0.999",
-		"-max-staleness", "2", "-workers", "1", "-trace", trace}
-	if err := run(args); err != nil {
-		t.Fatalf("run -async: %v", err)
-	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatalf("trace not written: %v", err)
-	}
-	if lines := strings.Count(strings.TrimSpace(string(data)), "\n") + 1; lines != 8 {
-		t.Errorf("trace has %d lines, want 8", lines)
-	}
-}
-
 func TestRunCalibrate(t *testing.T) {
 	// -calibrate with and without -trace: the calibrator rides next to the
 	// trace writer via fl.Tee in the first run and alone in the second.
@@ -48,20 +30,16 @@ func TestRunCalibrate(t *testing.T) {
 	if err := run(args); err != nil {
 		t.Fatalf("run -calibrate -trace: %v", err)
 	}
-	if _, err := os.Stat(trace); err != nil {
-		t.Errorf("trace not written alongside calibration: %v", err)
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatalf("trace not written alongside calibration: %v", err)
+	}
+	if lines := strings.Count(strings.TrimSpace(string(data)), "\n") + 1; lines != 2 {
+		t.Errorf("trace has %d lines, want 2", lines)
 	}
 	args = []string{"-k", "2", "-e", "2", "-max-rounds", "2", "-target", "0.999", "-calibrate"}
 	if err := run(args); err != nil {
 		t.Fatalf("run -calibrate: %v", err)
-	}
-}
-
-func TestRunAsyncCalibrate(t *testing.T) {
-	args := []string{"-async", "-e", "1", "-max-rounds", "4", "-target", "0.999",
-		"-workers", "1", "-calibrate"}
-	if err := run(args); err != nil {
-		t.Fatalf("run -async -calibrate: %v", err)
 	}
 }
 

@@ -119,7 +119,7 @@ func summarize(w io.Writer, stats []fl.RoundStats) {
 	perPhase := make(map[string][]time.Duration, len(phaseNames))
 	var grand time.Duration
 	totals := make(map[string]time.Duration, len(phaseNames))
-	var dropped, retries int
+	var dropped, retries, rejoins int
 	for _, s := range stats {
 		phased := time.Duration(0)
 		for p := fl.PhaseSelect; p <= fl.PhaseEvaluate; p++ {
@@ -137,6 +137,7 @@ func summarize(w io.Writer, stats []fl.RoundStats) {
 		grand += s.Total
 		dropped += s.Dropped
 		retries += s.Retries
+		rejoins += s.Rejoins
 	}
 
 	fmt.Fprintf(w, "rounds:     %d\n", n)
@@ -144,8 +145,8 @@ func summarize(w io.Writer, stats []fl.RoundStats) {
 	if grand > 0 {
 		fmt.Fprintf(w, "throughput: %.2f rounds/sec\n", float64(n)/grand.Seconds())
 	}
-	if dropped > 0 || retries > 0 {
-		fmt.Fprintf(w, "faults:     %d dropped, %d retried\n", dropped, retries)
+	if dropped > 0 || retries > 0 || rejoins > 0 {
+		fmt.Fprintf(w, "faults:     %d dropped, %d retried, %d rejoined\n", dropped, retries, rejoins)
 	}
 	fmt.Fprintf(w, "\n%-10s %14s %7s %14s %14s\n", "phase", "total", "share", "p50", "p99")
 	for _, name := range phaseNames {

@@ -256,10 +256,11 @@ func TestCalibratorDoesNotPerturbTraining(t *testing.T) {
 		}
 		engine, err := fl.NewEngine(fl.Config{
 			ClientsPerRound: 2, LocalEpochs: 2, LearningRate: 0.1, Seed: 7,
-		}, shards, fl.WithTestSet(test), fl.WithRoundObserver(obs))
+		}, shards, fl.WithTestSet(test))
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
+		engine.SetRoundObserver(obs)
 		hist, err := engine.Run(fl.MaxRounds(3))
 		if err != nil {
 			t.Fatalf("Run: %v", err)

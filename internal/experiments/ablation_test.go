@@ -152,33 +152,3 @@ func TestFigure4CSV(t *testing.T) {
 		t.Errorf("fig4 csv row = %q", lines[1])
 	}
 }
-
-func TestCompareAsync(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training comparison")
-	}
-	setup := quickSetup(t)
-	cmp, err := CompareAsync(setup, 4, 5, 0.6)
-	if err != nil {
-		t.Fatalf("CompareAsync: %v", err)
-	}
-	if cmp.SyncRounds <= 0 || cmp.AsyncUpdates <= 0 {
-		t.Fatalf("degenerate comparison: %+v", cmp)
-	}
-	if cmp.SyncFinalAccuracy < setup.AccuracyTarget-0.05 {
-		t.Errorf("sync never got close to target: %v", cmp.SyncFinalAccuracy)
-	}
-	if cmp.AsyncFinalAccuracy < setup.AccuracyTarget-0.05 {
-		t.Errorf("async never got close to target: %v", cmp.AsyncFinalAccuracy)
-	}
-	if cmp.SyncJoules <= 0 || cmp.AsyncJoules <= 0 {
-		t.Error("energies must be positive")
-	}
-	var buf bytes.Buffer
-	if err := cmp.Render(&buf); err != nil {
-		t.Fatalf("Render: %v", err)
-	}
-	if !strings.Contains(buf.String(), "async") {
-		t.Error("render missing async row")
-	}
-}

@@ -73,41 +73,6 @@ func BenchmarkRoundMiniBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncStep is the asynchronous counterpart of BenchmarkRoundTable2:
-// one steady-state virtual-time step — flush the pending local training, pop
-// the completion queue, staleness-discounted mix, global loss + test accuracy
-// on the scratch model, atomic commit, re-dispatch. The eval=1 variant is the
-// fully sequential hot path TestAsyncStepAllocationFree pins at zero
-// allocations; eval=4 adds the pooled shard-loss map-reduce.
-func BenchmarkAsyncStep(b *testing.B) {
-	shards, test := benchShards(b)
-	for _, eval := range []int{1, 4} {
-		b.Run(fmt.Sprintf("eval=%d", eval), func(b *testing.B) {
-			engine, err := NewAsyncEngine(AsyncConfig{
-				LocalEpochs: 40, LearningRate: 0.01, Decay: 0.99, MixWeight: 0.6, Seed: 1,
-			}, shards, test, WithAsyncParallelism(eval), WithAsyncEvalParallelism(eval))
-			if err != nil {
-				b.Fatalf("NewAsyncEngine: %v", err)
-			}
-			// Warmup: the first Step dispatches and trains the whole fleet;
-			// a second settles every scratch buffer so allocs/op is the
-			// steady-state figure.
-			for i := 0; i < 2; i++ {
-				if _, err := engine.Step(); err != nil {
-					b.Fatalf("warmup Step: %v", err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Step(); err != nil {
-					b.Fatalf("Step: %v", err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGlobalLoss measures the shard-parallel evaluation map-reduce on
 // its own, sequential versus pooled.
 func BenchmarkGlobalLoss(b *testing.B) {

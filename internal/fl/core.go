@@ -5,72 +5,14 @@ import (
 	"math"
 	"runtime"
 
-	"eefei/internal/dataset"
 	"eefei/internal/ml"
 	"eefei/internal/par"
 )
 
-// core is the round machinery Engine and AsyncEngine share: the validated
-// fleet, the global model and the scratch model a round is built and
-// evaluated in before commit publishes it, the bounded training pool with
-// its per-worker optimizers, the evaluation tail and the observer state.
-// What differs stays with each engine — selection, the Aggregator and the
-// per-slot models for Engine; the virtual-time heap, dispatch snapshots,
-// staleness mix and drop path for AsyncEngine. See DESIGN.md §7 "Round core".
-type core struct {
-	shards       []*dataset.Dataset
-	totalSamples int
-	test         *dataset.Dataset
-	global       *ml.Model
-	scratch      *ml.Model
-	parallel     int
-	evalParallel int
-	roundObs     RoundObserver
-	sampleMem    bool
-
-	// sgds is indexed by pool worker (a worker trains its claimed indices
-	// sequentially), errs by pool index.
-	sgds []ml.SGD
-	errs []error
-	// Evaluation scratch: the shard-parallel loss map-reduce and a
-	// chunk-parallel evaluator for the test set.
-	shardLoss shardLossMap
-	testEval  *ml.Evaluator
-}
-
-// newCore validates the fleet — non-empty, every shard valid and of one
-// shape — and sizes the models and pools over it. Violations wrap sentinel.
-func newCore(shards []*dataset.Dataset, test *dataset.Dataset, act ml.Activation, sentinel error) (core, error) {
-	if len(shards) == 0 {
-		return core{}, fmt.Errorf("no shards: %w", sentinel)
-	}
-	dim, classes := shards[0].Dim(), shards[0].Classes
-	total := 0
-	for i, s := range shards {
-		if err := s.Validate(); err != nil {
-			return core{}, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if s.Dim() != dim || s.Classes != classes {
-			return core{}, fmt.Errorf("shard %d shape %d/%d differs from shard 0 %d/%d: %w",
-				i, s.Dim(), s.Classes, dim, classes, sentinel)
-		}
-		total += s.Len()
-	}
-	if act == 0 {
-		act = ml.Softmax
-	}
-	c := core{
-		shards:       shards,
-		totalSamples: total,
-		test:         test,
-		global:       ml.NewModel(classes, dim, act),
-		scratch:      ml.NewModel(classes, dim, act),
-		parallel:     poolSize(0),
-		evalParallel: poolSize(0),
-	}
-	c.shardLoss.init(len(shards))
-	return c, nil
-}
+// The Engine methods below are the round machinery Engine.Round runs
+// around its selection and aggregation: the bounded training pool, local
+// training, the evaluation tail, the phase clock and the commit. See
+// DESIGN.md §7 "Round core".
 
 // poolSize resolves a parallelism knob: 0 (or less) selects GOMAXPROCS.
 func poolSize(n int) int {
@@ -81,35 +23,35 @@ func poolSize(n int) int {
 }
 
 // SetRoundObserver attaches (or, with nil, detaches) the per-round
-// observability sink after construction — cmd/feisim uses this to wire its
-// -trace flag. Must not be called while a round or step runs.
-func (c *core) SetRoundObserver(o RoundObserver) { c.roundObs = o }
+// observability sink (phase timings, throughput, pool occupancy — see
+// RoundStats). With no observer the round loop takes no timestamps at all.
+// Must not be called while a round runs.
+func (e *Engine) SetRoundObserver(o RoundObserver) { e.roundObs = o }
 
 // SetMemSampling opts into sampling runtime.ReadMemStats around every
 // observed round, filling RoundStats.Mallocs/AllocBytes. It has no effect
 // without a RoundObserver.
-func (c *core) SetMemSampling(on bool) { c.sampleMem = on }
+func (e *Engine) SetMemSampling(on bool) { e.sampleMem = on }
 
 // clock starts the round's phase clock, or returns the zero (off) clock when
 // nobody observes: observability is pay-for-use, an unobserved round takes
 // no timestamps and allocates nothing extra.
-func (c *core) clock() PhaseClock {
-	if c.roundObs == nil {
+func (e *Engine) clock() PhaseClock {
+	if e.roundObs == nil {
 		return PhaseClock{}
 	}
-	return NewPhaseClock(c.sampleMem)
+	return NewPhaseClock(e.sampleMem)
 }
 
 // finish stops the clock and hands the round's stats to the observer.
-func (c *core) finish(pc *PhaseClock, round, workers int, claims []int, dropped int) {
-	if c.roundObs == nil {
+func (e *Engine) finish(pc *PhaseClock, round, workers int, claims []int) {
+	if e.roundObs == nil {
 		return
 	}
 	st := pc.Finish(round)
 	st.Workers = workers
 	st.WorkerClaims = claims
-	st.Dropped = dropped
-	c.roundObs.ObserveRound(st)
+	e.roundObs.ObserveRound(st)
 }
 
 // claimCounter wraps a pool job to count the indices each worker claimed —
@@ -124,29 +66,29 @@ func (cc *claimCounter) Run(worker, index int) {
 	cc.job.Run(worker, index)
 }
 
-// pool runs n local trainings on the bounded worker pool: up to c.parallel
+// pool runs n local trainings on the bounded worker pool: up to e.parallel
 // workers, each owning one SGD (and thereby its gradient/probability/shuffle
 // buffers and RNG object). Which worker trains which index is scheduling-
 // dependent, but harmless: train reseeds the stream on every assignment, so
 // the trajectory is identical for any pool size. The job reports failures
-// through c.errs[index]; pool returns the first in index order, together
+// through e.errs[index]; pool returns the first in index order, together
 // with the pool size used and — on observed rounds — the per-worker claims.
-func (c *core) pool(n int, job par.Job) (workers int, claims []int, err error) {
-	workers = max(1, min(c.parallel, n))
-	for len(c.sgds) < workers {
-		c.sgds = append(c.sgds, ml.SGD{})
+func (e *Engine) pool(n int, job par.Job) (workers int, claims []int, err error) {
+	workers = max(1, min(e.parallel, n))
+	for len(e.sgds) < workers {
+		e.sgds = append(e.sgds, ml.SGD{})
 	}
-	if cap(c.errs) < n {
-		c.errs = make([]error, n)
+	if cap(e.errs) < n {
+		e.errs = make([]error, n)
 	}
-	c.errs = c.errs[:n]
-	clear(c.errs)
-	if c.roundObs != nil {
+	e.errs = e.errs[:n]
+	clear(e.errs)
+	if e.roundObs != nil {
 		claims = make([]int, workers)
 		job = &claimCounter{job: job, claims: claims}
 	}
 	par.Do(n, workers, job)
-	for _, err := range c.errs {
+	for _, err := range e.errs {
 		if err != nil {
 			return workers, claims, err
 		}
@@ -154,37 +96,42 @@ func (c *core) pool(n int, job par.Job) (workers int, claims []int, err error) {
 	return workers, claims, nil
 }
 
-// train runs epochs of local SGD on worker w's optimizer over one client's
-// shard, updating model in place, and returns the final epoch's loss. The
-// mini-batch order must not depend on goroutine scheduling or pool size, so
-// the stream is reseeded from (cfg.Seed, client, t) — t being the round or
-// version the task belongs to — on every assignment. proxRef is the FedProx
-// anchor (nil for none).
-func (c *core) train(w int, model *ml.Model, client, t int, cfg ml.SGDConfig, epochs int, proxRef *ml.Model) (float64, error) {
-	cfg.Seed ^= uint64(client)<<32 ^ uint64(t)
-	sgd := &c.sgds[w]
-	if err := sgd.Reset(cfg); err != nil {
+// train runs the in-flight round's E epochs of local SGD at γ_t on worker
+// w's optimizer over one client's shard, updating model in place, and
+// returns the final epoch's loss. The mini-batch order must not depend on
+// goroutine scheduling or pool size, so the stream is reseeded from
+// (seed, client, round) on every assignment. The FedProx anchor is the
+// round's immutable global model.
+func (e *Engine) train(w int, model *ml.Model, client int) (float64, error) {
+	sgd := &e.sgds[w]
+	err := sgd.Reset(ml.SGDConfig{
+		LearningRate: e.lr,
+		BatchSize:    e.cfg.BatchSize,
+		ProximalMu:   e.cfg.ProximalMu,
+		Seed:         e.cfg.Seed ^ uint64(client)<<32 ^ uint64(e.round),
+	})
+	if err != nil {
 		return 0, err
 	}
-	sgd.SetProximalRef(proxRef)
-	return sgd.TrainFinal(model, c.shards[client], epochs)
+	sgd.SetProximalRef(e.global)
+	return sgd.TrainFinal(model, e.shards[client], e.cfg.LocalEpochs)
 }
 
 // evaluate computes the global loss F(m) over all shards (see shardLossMap
 // for the bit-identity and spawn-gate contracts) and, with a test set
 // attached, the test accuracy (NaN otherwise).
-func (c *core) evaluate(m *ml.Model) (loss, acc float64, err error) {
-	loss, err = c.shardLoss.lossOf(m, c.shards, c.totalSamples, c.evalParallel)
+func (e *Engine) evaluate(m *ml.Model) (loss, acc float64, err error) {
+	loss, err = e.shardLoss.lossOf(m, e.shards, e.totalSamples, e.evalParallel)
 	if err != nil {
 		return 0, 0, fmt.Errorf("global loss: %w", err)
 	}
-	if c.test == nil {
+	if e.test == nil {
 		return loss, math.NaN(), nil
 	}
-	if c.testEval == nil {
-		c.testEval = ml.NewEvaluator(c.evalParallel)
+	if e.testEval == nil {
+		e.testEval = ml.NewEvaluator(e.evalParallel)
 	}
-	acc, err = c.testEval.Accuracy(m, c.test)
+	acc, err = e.testEval.Accuracy(m, e.test)
 	if err != nil {
 		return 0, 0, fmt.Errorf("accuracy: %w", err)
 	}
@@ -192,4 +139,4 @@ func (c *core) evaluate(m *ml.Model) (loss, acc float64, err error) {
 }
 
 // commit publishes the scratch model as the new global.
-func (c *core) commit() error { return c.global.CopyFrom(c.scratch) }
+func (e *Engine) commit() error { return e.global.CopyFrom(e.scratch) }

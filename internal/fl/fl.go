@@ -74,9 +74,8 @@ func (c Config) Validate(shards int) error {
 	return nil
 }
 
-// LearningRateAt returns γ_t = γ0 · decay^t, the step size of round (or
-// async version) t — the one schedule Engine, AsyncEngine and the networked
-// coordinator all train under.
+// LearningRateAt returns γ_t = γ0 · decay^t, the step size of round t — the
+// one schedule Engine and the networked coordinator both train under.
 func (c Config) LearningRateAt(t int) float64 {
 	if c.Decay == 0 {
 		return c.LearningRate
@@ -87,19 +86,13 @@ func (c Config) LearningRateAt(t int) float64 {
 // ValidateSchedule checks the two fields LearningRateAt reads: γ0 must be
 // positive and finite, and decay in [0, 1] — a decay above 1 grows the step
 // every round, and a negative one eventually hands the optimizer a negative
-// γ mid-run.
+// γ mid-run. The negated comparisons reject NaN.
 func (c Config) ValidateSchedule() error {
-	return validateSchedule(c.LearningRate, c.Decay, ErrConfig)
-}
-
-// validateSchedule is ValidateSchedule's body, shared with AsyncConfig (which
-// reports under its own sentinel). The negated comparisons reject NaN.
-func validateSchedule(lr, decay float64, sentinel error) error {
-	if !(lr > 0) || math.IsInf(lr, 0) {
-		return fmt.Errorf("learning rate %v: %w", lr, sentinel)
+	if !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 0) {
+		return fmt.Errorf("learning rate %v: %w", c.LearningRate, ErrConfig)
 	}
-	if !(decay >= 0 && decay <= 1) {
-		return fmt.Errorf("decay %v: %w", decay, sentinel)
+	if !(c.Decay >= 0 && c.Decay <= 1) {
+		return fmt.Errorf("decay %v: %w", c.Decay, ErrConfig)
 	}
 	return nil
 }
@@ -201,7 +194,7 @@ type DgramBytes struct {
 // Engine runs FedAvg over in-memory shards.
 //
 // The per-round hot path is allocation-free after the first round: local
-// training runs on the shared bounded worker pool (see core) whose per-slot
+// training runs on the bounded worker pool (see pool) whose per-slot
 // scratch models and per-worker optimizers (each owning its gradient
 // accumulator, batched-forward chunk scratch, shuffle buffer, and RNG
 // stream) are reused round over round, the aggregate lands in a scratch
@@ -210,13 +203,33 @@ type DgramBytes struct {
 // map-reduce over per-worker evaluators.
 // See DESIGN.md §7 for the scratch-ownership rules.
 type Engine struct {
-	core
 	cfg      Config
 	selector Selector
 	agg      Aggregator
 	rng      *mat.RNG
 	round    int
 	history  []RoundRecord
+
+	// The validated fleet, the global model and the scratch model a round
+	// is aggregated and evaluated in before commit publishes it.
+	shards       []*dataset.Dataset
+	totalSamples int
+	test         *dataset.Dataset
+	global       *ml.Model
+	scratch      *ml.Model
+	parallel     int
+	evalParallel int
+	roundObs     RoundObserver
+	sampleMem    bool
+
+	// sgds is indexed by pool worker (a worker trains its claimed slots
+	// sequentially), errs by selection slot.
+	sgds []ml.SGD
+	errs []error
+	// Evaluation scratch: the shard-parallel loss map-reduce and a
+	// chunk-parallel evaluator for the test set.
+	shardLoss shardLossMap
+	testEval  *ml.Evaluator
 
 	// Round-loop scratch, reused across rounds and indexed by selection slot
 	// (each slot's result must survive until aggregation). selected and lr
@@ -248,13 +261,6 @@ func WithAggregator(a Aggregator) Option {
 	return func(e *Engine) { e.agg = a }
 }
 
-// WithRoundObserver attaches a per-round observability sink (phase timings,
-// throughput, pool occupancy — see RoundStats). Nil detaches; with no
-// observer the round loop takes no timestamps at all.
-func WithRoundObserver(o RoundObserver) Option {
-	return func(e *Engine) { e.roundObs = o }
-}
-
 // WithParallelism caps concurrent local-training workers; 1 forces
 // sequential execution, 0 selects GOMAXPROCS. Results are bit-identical for
 // every setting: a client's training stream is derived from (seed, client,
@@ -273,22 +279,41 @@ func WithEvalParallelism(n int) Option {
 }
 
 // NewEngine validates the config and builds an engine over the given shards.
-// All shards must agree on dimensionality and class count.
+// Every shard must be valid, and all must agree on dimensionality and class
+// count.
 func NewEngine(cfg Config, shards []*dataset.Dataset, opts ...Option) (*Engine, error) {
 	if err := cfg.Validate(len(shards)); err != nil {
 		return nil, err
 	}
-	c, err := newCore(shards, nil, cfg.Activation, ErrConfig)
-	if err != nil {
-		return nil, err
+	dim, classes := shards[0].Dim(), shards[0].Classes
+	total := 0
+	for i, s := range shards {
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		if s.Dim() != dim || s.Classes != classes {
+			return nil, fmt.Errorf("shard %d shape %d/%d differs from shard 0 %d/%d: %w",
+				i, s.Dim(), s.Classes, dim, classes, ErrConfig)
+		}
+		total += s.Len()
+	}
+	act := cfg.Activation
+	if act == 0 {
+		act = ml.Softmax
 	}
 	e := &Engine{
-		core:     c,
-		cfg:      cfg,
-		selector: RandomSelector{},
-		agg:      MeanAggregator{},
-		rng:      mat.NewRNG(cfg.Seed),
+		cfg:          cfg,
+		selector:     RandomSelector{},
+		agg:          MeanAggregator{},
+		rng:          mat.NewRNG(cfg.Seed),
+		shards:       shards,
+		totalSamples: total,
+		global:       ml.NewModel(classes, dim, act),
+		scratch:      ml.NewModel(classes, dim, act),
+		parallel:     poolSize(0),
+		evalParallel: poolSize(0),
 	}
+	e.shardLoss.init(len(shards))
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -359,7 +384,7 @@ func (e *Engine) Round() (RoundRecord, error) {
 	}
 	e.round++
 	e.history = append(e.history, rec)
-	e.finish(&pc, rec.Round, workers, claims, 0)
+	e.finish(&pc, rec.Round, workers, claims)
 	return rec, nil
 }
 
@@ -375,12 +400,7 @@ func (j *roundJob) Run(w, slot int) {
 	client, local := e.selected[slot], e.localModels[slot]
 	err := local.CopyFrom(e.global)
 	if err == nil {
-		e.losses[slot], err = e.train(w, local, client, e.round, ml.SGDConfig{
-			LearningRate: e.lr,
-			BatchSize:    e.cfg.BatchSize,
-			ProximalMu:   e.cfg.ProximalMu,
-			Seed:         e.cfg.Seed,
-		}, e.cfg.LocalEpochs, e.global)
+		e.losses[slot], err = e.train(w, local, client)
 	}
 	if err != nil {
 		e.errs[slot] = fmt.Errorf("round %d client %d: %w", e.round, client, err)

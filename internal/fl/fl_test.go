@@ -52,6 +52,8 @@ func TestConfigValidate(t *testing.T) {
 		{"decay above one", func(c *Config) { c.Decay = 1.5 }, true},
 		{"lr NaN", func(c *Config) { c.LearningRate = math.NaN() }, true},
 		{"lr +Inf", func(c *Config) { c.LearningRate = math.Inf(1) }, true},
+		{"lr -Inf", func(c *Config) { c.LearningRate = math.Inf(-1) }, true},
+		{"lr negative", func(c *Config) { c.LearningRate = -0.01 }, true},
 		{"decay negative", func(c *Config) { c.Decay = -1 }, true},
 		{"decay NaN", func(c *Config) { c.Decay = math.NaN() }, true},
 		{"decay zero (off)", func(c *Config) { c.Decay = 0 }, false},

@@ -34,16 +34,14 @@ type Phase uint8
 
 const (
 	// PhaseSelect covers client selection plus per-round scratch sizing
-	// (async: the virtual-time event-queue pop; networked: roster snapshot,
-	// selection, and request encoding).
+	// (networked: roster snapshot, selection, and request encoding).
 	PhaseSelect Phase = iota
-	// PhaseTrain covers local training across the worker pool (async: the
-	// flush of pending dispatches; networked: the request/reply exchange
-	// with every selected edge, including in-round rejoin repair).
+	// PhaseTrain covers local training across the worker pool (networked:
+	// the request/reply exchange with every selected edge, including
+	// in-round rejoin repair).
 	PhaseTrain
 	// PhaseAggregate covers building the update set and the aggregation
-	// proper (paper Eq. 2; async: the staleness-discounted mix — skipped,
-	// along with evaluate, on staleness-dropped steps).
+	// proper (paper Eq. 2).
 	PhaseAggregate
 	// PhaseEvaluate covers post-aggregation global loss and test accuracy.
 	PhaseEvaluate
@@ -69,8 +67,7 @@ func (p Phase) String() string {
 // Total is measured from round start to commit, so it also includes the
 // commit/bookkeeping remainder: Total >= Select+Train+Aggregate+Evaluate.
 type RoundStats struct {
-	// Round is the zero-based round (synchronous engines) or step
-	// (AsyncEngine) index.
+	// Round is the zero-based round index.
 	Round int `json:"round"`
 	// Select, Train, Aggregate, Evaluate are the per-phase wall-clock
 	// durations (see the Phase constants for exact boundaries).
@@ -84,15 +81,12 @@ type RoundStats struct {
 	// supports.
 	RoundsPerSec float64 `json:"rounds_per_sec"`
 	// Workers is the training fan-out actually used (pool size after the
-	// K cap; async: pool size of the step's pending-dispatch flush, 0 when
-	// nothing was pending; networked: number of selected clients exchanged
-	// with).
+	// K cap; networked: number of selected clients exchanged with).
 	Workers int `json:"workers"`
 	// WorkerClaims is per-pool-worker occupancy: how many training slots
-	// each worker claimed this round (synchronous: selection slots, sums to
-	// K; async: pending dispatches flushed this step). Nil when the engine
-	// has no pool (networked) or nothing was pending. The slice is only
-	// valid for the duration of the ObserveRound call. Claims are the one
+	// each worker claimed this round (selection slots, summing to K). Nil
+	// when the engine has no pool (networked). The slice is only valid for
+	// the duration of the ObserveRound call. Claims are the one
 	// scheduling-dependent field: which worker trains which slot varies
 	// with goroutine timing even though the trained models never do.
 	WorkerClaims []int `json:"worker_claims,omitempty"`
@@ -105,8 +99,7 @@ type RoundStats struct {
 	// Mallocs is the Mallocs (heap object) delta across the round.
 	Mallocs uint64 `json:"mallocs,omitempty"`
 	// Dropped / Rejoins / Retries mirror the fault-tolerance telemetry of
-	// the round record (networked rounds; for AsyncEngine, Dropped is 1
-	// when the step's update was discarded for exceeding MaxStaleness).
+	// the round record (networked rounds only).
 	Dropped int `json:"dropped,omitempty"`
 	Rejoins int `json:"rejoins,omitempty"`
 	Retries int `json:"retries,omitempty"`

@@ -33,18 +33,15 @@ func TestPhaseString(t *testing.T) {
 func TestObserverStats(t *testing.T) {
 	shards, test := quickShards(t, 10)
 	var stats []RoundStats
-	engine, err := NewEngine(quickConfig(), shards,
-		WithTestSet(test),
-		WithParallelism(4),
-		WithRoundObserver(FuncObserver(func(s RoundStats) {
-			// WorkerClaims is only valid during the call: copy it.
-			s.WorkerClaims = append([]int(nil), s.WorkerClaims...)
-			stats = append(stats, s)
-		})),
-	)
+	engine, err := NewEngine(quickConfig(), shards, WithTestSet(test), WithParallelism(4))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	engine.SetRoundObserver(FuncObserver(func(s RoundStats) {
+		// WorkerClaims is only valid during the call: copy it.
+		s.WorkerClaims = append([]int(nil), s.WorkerClaims...)
+		stats = append(stats, s)
+	}))
 	engine.SetMemSampling(true)
 	const rounds = 3
 	if _, err := engine.Run(MaxRounds(rounds)); err != nil {
@@ -94,15 +91,12 @@ func TestObserverStats(t *testing.T) {
 func TestObserverDeterminism(t *testing.T) {
 	shards, test := quickShards(t, 10)
 	run := func(observed bool) ([]RoundRecord, []float64) {
-		opts := []Option{WithTestSet(test), WithParallelism(3)}
-		if observed {
-			opts = append(opts,
-				WithRoundObserver(FuncObserver(func(RoundStats) { time.Sleep(time.Millisecond) })),
-			)
-		}
-		engine, err := NewEngine(quickConfig(), shards, opts...)
+		engine, err := NewEngine(quickConfig(), shards, WithTestSet(test), WithParallelism(3))
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
+		}
+		if observed {
+			engine.SetRoundObserver(FuncObserver(func(RoundStats) { time.Sleep(time.Millisecond) }))
 		}
 		engine.SetMemSampling(observed)
 		if _, err := engine.Run(MaxRounds(4)); err != nil {
@@ -118,56 +112,6 @@ func TestObserverDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(plainW, obsW) {
 		t.Error("global weights diverge bit-wise with an observer attached")
 	}
-}
-
-// TestAsyncObserverDeterminism is the same contract for the async engine,
-// including observed staleness-dropped steps.
-func TestAsyncObserverDeterminism(t *testing.T) {
-	shards, test := quickShards(t, 6)
-	cfg := DefaultAsyncConfig()
-	cfg.LocalEpochs = 2
-	cfg.MaxStaleness = 2 // force some dropped steps into the observed stream
-	run := func(observed bool) ([]AsyncUpdate, int) {
-		engine, err := NewAsyncEngine(cfg, shards, test)
-		if err != nil {
-			t.Fatalf("NewAsyncEngine: %v", err)
-		}
-		dropped := 0
-		if observed {
-			engine.SetRoundObserver(FuncObserver(func(s RoundStats) { dropped += s.Dropped }))
-			engine.SetMemSampling(true)
-		}
-		if _, err := engine.Run(MaxAsyncSteps(12)); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return engine.History(), dropped
-	}
-	plain, _ := run(false)
-	observed, obsDropped := run(true)
-	if !reflect.DeepEqual(histNoNaN(plain), histNoNaN(observed)) {
-		t.Errorf("async histories diverge with an observer attached")
-	}
-	wantDropped := 0
-	for _, u := range plain {
-		if !u.Applied {
-			wantDropped++
-		}
-	}
-	if obsDropped != wantDropped {
-		t.Errorf("observer saw %d dropped steps, history has %d", obsDropped, wantDropped)
-	}
-}
-
-// histNoNaN zeroes the NaN metric fields of dropped updates so DeepEqual
-// can compare histories (NaN != NaN).
-func histNoNaN(h []AsyncUpdate) []AsyncUpdate {
-	out := append([]AsyncUpdate(nil), h...)
-	for i := range out {
-		if !out[i].Applied {
-			out[i].TrainLoss, out[i].TestAccuracy = 0, 0
-		}
-	}
-	return out
 }
 
 // TestObserverRace exercises the observer plumbing under the race detector:
@@ -194,16 +138,17 @@ func TestObserverRace(t *testing.T) {
 			defer wg.Done()
 			cfg := quickConfig()
 			cfg.Seed = uint64(g + 1)
-			opts := []Option{WithTestSet(test), WithParallelism(4), WithRoundObserver(tw)}
-			if g == 0 {
-				// Engine 0 carries the mutating observer; engine 1 writes to
-				// the shared TraceWriter directly.
-				opts[2] = WithRoundObserver(mutating)
-			}
-			engine, err := NewEngine(cfg, shards, opts...)
+			engine, err := NewEngine(cfg, shards, WithTestSet(test), WithParallelism(4))
 			if err != nil {
 				t.Errorf("NewEngine: %v", err)
 				return
+			}
+			// Engine 0 carries the mutating observer; engine 1 writes to
+			// the shared TraceWriter directly.
+			if g == 0 {
+				engine.SetRoundObserver(mutating)
+			} else {
+				engine.SetRoundObserver(tw)
 			}
 			if _, err := engine.Run(MaxRounds(3)); err != nil {
 				t.Errorf("Run: %v", err)
@@ -228,11 +173,11 @@ func TestTraceWriterJSONL(t *testing.T) {
 	shards, test := quickShards(t, 10)
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
-	engine, err := NewEngine(quickConfig(), shards, WithTestSet(test),
-		WithRoundObserver(tw))
+	engine, err := NewEngine(quickConfig(), shards, WithTestSet(test))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	engine.SetRoundObserver(tw)
 	engine.SetMemSampling(true)
 	if _, err := engine.Run(MaxRounds(2)); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -8,19 +8,19 @@ import (
 	"eefei/internal/par"
 )
 
-// shardLossMap is the shard-parallel global-loss map-reduce shared by the
-// synchronous Engine and the AsyncEngine: up to `workers` goroutines each own
-// an ml.Evaluator (whose chunk-GEMM forward scratch is reused across rounds)
-// and claim whole shards off the shared pool (par.Do); each shard's loss lands
-// in its own slot and the weighted losses are reduced in shard order, so the
-// value is bit-identical for every worker count. A min-work spawn gate
+// shardLossMap is Engine's shard-parallel global-loss map-reduce: up to
+// `workers` goroutines each own an ml.Evaluator (whose chunk-GEMM forward
+// scratch is reused across rounds) and claim whole shards off the shared
+// pool (par.Do); each shard's loss lands in its own slot and the weighted
+// losses are reduced in shard order, so the value is bit-identical for every
+// worker count. A min-work spawn gate
 // (ml.GatedWorkers, à la mat.minRowsPerWorker) keeps tiny-shard evaluations
 // sequential, where goroutine overhead would dominate the row work.
 //
 // The in-flight pass state (model, shards) lives on the struct rather than in
 // closures — the map itself is the par.Job — so the sequential path, the one
-// the async engine's 0-alloc Step pin exercises, performs no heap allocations
-// after warm-up.
+// TestWarmRoundAllocations pins through GlobalLoss, performs no heap
+// allocations after warm-up.
 type shardLossMap struct {
 	evals  []*ml.Evaluator
 	losses []float64

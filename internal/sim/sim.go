@@ -120,13 +120,11 @@ func New(cfg Config, shards []*dataset.Dataset, test *dataset.Dataset) (*System,
 	if test != nil {
 		opts = append(opts, fl.WithTestSet(test))
 	}
-	if cfg.Observer != nil {
-		opts = append(opts, fl.WithRoundObserver(cfg.Observer))
-	}
 	engine, err := fl.NewEngine(cfg.FL, shards, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("fl engine: %w", err)
 	}
+	engine.SetRoundObserver(cfg.Observer)
 	fleets := make([]*iot.Fleet, len(shards))
 	samples := make([]int, len(shards))
 	for i, s := range shards {

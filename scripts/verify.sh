@@ -100,8 +100,6 @@ go run ./examples/energy_planner
 go run ./examples/federated_mnist | tail -4
 go run ./examples/networked_fl | tail -3
 go run ./examples/networked_fl -fault-drop-kb 30 | tail -3
-go run ./examples/async_fl | tail -3
-go run ./examples/async_fl -workers 1 -steps 40 | tail -3
 
 echo "== experiments (quick scale) =="
 go run ./cmd/experiments
