@@ -132,6 +132,13 @@ type Coordinator struct {
 	spare *snapshot
 	resid *ml.Model
 	recon *ml.Model
+	// Round-scratch slices, reused the same way: the connected slot ids
+	// selection draws from, the round's targets, its pooled request frames
+	// and the survivors' updates.
+	alive   []int
+	targets []target
+	frames  []*[]byte
+	updates []fl.Update
 
 	mu sync.Mutex
 	// global is the current round's model, replaced (never written) at

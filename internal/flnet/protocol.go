@@ -84,12 +84,13 @@ func (m MsgType) String() string {
 	}
 }
 
-// ProtoV3 is the one protocol version this package speaks, carried in the
-// handshake version byte so a future v4 can be told apart. A joiner
-// advertising a newer version is welcomed at ProtoV3; the retired ones — v1,
-// the same handshake bodies without the version byte, and v2, whose warm
-// model bodies were raw float64 — are refused by name.
-const ProtoV3 byte = 3
+// ProtoV4 is the one protocol version this package speaks, carried in the
+// handshake version byte so a future v5 can be told apart. A joiner
+// advertising a newer version is welcomed at ProtoV4; the retired ones — v1,
+// the same handshake bodies without the version byte, v2, whose warm model
+// bodies were raw float64, and v3, whose delta bodies stored each block's
+// values in whole bytes — are refused by name.
+const ProtoV4 byte = 4
 
 // deltaBits in a request's DownBits or a reply's Bits says the model body is
 // ml's lossless delta coding (ml.AppendDelta) against a prediction both ends
@@ -489,7 +490,7 @@ func decodeTrainReplyInto(payload []byte, m, sent, prevSent *ml.Model) (TrainRep
 
 // checkVersion validates a handshake body's fixed size and its trailing
 // version byte. The seed protocol (v1) sent the same bodies without that
-// byte; those, and a version below ProtoV3, are refused by name so the
+// byte; those, and a version below ProtoV4, are refused by name so the
 // operator of an old peer sees why it cannot register.
 func checkVersion(what string, payload []byte, size int) error {
 	switch {
@@ -497,7 +498,7 @@ func checkVersion(what string, payload []byte, size int) error {
 		return fmt.Errorf("version-less %s: protocol v1 is no longer supported: %w", what, ErrProtocol)
 	case len(payload) != size:
 		return fmt.Errorf("%s body of %d bytes: %w", what, len(payload), ErrProtocol)
-	case payload[size-1] < ProtoV3:
+	case payload[size-1] < ProtoV4:
 		v := payload[size-1]
 		return fmt.Errorf("%s at v%d: protocol v%d is no longer supported: %w", what, v, max(v, 1), ErrProtocol)
 	}
@@ -506,11 +507,11 @@ func checkVersion(what string, payload []byte, size int) error {
 
 // encodeJoin builds the 5-byte MsgJoin body: shard sample count, version.
 func encodeJoin(samples uint32) []byte {
-	return append(binary.LittleEndian.AppendUint32(nil, samples), ProtoV3)
+	return append(binary.LittleEndian.AppendUint32(nil, samples), ProtoV4)
 }
 
-// decodeJoin parses the MsgJoin body. Any advertised version from ProtoV3 up
-// is accepted; the Welcome answers ProtoV3.
+// decodeJoin parses the MsgJoin body. Any advertised version from ProtoV4 up
+// is accepted; the Welcome answers ProtoV4.
 func decodeJoin(payload []byte) (samples uint32, err error) {
 	if err := checkVersion("join", payload, 5); err != nil {
 		return 0, err
@@ -524,17 +525,17 @@ const welcomeLen = 5
 // encodeWelcome builds the 5-byte MsgWelcome body: assigned client id,
 // version.
 func encodeWelcome(id uint32) []byte {
-	return append(binary.LittleEndian.AppendUint32(nil, id), ProtoV3)
+	return append(binary.LittleEndian.AppendUint32(nil, id), ProtoV4)
 }
 
 // decodeWelcome parses the MsgWelcome body, which must carry exactly
-// ProtoV3 — the version every Join and Rejoin advertises.
+// ProtoV4 — the version every Join and Rejoin advertises.
 func decodeWelcome(payload []byte) (id uint32, err error) {
 	if err := checkVersion("welcome", payload, welcomeLen); err != nil {
 		return 0, err
 	}
-	if v := payload[4]; v != ProtoV3 {
-		return 0, fmt.Errorf("welcome at v%d, advertised v%d: %w", v, ProtoV3, ErrProtocol)
+	if v := payload[4]; v != ProtoV4 {
+		return 0, fmt.Errorf("welcome at v%d, advertised v%d: %w", v, ProtoV4, ErrProtocol)
 	}
 	return binary.LittleEndian.Uint32(payload), nil
 }
@@ -544,7 +545,7 @@ func decodeWelcome(payload []byte) (id uint32, err error) {
 func encodeRejoin(id, samples uint32) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, id)
 	buf = binary.LittleEndian.AppendUint32(buf, samples)
-	return append(buf, ProtoV3)
+	return append(buf, ProtoV4)
 }
 
 // decodeRejoin parses the MsgRejoin body, accepting versions as decodeJoin.

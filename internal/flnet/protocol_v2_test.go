@@ -18,18 +18,19 @@ import (
 
 // --- codec unit tests --------------------------------------------------------
 
-// v1Refusal and v2Refusal are what every refusal of a retired protocol must
-// say.
+// v1Refusal, v2Refusal and v3Refusal are what every refusal of a retired
+// protocol must say.
 const (
 	v1Refusal = "protocol v1 is no longer supported"
 	v2Refusal = "protocol v2 is no longer supported"
+	v3Refusal = "protocol v3 is no longer supported"
 )
 
 func TestHandshakeCodecs(t *testing.T) {
 	// One fixed body each, version byte last: Join 5 B, Welcome 5 B, Rejoin 9 B.
 	join := encodeJoin(7)
-	if len(join) != 5 || join[4] != ProtoV3 {
-		t.Errorf("join body = %v, want 5 bytes ending in v%d", join, ProtoV3)
+	if len(join) != 5 || join[4] != ProtoV4 {
+		t.Errorf("join body = %v, want 5 bytes ending in v%d", join, ProtoV4)
 	}
 	samples, err := decodeJoin(join)
 	if err != nil || samples != 7 {
@@ -37,8 +38,8 @@ func TestHandshakeCodecs(t *testing.T) {
 	}
 
 	welcome := encodeWelcome(3)
-	if len(welcome) != 5 || welcome[4] != ProtoV3 {
-		t.Errorf("welcome body = %v, want 5 bytes ending in v%d", welcome, ProtoV3)
+	if len(welcome) != 5 || welcome[4] != ProtoV4 {
+		t.Errorf("welcome body = %v, want 5 bytes ending in v%d", welcome, ProtoV4)
 	}
 	id, err := decodeWelcome(welcome)
 	if err != nil || id != 3 {
@@ -46,19 +47,19 @@ func TestHandshakeCodecs(t *testing.T) {
 	}
 
 	rejoin := encodeRejoin(4, 50)
-	if len(rejoin) != 9 || rejoin[8] != ProtoV3 {
-		t.Errorf("rejoin body = %v, want 9 bytes ending in v%d", rejoin, ProtoV3)
+	if len(rejoin) != 9 || rejoin[8] != ProtoV4 {
+		t.Errorf("rejoin body = %v, want 9 bytes ending in v%d", rejoin, ProtoV4)
 	}
 	rid, samples, err := decodeRejoin(rejoin)
 	if err != nil || rid != 4 || samples != 50 {
 		t.Errorf("rejoin round trip = (%d, %d, %v)", rid, samples, err)
 	}
 
-	// A joiner from the future is still accepted (and welcomed at ProtoV3).
+	// A joiner from the future is still accepted (and welcomed at ProtoV4).
 	if samples, err := decodeJoin([]byte{7, 0, 0, 0, 250}); err != nil || samples != 7 {
 		t.Errorf("future-version join = (%d, %v), want accepted", samples, err)
 	}
-	if rid, _, err := decodeRejoin([]byte{4, 0, 0, 0, 50, 0, 0, 0, ProtoV3 + 1}); err != nil || rid != 4 {
+	if rid, _, err := decodeRejoin([]byte{4, 0, 0, 0, 50, 0, 0, 0, ProtoV4 + 1}); err != nil || rid != 4 {
 		t.Errorf("future-version rejoin = (%d, %v), want accepted", rid, err)
 	}
 }
@@ -72,14 +73,15 @@ func TestHandshakeDecodeErrors(t *testing.T) {
 		err  error
 		isV1 bool // the error must name the retired protocol
 		isV2 bool
+		isV3 bool
 	}{
 		{name: "join-empty", err: join(nil)},
 		{name: "join-3-bytes", err: join([]byte{1, 2, 3})},
 		{name: "join-6-bytes", err: join([]byte{1, 2, 3, 4, 5, 6})},
 		{name: "welcome-short", err: welcome([]byte{1})},
-		// An edge only ever advertises v3, so a newer Welcome is an upgrade
+		// An edge only ever advertises v4, so a newer Welcome is an upgrade
 		// it did not ask for.
-		{name: "welcome-v4", err: welcome([]byte{1, 0, 0, 0, ProtoV3 + 1})},
+		{name: "welcome-v5", err: welcome([]byte{1, 0, 0, 0, ProtoV4 + 1})},
 		{name: "rejoin-short", err: rejoin([]byte{1, 2})},
 		{name: "rejoin-10-bytes", err: rejoin(make([]byte, 10))},
 		// The retired v1 shapes: the same bodies without the version byte,
@@ -94,10 +96,15 @@ func TestHandshakeDecodeErrors(t *testing.T) {
 		{name: "rejoin-versioned-v1", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 1}), isV1: true},
 		{name: "rejoin-versioned-v0", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0}), isV1: true},
 		// The retired v2: the same bodies, version byte 2 — its warm model
-		// bodies were raw float64, which a v3 peer no longer sends.
+		// bodies were raw float64, which a v4 peer no longer sends.
 		{name: "join-v2", err: join([]byte{1, 0, 0, 0, 2}), isV2: true},
 		{name: "welcome-v2", err: welcome([]byte{1, 0, 0, 0, 2}), isV2: true},
 		{name: "rejoin-v2", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 2}), isV2: true},
+		// The retired v3: its delta bodies stored each block's values in
+		// whole bytes, which a v4 decoder cannot read.
+		{name: "join-v3", err: join([]byte{1, 0, 0, 0, 3}), isV3: true},
+		{name: "welcome-v3", err: welcome([]byte{1, 0, 0, 0, 3}), isV3: true},
+		{name: "rejoin-v3", err: rejoin([]byte{0, 0, 0, 0, 1, 0, 0, 0, 3}), isV3: true},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, ErrProtocol) {
@@ -109,6 +116,9 @@ func TestHandshakeDecodeErrors(t *testing.T) {
 		}
 		if tc.isV2 && !strings.Contains(tc.err.Error(), v2Refusal) {
 			t.Errorf("%s: err = %v, want it to name the retired v2", tc.name, tc.err)
+		}
+		if tc.isV3 && !strings.Contains(tc.err.Error(), v3Refusal) {
+			t.Errorf("%s: err = %v, want it to name the retired v3", tc.name, tc.err)
 		}
 	}
 }
@@ -169,12 +179,12 @@ func TestSlotConnectsOnlyOnceWelcomed(t *testing.T) {
 }
 
 // TestRegisterRejectsV1WithoutGhostSlot drives the coordinator's handshake
-// with the retired v1 and v2 Join and Rejoin bodies: all are refused by name,
-// and none appends a roster slot, revives one, or disturbs the next id.
+// with the retired v1, v2 and v3 Join and Rejoin bodies: all are refused by
+// name, and none appends a roster slot, revives one, or disturbs the next id.
 func TestRegisterRejectsV1WithoutGhostSlot(t *testing.T) {
 	c := &Coordinator{}
 	if welcome, err := pipeRegister(t, c, MsgJoin, encodeJoin(10)); err != nil || welcome == nil {
-		t.Fatalf("v3 join: err %v, welcome %v", err, welcome)
+		t.Fatalf("v4 join: err %v, welcome %v", err, welcome)
 	}
 	c.mu.Lock()
 	c.clients[0].connected = false // a dropped client a v1 Rejoin must not revive
@@ -191,6 +201,8 @@ func TestRegisterRejectsV1WithoutGhostSlot(t *testing.T) {
 		{"v1 rejoin", MsgRejoin, []byte{0, 0, 0, 0, 10, 0, 0, 0}, v1Refusal},
 		{"v2 join", MsgJoin, []byte{10, 0, 0, 0, 2}, v2Refusal},
 		{"v2 rejoin", MsgRejoin, []byte{0, 0, 0, 0, 10, 0, 0, 0, 2}, v2Refusal},
+		{"v3 join", MsgJoin, []byte{10, 0, 0, 0, 3}, v3Refusal},
+		{"v3 rejoin", MsgRejoin, []byte{0, 0, 0, 0, 10, 0, 0, 0, 3}, v3Refusal},
 	} {
 		welcome, err := pipeRegister(t, c, tc.typ, tc.body)
 		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), tc.refusal) {
@@ -216,7 +228,7 @@ func TestRegisterRejectsV1WithoutGhostSlot(t *testing.T) {
 		t.Fatalf("join after the refusals: %v", err)
 	}
 	if id, err := decodeWelcome(welcome); err != nil || id != 1 {
-		t.Errorf("join after the refusals welcomed as (%d, %v), want id 1 at v%d", id, err, ProtoV3)
+		t.Errorf("join after the refusals welcomed as (%d, %v), want id 1 at v%d", id, err, ProtoV4)
 	}
 }
 
@@ -371,7 +383,7 @@ func TestDecodeTrainRequestV2Errors(t *testing.T) {
 }
 
 // TestEdgeRejectsProtocolMismatches drives the edge-side handshake guard: the
-// only Welcome an edge accepts carries ProtoV3, so a pre-v2 coordinator's
+// only Welcome an edge accepts carries ProtoV4, so a pre-v2 coordinator's
 // version-less body and an unrequested upgrade both fail the dial.
 func TestEdgeRejectsProtocolMismatches(t *testing.T) {
 	cfg := dataset.QuickSyntheticConfig()
@@ -386,7 +398,7 @@ func TestEdgeRejectsProtocolMismatches(t *testing.T) {
 		wantV1  bool
 	}{
 		{"v1 4-byte welcome", []byte{0, 0, 0, 0}, true},
-		{"welcome above advertised", []byte{0, 0, 0, 0, ProtoV3 + 1}, false},
+		{"welcome above advertised", []byte{0, 0, 0, 0, ProtoV4 + 1}, false},
 	} {
 		dial := func(string, time.Duration) (net.Conn, error) {
 			client, server := net.Pipe()

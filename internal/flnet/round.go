@@ -120,24 +120,28 @@ func (r *round) begin() error {
 	if err := r.selectTargets(); err != nil {
 		return err
 	}
-	return r.buildFrames()
+	r.frames = c.frames[:0]
+	err := r.buildFrames()
+	c.frames = r.frames
+	return err
 }
 
 // selectTargets draws K of the connected roster slots (mutex held). A short
 // roster fails before the selection stream is touched.
 func (r *round) selectTargets() error {
 	c := r.c
-	alive := make([]int, 0, len(c.clients))
+	alive := c.alive[:0]
 	for _, cl := range c.clients {
 		if cl.connected {
 			alive = append(alive, cl.id)
 		}
 	}
+	c.alive = alive
 	k := c.cfg.FL.ClientsPerRound
 	if k > len(alive) {
 		return fmt.Errorf("K=%d of %d alive clients: %w", k, len(alive), ErrCoordinator)
 	}
-	r.targets = make([]target, 0, k)
+	r.targets = c.targets[:0]
 	for _, idx := range c.rng.Sample(len(alive), k) {
 		cl := c.clients[alive[idx]]
 		tg := target{cl: cl, id: cl.id, conn: cl.conn, gen: cl.gen, base: cl.base, prev: cl.prev}
@@ -146,6 +150,7 @@ func (r *round) selectTargets() error {
 		}
 		r.targets = append(r.targets, tg)
 	}
+	c.targets = r.targets
 	return nil
 }
 
@@ -231,6 +236,9 @@ func (r *round) release() {
 			r.unstage(tg)
 		}
 	}
+	// The coordinator keeps the arrays, not what they point at.
+	clear(r.frames)
+	clear(r.targets)
 }
 
 // unstage gives back the reconstruction staged for a residual request that
@@ -404,12 +412,13 @@ func (r *round) settle() error {
 // aggregate averages the survivors' models per Eq. (2), in slot order, into
 // the spare model that ping-pongs with the global at commit.
 func (r *round) aggregate() error {
-	updates := make([]fl.Update, 0, len(r.targets))
+	updates := r.c.updates[:0]
 	for i := range r.targets {
 		if tg := &r.targets[i]; tg.err == nil {
 			updates = append(updates, fl.Update{Client: tg.id, Model: tg.rep.Model})
 		}
 	}
+	r.c.updates = updates
 	if err := (fl.MeanAggregator{}).Aggregate(r.c.spare.m, updates); err != nil {
 		return fmt.Errorf("round %d aggregate: %w", r.t, err)
 	}

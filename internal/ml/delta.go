@@ -13,40 +13,45 @@ import (
 // the next one is close to. This file codes a model losslessly against a
 // prediction formed from those: per parameter, the integer difference of the
 // IEEE-754 bit patterns of value and prediction, stored sixteen to a block in
-// as many bytes as the block's widest difference needs. It is integer
+// as many bits as the block's widest difference needs. It is integer
 // arithmetic on bit patterns from end to end, so decoding reproduces every bit
 // — −0, NaN payloads and ±Inf included — and late in training, when a round
-// moves a weight by a few parts in 10⁵, a parameter costs about five bytes
-// instead of eight.
+// moves a weight by a few parts in 10⁵, a parameter costs about four and a
+// half bytes instead of eight.
 //
 // Body: the 16-byte header of the float64 serialization under deltaMagic, then
 // W and B, each as blocks of sixteen values (fewer in a tensor's last):
 //
-//	uint8    n ≤ 8, the bytes the block's widest difference needs, sign included
+//	uint8    n ≤ 64, the bits the block's widest difference needs, sign included
 //	         (0: the block is predicted exactly)
-//	n bytes per value, little-endian: the difference plus 2^(8n−1)
+//	the values, each the difference plus 2^(n−1) in n bits, packed LSB-first:
+//	value j at bit j·n of the bytes after the header, the last byte zero-filled
 //
-// so a full block is 1 + 16n bytes. Whole bytes, not bits: a value's bytes are
-// then one word move in the portable loops and one shuffle in the vector lanes
-// (delta_amd64.s). Packing the widths to the bit saves another tenth of the
-// body, at a third more per portable pass.
+// so a full block is 1 + 2n bytes. The encoder stores widths 57–63 as 64: a
+// value of up to 57 bits at any bit offset is then one 8-byte word in the
+// portable loops and one shuffle and shift in the vector lanes
+// (delta_amd64.s), and those widths cost a block at most 15 bytes. The decoder
+// accepts every n ≤ 64.
 
 // ErrDelta is returned (wrapped) for malformed delta bodies and for
 // predictors that do not fit them.
 var ErrDelta = errors.New("ml: delta coding error")
 
 // deltaMagic guards the delta body format.
-var deltaMagic = [4]byte{'E', 'F', 'D', 1}
+var deltaMagic = [4]byte{'E', 'F', 'D', 2}
 
 const (
 	deltaHeaderLen = 16
 	deltaBlock     = 16
+	// deltaWidest is the widest block width the encoder stores below 64: a
+	// value of that many bits at any bit offset lies in one 8-byte word.
+	deltaWidest = 56
 	// deltaWindow is the stretch of buffer the block coder addresses at a
-	// time. A value's bytes are written, and read, as one 8-byte word of which
-	// only the first n count, so the window is the widest block plus a word of
-	// slack — rounded up until an offset masked to seven bits plus a word
-	// stays inside it.
-	deltaWindow = 255 + 8
+	// time. Values are written, and read, as 8-byte words at byte offsets
+	// below 128 (a full block ends 129 bytes from its start), and a read of
+	// a width above 57 takes a ninth byte: an offset masked to seven bits
+	// plus nine bytes stays inside the window.
+	deltaWindow = 127 + 9
 )
 
 // predict forms the prediction a + (b − c) — on bit patterns, as everything
@@ -90,7 +95,17 @@ func AppendDelta(dst []byte, cur *Model, pred ...*Model) ([]byte, bool) {
 	if !ok || len(cur.B) != cur.Classes() {
 		return dst, false
 	}
-	// Worst case: every block at n = 8, one byte longer than its values; the
+	out := appendDeltaBody(dst, cur, a, b, c)
+	if len(out)-len(dst) >= cur.EncodedSize() {
+		return dst, false
+	}
+	return out, true
+}
+
+// appendDeltaBody appends cur's delta body against a + (b − c), however long
+// it comes out; the predictors have cur's shape.
+func appendDeltaBody(dst []byte, cur, a, b, c *Model) []byte {
+	// Worst case: every block at n = 64, one byte longer than its values; the
 	// block coder writes through a window.
 	n := cur.ParamCount()
 	out := slices.Grow(dst, deltaHeaderLen+n*8+n/deltaBlock+2+deltaWindow)
@@ -101,11 +116,7 @@ func AppendDelta(dst []byte, cur *Model, pred ...*Model) ([]byte, bool) {
 	binary.LittleEndian.PutUint32(h[8:12], uint32(cur.Features()))
 	out = append(out, h[:]...)
 	out = appendDeltaTensor(out, cur.W.RawData(), a.W.RawData(), b.W.RawData(), c.W.RawData())
-	out = appendDeltaTensor(out, cur.B, a.B, b.B, c.B)
-	if len(out)-len(dst) >= cur.EncodedSize() {
-		return dst, false
-	}
-	return out, true
+	return appendDeltaTensor(out, cur.B, a.B, b.B, c.B)
 }
 
 // appendDeltaTensor codes one tensor: the full blocks in vector lanes where
@@ -114,10 +125,16 @@ func AppendDelta(dst []byte, cur *Model, pred ...*Model) ([]byte, bool) {
 func appendDeltaTensor(dst []byte, cur, a, b, c []float64) []byte {
 	o := len(dst)
 	dst = dst[:cap(dst)]
-	i, o := codeBlocksVec(dst, o, cur, a, b, c)
-	for ; i+deltaBlock <= len(cur); i += deltaBlock {
-		o += codeBlock((*[deltaWindow]byte)(dst[o:]), deltaBlock, (*[deltaBlock]float64)(cur[i:]),
-			(*[deltaBlock]float64)(a[i:]), (*[deltaBlock]float64)(b[i:]), (*[deltaBlock]float64)(c[i:]))
+	i := 0
+	for i+deltaBlock <= len(cur) {
+		// The lanes code what they can from i on; the block they stop at (a
+		// width of 1–7 bits), or every block without them, is coded here.
+		i, o = codeBlocksVec(dst, o, i, cur, a, b, c)
+		if i+deltaBlock <= len(cur) {
+			o += codeBlock((*[deltaWindow]byte)(dst[o:]), deltaBlock, (*[deltaBlock]float64)(cur[i:]),
+				(*[deltaBlock]float64)(a[i:]), (*[deltaBlock]float64)(b[i:]), (*[deltaBlock]float64)(c[i:]))
+			i += deltaBlock
+		}
 	}
 	if i < len(cur) {
 		// The last, shorter block: padded (zero differences) to be coded, cut
@@ -148,29 +165,42 @@ func codeBlock(out *[deltaWindow]byte, m int, cur, a, b, c *[deltaBlock]float64)
 		d[j] = x
 		fold |= x<<1 ^ uint64(int64(x)>>63)
 	}
-	n := uint(bits.Len64(fold)+7) >> 3 // in whole bytes
+	n := uint(bits.Len64(fold))
+	if n > deltaWidest {
+		n = 64
+	}
 	out[0] = byte(n)
 	bias := blockBias(n)
-	p := uint(1)
+	// acc holds the bits not yet in whole bytes, used of them; after each
+	// value it is stored as one little-endian word at out[p:] and the whole
+	// bytes are stepped past. A biased value is below 2^n, and used + n ≤ 63
+	// for n ≤ 56; at n = 64 used stays 0 and the shift by 64 empties acc.
+	// The word is spelled out byte by byte on the array — the compiler fuses
+	// it into one move — and the mask changes nothing (p ≤ 121) but shows it
+	// that the word is in bounds.
+	var acc uint64
+	p, used := uint(1), uint(0)
 	for _, x := range d[:m] {
-		// One little-endian word at out[p:], of which n bytes count. Spelled
-		// out byte by byte on the array — the compiler fuses it into one move —
-		// because slicing the array first costs more than the move; the mask
-		// changes nothing (p ≤ 121) but shows it that the word is in bounds.
-		x += bias
-		k := p & 255
-		out[k], out[k+1], out[k+2], out[k+3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
-		out[k+4], out[k+5], out[k+6], out[k+7] = byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56)
-		p += n
+		acc |= (x + bias) << used
+		used += n
+		k := p & 127
+		out[k], out[k+1], out[k+2], out[k+3] = byte(acc), byte(acc>>8), byte(acc>>16), byte(acc>>24)
+		out[k+4], out[k+5], out[k+6], out[k+7] = byte(acc>>32), byte(acc>>40), byte(acc>>48), byte(acc>>56)
+		p += used >> 3
+		acc >>= used &^ 7
+		used &= 7
 	}
-	return int(p)
+	return int(p + (used+7)>>3)
 }
 
-// blockMask covers the n bytes a block stores per value; blockBias is its top
+// blockMask covers the n bits a block stores per value; blockBias is its top
 // bit — half the range, which stored differences are offset by so that the
 // decoder undoes the sign with one subtraction.
-func blockMask(n uint) uint64 { return ^uint64(0) >> (64 - 8*n) }
+func blockMask(n uint) uint64 { return ^uint64(0) >> (64 - n) }
 func blockBias(n uint) uint64 { return blockMask(n) ^ blockMask(n)>>1 }
+
+// blockLen is the length of a block of m n-bit values, header included.
+func blockLen(m int, n uint) int { return 1 + (m*int(n)+7)>>3 }
 
 // ApplyDelta decodes a body written by AppendDelta into dst, given the same
 // predictors the encoder had. dst's parameter storage is reused when it has
@@ -178,7 +208,7 @@ func blockBias(n uint) uint64 { return blockMask(n) ^ blockMask(n)>>1 }
 // decoding is element by element, so the model a link no longer needs can be
 // overwritten by its successor. On error dst's parameters are unspecified.
 // Bodies that are short, carry trailing bytes, name another shape or a value
-// width above 8 bytes are refused; nothing is read past data.
+// width above 64 bits are refused; nothing is read past data.
 func ApplyDelta(dst *Model, data []byte, pred ...*Model) error {
 	if len(data) < deltaHeaderLen {
 		return fmt.Errorf("delta body of %d bytes: %w", len(data), ErrDelta)
@@ -226,8 +256,8 @@ func applyDeltaTensor(dst []float64, src []byte, a, b, c []float64) ([]byte, err
 			return nil, fmt.Errorf("body ends at parameter %d of %d: %w", i, len(dst), ErrDelta)
 		}
 		m, n := min(deltaBlock, len(dst)-i), uint(src[0])
-		if n > 8 || len(src) < 1+m*int(n) {
-			return nil, fmt.Errorf("block of %d %d-byte values at parameter %d in %d bytes: %w", m, n, i, len(src), ErrDelta)
+		if n > 64 || len(src) < blockLen(m, n) {
+			return nil, fmt.Errorf("block of %d %d-bit values at parameter %d in %d bytes: %w", m, n, i, len(src), ErrDelta)
 		}
 		in := &tail
 		if len(src) >= deltaWindow {
@@ -236,7 +266,7 @@ func applyDeltaTensor(dst []float64, src []byte, a, b, c []float64) ([]byte, err
 			// The last blocks of a body: give the word reads their slack.
 			copy(tail[:], src)
 		}
-		src = src[1+m*int(n):]
+		src = src[blockLen(m, n):]
 		if m == deltaBlock {
 			decodeBlock((*[deltaBlock]float64)(dst[i:]), in, n, (*[deltaBlock]float64)(a[i:]),
 				(*[deltaBlock]float64)(b[i:]), (*[deltaBlock]float64)(c[i:]))
@@ -252,15 +282,19 @@ func applyDeltaTensor(dst []float64, src []byte, a, b, c []float64) ([]byte, err
 	return src, nil
 }
 
-// decodeBlock is codeBlock's inverse for a block of n-byte values at in[1:].
+// decodeBlock is codeBlock's inverse for a block of n-bit values at in[1:].
+// A value is read from the word at its first byte, shifted by its bit offset
+// in that byte; only a width of 58–63 bits, which the encoder never writes,
+// reaches into a ninth byte (at offset 0 the shift by 64 drops it).
 func decodeBlock(dst *[deltaBlock]float64, in *[deltaWindow]byte, n uint, a, b, c *[deltaBlock]float64) {
 	vd, va, vb, vc := dst[:], a[:], b[:], c[:] // as in codeBlock
 	mask, bias := blockMask(n), blockBias(n)
-	p := uint(1)
+	p := uint(8) // in bits, past the header byte
 	for j := range vd {
-		k := p & 255
+		k, s := p>>3&127, p&7
 		x := uint64(in[k]) | uint64(in[k+1])<<8 | uint64(in[k+2])<<16 | uint64(in[k+3])<<24 |
 			uint64(in[k+4])<<32 | uint64(in[k+5])<<40 | uint64(in[k+6])<<48 | uint64(in[k+7])<<56
+		x = x>>s | uint64(in[k+8])<<(64-s)
 		vd[j] = math.Float64frombits(predict(math.Float64bits(va[j]), math.Float64bits(vb[j]), math.Float64bits(vc[j])) + (x&mask - bias))
 		p += n
 	}

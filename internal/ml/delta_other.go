@@ -6,6 +6,6 @@ package ml
 
 var useVec = false
 
-func codeBlocksVec(dst []byte, o int, cur, a, b, c []float64) (int, int) { return 0, o }
+func codeBlocksVec(dst []byte, o, i int, cur, a, b, c []float64) (int, int) { return i, o }
 
 func decodeBlocksVec(dst []float64, src []byte, a, b, c []float64) (int, []byte) { return 0, src }

@@ -210,7 +210,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 }
 
 // TestDeltaMinusOneULP pins the sign fold. A block whose only non-zero
-// differences are −1 must be stored one byte wide: a fold of x ^ x>>63 maps
+// differences are −1 must be stored one bit wide: a fold of x ^ x>>63 maps
 // −1 to 0, so such a block claimed "predicted exactly" (n = 0) and decoded one
 // ULP above the value sent — on the wire, a pair desynchronised for good.
 func TestDeltaMinusOneULP(t *testing.T) {
@@ -234,14 +234,14 @@ func TestDeltaMinusOneULP(t *testing.T) {
 		name    string
 		cur     *Model
 		pred    []*Model
-		wantLen int // every block one byte but the stepped one's, 1 + 16·1
+		wantLen int // every block one byte but the stepped one's, 1 + ⌈m·1/8⌉
 	}{
-		{"W[5]", ulpStep(paper, 5, -1), []*Model{paper}, 16 + 490 + 16 + 1},
-		{"W[32:48]", allW, []*Model{paper}, 16 + 490 + 16 + 1},
-		{"B-tail", ulpStep(paper, 7840+2, -1), []*Model{paper}, 16 + 490 + 1 + 10},
-		{"W-tail", ulpStep(small, 18, -1), []*Model{small}, 16 + 1 + 1 + 5 + 1},
-		{"second-order", ulpStep(predicted, 700, -1), second, 16 + 490 + 16 + 1},
-		{"second-order-B", ulpStep(predicted, 7849, -1), second, 16 + 490 + 1 + 10},
+		{"W[5]", ulpStep(paper, 5, -1), []*Model{paper}, 16 + 489 + 3 + 1},
+		{"W[32:48]", allW, []*Model{paper}, 16 + 489 + 3 + 1},
+		{"B-tail", ulpStep(paper, 7840+2, -1), []*Model{paper}, 16 + 490 + 1 + 2},
+		{"W-tail", ulpStep(small, 18, -1), []*Model{small}, 16 + 1 + 1 + 1 + 1},
+		{"second-order", ulpStep(predicted, 700, -1), second, 16 + 489 + 3 + 1},
+		{"second-order-B", ulpStep(predicted, 7849, -1), second, 16 + 490 + 1 + 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eachKernel(t, func(t *testing.T) {
@@ -261,17 +261,133 @@ func TestDeltaMinusOneULP(t *testing.T) {
 	}
 }
 
+// packBlock appends one block as the format comment in delta.go lays it out,
+// bit by bit: width n, then each difference plus 2^(n−1) in n bits at bit j·n.
+func packBlock(dst []byte, n uint, diffs []uint64) []byte {
+	var bias uint64
+	if n > 0 {
+		bias = 1 << (n - 1)
+	}
+	packed := make([]byte, (len(diffs)*int(n)+7)/8)
+	for j, x := range diffs {
+		for k := range n {
+			if (x+bias)>>k&1 == 1 {
+				at := uint(j)*n + k
+				packed[at/8] |= 1 << (at % 8)
+			}
+		}
+	}
+	return append(append(dst, byte(n)), packed...)
+}
+
+// TestDeltaBitWidths codes one block at each width worth pinning — the ends
+// of every lane path and of the portable one — plus a short tail block at 9
+// bits and a one-value block at 57. The body must be packBlock's, byte for
+// byte: a full block is 1 + 2n bytes, and 129 where 57–63 are stored as 64.
+// It also decodes hand-made bodies at 57–63 bits, which the encoder never
+// writes and the decoder must accept.
+func TestDeltaBitWidths(t *testing.T) {
+	widths := []uint{0, 1, 7, 8, 9, 31, 55, 56, 57, 63, 64}
+	stored := func(n uint) uint {
+		if n > deltaWidest {
+			return 64
+		}
+		return n
+	}
+	// diffs returns m differences that need exactly n bits: both ends of the
+	// n-bit range and random values between.
+	rng := mat.NewRNG(3)
+	diffs := func(m int, n uint) []uint64 {
+		d := make([]uint64, m)
+		if n == 0 {
+			return d
+		}
+		for j := range d {
+			d[j] = rng.Uint64()>>(64-n) - 1<<(n-1)
+		}
+		d[0], d[m-1] = -(1 << (n - 1)), 1<<(n-1)-1
+		return d
+	}
+	features := deltaBlock*len(widths) + 5
+	pred := randomModel(1, 1, features)
+	var wd, bd [][]uint64
+	for _, n := range widths {
+		wd = append(wd, diffs(deltaBlock, n))
+	}
+	wd = append(wd, diffs(5, 9))
+	bd = append(bd, diffs(1, 57))
+	// body lays the blocks out at widths w(n); cur is pred moved by them.
+	body := func(w func(uint) uint) []byte {
+		out := appendDeltaBody(nil, pred, pred, pred, pred)[:deltaHeaderLen]
+		for k, d := range wd {
+			n := uint(9)
+			if k < len(widths) {
+				n = widths[k]
+			}
+			out = packBlock(out, w(n), d)
+		}
+		return packBlock(out, w(57), bd[0])
+	}
+	cur := pred.Clone()
+	w := cur.W.RawData()
+	for k, d := range wd {
+		for j, x := range d {
+			i := k*deltaBlock + j
+			w[i] = math.Float64frombits(math.Float64bits(w[i]) + x)
+		}
+	}
+	cur.B[0] = math.Float64frombits(math.Float64bits(cur.B[0]) + bd[0][0])
+
+	want := body(stored)
+	wantLen := deltaHeaderLen + (1 + 6) + (1 + 8)
+	for _, n := range widths {
+		if n > deltaWidest {
+			wantLen += 129
+		} else {
+			wantLen += 1 + 2*int(n)
+		}
+	}
+	if len(want) != wantLen {
+		t.Fatalf("packBlock laid out %d bytes, want %d", len(want), wantLen)
+	}
+	eachKernel(t, func(t *testing.T) {
+		got, ok := AppendDelta(nil, cur, pred)
+		if !ok {
+			t.Fatal("fell back to raw")
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte body differs from the %d-byte layout", len(got), len(want))
+		}
+		var back Model
+		if err := ApplyDelta(&back, got, pred); err != nil || !sameBits(&back, cur) {
+			t.Fatalf("decode err %v, or it changed bits", err)
+		}
+		for _, n := range []uint{57, 58, 61, 63} {
+			// Every block that fits n bits and needs more than 56 takes n.
+			hand := body(func(m uint) uint {
+				if m > deltaWidest && m <= n {
+					return n
+				}
+				return stored(m)
+			})
+			if err := ApplyDelta(&back, hand, pred); err != nil || !sameBits(&back, cur) {
+				t.Errorf("hand-made body at %d bits: decode err %v, or it changed bits", n, err)
+			}
+		}
+	})
+}
+
 // TestDeltaLateTrainingSize pins what the codec is for: a model that moved by
-// parts in 10⁵ against a second-order prediction costs about five bytes a
-// parameter.
+// parts in 10⁵ against a second-order prediction costs about four and a half
+// bytes a parameter (it measures 4.48).
 func TestDeltaLateTrainingSize(t *testing.T) {
 	cur, a, b, c := lateTrainingModels()
 	body, ok := AppendDelta(nil, cur, a, b, c)
 	if !ok {
 		t.Fatal("late-training delta fell back to raw")
 	}
-	if perParam := float64(len(body)) / float64(cur.ParamCount()); perParam > 5.25 {
-		t.Errorf("%.2f bytes per parameter, want ≤ 5.25 (raw is 8)", perParam)
+	if perParam := float64(len(body)) / float64(cur.ParamCount()); perParam > 4.6 {
+		t.Errorf("%.2f bytes per parameter, want ≤ 4.6 (raw is 8)", perParam)
 	}
 }
 
@@ -373,8 +489,35 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add(second, true)
 	f.Add(first[:len(first)-2], false)
 	f.Add(append(append([]byte(nil), second...), 0), true)
-	f.Add([]byte("EFD\x01short"), false)
+	f.Add([]byte("EFD\x01short"), false) // the retired byte-width magic
+	f.Add([]byte("EFD\x02short"), false)
 	f.Add([]byte{}, true)
+	// Bodies at every width the lanes leave to the portable coder: 1–7 bits,
+	// as the encoder writes them, and 57–63, which only a hand can.
+	for n := uint(1); n <= 64; n++ {
+		step := base.Clone()
+		moved := func(v []float64) {
+			for i := range v {
+				v[i] = math.Float64frombits(math.Float64bits(v[i]) - 1<<(n-1))
+			}
+		}
+		moved(step.W.RawData())
+		moved(step.B)
+		switch {
+		case n <= 7 || n == 64:
+			f.Add(appendDeltaBody(nil, step, base, base, base), false)
+		case n > deltaWidest:
+			hand := appendDeltaBody(nil, step, base, base, base)[:deltaHeaderLen]
+			for _, m := range []int{deltaBlock, 8, 3} { // W: a full block and a tail; B
+				d := make([]uint64, m)
+				for j := range d {
+					d[j] = -(1 << (n - 1))
+				}
+				hand = packBlock(hand, n, d)
+			}
+			f.Add(hand, false)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, secondOrder bool) {
 		pred := []*Model{base}
 		if secondOrder {
@@ -424,9 +567,10 @@ func FuzzApplyDelta(f *testing.F) {
 // for any cur and predictors, AppendDelta then ApplyDelta returns cur's bits,
 // and the portable and vector coders write the same body. Shapes go up to
 // 10×800. cur is the prediction moved parameter by parameter as the fuzz
-// bytes say: not at all, ±1, ±2 or ±2⁸ ULP, a copy of the first predictor, a
-// special (±0, ±Inf, payload NaNs), unrelated, or a late-training step; and
-// the last predictor takes a special where a byte's top bit is set.
+// bytes say: not at all, ±1, ±2^(56+w) or ±2^w ULP (w from bits 4–6), a copy
+// of the first predictor, a special (±0, ±Inf, payload NaNs), unrelated, or a
+// late-training step; and the last predictor takes a special where a byte's
+// top bit is set.
 func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add(uint8(9), uint16(783), false, uint64(1), []byte{0, 0, 0, 1})
 	f.Add(uint8(9), uint16(783), true, uint64(6), []byte{0})
@@ -434,6 +578,13 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint16(0), false, uint64(3), []byte{})
 	f.Add(uint8(9), uint16(799), true, uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0x85})
 	f.Add(uint8(15), uint16(0), true, uint64(5), []byte{0, 0, 0, 7, 0, 0, 0, 15})
+	// Every block at one width: −2^(n−1) ULP needs n bits, for n = 1…7 (the
+	// portable coder's) and 57…64 (stored as 64).
+	for w := byte(0); w < 8; w++ {
+		f.Add(uint8(9), uint16(783), true, uint64(10+w), []byte{3 | 8 | w<<4})
+		f.Add(uint8(9), uint16(783), false, uint64(20+w), []byte{2 | 8 | w<<4})
+	}
+	f.Add(uint8(4), uint16(40), true, uint64(30), []byte{0x03, 0x1b, 0, 0x2a, 0x6b, 1, 0x7a, 0x3b})
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001)}
 	f.Fuzz(func(t *testing.T, classesRaw uint8, featRaw uint16, secondOrder bool, seed uint64, mix []byte) {
@@ -466,9 +617,9 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 				case 1:
 					p += sign
 				case 2:
-					p += 2 * sign
+					p += sign << (56 + k>>4&7) // 57–64 bits
 				case 3:
-					p += 256 * sign
+					p += sign << (k >> 4 & 7) // 1–9 bits
 				case 4:
 					p = math.Float64bits(specials[rng.Intn(len(specials))])
 				case 5:
@@ -506,7 +657,8 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 // in full blocks — where the vector decoder's Go scan must stop short of the
 // body's end — on both decoders: each prefix is refused alike, message for
 // message, or decoded alike. And the blocks the scan hands the assembly are
-// read, at most 1 + 14n + 16 bytes from a block's start, inside the body.
+// read, at most 1 + 14n/8 + 16 bytes from a block's start, inside the body.
+// The bodies span widths 0, 1 (−1 ULP), narrow, mid and 64 bits.
 func TestDeltaCutBodiesAgree(t *testing.T) {
 	if !mat.HasAVX2() {
 		t.Skip("no AVX2 with OS-enabled YMM state on this host: only the portable coder exists here")
@@ -514,10 +666,13 @@ func TestDeltaCutBodiesAgree(t *testing.T) {
 	defer func(saved bool) { useVec = saved }(useVec)
 	for _, shape := range [][2]int{{16, 1}, {16, 16}, {2, 16}, {3, 7}} {
 		base := randomModel(uint64(shape[0]*100+shape[1]), shape[0], shape[1])
-		for _, cur := range []*Model{base, ulpStep(base, 3, -1), drifted(base, 5, 1e-3), drifted(base, 6, 1e-12)} {
+		for _, cur := range []*Model{base, ulpStep(base, 3, -1), ulpStep(base, 3, 100), drifted(base, 5, 1e-3),
+			drifted(base, 6, 1e-12), randomModel(7, shape[0], shape[1])} {
+			// An unrelated model codes at 64 bits, longer than raw: a sender
+			// would not send it, but a decoder must take it.
 			body, ok := AppendDelta(nil, cur, base)
 			if !ok {
-				continue
+				body = appendDeltaBody(nil, cur, base, base, base)
 			}
 			for cut := 0; cut <= len(body); cut++ {
 				data := append(make([]byte, 0, cut), body[:cut]...)
@@ -539,10 +694,10 @@ func TestDeltaCutBodiesAgree(t *testing.T) {
 				off := 0
 				for range done / deltaBlock {
 					n := int(src[off])
-					if off+1+14*n+16 > len(src) {
+					if off+1+14*n/8+16 > len(src) {
 						t.Fatalf("%dx%d cut to %d: the assembly was handed a block it reads past the body", shape[0], shape[1], cut)
 					}
-					off += 1 + deltaBlock*n
+					off += 1 + 2*n
 				}
 				if off != len(src)-len(rest) {
 					t.Fatalf("%dx%d cut to %d: %d blocks span %d bytes, the scan says %d", shape[0], shape[1], cut, done/deltaBlock, off, len(src)-len(rest))
@@ -554,29 +709,55 @@ func TestDeltaCutBodiesAgree(t *testing.T) {
 
 var deltaSink int
 
-func BenchmarkAppendDelta(b *testing.B) {
-	cur, p0, p1, p2 := lateTrainingModels()
-	buf, _ := AppendDelta(nil, cur, p0, p1, p2)
-	b.SetBytes(int64(cur.ParamCount() * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, _ = AppendDelta(buf[:0], cur, p0, p1, p2)
+// deltaPass is one coding pass a codec benchmark times: cur against the
+// prediction a + (b − c).
+type deltaPass struct {
+	name          string
+	cur, a, pb, c *Model
+}
+
+// deltaPasses are the passes the codec benchmarks time, on the paper's
+// 10×784 model: late training (lateTrainingModels), and an early round whose
+// model shares nothing with the prediction, so that every block is at 64 bits
+// and the coded body is longer than raw.
+func deltaPasses(b *testing.B) []deltaPass {
+	cur, a, pb, c := lateTrainingModels()
+	wide := deltaPass{"wide", randomModel(4, 10, 784), randomModel(5, 10, 784), randomModel(6, 10, 784), randomModel(7, 10, 784)}
+	if n := len(appendDeltaBody(nil, wide.cur, wide.a, wide.pb, wide.c)); n != deltaHeaderLen+490*129+1+80 {
+		b.Fatalf("wide pass codes to %d bytes: not every block is at 64 bits", n)
 	}
-	deltaSink = len(buf)
+	return []deltaPass{{"late", cur, a, pb, c}, wide}
+}
+
+func BenchmarkAppendDelta(b *testing.B) {
+	for _, p := range deltaPasses(b) {
+		b.Run(p.name, func(b *testing.B) {
+			buf := appendDeltaBody(nil, p.cur, p.a, p.pb, p.c)
+			b.SetBytes(int64(p.cur.ParamCount() * 8))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _ = AppendDelta(buf[:0], p.cur, p.a, p.pb, p.c)
+			}
+			deltaSink = len(buf)
+		})
+	}
 }
 
 func BenchmarkApplyDelta(b *testing.B) {
-	cur, p0, p1, p2 := lateTrainingModels()
-	buf, _ := AppendDelta(nil, cur, p0, p1, p2)
-	dst := p2.Clone()
-	b.SetBytes(int64(cur.ParamCount() * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ApplyDelta(dst, buf, p0, p1, p2); err != nil {
-			b.Fatal(err)
-		}
+	for _, p := range deltaPasses(b) {
+		b.Run(p.name, func(b *testing.B) {
+			buf := appendDeltaBody(nil, p.cur, p.a, p.pb, p.c)
+			dst := p.c.Clone()
+			b.SetBytes(int64(p.cur.ParamCount() * 8))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ApplyDelta(dst, buf, p.a, p.pb, p.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			deltaSink = dst.Classes()
+		})
 	}
-	deltaSink = dst.Classes()
 }

@@ -94,6 +94,12 @@ echo "== reassembly fuzzer (smoke) =="
 # corrupted bytes. Longer runs: go test -fuzz FuzzReassembly ./internal/fldgram
 go test -run='^$' -fuzz 'FuzzReassembly' -fuzztime 5s ./internal/fldgram
 
+echo "== delta decoder fuzzer (smoke) =="
+# The same for the lossless delta decoder, which parses a peer's bit-packed
+# model bodies: arbitrary bytes must be refused or decoded, never read past
+# the body, and decode alike on the portable and the vector path.
+go test -run='^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/ml
+
 echo "== examples =="
 go run ./examples/quickstart
 go run ./examples/energy_planner
