@@ -13,7 +13,8 @@ import (
 // EXPERIMENTS.md.
 type Partitioner interface {
 	// Partition returns one shard per server. Every sample is assigned to
-	// exactly one shard.
+	// exactly one shard. The shards are copies: d is left unchanged, and a
+	// caller may keep one shard and let d and the others go.
 	Partition(d *Dataset, servers int) ([]*Dataset, error)
 }
 
@@ -117,26 +118,64 @@ func nextNonEmptyClass(byClass [][]int, cursor []int, preferred int) (int, bool)
 	return 0, false
 }
 
-// EqualShards splits d into exactly servers shards of size Len/servers,
+// EqualShards splits d into exactly servers shards of Len/servers samples,
 // truncating any remainder, matching the paper's "3000 samples per edge
-// server" allocation.
+// server" allocation. A seeded permutation deals the rows; each shard keeps
+// its rows in ascending order of their index in d.
+//
+// The shards are views, not copies: EqualShards reorders d in place into
+// shard order and returns each shard as a row view of it, so d becomes the
+// shards' storage and no longer holds its original row order. Its first
+// servers·(Len/servers) rows are the shards back to back, the truncated
+// remainder follows. Each shard's Labels is capacity-limited, so an append
+// reallocates instead of spilling into the next shard. Use a Partitioner
+// where the shards must be independent of d.
 func EqualShards(d *Dataset, servers int, seed uint64) ([]*Dataset, error) {
 	if err := checkPartitionArgs(d, servers); err != nil {
 		return nil, err
 	}
+	if len(d.Labels) != d.Len() {
+		return nil, fmt.Errorf("dataset: %d labels for %d rows", len(d.Labels), d.Len())
+	}
 	per := d.Len() / servers
-	if per == 0 {
-		return nil, fmt.Errorf("dataset: %d samples cannot fill %d shards", d.Len(), servers)
-	}
-	perm := mat.NewRNG(seed).Perm(d.Len())
-	buckets := make([][]int, servers)
+	order := mat.NewRNG(seed).Perm(d.Len())
 	for s := 0; s < servers; s++ {
-		b := make([]int, per)
-		copy(b, perm[s*per:(s+1)*per])
-		sort.Ints(b) // deterministic row order inside a shard
-		buckets[s] = b
+		sort.Ints(order[s*per : (s+1)*per]) // deterministic row order inside a shard
 	}
-	return subsets(d, buckets)
+	d.gatherRows(order)
+	out := make([]*Dataset, servers)
+	for s := range out {
+		lo, hi := s*per, (s+1)*per
+		x := d.X.SliceRows(lo, hi)
+		out[s] = &Dataset{X: &x, Labels: d.Labels[lo:hi:hi], Classes: d.Classes}
+	}
+	return out, nil
+}
+
+// gatherRows reorders d in place so that row i holds what row src[i] held.
+// It follows src's cycles with one row of scratch, so src must be a
+// permutation of [0, Len); it is consumed, every entry ending as its own
+// index.
+func (d *Dataset) gatherRows(src []int) {
+	tmp := make([]float64, d.Dim())
+	for start := range src {
+		if src[start] == start {
+			continue
+		}
+		copy(tmp, d.X.Row(start))
+		label := d.Labels[start]
+		i := start
+		for src[i] != start {
+			j := src[i]
+			copy(d.X.Row(i), d.X.Row(j))
+			d.Labels[i] = d.Labels[j]
+			src[i] = i
+			i = j
+		}
+		copy(d.X.Row(i), tmp)
+		d.Labels[i] = label
+		src[i] = i
+	}
 }
 
 func checkPartitionArgs(d *Dataset, servers int) error {

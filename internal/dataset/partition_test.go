@@ -2,8 +2,13 @@ package dataset
 
 import (
 	"errors"
+	"math"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"eefei/internal/mat"
 )
 
 func syntheticForPartition(t *testing.T, samples int) *Dataset {
@@ -172,6 +177,117 @@ func TestEqualShardsDisjoint(t *testing.T) {
 	}
 }
 
+// equalShardsCopying is EqualShards as it was when every shard was a copy:
+// one Subset per bucket of the seeded permutation, rows ascending. It leaves
+// d unchanged and is the reference the views must reproduce.
+func equalShardsCopying(d *Dataset, servers int, seed uint64) ([]*Dataset, error) {
+	per := d.Len() / servers
+	perm := mat.NewRNG(seed).Perm(d.Len())
+	out := make([]*Dataset, servers)
+	for s := range out {
+		b := append([]int(nil), perm[s*per:(s+1)*per]...)
+		sort.Ints(b)
+		shard, err := d.Subset(b)
+		if err != nil {
+			return nil, err
+		}
+		out[s] = shard
+	}
+	return out, nil
+}
+
+// TestEqualShardsMatchesCopyingReference: the views hold the rows and labels
+// the copying EqualShards dealt, in the same order, at sizes that divide and
+// that truncate.
+func TestEqualShardsMatchesCopyingReference(t *testing.T) {
+	for _, size := range []struct{ samples, servers int }{{100, 4}, {103, 10}, {7, 7}} {
+		for _, seed := range []uint64{1, 5, 7} {
+			d := syntheticForPartition(t, size.samples)
+			want, err := equalShardsCopying(d, size.servers, seed)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			got, err := EqualShards(d, size.servers, seed)
+			if err != nil {
+				t.Fatalf("EqualShards: %v", err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d/%d seed %d: %d shards, want %d", size.samples, size.servers, seed, len(got), len(want))
+			}
+			for s := range want {
+				g, w := got[s], want[s]
+				if g.Len() != w.Len() || g.Dim() != w.Dim() || g.Classes != w.Classes {
+					t.Fatalf("%d/%d seed %d shard %d: %dx%d/%d, want %dx%d/%d", size.samples, size.servers, seed, s,
+						g.Len(), g.Dim(), g.Classes, w.Len(), w.Dim(), w.Classes)
+				}
+				for i, v := range w.X.RawData() {
+					if math.Float64bits(g.X.RawData()[i]) != math.Float64bits(v) {
+						t.Fatalf("%d/%d seed %d shard %d: element %d = %v, want %v", size.samples, size.servers, seed, s, i, g.X.RawData()[i], v)
+					}
+				}
+				for i, y := range w.Labels {
+					if g.Labels[i] != y {
+						t.Fatalf("%d/%d seed %d shard %d: label %d = %d, want %d", size.samples, size.servers, seed, s, i, g.Labels[i], y)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEqualShardsAreViews: every shard is a window of the one backing block,
+// shard s at offset s·per, so the shards are disjoint and in order; and
+// appending to one shard's labels cannot overwrite the next shard's.
+func TestEqualShardsAreViews(t *testing.T) {
+	const servers = 10
+	d := syntheticForPartition(t, 103)
+	block, labels := d.X.RawData(), d.Labels
+	shards, err := EqualShards(d, servers, 5)
+	if err != nil {
+		t.Fatalf("EqualShards: %v", err)
+	}
+	per, dim := d.Len()/servers, d.Dim()
+	for s, sh := range shards {
+		raw := sh.X.RawData()
+		if len(raw) != per*dim || &raw[0] != &block[s*per*dim] {
+			t.Fatalf("shard %d: %d values not at offset %d of the backing block", s, len(raw), s*per*dim)
+		}
+		if len(sh.Labels) != per || cap(sh.Labels) != per || &sh.Labels[0] != &labels[s*per] {
+			t.Fatalf("shard %d: labels len %d cap %d not a capped window at %d", s, len(sh.Labels), cap(sh.Labels), s*per)
+		}
+	}
+	next := append([]int(nil), shards[1].Labels...)
+	_ = append(shards[0].Labels, -1, -1)
+	for i, y := range next {
+		if shards[1].Labels[i] != y {
+			t.Fatalf("append to shard 0 changed shard 1 label %d: %d → %d", i, y, shards[1].Labels[i])
+		}
+	}
+}
+
+// TestEqualShardsAllocatesNoCopy pins the point of the views: sharding a
+// 2000×784 set allocates the permutation and one row of scratch, far under
+// the 12.5 MB a copy of X would take.
+func TestEqualShardsAllocatesNoCopy(t *testing.T) {
+	const rows, cols = 2000, 784
+	d := &Dataset{X: mat.NewDense(rows, cols), Labels: make([]int, rows), Classes: 10}
+	rng := mat.NewRNG(3)
+	for i := range d.Labels {
+		d.Labels[i] = i % d.Classes
+		d.X.Set(i, 0, rng.Norm())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := EqualShards(d, 20, 1); err != nil {
+		t.Fatalf("EqualShards: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	xBytes := uint64(rows * cols * 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= xBytes/8 {
+		t.Errorf("EqualShards allocated %d bytes, want < %d (1/8 of X)", got, xBytes/8)
+	}
+}
+
 func TestPartitionArgErrors(t *testing.T) {
 	d := syntheticForPartition(t, 10)
 	if _, err := (IIDPartitioner{}).Partition(&Dataset{}, 2); !errors.Is(err, ErrEmpty) {
@@ -185,6 +301,9 @@ func TestPartitionArgErrors(t *testing.T) {
 	}
 	if _, err := EqualShards(d, 11, 0); err == nil {
 		t.Error("EqualShards with more servers than samples must error")
+	}
+	if _, err := EqualShards(&Dataset{X: mat.NewDense(4, 2), Labels: []int{0}, Classes: 1}, 2, 0); err == nil {
+		t.Error("EqualShards with fewer labels than rows must error")
 	}
 }
 

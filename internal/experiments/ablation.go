@@ -45,8 +45,8 @@ func LabelSkewAblation(setup *Setup, alphas []float64, ks []int, pinnedE int) ([
 	if pinnedE <= 0 {
 		pinnedE = 10
 	}
-	// Rebuild the unsharded dataset once.
-	union, err := concatShards(setup)
+	// The skewed partitions re-deal the union of the IID shards.
+	union, err := UnionDataset(setup)
 	if err != nil {
 		return nil, err
 	}

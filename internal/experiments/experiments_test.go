@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"eefei/internal/dataset"
 	"eefei/internal/energy"
+	"eefei/internal/mat"
+	"eefei/internal/ml"
 )
 
 // sharedSetup caches the Quick setup across tests in this package — the
@@ -245,6 +248,75 @@ func TestFStarIsLowerBound(t *testing.T) {
 	}
 	if run.FinalLoss <= fStar-1e-6 {
 		t.Errorf("federated loss %v beat centralized F* %v", run.FinalLoss, fStar)
+	}
+}
+
+// concatShardsReference is the copying union the Setup kept before its
+// union became a view: every shard's rows stacked in shard order.
+func concatShardsReference(shards []*dataset.Dataset) *dataset.Dataset {
+	total := 0
+	for _, s := range shards {
+		total += s.Len()
+	}
+	out := &dataset.Dataset{
+		X:       mat.NewDense(total, shards[0].Dim()),
+		Labels:  make([]int, 0, total),
+		Classes: shards[0].Classes,
+	}
+	row := 0
+	for _, s := range shards {
+		for i := 0; i < s.Len(); i++ {
+			copy(out.X.Row(row), s.X.Row(i))
+			out.Labels = append(out.Labels, s.Labels[i])
+			row++
+		}
+	}
+	return out
+}
+
+// TestSetupUnionMatchesConcatenatedShards pins the Setup's union view to the
+// copy it replaced, row for row, and F(ω*) trained on each to the same bits.
+func TestSetupUnionMatchesConcatenatedShards(t *testing.T) {
+	setup := quickSetup(t)
+	union, err := UnionDataset(setup)
+	if err != nil {
+		t.Fatalf("UnionDataset: %v", err)
+	}
+	want := concatShardsReference(setup.Shards)
+	if union.Len() != want.Len() || union.Dim() != want.Dim() || union.Classes != want.Classes {
+		t.Fatalf("union is %dx%d over %d classes, want %dx%d over %d",
+			union.Len(), union.Dim(), union.Classes, want.Len(), want.Dim(), want.Classes)
+	}
+	for i, v := range want.X.RawData() {
+		if math.Float64bits(union.X.RawData()[i]) != math.Float64bits(v) {
+			t.Fatalf("union element %d = %v, concatenated shards %v", i, union.X.RawData()[i], v)
+		}
+	}
+	for i, y := range want.Labels {
+		if union.Labels[i] != y {
+			t.Fatalf("union label %d = %d, concatenated shards %d", i, union.Labels[i], y)
+		}
+	}
+
+	const epochs = 30
+	got, err := FStar(setup, epochs)
+	if err != nil {
+		t.Fatalf("FStar: %v", err)
+	}
+	model := ml.NewModel(want.Classes, want.Dim(), ml.Softmax)
+	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: setup.LearningRate, Decay: 0.9995, DecayEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sgd.Train(model, want, epochs); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ml.Loss(model, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(ref) {
+		t.Errorf("FStar on the union view = %v, on the concatenated copy %v", got, ref)
 	}
 }
 

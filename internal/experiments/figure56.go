@@ -141,7 +141,7 @@ func FStar(setup *Setup, epochs int) (float64, error) {
 		}
 		epochs = 2000
 	}
-	union, err := concatShards(setup)
+	union, err := UnionDataset(setup)
 	if err != nil {
 		return 0, err
 	}

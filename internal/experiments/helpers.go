@@ -50,38 +50,12 @@ func roundsToTarget(setup *Setup, k, e int) (int, error) {
 	return len(res.History), nil
 }
 
-// concatShards stacks all shards back into one dataset (for centralized F*
-// estimation).
-func concatShards(setup *Setup) (*dataset.Dataset, error) {
-	if len(setup.Shards) == 0 {
+// UnionDataset returns the union of the setup's shards in shard order, the
+// set F(ω*) and cmd/experiments' reference model train on. It is a view of
+// the shards' storage, not a copy.
+func UnionDataset(setup *Setup) (*dataset.Dataset, error) {
+	if setup.union == nil {
 		return nil, fmt.Errorf("no shards: %w", ErrExperiment)
 	}
-	if len(setup.Shards) == 1 {
-		return setup.Shards[0], nil
-	}
-	total := 0
-	for _, s := range setup.Shards {
-		total += s.Len()
-	}
-	dim := setup.Shards[0].Dim()
-	out := &dataset.Dataset{
-		X:       mat.NewDense(total, dim),
-		Labels:  make([]int, 0, total),
-		Classes: setup.Shards[0].Classes,
-	}
-	row := 0
-	for _, s := range setup.Shards {
-		for i := 0; i < s.Len(); i++ {
-			copy(out.X.Row(row), s.X.Row(i))
-			out.Labels = append(out.Labels, s.Labels[i])
-			row++
-		}
-	}
-	return out, nil
-}
-
-// UnionDataset exposes the concatenated shards (for reference-model
-// training in cmd/experiments).
-func UnionDataset(setup *Setup) (*dataset.Dataset, error) {
-	return concatShards(setup)
+	return setup.union, nil
 }

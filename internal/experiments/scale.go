@@ -90,6 +90,9 @@ type Setup struct {
 	calibrated *core.Problem
 	// fStar caches the centralized F(ω*) estimate.
 	fStar *float64
+	// union is every shard's rows back to back, the set F(ω*) trains on: a
+	// view of the training set, which EqualShards left in shard order.
+	union *dataset.Dataset
 }
 
 // NewSetup builds the shared substrate for a scale.
@@ -142,6 +145,9 @@ func NewSetup(scale Scale) (*Setup, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard %v data: %w", scale, err)
 	}
+	n := s.Servers * shards[0].Len()
+	x := train.X.SliceRows(0, n)
+	s.union = &dataset.Dataset{X: &x, Labels: train.Labels[:n:n], Classes: train.Classes}
 	s.Shards = shards
 	s.Test = test
 	return s, nil

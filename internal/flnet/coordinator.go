@@ -20,6 +20,11 @@ var ErrCoordinator = errors.New("flnet: coordinator error")
 // handshakeTimeout bounds one Join/Rejoin + Welcome exchange.
 const handshakeTimeout = 10 * time.Second
 
+// maxHandshakes caps the handshakes in flight at once: past it the accept
+// loop waits for one to finish before it accepts the next connection, so a
+// flood of silent dialers holds at most this many goroutines and sockets.
+const maxHandshakes = 64
+
 // CoordinatorConfig configures a networked training run. The federated
 // hyper-parameters reuse fl.Config.
 type CoordinatorConfig struct {
@@ -123,6 +128,8 @@ type Coordinator struct {
 	test     *dataset.Dataset
 	testEval *ml.Evaluator // owns the batched-forward scratch reused across rounds
 	rng      *mat.RNG
+	// handshake, when set, replaces handshakeTimeout (tests shorten it).
+	handshake time.Duration
 
 	// Round-scratch models, reused across rounds so warm rounds stay off
 	// the allocator: spare is the aggregation target (published as the next
@@ -318,7 +325,9 @@ func (c *Coordinator) ensureAcceptLoop() {
 }
 
 func (c *Coordinator) acceptLoop() {
+	slots := make(chan struct{}, maxHandshakes)
 	for {
+		slots <- struct{}{}
 		conn, err := c.ln.Accept()
 		if err != nil {
 			// Listener closed (Shutdown) or fatally broken: stop.
@@ -328,8 +337,10 @@ func (c *Coordinator) acceptLoop() {
 			return
 		}
 		// Handshakes run concurrently so one stalled joiner cannot block
-		// the fleet; each is bounded by handshakeTimeout.
+		// the fleet; each is bounded by the handshake timeout, and at most
+		// maxHandshakes run at once.
 		go func() {
+			defer func() { <-slots }()
 			if err := c.register(conn); err != nil {
 				// A broken joiner must not kill the run; drop it.
 				conn.Close()
@@ -342,7 +353,11 @@ func (c *Coordinator) acceptLoop() {
 // connection. A body the codec refuses (malformed, or the retired v1 shape)
 // fails before the roster is touched.
 func (c *Coordinator) register(conn net.Conn) error {
-	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+	timeout := handshakeTimeout
+	if c.handshake > 0 {
+		timeout = c.handshake
+	}
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return fmt.Errorf("handshake deadline: %w", err)
 	}
 	t, payload, err := readFrame(conn, handshakeLimit)

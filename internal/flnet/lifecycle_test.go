@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -225,5 +226,46 @@ func TestCountersSettleBeforeRosterFills(t *testing.T) {
 		if tx, rx := counters.Tx(), counters.Rx(); tx != int64(i*join) || rx != int64(i*welcome) {
 			t.Fatalf("with %d edges connected the counters read tx %d rx %d, want %d and %d", i, tx, rx, i*join, i*welcome)
 		}
+	}
+}
+
+// TestHandshakesBounded: dialers that connect and never say a word hold at
+// most maxHandshakes handshake goroutines, however many there are, and a real
+// edge still joins once their handshakes time out and free a slot.
+func TestHandshakesBounded(t *testing.T) {
+	coord := lifecycleCoordinator(t, 0)
+	coord.handshake = time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	base := runtime.NumGoroutine()
+	coord.AwaitRoster(ctx, 0, time.Second) // starts the accept loop
+
+	const stalled = maxHandshakes + 16
+	for i := 0; i < stalled; i++ {
+		conn, err := net.DialTimeout("tcp", coord.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		defer conn.Close()
+	}
+	// The accept loop plus one goroutine per handshake in flight; the dialers
+	// themselves run none. The slack absorbs earlier tests' goroutines still
+	// winding down; without the cap the count would rise by all 80.
+	limit := base + 1 + maxHandshakes + 8
+	peak := 0
+	for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	if peak > limit {
+		t.Errorf("%d silent dialers raised the goroutine count to %d, want at most %d", stalled, peak, limit)
+	}
+	if peak < base+maxHandshakes/2 {
+		t.Errorf("goroutine count peaked at %d from %d: the silent dialers' handshakes never ran", peak, base)
+	}
+
+	conn := rawJoin(t, coord.Addr().String())
+	defer conn.Close()
+	if err := coord.AwaitRoster(ctx, 1, 5*time.Second); err != nil {
+		t.Fatalf("real edge behind %d silent dialers: %v", stalled, err)
 	}
 }

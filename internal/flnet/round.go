@@ -2,6 +2,7 @@ package flnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -374,10 +375,11 @@ func (r *round) commitLink() {
 // abort included, leaves a dead peer on the roster for AwaitRoster and the
 // next selection to find. Only then is the round decided: without MinReplies
 // any failure aborts it; with MinReplies it continues on the survivors as
-// long as they form the quorum.
+// long as they form the quorum. An aborted round's error joins every failed
+// exchange's, in slot order, so it names each client that failed.
 func (r *round) settle() error {
 	c := r.c
-	var firstErr error
+	var errs []error
 	replies := 0
 	c.mu.Lock()
 	for i := range r.targets {
@@ -386,9 +388,7 @@ func (r *round) settle() error {
 			replies++
 			continue
 		}
-		if firstErr == nil {
-			firstErr = tg.err
-		}
+		errs = append(errs, tg.err)
 		if tg.id >= len(c.clients) {
 			continue // roster was torn down by Shutdown
 		}
@@ -399,12 +399,13 @@ func (r *round) settle() error {
 		}
 	}
 	c.mu.Unlock()
-	if firstErr != nil && c.cfg.MinReplies <= 0 {
-		return fmt.Errorf("round %d: %w", r.t, firstErr)
+	failed := errors.Join(errs...)
+	if failed != nil && c.cfg.MinReplies <= 0 {
+		return fmt.Errorf("round %d: %w", r.t, failed)
 	}
 	if replies == 0 || replies < c.cfg.MinReplies {
 		return fmt.Errorf("round %d: %d of %d replies (need %d): %w",
-			r.t, replies, len(r.targets), c.cfg.MinReplies, ErrCoordinator)
+			r.t, replies, len(r.targets), c.cfg.MinReplies, errors.Join(ErrCoordinator, failed))
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package flnet
 
 import (
 	"context"
+	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -110,6 +112,7 @@ func TestStragglerToleranceDropsDeadClient(t *testing.T) {
 // with tolerance on or off, leaves no dead peer on the roster: the failed
 // slots are disconnected, so AwaitRoster waits for real rejoins instead of
 // returning at once and the next selection cannot pick the dead connections.
+// The abort's error names both failed clients.
 func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 	dcfg := dataset.QuickSyntheticConfig()
 	dcfg.Samples = 100
@@ -169,8 +172,17 @@ func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 			if err := <-dialErrs; err != nil {
 				t.Fatalf("Dial: %v", err)
 			}
-			if _, err := coord.Round(ctx); err == nil {
-				t.Error("round with zero replies must fail")
+			_, err = coord.Round(ctx)
+			if err == nil {
+				t.Fatal("round with zero replies must fail")
+			}
+			for _, id := range []string{"client 0 ", "client 1 "} {
+				if !strings.Contains(err.Error(), id) {
+					t.Errorf("aborted round's error does not name %q: %v", id, err)
+				}
+			}
+			if tt.minReplies > 0 && !errors.Is(err, ErrCoordinator) {
+				t.Errorf("quorum abort = %v, want it to wrap ErrCoordinator", err)
 			}
 			if n := coord.Connected(); n != 0 {
 				t.Errorf("Connected() = %d after the aborted round, want 0", n)

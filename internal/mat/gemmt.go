@@ -75,8 +75,12 @@ func mulTShapeCheck(dst, a, b *Dense) error {
 
 // mulTRange computes dst rows [lo, hi) of dst = A·Bᵀ. Rows are processed in
 // blocks of four so that each b.Row(j) is streamed once per block while four
-// accumulator chains run independently; the remainder rows fall back to Dot,
-// which follows the identical per-element order.
+// accumulator chains run independently. The vector lanes take the rows past
+// the last block by recomputing the range's last four rows [hi−4, hi): an
+// element's accumulation order does not depend on which block computes it,
+// so rewriting a row rewrites the same bits. Ranges under four rows, and the
+// portable path, fall back to Dot, which follows the identical per-element
+// order.
 func mulTRange(dst, a, b *Dense, lo, hi int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
@@ -89,6 +93,9 @@ func mulTRange(dst, a, b *Dense, lo, hi int) {
 			s0, s1, s2, s3 := dot4(a0, a1, a2, a3, b.Row(j))
 			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
 		}
+	}
+	if i < hi && hi-lo >= 4 && mulT4Vec(dst, a, b, hi-4) {
+		return
 	}
 	for ; i < hi; i++ {
 		ar, dr := a.Row(i), dst.Row(i)

@@ -86,6 +86,52 @@ func TestMulTMatchesDotReferenceBitIdentical(t *testing.T) {
 	})
 }
 
+// TestMulTTailRows pins the rows past the last 4-row block, which the vector
+// lanes take by recomputing a range's last block: at every row count 1–13
+// and 1–3 workers, MulT and MulTWorkers match the per-row Dot reference
+// bit for bit, special values included. Below 2·minRowsPerWorker rows the
+// workers run inline, so 17–26 rows add ranges that split mid-block.
+func TestMulTTailRows(t *testing.T) {
+	const n, k = 10, 67
+	rowCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 17, 18, 19, 26}
+	eachKernel(t, func(t *testing.T) {
+		rng := NewRNG(11)
+		for _, rows := range rowCounts {
+			a, b := NewDense(rows, k), NewDense(n, k)
+			for _, m := range []*Dense{a, b} {
+				for i := range m.data {
+					m.data[i] = rng.Norm()
+					if rng.Intn(8) == 0 {
+						m.data[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+					}
+				}
+			}
+			want := NewDense(rows, n)
+			mulTReference(want, a, b)
+			check := func(what string, got *Dense) {
+				for i := range got.data {
+					if !sameResult(got.data[i], want.data[i]) {
+						t.Fatalf("%s rows=%d: element %d = %v (%#x), Dot reference %v (%#x)", what, rows, i,
+							got.data[i], math.Float64bits(got.data[i]), want.data[i], math.Float64bits(want.data[i]))
+					}
+				}
+			}
+			got := NewDense(rows, n)
+			if err := MulT(got, a, b); err != nil {
+				t.Fatal(err)
+			}
+			check("MulT", got)
+			for workers := 1; workers <= 3; workers++ {
+				got := NewDense(rows, n)
+				if err := MulTWorkers(got, a, b, workers); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("MulTWorkers(%d)", workers), got)
+			}
+		}
+	})
+}
+
 func TestMulTShapeErrors(t *testing.T) {
 	a, b := NewDense(3, 4), NewDense(2, 5)
 	if err := MulT(NewDense(3, 2), a, b); !errors.Is(err, ErrShape) {

@@ -87,6 +87,10 @@ echo "== bench module =="
 # overflows the listener's socket buffer turns injected loss into real loss
 # and fails all three, which -smoke's 10 % tolerance would not notice.
 go run -C bench . -workload wire_dgram_loss10 -trace 0 -runs 3
+# The in-process fleet trains on row views of one training set
+# (dataset.EqualShards): two episodes must reach ε and agree on the digest,
+# so a shard that aliased the wrong rows, or was written through, fails here.
+go run -C bench . -workload train_inproc -trace 0 -runs 2
 
 echo "== reassembly fuzzer (smoke) =="
 # A short live-fuzz burst on top of the checked-in corpus (which every plain
