@@ -149,30 +149,6 @@ func BenchmarkFigure6EnergyVsE(b *testing.B) {
 
 // --- design-choice ablations (DESIGN.md §5) -----------------------------------
 
-// BenchmarkAblationACSClosedForm times Algorithm 1 with the closed-form
-// partial minimizers of Eqs. (15)/(17).
-func BenchmarkAblationACSClosedForm(b *testing.B) {
-	p := core.DefaultProblem()
-	cfg := core.DefaultPlannerConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Solve(p, cfg); err != nil {
-			b.Fatalf("Solve: %v", err)
-		}
-	}
-}
-
-// BenchmarkAblationACSNumeric replaces the closed forms with golden-section
-// searches: same answer, measurably slower — the value of Eqs. (15)/(17).
-func BenchmarkAblationACSNumeric(b *testing.B) {
-	p := core.DefaultProblem()
-	cfg := core.DefaultPlannerConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveNumeric(p, cfg); err != nil {
-			b.Fatalf("SolveNumeric: %v", err)
-		}
-	}
-}
-
 // BenchmarkAblationGridSearch is the brute-force integer baseline ACS is
 // compared against.
 func BenchmarkAblationGridSearch(b *testing.B) {

@@ -271,7 +271,7 @@ func run(args []string) error {
 			return err
 		}
 		reference := ml.NewModel(union.Classes, union.Dim(), ml.Softmax)
-		sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: s.LearningRate, Decay: 0.9995, DecayEvery: 1})
+		sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: s.LearningRate, Decay: 0.9995})
 		if err != nil {
 			return err
 		}

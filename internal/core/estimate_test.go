@@ -24,7 +24,7 @@ func estimateFixture(t *testing.T) (*ml.Model, []*dataset.Dataset) {
 		t.Fatalf("Partition: %v", err)
 	}
 	model := ml.NewModel(d.Classes, d.Dim(), ml.Softmax)
-	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: 0.3, Decay: 0.999, DecayEvery: 1})
+	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: 0.3, Decay: 0.999})
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}

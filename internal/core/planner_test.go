@@ -57,9 +57,9 @@ func TestSolveNumericAgreesWithClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	numeric, err := SolveNumeric(p, DefaultPlannerConfig())
+	numeric, err := solveNumeric(p, DefaultPlannerConfig())
 	if err != nil {
-		t.Fatalf("SolveNumeric: %v", err)
+		t.Fatalf("solveNumeric: %v", err)
 	}
 	if closed.K != numeric.K {
 		t.Errorf("K: closed %d vs numeric %d", closed.K, numeric.K)

@@ -17,7 +17,7 @@ func FuzzReadIDXImages(f *testing.F) {
 		f.Fatal(err)
 	}
 	var good bytes.Buffer
-	if err := WriteIDXImages(&good, d.X, cfg.Side); err != nil {
+	if err := writeIDXImages(&good, d.X, cfg.Side); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
@@ -40,7 +40,7 @@ func FuzzReadIDXImages(f *testing.F) {
 
 func FuzzReadIDXLabels(f *testing.F) {
 	var good bytes.Buffer
-	if err := WriteIDXLabels(&good, []int{0, 1, 9}); err != nil {
+	if err := writeIDXLabels(&good, []int{0, 1, 9}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())

@@ -107,44 +107,6 @@ func LoadMNIST(imagesPath, labelsPath string) (*Dataset, error) {
 	return d, nil
 }
 
-// WriteIDXImages serializes images (n×(side²), values in [0,1]) as an IDX
-// 3-D unsigned-byte tensor. It is the inverse of ReadIDXImages and lets the
-// synthetic generator emit files any MNIST loader can read.
-func WriteIDXImages(w io.Writer, images *mat.Dense, side int) error {
-	if images.Cols() != side*side {
-		return fmt.Errorf("images have %d features, want %d: %w", images.Cols(), side*side, ErrIDXFormat)
-	}
-	bw := bufio.NewWriter(w)
-	header := []uint32{uint32(images.Rows()), uint32(side), uint32(side)}
-	if err := writeIDXHeader(bw, 3, header); err != nil {
-		return err
-	}
-	data := images.RawData()
-	for _, v := range data {
-		if err := bw.WriteByte(byte(mat.Clamp(v, 0, 1)*255 + 0.5)); err != nil {
-			return fmt.Errorf("write pixel: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteIDXLabels serializes labels as an IDX 1-D unsigned-byte tensor.
-func WriteIDXLabels(w io.Writer, labels []int) error {
-	bw := bufio.NewWriter(w)
-	if err := writeIDXHeader(bw, 1, []uint32{uint32(len(labels))}); err != nil {
-		return err
-	}
-	for i, y := range labels {
-		if y < 0 || y > 255 {
-			return fmt.Errorf("label %d at %d outside byte range: %w", y, i, ErrIDXFormat)
-		}
-		if err := bw.WriteByte(byte(y)); err != nil {
-			return fmt.Errorf("write label: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
 func readIDXHeader(r io.Reader, wantDims int) ([]int, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -168,16 +130,4 @@ func readIDXHeader(r io.Reader, wantDims int) ([]int, error) {
 		dims[i] = int(d)
 	}
 	return dims, nil
-}
-
-func writeIDXHeader(w io.Writer, ndim int, dims []uint32) error {
-	if _, err := w.Write([]byte{0, 0, idxTypeUint8, byte(ndim)}); err != nil {
-		return fmt.Errorf("write magic: %w", err)
-	}
-	for _, d := range dims {
-		if err := binary.Write(w, binary.BigEndian, d); err != nil {
-			return fmt.Errorf("write dim: %w", err)
-		}
-	}
-	return nil
 }

@@ -1,11 +1,17 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"eefei/internal/mat"
 )
 
 func TestIDXImagesRoundTrip(t *testing.T) {
@@ -16,8 +22,8 @@ func TestIDXImagesRoundTrip(t *testing.T) {
 		t.Fatalf("Synthesize: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := WriteIDXImages(&buf, d.X, cfg.Side); err != nil {
-		t.Fatalf("WriteIDXImages: %v", err)
+	if err := writeIDXImages(&buf, d.X, cfg.Side); err != nil {
+		t.Fatalf("writeIDXImages: %v", err)
 	}
 	back, err := ReadIDXImages(&buf)
 	if err != nil {
@@ -35,8 +41,8 @@ func TestIDXImagesRoundTrip(t *testing.T) {
 func TestIDXLabelsRoundTrip(t *testing.T) {
 	labels := []int{0, 1, 2, 9, 5, 5}
 	var buf bytes.Buffer
-	if err := WriteIDXLabels(&buf, labels); err != nil {
-		t.Fatalf("WriteIDXLabels: %v", err)
+	if err := writeIDXLabels(&buf, labels); err != nil {
+		t.Fatalf("writeIDXLabels: %v", err)
 	}
 	back, err := ReadIDXLabels(&buf)
 	if err != nil {
@@ -54,11 +60,11 @@ func TestIDXLabelsRoundTrip(t *testing.T) {
 
 func TestWriteIDXLabelsRejectsOutOfRange(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteIDXLabels(&buf, []int{256}); !errors.Is(err, ErrIDXFormat) {
-		t.Errorf("WriteIDXLabels(256) = %v, want ErrIDXFormat", err)
+	if err := writeIDXLabels(&buf, []int{256}); !errors.Is(err, ErrIDXFormat) {
+		t.Errorf("writeIDXLabels(256) = %v, want ErrIDXFormat", err)
 	}
-	if err := WriteIDXLabels(&buf, []int{-1}); !errors.Is(err, ErrIDXFormat) {
-		t.Errorf("WriteIDXLabels(-1) = %v, want ErrIDXFormat", err)
+	if err := writeIDXLabels(&buf, []int{-1}); !errors.Is(err, ErrIDXFormat) {
+		t.Errorf("writeIDXLabels(-1) = %v, want ErrIDXFormat", err)
 	}
 }
 
@@ -125,8 +131,8 @@ func TestLoadMNISTFromGeneratedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if err := WriteIDXImages(imgFile, d.X, cfg.Side); err != nil {
-		t.Fatalf("WriteIDXImages: %v", err)
+	if err := writeIDXImages(imgFile, d.X, cfg.Side); err != nil {
+		t.Fatalf("writeIDXImages: %v", err)
 	}
 	imgFile.Close()
 
@@ -134,8 +140,8 @@ func TestLoadMNISTFromGeneratedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if err := WriteIDXLabels(lblFile, d.Labels); err != nil {
-		t.Fatalf("WriteIDXLabels: %v", err)
+	if err := writeIDXLabels(lblFile, d.Labels); err != nil {
+		t.Fatalf("writeIDXLabels: %v", err)
 	}
 	lblFile.Close()
 
@@ -157,4 +163,54 @@ func TestLoadMNISTMissingFiles(t *testing.T) {
 	if _, err := LoadMNIST("/nonexistent/img", "/nonexistent/lbl"); err == nil {
 		t.Error("missing files must error")
 	}
+}
+
+// writeIDXImages serializes images (n×(side²), values in [0,1]) as an IDX
+// 3-D unsigned-byte tensor: the reference writer that ReadIDXImages' round
+// trip and fuzz seeds are built with.
+func writeIDXImages(w io.Writer, images *mat.Dense, side int) error {
+	if images.Cols() != side*side {
+		return fmt.Errorf("images have %d features, want %d: %w", images.Cols(), side*side, ErrIDXFormat)
+	}
+	bw := bufio.NewWriter(w)
+	header := []uint32{uint32(images.Rows()), uint32(side), uint32(side)}
+	if err := writeIDXHeader(bw, 3, header); err != nil {
+		return err
+	}
+	data := images.RawData()
+	for _, v := range data {
+		if err := bw.WriteByte(byte(mat.Clamp(v, 0, 1)*255 + 0.5)); err != nil {
+			return fmt.Errorf("write pixel: %w", err)
+		}
+	}
+	return bw.Flush()
+}
+
+// writeIDXLabels serializes labels as an IDX 1-D unsigned-byte tensor.
+func writeIDXLabels(w io.Writer, labels []int) error {
+	bw := bufio.NewWriter(w)
+	if err := writeIDXHeader(bw, 1, []uint32{uint32(len(labels))}); err != nil {
+		return err
+	}
+	for i, y := range labels {
+		if y < 0 || y > 255 {
+			return fmt.Errorf("label %d at %d outside byte range: %w", y, i, ErrIDXFormat)
+		}
+		if err := bw.WriteByte(byte(y)); err != nil {
+			return fmt.Errorf("write label: %w", err)
+		}
+	}
+	return bw.Flush()
+}
+
+func writeIDXHeader(w io.Writer, ndim int, dims []uint32) error {
+	if _, err := w.Write([]byte{0, 0, idxTypeUint8, byte(ndim)}); err != nil {
+		return fmt.Errorf("write magic: %w", err)
+	}
+	for _, d := range dims {
+		if err := binary.Write(w, binary.BigEndian, d); err != nil {
+			return fmt.Errorf("write dim: %w", err)
+		}
+	}
+	return nil
 }

@@ -85,27 +85,21 @@ type Calibrator struct {
 	// exact design-row sums Drift needs to price the training law without
 	// retaining every round.
 	sumEN, sumE float64
-	// obs is a fixed-capacity ring of the most recent training observations
-	// (bounded so steady-state observation is allocation-free); next is the
-	// overwrite cursor once the ring is full.
+	// obs is a fixed-capacity ring of the observationWindow most recent
+	// training observations (bounded so steady-state observation is
+	// allocation-free); next is the overwrite cursor once the ring is full.
 	obs  []TrainObservation
 	next int
 }
 
 var _ fl.RoundObserver = (*Calibrator)(nil)
 
+// observationWindow is how many of the most recent training observations
+// the refit retains.
+const observationWindow = 256
+
 // CalibratorOption customizes a Calibrator.
 type CalibratorOption func(*Calibrator)
-
-// WithObservationWindow bounds how many of the most recent training
-// observations the refit retains (default 256). n <= 0 keeps the default.
-func WithObservationWindow(n int) CalibratorOption {
-	return func(c *Calibrator) {
-		if n > 0 {
-			c.obs = make([]TrainObservation, 0, n)
-		}
-	}
-}
 
 // WithRadioModel prices the upload/download phases of observed rounds from
 // their measured frame-byte counts (fl.RoundStats.UplinkBytes /
@@ -133,7 +127,7 @@ func NewCalibrator(power PowerModel, epochs, samples int, opts ...CalibratorOpti
 		ledger:  NewLedger(),
 		epochs:  epochs,
 		samples: samples,
-		obs:     make([]TrainObservation, 0, 256),
+		obs:     make([]TrainObservation, 0, observationWindow),
 	}
 	for _, opt := range opts {
 		opt(c)

@@ -206,36 +206,43 @@ func TestCalibratorValidation(t *testing.T) {
 }
 
 // TestCalibratorObservationWindow pins the ring semantics: the refit window
-// holds the most recent observations once capacity wraps.
+// holds the most recent observations once capacity wraps. The first two
+// rounds have shapes no later round repeats, so they must be the evicted ones.
 func TestCalibratorObservationWindow(t *testing.T) {
 	dm := DefaultPiDeviceModel()
-	c, err := NewCalibrator(dm.Power, 10, 100, WithObservationWindow(4))
+	c, err := NewCalibrator(dm.Power, 10, 100)
 	if err != nil {
 		t.Fatalf("NewCalibrator: %v", err)
 	}
-	shapes := [][2]int{{10, 100}, {10, 500}, {20, 100}, {20, 500}, {40, 100}, {40, 500}}
-	for r, sh := range shapes {
+	first := [][2]int{{10, 100}, {10, 500}}
+	later := [][2]int{{20, 100}, {20, 500}, {40, 100}, {40, 500}}
+	rounds := observationWindow + len(first)
+	for r := 0; r < rounds; r++ {
+		sh := later[r%len(later)]
+		if r < len(first) {
+			sh = first[r]
+		}
 		if err := c.SetRoundShape(sh[0], sh[1]); err != nil {
 			t.Fatalf("SetRoundShape: %v", err)
 		}
 		c.ObserveRound(roundStatsFor(dm.Time, r, sh[0], sh[1]))
 	}
 	obs := c.Observations()
-	if len(obs) != 4 {
-		t.Fatalf("window holds %d observations, want 4", len(obs))
+	if len(obs) != observationWindow {
+		t.Fatalf("window holds %d observations, want %d", len(obs), observationWindow)
 	}
 	seen := map[[2]int]bool{}
 	for _, o := range obs {
 		seen[[2]int{o.Epochs, o.Samples}] = true
 	}
-	for _, dropped := range shapes[:2] {
+	for _, dropped := range first {
 		if seen[dropped] {
 			t.Errorf("shape %v should have been evicted from the window", dropped)
 		}
 	}
-	// Ledger and drift still account all six rounds, not just the window.
-	if c.Rounds() != len(shapes) {
-		t.Errorf("Rounds = %d, want %d", c.Rounds(), len(shapes))
+	// Ledger and drift still account every round, not just the window.
+	if c.Rounds() != rounds {
+		t.Errorf("Rounds = %d, want %d", c.Rounds(), rounds)
 	}
 }
 
@@ -291,12 +298,12 @@ func TestCalibratorDoesNotPerturbTraining(t *testing.T) {
 // contract of the hot observer path (ring full, ledger keys seeded).
 func TestCalibratorObserveAllocationFree(t *testing.T) {
 	dm := DefaultPiDeviceModel()
-	c, err := NewCalibrator(dm.Power, 40, 2000, WithObservationWindow(8))
+	c, err := NewCalibrator(dm.Power, 40, 2000)
 	if err != nil {
 		t.Fatalf("NewCalibrator: %v", err)
 	}
 	s := roundStatsFor(dm.Time, 0, 40, 2000)
-	for i := 0; i < 16; i++ { // fill and wrap the ring
+	for i := 0; i < 2*observationWindow; i++ { // fill and wrap the ring
 		c.ObserveRound(s)
 	}
 	if avg := testing.AllocsPerRun(100, func() { c.ObserveRound(s) }); avg != 0 {

@@ -304,7 +304,7 @@ func TestSetupUnionMatchesConcatenatedShards(t *testing.T) {
 		t.Fatalf("FStar: %v", err)
 	}
 	model := ml.NewModel(want.Classes, want.Dim(), ml.Softmax)
-	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: setup.LearningRate, Decay: 0.9995, DecayEvery: 1})
+	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: setup.LearningRate, Decay: 0.9995})
 	if err != nil {
 		t.Fatal(err)
 	}

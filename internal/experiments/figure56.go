@@ -146,7 +146,7 @@ func FStar(setup *Setup, epochs int) (float64, error) {
 		return 0, err
 	}
 	model := ml.NewModel(union.Classes, union.Dim(), ml.Softmax)
-	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: setup.LearningRate, Decay: 0.9995, DecayEvery: 1})
+	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: setup.LearningRate, Decay: 0.9995})
 	if err != nil {
 		return 0, fmt.Errorf("f* sgd: %w", err)
 	}

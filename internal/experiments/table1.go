@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"eefei/internal/energy"
 )
@@ -117,9 +116,4 @@ func RenderTable2(w io.Writer, rows []Table2Row) error {
 		}
 	}
 	return nil
-}
-
-// Table1Durations exposes the analytic duration law for external sweeps.
-func Table1Durations(epochs, samples int) time.Duration {
-	return energy.DefaultPiTimeModel().TrainDuration(epochs, samples)
 }

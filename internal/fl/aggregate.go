@@ -10,32 +10,17 @@ import (
 // ErrAggregate is returned (wrapped) when an aggregation cannot be formed.
 var ErrAggregate = errors.New("fl: aggregation error")
 
-// Update is one client's contribution to a round: its locally trained model
-// and the size of the shard it trained on.
+// Update is one client's contribution to a round: its locally trained model.
 type Update struct {
-	Client  int
-	Model   *ml.Model
-	Samples int
+	Client int
+	Model  *ml.Model
 }
 
-// Aggregator combines client updates into the next global model. The
-// paper's Eq. (2) is the uniform mean (MeanAggregator); the classic
-// McMahan-et-al. FedAvg weighting by n_k is WeightedAggregator. Both are
-// exposed so experiments can quantify the difference (zero under the
-// paper's equal-shard allocation).
-type Aggregator interface {
-	// Aggregate writes the combined parameters into dst (which the caller
-	// pre-sizes to the model shape; previous contents are discarded).
-	Aggregate(dst *ml.Model, updates []Update) error
-}
-
-// MeanAggregator implements the paper's Eq. (2): ω ← (1/K)·Σ ω_k.
-type MeanAggregator struct{}
-
-var _ Aggregator = MeanAggregator{}
-
-// Aggregate implements Aggregator.
-func (MeanAggregator) Aggregate(dst *ml.Model, updates []Update) error {
+// Mean writes the paper's Eq. (2), ω ← (1/K)·Σ ω_k, into dst (which the
+// caller pre-sizes to the model shape; previous contents are discarded),
+// adding the updates in slice order. Engine.Round and the networked
+// coordinator both aggregate through it.
+func Mean(dst *ml.Model, updates []Update) error {
 	if len(updates) == 0 {
 		return fmt.Errorf("no updates: %w", ErrAggregate)
 	}
@@ -47,87 +32,4 @@ func (MeanAggregator) Aggregate(dst *ml.Model, updates []Update) error {
 		}
 	}
 	return nil
-}
-
-// WeightedAggregator weights each update by its shard size:
-// ω ← Σ (n_k/n)·ω_k. With equal shards it coincides with MeanAggregator.
-type WeightedAggregator struct{}
-
-var _ Aggregator = WeightedAggregator{}
-
-// Aggregate implements Aggregator.
-func (WeightedAggregator) Aggregate(dst *ml.Model, updates []Update) error {
-	if len(updates) == 0 {
-		return fmt.Errorf("no updates: %w", ErrAggregate)
-	}
-	total := 0
-	for _, u := range updates {
-		if u.Samples <= 0 {
-			return fmt.Errorf("client %d reports %d samples: %w", u.Client, u.Samples, ErrAggregate)
-		}
-		total += u.Samples
-	}
-	dst.Zero()
-	for _, u := range updates {
-		if err := dst.AddScaled(float64(u.Samples)/float64(total), u.Model); err != nil {
-			return fmt.Errorf("weighted mean of client %d: %w", u.Client, err)
-		}
-	}
-	return nil
-}
-
-// TrimmedMeanAggregator drops the updates with the largest parameter
-// distance from the coordinate-wise mean before averaging — a light
-// robustness extension for deployments where a minority of edge servers may
-// ship corrupted models (sensor faults, partial writes). Trim is the number
-// of outliers removed from each round.
-type TrimmedMeanAggregator struct {
-	// Trim is how many of the most distant updates to discard. It must
-	// leave at least one update.
-	Trim int
-}
-
-var _ Aggregator = TrimmedMeanAggregator{}
-
-// Aggregate implements Aggregator.
-func (a TrimmedMeanAggregator) Aggregate(dst *ml.Model, updates []Update) error {
-	if len(updates) == 0 {
-		return fmt.Errorf("no updates: %w", ErrAggregate)
-	}
-	if a.Trim < 0 || a.Trim >= len(updates) {
-		return fmt.Errorf("trim %d of %d updates: %w", a.Trim, len(updates), ErrAggregate)
-	}
-	if a.Trim == 0 {
-		return MeanAggregator{}.Aggregate(dst, updates)
-	}
-	// Mean of all updates.
-	mean := ml.NewModel(dst.Classes(), dst.Features(), dst.Act)
-	if err := (MeanAggregator{}).Aggregate(mean, updates); err != nil {
-		return err
-	}
-	// Keep the len−Trim updates closest to the mean.
-	type scored struct {
-		u    Update
-		dist float64
-	}
-	ss := make([]scored, len(updates))
-	for i, u := range updates {
-		ss[i] = scored{u: u, dist: u.Model.ParamDistance(mean)}
-	}
-	// Selection sort of the keepers (n is small — K ≤ tens).
-	keep := len(updates) - a.Trim
-	for i := 0; i < keep; i++ {
-		minJ := i
-		for j := i + 1; j < len(ss); j++ {
-			if ss[j].dist < ss[minJ].dist {
-				minJ = j
-			}
-		}
-		ss[i], ss[minJ] = ss[minJ], ss[i]
-	}
-	kept := make([]Update, keep)
-	for i := 0; i < keep; i++ {
-		kept[i] = ss[i].u
-	}
-	return MeanAggregator{}.Aggregate(dst, kept)
 }

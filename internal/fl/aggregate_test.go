@@ -2,7 +2,6 @@ package fl
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"eefei/internal/ml"
@@ -20,11 +19,11 @@ func modelWith(val float64) *ml.Model {
 func TestMeanAggregator(t *testing.T) {
 	dst := ml.NewModel(2, 2, ml.Softmax)
 	updates := []Update{
-		{Client: 0, Model: modelWith(1), Samples: 10},
-		{Client: 1, Model: modelWith(3), Samples: 10},
+		{Client: 0, Model: modelWith(1)},
+		{Client: 1, Model: modelWith(3)},
 	}
-	if err := (MeanAggregator{}).Aggregate(dst, updates); err != nil {
-		t.Fatalf("Aggregate: %v", err)
+	if err := Mean(dst, updates); err != nil {
+		t.Fatalf("Mean: %v", err)
 	}
 	if dst.W.At(0, 0) != 2 || dst.B[1] != 2 {
 		t.Errorf("mean = %v / %v, want 2", dst.W.At(0, 0), dst.B[1])
@@ -33,164 +32,7 @@ func TestMeanAggregator(t *testing.T) {
 
 func TestMeanAggregatorEmpty(t *testing.T) {
 	dst := ml.NewModel(2, 2, ml.Softmax)
-	if err := (MeanAggregator{}).Aggregate(dst, nil); !errors.Is(err, ErrAggregate) {
+	if err := Mean(dst, nil); !errors.Is(err, ErrAggregate) {
 		t.Errorf("empty = %v, want ErrAggregate", err)
-	}
-}
-
-func TestWeightedAggregator(t *testing.T) {
-	dst := ml.NewModel(2, 2, ml.Softmax)
-	updates := []Update{
-		{Client: 0, Model: modelWith(1), Samples: 30},
-		{Client: 1, Model: modelWith(5), Samples: 10},
-	}
-	if err := (WeightedAggregator{}).Aggregate(dst, updates); err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	// (30·1 + 10·5)/40 = 2.
-	if math.Abs(dst.W.At(1, 1)-2) > 1e-12 {
-		t.Errorf("weighted mean = %v, want 2", dst.W.At(1, 1))
-	}
-}
-
-func TestWeightedAggregatorEqualShardsMatchesMean(t *testing.T) {
-	updates := []Update{
-		{Client: 0, Model: modelWith(1), Samples: 7},
-		{Client: 1, Model: modelWith(2), Samples: 7},
-		{Client: 2, Model: modelWith(6), Samples: 7},
-	}
-	a := ml.NewModel(2, 2, ml.Softmax)
-	b := ml.NewModel(2, 2, ml.Softmax)
-	if err := (MeanAggregator{}).Aggregate(a, updates); err != nil {
-		t.Fatalf("mean: %v", err)
-	}
-	if err := (WeightedAggregator{}).Aggregate(b, updates); err != nil {
-		t.Fatalf("weighted: %v", err)
-	}
-	if a.ParamDistance(b) > 1e-12 {
-		t.Error("equal shards must make weighted == mean (the paper's setting)")
-	}
-}
-
-func TestWeightedAggregatorRejectsZeroSamples(t *testing.T) {
-	dst := ml.NewModel(2, 2, ml.Softmax)
-	updates := []Update{{Client: 0, Model: modelWith(1), Samples: 0}}
-	if err := (WeightedAggregator{}).Aggregate(dst, updates); !errors.Is(err, ErrAggregate) {
-		t.Errorf("zero samples = %v, want ErrAggregate", err)
-	}
-}
-
-func TestTrimmedMeanDropsOutlier(t *testing.T) {
-	dst := ml.NewModel(2, 2, ml.Softmax)
-	updates := []Update{
-		{Client: 0, Model: modelWith(1), Samples: 1},
-		{Client: 1, Model: modelWith(1.2), Samples: 1},
-		{Client: 2, Model: modelWith(0.9), Samples: 1},
-		{Client: 3, Model: modelWith(1000), Samples: 1}, // corrupted
-	}
-	if err := (TrimmedMeanAggregator{Trim: 1}).Aggregate(dst, updates); err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	if dst.W.At(0, 0) > 2 {
-		t.Errorf("outlier survived: mean = %v", dst.W.At(0, 0))
-	}
-	want := (1 + 1.2 + 0.9) / 3
-	if math.Abs(dst.W.At(0, 0)-want) > 1e-9 {
-		t.Errorf("trimmed mean = %v, want %v", dst.W.At(0, 0), want)
-	}
-}
-
-func TestTrimmedMeanValidation(t *testing.T) {
-	dst := ml.NewModel(2, 2, ml.Softmax)
-	one := []Update{{Client: 0, Model: modelWith(1), Samples: 1}}
-	if err := (TrimmedMeanAggregator{Trim: 1}).Aggregate(dst, one); !errors.Is(err, ErrAggregate) {
-		t.Errorf("trim-all = %v, want ErrAggregate", err)
-	}
-	if err := (TrimmedMeanAggregator{Trim: -1}).Aggregate(dst, one); !errors.Is(err, ErrAggregate) {
-		t.Errorf("negative trim = %v, want ErrAggregate", err)
-	}
-	if err := (TrimmedMeanAggregator{Trim: 0}).Aggregate(dst, one); err != nil {
-		t.Errorf("trim 0 must degrade to mean: %v", err)
-	}
-}
-
-func TestEngineWithWeightedAggregator(t *testing.T) {
-	shards, test := quickShards(t, 10)
-	e, err := NewEngine(quickConfig(), shards,
-		WithTestSet(test), WithAggregator(WeightedAggregator{}))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	recs, err := e.Run(MaxRounds(5))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if recs[4].TrainLoss >= recs[0].TrainLoss {
-		t.Error("weighted aggregation must still train")
-	}
-}
-
-func TestEngineWithTrimmedAggregator(t *testing.T) {
-	shards, _ := quickShards(t, 10)
-	cfg := quickConfig()
-	e, err := NewEngine(cfg, shards, WithAggregator(TrimmedMeanAggregator{Trim: 1}))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	recs, err := e.Run(MaxRounds(5))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if recs[4].TrainLoss >= recs[0].TrainLoss {
-		t.Error("trimmed aggregation must still train")
-	}
-}
-
-func TestFedProxTraining(t *testing.T) {
-	shards, test := quickShards(t, 10)
-	cfg := quickConfig()
-	cfg.ProximalMu = 0.1
-	e, err := NewEngine(cfg, shards, WithTestSet(test))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	recs, err := e.Run(MaxRounds(10))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if recs[9].TrainLoss >= recs[0].TrainLoss {
-		t.Error("FedProx must still reduce loss")
-	}
-}
-
-func TestFedProxDampsDrift(t *testing.T) {
-	// With a large µ the local models stay near the global snapshot, so the
-	// post-round global step is smaller than plain FedAvg's.
-	shards, _ := quickShards(t, 10)
-	driftAfterOneRound := func(mu float64) float64 {
-		cfg := quickConfig()
-		cfg.ProximalMu = mu
-		e, err := NewEngine(cfg, shards)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		before := e.Global().Clone()
-		if _, err := e.Round(); err != nil {
-			t.Fatalf("Round: %v", err)
-		}
-		return e.Global().ParamDistance(before)
-	}
-	plain := driftAfterOneRound(0)
-	proximal := driftAfterOneRound(5)
-	if proximal >= plain {
-		t.Errorf("µ=5 drift %v not below plain drift %v", proximal, plain)
-	}
-}
-
-func TestConfigRejectsNegativeMu(t *testing.T) {
-	cfg := quickConfig()
-	cfg.ProximalMu = -1
-	if err := cfg.Validate(10); !errors.Is(err, ErrConfig) {
-		t.Errorf("negative mu = %v, want ErrConfig", err)
 	}
 }

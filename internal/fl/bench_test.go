@@ -81,7 +81,7 @@ func BenchmarkGlobalLoss(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			engine, err := NewEngine(Config{
 				ClientsPerRound: 10, LocalEpochs: 1, LearningRate: 0.05, Seed: 1,
-			}, shards, WithEvalParallelism(workers))
+			}, shards, pools(0, workers))
 			if err != nil {
 				b.Fatalf("NewEngine: %v", err)
 			}

@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"eefei/internal/ml"
 	"eefei/internal/par"
@@ -13,14 +12,6 @@ import (
 // around its selection and aggregation: the bounded training pool, local
 // training, the evaluation tail, the phase clock and the commit. See
 // DESIGN.md §7 "Round core".
-
-// poolSize resolves a parallelism knob: 0 (or less) selects GOMAXPROCS.
-func poolSize(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 // SetRoundObserver attaches (or, with nil, detaches) the per-round
 // observability sink (phase timings, throughput, pool occupancy — see
@@ -100,20 +91,17 @@ func (e *Engine) pool(n int, job par.Job) (workers int, claims []int, err error)
 // w's optimizer over one client's shard, updating model in place, and
 // returns the final epoch's loss. The mini-batch order must not depend on
 // goroutine scheduling or pool size, so the stream is reseeded from
-// (seed, client, round) on every assignment. The FedProx anchor is the
-// round's immutable global model.
+// (seed, client, round) on every assignment.
 func (e *Engine) train(w int, model *ml.Model, client int) (float64, error) {
 	sgd := &e.sgds[w]
 	err := sgd.Reset(ml.SGDConfig{
 		LearningRate: e.lr,
 		BatchSize:    e.cfg.BatchSize,
-		ProximalMu:   e.cfg.ProximalMu,
 		Seed:         e.cfg.Seed ^ uint64(client)<<32 ^ uint64(e.round),
 	})
 	if err != nil {
 		return 0, err
 	}
-	sgd.SetProximalRef(e.global)
 	return sgd.TrainFinal(model, e.shards[client], e.cfg.LocalEpochs)
 }
 

@@ -1,15 +1,17 @@
 // Package fl implements the in-process federated-learning substrate the
 // paper's FEI system runs: FedAvg coordination (Section III-A) across edge
-// servers holding disjoint shards, with configurable client selection, local
-// epoch counts E, per-round learning-rate decay, parallel local training,
-// and stop conditions on rounds / loss / accuracy. The networked counterpart
-// lives in package flnet; both share this package's aggregation logic.
+// servers holding disjoint shards: K_t drawn uniformly at random each round,
+// local epoch counts E, per-round learning-rate decay, parallel local
+// training, the Eq. (2) mean, and stop conditions on rounds / loss /
+// accuracy. The networked counterpart lives in package flnet; both share
+// this package's aggregation logic.
 package fl
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"eefei/internal/dataset"
 	"eefei/internal/mat"
@@ -35,9 +37,6 @@ type Config struct {
 	BatchSize int
 	// Activation selects the classifier head.
 	Activation ml.Activation
-	// ProximalMu enables FedProx local training with strength µ (0 = plain
-	// FedAvg, the paper's algorithm).
-	ProximalMu float64
 	// Seed drives client selection and any mini-batch shuffling.
 	Seed uint64
 }
@@ -68,9 +67,6 @@ func (c Config) Validate(shards int) error {
 	if c.BatchSize < 0 {
 		return fmt.Errorf("batch size %d: %w", c.BatchSize, ErrConfig)
 	}
-	if c.ProximalMu < 0 {
-		return fmt.Errorf("proximal mu %v: %w", c.ProximalMu, ErrConfig)
-	}
 	return nil
 }
 
@@ -95,38 +91,6 @@ func (c Config) ValidateSchedule() error {
 		return fmt.Errorf("decay %v: %w", c.Decay, ErrConfig)
 	}
 	return nil
-}
-
-// Selector chooses which clients participate in a round.
-type Selector interface {
-	// Select returns K distinct client indices out of n for round t.
-	Select(rng *mat.RNG, n, k, round int) []int
-}
-
-// RandomSelector draws K clients uniformly without replacement each round —
-// the paper's "randomly selected subset K_t ⊆ K".
-type RandomSelector struct{}
-
-var _ Selector = RandomSelector{}
-
-// Select implements Selector.
-func (RandomSelector) Select(rng *mat.RNG, n, k, _ int) []int {
-	return rng.Sample(n, k)
-}
-
-// RoundRobinSelector cycles deterministically through clients, useful for
-// reproducing traces where participation order matters.
-type RoundRobinSelector struct{}
-
-var _ Selector = RoundRobinSelector{}
-
-// Select implements Selector.
-func (RoundRobinSelector) Select(_ *mat.RNG, n, k, round int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = (round*k + i) % n
-	}
-	return out
 }
 
 // RoundRecord captures one global coordination round.
@@ -203,12 +167,10 @@ type DgramBytes struct {
 // map-reduce over per-worker evaluators.
 // See DESIGN.md §7 for the scratch-ownership rules.
 type Engine struct {
-	cfg      Config
-	selector Selector
-	agg      Aggregator
-	rng      *mat.RNG
-	round    int
-	history  []RoundRecord
+	cfg     Config
+	rng     *mat.RNG
+	round   int
+	history []RoundRecord
 
 	// The validated fleet, the global model and the scratch model a round
 	// is aggregated and evaluated in before commit publishes it.
@@ -217,6 +179,12 @@ type Engine struct {
 	test         *dataset.Dataset
 	global       *ml.Model
 	scratch      *ml.Model
+	// parallel caps the local-training workers and evalParallel the
+	// post-aggregation evaluation workers, both GOMAXPROCS. Results are
+	// bit-identical for every setting: a client's training stream derives
+	// from (seed, client, round), never from which worker ran it; per-shard
+	// losses reduce in shard order; the test pass uses a fixed chunk
+	// decomposition. The package's tests pin this at several sizes.
 	parallel     int
 	evalParallel int
 	roundObs     RoundObserver
@@ -251,33 +219,6 @@ func WithTestSet(test *dataset.Dataset) Option {
 	return func(e *Engine) { e.test = test }
 }
 
-// WithSelector replaces the default RandomSelector.
-func WithSelector(s Selector) Option {
-	return func(e *Engine) { e.selector = s }
-}
-
-// WithAggregator replaces the default MeanAggregator (paper Eq. 2).
-func WithAggregator(a Aggregator) Option {
-	return func(e *Engine) { e.agg = a }
-}
-
-// WithParallelism caps concurrent local-training workers; 1 forces
-// sequential execution, 0 selects GOMAXPROCS. Results are bit-identical for
-// every setting: a client's training stream is derived from (seed, client,
-// round), never from which worker ran it.
-func WithParallelism(n int) Option {
-	return func(e *Engine) { e.parallel = poolSize(n) }
-}
-
-// WithEvalParallelism caps the workers used for post-aggregation evaluation
-// (global loss over the shards, accuracy over the test set); 1 forces
-// sequential evaluation, 0 selects GOMAXPROCS. Results are bit-identical
-// for every setting: per-shard losses are reduced in shard order and the
-// test pass uses a fixed chunk decomposition.
-func WithEvalParallelism(n int) Option {
-	return func(e *Engine) { e.evalParallel = poolSize(n) }
-}
-
 // NewEngine validates the config and builds an engine over the given shards.
 // Every shard must be valid, and all must agree on dimensionality and class
 // count.
@@ -303,15 +244,13 @@ func NewEngine(cfg Config, shards []*dataset.Dataset, opts ...Option) (*Engine, 
 	}
 	e := &Engine{
 		cfg:          cfg,
-		selector:     RandomSelector{},
-		agg:          MeanAggregator{},
 		rng:          mat.NewRNG(cfg.Seed),
 		shards:       shards,
 		totalSamples: total,
 		global:       ml.NewModel(classes, dim, act),
 		scratch:      ml.NewModel(classes, dim, act),
-		parallel:     poolSize(0),
-		evalParallel: poolSize(0),
+		parallel:     runtime.GOMAXPROCS(0),
+		evalParallel: runtime.GOMAXPROCS(0),
 	}
 	e.shardLoss.init(len(shards))
 	for _, opt := range opts {
@@ -343,7 +282,7 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // without inheriting a half-advanced state.
 func (e *Engine) Round() (RoundRecord, error) {
 	pc := e.clock()
-	e.selected = e.selector.Select(e.rng, len(e.shards), e.cfg.ClientsPerRound, e.round)
+	e.selected = e.rng.Sample(len(e.shards), e.cfg.ClientsPerRound)
 	e.lr = e.cfg.LearningRateAt(e.round)
 	k := len(e.selected)
 	for len(e.localModels) < k {
@@ -359,9 +298,9 @@ func (e *Engine) Round() (RoundRecord, error) {
 	}
 	pc.Lap(PhaseTrain)
 
-	// Aggregate (default: ω_{t+1} = (1/K) Σ ω_{k,t}, paper Eq. 2) into the
-	// scratch model; the engine's state is untouched until the commit below.
-	if err := e.agg.Aggregate(e.scratch, e.updates[:k]); err != nil {
+	// Aggregate ω_{t+1} = (1/K) Σ ω_{k,t} (paper Eq. 2) into the scratch
+	// model; the engine's state is untouched until the commit below.
+	if err := Mean(e.scratch, e.updates[:k]); err != nil {
 		return RoundRecord{}, fmt.Errorf("round %d: %w", e.round, err)
 	}
 	pc.Lap(PhaseAggregate)
@@ -393,8 +332,7 @@ func (e *Engine) Round() (RoundRecord, error) {
 type roundJob Engine
 
 // Run copies the global model into the slot's scratch model and trains it
-// for E epochs on the slot's client, anchored (for FedProx) to this round's
-// immutable global snapshot.
+// for E epochs on the slot's client.
 func (j *roundJob) Run(w, slot int) {
 	e := (*Engine)(j)
 	client, local := e.selected[slot], e.localModels[slot]
@@ -405,7 +343,7 @@ func (j *roundJob) Run(w, slot int) {
 	if err != nil {
 		e.errs[slot] = fmt.Errorf("round %d client %d: %w", e.round, client, err)
 	}
-	e.updates[slot] = Update{Client: client, Model: local, Samples: e.shards[client].Len()}
+	e.updates[slot] = Update{Client: client, Model: local}
 }
 
 // GlobalLoss evaluates the global objective F(ω) = Σ_k (n_k/n)·F_k(ω) over

@@ -27,6 +27,20 @@ func quickShards(t testing.TB, servers int) ([]*dataset.Dataset, *dataset.Datase
 	return shards, test
 }
 
+// pools sizes an engine's training and evaluation worker pools; 0 keeps the
+// GOMAXPROCS default. Only tests resize them, to pin that every size gives
+// bit-identical results.
+func pools(train, eval int) Option {
+	return func(e *Engine) {
+		if train > 0 {
+			e.parallel = train
+		}
+		if eval > 0 {
+			e.evalParallel = eval
+		}
+	}
+}
+
 func quickConfig() Config {
 	return Config{
 		ClientsPerRound: 5,
@@ -202,7 +216,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	shards, _ := quickShards(t, 10)
 	runWith := func(parallel int) float64 {
-		e, err := NewEngine(quickConfig(), shards, WithParallelism(parallel))
+		e, err := NewEngine(quickConfig(), shards, pools(parallel, 0))
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
@@ -229,7 +243,7 @@ func TestRoundParallelBitIdentical(t *testing.T) {
 			cfg := quickConfig()
 			cfg.BatchSize = batch
 			e, err := NewEngine(cfg, shards, WithTestSet(test),
-				WithParallelism(train), WithEvalParallelism(eval))
+				pools(train, eval))
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
@@ -262,7 +276,7 @@ func TestRoundParallelBitIdentical(t *testing.T) {
 func TestGlobalLossParallelBitIdentical(t *testing.T) {
 	shards, _ := quickShards(t, 10)
 	lossWith := func(eval int) float64 {
-		e, err := NewEngine(quickConfig(), shards, WithEvalParallelism(eval))
+		e, err := NewEngine(quickConfig(), shards, pools(0, eval))
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
@@ -283,18 +297,11 @@ func TestGlobalLossParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// corruptingAggregator scribbles into dst and then fails — the worst-case
-// aggregator for commit atomicity.
-type corruptingAggregator struct{}
-
-func (corruptingAggregator) Aggregate(dst *ml.Model, _ []Update) error {
-	dst.W.Fill(999)
-	return errors.New("aggregator exploded")
-}
-
 // TestRoundCommitsAtomically: a failed round must leave the engine exactly
-// as it was — model parameters, round counter, and history — even when the
-// failing stage has already scribbled into the aggregation target.
+// as it was — model parameters, round counter, and history — even though
+// the aggregate has already been written into the scratch model when the
+// failing stage (here evaluation, against a test set of the wrong width)
+// runs.
 func TestRoundCommitsAtomically(t *testing.T) {
 	shards, test := quickShards(t, 10)
 	e, err := NewEngine(quickConfig(), shards, WithTestSet(test))
@@ -306,9 +313,10 @@ func TestRoundCommitsAtomically(t *testing.T) {
 	}
 	before := e.Global().Clone()
 
-	e.agg = corruptingAggregator{}
+	wide := &dataset.Dataset{X: mat.NewDense(4, test.Dim()+1), Labels: make([]int, 4), Classes: test.Classes}
+	e.test = wide
 	if _, err := e.Round(); err == nil {
-		t.Fatal("Round with failing aggregator must error")
+		t.Fatal("Round with a mis-shaped test set must error")
 	}
 	if d := e.Global().ParamDistance(before); d != 0 {
 		t.Errorf("failed round moved the global model by %v, want 0", d)
@@ -318,7 +326,7 @@ func TestRoundCommitsAtomically(t *testing.T) {
 	}
 
 	// The engine must still be able to complete rounds afterwards.
-	e.agg = MeanAggregator{}
+	e.test = test
 	rec, err := e.Round()
 	if err != nil {
 		t.Fatalf("Round after recovery: %v", err)
@@ -342,31 +350,6 @@ func TestLearningRateDecaysPerRound(t *testing.T) {
 		want := 0.5 * math.Pow(0.99, float64(i))
 		if math.Abs(rec.LearningRate-want) > 1e-15 {
 			t.Errorf("round %d lr = %v, want %v", i, rec.LearningRate, want)
-		}
-	}
-}
-
-func TestRoundRobinSelector(t *testing.T) {
-	shards, _ := quickShards(t, 10)
-	cfg := quickConfig()
-	cfg.ClientsPerRound = 3
-	e, err := NewEngine(cfg, shards, WithSelector(RoundRobinSelector{}))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	r0, err := e.Round()
-	if err != nil {
-		t.Fatalf("Round: %v", err)
-	}
-	r1, err := e.Round()
-	if err != nil {
-		t.Fatalf("Round: %v", err)
-	}
-	want0, want1 := []int{0, 1, 2}, []int{3, 4, 5}
-	for i := range want0 {
-		if r0.Selected[i] != want0[i] || r1.Selected[i] != want1[i] {
-			t.Fatalf("round-robin selections %v, %v; want %v, %v",
-				r0.Selected, r1.Selected, want0, want1)
 		}
 	}
 }
@@ -428,7 +411,7 @@ func TestMoreLocalEpochsFasterPerRoundProgress(t *testing.T) {
 }
 
 // TestWarmRoundAllocations pins what a warm sequential round costs the heap:
-// the selector's draw, the record's copy of the local losses and the history
+// the selection's draw, the record's copy of the local losses and the history
 // growing — a handful of small objects, none per sample or per parameter —
 // and that the global-loss pass on its own costs nothing. Sequential pools
 // make the count exact; the multi-core figure, goroutine spawns included, is
@@ -443,7 +426,7 @@ func TestWarmRoundAllocations(t *testing.T) {
 		{"full-batch", Config{ClientsPerRound: 10, LocalEpochs: 4, LearningRate: 0.01, Decay: 0.99, Seed: 1}, test},
 		{"mini-batch", Config{ClientsPerRound: 10, LocalEpochs: 2, LearningRate: 0.05, BatchSize: 32, Seed: 1}, nil},
 	} {
-		e, err := NewEngine(tc.cfg, shards, WithTestSet(tc.test), WithParallelism(1), WithEvalParallelism(1))
+		e, err := NewEngine(tc.cfg, shards, WithTestSet(tc.test), pools(1, 1))
 		if err != nil {
 			t.Fatalf("%s: NewEngine: %v", tc.name, err)
 		}

@@ -41,7 +41,7 @@ func TestGlobalLossSpawnGate(t *testing.T) {
 
 			lossWith := func(evalWorkers int) float64 {
 				engine, err := NewEngine(flCfg, shards, WithTestSet(test),
-					WithEvalParallelism(evalWorkers))
+					pools(0, evalWorkers))
 				if err != nil {
 					t.Fatalf("NewEngine: %v", err)
 				}

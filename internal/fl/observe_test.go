@@ -33,7 +33,7 @@ func TestPhaseString(t *testing.T) {
 func TestObserverStats(t *testing.T) {
 	shards, test := quickShards(t, 10)
 	var stats []RoundStats
-	engine, err := NewEngine(quickConfig(), shards, WithTestSet(test), WithParallelism(4))
+	engine, err := NewEngine(quickConfig(), shards, WithTestSet(test), pools(4, 0))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestObserverStats(t *testing.T) {
 func TestObserverDeterminism(t *testing.T) {
 	shards, test := quickShards(t, 10)
 	run := func(observed bool) ([]RoundRecord, []float64) {
-		engine, err := NewEngine(quickConfig(), shards, WithTestSet(test), WithParallelism(3))
+		engine, err := NewEngine(quickConfig(), shards, WithTestSet(test), pools(3, 0))
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
@@ -115,7 +115,7 @@ func TestObserverDeterminism(t *testing.T) {
 }
 
 // TestObserverRace exercises the observer plumbing under the race detector:
-// a mutating observer on an engine with Parallelism=4 (claims counters are
+// a mutating observer on an engine with a 4-worker training pool (claims counters are
 // written by pool workers and read by the observer), plus one shared
 // TraceWriter observed by two concurrently-training engines.
 func TestObserverRace(t *testing.T) {
@@ -138,7 +138,7 @@ func TestObserverRace(t *testing.T) {
 			defer wg.Done()
 			cfg := quickConfig()
 			cfg.Seed = uint64(g + 1)
-			engine, err := NewEngine(cfg, shards, WithTestSet(test), WithParallelism(4))
+			engine, err := NewEngine(cfg, shards, WithTestSet(test), pools(4, 0))
 			if err != nil {
 				t.Errorf("NewEngine: %v", err)
 				return

@@ -2,6 +2,7 @@ package flnet
 
 import (
 	"bytes"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -60,10 +61,15 @@ func FuzzDecodeTrainRequestV2(f *testing.F) {
 	bad := append([]byte(nil), full...)
 	bad[21] = 0xff
 	f.Add(bad)
+	// A step size the edge must not train with.
+	f.Add(m.AppendBinary(appendTrainRequestHeader(nil, TrainRequest{Round: 2, BaseRound: 2, Epochs: 1, LearningRate: math.NaN()})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, body, err := decodeTrainRequest(data)
 		if err != nil {
 			return
+		}
+		if !(req.LearningRate > 0) || math.IsInf(req.LearningRate, 0) {
+			t.Fatalf("learning rate %v accepted", req.LearningRate)
 		}
 		// Whatever decodes must satisfy the header invariants the edge
 		// relies on, and the body must either decode or error — no panics.
@@ -133,12 +139,21 @@ func FuzzDecodeTrainReply(f *testing.F) {
 		f.Add(delta[:len(delta)-2])
 		f.Add(append(append([]byte(nil), delta...), 0))
 	}
+	// A loss that would poison the coordinator's training-loss proxy.
+	nanLoss, err := appendTrainReply(nil, TrainReply{Round: 1, Loss: math.NaN(), Samples: 10, Model: m})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nanLoss)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decoded as the coordinator does, in place over the previous reply.
 		m := prevLocal.Clone()
 		rep, err := decodeTrainReplyInto(data, m, sent, prevSent)
 		if err != nil {
 			return
+		}
+		if math.IsNaN(rep.Loss) || math.IsInf(rep.Loss, 0) {
+			t.Fatalf("loss %v accepted", rep.Loss)
 		}
 		if rep.Model != m || rep.Model.Classes() <= 0 {
 			t.Fatalf("decode accepted an unusable reply: %+v", rep)

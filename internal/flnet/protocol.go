@@ -339,6 +339,9 @@ func decodeTrainRequest(payload []byte) (req TrainRequest, body []byte, err erro
 	req.Round = int(binary.LittleEndian.Uint32(payload[0:4]))
 	req.Epochs = int(binary.LittleEndian.Uint32(payload[4:8]))
 	req.LearningRate = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:16]))
+	if !(req.LearningRate > 0) || math.IsInf(req.LearningRate, 0) {
+		return TrainRequest{}, nil, fmt.Errorf("learning rate %v: %w", req.LearningRate, ErrProtocol)
+	}
 	req.ReplyBits = ml.QuantBits(binary.LittleEndian.Uint32(payload[16:20]))
 	switch req.ReplyBits {
 	case 0, ml.Quant8, ml.Quant16:
@@ -457,6 +460,9 @@ func decodeTrainReplyInto(payload []byte, m, sent, prevSent *ml.Model) (TrainRep
 	var rep TrainReply
 	rep.Round = int(binary.LittleEndian.Uint32(payload[0:4]))
 	rep.Loss = math.Float64frombits(binary.LittleEndian.Uint64(payload[4:12]))
+	if math.IsNaN(rep.Loss) || math.IsInf(rep.Loss, 0) {
+		return TrainReply{}, fmt.Errorf("loss %v: %w", rep.Loss, ErrProtocol)
+	}
 	rep.Samples = int(binary.LittleEndian.Uint32(payload[12:16]))
 	codec := binary.LittleEndian.Uint32(payload[16:20])
 	if codec>>16 != 0 {

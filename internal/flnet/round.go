@@ -420,7 +420,7 @@ func (r *round) aggregate() error {
 		}
 	}
 	r.c.updates = updates
-	if err := (fl.MeanAggregator{}).Aggregate(r.c.spare.m, updates); err != nil {
+	if err := fl.Mean(r.c.spare.m, updates); err != nil {
 		return fmt.Errorf("round %d aggregate: %w", r.t, err)
 	}
 	return nil

@@ -175,26 +175,6 @@ func (m *Dense) MulVecT(dst, x []float64) error {
 	return nil
 }
 
-// Mul computes dst = A·B. dst must be preallocated with shape
-// A.Rows × B.Cols and must not alias A or B. Every element accumulates k
-// ascending, one Axpy of a row of B per nonzero a[i][k].
-func Mul(dst, a, b *Dense) error {
-	if a.cols != b.rows {
-		return fmt.Errorf("mul %dx%d by %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
-	}
-	if dst.rows != a.rows || dst.cols != b.cols {
-		return fmt.Errorf("mul into %dx%d, want %dx%d: %w", dst.rows, dst.cols, a.rows, b.cols, ErrShape)
-	}
-	dst.Zero()
-	for i := 0; i < a.rows; i++ {
-		dr := dst.Row(i)
-		for k, av := range a.Row(i) {
-			Axpy(dr, av, b.Row(k))
-		}
-	}
-	return nil
-}
-
 // MulTA computes dst = Aᵀ·B. dst must be A.Cols × B.Cols and must not alias
 // A or B.
 func MulTA(dst, a, b *Dense) error {

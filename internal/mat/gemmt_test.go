@@ -295,7 +295,7 @@ func TestKernelsAllocationFree(t *testing.T) {
 		run  func() error
 	}{
 		{"AddMulTA", func() error { return AddMulTA(grad, delta, x, 0.005) }},
-		{"Mul64", func() error { return Mul(dst, a, c) }},
+		{"Mul64", func() error { return mul(dst, a, c) }},
 		{"Dot784", func() error { sink += Dot(u, v); return nil }},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {

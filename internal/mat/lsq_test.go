@@ -178,7 +178,12 @@ func TestLeastSquaresResidualOrthogonalProperty(t *testing.T) {
 		if err := a.MulVecT(grad, resid); err != nil {
 			return false
 		}
-		return NormInf(grad) < 1e-8*(1+Norm2(y))
+		for _, g := range grad {
+			if math.Abs(g) >= 1e-8*(1+Norm2(y)) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -75,26 +75,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Norm1 returns the sum of absolute values of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute value in x (0 for empty x).
-func NormInf(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
 // Sum returns the sum of the elements of x.
 func Sum(x []float64) float64 {
 	var s float64

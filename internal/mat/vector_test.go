@@ -81,12 +81,6 @@ func TestNorms(t *testing.T) {
 	if got := Norm2(x); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
-	if got := Norm1(x); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
-	if got := NormInf(x); got != 4 {
-		t.Errorf("NormInf = %v, want 4", got)
-	}
 	if got := Norm2(nil); got != 0 {
 		t.Errorf("Norm2(nil) = %v, want 0", got)
 	}

@@ -105,7 +105,7 @@ func TestSGDResetReproducesFreshOptimizer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	sgdCfg := SGDConfig{LearningRate: 0.1, Decay: 0.95, DecayEvery: 1, BatchSize: 64, Seed: 5}
+	sgdCfg := SGDConfig{LearningRate: 0.1, Decay: 0.95, BatchSize: 64, Seed: 5}
 
 	train := func(s *SGD) []float64 {
 		m := NewModel(d.Classes, d.Dim(), Softmax)
@@ -151,7 +151,9 @@ func TestSGDResetValidates(t *testing.T) {
 		{LearningRate: 0},
 		{LearningRate: 0.1, Decay: 2},
 		{LearningRate: 0.1, BatchSize: -1},
-		{LearningRate: 0.1, ProximalMu: -1},
+		{LearningRate: math.NaN()},
+		{LearningRate: math.Inf(1)},
+		{LearningRate: 0.1, Decay: math.NaN()},
 	} {
 		if err := s.Reset(bad); err == nil {
 			t.Errorf("Reset(%+v) must fail", bad)

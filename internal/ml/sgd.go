@@ -2,6 +2,7 @@ package ml
 
 import (
 	"fmt"
+	"math"
 
 	"eefei/internal/dataset"
 	"eefei/internal/mat"
@@ -13,63 +14,27 @@ import (
 type SGDConfig struct {
 	// LearningRate is the initial step size γ.
 	LearningRate float64
-	// Decay multiplies the learning rate once per DecayEvery local epochs;
-	// the paper decays per global round, which callers express by setting
-	// DecayEvery to the local epoch count E.
+	// Decay multiplies the learning rate after every epoch; zero disables
+	// decay. The federated engines leave it zero and decay per global round
+	// instead (fl.Config.LearningRateAt).
 	Decay float64
-	// DecayEvery is the number of epochs between decay applications.
-	// Zero disables decay.
-	DecayEvery int
 	// BatchSize is the mini-batch size n_k; 0 selects full-batch SGD, the
 	// paper's setting.
 	BatchSize int
-	// ProximalMu enables FedProx-style local training: each step also pulls
-	// the model toward a reference (the round's global model) with strength
-	// µ, damping client drift on heterogeneous shards. Zero disables it;
-	// the reference is supplied via SetProximalRef.
-	ProximalMu float64
 	// Seed drives mini-batch shuffling (unused for full batch).
 	Seed uint64
 }
 
-// DefaultSGDConfig mirrors Table II.
-func DefaultSGDConfig() SGDConfig {
-	return SGDConfig{LearningRate: 0.01, Decay: 0.99, DecayEvery: 1}
-}
-
 // SGD performs gradient-descent epochs over a dataset, tracking the decayed
-// learning rate across calls so that a federated client can run E epochs per
-// round and keep decaying round over round.
+// learning rate across calls until the next Reset.
 type SGD struct {
-	cfg     SGDConfig
-	lr      float64
-	step    int // epochs performed so far, drives decay
-	rng     *mat.RNG
-	grad    *Model     // reusable gradient accumulator
-	fwd     fwdScratch // reusable batched-forward chunk scratch
-	perm    []int      // reusable mini-batch shuffle buffer
-	proxRef *Model     // FedProx anchor; nil disables the proximal pull
-}
-
-// SetProximalRef anchors FedProx local training to ref (typically the
-// round's global model). The reference is not copied; callers must not
-// mutate it during training. A nil ref disables the proximal term.
-func (s *SGD) SetProximalRef(ref *Model) { s.proxRef = ref }
-
-// applyProximal pulls m toward the proximal reference after a gradient
-// step: m ← m − lr·µ·(m − ref).
-func (s *SGD) applyProximal(m *Model) {
-	if s.cfg.ProximalMu <= 0 || s.proxRef == nil {
-		return
-	}
-	scale := s.lr * s.cfg.ProximalMu
-	w, r := m.W.RawData(), s.proxRef.W.RawData()
-	for i := range w {
-		w[i] -= scale * (w[i] - r[i])
-	}
-	for i := range m.B {
-		m.B[i] -= scale * (m.B[i] - s.proxRef.B[i])
-	}
+	cfg  SGDConfig
+	lr   float64
+	step int // epochs performed so far
+	rng  *mat.RNG
+	grad *Model     // reusable gradient accumulator
+	fwd  fwdScratch // reusable batched-forward chunk scratch
+	perm []int      // reusable mini-batch shuffle buffer
 }
 
 // NewSGD validates cfg and returns an optimizer.
@@ -81,29 +46,26 @@ func NewSGD(cfg SGDConfig) (*SGD, error) {
 	return s, nil
 }
 
-// Reset revalidates and adopts cfg, rewinds the decay schedule, reseeds the
-// shuffle stream in place, and clears any proximal reference — while keeping
-// the gradient accumulator and scratch buffers. A federated worker calls
+// Reset revalidates and adopts cfg, rewinds the decay schedule and reseeds
+// the shuffle stream in place, while keeping the gradient accumulator and
+// scratch buffers. A federated worker calls
 // Reset once per (client, round) assignment so that training allocates
 // nothing after the first round, and the resulting streams depend only on
 // cfg.Seed, never on which worker ran the client.
 func (s *SGD) Reset(cfg SGDConfig) error {
-	if cfg.LearningRate <= 0 {
-		return fmt.Errorf("ml: learning rate %v must be positive", cfg.LearningRate)
+	// The negated comparisons reject NaN, as fl.Config.ValidateSchedule's do.
+	if !(cfg.LearningRate > 0) || math.IsInf(cfg.LearningRate, 0) {
+		return fmt.Errorf("ml: learning rate %v must be positive and finite", cfg.LearningRate)
 	}
-	if cfg.Decay < 0 || cfg.Decay > 1 {
+	if !(cfg.Decay >= 0 && cfg.Decay <= 1) {
 		return fmt.Errorf("ml: decay %v outside [0,1]", cfg.Decay)
 	}
 	if cfg.BatchSize < 0 {
 		return fmt.Errorf("ml: batch size %v negative", cfg.BatchSize)
 	}
-	if cfg.ProximalMu < 0 {
-		return fmt.Errorf("ml: proximal mu %v negative", cfg.ProximalMu)
-	}
 	s.cfg = cfg
 	s.lr = cfg.LearningRate
 	s.step = 0
-	s.proxRef = nil
 	if s.rng == nil {
 		s.rng = mat.NewRNG(cfg.Seed)
 	} else {
@@ -143,7 +105,6 @@ func (s *SGD) Epoch(m *Model, d *dataset.Dataset) (float64, error) {
 		if err := m.AddScaled(-s.lr, s.grad); err != nil {
 			return 0, fmt.Errorf("epoch update: %w", err)
 		}
-		s.applyProximal(m)
 	} else {
 		// Mini-batch pass in shuffled order. The shuffle buffer is reused
 		// across epochs and batches are permutation slices fed straight to
@@ -168,13 +129,12 @@ func (s *SGD) Epoch(m *Model, d *dataset.Dataset) (float64, error) {
 			if err := m.AddScaled(-s.lr, s.grad); err != nil {
 				return 0, fmt.Errorf("epoch update: %w", err)
 			}
-			s.applyProximal(m)
 		}
 		loss = lossSum / batches
 	}
 
 	s.step++
-	if s.cfg.DecayEvery > 0 && s.cfg.Decay > 0 && s.step%s.cfg.DecayEvery == 0 {
+	if s.cfg.Decay > 0 {
 		s.lr *= s.cfg.Decay
 	}
 	return loss, nil

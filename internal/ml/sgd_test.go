@@ -14,7 +14,7 @@ func TestNewSGDValidation(t *testing.T) {
 		cfg     SGDConfig
 		wantErr bool
 	}{
-		{"default ok", DefaultSGDConfig(), false},
+		{"default ok", SGDConfig{LearningRate: 0.01, Decay: 0.99}, false},
 		{"zero lr", SGDConfig{LearningRate: 0}, true},
 		{"negative lr", SGDConfig{LearningRate: -1}, true},
 		{"decay above 1", SGDConfig{LearningRate: 0.1, Decay: 1.5}, true},
@@ -76,7 +76,7 @@ func TestSGDMonotoneOnConvexFullBatch(t *testing.T) {
 func TestSGDDecaySchedule(t *testing.T) {
 	d := twoClassToy(t)
 	m := NewModel(2, 2, Softmax)
-	sgd, err := NewSGD(SGDConfig{LearningRate: 0.01, Decay: 0.99, DecayEvery: 1})
+	sgd, err := NewSGD(SGDConfig{LearningRate: 0.01, Decay: 0.99})
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
@@ -89,22 +89,6 @@ func TestSGDDecaySchedule(t *testing.T) {
 	}
 	if sgd.EpochsRun() != 10 {
 		t.Errorf("EpochsRun = %d, want 10", sgd.EpochsRun())
-	}
-}
-
-func TestSGDDecayEveryE(t *testing.T) {
-	// Decaying once per E epochs (per global round, as the paper does).
-	d := twoClassToy(t)
-	m := NewModel(2, 2, Softmax)
-	sgd, err := NewSGD(SGDConfig{LearningRate: 0.01, Decay: 0.9, DecayEvery: 5})
-	if err != nil {
-		t.Fatalf("NewSGD: %v", err)
-	}
-	if _, err := sgd.Train(m, d, 9); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	if math.Abs(sgd.LearningRate()-0.009) > 1e-15 {
-		t.Errorf("lr after 9 epochs with DecayEvery=5 = %v, want 0.009", sgd.LearningRate())
 	}
 }
 
@@ -172,7 +156,7 @@ func TestSGDDeterministicAcrossRuns(t *testing.T) {
 
 func TestSGDEmptyDataset(t *testing.T) {
 	m := NewModel(2, 2, Softmax)
-	sgd, err := NewSGD(DefaultSGDConfig())
+	sgd, err := NewSGD(SGDConfig{LearningRate: 0.01, Decay: 0.99})
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
@@ -182,7 +166,7 @@ func TestSGDEmptyDataset(t *testing.T) {
 }
 
 func TestSGDTrainBadEpochs(t *testing.T) {
-	sgd, err := NewSGD(DefaultSGDConfig())
+	sgd, err := NewSGD(SGDConfig{LearningRate: 0.01, Decay: 0.99})
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
@@ -201,7 +185,7 @@ func TestTrainOnSyntheticDigits(t *testing.T) {
 		t.Fatalf("SynthesizePair: %v", err)
 	}
 	m := NewModel(train.Classes, train.Dim(), Softmax)
-	sgd, err := NewSGD(SGDConfig{LearningRate: 0.5, Decay: 0.999, DecayEvery: 1})
+	sgd, err := NewSGD(SGDConfig{LearningRate: 0.5, Decay: 0.999})
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}

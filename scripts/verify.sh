@@ -70,6 +70,50 @@ if grep -nE 'V?(ADD|SUB|MUL|DIV|SQRT)(P|S)D|VFM' internal/ml/*.s; then
     echo "internal/ml: floating-point arithmetic in the integer-only codec"; exit 1
 fi
 
+echo "== no test-only exports =="
+# Every package-level exported function in internal/ must be named by a
+# non-comment line of some non-test Go file in the repo (root, cmd/,
+# examples/, bench/ and internal/ itself) other than its own declaration and
+# `var _ … =` lines. An export only tests call is API nobody uses: delete it
+# with its tests, or move it into the _test.go beside its users. The names
+# below stay, each for the reason given; an entry that stops being a
+# test-only export must leave the list.
+allow='
+MaxQuantError  # the quantization error bound tests in ml, flnet and the root package assert against
+SubVec         # named by tests in mat and dataset
+NewDenseData   # builds literal fixtures for tests in mat, ml and dataset
+GoldenSection  # the minimizer core tests run their numeric reference planner on; optim tests it too
+Variance       # deletion deferred to ROADMAP item 12 (rest)
+WelchT         # deletion deferred to ROADMAP item 12 (rest)
+ConfidenceInterval95    # deletion deferred to ROADMAP item 12 (rest)
+ConfusionMatrix         # deletion deferred to ROADMAP item 12 (rest)
+CompressionRatio        # deletion deferred to ROADMAP item 12 (rest)
+PolyFit                 # deletion deferred to ROADMAP item 12 (rest)
+LeastSquares            # deletion deferred to ROADMAP item 12 (rest)
+LargestEigenvalueSym    # deletion deferred to ROADMAP item 12 (rest)
+Bisect                  # deletion deferred to ROADMAP item 12 (rest)
+SlottedALOHASuccessProb # deletion deferred to ROADMAP item 12 (rest)
+'
+exported=$(git grep -hE '^func [A-Z]' -- 'internal/*.go' ':!*_test.go' | sed -E 's/^func ([A-Za-z0-9_]+).*/\1/' | sort -u)
+named=$(git grep -hvE '^\s*//|^var _ ' -- '*.go' ':!*_test.go' | sed -E 's/^func [A-Za-z0-9_]+//' | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+test_only=$(comm -23 <(echo "$exported") <(echo "$named"))
+allowed=$(sed -E 's/#.*//; s/[[:space:]]//g; /^$/d' <<<"$allow" | sort -u)
+if orphans=$(comm -23 <(echo "$test_only") <(echo "$allowed")) && [ -n "$orphans" ]; then
+    echo "exported from internal/ but named only by tests:"; echo "$orphans"; exit 1
+fi
+if stale=$(comm -13 <(echo "$test_only") <(echo "$allowed")) && [ -n "$stale" ]; then
+    echo "allowlisted but no longer a test-only export (drop from the list):"; echo "$stale"; exit 1
+fi
+# The paper selects K_t uniformly and averages per Eq. (2); fl.Engine
+# hard-codes both, as the networked coordinator does, and trains plain
+# FedAvg locally.
+if git grep -nE '^type +[A-Za-z_]*(Selector|Aggregator)\b|^\s+[A-Za-z_]*(Selector|Aggregator) +(interface|struct)\b' -- internal/fl; then
+    echo "internal/fl: selection and aggregation are not plug-ins"; exit 1
+fi
+if git grep -nE 'ProximalMu|SetProximalRef|applyProximal|DecayEvery' -- '*.go'; then
+    echo "FedProx or epoch-interval decay is back"; exit 1
+fi
+
 echo "== tests =="
 go test ./...
 
