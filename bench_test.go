@@ -28,7 +28,6 @@ import (
 	"eefei/internal/mat"
 	"eefei/internal/ml"
 	"eefei/internal/optim"
-	"eefei/internal/sim"
 )
 
 // benchSetup lazily builds the shared quick-scale experiment substrate.
@@ -288,26 +287,6 @@ func BenchmarkQuantizeModel8(b *testing.B) {
 	}
 }
 
-func BenchmarkStragglerReport(b *testing.B) {
-	fleet, err := sim.NewDeviceFleet(energy.DefaultPiDeviceModel(), 20,
-		sim.Heterogeneity{SpeedSpread: 0.3, Seed: 1})
-	if err != nil {
-		b.Fatalf("NewDeviceFleet: %v", err)
-	}
-	samples := make([]int, 20)
-	sel := make([]int, 20)
-	for i := range samples {
-		samples[i] = 3000
-		sel[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fleet.Stragglers(sel, 40, samples); err != nil {
-			b.Fatalf("Stragglers: %v", err)
-		}
-	}
-}
-
 func BenchmarkSensitivityAnalysis(b *testing.B) {
 	p := core.DefaultProblem()
 	for i := 0; i < b.N; i++ {
@@ -323,17 +302,6 @@ func BenchmarkParetoFrontier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.ParetoFrontier(p, tm, 3000, 500); err != nil {
 			b.Fatalf("ParetoFrontier: %v", err)
-		}
-	}
-}
-
-// BenchmarkAblationACSInteger times the integer-domain ACS variant.
-func BenchmarkAblationACSInteger(b *testing.B) {
-	p := core.DefaultProblem()
-	cfg := core.DefaultPlannerConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveInteger(p, cfg); err != nil {
-			b.Fatalf("SolveInteger: %v", err)
 		}
 	}
 }

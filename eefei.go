@@ -24,12 +24,9 @@
 //	}
 //	plan, err := eefei.PlanProblem(problem)
 //
-// or derive the energy constants from hardware models:
-//
-//	params, err := eefei.DeriveEnergyParams(
-//	    eefei.DefaultDeviceModel(), eefei.DefaultUplink(), 3000, true)
-//
 // and run a full simulated training with energy accounting via Simulate.
+// The package examples walk through all three: planning, the measure → fit
+// → plan calibration loop, and simulated federated training.
 package eefei
 
 import (
@@ -39,64 +36,36 @@ import (
 	"eefei/internal/dataset"
 	"eefei/internal/energy"
 	"eefei/internal/fl"
-	"eefei/internal/iot"
-	"eefei/internal/ml"
 	"eefei/internal/sim"
 )
 
-// Re-exported core types. Aliases keep the public surface thin while the
+// Re-exported types. Aliases keep the public surface thin while the
 // implementation lives in focused internal packages.
 type (
 	// Problem is the Eq.-(13) energy-minimization problem.
 	Problem = core.Problem
 	// Plan is a solved (K, E, T) configuration with predicted energy.
 	Plan = core.Plan
-	// PlannerConfig tunes Algorithm 1 (ACS).
-	PlannerConfig = core.PlannerConfig
 	// BoundConstants are the convergence-bound constants (A0, A1, A2).
 	BoundConstants = core.BoundConstants
 	// EnergyParams are the per-round energy constants (B0, B1).
 	EnergyParams = core.EnergyParams
-	// GapObservation is an empirical convergence measurement for fitting.
-	GapObservation = core.GapObservation
-	// PhysicalConstants expose the raw bound quantities (γ, σ², L, …).
-	PhysicalConstants = core.PhysicalConstants
 
 	// DeviceModel is the edge-server power/time model.
 	DeviceModel = energy.DeviceModel
-	// PowerModel is the per-phase power draw.
-	PowerModel = energy.PowerModel
-	// TimeModel is the per-phase duration law.
-	TimeModel = energy.TimeModel
-	// Ledger accumulates energy by phase.
-	Ledger = energy.Ledger
-	// Trace is a 1 kHz power capture.
-	Trace = energy.Trace
-	// Phase identifies waiting/download/train/upload.
-	Phase = energy.Phase
-	// Calibrator converts measured round timings into a per-phase energy
-	// ledger and a refitted TimeModel (implements RoundObserver).
-	Calibrator = energy.Calibrator
-	// PhaseDrift is one phase's measured-vs-modeled duration comparison.
-	PhaseDrift = energy.PhaseDrift
-
-	// UplinkConfig is the IoT data-collection model.
-	UplinkConfig = iot.UplinkConfig
 
 	// Dataset is an in-memory labelled dataset.
 	Dataset = dataset.Dataset
 	// SyntheticConfig controls the MNIST-substitute generator.
 	SyntheticConfig = dataset.SyntheticConfig
 
-	// Model is the linear classifier.
-	Model = ml.Model
-
 	// FLConfig are the federated hyper-parameters.
 	FLConfig = fl.Config
-	// RoundRecord is one global round's training record.
-	RoundRecord = fl.RoundRecord
 	// StopCondition ends a training run.
 	StopCondition = fl.StopCondition
+	// RoundStats is one round's phase timings, as a Calibrator observes
+	// them.
+	RoundStats = fl.RoundStats
 
 	// SimConfig assembles a full simulated FEI system.
 	SimConfig = sim.Config
@@ -120,9 +89,6 @@ func DefaultProblem() Problem { return core.DefaultProblem() }
 // (3.6/4.286/5.553/5.015 W phases, Table-I duration law).
 func DefaultDeviceModel() DeviceModel { return energy.DefaultPiDeviceModel() }
 
-// DefaultUplink returns the paper's NB-IoT uplink (7.74 mJ per byte).
-func DefaultUplink() UplinkConfig { return iot.DefaultNBIoTConfig() }
-
 // PlanDefault solves the calibrated default problem with Algorithm 1.
 func PlanDefault() (Plan, error) {
 	return core.Solve(core.DefaultProblem(), core.DefaultPlannerConfig())
@@ -134,34 +100,10 @@ func PlanProblem(p Problem) (Plan, error) {
 	return core.Solve(p, core.DefaultPlannerConfig())
 }
 
-// PlanWith solves with explicit planner settings.
-func PlanWith(p Problem, cfg PlannerConfig) (Plan, error) {
-	return core.Solve(p, cfg)
-}
-
 // PlanGrid solves by exhaustive integer grid search (the ablation baseline;
 // eMax bounds the E axis).
 func PlanGrid(p Problem, eMax int) (Plan, error) {
 	return core.SolveGrid(p, eMax)
-}
-
-// DeriveEnergyParams folds a device model, an uplink model and the
-// per-server sample count into the (B0, B1) constants of Eq. (12).
-// preloaded=true drops the per-round data-collection term, matching the
-// paper's prototype.
-func DeriveEnergyParams(dm DeviceModel, up UplinkConfig, samplesPerServer int, preloaded bool) (EnergyParams, error) {
-	return core.NewEnergyParams(dm, up, samplesPerServer, preloaded)
-}
-
-// FitBound least-squares fits the bound constants (A0, A1, A2) to empirical
-// convergence observations.
-func FitBound(obs []GapObservation) (BoundConstants, error) {
-	return core.FitBoundConstants(obs)
-}
-
-// Synthesize generates the deterministic MNIST-substitute dataset.
-func Synthesize(cfg SyntheticConfig) (*Dataset, error) {
-	return dataset.Synthesize(cfg)
 }
 
 // SynthesizePair generates a train/test split sharing class prototypes.
@@ -172,11 +114,6 @@ func SynthesizePair(train, test SyntheticConfig) (*Dataset, *Dataset, error) {
 // PartitionIID deals a dataset into IID shards, one per edge server.
 func PartitionIID(d *Dataset, servers int, seed uint64) ([]*Dataset, error) {
 	return dataset.IIDPartitioner{Seed: seed}.Partition(d, servers)
-}
-
-// LoadMNIST reads the real MNIST IDX files when they are available.
-func LoadMNIST(imagesPath, labelsPath string) (*Dataset, error) {
-	return dataset.LoadMNIST(imagesPath, labelsPath)
 }
 
 // DefaultSimConfig mirrors the paper's prototype system.
@@ -194,12 +131,6 @@ func Simulate(cfg SimConfig, shards []*Dataset, test *Dataset, stop StopConditio
 	return system.Run(stop)
 }
 
-// NewSimulation builds a reusable simulated FEI system (for power-trace
-// reconstruction, use the returned system's TraceServer).
-func NewSimulation(cfg SimConfig, shards []*Dataset, test *Dataset) (*sim.System, error) {
-	return sim.New(cfg, shards, test)
-}
-
 // Measured-energy calibration, re-exported. NewCalibrator builds the
 // RoundObserver that closes the trace→energy loop (see internal/energy);
 // ReadTrace decodes a persisted -trace JSONL capture for Calibrator.Replay.
@@ -214,15 +145,6 @@ var (
 	MaxRounds = fl.MaxRounds
 	// TargetAccuracy stops at a test-accuracy threshold.
 	TargetAccuracy = fl.TargetAccuracy
-	// TargetLoss stops at a global-training-loss threshold.
-	TargetLoss = fl.TargetLoss
 	// AnyOf combines stop conditions.
 	AnyOf = fl.AnyOf
 )
-
-// PlanInteger solves by Alternate Convex Search in the integer domain —
-// each step exactly minimizes the feasible integer slice. Slightly slower
-// than PlanProblem's closed forms, certified coordinate-wise optimal.
-func PlanInteger(p Problem) (Plan, error) {
-	return core.SolveInteger(p, core.DefaultPlannerConfig())
-}

@@ -3,6 +3,10 @@ package eefei
 import (
 	"math"
 	"testing"
+
+	"eefei/internal/core"
+	"eefei/internal/iot"
+	"eefei/internal/ml"
 )
 
 func TestPlanDefaultReproducesHeadline(t *testing.T) {
@@ -48,10 +52,12 @@ func TestPlanGridAgrees(t *testing.T) {
 	}
 }
 
+// The root package's device model, derived for 3000 preloaded samples over
+// the default uplink, yields exactly the default problem's energy constants.
 func TestDeriveEnergyParams(t *testing.T) {
-	params, err := DeriveEnergyParams(DefaultDeviceModel(), DefaultUplink(), 3000, true)
+	params, err := core.NewEnergyParams(DefaultDeviceModel(), iot.DefaultNBIoTConfig(), 3000, true)
 	if err != nil {
-		t.Fatalf("DeriveEnergyParams: %v", err)
+		t.Fatalf("NewEnergyParams: %v", err)
 	}
 	def := DefaultProblem().Energy
 	if math.Abs(params.B0-def.B0) > 1e-12 || math.Abs(params.B1-def.B1) > 1e-12 {
@@ -59,21 +65,29 @@ func TestDeriveEnergyParams(t *testing.T) {
 	}
 }
 
-func TestFitBoundViaFacade(t *testing.T) {
-	truth := BoundConstants{A0: 100, A1: 0.1, A2: 1e-3}
-	var obs []GapObservation
-	for _, k := range []int{1, 5, 10} {
-		for _, e := range []int{1, 10, 50} {
-			obs = append(obs, GapObservation{K: k, E: e, T: 20,
-				Gap: truth.Gap(float64(k), float64(e), 20)})
-		}
-	}
-	got, err := FitBound(obs)
+// Shards built through the root package feed the physical-constant
+// estimator, and its σ² is the one EstimateGradientVariance reports.
+func TestEstimateFacade(t *testing.T) {
+	dcfg := SyntheticConfig{Samples: 300, Classes: 10, Side: 6, Noise: 0.3, BlobsPerClass: 2, Seed: 1}
+	d, _, err := SynthesizePair(dcfg, dcfg)
 	if err != nil {
-		t.Fatalf("FitBound: %v", err)
+		t.Fatalf("SynthesizePair: %v", err)
 	}
-	if math.Abs(got.A0-truth.A0)/truth.A0 > 1e-6 {
-		t.Errorf("A0 = %v, want %v", got.A0, truth.A0)
+	shards, err := PartitionIID(d, 3, 1)
+	if err != nil {
+		t.Fatalf("PartitionIID: %v", err)
+	}
+	model := ml.NewModel(d.Classes, d.Dim(), ml.Softmax)
+	phys, err := core.EstimatePhysical(model, shards, 0.1, 1, 1, 1, core.EstimateOptions{Seed: 1})
+	if err != nil {
+		t.Fatalf("EstimatePhysical: %v", err)
+	}
+	if phys.GradientVarianceAtOpt <= 0 || phys.Smoothness <= 0 {
+		t.Errorf("physical constants degenerate: %+v", phys)
+	}
+	sigma, err := core.EstimateGradientVariance(model, shards)
+	if err != nil || sigma != phys.GradientVarianceAtOpt {
+		t.Errorf("σ² mismatch: %v (%v)", sigma, err)
 	}
 }
 
@@ -102,69 +116,5 @@ func TestSimulateEndToEndViaFacade(t *testing.T) {
 	}
 	if res.Ledger.Phase(PhaseTrain) <= 0 {
 		t.Error("training phase energy missing from ledger")
-	}
-}
-
-func TestNewSimulationTrace(t *testing.T) {
-	dcfg := SyntheticConfig{Samples: 300, Classes: 10, Side: 8, Noise: 0.3, BlobsPerClass: 3, Seed: 1}
-	train, err := Synthesize(dcfg)
-	if err != nil {
-		t.Fatalf("Synthesize: %v", err)
-	}
-	shards, err := PartitionIID(train, 3, 1)
-	if err != nil {
-		t.Fatalf("PartitionIID: %v", err)
-	}
-	cfg := DefaultSimConfig()
-	cfg.Servers = 3
-	cfg.FL = FLConfig{ClientsPerRound: 3, LocalEpochs: 2, LearningRate: 0.1, Seed: 1}
-	system, err := NewSimulation(cfg, shards, nil)
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	res, err := system.Run(MaxRounds(2))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	trace, err := system.TraceServer(res.History, 0, 2, 1)
-	if err != nil {
-		t.Fatalf("TraceServer: %v", err)
-	}
-	if trace.Energy() <= 0 {
-		t.Error("trace must carry energy")
-	}
-}
-
-func TestPlanWithFacade(t *testing.T) {
-	cfg := PlannerConfig{Residual: 1e-6, MaxIterations: 50}
-	plan, err := PlanWith(DefaultProblem(), cfg)
-	if err != nil {
-		t.Fatalf("PlanWith: %v", err)
-	}
-	if plan.K != 1 {
-		t.Errorf("K = %d, want 1", plan.K)
-	}
-}
-
-func TestLoadMNISTFacade(t *testing.T) {
-	if _, err := LoadMNIST("/missing/images", "/missing/labels"); err == nil {
-		t.Error("missing files must error through the facade")
-	}
-}
-
-func TestPlanIntegerFacade(t *testing.T) {
-	plan, err := PlanInteger(DefaultProblem())
-	if err != nil {
-		t.Fatalf("PlanInteger: %v", err)
-	}
-	cont, err := PlanDefault()
-	if err != nil {
-		t.Fatalf("PlanDefault: %v", err)
-	}
-	if plan.K != cont.K {
-		t.Errorf("integer K = %d vs continuous %d", plan.K, cont.K)
-	}
-	if plan.PredictedJoules > cont.PredictedJoules*(1+1e-9) {
-		t.Errorf("integer plan worse: %v vs %v", plan.PredictedJoules, cont.PredictedJoules)
 	}
 }

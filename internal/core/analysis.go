@@ -11,10 +11,9 @@ import (
 
 // This file contains the planner-side analyses that go beyond the paper's
 // evaluation but fall out of its model: parameter sensitivity (how fragile
-// is the plan to mis-calibrated constants?), predicted wall-clock time of a
-// plan (the paper optimizes energy only; deployments also care about
-// latency), the energy/time Pareto frontier, and the per-term energy
-// breakdown used in EXPERIMENTS.md.
+// is the plan to mis-calibrated constants?) and the energy/time Pareto
+// frontier (the paper optimizes energy only; deployments also care about
+// latency).
 
 // SensitivityRow reports how the optimal plan responds to a relative
 // perturbation of one model constant.
@@ -86,14 +85,6 @@ func Sensitivity(p Problem, delta float64) ([]SensitivityRow, error) {
 	return rows, nil
 }
 
-// PlanDuration predicts the wall-clock time of executing a plan on devices
-// described by tm with n samples per server: T sequential rounds, each
-// lasting one full waiting→download→train→upload cycle (the K selected
-// servers run in parallel, so K does not lengthen a round).
-func PlanDuration(plan Plan, tm energy.TimeModel, samplesPerServer int) time.Duration {
-	return time.Duration(plan.T) * tm.RoundDuration(plan.E, samplesPerServer)
-}
-
 // ParetoPoint is one energy/time trade-off on the frontier.
 type ParetoPoint struct {
 	K, E    int
@@ -157,40 +148,4 @@ func ParetoFrontier(p Problem, tm energy.TimeModel, samplesPerServer, eMax int) 
 		}
 	}
 	return frontier, nil
-}
-
-// Breakdown decomposes the predicted energy of running (K, E) to the bound
-// target into its model terms.
-type Breakdown struct {
-	K, E int
-	// TStar is the continuous round count.
-	TStar float64
-	// ComputeJoules is the T·K·B0·E compute term.
-	ComputeJoules float64
-	// CommJoules is the T·K·B1 data-collection + upload term.
-	CommJoules float64
-	// Total is their sum (= Objective).
-	Total float64
-	// ComputeShare is ComputeJoules/Total.
-	ComputeShare float64
-}
-
-// EnergyBreakdown splits Ê(K, E) into compute and communication parts —
-// the trade-off the paper's Fig. 6 discussion is about.
-func EnergyBreakdown(p Problem, k, e int) (Breakdown, error) {
-	kf, ef := float64(k), float64(e)
-	tStar, err := p.TStar(kf, ef)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	compute := tStar * kf * p.Energy.B0 * ef
-	comm := tStar * kf * p.Energy.B1
-	return Breakdown{
-		K: k, E: e,
-		TStar:         tStar,
-		ComputeJoules: compute,
-		CommJoules:    comm,
-		Total:         compute + comm,
-		ComputeShare:  compute / (compute + comm),
-	}, nil
 }

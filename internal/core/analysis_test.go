@@ -72,16 +72,6 @@ func TestSensitivitySurvivesInfeasiblePerturbation(t *testing.T) {
 	}
 }
 
-func TestPlanDuration(t *testing.T) {
-	plan := Plan{K: 1, E: 40, T: 100}
-	tm := energy.DefaultPiTimeModel()
-	got := PlanDuration(plan, tm, 3000)
-	want := 100 * tm.RoundDuration(40, 3000)
-	if got != want {
-		t.Errorf("PlanDuration = %v, want %v", got, want)
-	}
-}
-
 func TestParetoFrontierProperties(t *testing.T) {
 	p := DefaultProblem()
 	tm := energy.DefaultPiTimeModel()
@@ -135,35 +125,6 @@ func TestParetoFrontierValidation(t *testing.T) {
 	bad := energy.TimeModel{}
 	if _, err := ParetoFrontier(DefaultProblem(), bad, 100, 10); err == nil {
 		t.Error("invalid time model must be rejected")
-	}
-}
-
-func TestEnergyBreakdown(t *testing.T) {
-	p := DefaultProblem()
-	b, err := EnergyBreakdown(p, 1, 43)
-	if err != nil {
-		t.Fatalf("EnergyBreakdown: %v", err)
-	}
-	if math.Abs(b.Total-p.Objective(1, 43))/b.Total > 1e-12 {
-		t.Errorf("breakdown total %v != objective %v", b.Total, p.Objective(1, 43))
-	}
-	if b.ComputeShare <= 0 || b.ComputeShare >= 1 {
-		t.Errorf("compute share = %v, want in (0,1)", b.ComputeShare)
-	}
-	// At E=43 with the default constants compute dominates communication.
-	if b.ComputeJoules <= b.CommJoules {
-		t.Errorf("compute %v should exceed comm %v at E=43", b.ComputeJoules, b.CommJoules)
-	}
-	// At E=1 the relation flips: communication per epoch dominates.
-	b1, err := EnergyBreakdown(p, 1, 1)
-	if err != nil {
-		t.Fatalf("EnergyBreakdown: %v", err)
-	}
-	if b1.ComputeShare >= b.ComputeShare {
-		t.Error("compute share must grow with E")
-	}
-	if _, err := EnergyBreakdown(p, 1, 1e6); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("infeasible cell = %v, want ErrInfeasible", err)
 	}
 }
 

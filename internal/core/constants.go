@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"eefei/internal/energy"
 	"eefei/internal/iot"
@@ -33,10 +34,11 @@ type BoundConstants struct {
 	A0, A1, A2 float64
 }
 
-// Validate checks positivity (A2 may be zero for homogeneous-gradient
-// regimes; A0 and A1 must be positive for the bound to be meaningful).
+// Validate checks that the constants are finite and positive (A2 may be
+// zero for homogeneous-gradient regimes; A0 and A1 must be positive for the
+// bound to be meaningful).
 func (b BoundConstants) Validate() error {
-	if b.A0 <= 0 || b.A1 <= 0 || b.A2 < 0 {
+	if !(b.A0 > 0 && b.A1 > 0 && b.A2 >= 0) || math.IsInf(b.A0+b.A1+b.A2, 1) {
 		return fmt.Errorf("bound constants %+v: %w", b, ErrParams)
 	}
 	return nil
@@ -93,9 +95,9 @@ type EnergyParams struct {
 	B0, B1 float64
 }
 
-// Validate checks positivity.
+// Validate checks that both constants are finite and positive.
 func (p EnergyParams) Validate() error {
-	if p.B0 <= 0 || p.B1 <= 0 {
+	if !(p.B0 > 0 && p.B1 > 0) || math.IsInf(p.B0+p.B1, 1) {
 		return fmt.Errorf("energy params %+v: %w", p, ErrParams)
 	}
 	return nil

@@ -17,6 +17,9 @@ func TestBoundConstantsValidate(t *testing.T) {
 		{A0: 0, A1: 1, A2: 1},
 		{A0: 1, A1: 0, A2: 1},
 		{A0: 1, A1: 1, A2: -1},
+		{A0: math.NaN(), A1: 1, A2: 1},
+		{A0: 1, A1: math.Inf(1), A2: 1},
+		{A0: 1, A1: 1, A2: math.NaN()},
 	}
 	for _, b := range bad {
 		if err := b.Validate(); !errors.Is(err, ErrParams) {
@@ -105,6 +108,10 @@ func TestNewEnergyParamsPreloaded(t *testing.T) {
 	}
 	if math.Abs(p.B1-dm.UploadEnergy()) > 1e-12 {
 		t.Errorf("preloaded B1 = %v, want upload energy %v", p.B1, dm.UploadEnergy())
+	}
+	// The default problem's constants are exactly this derivation.
+	if def := DefaultEnergyParams(); math.Abs(p.B0-def.B0) > 1e-12 || math.Abs(p.B1-def.B1) > 1e-12 {
+		t.Errorf("derived %+v, default %+v", p, def)
 	}
 }
 

@@ -102,6 +102,9 @@ func TestEstimatePhysicalProducesUsableProblem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EstimatePhysical: %v", err)
 	}
+	if sigma, err := EstimateGradientVariance(model, shards); err != nil || sigma != phys.GradientVarianceAtOpt {
+		t.Errorf("σ² = %v (%v), EstimatePhysical says %v", sigma, err, phys.GradientVarianceAtOpt)
+	}
 	bound, err := phys.Aggregate()
 	if err != nil {
 		t.Fatalf("Aggregate: %v", err)

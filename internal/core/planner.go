@@ -213,88 +213,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// SolveInteger runs ACS directly in the integer domain: each alternation
-// step exactly minimizes the objective over the feasible integer slice with
-// ternary search (optim.MinimizeInt), avoiding the continuous relaxation
-// and its final rounding step. It is slightly more expensive per step than
-// the closed forms but returns a certified integer coordinate-wise optimum.
-func SolveInteger(p Problem, cfg PlannerConfig) (Plan, error) {
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	if cfg.Residual <= 0 {
-		cfg.Residual = 1e-9
-	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 100
-	}
-	eCap := int(cfg.ECap)
-	if eCap <= 0 {
-		eCap = 10000
-	}
-
-	k, e := p.Servers, 1
-	value := p.Objective(float64(k), float64(e))
-	iterations := 0
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		iterations++
-		// K-step: exact integer minimization over the feasible K range.
-		kLo := 1
-		if km := p.KMin(float64(e)); !math.IsInf(km, 1) {
-			if int(math.Floor(km))+1 > kLo {
-				kLo = int(math.Floor(km)) + 1
-			}
-		}
-		if kLo > p.Servers {
-			return Plan{}, fmt.Errorf("integer ACS: no feasible K at E=%d: %w", e, ErrInfeasible)
-		}
-		bestK, _, err := optim.MinimizeInt(func(kk int) float64 {
-			return p.Objective(float64(kk), float64(e))
-		}, kLo, p.Servers)
-		if err != nil {
-			return Plan{}, fmt.Errorf("integer ACS K-step: %w", err)
-		}
-		k = bestK
-
-		// E-step: exact integer minimization over the feasible E range.
-		eHi := eCap
-		if em := p.EMax(float64(k)); !math.IsInf(em, 1) {
-			if int(math.Ceil(em))-1 < eHi {
-				eHi = int(math.Ceil(em)) - 1
-			}
-		}
-		if eHi < 1 {
-			return Plan{}, fmt.Errorf("integer ACS: no feasible E at K=%d: %w", k, ErrInfeasible)
-		}
-		bestE, bestVal, err := optim.MinimizeInt(func(ee int) float64 {
-			return p.Objective(float64(k), float64(ee))
-		}, 1, eHi)
-		if err != nil {
-			return Plan{}, fmt.Errorf("integer ACS E-step: %w", err)
-		}
-		e = bestE
-
-		if math.Abs(value-bestVal) <= cfg.Residual {
-			value = bestVal
-			break
-		}
-		value = bestVal
-	}
-
-	tStar, err := p.TStar(float64(k), float64(e))
-	if err != nil {
-		return Plan{}, err
-	}
-	return Plan{
-		K:               k,
-		E:               e,
-		T:               maxInt(int(math.Ceil(tStar)), 1),
-		ContinuousK:     float64(k),
-		ContinuousE:     float64(e),
-		ContinuousT:     tStar,
-		PredictedJoules: value,
-		BaselineJoules:  p.Objective(1, 1),
-		Iterations:      iterations,
-	}, nil
-}

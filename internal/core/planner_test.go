@@ -160,72 +160,10 @@ func TestSolveOnNonIIDLikeProblem(t *testing.T) {
 	}
 }
 
-func TestSolveIntegerMatchesGrid(t *testing.T) {
-	problems := []Problem{
-		DefaultProblem(),
-		func() Problem {
-			p := DefaultProblem()
-			p.Bound.A1 = 0.4 // interior K*
-			return p
-		}(),
-		{Bound: BoundConstants{A0: 50, A1: 0.3, A2: 1e-3},
-			Energy: EnergyParams{B0: 0.1, B1: 0.4}, Epsilon: 0.2, Servers: 12},
-	}
-	for i, p := range problems {
-		ip, err := SolveInteger(p, DefaultPlannerConfig())
-		if err != nil {
-			t.Fatalf("problem %d: SolveInteger: %v", i, err)
-		}
-		eMax := int(p.EMax(1))
-		if eMax < 1 || eMax > 5000 {
-			eMax = 5000
-		}
-		grid, err := SolveGrid(p, eMax)
-		if err != nil {
-			t.Fatalf("problem %d: SolveGrid: %v", i, err)
-		}
-		if ip.PredictedJoules > grid.PredictedJoules*(1+1e-9) {
-			t.Errorf("problem %d: integer ACS %v J (K=%d,E=%d) vs grid %v J (K=%d,E=%d)",
-				i, ip.PredictedJoules, ip.K, ip.E, grid.PredictedJoules, grid.K, grid.E)
-		}
-		if !p.Feasible(float64(ip.K), float64(ip.E)) {
-			t.Errorf("problem %d: integer plan infeasible", i)
-		}
-	}
-}
-
-func TestSolveIntegerAgreesWithContinuous(t *testing.T) {
-	p := DefaultProblem()
-	cont, err := Solve(p, DefaultPlannerConfig())
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	disc, err := SolveInteger(p, DefaultPlannerConfig())
-	if err != nil {
-		t.Fatalf("SolveInteger: %v", err)
-	}
-	if cont.K != disc.K {
-		t.Errorf("K: continuous-then-round %d vs integer %d", cont.K, disc.K)
-	}
-	if math.Abs(float64(cont.E-disc.E)) > 1 {
-		t.Errorf("E: continuous-then-round %d vs integer %d", cont.E, disc.E)
-	}
-}
-
-func TestSolveIntegerValidation(t *testing.T) {
-	p := DefaultProblem()
-	p.Epsilon = 0
-	if _, err := SolveInteger(p, DefaultPlannerConfig()); err == nil {
-		t.Error("invalid problem must be rejected")
-	}
-}
-
-// TestSearchesAllocationFree pins the exhaustive grid search, the
-// integer-domain ACS and the golden-section minimizer at zero heap
-// allocations per call.
+// TestSearchesAllocationFree pins the exhaustive grid search and the
+// golden-section minimizer at zero heap allocations per call.
 func TestSearchesAllocationFree(t *testing.T) {
 	p := DefaultProblem()
-	cfg := DefaultPlannerConfig()
 	eMax := int(p.EMax(1)) + 1
 	f := func(x float64) float64 { return (x - 3.7) * (x - 3.7) }
 	for _, tc := range []struct {
@@ -233,7 +171,6 @@ func TestSearchesAllocationFree(t *testing.T) {
 		run  func() error
 	}{
 		{"SolveGrid", func() error { _, err := SolveGrid(p, eMax); return err }},
-		{"SolveInteger", func() error { _, err := SolveInteger(p, cfg); return err }},
 		{"GoldenSection", func() error { _, err := optim.GoldenSection(f, -100, 100, 1e-9); return err }},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {

@@ -42,7 +42,7 @@ func (p Problem) Validate() error {
 	if err := p.Energy.Validate(); err != nil {
 		return err
 	}
-	if p.Epsilon <= 0 {
+	if !(p.Epsilon > 0) || math.IsInf(p.Epsilon, 1) {
 		return fmt.Errorf("epsilon %v: %w", p.Epsilon, ErrParams)
 	}
 	if p.Servers < 1 {

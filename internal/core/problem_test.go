@@ -22,6 +22,9 @@ func TestProblemValidateErrors(t *testing.T) {
 		mutate func(*Problem)
 	}{
 		{"zero epsilon", func(p *Problem) { p.Epsilon = 0 }},
+		{"NaN epsilon", func(p *Problem) { p.Epsilon = math.NaN() }},
+		{"infinite epsilon", func(p *Problem) { p.Epsilon = math.Inf(1) }},
+		{"infinite energy", func(p *Problem) { p.Energy.B1 = math.Inf(1) }},
 		{"zero servers", func(p *Problem) { p.Servers = 0 }},
 		{"bad bound", func(p *Problem) { p.Bound.A0 = 0 }},
 		{"bad energy", func(p *Problem) { p.Energy.B0 = 0 }},

@@ -368,13 +368,6 @@ func TargetAccuracy(a float64) StopCondition {
 	}
 }
 
-// TargetLoss stops once the latest global training loss falls to l.
-func TargetLoss(l float64) StopCondition {
-	return func(h []RoundRecord) bool {
-		return len(h) > 0 && h[len(h)-1].TrainLoss <= l
-	}
-}
-
 // AnyOf stops when any of the given conditions holds.
 func AnyOf(conds ...StopCondition) StopCondition {
 	return func(h []RoundRecord) bool {

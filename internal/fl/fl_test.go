@@ -362,16 +362,13 @@ func TestStopConditions(t *testing.T) {
 	if !TargetAccuracy(0.8)(h) || TargetAccuracy(0.81)(h) {
 		t.Error("TargetAccuracy wrong")
 	}
-	if !TargetLoss(0.5)(h) || TargetLoss(0.4)(h) {
-		t.Error("TargetLoss wrong")
-	}
-	if !AnyOf(MaxRounds(5), TargetLoss(0.5))(h) {
+	if !AnyOf(MaxRounds(5), TargetAccuracy(0.8))(h) {
 		t.Error("AnyOf must fire when either condition holds")
 	}
 	if AnyOf()(h) {
 		t.Error("empty AnyOf must not fire")
 	}
-	if TargetAccuracy(0.5)(nil) || TargetLoss(1)(nil) {
+	if TargetAccuracy(0.5)(nil) {
 		t.Error("empty history must not satisfy target conditions")
 	}
 }

@@ -150,9 +150,13 @@ func Listen(addr string, cfg Config) (*Listener, error) {
 }
 
 // readLoop demultiplexes the socket into per-peer queues, spawning a Conn
-// for each new source address. It reads into one scratch of its own and
-// queues a right-sized copy, so a queued datagram costs its size, not the
-// largest one the socket could have delivered.
+// for each new source address whose datagram opens a stream: a valid data
+// packet with sequence 0. Anything else from an unknown address (garbage,
+// or an ACK or FIN from a peer already forgotten, as Conn.Close's second
+// FIN is) is dropped before it costs a Conn or a conn index. It reads into
+// one scratch of its own and queues a right-sized copy, so a queued
+// datagram costs its size, not the largest one the socket could have
+// delivered.
 func (l *Listener) readLoop() {
 	buf := make([]byte, maxMTU+1)
 	for {
@@ -169,6 +173,10 @@ func (l *Listener) readLoop() {
 		l.mu.Lock()
 		ml, ok := l.peers[raddr]
 		if !ok {
+			if typ, _, seq, _, _, valid := decodePacket(buf[:n]); !valid || typ != pktData || seq != 0 {
+				l.mu.Unlock()
+				continue
+			}
 			ml = &muxLink{
 				l:      l,
 				remote: raddr,

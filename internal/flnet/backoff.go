@@ -30,18 +30,6 @@ type RetryPolicy struct {
 	JitterFrac float64
 }
 
-// DefaultRetryPolicy is a sensible edge-deployment policy: six attempts,
-// 100 ms growing to a 5 s cap, 20% jitter.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 6,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    5 * time.Second,
-		Multiplier:  2,
-		JitterFrac:  0.2,
-	}
-}
-
 // Enabled reports whether the policy performs any retries at all.
 func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 0 }
 

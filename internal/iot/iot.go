@@ -10,7 +10,6 @@ package iot
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"eefei/internal/mat"
 )
@@ -174,16 +173,4 @@ func (f *Fleet) EmpiricalSuccessProb() float64 {
 		return 1
 	}
 	return float64(f.delivered) / float64(f.attempts)
-}
-
-// SlottedALOHASuccessProb returns the classical slotted-ALOHA delivery
-// probability e^{-G} for offered load G (expected transmissions per slot),
-// the standard justification for the paper's fixed-probability assumption
-// when device positions are static.
-func SlottedALOHASuccessProb(offeredLoad float64) (float64, error) {
-	if offeredLoad < 0 {
-		return 0, fmt.Errorf("offered load %v: %w", offeredLoad, ErrUplink)
-	}
-	// p = e^{-G}; at G=0 the channel is empty and every attempt succeeds.
-	return math.Exp(-offeredLoad), nil
 }

@@ -152,20 +152,6 @@ func TestFleetEmptyStats(t *testing.T) {
 	}
 }
 
-func TestSlottedALOHA(t *testing.T) {
-	p0, err := SlottedALOHASuccessProb(0)
-	if err != nil || p0 != 1 {
-		t.Errorf("G=0: p=%v err=%v, want 1", p0, err)
-	}
-	p1, err := SlottedALOHASuccessProb(1)
-	if err != nil || math.Abs(p1-math.Exp(-1)) > 1e-12 {
-		t.Errorf("G=1: p=%v, want e^-1", p1)
-	}
-	if _, err := SlottedALOHASuccessProb(-1); !errors.Is(err, ErrUplink) {
-		t.Errorf("negative load = %v, want ErrUplink", err)
-	}
-}
-
 // Property: collection energy is monotone in n and exactly linear.
 func TestCollectionEnergyLinearityProperty(t *testing.T) {
 	f := func(nRaw uint16, probRaw uint8) bool {

@@ -1,8 +1,8 @@
 // Package mat provides the small dense linear-algebra kernel used by the
 // machine-learning substrate: row-major float64 matrices, vector helpers,
-// Householder-QR and normal-equation least squares, and deterministic random
-// sources. It is intentionally minimal — just what a linear classifier and
-// the energy-model fitting need — and depends only on the standard library.
+// Householder-QR least squares, and deterministic random sources. It is
+// intentionally minimal — just what a linear classifier and the energy-model
+// fitting need — and depends only on the standard library.
 package mat
 
 import (
@@ -171,29 +171,6 @@ func (m *Dense) MulVecT(dst, x []float64) error {
 	}
 	for i := 0; i < m.rows; i++ {
 		Axpy(dst, x[i], m.Row(i))
-	}
-	return nil
-}
-
-// MulTA computes dst = Aᵀ·B. dst must be A.Cols × B.Cols and must not alias
-// A or B.
-func MulTA(dst, a, b *Dense) error {
-	if a.rows != b.rows {
-		return fmt.Errorf("mulTA (%dx%d)ᵀ by %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
-	}
-	if dst.rows != a.cols || dst.cols != b.cols {
-		return fmt.Errorf("mulTA into %dx%d, want %dx%d: %w", dst.rows, dst.cols, a.cols, b.cols, ErrShape)
-	}
-	dst.Zero()
-	for r := 0; r < a.rows; r++ {
-		aRow := a.Row(r)
-		bRow := b.Row(r)
-		for i, av := range aRow {
-			if av == 0 {
-				continue
-			}
-			Axpy(dst.Row(i), av, bRow)
-		}
 	}
 	return nil
 }

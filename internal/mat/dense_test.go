@@ -197,23 +197,6 @@ func TestMulTMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
-func TestMulTAMatchesExplicitTranspose(t *testing.T) {
-	rng := NewRNG(8)
-	a := randomDense(rng, 6, 4)
-	b := randomDense(rng, 6, 5)
-	got := NewDense(4, 5)
-	if err := MulTA(got, a, b); err != nil {
-		t.Fatalf("MulTA: %v", err)
-	}
-	want := NewDense(4, 5)
-	if err := mul(want, a.Transpose(), b); err != nil {
-		t.Fatalf("mul: %v", err)
-	}
-	if !got.Equal(want, 1e-12) {
-		t.Error("MulTA does not match Mul with explicit transpose")
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	rng := NewRNG(9)
 	m := randomDense(rng, 3, 7)

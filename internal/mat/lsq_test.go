@@ -7,35 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSolveCholeskyKnownSystem(t *testing.T) {
-	// A = [[4,2],[2,3]] is SPD; solve A x = [10, 8] → x = [1.75, 1.5].
-	a, _ := NewDenseData(2, 2, []float64{4, 2, 2, 3})
-	b := []float64{10, 8}
-	if err := SolveCholesky(a, b); err != nil {
-		t.Fatalf("SolveCholesky: %v", err)
-	}
-	if math.Abs(b[0]-1.75) > 1e-12 || math.Abs(b[1]-1.5) > 1e-12 {
-		t.Errorf("solution = %v, want [1.75 1.5]", b)
-	}
-}
-
-func TestSolveCholeskyRejectsIndefinite(t *testing.T) {
-	a, _ := NewDenseData(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	err := SolveCholesky(a, []float64{1, 1})
-	if !errors.Is(err, ErrSingular) {
-		t.Errorf("indefinite error = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolveCholeskyShapeErrors(t *testing.T) {
-	if err := SolveCholesky(NewDense(2, 3), []float64{1, 1}); !errors.Is(err, ErrShape) {
-		t.Errorf("non-square = %v, want ErrShape", err)
-	}
-	if err := SolveCholesky(NewDense(2, 2), []float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("bad rhs = %v, want ErrShape", err)
-	}
-}
-
 func TestLeastSquaresExactFit(t *testing.T) {
 	// y = 2x + 1 exactly.
 	design, _ := NewDenseData(3, 2, []float64{
@@ -44,9 +15,9 @@ func TestLeastSquaresExactFit(t *testing.T) {
 		3, 1,
 	})
 	y := []float64{3, 5, 7}
-	coef, err := LeastSquares(design, y)
+	coef, err := QRLeastSquares(design, y)
 	if err != nil {
-		t.Fatalf("LeastSquares: %v", err)
+		t.Fatalf("QRLeastSquares: %v", err)
 	}
 	if math.Abs(coef[0]-2) > 1e-10 || math.Abs(coef[1]-1) > 1e-10 {
 		t.Errorf("coef = %v, want [2 1]", coef)
@@ -64,9 +35,9 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 		design.Set(i, 1, 1)
 		y[i] = 3*x - 2 + noise[i]
 	}
-	coef, err := LeastSquares(design, y)
+	coef, err := QRLeastSquares(design, y)
 	if err != nil {
-		t.Fatalf("LeastSquares: %v", err)
+		t.Fatalf("QRLeastSquares: %v", err)
 	}
 	if math.Abs(coef[0]-3) > 0.05 || math.Abs(coef[1]+2) > 0.1 {
 		t.Errorf("coef = %v, want approx [3 -2]", coef)
@@ -74,26 +45,31 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 }
 
 func TestLeastSquaresErrors(t *testing.T) {
-	if _, err := LeastSquares(NewDense(2, 3), []float64{1, 1}); !errors.Is(err, ErrShape) {
+	if _, err := QRLeastSquares(NewDense(2, 3), []float64{1, 1}); !errors.Is(err, ErrShape) {
 		t.Errorf("underdetermined = %v, want ErrShape", err)
 	}
-	if _, err := LeastSquares(NewDense(3, 2), []float64{1}); !errors.Is(err, ErrShape) {
+	if _, err := QRLeastSquares(NewDense(3, 2), []float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("bad rhs = %v, want ErrShape", err)
 	}
 }
 
 func TestQRLeastSquaresMatchesNormalEquations(t *testing.T) {
 	rng := NewRNG(11)
-	design := randomDense(rng, 20, 4)
+	design := randomDense(rng, 20, 2)
 	y := randomVec(rng, 20)
 	viaQR, err := QRLeastSquares(design, y)
 	if err != nil {
 		t.Fatalf("QRLeastSquares: %v", err)
 	}
-	viaNE, err := LeastSquares(design, y)
-	if err != nil {
-		t.Fatalf("LeastSquares: %v", err)
+	// Solve the 2×2 normal equations AᵀA·x = Aᵀy by Cramer's rule.
+	var a00, a01, a11, b0, b1 float64
+	for i := 0; i < 20; i++ {
+		u, v := design.At(i, 0), design.At(i, 1)
+		a00, a01, a11 = a00+u*u, a01+u*v, a11+v*v
+		b0, b1 = b0+u*y[i], b1+v*y[i]
 	}
+	det := a00*a11 - a01*a01
+	viaNE := []float64{(b0*a11 - a01*b1) / det, (a00*b1 - a01*b0) / det}
 	for i := range viaQR {
 		if math.Abs(viaQR[i]-viaNE[i]) > 1e-8 {
 			t.Errorf("coef[%d]: QR %v vs NE %v", i, viaQR[i], viaNE[i])
@@ -127,34 +103,6 @@ func TestQRLeastSquaresSingularColumn(t *testing.T) {
 	design.Set(2, 1, 1)
 	if _, err := QRLeastSquares(design, []float64{1, 1, 1}); !errors.Is(err, ErrSingular) {
 		t.Errorf("zero column = %v, want ErrSingular", err)
-	}
-}
-
-func TestPolyFit(t *testing.T) {
-	// y = x² − 2x + 3.
-	xs := []float64{-2, -1, 0, 1, 2, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = x*x - 2*x + 3
-	}
-	coef, err := PolyFit(xs, ys, 2)
-	if err != nil {
-		t.Fatalf("PolyFit: %v", err)
-	}
-	want := []float64{3, -2, 1}
-	for i, w := range want {
-		if math.Abs(coef[i]-w) > 1e-8 {
-			t.Errorf("coef[%d] = %v, want %v", i, coef[i], w)
-		}
-	}
-}
-
-func TestPolyFitErrors(t *testing.T) {
-	if _, err := PolyFit([]float64{1}, []float64{1, 2}, 1); !errors.Is(err, ErrShape) {
-		t.Errorf("mismatched = %v, want ErrShape", err)
-	}
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, -1); !errors.Is(err, ErrShape) {
-		t.Errorf("negative degree = %v, want ErrShape", err)
 	}
 }
 

@@ -6,69 +6,21 @@ import (
 	"testing"
 )
 
-func TestLargestEigenvalueSymDiagonal(t *testing.T) {
-	a, _ := NewDenseData(3, 3, []float64{
-		5, 0, 0,
-		0, 2, 0,
-		0, 0, 1,
-	})
-	lambda, err := LargestEigenvalueSym(a, 1e-10, 0, 1)
-	if err != nil {
-		t.Fatalf("LargestEigenvalueSym: %v", err)
-	}
-	if math.Abs(lambda-5) > 1e-6 {
-		t.Errorf("lambda = %v, want 5", lambda)
-	}
-}
-
-func TestLargestEigenvalueSymKnown2x2(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	a, _ := NewDenseData(2, 2, []float64{2, 1, 1, 2})
-	lambda, err := LargestEigenvalueSym(a, 1e-12, 0, 2)
-	if err != nil {
-		t.Fatalf("LargestEigenvalueSym: %v", err)
-	}
-	if math.Abs(lambda-3) > 1e-8 {
-		t.Errorf("lambda = %v, want 3", lambda)
-	}
-}
-
-func TestLargestEigenvalueSymZeroMatrix(t *testing.T) {
-	lambda, err := LargestEigenvalueSym(NewDense(4, 4), 1e-9, 0, 1)
-	if err != nil {
-		t.Fatalf("zero matrix: %v", err)
-	}
-	if lambda != 0 {
-		t.Errorf("lambda = %v, want 0", lambda)
-	}
-}
-
-func TestLargestEigenvalueSymErrors(t *testing.T) {
-	if _, err := LargestEigenvalueSym(NewDense(2, 3), 1e-9, 0, 1); !errors.Is(err, ErrShape) {
-		t.Errorf("non-square = %v, want ErrShape", err)
-	}
-	if _, err := LargestEigenvalueSym(NewDense(0, 0), 1e-9, 0, 1); !errors.Is(err, ErrShape) {
-		t.Errorf("empty = %v, want ErrShape", err)
-	}
-}
-
 func TestGramLargestEigenvalueMatchesExplicit(t *testing.T) {
 	rng := NewRNG(5)
-	x := randomDense(rng, 30, 6)
+	x := randomDense(rng, 30, 2)
 	viaGram, err := GramLargestEigenvalue(x, 1e-10, 0, 3)
 	if err != nil {
 		t.Fatalf("GramLargestEigenvalue: %v", err)
 	}
-	// Explicit XᵀX/n.
-	gram := NewDense(6, 6)
-	if err := MulTA(gram, x, x); err != nil {
-		t.Fatalf("MulTA: %v", err)
+	// Explicit XᵀX/n = [a b; b d], whose top eigenvalue is, in closed form,
+	// (a+d)/2 + √(((a−d)/2)² + b²).
+	var a, b, d float64
+	for i := 0; i < 30; i++ {
+		u, v := x.At(i, 0), x.At(i, 1)
+		a, b, d = a+u*u/30, b+u*v/30, d+v*v/30
 	}
-	gram.Scale(1.0 / 30)
-	explicit, err := LargestEigenvalueSym(gram, 1e-10, 0, 3)
-	if err != nil {
-		t.Fatalf("LargestEigenvalueSym: %v", err)
-	}
+	explicit := (a+d)/2 + math.Hypot((a-d)/2, b)
 	if math.Abs(viaGram-explicit) > 1e-6*(1+explicit) {
 		t.Errorf("gram path %v vs explicit %v", viaGram, explicit)
 	}

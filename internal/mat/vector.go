@@ -92,20 +92,6 @@ func Mean(x []float64) float64 {
 	return Sum(x) / float64(len(x))
 }
 
-// Variance returns the population variance of x (0 for fewer than 2 values).
-func Variance(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
 // ArgMax returns the index of the largest element of x (-1 for empty x).
 // Ties resolve to the lowest index.
 func ArgMax(x []float64) int {

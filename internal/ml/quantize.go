@@ -207,10 +207,3 @@ func QuantizedSize(classes, features int, bits QuantBits) int {
 	params := classes*features + classes
 	return 4 + 16 + 8 + 8 + params*int(bits)/8
 }
-
-// CompressionRatio returns the size of the float64 serialization divided by
-// the quantized size.
-func CompressionRatio(m *Model, bits QuantBits) float64 {
-	full := 4 + 12 + m.ParamCount()*8
-	return float64(full) / float64(QuantizedSize(m.Classes(), m.Features(), bits))
-}

@@ -129,16 +129,8 @@ func TestDequantizeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCompressionRatio(t *testing.T) {
+func TestQuantizedSizeMatchesPayload(t *testing.T) {
 	m := NewModel(10, 784, Softmax)
-	r8 := CompressionRatio(m, Quant8)
-	r16 := CompressionRatio(m, Quant16)
-	if r8 < 7.5 || r8 > 8.5 {
-		t.Errorf("8-bit ratio = %v, want ≈8", r8)
-	}
-	if r16 < 3.7 || r16 > 4.3 {
-		t.Errorf("16-bit ratio = %v, want ≈4", r16)
-	}
 	data, err := QuantizeModel(m, Quant8)
 	if err != nil {
 		t.Fatalf("Quantize: %v", err)

@@ -1,7 +1,6 @@
 // Package optim provides the generic optimization machinery the EE-FEI
 // planner is built on: golden-section search over convex 1-D functions,
-// exact integer minimization of discretely-convex functions, Alternate
-// Convex Search (ACS, Gorski–Pfeuffer–Klamroth 2007) for biconvex
+// Alternate Convex Search (ACS, Gorski–Pfeuffer–Klamroth 2007) for biconvex
 // objectives, and exhaustive 2-D integer grid search used as the ablation
 // baseline.
 package optim
@@ -50,32 +49,6 @@ func GoldenSection(f func(float64) float64, lo, hi, tol float64) (float64, error
 	return (a + b) / 2, nil
 }
 
-// MinimizeInt minimizes a discretely-convex f over the integer interval
-// [lo, hi] exactly using ternary search, falling back to a linear scan for
-// narrow ranges. It returns the argmin and the minimum value.
-func MinimizeInt(f func(int) float64, lo, hi int) (int, float64, error) {
-	if hi < lo {
-		return 0, 0, fmt.Errorf("integer search on [%d,%d]: %w", lo, hi, ErrDomain)
-	}
-	a, b := lo, hi
-	for b-a > 3 {
-		m1 := a + (b-a)/3
-		m2 := b - (b-a)/3
-		if f(m1) <= f(m2) {
-			b = m2
-		} else {
-			a = m1
-		}
-	}
-	bestX, bestF := a, f(a)
-	for x := a + 1; x <= b; x++ {
-		if v := f(x); v < bestF {
-			bestX, bestF = x, v
-		}
-	}
-	return bestX, bestF, nil
-}
-
 // ACSProblem describes a biconvex minimization min_{x,y} f(x,y) through its
 // two partial minimizers. The EE-FEI planner instantiates it with the
 // closed-form K*(E) and E*(K) of paper Eqs. (15) and (17).
@@ -104,7 +77,9 @@ type ACSResult struct {
 // substitute the current y into MinimizeX and the current x into MinimizeY
 // until the objective changes by at most residual ξ between successive
 // iterations (or maxIter is hit, which returns ErrNoConverge alongside the
-// best point found).
+// best point found). A change within 4 ulps of the objective also stops it:
+// once one ulp of f exceeds ξ, a settled iterate still moves f by rounding
+// alone and would otherwise never meet ξ.
 func ACS(p ACSProblem, x0, y0, residual float64, maxIter int) (ACSResult, error) {
 	if p.Objective == nil || p.MinimizeX == nil || p.MinimizeY == nil {
 		return ACSResult{}, fmt.Errorf("nil problem function: %w", ErrDomain)
@@ -123,13 +98,19 @@ func ACS(p ACSProblem, x0, y0, residual float64, maxIter int) (ACSResult, error)
 		res.Value = p.Objective(res.X, res.Y)
 		res.Iterations++
 		res.Trajectory = append(res.Trajectory, res.Value)
-		if math.Abs(prev-res.Value) <= residual {
+		if d := math.Abs(prev - res.Value); d <= residual || d <= 4*ulp(res.Value) {
 			return res, nil
 		}
 		prev = res.Value
 	}
 	return res, fmt.Errorf("after %d iterations, residual %v not met: %w",
 		res.Iterations, residual, ErrNoConverge)
+}
+
+// ulp returns the spacing of float64 values at |x|.
+func ulp(x float64) float64 {
+	x = math.Abs(x)
+	return math.Nextafter(x, math.Inf(1)) - x
 }
 
 // GridPoint is one evaluated point of a 2-D integer grid search.
@@ -164,35 +145,4 @@ func GridSearch2D(f func(x, y int) float64, valid func(x, y int) bool,
 		return GridPoint{}, fmt.Errorf("no feasible point in grid: %w", ErrDomain)
 	}
 	return best, nil
-}
-
-// Bisect finds a root of a monotone function g on [lo, hi] (g(lo) and g(hi)
-// must have opposite signs) to within tol.
-func Bisect(g func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if hi <= lo || tol <= 0 {
-		return 0, fmt.Errorf("bisect on [%v,%v] tol %v: %w", lo, hi, tol, ErrDomain)
-	}
-	fLo, fHi := g(lo), g(hi)
-	if fLo == 0 {
-		return lo, nil
-	}
-	if fHi == 0 {
-		return hi, nil
-	}
-	if (fLo > 0) == (fHi > 0) {
-		return 0, fmt.Errorf("no sign change on [%v,%v]: %w", lo, hi, ErrDomain)
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		fMid := g(mid)
-		if fMid == 0 {
-			return mid, nil
-		}
-		if (fMid > 0) == (fHi > 0) {
-			hi, fHi = mid, fMid
-		} else {
-			lo, fLo = mid, fMid
-		}
-	}
-	return (lo + hi) / 2, nil
 }

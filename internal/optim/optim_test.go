@@ -43,38 +43,6 @@ func TestGoldenSectionErrors(t *testing.T) {
 	}
 }
 
-func TestMinimizeIntExact(t *testing.T) {
-	f := func(x int) float64 { return float64((x - 37) * (x - 37)) }
-	x, v, err := MinimizeInt(f, 1, 1000)
-	if err != nil {
-		t.Fatalf("MinimizeInt: %v", err)
-	}
-	if x != 37 || v != 0 {
-		t.Errorf("argmin = %d (%v), want 37 (0)", x, v)
-	}
-}
-
-func TestMinimizeIntBoundaries(t *testing.T) {
-	inc := func(x int) float64 { return float64(x) }
-	x, _, err := MinimizeInt(inc, 5, 20)
-	if err != nil || x != 5 {
-		t.Errorf("increasing: argmin = %d err %v, want 5", x, err)
-	}
-	dec := func(x int) float64 { return float64(-x) }
-	x, _, err = MinimizeInt(dec, 5, 20)
-	if err != nil || x != 20 {
-		t.Errorf("decreasing: argmin = %d err %v, want 20", x, err)
-	}
-	// Single-point domain.
-	x, v, err := MinimizeInt(inc, 7, 7)
-	if err != nil || x != 7 || v != 7 {
-		t.Errorf("singleton: %d %v %v", x, v, err)
-	}
-	if _, _, err := MinimizeInt(inc, 3, 2); !errors.Is(err, ErrDomain) {
-		t.Errorf("inverted = %v, want ErrDomain", err)
-	}
-}
-
 // biconvex test function: f(x,y) = (x−2)² + (y−5)² + xy/10 is biconvex (it
 // is convex in each variable separately; the coupling term is bilinear).
 func testProblem() ACSProblem {
@@ -181,39 +149,6 @@ func TestGridSearch2DErrors(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	g := func(x float64) float64 { return x*x - 2 }
-	root, err := Bisect(g, 0, 2, 1e-10)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-8 {
-		t.Errorf("root = %v, want √2", root)
-	}
-}
-
-func TestBisectErrors(t *testing.T) {
-	g := func(x float64) float64 { return 1.0 }
-	if _, err := Bisect(g, 0, 1, 1e-8); !errors.Is(err, ErrDomain) {
-		t.Errorf("no sign change = %v, want ErrDomain", err)
-	}
-	if _, err := Bisect(g, 1, 0, 1e-8); !errors.Is(err, ErrDomain) {
-		t.Errorf("inverted = %v, want ErrDomain", err)
-	}
-}
-
-func TestBisectEndpointRoots(t *testing.T) {
-	g := func(x float64) float64 { return x }
-	root, err := Bisect(g, 0, 1, 1e-8)
-	if err != nil || root != 0 {
-		t.Errorf("root at lo: %v %v", root, err)
-	}
-	root, err = Bisect(g, -1, 0, 1e-8)
-	if err != nil || root != 0 {
-		t.Errorf("root at hi: %v %v", root, err)
-	}
-}
-
 // Property: golden-section on random convex parabolas recovers the vertex.
 func TestGoldenSectionParabolaProperty(t *testing.T) {
 	f := func(vertexRaw int16, scaleRaw uint8) bool {
@@ -224,31 +159,6 @@ func TestGoldenSectionParabolaProperty(t *testing.T) {
 		return err == nil && math.Abs(x-vertex) < 1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: MinimizeInt agrees with a brute-force scan on random convex
-// integer functions.
-func TestMinimizeIntAgreesWithScanProperty(t *testing.T) {
-	f := func(vertexRaw uint8, loRaw uint8) bool {
-		lo := int(loRaw % 50)
-		hi := lo + 100
-		vertex := lo + int(vertexRaw)%(hi-lo+1)
-		fn := func(x int) float64 { return float64((x - vertex) * (x - vertex)) }
-		gotX, gotV, err := MinimizeInt(fn, lo, hi)
-		if err != nil {
-			return false
-		}
-		bestX, bestV := lo, fn(lo)
-		for x := lo + 1; x <= hi; x++ {
-			if v := fn(x); v < bestV {
-				bestX, bestV = x, v
-			}
-		}
-		return gotX == bestX && gotV == bestV
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

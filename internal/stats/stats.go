@@ -1,7 +1,6 @@
 // Package stats provides the summary statistics the experiment harness uses
 // when repeating stochastic runs across seeds: means, standard deviations,
-// order statistics, normal-approximation confidence intervals, and a
-// generic multi-seed repetition helper.
+// order statistics, and a generic multi-seed repetition helper.
 package stats
 
 import (
@@ -78,18 +77,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// ConfidenceInterval95 returns the normal-approximation 95% confidence
-// interval of the mean.
-func ConfidenceInterval95(xs []float64) (lo, hi float64, err error) {
-	s, err := Summarize(xs)
-	if err != nil {
-		return 0, 0, err
-	}
-	const z95 = 1.959963984540054
-	half := z95 * s.StdDev / math.Sqrt(float64(s.N))
-	return s.Mean - half, s.Mean + half, nil
-}
-
 // String renders a summary compactly.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g ±%.4g [%.4g, %.4g] median=%.4g",
@@ -120,34 +107,4 @@ func Seeds(base uint64, n int) []uint64 {
 		out[i] = base + uint64(i)*0x9e3779b97f4a7c15
 	}
 	return out
-}
-
-// WelchT computes Welch's t statistic for the difference of two sample
-// means (positive when a's mean exceeds b's) — enough to flag whether an
-// ablation's effect is larger than seed noise.
-func WelchT(a, b []float64) (float64, error) {
-	sa, err := Summarize(a)
-	if err != nil {
-		return 0, fmt.Errorf("first sample: %w", err)
-	}
-	sb, err := Summarize(b)
-	if err != nil {
-		return 0, fmt.Errorf("second sample: %w", err)
-	}
-	va := sa.StdDev * sa.StdDev / float64(sa.N)
-	vb := sb.StdDev * sb.StdDev / float64(sb.N)
-	if va+vb == 0 {
-		if sa.Mean == sb.Mean {
-			return 0, nil
-		}
-		return math.Inf(sign(sa.Mean - sb.Mean)), nil
-	}
-	return (sa.Mean - sb.Mean) / math.Sqrt(va+vb), nil
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
 }
