@@ -84,47 +84,38 @@ func BenchmarkFigure3PowerTrace(b *testing.B) {
 	b.ReportMetric(float64(rounds), "rounds(paper=2)")
 }
 
-func BenchmarkFigure4FixedE(b *testing.B) {
-	setup := benchSetup(b)
-	var tAtTarget int
-	for i := 0; i < b.N; i++ {
-		// Reduced sweep: the two extreme K values at the pinned E=40.
-		res, err := experiments.Figure5(setup, experiments.SweepConfig{
-			Ks: []int{1, 20}, PinnedE: 40,
-		})
-		if err != nil {
-			b.Fatalf("K sweep: %v", err)
-		}
-		tAtTarget = res.Points[len(res.Points)-1].EmpiricalRounds
+// freshSetup builds a quick-scale setup with the timer stopped: the figures
+// cache their training runs on the setup, so each iteration needs its own
+// or it would time a cache hit.
+func freshSetup(b *testing.B) *experiments.Setup {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	setup, err := experiments.NewSetup(experiments.Quick)
+	if err != nil {
+		b.Fatalf("setup: %v", err)
 	}
-	b.ReportMetric(float64(tAtTarget), "T@K=20")
+	return setup
 }
 
-func BenchmarkFigure4FixedK(b *testing.B) {
-	setup := benchSetup(b)
-	var uShape float64
+func BenchmarkFigure4(b *testing.B) {
+	var eT int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure6(setup, experiments.SweepConfig{
-			Es: []int{1, 20, 100}, PinnedK: 10,
-		})
+		res, err := experiments.Figure4(freshSetup(b), 1)
 		if err != nil {
-			b.Fatalf("E sweep: %v", err)
+			b.Fatalf("Figure4: %v", err)
 		}
-		// E·T at the middle point relative to the ends characterizes the
-		// Fig.-4d U-shape (paper: 5600 / 3600 / 6000).
-		mid := res.Points[1]
-		uShape = float64(mid.Param * mid.EmpiricalRounds)
+		// E·T at E=20 against the ends characterizes the Fig.-4d U-shape
+		// (paper: 5600 / 3600 / 6000).
+		eT = res.FixedK[1].LocalGradientRounds
 	}
-	b.ReportMetric(uShape, "E·T@E=20")
+	b.ReportMetric(float64(eT), "E·T@E=20")
 }
 
 func BenchmarkFigure5EnergyVsK(b *testing.B) {
-	setup := benchSetup(b)
 	var kStar int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure5(setup, experiments.SweepConfig{
-			Ks: []int{1, 2, 5, 10, 20},
-		})
+		res, err := experiments.Figure5(freshSetup(b), 1)
 		if err != nil {
 			b.Fatalf("Figure5: %v", err)
 		}
@@ -134,10 +125,9 @@ func BenchmarkFigure5EnergyVsK(b *testing.B) {
 }
 
 func BenchmarkFigure6EnergyVsE(b *testing.B) {
-	setup := benchSetup(b)
 	var savings float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure6(setup, experiments.SweepConfig{})
+		res, err := experiments.Figure6(freshSetup(b), 1)
 		if err != nil {
 			b.Fatalf("Figure6: %v", err)
 		}
@@ -189,7 +179,7 @@ func BenchmarkAblationEmpiricalT(b *testing.B) {
 	setup := benchSetup(b)
 	var tEmp int
 	for i := 0; i < b.N; i++ {
-		res, err := setup.RunTraining(1, 20, uint64(i+1))
+		res, err := setup.RunTraining(1, 20, uint64(i+1), 0, nil)
 		if err != nil {
 			b.Fatalf("RunTraining: %v", err)
 		}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -33,16 +34,135 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-// experimentIDs is every id -only accepts, in the order run executes them.
-const experimentIDs = "table1,table2,fig3,fig4,fig5,fig6,theory,constants,calibrate,ablation"
+// csvFunc writes one data file of an experiment into the -csv directory; it
+// does nothing without -csv.
+type csvFunc func(name string, write func(io.Writer) error) error
 
-func run(args []string) error {
+// experiment is one id -only accepts.
+type experiment struct {
+	id string
+	// setup reports whether run needs the scale's training setup; run gets
+	// nil otherwise.
+	setup bool
+	// run renders the experiment to w and hands its data files to csv.
+	run func(s *experiments.Setup, seed uint64, w io.Writer, csv csvFunc) error
+}
+
+// experimentList holds every experiment in the order run executes them.
+var experimentList = []experiment{
+	{"table1", false, func(_ *experiments.Setup, seed uint64, w io.Writer, csv csvFunc) error {
+		res, err := experiments.Table1(seed)
+		if err != nil {
+			return err
+		}
+		if err := res.Render(w); err != nil {
+			return err
+		}
+		return csv("table1.csv", func(f io.Writer) error { return experiments.WriteTable1CSV(f, res) })
+	}},
+	{"table2", false, func(_ *experiments.Setup, _ uint64, w io.Writer, _ csvFunc) error {
+		return experiments.RenderTable2(w, experiments.Table2())
+	}},
+	{"fig3", true, func(s *experiments.Setup, seed uint64, w io.Writer, csv csvFunc) error {
+		res, err := experiments.Figure3(s, seed)
+		if err != nil {
+			return err
+		}
+		if err := res.Render(w); err != nil {
+			return err
+		}
+		return csv("fig3_trace.csv", func(f io.Writer) error { return experiments.WriteTraceCSV(f, res) })
+	}},
+	{"fig4", true, func(s *experiments.Setup, seed uint64, w io.Writer, csv csvFunc) error {
+		res, err := experiments.Figure4(s, seed)
+		if err != nil {
+			return err
+		}
+		if err := res.Render(w); err != nil {
+			return err
+		}
+		return csv("fig4_convergence.csv", func(f io.Writer) error { return experiments.WriteFigure4CSV(f, res) })
+	}},
+	{"fig5", true, func(s *experiments.Setup, seed uint64, w io.Writer, csv csvFunc) error {
+		res, err := experiments.Figure5(s, seed)
+		if err != nil {
+			return err
+		}
+		if err := res.Render(w); err != nil {
+			return err
+		}
+		return csv("fig5_energy_vs_k.csv", func(f io.Writer) error { return experiments.WriteEnergyCurveCSV(f, "K", res.Points) })
+	}},
+	{"fig6", true, func(s *experiments.Setup, seed uint64, w io.Writer, csv csvFunc) error {
+		res, err := experiments.Figure6(s, seed)
+		if err != nil {
+			return err
+		}
+		if err := res.Render(w); err != nil {
+			return err
+		}
+		return csv("fig6_energy_vs_e.csv", func(f io.Writer) error { return experiments.WriteEnergyCurveCSV(f, "E", res.Points) })
+	}},
+	{"theory", false, func(_ *experiments.Setup, _ uint64, w io.Writer, csv csvFunc) error {
+		res, err := experiments.PaperTheoryCurves()
+		if err != nil {
+			return err
+		}
+		if err := res.Render(w); err != nil {
+			return err
+		}
+		if err := csv("theory_k_curve.csv", func(f io.Writer) error { return experiments.WriteEnergyCurveCSV(f, "K", res.KCurve) }); err != nil {
+			return err
+		}
+		return csv("theory_e_curve.csv", func(f io.Writer) error { return experiments.WriteEnergyCurveCSV(f, "E", res.ECurve) })
+	}},
+	{"constants", true, func(s *experiments.Setup, _ uint64, w io.Writer, _ csvFunc) error {
+		return constants(s, w)
+	}},
+	{"calibrate", true, func(s *experiments.Setup, seed uint64, w io.Writer, _ csvFunc) error {
+		res, err := experiments.CompareCalibration(s, 4, 10, 5, 0.01, seed)
+		if err != nil {
+			return err
+		}
+		return res.Render(w)
+	}},
+	{"ablation", true, func(s *experiments.Setup, seed uint64, w io.Writer, _ csvFunc) error {
+		ks := []int{1, 8}
+		skew, err := experiments.LabelSkewAblation(s, seed, []float64{0, 0.5, 0.9}, ks, 10)
+		if err != nil {
+			return fmt.Errorf("skew: %w", err)
+		}
+		if err := experiments.RenderSkew(w, skew, ks); err != nil {
+			return err
+		}
+		quant, err := experiments.QuantizationAblation(s, seed)
+		if err != nil {
+			return fmt.Errorf("quantization: %w", err)
+		}
+		if err := experiments.RenderQuant(w, quant); err != nil {
+			return err
+		}
+		stability, err := experiments.SeedStability(s, seed, 4, 10, 5)
+		if err != nil {
+			return fmt.Errorf("seed stability: %w", err)
+		}
+		_, err = fmt.Fprintf(w, "Seed stability — energy to target at (K=4,E=10): %v\n", stability)
+		return err
+	}},
+}
+
+func run(args []string, out io.Writer) error {
+	ids := make([]string, len(experimentList))
+	for i, x := range experimentList {
+		ids[i] = x.id
+	}
+	experimentIDs := strings.Join(ids, ",")
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		scaleName = fs.String("scale", "quick", "experiment scale: quick|paper|full")
@@ -66,40 +186,21 @@ func run(args []string) error {
 	}
 
 	if *sweepGrid != "" {
-		return runSweep(os.Stdout, scale, *sweepGrid, *resumePath, *outDir, *tracePath,
+		return runSweep(out, scale, *sweepGrid, *resumePath, *outDir, *tracePath,
 			*sweepRounds, *workers, *seed)
 	}
 
 	want := map[string]bool{}
 	if *only != "" {
-		valid := strings.Split(experimentIDs, ",")
 		for _, id := range strings.Split(*only, ",") {
 			id = strings.TrimSpace(id)
-			if !slices.Contains(valid, id) {
+			if !slices.Contains(ids, id) {
 				return fmt.Errorf("-only: unknown experiment id %q (valid: %s)", id, experimentIDs)
 			}
 			want[id] = true
 		}
 	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
-
-	var setup *experiments.Setup
-	getSetup := func() (*experiments.Setup, error) {
-		if setup == nil {
-			s, err := experiments.NewSetup(scale)
-			if err != nil {
-				return nil, err
-			}
-			setup = s
-		}
-		return setup, nil
-	}
-
-	out := os.Stdout
-	section := func(id string) {
-		fmt.Fprintf(out, "\n===== %s (%v scale) =====\n", id, scale)
-	}
-	writeCSV := func(name string, write func(f *os.File) error) error {
+	csv := func(name string, write func(io.Writer) error) error {
 		if *csvDir == "" {
 			return nil
 		}
@@ -118,239 +219,75 @@ func run(args []string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "csv written: %s\n", path)
-		return nil
+		_, err = fmt.Fprintf(out, "csv written: %s\n", path)
+		return err
 	}
 
-	if selected("table1") {
-		section("table1")
-		start := time.Now()
-		res, err := experiments.Table1(*seed)
-		if err != nil {
-			return fmt.Errorf("table1: %w", err)
+	var setup *experiments.Setup
+	for _, x := range experimentList {
+		if len(want) > 0 && !want[x.id] {
+			continue
 		}
-		if err := res.Render(out); err != nil {
-			return err
-		}
-		if err := writeCSV("table1.csv", func(f *os.File) error {
-			return experiments.WriteTable1CSV(f, res)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds())
-	}
-
-	if selected("table2") {
-		section("table2")
-		if err := experiments.RenderTable2(out, experiments.Table2()); err != nil {
-			return err
-		}
-	}
-
-	if selected("fig3") {
-		section("fig3")
-		s, err := getSetup()
-		if err != nil {
-			return err
+		fmt.Fprintf(out, "\n===== %s (%v scale) =====\n", x.id, scale)
+		var s *experiments.Setup
+		if x.setup {
+			if setup == nil {
+				if setup, err = experiments.NewSetup(scale); err != nil {
+					return err
+				}
+			}
+			s = setup
 		}
 		start := time.Now()
-		res, err := experiments.Figure3(s, *seed)
-		if err != nil {
-			return fmt.Errorf("fig3: %w", err)
+		if err := x.run(s, *seed, out, csv); err != nil {
+			return fmt.Errorf("%s: %w", x.id, err)
 		}
-		if err := res.Render(out); err != nil {
-			return err
-		}
-		if err := writeCSV("fig3_trace.csv", func(f *os.File) error {
-			return experiments.WriteTraceCSV(f, res)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds())
-	}
-
-	if selected("fig4") {
-		section("fig4")
-		s, err := getSetup()
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := experiments.Figure4(s)
-		if err != nil {
-			return fmt.Errorf("fig4: %w", err)
-		}
-		if err := res.Render(out); err != nil {
-			return err
-		}
-		if err := writeCSV("fig4_convergence.csv", func(f *os.File) error {
-			return experiments.WriteFigure4CSV(f, res)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds())
-	}
-
-	if selected("fig5") {
-		section("fig5")
-		s, err := getSetup()
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := experiments.Figure5(s, experiments.SweepConfig{})
-		if err != nil {
-			return fmt.Errorf("fig5: %w", err)
-		}
-		if err := res.Render(out); err != nil {
-			return err
-		}
-		if err := writeCSV("fig5_energy_vs_k.csv", func(f *os.File) error {
-			return experiments.WriteEnergyCurveCSV(f, "K", res.Points)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds())
-	}
-
-	if selected("fig6") {
-		section("fig6")
-		s, err := getSetup()
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := experiments.Figure6(s, experiments.SweepConfig{})
-		if err != nil {
-			return fmt.Errorf("fig6: %w", err)
-		}
-		if err := res.Render(out); err != nil {
-			return err
-		}
-		if err := writeCSV("fig6_energy_vs_e.csv", func(f *os.File) error {
-			return experiments.WriteEnergyCurveCSV(f, "E", res.Points)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds())
-	}
-
-	if selected("theory") {
-		section("theory")
-		res, err := experiments.PaperTheoryCurves()
-		if err != nil {
-			return fmt.Errorf("theory: %w", err)
-		}
-		if err := res.Render(out); err != nil {
-			return err
-		}
-		if err := writeCSV("theory_k_curve.csv", func(f *os.File) error {
-			return experiments.WriteEnergyCurveCSV(f, "K", res.KCurve)
-		}); err != nil {
-			return err
-		}
-		if err := writeCSV("theory_e_curve.csv", func(f *os.File) error {
-			return experiments.WriteEnergyCurveCSV(f, "E", res.ECurve)
-		}); err != nil {
+		if _, err := fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds()); err != nil {
 			return err
 		}
 	}
-
-	if selected("constants") {
-		section("constants")
-		s, err := getSetup()
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		// First-principles pipeline: long centralized training gives the
-		// reference optimum; σ², L and ‖ω0−ω*‖² are then estimated from the
-		// shards and folded into bound constants.
-		union, err := experiments.UnionDataset(s)
-		if err != nil {
-			return err
-		}
-		reference := ml.NewModel(union.Classes, union.Dim(), ml.Softmax)
-		sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: s.LearningRate, Decay: 0.9995})
-		if err != nil {
-			return err
-		}
-		if _, err := sgd.Train(reference, union, 800); err != nil {
-			return err
-		}
-		phys, err := core.EstimatePhysical(reference, s.Shards, s.LearningRate, 1, 1, 1,
-			core.EstimateOptions{Seed: 1})
-		if err != nil {
-			return err
-		}
-		bound, err := phys.Aggregate()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "estimated physical constants (quick-scale data):\n")
-		fmt.Fprintf(out, "  σ² (gradient variance at optimum) = %.6g\n", phys.GradientVarianceAtOpt)
-		fmt.Fprintf(out, "  L  (smoothness bound)             = %.6g\n", phys.Smoothness)
-		fmt.Fprintf(out, "  ‖ω0−ω*‖²                          = %.6g\n", phys.InitialDistanceSq)
-		fmt.Fprintf(out, "aggregated (α0=α1=α2=1): A0=%.6g A1=%.6g A2=%.6g\n",
-			bound.A0, bound.A1, bound.A2)
-		fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds())
-	}
-
-	if selected("calibrate") {
-		section("calibrate")
-		s, err := getSetup()
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := experiments.CompareCalibration(s, 4, 10, 5, 0.01, *seed)
-		if err != nil {
-			return fmt.Errorf("calibrate: %w", err)
-		}
-		if err := res.Render(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds())
-	}
-
-	if selected("ablation") {
-		section("ablation")
-		s, err := getSetup()
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		ks := []int{1, 8}
-		skew, err := experiments.LabelSkewAblation(s, []float64{0, 0.5, 0.9}, ks, 10)
-		if err != nil {
-			return fmt.Errorf("skew ablation: %w", err)
-		}
-		if err := experiments.RenderSkew(out, skew, ks); err != nil {
-			return err
-		}
-		quant, err := experiments.QuantizationAblation(s)
-		if err != nil {
-			return fmt.Errorf("quantization ablation: %w", err)
-		}
-		if err := experiments.RenderQuant(out, quant); err != nil {
-			return err
-		}
-		stability, err := experiments.SeedStability(s, 4, 10, 5)
-		if err != nil {
-			return fmt.Errorf("seed stability: %w", err)
-		}
-		fmt.Fprintf(out, "Seed stability — energy to target at (K=4,E=10): %v\n", stability)
-		fmt.Fprintf(out, "(%.2fs)\n", time.Since(start).Seconds())
-	}
-
 	return nil
+}
+
+// constants runs the first-principles pipeline: long centralized training
+// gives the reference optimum; σ², L and ‖ω0−ω*‖² are then estimated from
+// the shards and folded into bound constants.
+func constants(s *experiments.Setup, w io.Writer) error {
+	union, err := experiments.UnionDataset(s)
+	if err != nil {
+		return err
+	}
+	reference := ml.NewModel(union.Classes, union.Dim(), ml.Softmax)
+	sgd, err := ml.NewSGD(ml.SGDConfig{LearningRate: s.LearningRate, Decay: 0.9995})
+	if err != nil {
+		return err
+	}
+	if _, err := sgd.Train(reference, union, 800); err != nil {
+		return err
+	}
+	phys, err := core.EstimatePhysical(reference, s.Shards, s.LearningRate, 1, 1, 1,
+		core.EstimateOptions{Seed: 1})
+	if err != nil {
+		return err
+	}
+	bound, err := phys.Aggregate()
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, `estimated physical constants (quick-scale data):
+  σ² (gradient variance at optimum) = %.6g
+  L  (smoothness bound)             = %.6g
+  ‖ω0−ω*‖²                          = %.6g
+aggregated (α0=α1=α2=1): A0=%.6g A1=%.6g A2=%.6g
+`, phys.GradientVarianceAtOpt, phys.Smoothness, phys.InitialDistanceSq, bound.A0, bound.A1, bound.A2)
+	return err
 }
 
 // runSweep drives the (K, E) sweep subsystem: parse the grid, optionally
 // load a resume checkpoint, execute the remaining cells on the worker pool,
 // and record the frontier artifacts. Progress goes to stderr so stdout
 // stays the rendered frontier alone.
-func runSweep(out *os.File, scale experiments.Scale, grid, resumePath, outDir, tracePath string, rounds, workers int, seed uint64) error {
+func runSweep(out io.Writer, scale experiments.Scale, grid, resumePath, outDir, tracePath string, rounds, workers int, seed uint64) error {
 	spec, err := experiments.ParseSweepGrid(grid)
 	if err != nil {
 		return err

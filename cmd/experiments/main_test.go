@@ -2,21 +2,26 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestRunTables(t *testing.T) {
-	if err := run([]string{"-only", "table1,table2"}); err != nil {
+	if err := run([]string{"-only", "table1,table2"}, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
 func TestRunFig3WithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-only", "fig3", "-csv", dir}); err != nil {
+	if err := run([]string{"-only", "fig3", "-csv", dir}, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if fi, err := os.Stat(filepath.Join(dir, "fig3_trace.csv")); err != nil || fi.Size() == 0 {
@@ -25,7 +30,7 @@ func TestRunFig3WithCSV(t *testing.T) {
 }
 
 func TestRunBadScale(t *testing.T) {
-	if err := run([]string{"-scale", "cosmic"}); err == nil {
+	if err := run([]string{"-scale", "cosmic"}, io.Discard); err == nil {
 		t.Error("bad scale must error")
 	}
 }
@@ -33,7 +38,7 @@ func TestRunBadScale(t *testing.T) {
 func TestRunUnknownOnlyRejected(t *testing.T) {
 	// An id that is no experiment must not select nothing and exit 0: the
 	// error names it and lists the ids that are.
-	err := run([]string{"-only", "table2,fig99"})
+	err := run([]string{"-only", "table2,fig99"}, io.Discard)
 	if err == nil {
 		t.Fatal("unknown id must error")
 	}
@@ -50,7 +55,7 @@ func TestRunSweepWritesArtifacts(t *testing.T) {
 	err := run([]string{
 		"-sweep", "K=1,2;E=1,2", "-sweep-rounds", "2",
 		"-out", dir, "-trace", trace,
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -71,7 +76,7 @@ func TestRunSweepWritesArtifacts(t *testing.T) {
 
 func TestRunSweepResumeByteIdentical(t *testing.T) {
 	full := t.TempDir()
-	if err := run([]string{"-sweep", "K=1,2;E=1,2", "-sweep-rounds", "2", "-out", full}); err != nil {
+	if err := run([]string{"-sweep", "K=1,2;E=1,2", "-sweep-rounds", "2", "-out", full}, io.Discard); err != nil {
 		t.Fatalf("full run: %v", err)
 	}
 	want, err := os.ReadFile(filepath.Join(full, "sweep.jsonl"))
@@ -93,7 +98,7 @@ func TestRunSweepResumeByteIdentical(t *testing.T) {
 	err = run([]string{
 		"-sweep", "K=1,2;E=1,2", "-sweep-rounds", "2",
 		"-resume", prefix, "-out", part,
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -115,8 +120,77 @@ func TestRunSweepResumeByteIdentical(t *testing.T) {
 
 func TestRunSweepBadGrid(t *testing.T) {
 	for _, grid := range []string{"K=0;E=1", "K=1", "bogus", "K=1;E=1;K=2"} {
-		if err := run([]string{"-sweep", grid}); err == nil {
+		if err := run([]string{"-sweep", grid}, io.Discard); err == nil {
 			t.Errorf("grid %q must error", grid)
+		}
+	}
+}
+
+// TestRunSeedMovesFigure6 pins -seed reaching the figures' training: Fig. 6's
+// measured column at -seed 7 differs from the default seed's, while its
+// theory column, priced on the fixed-seed calibration, does not.
+func TestRunSeedMovesFigure6(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two Fig. 6 trainings")
+	}
+	columns := func(args ...string) (measured, theory []string) {
+		var out bytes.Buffer
+		if err := run(append([]string{"-only", "fig6"}, args...), &out); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 6 {
+				if _, err := strconv.Atoi(f[0]); err == nil {
+					measured, theory = append(measured, f[1]), append(theory, f[2])
+				}
+			}
+		}
+		if len(measured) != 7 {
+			t.Fatalf("run %v: %d Fig. 6 rows, want 7:\n%s", args, len(measured), out.String())
+		}
+		return measured, theory
+	}
+	defMeasured, defTheory := columns()
+	measured, theory := columns("-seed", "7")
+	if slices.Equal(measured, defMeasured) {
+		t.Errorf("-seed 7 measured %v, the default seed's", measured)
+	}
+	if !slices.Equal(theory, defTheory) {
+		t.Errorf("-seed 7 moved the theory column: %v, default %v", theory, defTheory)
+	}
+}
+
+// timingLine matches the wall-clock line closing each rendered section.
+var timingLine = regexp.MustCompile(`(?m)^\(\d+\.\d\ds\)\n`)
+
+// TestExperimentsDocQuotesOutput runs every experiment at quick scale and
+// requires each rendered section, header included and timing line dropped,
+// to appear verbatim as a fenced block of EXPERIMENTS.md. The doc quotes
+// amd64's digits: Go fuses x*y + z into one rounding on arm64 (and ppc64,
+// s390x) but not on amd64, so trained numbers differ in the last places
+// there.
+func TestExperimentsDocQuotesOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every quick-scale experiment")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("EXPERIMENTS.md quotes amd64 output; fused multiply-add moves the digits on %s", runtime.GOARCH)
+	}
+	var out bytes.Buffer
+	if err := run(nil, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := strings.Split(timingLine.ReplaceAllString(out.String(), ""), "\n=====")[1:]
+	if len(sections) != len(experimentList) {
+		t.Fatalf("%d sections rendered, want %d", len(sections), len(experimentList))
+	}
+	for _, s := range sections {
+		if block := "```\n=====" + s + "```\n"; !bytes.Contains(doc, []byte(block)) {
+			t.Errorf("EXPERIMENTS.md does not quote this block:\n%s", block)
 		}
 	}
 }

@@ -34,11 +34,31 @@ func TestSolveConvergesAtLargeEnergy(t *testing.T) {
 	}
 }
 
+// overflowProblem's T* is ≈ 1e23 rounds at every feasible (K, E), past
+// int's range: ε sits 1e-12 above the A1/K floor of its single server.
+func overflowProblem() Problem {
+	p := DefaultProblem()
+	p.Bound.A0 = 1e9
+	p.Servers = 1
+	p.Epsilon = p.Bound.A1 * (1 + 1e-12)
+	return p
+}
+
+func TestPlanRefusesRoundsPastIntRange(t *testing.T) {
+	p := overflowProblem()
+	if plan, err := Solve(p, DefaultPlannerConfig()); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("Solve = (%d, %d, %d) T* %g, %v; want ErrInfeasible", plan.K, plan.E, plan.T, plan.ContinuousT, err)
+	}
+	if plan, err := SolveGrid(p, 300); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("SolveGrid = (%d, %d, %d) T* %g, %v; want ErrInfeasible", plan.K, plan.E, plan.T, plan.ContinuousT, err)
+	}
+}
+
 // FuzzPlan drives Algorithm 1 over arbitrary constants (A0, A1, A2, B0, B1,
 // ε, N). A problem that fails Validate is refused with an error. A valid
 // one whose constants lie in [1e-9, 1e9] (A2 may also be 0) either reports
 // ErrInfeasible or returns a plan with 1 ≤ K ≤ N, E ≥ 1, T ≥ 1 and finite,
-// positive joules; where the plan's E is at most 300, it is no cheaper
+// positive joules and T = ⌈T*(K, E)⌉; where the plan's E is at most 300, it is no cheaper
 // than the exhaustive grid over E ≤ 300 can be. Outside that range Ê
 // underflows to 0 or overflows to +Inf, which no plan can price.
 func FuzzPlan(f *testing.F) {
@@ -54,6 +74,7 @@ func FuzzPlan(f *testing.F) {
 	infeasible := def
 	infeasible.Epsilon = def.Bound.A1 / float64(def.Servers) / 2
 	add(infeasible)
+	add(overflowProblem())
 	f.Fuzz(func(t *testing.T, a0, a1, a2, b0, b1, eps float64, n uint8) {
 		p := Problem{
 			Bound:   BoundConstants{A0: a0, A1: a1, A2: a2},
@@ -83,6 +104,9 @@ func FuzzPlan(f *testing.F) {
 		}
 		if j := plan.PredictedJoules; !(j > 0) || math.IsInf(j, 1) {
 			t.Fatalf("%+v: plan joules %v", p, j)
+		}
+		if tStar, err := p.TStar(float64(plan.K), float64(plan.E)); err != nil || float64(plan.T) != math.Ceil(tStar) {
+			t.Fatalf("%+v: plan T = %d at (%d, %d), T* %v (%v)", p, plan.T, plan.K, plan.E, tStar, err)
 		}
 		if plan.E > 300 {
 			return

@@ -142,9 +142,9 @@ func integerize(p Problem, kc, ec float64) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	tInt := int(math.Ceil(tStar))
-	if tInt < 1 {
-		tInt = 1
+	tInt, err := planRounds(tStar)
+	if err != nil {
+		return Plan{}, err
 	}
 	ct, err := p.TStar(kc, ec)
 	if err != nil {
@@ -184,16 +184,31 @@ func SolveGrid(p Problem, eMax int) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
+	tInt, err := planRounds(tStar)
+	if err != nil {
+		return Plan{}, err
+	}
 	return Plan{
 		K:               best.X,
 		E:               best.Y,
-		T:               maxInt(int(math.Ceil(tStar)), 1),
+		T:               tInt,
 		ContinuousK:     float64(best.X),
 		ContinuousE:     float64(best.Y),
 		ContinuousT:     tStar,
 		PredictedJoules: best.Value,
 		BaselineJoules:  p.Objective(1, 1),
 	}, nil
+}
+
+// planRounds is the integer round count a plan reports, ⌈T*⌉ (at least 1).
+// A T* past int's range is refused, not wrapped: the conversion would
+// otherwise report a plan of one round.
+func planRounds(tStar float64) (int, error) {
+	t := math.Ceil(tStar)
+	if !(t < math.MaxInt) {
+		return 0, fmt.Errorf("T* = %g rounds is past the integer range: %w", tStar, ErrInfeasible)
+	}
+	return maxInt(int(t), 1), nil
 }
 
 func clampInt(v, lo, hi int) int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"eefei/internal/dataset"
 	"eefei/internal/energy"
@@ -31,20 +32,12 @@ type SkewPoint struct {
 	BestK int
 }
 
-// LabelSkewAblation re-runs the K sweep under increasingly non-IID shards.
-// The paper predicts (Fig. 5 discussion) that K* = 1 is an artifact of
-// identical shard distributions; with skewed shards single-client rounds
-// see biased gradients and a larger K pays off.
-func LabelSkewAblation(setup *Setup, alphas []float64, ks []int, pinnedE int) ([]SkewPoint, error) {
-	if len(alphas) == 0 {
-		alphas = []float64{0, 0.5, 0.9}
-	}
-	if len(ks) == 0 {
-		ks = []int{1, 4, 16}
-	}
-	if pinnedE <= 0 {
-		pinnedE = 10
-	}
+// LabelSkewAblation re-runs the K sweep at pinnedE under increasingly
+// non-IID shards, dealt and trained at seed. The paper predicts (Fig. 5
+// discussion) that K* = 1 is an artifact of identical shard distributions;
+// with skewed shards single-client rounds see biased gradients and a larger
+// K pays off.
+func LabelSkewAblation(setup *Setup, seed uint64, alphas []float64, ks []int, pinnedE int) ([]SkewPoint, error) {
 	// The skewed partitions re-deal the union of the IID shards.
 	union, err := UnionDataset(setup)
 	if err != nil {
@@ -56,7 +49,7 @@ func LabelSkewAblation(setup *Setup, alphas []float64, ks []int, pinnedE int) ([
 		if alpha == 0 {
 			shards = setup.Shards
 		} else {
-			shards, err = dataset.LabelSkewPartitioner{Alpha: alpha, Seed: 1}.Partition(union, setup.Servers)
+			shards, err = dataset.LabelSkewPartitioner{Alpha: alpha, Seed: seed}.Partition(union, setup.Servers)
 			if err != nil {
 				return nil, fmt.Errorf("skew %.2f: %w", alpha, err)
 			}
@@ -68,7 +61,7 @@ func LabelSkewAblation(setup *Setup, alphas []float64, ks []int, pinnedE int) ([
 		}
 		best := math.Inf(1)
 		for _, k := range ks {
-			cfg := setup.simConfig(k, pinnedE, 1)
+			cfg := setup.simConfig(k, pinnedE, seed)
 			system, err := sim.New(cfg, shards, setup.Test)
 			if err != nil {
 				return nil, fmt.Errorf("skew %.2f K=%d: %w", alpha, k, err)
@@ -97,34 +90,21 @@ func LabelSkewAblation(setup *Setup, alphas []float64, ks []int, pinnedE int) ([
 
 // RenderSkew writes the label-skew ablation table.
 func RenderSkew(w io.Writer, points []SkewPoint, ks []int) error {
-	if _, err := fmt.Fprintln(w, "Ablation — label skew vs optimal K (paper: K*=1 under IID only)"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%6s", "alpha"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintln(&b, "Ablation — label skew vs optimal K (paper: K*=1 under IID only)")
+	fmt.Fprintf(&b, "%6s", "alpha")
 	for _, k := range ks {
-		if _, err := fmt.Fprintf(w, " %8s %8s", fmt.Sprintf("T(K=%d)", k), fmt.Sprintf("J(K=%d)", k)); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, " %8s %8s", fmt.Sprintf("T(K=%d)", k), fmt.Sprintf("J(K=%d)", k))
 	}
-	if _, err := fmt.Fprintf(w, " %6s\n", "bestK"); err != nil {
-		return err
-	}
+	fmt.Fprintf(&b, " %6s\n", "bestK")
 	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%6.2f", p.Alpha); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%6.2f", p.Alpha)
 		for _, k := range ks {
-			if _, err := fmt.Fprintf(w, " %8d %8.1f", p.RoundsByK[k], p.EnergyByK[k]); err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, " %8d %8.1f", p.RoundsByK[k], p.EnergyByK[k])
 		}
-		if _, err := fmt.Fprintf(w, " %6d\n", p.BestK); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, " %6d\n", p.BestK)
 	}
-	return nil
+	return flush(w, &b)
 }
 
 // QuantPoint is one row of the quantized-upload ablation.
@@ -140,12 +120,12 @@ type QuantPoint struct {
 	Accuracy float64
 }
 
-// QuantizationAblation trains one model federatedly, then measures how
-// much upload energy per round each codec saves and what it costs in
+// QuantizationAblation trains one model federatedly at seed, then measures
+// how much upload energy per round each codec saves and what it costs in
 // accuracy. Upload energy is prorated from the device model's full-precision
 // upload phase by the byte ratio.
-func QuantizationAblation(setup *Setup) ([]QuantPoint, error) {
-	engine, err := fl.NewEngine(setup.flConfig(5, 10, 1), setup.Shards, fl.WithTestSet(setup.Test))
+func QuantizationAblation(setup *Setup, seed uint64) ([]QuantPoint, error) {
+	engine, err := fl.NewEngine(setup.flConfig(5, 10, seed), setup.Shards, fl.WithTestSet(setup.Test))
 	if err != nil {
 		return nil, err
 	}
@@ -192,30 +172,22 @@ func QuantizationAblation(setup *Setup) ([]QuantPoint, error) {
 
 // RenderQuant writes the quantization ablation table.
 func RenderQuant(w io.Writer, points []QuantPoint) error {
-	if _, err := fmt.Fprintln(w, "Ablation — quantized model uploads (extension: e^U scales with bytes)"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %10s %14s %10s\n", "codec", "bytes", "upload J/round", "accuracy"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintln(&b, "Ablation — quantized model uploads (extension: e^U scales with bytes)")
+	fmt.Fprintf(&b, "%-10s %10s %14s %10s\n", "codec", "bytes", "upload J/round", "accuracy")
 	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%-10s %10d %14.4f %10.4f\n",
-			p.Label, p.Bytes, p.UploadJoules, p.Accuracy); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-10s %10d %14.4f %10.4f\n",
+			p.Label, p.Bytes, p.UploadJoules, p.Accuracy)
 	}
-	return nil
+	return flush(w, &b)
 }
 
-// SeedStability reruns the measured Fig.-6 E-optimum across seeds and
-// summarizes the energy at a fixed configuration, quantifying how much of
-// the measured curve is seed noise.
-func SeedStability(setup *Setup, k, e, seeds int) (stats.Summary, error) {
-	if seeds <= 0 {
-		seeds = 5
-	}
-	return stats.Repeat(stats.Seeds(1, seeds), func(seed uint64) (float64, error) {
-		res, err := setup.RunTraining(k, e, seed)
+// SeedStability trains (K, E) to the target at n seeds, stats.Seeds(seed,
+// n), and summarizes the energy, quantifying how much of a measured curve
+// is seed noise.
+func SeedStability(setup *Setup, seed uint64, k, e, n int) (stats.Summary, error) {
+	return stats.Repeat(stats.Seeds(seed, n), func(seed uint64) (float64, error) {
+		res, err := setup.RunTraining(k, e, seed, 0, nil)
 		if err != nil {
 			return 0, err
 		}

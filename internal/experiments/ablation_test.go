@@ -12,7 +12,7 @@ func TestLabelSkewAblationShiftsOptimalK(t *testing.T) {
 	}
 	setup := quickSetup(t)
 	ks := []int{1, 8}
-	points, err := LabelSkewAblation(setup, []float64{0, 0.9}, ks, 10)
+	points, err := LabelSkewAblation(setup, 1, []float64{0, 0.9}, ks, 10)
 	if err != nil {
 		t.Fatalf("LabelSkewAblation: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestQuantizationAblation(t *testing.T) {
 		t.Skip("training")
 	}
 	setup := quickSetup(t)
-	points, err := QuantizationAblation(setup)
+	points, err := QuantizationAblation(setup, 1)
 	if err != nil {
 		t.Fatalf("QuantizationAblation: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestSeedStability(t *testing.T) {
 		t.Skip("training repetitions")
 	}
 	setup := quickSetup(t)
-	sum, err := SeedStability(setup, 4, 10, 3)
+	sum, err := SeedStability(setup, 1, 4, 10, 3)
 	if err != nil {
 		t.Fatalf("SeedStability: %v", err)
 	}

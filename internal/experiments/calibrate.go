@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"eefei/internal/energy"
@@ -137,37 +138,23 @@ func CompareCalibration(setup *Setup, k, e, rounds int, jitter float64, seed uin
 
 // Render writes the comparison tables.
 func (r *CalibrationResult) Render(w io.Writer) error {
-	_, err := fmt.Fprintf(w,
-		"Calibration — measured vs analytic energy (K=%d, E=%d, n=%d, %d rounds, jitter %.1f%%)\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "Calibration — measured vs analytic energy (K=%d, E=%d, n=%d, %d rounds, jitter %.1f%%)\n",
 		r.K, r.E, r.Samples, r.Rounds, 100*r.Jitter)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-9s %14s %14s %8s\n", "phase", "measured (J)", "analytic (J)", "Δ%"); err != nil {
-		return err
-	}
+	fmt.Fprintf(&b, "%-9s %14s %14s %8s\n", "phase", "measured (J)", "analytic (J)", "Δ%")
 	var m, a float64
 	for _, row := range r.Rows {
 		m += row.MeasuredJoules
 		a += row.AnalyticJoules
-		if _, err := fmt.Fprintf(w, "%-9s %14.4f %14.4f %+7.2f\n",
-			row.Phase, row.MeasuredJoules, row.AnalyticJoules, row.DeltaPct); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-9s %14.4f %14.4f %+7.2f\n",
+			row.Phase, row.MeasuredJoules, row.AnalyticJoules, row.DeltaPct)
 	}
-	if _, err := fmt.Fprintf(w, "%-9s %14.4f %14.4f\n", "total", m, a); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w,
-		"refit time model: per-sample %v, per-epoch %v, download %v, upload %v, waiting %v\n",
-		r.Refit.TrainPerSample, r.Refit.TrainPerEpoch, r.Refit.Download, r.Refit.Upload, r.Refit.Waiting); err != nil {
-		return err
-	}
+	fmt.Fprintf(&b, "%-9s %14.4f %14.4f\n", "total", m, a)
+	fmt.Fprintf(&b, "refit time model: per-sample %v, per-epoch %v, download %v, upload %v, waiting %v\n",
+		r.Refit.TrainPerSample, r.Refit.TrainPerEpoch, r.Refit.Download, r.Refit.Upload, r.Refit.Waiting)
 	for _, d := range r.Drift {
-		if _, err := fmt.Fprintf(w, "  %-9s measured %12v  modeled %12v  drift %+6.2f%%\n",
-			d.Phase, d.Measured, d.Modeled, d.Pct); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "  %-9s measured %12v  modeled %12v  drift %+6.2f%%\n",
+			d.Phase, d.Measured, d.Modeled, d.Pct)
 	}
-	return nil
+	return flush(w, &b)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -194,38 +195,28 @@ func TestFigure4ShapesAtReducedScale(t *testing.T) {
 	setup := quickSetup(t)
 	// Reduced sweep (subset of the paper's values) keeps the test fast while
 	// still probing both trade-off directions.
-	fixedE := []Figure4Series{}
-	for _, k := range []int{1, 10} {
-		s, err := figure4Series(setup, k, 10)
-		if err != nil {
-			t.Fatalf("series K=%d: %v", k, err)
-		}
-		fixedE = append(fixedE, s)
+	cells := []cell{{1, 10, 1}, {10, 10, 1}, {5, 1, 1}, {5, 10, 1}}
+	runs, err := setup.train(cells)
+	if err != nil {
+		t.Fatalf("train: %v", err)
 	}
-	for _, s := range fixedE {
-		if len(s.Loss) == 0 {
-			t.Fatalf("%s produced no rounds", s.Label)
+	for i, run := range runs[:2] {
+		h := run.History
+		if len(h) == 0 {
+			t.Fatalf("K=%d produced no rounds", cells[i].k)
 		}
-		if s.Loss[len(s.Loss)-1] >= s.Loss[0] {
-			t.Errorf("%s loss did not fall", s.Label)
+		if h[len(h)-1].TrainLoss >= h[0].TrainLoss {
+			t.Errorf("K=%d loss did not fall", cells[i].k)
 		}
-		if s.RoundsToTarget <= 0 {
-			t.Errorf("%s never hit the target", s.Label)
+		if RoundsToAccuracy(h, setup.AccuracyTarget) <= 0 {
+			t.Errorf("K=%d never hit the target", cells[i].k)
 		}
 	}
 	// E sweep at fixed K: more local epochs per round ⇒ fewer rounds.
-	small, err := figure4Series(setup, 5, 1)
-	if err != nil {
-		t.Fatalf("series E=1: %v", err)
-	}
-	large, err := figure4Series(setup, 5, 10)
-	if err != nil {
-		t.Fatalf("series E=10: %v", err)
-	}
-	if small.RoundsToTarget > 0 && large.RoundsToTarget > 0 &&
-		large.RoundsToTarget >= small.RoundsToTarget {
-		t.Errorf("E=10 took %d rounds, E=1 took %d — expected fewer with more local epochs",
-			large.RoundsToTarget, small.RoundsToTarget)
+	small := RoundsToAccuracy(runs[2].History, setup.AccuracyTarget)
+	large := RoundsToAccuracy(runs[3].History, setup.AccuracyTarget)
+	if small > 0 && large > 0 && large >= small {
+		t.Errorf("E=10 took %d rounds, E=1 took %d — expected fewer with more local epochs", large, small)
 	}
 }
 
@@ -234,7 +225,7 @@ func TestFStarIsLowerBound(t *testing.T) {
 		t.Skip("training")
 	}
 	setup := quickSetup(t)
-	fStar, err := FStar(setup, 120)
+	fStar, err := FStar(setup)
 	if err != nil {
 		t.Fatalf("FStar: %v", err)
 	}
@@ -242,7 +233,7 @@ func TestFStarIsLowerBound(t *testing.T) {
 		t.Errorf("F* = %v, want in (0, ln 10)", fStar)
 	}
 	// A short federated run must sit above F*.
-	run, err := setup.RunTraining(5, 5, 1)
+	run, err := setup.RunTraining(5, 5, 1, 0, nil)
 	if err != nil {
 		t.Fatalf("RunTraining: %v", err)
 	}
@@ -298,8 +289,10 @@ func TestSetupUnionMatchesConcatenatedShards(t *testing.T) {
 		}
 	}
 
-	const epochs = 30
-	got, err := FStar(setup, epochs)
+	if testing.Short() {
+		return
+	}
+	got, err := FStar(setup)
 	if err != nil {
 		t.Fatalf("FStar: %v", err)
 	}
@@ -308,7 +301,7 @@ func TestSetupUnionMatchesConcatenatedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sgd.Train(model, want, epochs); err != nil {
+	if _, err := sgd.Train(model, want, 2000); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := ml.Loss(model, want)
@@ -325,37 +318,27 @@ func TestFigure6ReducedSweep(t *testing.T) {
 		t.Skip("training sweep")
 	}
 	setup := quickSetup(t)
-	res, err := Figure6(setup, SweepConfig{
-		Es:      []int{1, 5, 20},
-		PinnedK: 2,
-	})
+	es := []int{1, 5, 20}
+	pts, problem, best, err := energyCurve(setup, []cell{{2, 1, 1}, {2, 5, 1}, {2, 20, 1}}, es)
 	if err != nil {
-		t.Fatalf("Figure6: %v", err)
+		t.Fatalf("energyCurve: %v", err)
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(res.Points))
+	if len(pts) != 3 {
+		t.Fatalf("points = %d, want 3", len(pts))
 	}
 	// Measured energy at the best E must beat E=1: the paper's core claim.
-	if res.MeasuredSavings <= 0 {
-		t.Errorf("measured savings = %v, want > 0 (E>1 must beat E=1)", res.MeasuredSavings)
-	}
-	if res.EStarMeasured == 1 {
+	if es[best] == 1 {
 		t.Error("measured E* = 1 contradicts the paper's trade-off")
 	}
-	// Theory curve must be finite on the sweep — and on a later, wider sweep
-	// of the same setup: the ε floor follows the largest E of each call, not
-	// of whichever call calibrated the setup first.
-	wide, err := Figure6(setup, SweepConfig{Es: []int{1, 200}, PinnedK: 2})
-	if err != nil {
-		t.Fatalf("Figure6 to E=200: %v", err)
-	}
-	for _, p := range append(res.Points, wide.Points...) {
+	// The theory curve must be finite up to the largest E the figures train.
+	edge := EnergyCurvePoint{Param: figureEMax, TheoryJoules: problem.Objective(1, figureEMax)}
+	for _, p := range append(pts, edge) {
 		if math.IsInf(p.TheoryJoules, 0) || math.IsNaN(p.TheoryJoules) {
 			t.Errorf("theory energy at E=%d is %v", p.Param, p.TheoryJoules)
 		}
 	}
 	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
+	if err := (&Figure6Result{Points: pts, PinnedK: 2}).Render(&buf); err != nil {
 		t.Fatalf("Render: %v", err)
 	}
 	if !strings.Contains(buf.String(), "Figure 6") {
@@ -368,22 +351,20 @@ func TestFigure5ReducedSweep(t *testing.T) {
 		t.Skip("training sweep")
 	}
 	setup := quickSetup(t)
-	res, err := Figure5(setup, SweepConfig{
-		Ks:      []int{1, 5, 10},
-		PinnedE: 10,
-	})
+	ks := []int{1, 5, 10}
+	pts, _, best, err := energyCurve(setup, []cell{{1, 10, 1}, {5, 10, 1}, {10, 10, 1}}, ks)
 	if err != nil {
-		t.Fatalf("Figure5: %v", err)
+		t.Fatalf("energyCurve: %v", err)
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(res.Points))
+	if len(pts) != 3 {
+		t.Fatalf("points = %d, want 3", len(pts))
 	}
 	// Under IID shards the measured optimum should be small K (the paper
 	// finds K*=1); at minimum, K=10 must not win.
-	if res.KStarMeasured == 10 {
+	if ks[best] == 10 {
 		t.Errorf("measured K* = 10; expected a small K under IID")
 	}
-	for _, p := range res.Points {
+	for _, p := range pts {
 		if p.EmpiricalRounds <= 0 {
 			t.Errorf("K=%d never reached the target", p.Param)
 		}
@@ -392,7 +373,7 @@ func TestFigure5ReducedSweep(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
+	if err := (&Figure5Result{Points: pts, PinnedE: 10}).Render(&buf); err != nil {
 		t.Fatalf("Render: %v", err)
 	}
 	if !strings.Contains(buf.String(), "Figure 5") {
@@ -400,11 +381,79 @@ func TestFigure5ReducedSweep(t *testing.T) {
 	}
 }
 
+// TestFiguresShareCells pins the runner's cache: on a fresh setup the
+// calibration trains its two references, Fig. 4 its 7 distinct cells, Fig. 5
+// only (K=2, E=40) more and Fig. 6 six more, 16 to-target runs in all.
+func TestFiguresShareCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every figure's training")
+	}
+	setup, err := NewSetup(Quick)
+	if err != nil {
+		t.Fatalf("NewSetup: %v", err)
+	}
+	steps := []struct {
+		name string
+		run  func() error
+		want int
+	}{
+		{"Figure4", func() error { _, err := Figure4(setup, 1); return err }, 7},
+		{"CalibrateProblem", func() error { _, err := CalibrateProblem(setup); return err }, 9},
+		{"Figure5", func() error { _, err := Figure5(setup, 1); return err }, 10},
+		{"Figure6", func() error { _, err := Figure6(setup, 1); return err }, 16},
+	}
+	for _, st := range steps {
+		if err := st.run(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if len(setup.runs) != st.want {
+			t.Errorf("after %s: %d runs trained, want %d", st.name, len(setup.runs), st.want)
+		}
+		if st.name == "Figure5" {
+			if _, ok := setup.runs[cell{2, 40, 1}]; !ok {
+				t.Error("Figure5 did not train (K=2, E=40)")
+			}
+		}
+	}
+}
+
+// TestFigure6PoolSizeBitIdentical trains Fig. 6 on fresh setups with one
+// and two worker threads: its points must agree bit for bit.
+func TestFigure6PoolSizeBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two Fig. 6 trainings")
+	}
+	var got [2][]EnergyCurvePoint
+	for i, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		setup, err := NewSetup(Quick)
+		if err == nil {
+			var res *Figure6Result
+			if res, err = Figure6(setup, 1); err == nil {
+				got[i] = res.Points
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+	}
+	bits := func(p EnergyCurvePoint) [6]uint64 {
+		return [6]uint64{uint64(p.Param), math.Float64bits(p.MeasuredJoules), math.Float64bits(p.TheoryJoules),
+			uint64(p.EmpiricalRounds), math.Float64bits(p.TheoryRounds), math.Float64bits(p.FinalAccuracy)}
+	}
+	for i := range got[0] {
+		if bits(got[0][i]) != bits(got[1][i]) {
+			t.Errorf("point %d: %+v at GOMAXPROCS 1, %+v at 2", i, got[0][i], got[1][i])
+		}
+	}
+}
+
 func TestRoundsToAccuracy(t *testing.T) {
 	hist := []struct{ acc float64 }{{0.5}, {0.7}, {0.9}, {0.95}}
 	_ = hist
 	// Build fl.RoundRecord-compatible history via the real type.
-	res, err := quickSetup(t).RunTraining(2, 2, 1)
+	res, err := quickSetup(t).RunTraining(2, 2, 1, 0, nil)
 	if err != nil {
 		t.Fatalf("RunTraining: %v", err)
 	}
@@ -433,7 +482,7 @@ func TestSparkHelpers(t *testing.T) {
 
 func TestLedgerPhasesPresentInRun(t *testing.T) {
 	setup := quickSetup(t)
-	res, err := setup.RunTraining(3, 2, 1)
+	res, err := setup.RunTraining(3, 2, 1, 0, nil)
 	if err != nil {
 		t.Fatalf("RunTraining: %v", err)
 	}
@@ -508,7 +557,7 @@ func TestFigure4FullHarness(t *testing.T) {
 		t.Skip("full Fig.-4 sweep")
 	}
 	setup := quickSetup(t)
-	res, err := Figure4(setup)
+	res, err := Figure4(setup, 1)
 	if err != nil {
 		t.Fatalf("Figure4: %v", err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"eefei/internal/energy"
@@ -73,36 +74,26 @@ func Figure3(setup *Setup, seed uint64) (*Figure3Result, error) {
 // Render writes the per-phase summary and a coarse ASCII rendering of the
 // trace itself.
 func (r *Figure3Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Figure 3 — edge-server power over %d rounds (%.2f s, %d samples)\n",
-		r.Rounds, r.Trace.Duration().Seconds(), len(r.Trace.Samples)); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %10s %10s %12s %12s\n",
-		"phase", "dur (s)", "joules", "mean W", "paper W"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 3 — edge-server power over %d rounds (%.2f s, %d samples)\n",
+		r.Rounds, r.Trace.Duration().Seconds(), len(r.Trace.Samples))
+	fmt.Fprintf(&b, "%-10s %10s %10s %12s %12s\n",
+		"phase", "dur (s)", "joules", "mean W", "paper W")
 	for _, rep := range r.Reports {
-		if _, err := fmt.Fprintf(w, "%-10s %10.3f %10.3f %12.3f %12.3f\n",
-			rep.Phase, rep.Duration.Seconds(), rep.Joules, rep.MeanWatts, r.PaperWatts[rep.Phase]); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-10s %10.3f %10.3f %12.3f %12.3f\n",
+			rep.Phase, rep.Duration.Seconds(), rep.Joules, rep.MeanWatts, r.PaperWatts[rep.Phase])
 	}
 	// Downsampled sparkline: 60 buckets over the trace.
 	const buckets = 60
-	if _, err := fmt.Fprint(w, "trace: "); err != nil {
-		return err
-	}
+	fmt.Fprint(&b, "trace: ")
 	total := r.Trace.Duration()
-	for b := 0; b < buckets; b++ {
-		from := time.Duration(float64(total) * float64(b) / buckets)
-		to := time.Duration(float64(total) * float64(b+1) / buckets)
-		mean := r.Trace.MeanPowerBetween(from, to)
-		if _, err := fmt.Fprint(w, sparkGlyph(mean)); err != nil {
-			return err
-		}
+	for i := 0; i < buckets; i++ {
+		from := time.Duration(float64(total) * float64(i) / buckets)
+		to := time.Duration(float64(total) * float64(i+1) / buckets)
+		b.WriteString(sparkGlyph(r.Trace.MeanPowerBetween(from, to)))
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	b.WriteString("\n")
+	return flush(w, &b)
 }
 
 // sparkGlyph maps a power level to a height glyph between the idle and

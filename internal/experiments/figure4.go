@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 )
 
 // Figure4Series is one curve of Fig. 4: loss and accuracy per round for a
@@ -41,83 +42,68 @@ var (
 
 // Figure4 runs the full convergence study: the K-sweep at E=40 and the
 // E-sweep at K=10, each training to the accuracy target (or the cap).
-func Figure4(setup *Setup) (*Figure4Result, error) {
+func Figure4(setup *Setup, seed uint64) (*Figure4Result, error) {
 	res := &Figure4Result{PinnedE: 40, PinnedK: 10, Target: setup.AccuracyTarget}
+	var cells []cell
 	for _, k := range Figure4Ks {
-		s, err := figure4Series(setup, k, res.PinnedE)
-		if err != nil {
-			return nil, err
-		}
-		res.FixedE = append(res.FixedE, s)
+		cells = append(cells, cell{k, res.PinnedE, seed})
 	}
 	for _, e := range Figure4Es {
-		s, err := figure4Series(setup, res.PinnedK, e)
-		if err != nil {
-			return nil, err
+		cells = append(cells, cell{res.PinnedK, e, seed})
+	}
+	runs, err := setup.train(cells)
+	if err != nil {
+		return nil, fmt.Errorf("figure 4: %w", err)
+	}
+	for i, run := range runs {
+		k, e := cells[i].k, cells[i].e
+		s := Figure4Series{
+			Label:               fmt.Sprintf("K=%d,E=%d", k, e),
+			K:                   k,
+			E:                   e,
+			RoundsToTarget:      RoundsToAccuracy(run.History, setup.AccuracyTarget),
+			LocalGradientRounds: -1,
 		}
-		res.FixedK = append(res.FixedK, s)
+		for _, rec := range run.History {
+			s.Loss = append(s.Loss, rec.TrainLoss)
+			s.Accuracy = append(s.Accuracy, rec.TestAccuracy)
+		}
+		if s.RoundsToTarget > 0 {
+			s.LocalGradientRounds = e * s.RoundsToTarget
+		}
+		if i < len(Figure4Ks) {
+			res.FixedE = append(res.FixedE, s)
+		} else {
+			res.FixedK = append(res.FixedK, s)
+		}
 	}
 	return res, nil
-}
-
-func figure4Series(setup *Setup, k, e int) (Figure4Series, error) {
-	run, err := setup.RunTraining(k, e, 1)
-	if err != nil {
-		return Figure4Series{}, fmt.Errorf("figure 4 (K=%d,E=%d): %w", k, e, err)
-	}
-	s := Figure4Series{
-		Label: fmt.Sprintf("K=%d,E=%d", k, e),
-		K:     k,
-		E:     e,
-	}
-	for _, rec := range run.History {
-		s.Loss = append(s.Loss, rec.TrainLoss)
-		s.Accuracy = append(s.Accuracy, rec.TestAccuracy)
-	}
-	s.RoundsToTarget = RoundsToAccuracy(run.History, setup.AccuracyTarget)
-	if s.RoundsToTarget > 0 {
-		s.LocalGradientRounds = e * s.RoundsToTarget
-	} else {
-		s.LocalGradientRounds = -1
-	}
-	return s, nil
 }
 
 // Render prints the headline numbers of each series plus downsampled
 // loss/accuracy curves.
 func (r *Figure4Result) Render(w io.Writer) error {
-	write := func(title string, series []Figure4Series) error {
-		if _, err := fmt.Fprintln(w, title); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%-12s %8s %10s %10s %10s %12s\n",
-			"series", "rounds", "last loss", "last acc", "T@target", "E·T@target"); err != nil {
-			return err
-		}
+	var b strings.Builder
+	write := func(title string, series []Figure4Series) {
+		fmt.Fprintln(&b, title)
+		fmt.Fprintf(&b, "%-12s %8s %10s %10s %10s %12s\n",
+			"series", "rounds", "last loss", "last acc", "T@target", "E·T@target")
 		for _, s := range series {
 			lastLoss, lastAcc := math.NaN(), math.NaN()
 			if n := len(s.Loss); n > 0 {
 				lastLoss, lastAcc = s.Loss[n-1], s.Accuracy[n-1]
 			}
-			if _, err := fmt.Fprintf(w, "%-12s %8d %10.4f %10.4f %10d %12d\n",
-				s.Label, len(s.Loss), lastLoss, lastAcc, s.RoundsToTarget, s.LocalGradientRounds); err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, "%-12s %8d %10.4f %10.4f %10d %12d\n",
+				s.Label, len(s.Loss), lastLoss, lastAcc, s.RoundsToTarget, s.LocalGradientRounds)
 		}
 		for _, s := range series {
-			if _, err := fmt.Fprintf(w, "  %-12s loss %s\n", s.Label, sparkSeries(s.Loss, true)); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "  %-12s acc  %s\n", s.Label, sparkSeries(s.Accuracy, false)); err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, "  %-12s loss %s\n", s.Label, sparkSeries(s.Loss, true))
+			fmt.Fprintf(&b, "  %-12s acc  %s\n", s.Label, sparkSeries(s.Accuracy, false))
 		}
-		return nil
 	}
-	if err := write(fmt.Sprintf("Figure 4a/4b — fixed E=%d, sweep K (target %.2f)", r.PinnedE, r.Target), r.FixedE); err != nil {
-		return err
-	}
-	return write(fmt.Sprintf("Figure 4c/4d — fixed K=%d, sweep E (target %.2f)", r.PinnedK, r.Target), r.FixedK)
+	write(fmt.Sprintf("Figure 4a/4b — fixed E=%d, sweep K (target %.2f)", r.PinnedE, r.Target), r.FixedE)
+	write(fmt.Sprintf("Figure 4c/4d — fixed K=%d, sweep E (target %.2f)", r.PinnedK, r.Target), r.FixedK)
+	return flush(w, &b)
 }
 
 // sparkSeries downsamples a series to 40 glyphs; invert renders smaller

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"eefei/internal/core"
 	"eefei/internal/energy"
@@ -12,20 +13,6 @@ import (
 	"eefei/internal/ml"
 	"eefei/internal/sim"
 )
-
-// maxSweep returns the largest E the theory curve must stay feasible for.
-func maxSweep(es []int, pinnedE int) int {
-	out := pinnedE
-	for _, e := range es {
-		if e > out {
-			out = e
-		}
-	}
-	if out < 100 {
-		out = 100
-	}
-	return out
-}
 
 // EnergyCurvePoint is one point of the Fig. 5/6 energy curves.
 type EnergyCurvePoint struct {
@@ -75,71 +62,29 @@ type Figure6Result struct {
 	Problem       core.Problem
 }
 
-// SweepConfig tunes the energy sweeps; zero values select the paper's
-// settings.
-type SweepConfig struct {
-	// Ks is the Fig.-5 sweep (default 1,2,5,10,20).
-	Ks []int
-	// Es is the Fig.-6 sweep (default 1,5,10,20,40,60,100).
-	Es []int
-	// PinnedE is the Fig.-5 local epoch count (default 40).
-	PinnedE int
-	// PinnedK is the Fig.-6 client count (default 1, the IID optimum).
-	PinnedK int
-}
+// figure5Ks and figure6Es are the paper's energy sweeps: Fig. 5 pins E=40,
+// Fig. 6 pins K=1 (the IID optimum) and starts at its E=1 baseline.
+var (
+	figure5Ks = []int{1, 2, 5, 10, 20}
+	figure6Es = []int{1, 5, 10, 20, 40, 60, 100}
+)
 
-func (c *SweepConfig) defaults() {
-	if len(c.Ks) == 0 {
-		c.Ks = []int{1, 2, 5, 10, 20}
-	}
-	if len(c.Es) == 0 {
-		c.Es = []int{1, 5, 10, 20, 40, 60, 100}
-	}
-	if c.PinnedE <= 0 {
-		c.PinnedE = 40
-	}
-	if c.PinnedK <= 0 {
-		c.PinnedK = 1
-	}
-}
+// figureEMax is the largest E the figures train; the calibrated ε keeps
+// every K ≥ 1 feasible up to it.
+const figureEMax = 100
 
-// sweepRun is the outcome of one measured training at a sweep point.
-type sweepRun struct {
-	k, e     int
-	result   *sim.Result
-	rounds   int // rounds to target, -1 when capped
-	measured float64
-}
+// calibrationSeed is the seed every calibration run trains at, whatever
+// seed the figures use: calibration fits the setup's constants, not a curve.
+const calibrationSeed = 2
 
-// runSweep trains at each (k, e) cell and returns the runs.
-func runSweep(setup *Setup, cells [][2]int) ([]sweepRun, error) {
-	runs := make([]sweepRun, 0, len(cells))
-	for _, cell := range cells {
-		k, e := cell[0], cell[1]
-		res, err := setup.RunTraining(k, e, 1)
-		if err != nil {
-			return nil, fmt.Errorf("sweep (K=%d,E=%d): %w", k, e, err)
-		}
-		runs = append(runs, sweepRun{
-			k: k, e: e,
-			result:   res,
-			rounds:   RoundsToAccuracy(res.History, setup.AccuracyTarget),
-			measured: res.TotalJoules(),
-		})
-	}
-	return runs, nil
-}
-
-// FStar estimates the global minimum loss F(ω*) by long centralized
-// full-batch training over the union of all shards. The estimate is cached
-// on the setup: it must sit at or below every loss a federated run can
-// reach, so it trains an order of magnitude longer than the experiments do.
-func FStar(setup *Setup, epochs int) (float64, error) {
-	if epochs <= 0 {
-		if setup.fStar != nil {
-			return *setup.fStar, nil
-		}
-		epochs = 2000
+// FStar estimates the global minimum loss F(ω*) by 2000 epochs of
+// centralized full-batch training over the union of all shards. The
+// estimate must sit at or below every loss a federated run can reach, so it
+// trains an order of magnitude longer than the experiments do; it is cached
+// on the setup.
+func FStar(setup *Setup) (float64, error) {
+	if setup.fStar != nil {
+		return *setup.fStar, nil
 	}
 	union, err := UnionDataset(setup)
 	if err != nil {
@@ -150,16 +95,14 @@ func FStar(setup *Setup, epochs int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("f* sgd: %w", err)
 	}
-	if _, err := sgd.Train(model, union, epochs); err != nil {
+	if _, err := sgd.Train(model, union, 2000); err != nil {
 		return 0, fmt.Errorf("f* training: %w", err)
 	}
 	loss, err := ml.Loss(model, union)
 	if err != nil {
 		return 0, fmt.Errorf("f* loss: %w", err)
 	}
-	if epochs == 2000 {
-		setup.fStar = &loss
-	}
+	setup.fStar = &loss
 	return loss, nil
 }
 
@@ -169,60 +112,58 @@ func FStar(setup *Setup, epochs int) (float64, error) {
 // data), estimates F* by centralized training, fits the bound constants to
 // the observed loss-gap trajectories, and derives scale-appropriate energy
 // params. The target gap ε is taken from a reference run's gap at the
-// accuracy target, floored so every configuration with K ≥ 1 and E ≤ eMax
-// stays feasible (otherwise the theory curve would be +Inf at swept points).
-// The fit is cached on the Setup; the floor depends on eMax and is applied
-// per call.
-func CalibrateProblem(setup *Setup, eMax int) (core.Problem, error) {
-	if eMax < 1 {
-		eMax = 100
-	}
+// accuracy target, floored so every configuration with K ≥ 1 and
+// E ≤ figureEMax stays feasible (otherwise the theory curve would be +Inf at
+// swept points). Every run trains at calibrationSeed; the fit is cached on
+// the Setup.
+func CalibrateProblem(setup *Setup) (core.Problem, error) {
 	if setup.calibrated == nil {
 		p, err := calibrate(setup)
 		if err != nil {
 			return core.Problem{}, err
 		}
+		if err := p.Validate(); err != nil {
+			return core.Problem{}, fmt.Errorf("calibrated problem: %w", err)
+		}
 		setup.calibrated = &p
 	}
-	p := *setup.calibrated
-	// Feasibility floor: slack at (K=1, E=eMax) must stay positive.
-	if floor := (p.Bound.A1 + p.Bound.A2*float64(eMax-1)) * 1.25; p.Epsilon < floor {
-		p.Epsilon = floor
-	}
-	if err := p.Validate(); err != nil {
-		return core.Problem{}, fmt.Errorf("calibrated problem: %w", err)
-	}
-	return p, nil
+	return *setup.calibrated, nil
 }
 
-// calibrate is CalibrateProblem's fit: everything but the ε floor.
+// calibrate is CalibrateProblem's fit.
 func calibrate(setup *Setup) (core.Problem, error) {
-	fStar, err := FStar(setup, 0)
+	fStar, err := FStar(setup)
 	if err != nil {
 		return core.Problem{}, err
 	}
 
 	// Calibration grid: K and E both vary; every run goes a fixed 12 rounds
-	// so the trajectories sample many T values.
+	// so the trajectories sample many T values (stopping at the target
+	// would cut them short and move the fit).
 	grid := [][2]int{{1, 1}, {1, 8}, {1, 64}, {4, 1}, {4, 8}, {4, 32}, {16, 3}}
 	const calibrationRounds = 12
+	runs := make([]*sim.Result, len(grid))
+	if err := onPool(len(grid), func(i int) error {
+		k, e := grid[i][0], grid[i][1]
+		system, err := sim.New(setup.simConfig(k, e, calibrationSeed), setup.Shards, setup.Test)
+		if err != nil {
+			return fmt.Errorf("calibrate (K=%d,E=%d): %w", k, e, err)
+		}
+		if runs[i], err = system.Run(fl.MaxRounds(calibrationRounds)); err != nil {
+			return fmt.Errorf("calibrate run (K=%d,E=%d): %w", k, e, err)
+		}
+		return nil
+	}); err != nil {
+		return core.Problem{}, err
+	}
 	var obs []core.GapObservation
-	for _, cell := range grid {
-		k, e := cell[0], cell[1]
-		system, err := sim.New(setup.simConfig(k, e, 2), setup.Shards, setup.Test)
-		if err != nil {
-			return core.Problem{}, fmt.Errorf("calibrate (K=%d,E=%d): %w", k, e, err)
-		}
-		res, err := system.Run(fl.MaxRounds(calibrationRounds))
-		if err != nil {
-			return core.Problem{}, fmt.Errorf("calibrate run (K=%d,E=%d): %w", k, e, err)
-		}
+	for i, res := range runs {
 		for t, rec := range res.History {
 			gap := rec.TrainLoss - fStar
 			if gap <= 0 {
 				continue
 			}
-			obs = append(obs, core.GapObservation{K: k, E: e, T: t + 1, Gap: gap})
+			obs = append(obs, core.GapObservation{K: grid[i][0], E: grid[i][1], T: t + 1, Gap: gap})
 		}
 	}
 	// Fit A0 and A1 with an explicit intercept so the irreducible
@@ -238,24 +179,32 @@ func calibrate(setup *Setup) (core.Problem, error) {
 	bound := core.BoundConstants{A0: a0, A1: a1}
 
 	// Pin (ε, A2) so the theory reproduces two empirical reference points
-	// exactly: T*(K,E) = T_emp at (4, 8) and at (1, 64). From Eq. (11),
+	// exactly: T*(K,E) = T_emp at (4, 8) and at (1, 64), where T_emp is the
+	// round cap for a run that never reaches the target. From Eq. (11),
 	// each gives ε = A1/K + A2(E−1) + A0/(T_emp·E); two equations, two
 	// unknowns.
-	t1, err := roundsToTarget(setup, 4, 8)
+	refs, err := setup.train([]cell{{4, 8, calibrationSeed}, {1, 64, calibrationSeed}})
 	if err != nil {
-		return core.Problem{}, err
+		return core.Problem{}, fmt.Errorf("calibration reference: %w", err)
 	}
-	t2, err := roundsToTarget(setup, 1, 64)
-	if err != nil {
-		return core.Problem{}, err
+	var tEmp [2]float64
+	for i, r := range refs {
+		tEmp[i] = float64(len(r.History))
+		if t := RoundsToAccuracy(r.History, setup.AccuracyTarget); t > 0 {
+			tEmp[i] = float64(t)
+		}
 	}
-	base1 := bound.A1/4 + bound.A0/(float64(t1)*8)
-	base2 := bound.A1/1 + bound.A0/(float64(t2)*64)
+	base1 := bound.A1/4 + bound.A0/(tEmp[0]*8)
+	base2 := bound.A1/1 + bound.A0/(tEmp[1]*64)
 	bound.A2 = (base2 - base1) / (7 - 63) // negative slope → positive A2 when ref2 is "harder"
 	if bound.A2 < 0 {
 		bound.A2 = 0
 	}
 	eps := base1 + bound.A2*7
+	// Feasibility floor: slack at (K=1, E=figureEMax) must stay positive.
+	if floor := (bound.A1 + bound.A2*float64(figureEMax-1)) * 1.25; eps < floor {
+		eps = floor
+	}
 
 	params, err := core.NewEnergyParams(energy.DefaultPiDeviceModel(), iot.DefaultNBIoTConfig(),
 		setup.SamplesPerServer(), true)
@@ -265,150 +214,105 @@ func calibrate(setup *Setup) (core.Problem, error) {
 	return core.Problem{Bound: bound, Energy: params, Epsilon: eps, Servers: setup.Servers}, nil
 }
 
-// Figure5 runs the K-sweep and assembles theory vs measurement.
-func Figure5(setup *Setup, cfg SweepConfig) (*Figure5Result, error) {
-	cfg.defaults()
-	cells := make([][2]int, 0, len(cfg.Ks))
-	for _, k := range cfg.Ks {
-		cells = append(cells, [2]int{k, cfg.PinnedE})
-	}
-	runs, err := runSweep(setup, cells)
+// energyCurve trains each cell to the target and prices it on the
+// calibrated problem; params[i] labels cell i's point. best indexes the
+// point of least measured energy (the first, on ties).
+func energyCurve(setup *Setup, cells []cell, params []int) (pts []EnergyCurvePoint, problem core.Problem, best int, err error) {
+	runs, err := setup.train(cells)
 	if err != nil {
-		return nil, err
+		return nil, core.Problem{}, 0, err
 	}
-	problem, err := CalibrateProblem(setup, maxSweep(cfg.Es, cfg.PinnedE))
+	if problem, err = CalibrateProblem(setup); err != nil {
+		return nil, core.Problem{}, 0, err
+	}
+	pts = make([]EnergyCurvePoint, len(cells))
+	for i, c := range cells {
+		k, e := float64(c.k), float64(c.e)
+		pts[i] = EnergyCurvePoint{
+			Param:           params[i],
+			MeasuredJoules:  runs[i].TotalJoules(),
+			TheoryJoules:    problem.Objective(k, e),
+			EmpiricalRounds: RoundsToAccuracy(runs[i].History, setup.AccuracyTarget),
+			TheoryRounds:    math.NaN(),
+			FinalAccuracy:   runs[i].FinalAccuracy,
+		}
+		if t, err := problem.TStar(k, e); err == nil {
+			pts[i].TheoryRounds = t
+		}
+		if pts[i].MeasuredJoules < pts[best].MeasuredJoules {
+			best = i
+		}
+	}
+	return pts, problem, best, nil
+}
+
+// Figure5 runs the K-sweep at seed and assembles theory vs measurement.
+func Figure5(setup *Setup, seed uint64) (*Figure5Result, error) {
+	res := &Figure5Result{PinnedE: 40, KStarTheory: -1}
+	cells := make([]cell, len(figure5Ks))
+	for i, k := range figure5Ks {
+		cells[i] = cell{k, res.PinnedE, seed}
+	}
+	pts, problem, best, err := energyCurve(setup, cells, figure5Ks)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("figure 5: %w", err)
 	}
-	res := &Figure5Result{PinnedE: cfg.PinnedE, Problem: problem}
-	bestMeasured := math.Inf(1)
-	for _, r := range runs {
-		pt := EnergyCurvePoint{
-			Param:           r.k,
-			MeasuredJoules:  r.measured,
-			TheoryJoules:    problem.Objective(float64(r.k), float64(cfg.PinnedE)),
-			EmpiricalRounds: r.rounds,
-			FinalAccuracy:   r.result.FinalAccuracy,
-		}
-		if t, err := problem.TStar(float64(r.k), float64(cfg.PinnedE)); err == nil {
-			pt.TheoryRounds = t
-		} else {
-			pt.TheoryRounds = math.NaN()
-		}
-		if r.measured < bestMeasured {
-			bestMeasured = r.measured
-			res.KStarMeasured = r.k
-		}
-		res.Points = append(res.Points, pt)
-	}
-	if kStar, err := problem.OptimalK(float64(cfg.PinnedE)); err == nil {
+	res.Points, res.Problem, res.KStarMeasured = pts, problem, figure5Ks[best]
+	if kStar, err := problem.OptimalK(float64(res.PinnedE)); err == nil {
 		res.KStarTheory = int(math.Round(kStar))
-	} else {
-		res.KStarTheory = -1
 	}
 	return res, nil
 }
 
-// Figure6 runs the E-sweep and assembles theory vs measurement plus the
-// headline savings.
-func Figure6(setup *Setup, cfg SweepConfig) (*Figure6Result, error) {
-	cfg.defaults()
-	cells := make([][2]int, 0, len(cfg.Es))
-	for _, e := range cfg.Es {
-		cells = append(cells, [2]int{cfg.PinnedK, e})
+// Figure6 runs the E-sweep at seed and assembles theory vs measurement plus
+// the headline savings against its first point, E=1.
+func Figure6(setup *Setup, seed uint64) (*Figure6Result, error) {
+	res := &Figure6Result{PinnedK: 1, EStarTheory: -1}
+	cells := make([]cell, len(figure6Es))
+	for i, e := range figure6Es {
+		cells[i] = cell{res.PinnedK, e, seed}
 	}
-	runs, err := runSweep(setup, cells)
+	pts, problem, best, err := energyCurve(setup, cells, figure6Es)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("figure 6: %w", err)
 	}
-	problem, err := CalibrateProblem(setup, maxSweep(cfg.Es, cfg.PinnedE))
-	if err != nil {
-		return nil, err
-	}
-	res := &Figure6Result{PinnedK: cfg.PinnedK, Problem: problem}
-	bestMeasured := math.Inf(1)
-	var baselineMeasured, baselineTheory float64
-	var bestTheory = math.Inf(1)
-	for _, r := range runs {
-		pt := EnergyCurvePoint{
-			Param:           r.e,
-			MeasuredJoules:  r.measured,
-			TheoryJoules:    problem.Objective(float64(cfg.PinnedK), float64(r.e)),
-			EmpiricalRounds: r.rounds,
-			FinalAccuracy:   r.result.FinalAccuracy,
-		}
-		if t, err := problem.TStar(float64(cfg.PinnedK), float64(r.e)); err == nil {
-			pt.TheoryRounds = t
-		} else {
-			pt.TheoryRounds = math.NaN()
-		}
-		if r.e == 1 {
-			baselineMeasured = r.measured
-			baselineTheory = pt.TheoryJoules
-		}
-		if r.measured < bestMeasured {
-			bestMeasured = r.measured
-			res.EStarMeasured = r.e
-		}
-		if pt.TheoryJoules < bestTheory {
-			bestTheory = pt.TheoryJoules
-		}
-		res.Points = append(res.Points, pt)
-	}
-	if eStar, err := problem.OptimalE(float64(cfg.PinnedK)); err == nil && !math.IsInf(eStar, 1) {
+	res.Points, res.Problem, res.EStarMeasured = pts, problem, figure6Es[best]
+	if eStar, err := problem.OptimalE(float64(res.PinnedK)); err == nil && !math.IsInf(eStar, 1) {
 		res.EStarTheory = int(math.Round(eStar))
-	} else {
-		res.EStarTheory = -1
 	}
-	if baselineMeasured > 0 {
-		res.MeasuredSavings = 1 - bestMeasured/baselineMeasured
-	} else {
-		res.MeasuredSavings = math.NaN()
+	bestTheory := math.Inf(1)
+	for _, p := range pts {
+		bestTheory = math.Min(bestTheory, p.TheoryJoules)
 	}
-	if baselineTheory > 0 && !math.IsInf(baselineTheory, 1) {
-		res.TheorySavings = 1 - bestTheory/baselineTheory
-	} else {
-		res.TheorySavings = math.NaN()
-	}
+	res.MeasuredSavings = 1 - pts[best].MeasuredJoules/pts[0].MeasuredJoules
+	res.TheorySavings = 1 - bestTheory/pts[0].TheoryJoules
 	return res, nil
 }
 
 // Render writes the Fig.-5 table.
 func (r *Figure5Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Figure 5 — energy vs K (E=%d): theory (Eq.12) vs simulated measurement\n", r.PinnedE); err != nil {
-		return err
-	}
-	if err := renderEnergyPoints(w, "K", r.Points); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "K*: theory %d, measured %d (paper: 1 under IID)\n",
-		r.KStarTheory, r.KStarMeasured)
-	return err
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 5 — energy vs K (E=%d): theory (Eq.12) vs simulated measurement\n", r.PinnedE)
+	renderEnergyPoints(&b, "K", r.Points)
+	fmt.Fprintf(&b, "K*: theory %d, measured %d (paper: 1 under IID)\n", r.KStarTheory, r.KStarMeasured)
+	return flush(w, &b)
 }
 
 // Render writes the Fig.-6 table.
 func (r *Figure6Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Figure 6 — energy vs E (K=%d): theory (Eq.12) vs simulated measurement\n", r.PinnedK); err != nil {
-		return err
-	}
-	if err := renderEnergyPoints(w, "E", r.Points); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "E*: theory %d, measured %d; savings vs E=1: measured %.1f%%, theory %.1f%% (paper: 49.8%%)\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 6 — energy vs E (K=%d): theory (Eq.12) vs simulated measurement\n", r.PinnedK)
+	renderEnergyPoints(&b, "E", r.Points)
+	fmt.Fprintf(&b, "E*: theory %d, measured %d; savings vs E=1: measured %.1f%%, theory %.1f%% (paper: 49.8%%)\n",
 		r.EStarTheory, r.EStarMeasured, 100*r.MeasuredSavings, 100*r.TheorySavings)
-	return err
+	return flush(w, &b)
 }
 
-func renderEnergyPoints(w io.Writer, param string, pts []EnergyCurvePoint) error {
-	if _, err := fmt.Fprintf(w, "%4s %14s %14s %10s %10s %10s\n",
-		param, "measured (J)", "theory (J)", "T emp", "T*", "final acc"); err != nil {
-		return err
-	}
+func renderEnergyPoints(b *strings.Builder, param string, pts []EnergyCurvePoint) {
+	fmt.Fprintf(b, "%4s %14s %14s %10s %10s %10s\n",
+		param, "measured (J)", "theory (J)", "T emp", "T*", "final acc")
 	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%4d %14.2f %14.2f %10d %10.1f %10.4f\n",
-			p.Param, p.MeasuredJoules, p.TheoryJoules, p.EmpiricalRounds, p.TheoryRounds, p.FinalAccuracy); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%4d %14.2f %14.2f %10d %10.1f %10.4f\n",
+			p.Param, p.MeasuredJoules, p.TheoryJoules, p.EmpiricalRounds, p.TheoryRounds, p.FinalAccuracy)
 	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // The frontier extractor reduces a sweep's cell results to the paper's
@@ -74,26 +75,21 @@ func ComputeFrontier(cells []CellResult) (*FrontierResult, error) {
 // Render writes the sweep table (grid order, frontier cells starred) and a
 // frontier summary.
 func (f *FrontierResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Sweep frontier — energy vs accuracy over (K, E), %d cells\n", len(f.Points)); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%4s %5s %7s %9s %10s %10s %14s %12s %6s\n",
-		"K", "E", "rounds", "T@target", "final acc", "final loss", "energy (J)", "sim time (s)", "front"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Sweep frontier — energy vs accuracy over (K, E), %d cells\n", len(f.Points))
+	fmt.Fprintf(&b, "%4s %5s %7s %9s %10s %10s %14s %12s %6s\n",
+		"K", "E", "rounds", "T@target", "final acc", "final loss", "energy (J)", "sim time (s)", "front")
 	for _, p := range f.Points {
 		marker := ""
 		if p.OnFront {
 			marker = "*"
 		}
-		if _, err := fmt.Fprintf(w, "%4d %5d %7d %9d %10.4f %10.4f %14.2f %12.1f %6s\n",
+		fmt.Fprintf(&b, "%4d %5d %7d %9d %10.4f %10.4f %14.2f %12.1f %6s\n",
 			p.K, p.E, p.Rounds, p.RoundsToTarget, p.FinalAccuracy, p.FinalLoss,
-			p.TotalJoules, p.WallClockSeconds, marker); err != nil {
-			return err
-		}
+			p.TotalJoules, p.WallClockSeconds, marker)
 	}
 	if len(f.Front) == 0 {
-		return nil
+		return flush(w, &b)
 	}
 	lowest := f.Front[0]
 	best := f.Front[0]
@@ -102,9 +98,8 @@ func (f *FrontierResult) Render(w io.Writer) error {
 			best = p
 		}
 	}
-	_, err := fmt.Fprintf(w,
-		"Pareto front: %d of %d cells; min energy %.2f J at (K=%d,E=%d, acc %.4f); max accuracy %.4f at (K=%d,E=%d, %.2f J)\n",
+	fmt.Fprintf(&b, "Pareto front: %d of %d cells; min energy %.2f J at (K=%d,E=%d, acc %.4f); max accuracy %.4f at (K=%d,E=%d, %.2f J)\n",
 		len(f.Front), len(f.Points), lowest.TotalJoules, lowest.K, lowest.E, lowest.FinalAccuracy,
 		best.FinalAccuracy, best.K, best.E, best.TotalJoules)
-	return err
+	return flush(w, &b)
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"strings"
 
 	"eefei/internal/core"
 	"eefei/internal/dataset"
@@ -37,17 +39,10 @@ func fitA0A1(obs []core.GapObservation) (a0, a1 float64, err error) {
 	return a0, a1, nil
 }
 
-// roundsToTarget trains (k, e) to the setup's accuracy target and returns
-// the empirical round count (the round cap when never reached).
-func roundsToTarget(setup *Setup, k, e int) (int, error) {
-	res, err := setup.RunTraining(k, e, 2)
-	if err != nil {
-		return 0, fmt.Errorf("reference (K=%d,E=%d): %w", k, e, err)
-	}
-	if t := RoundsToAccuracy(res.History, setup.AccuracyTarget); t > 0 {
-		return t, nil
-	}
-	return len(res.History), nil
+// flush writes a report rendered into b to w in one call.
+func flush(w io.Writer, b *strings.Builder) error {
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // UnionDataset returns the union of the setup's shards in shard order, the

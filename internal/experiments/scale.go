@@ -11,6 +11,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 
 	"eefei/internal/core"
 	"eefei/internal/dataset"
@@ -18,6 +20,7 @@ import (
 	"eefei/internal/fl"
 	"eefei/internal/iot"
 	"eefei/internal/ml"
+	"eefei/internal/par"
 	"eefei/internal/sim"
 )
 
@@ -90,6 +93,8 @@ type Setup struct {
 	calibrated *core.Problem
 	// fStar caches the centralized F(ω*) estimate.
 	fStar *float64
+	// runs caches train's to-target runs.
+	runs map[cell]*sim.Result
 	// union is every shard's rows back to back, the set F(ω*) trains on: a
 	// view of the training set, which EqualShards left in shard order.
 	union *dataset.Dataset
@@ -202,45 +207,74 @@ func (s *Setup) simConfig(k, e int, seed uint64) sim.Config {
 }
 
 // RunTraining runs a simulated federated training at (K, E) until the
-// accuracy target or the round cap, returning the result.
-func (s *Setup) RunTraining(k, e int, seed uint64) (*sim.Result, error) {
-	return s.RunTrainingWith(k, e, seed, RunOptions{})
-}
-
-// RunOptions tunes a single training run beyond the setup defaults. The
-// zero value reproduces RunTraining exactly.
-type RunOptions struct {
-	// RoundCap overrides the setup's round cap when > 0 — how sweep cells
-	// and the full-scale smoke keep individual runs bounded.
-	RoundCap int
-	// AccuracyTarget overrides the setup's stop threshold when > 0.
-	AccuracyTarget float64
-	// Observer receives per-round observability records (phase timings);
-	// nil keeps the engine's no-observer fast path.
-	Observer fl.RoundObserver
-}
-
-// RunTrainingWith is RunTraining with per-run overrides.
-func (s *Setup) RunTrainingWith(k, e int, seed uint64, opts RunOptions) (*sim.Result, error) {
+// accuracy target or roundCap rounds (≤ 0: the setup's RoundCap), with obs
+// receiving per-round records (nil keeps the engine's no-observer path).
+func (s *Setup) RunTraining(k, e int, seed uint64, roundCap int, obs fl.RoundObserver) (*sim.Result, error) {
 	cfg := s.simConfig(k, e, seed)
-	cfg.Observer = opts.Observer
+	cfg.Observer = obs
 	system, err := sim.New(cfg, s.Shards, s.Test)
 	if err != nil {
 		return nil, fmt.Errorf("K=%d E=%d: %w", k, e, err)
 	}
-	target := opts.AccuracyTarget
-	if target <= 0 {
-		target = s.AccuracyTarget
+	if roundCap <= 0 {
+		roundCap = s.RoundCap
 	}
-	cap := opts.RoundCap
-	if cap <= 0 {
-		cap = s.RoundCap
-	}
-	res, err := system.Run(fl.AnyOf(fl.TargetAccuracy(target), fl.MaxRounds(cap)))
+	res, err := system.Run(fl.AnyOf(fl.TargetAccuracy(s.AccuracyTarget), fl.MaxRounds(roundCap)))
 	if err != nil {
 		return nil, fmt.Errorf("K=%d E=%d: %w", k, e, err)
 	}
 	return res, nil
+}
+
+// cell is one to-target training run the figures read a point from.
+type cell struct {
+	k, e int
+	seed uint64
+}
+
+// train returns the to-target run of each cell, in the order asked. A
+// distinct cell trains at most once per Setup: the missing ones run on
+// par.Do across GOMAXPROCS and later asks read the cached result. Runs are
+// independent, so no result depends on the pool size.
+func (s *Setup) train(cells []cell) ([]*sim.Result, error) {
+	var missing []cell
+	for _, c := range cells {
+		if _, ok := s.runs[c]; !ok && !slices.Contains(missing, c) {
+			missing = append(missing, c)
+		}
+	}
+	runs := make([]*sim.Result, len(missing))
+	if err := onPool(len(missing), func(i int) (err error) {
+		c := missing[i]
+		runs[i], err = s.RunTraining(c.k, c.e, c.seed, 0, nil)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	if s.runs == nil {
+		s.runs = make(map[cell]*sim.Result)
+	}
+	for i, c := range missing {
+		s.runs[c] = runs[i]
+	}
+	out := make([]*sim.Result, len(cells))
+	for i, c := range cells {
+		out[i] = s.runs[c]
+	}
+	return out, nil
+}
+
+// onPool runs f(0) … f(n−1) on par.Do across GOMAXPROCS and returns the
+// error of the lowest index that failed.
+func onPool(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	par.Do(n, runtime.GOMAXPROCS(0), par.Func(func(_, i int) { errs[i] = f(i) }))
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RoundsToAccuracy extracts the first round index (1-based count) at which

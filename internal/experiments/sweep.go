@@ -52,8 +52,6 @@ type SweepSpec struct {
 	Seed uint64 `json:"seed"`
 	// RoundCap overrides the setup's per-run round cap when > 0.
 	RoundCap int `json:"round_cap,omitempty"`
-	// AccuracyTarget overrides the setup's stop threshold when > 0.
-	AccuracyTarget float64 `json:"accuracy_target,omitempty"`
 }
 
 // Validate checks the grid against a server count. Errors wrap
@@ -92,9 +90,6 @@ func (s *SweepSpec) Validate(servers int) error {
 	}
 	if s.RoundCap < 0 {
 		return fmt.Errorf("sweep: round cap %d: %w", s.RoundCap, ErrExperiment)
-	}
-	if s.AccuracyTarget < 0 || s.AccuracyTarget > 1 {
-		return fmt.Errorf("sweep: accuracy target %v outside [0,1]: %w", s.AccuracyTarget, ErrExperiment)
 	}
 	return nil
 }
@@ -413,17 +408,9 @@ func RunSweep(ctx context.Context, setup *Setup, spec SweepSpec, opts SweepOptio
 
 // runSweepCell trains one cell and reduces the run to its checkpoint record.
 func runSweepCell(setup *Setup, spec SweepSpec, c SweepCell, obs fl.RoundObserver) (*CellResult, error) {
-	res, err := setup.RunTrainingWith(c.K, c.E, c.Seed, RunOptions{
-		RoundCap:       spec.RoundCap,
-		AccuracyTarget: spec.AccuracyTarget,
-		Observer:       obs,
-	})
+	res, err := setup.RunTraining(c.K, c.E, c.Seed, spec.RoundCap, obs)
 	if err != nil {
 		return nil, err
-	}
-	target := spec.AccuracyTarget
-	if target <= 0 {
-		target = setup.AccuracyTarget
 	}
 	phases := make(map[string]float64, len(energy.Phases))
 	for _, p := range energy.Phases {
@@ -435,7 +422,7 @@ func runSweepCell(setup *Setup, spec SweepSpec, c SweepCell, obs fl.RoundObserve
 		E:                c.E,
 		Seed:             c.Seed,
 		Rounds:           len(res.History),
-		RoundsToTarget:   RoundsToAccuracy(res.History, target),
+		RoundsToTarget:   RoundsToAccuracy(res.History, setup.AccuracyTarget),
 		FinalAccuracy:    res.FinalAccuracy,
 		FinalLoss:        res.FinalLoss,
 		TotalJoules:      res.TotalJoules(),

@@ -303,7 +303,6 @@ func TestSweepSpecValidate(t *testing.T) {
 		{"e huge", SweepSpec{Ks: []int{1}, Es: []int{maxSweepEpochs + 1}}, 20},
 		{"dup e", SweepSpec{Ks: []int{1}, Es: []int{2, 2}}, 20},
 		{"negative cap", SweepSpec{Ks: []int{1}, Es: []int{1}, RoundCap: -1}, 20},
-		{"bad target", SweepSpec{Ks: []int{1}, Es: []int{1}, AccuracyTarget: 1.5}, 20},
 		{"no servers", SweepSpec{Ks: []int{1}, Es: []int{1}}, 0},
 	}
 	for _, tc := range tests {
@@ -397,10 +396,11 @@ func TestComputeFrontier(t *testing.T) {
 
 func TestRunTrainingWithOverrides(t *testing.T) {
 	setup := quickSetup(t)
-	// An unreachable target must stop exactly at the overridden cap.
-	res, err := setup.RunTrainingWith(2, 1, 1, RunOptions{RoundCap: 3, AccuracyTarget: 0.9999})
+	// K=2, E=1 is hundreds of rounds from the target: it must stop exactly
+	// at the given cap.
+	res, err := setup.RunTraining(2, 1, 1, 3, nil)
 	if err != nil {
-		t.Fatalf("RunTrainingWith: %v", err)
+		t.Fatalf("RunTraining: %v", err)
 	}
 	if len(res.History) != 3 {
 		t.Errorf("rounds = %d, want the cap 3", len(res.History))
@@ -408,13 +408,9 @@ func TestRunTrainingWithOverrides(t *testing.T) {
 	// Observer threading through sim: one record per round, and attaching
 	// one must not perturb the run.
 	seen := 0
-	obs, err := setup.RunTrainingWith(2, 1, 1, RunOptions{
-		RoundCap:       3,
-		AccuracyTarget: 0.9999,
-		Observer:       fl.FuncObserver(func(fl.RoundStats) { seen++ }),
-	})
+	obs, err := setup.RunTraining(2, 1, 1, 3, fl.FuncObserver(func(fl.RoundStats) { seen++ }))
 	if err != nil {
-		t.Fatalf("RunTrainingWith observer: %v", err)
+		t.Fatalf("RunTraining observer: %v", err)
 	}
 	if seen != 3 {
 		t.Errorf("observer saw %d rounds, want 3", seen)

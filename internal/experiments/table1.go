@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"eefei/internal/energy"
 )
@@ -70,24 +71,18 @@ func Table1(seed uint64) (*Table1Result, error) {
 
 // Render writes the table in the paper's layout plus the fit summary.
 func (r *Table1Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Table I — duration of local training step (3)\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%4s %6s %14s %14s %8s\n", "E", "n_k", "sim (s)", "paper (s)", "Δ%"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Table I — duration of local training step (3)\n")
+	fmt.Fprintf(&b, "%4s %6s %14s %14s %8s\n", "E", "n_k", "sim (s)", "paper (s)", "Δ%")
 	for _, row := range r.Rows {
 		delta := 100 * (row.SimSeconds - row.PaperSeconds) / row.PaperSeconds
-		if _, err := fmt.Fprintf(w, "%4d %6d %14.4f %14.4f %+7.1f\n",
-			row.Epochs, row.Samples, row.SimSeconds, row.PaperSeconds, delta); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%4d %6d %14.4f %14.4f %+7.1f\n",
+			row.Epochs, row.Samples, row.SimSeconds, row.PaperSeconds, delta)
 	}
-	_, err := fmt.Fprintf(w,
-		"fit  c0: sim %.3e  paper-rows %.3e  (published 7.79e-05)\n"+
-			"fit  c1: sim %.3e  paper-rows %.3e  (published 3.34e-03)\n",
+	fmt.Fprintf(&b, "fit  c0: sim %.3e  paper-rows %.3e  (published 7.79e-05)\n"+
+		"fit  c1: sim %.3e  paper-rows %.3e  (published 3.34e-03)\n",
 		r.SimC0, r.PaperC0, r.SimC1, r.PaperC1)
-	return err
+	return flush(w, &b)
 }
 
 // Table2Row is one line of Table II, the simulation configuration echo.
@@ -107,13 +102,10 @@ func Table2() []Table2Row {
 
 // RenderTable2 writes Table II.
 func RenderTable2(w io.Writer, rows []Table2Row) error {
-	if _, err := fmt.Fprintln(w, "Table II — simulation configuration"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintln(&b, "Table II — simulation configuration")
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-22s %s\n", r.Key, r.Value); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-22s %s\n", r.Key, r.Value)
 	}
-	return nil
+	return flush(w, &b)
 }

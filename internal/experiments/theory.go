@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"eefei/internal/core"
 )
@@ -81,28 +82,19 @@ func spacedInts(lo, hi, n int) []int {
 
 // Render writes both curves and the headline plan.
 func (t *TheoryCurves) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Paper-scale theory (A=%v, B=(%.4g, %.4g), ε=%g, N=%d)\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "Paper-scale theory (A=%v, B=(%.4g, %.4g), ε=%g, N=%d)\n",
 		t.Problem.Bound, t.Problem.Energy.B0, t.Problem.Energy.B1,
-		t.Problem.Epsilon, t.Problem.Servers); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "Fig. 5 theory — Ê(K, E=%d):\n%4s %12s %10s\n", t.PinnedE, "K", "Ê (J)", "T*"); err != nil {
-		return err
-	}
+		t.Problem.Epsilon, t.Problem.Servers)
+	fmt.Fprintf(&b, "Fig. 5 theory — Ê(K, E=%d):\n%4s %12s %10s\n", t.PinnedE, "K", "Ê (J)", "T*")
 	for _, p := range t.KCurve {
-		if _, err := fmt.Fprintf(w, "%4d %12.1f %10.1f\n", p.Param, p.TheoryJoules, p.TheoryRounds); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%4d %12.1f %10.1f\n", p.Param, p.TheoryJoules, p.TheoryRounds)
 	}
-	if _, err := fmt.Fprintf(w, "Fig. 6 theory — Ê(K=%d, E):\n%4s %12s %10s\n", t.PinnedK, "E", "Ê (J)", "T*"); err != nil {
-		return err
-	}
+	fmt.Fprintf(&b, "Fig. 6 theory — Ê(K=%d, E):\n%4s %12s %10s\n", t.PinnedK, "E", "Ê (J)", "T*")
 	for _, p := range t.ECurve {
-		if _, err := fmt.Fprintf(w, "%4d %12.1f %10.1f\n", p.Param, p.TheoryJoules, p.TheoryRounds); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%4d %12.1f %10.1f\n", p.Param, p.TheoryJoules, p.TheoryRounds)
 	}
-	_, err := fmt.Fprintf(w, "optimum: K*=%d E*=%d T*=%d, Ê=%.1f J, saving vs (1,1) = %.1f%% (paper: 49.8%%)\n",
+	fmt.Fprintf(&b, "optimum: K*=%d E*=%d T*=%d, Ê=%.1f J, saving vs (1,1) = %.1f%% (paper: 49.8%%)\n",
 		t.Plan.K, t.Plan.E, t.Plan.T, t.Plan.PredictedJoules, 100*t.Plan.Savings())
-	return err
+	return flush(w, &b)
 }

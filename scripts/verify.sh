@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification of the EE-FEI repository: build, vet, tests (the root
-# package's checked Examples among them), experiment regeneration, and
-# one-shot benchmarks.
+# package's checked Examples, and cmd/experiments' check of every block
+# EXPERIMENTS.md quotes, among them), and one-shot benchmarks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -165,9 +165,6 @@ echo "== planner fuzzer (smoke) =="
 # refused, a valid one plans a feasible integer point (or reports
 # ErrInfeasible) and is never cheaper than the exhaustive grid can be.
 go test -run='^$' -fuzz '^FuzzPlan$' -fuzztime 5s ./internal/core
-
-echo "== experiments (quick scale) =="
-go run ./cmd/experiments
 
 echo "== planner CLI =="
 go run ./cmd/eefei-plan -grid
