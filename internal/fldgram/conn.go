@@ -74,11 +74,12 @@ type Conn struct {
 	ackChaos  *faultnet.PacketInjector
 	meter     *Meter
 
-	// writeMu serializes Write calls (one window in flight at a time).
+	// writeMu serializes Write calls (one window in flight at a time);
+	// txScratch holds the run a Write lays out, at most window packets.
 	writeMu   sync.Mutex
 	txScratch []byte
 
-	// sendMu serializes link.WritePacket across the writer goroutine and
+	// sendMu serializes link.WritePackets across the writer goroutine and
 	// the receive loop's ACKs, and guards the reorder hold-back slot.
 	sendMu     sync.Mutex
 	ackScratch []byte
@@ -164,7 +165,7 @@ func (c *Conn) wakeAll() {
 func (c *Conn) recvLoop() {
 	buf := make([]byte, maxMTU+1)
 	for {
-		n, err := c.link.ReadPacket(buf)
+		n, size, err := c.link.ReadPackets(buf)
 		if err != nil {
 			c.mu.Lock()
 			if c.err == nil {
@@ -174,11 +175,13 @@ func (c *Conn) recvLoop() {
 			c.mu.Unlock()
 			return
 		}
-		c.process(buf[:n])
+		for pkt, rest := segment(buf[:n], size); pkt != nil; pkt, rest = segment(rest, size) {
+			c.process(pkt)
+		}
 	}
 }
 
-// process routes one raw datagram: ACKs feed the send side, everything else
+// process routes one raw packet: ACKs feed the send side, everything else
 // goes through the reassembler (which also validates and counts garbage).
 // The ACK policy lives here and counts packets, never time, so AckPackets is
 // a function of the byte stream: one cumulative ACK when a frame ends, one
@@ -219,7 +222,7 @@ func (c *Conn) process(pkt []byte) {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.ackScratch = encodePacket(c.ackScratch[:0], pktAck, flags, seq, cum, nil)
-	c.link.WritePacket(c.ackScratch)
+	c.link.WritePackets(c.ackScratch, len(c.ackScratch))
 }
 
 // processAck advances the ACK frontier. An ACK for a fragment never sent is
@@ -248,23 +251,24 @@ func (c *Conn) processAck(pkt []byte) {
 	c.cond.Broadcast()
 }
 
-// sendData puts one data packet on the carrier, applying the injected
-// duplication/reorder fate. A held packet is released by the next send.
-func (c *Conn) sendData(pkt []byte, fate faultnet.PacketFate) {
+// sendData puts a run of data packets on the carrier, applying the
+// injected duplication/reorder fate of its only packet when that fate is
+// not the plain one. A held packet is released by the next send.
+func (c *Conn) sendData(run []byte, fate faultnet.PacketFate) {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	if fate.Hold {
-		c.held = append(c.held[:0], pkt...)
+		c.held = append(c.held[:0], run...)
 		c.heldValid = true
 		return
 	}
-	c.link.WritePacket(pkt)
+	c.link.WritePackets(run, c.cfg.MTU)
 	if fate.Dup {
-		c.link.WritePacket(pkt)
+		c.link.WritePackets(run, c.cfg.MTU)
 	}
 	if c.heldValid {
 		c.heldValid = false
-		c.link.WritePacket(c.held)
+		c.link.WritePackets(c.held, len(c.held))
 	}
 }
 
@@ -282,6 +286,14 @@ func (c *Conn) sendData(pkt []byte, fate faultnet.PacketFate) {
 // header carries the final cumulative attempted bytes. Only genuine carrier
 // loss goes back to the frontier: after one round trip when the receiver
 // saw the gap, after an RTO without progress when the loss was at the tail.
+//
+// The packets transmitted between two waits leave as one run, a flight the
+// UDP carrier sends with one syscall. A run ends before Write waits (which
+// covers the frame's one short packet, its last) and before it would pass
+// maxMTU bytes; window ≤ 64, the kernel's segment cap, bounds its count. A
+// packet fated to be duplicated or held back, and every packet while one is
+// held, goes as a run of its own, so the carrier sees the order it would
+// one packet at a time.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -298,8 +310,21 @@ func (c *Conn) Write(p []byte) (int, error) {
 		attempts [window]int                            // transmissions of in-flight fragment i, at i%window
 		rtoAt    time.Time                              // zero until a wait begins; any progress clears it
 		recover  int                                    // gap ACKs are ignored until the frontier reaches it
+		holding  bool                                   // the carrier holds a packet back until the next send
 	)
 	fragment := func(i int) []byte { return p[i*c.payload : min((i+1)*c.payload, len(p))] }
+	// flush puts the run laid out in txScratch on the carrier under fate,
+	// outside the state lock.
+	flush := func(fate faultnet.PacketFate) {
+		if len(c.txScratch) == 0 {
+			return
+		}
+		c.mu.Unlock()
+		c.sendData(c.txScratch, fate)
+		c.mu.Lock()
+		c.txScratch = c.txScratch[:0]
+	}
+	defer flush(faultnet.PacketFate{}) // a failed Write still sends what it transmitted
 	for {
 		for ; acked < int(c.txAcked-base); acked++ {
 			size := headerLen + len(fragment(acked))
@@ -334,6 +359,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 			c.stats.GoBacks++
 		}
 		if full {
+			if len(c.txScratch) > 0 {
+				flush(faultnet.PacketFate{})
+				continue
+			}
 			// Everything is sent or the window is full: wait for the
 			// frontier to move, a gap ACK, or the RTO.
 			if rtoAt.IsZero() {
@@ -352,18 +381,23 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if attempts[next%window] == c.cfg.MaxAttempts {
 			return acked * c.payload, fmt.Errorf("fragment %d after %d attempts: %w", seq, c.cfg.MaxAttempts, errAttempts)
 		}
-		attempts[next%window]++
 		frag, flags := fragment(next), byte(0)
 		if next == n-1 {
 			flags = flagFrameEnd
 		}
+		size := headerLen + len(frag)
+		if len(c.txScratch)+size > maxMTU {
+			flush(faultnet.PacketFate{})
+			continue
+		}
+		attempts[next%window]++
 		if seq == c.txSeq {
 			c.txSeq++
 		}
 		c.stats.TxAttempts++
-		c.stats.TxAttemptBytes += int64(headerLen + len(frag))
+		c.stats.TxAttemptBytes += int64(size)
 		cum := uint64(c.stats.TxAttemptBytes)
-		c.meter.addAttempt(headerLen + len(frag))
+		c.meter.addAttempt(size)
 		var fate faultnet.PacketFate
 		if c.dataChaos != nil {
 			fate = c.dataChaos.Next()
@@ -371,11 +405,16 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if fate.Drop {
 			continue
 		}
+		alone := fate.Dup || fate.Hold || holding || perPacket
+		if alone {
+			flush(faultnet.PacketFate{})
+		}
+		c.txScratch = encodePacket(c.txScratch, pktData, flags, seq, cum, frag)
 		next, rtoAt = next+1, time.Time{}
-		c.mu.Unlock()
-		c.txScratch = encodePacket(c.txScratch[:0], pktData, flags, seq, cum, frag)
-		c.sendData(c.txScratch, fate)
-		c.mu.Lock()
+		if alone {
+			flush(fate)
+			holding = fate.Hold
+		}
 	}
 }
 
@@ -433,11 +472,11 @@ func (c *Conn) Close() error {
 	c.sendMu.Lock()
 	if c.heldValid {
 		c.heldValid = false
-		c.link.WritePacket(c.held)
+		c.link.WritePackets(c.held, len(c.held))
 	}
 	fin := encodePacket(nil, pktFin, 0, seq, cum, nil)
-	c.link.WritePacket(fin)
-	c.link.WritePacket(fin)
+	c.link.WritePackets(fin, len(fin))
+	c.link.WritePackets(fin, len(fin))
 	c.sendMu.Unlock()
 	return c.link.Close()
 }

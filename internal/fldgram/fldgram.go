@@ -36,7 +36,13 @@
 //
 // Carriers: Pipe wires two Conns through in-memory channels (deterministic
 // tests), and Listen/Dialer run the same Conn over a UDP socket (the
-// cmd/fedcoord and cmd/fededge `-transport dgram` path).
+// cmd/fedcoord and cmd/fededge `-transport dgram` path). A Conn hands its
+// carrier flights, not datagrams: the packets a Write transmits between two
+// waits go down as one run, which the UDP carrier sends with one syscall
+// under Linux segmentation offload (UDP_SEGMENT) and reads back with one
+// (UDP_GRO), and loops over packet by packet where the kernel has neither.
+// Which packets go, in which order and with which fates, is the same
+// either way; only the kernel crossings per packet change.
 package fldgram
 
 import (

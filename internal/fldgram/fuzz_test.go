@@ -99,3 +99,64 @@ func FuzzReassembly(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCoalesced drives the split every reader makes of a coalesced
+// datagram — segment at the size its UDP_GRO control message declares, as
+// recvLoop and the Listener do — with runs no honest kernel returns: the
+// true stream's packets in any order, repeated or cut short, then raw
+// bytes, at any declared size (0, 1, past the run, not dividing it). A
+// non-empty control buffer overrides the size, as on the socket path.
+// Arbitrary bytes must never panic, and what the reassembler delivers is a
+// prefix of the true stream.
+func FuzzCoalesced(f *testing.F) {
+	const frags, payload = 6, 40
+	in := []byte{0, 1, 2, 3, 4, 5}
+	for _, size := range []int{0, 1, headerLen + payload, headerLen + payload + 1, 37, 1 << 20} {
+		f.Add(in, size, []byte(nil))
+	}
+	f.Add([]byte{0, 1, 0x42, 2, 3}, headerLen+payload, []byte(nil)) // packet 2 cut short mid-run
+	f.Add([]byte{1, 0, 0, 2, 0x80, 7, 7}, headerLen+payload, []byte(nil))
+	f.Add(in, 0, groMessage(headerLen+payload))
+	for _, oob := range hostileOOB() {
+		f.Add(in, 0, oob)
+	}
+
+	f.Fuzz(func(t *testing.T, script []byte, size int, oob []byte) {
+		// Ground truth: frags equal packets, the last one shorter.
+		rng := mat.NewRNG(2)
+		var want []byte
+		packets := make([][]byte, frags)
+		for i := range packets {
+			p := make([]byte, payload-(i/(frags-1))*(payload/2))
+			for j := range p {
+				p[j] = byte(rng.Uint64())
+			}
+			want = append(want, p...)
+			packets[i] = encodePacket(nil, pktData, 0, uint32(i), 0, p)
+		}
+		// The run: each script byte picks a packet (bit 6 cuts it in half)
+		// until one with bit 7 set hands the rest of the script over raw.
+		var run []byte
+		for i, op := range script {
+			if op&0x80 != 0 {
+				run = append(run, script[i:]...)
+				break
+			}
+			pkt := packets[int(op&0x3f)%frags]
+			if op&0x40 != 0 {
+				pkt = pkt[:len(pkt)/2]
+			}
+			run = append(run, pkt...)
+		}
+		if len(oob) > 0 {
+			size = groSize(oob)
+		}
+		var ra reassembler
+		for pkt, rest := segment(run, size); pkt != nil; pkt, rest = segment(rest, size) {
+			ra.absorb(pkt)
+		}
+		if !bytes.HasPrefix(want, ra.buf) {
+			t.Fatalf("delivered %d bytes that are not a prefix of the true stream", len(ra.buf))
+		}
+	})
+}

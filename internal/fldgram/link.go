@@ -8,18 +8,34 @@ import (
 
 // PacketLink is a raw unreliable datagram carrier under one Conn: it moves
 // whole packets with no delivery, ordering, or integrity guarantees. The
-// Conn's ARQ supplies all three. ReadPacket blocks until a packet or an
-// error; Close must unblock it.
+// Conn's ARQ supplies all three. Both directions move runs: packets laid
+// back to back in one buffer, every one size bytes but the last, which may
+// be shorter. A carrier that can move a run in one operation (the UDP links
+// under segmentation offload) does; any other moves it packet by packet.
+// ReadPackets blocks until a datagram or an error; Close must unblock it.
 type PacketLink interface {
-	// WritePacket sends one datagram. Best-effort: a full carrier may drop
-	// it silently (the ARQ retransmits).
-	WritePacket(p []byte) error
-	// ReadPacket copies the next datagram into buf and returns its length.
-	// Datagrams longer than buf are truncated (and then fail the CRC).
-	ReadPacket(buf []byte) (int, error)
+	// WritePackets sends run as packets of size bytes. Best-effort: a full
+	// carrier may drop any of them silently (the ARQ retransmits).
+	WritePackets(run []byte, size int) error
+	// ReadPackets copies the next datagram into buf and returns its length
+	// and the size of the packets it holds: 0, or not below n, for one
+	// packet. Datagrams longer than buf are truncated (and then fail the
+	// CRC).
+	ReadPackets(buf []byte) (n, size int, err error)
 	Close() error
 	LocalAddr() net.Addr
 	RemoteAddr() net.Addr
+}
+
+// segment splits a run of size-byte packets into its first packet and the
+// rest. A size of 0, or not below the run's length, makes the run one
+// packet: an empty run is one empty packet, and a nil one (the rest of a
+// run whose last packet was split off) none.
+func segment(run []byte, size int) (pkt, rest []byte) {
+	if size <= 0 || size >= len(run) {
+		return run, nil
+	}
+	return run[:size], run[size:]
 }
 
 // pipeAddr is the address of an in-memory pipe endpoint.
@@ -110,7 +126,8 @@ func pipeLinks() (la, lb *chanLink) {
 	return la, lb
 }
 
-func (l *chanLink) WritePacket(p []byte) error {
+// WritePackets queues each packet of the run as a datagram of its own.
+func (l *chanLink) WritePackets(run []byte, size int) error {
 	// Two one-case polls, not one select: each compiles to a lock-free check.
 	select {
 	case <-l.closed:
@@ -119,33 +136,35 @@ func (l *chanLink) WritePacket(p []byte) error {
 	}
 	select {
 	case <-l.peerDone:
-		// Peer gone: the datagram would be lost on a real carrier too.
+		// Peer gone: the datagrams would be lost on a real carrier too.
 		return nil
 	default:
 	}
-	pkt := queuedPacket(p)
-	select {
-	case l.out <- pkt:
-	default:
-		// Queue full: drop, like any saturated carrier.
-		takePacket(pkt, nil)
+	for p, rest := segment(run, size); p != nil; p, rest = segment(rest, size) {
+		pkt := queuedPacket(p)
+		select {
+		case l.out <- pkt:
+		default:
+			// Queue full: drop, like any saturated carrier.
+			takePacket(pkt, nil)
+		}
 	}
 	return nil
 }
 
-func (l *chanLink) ReadPacket(buf []byte) (int, error) {
+func (l *chanLink) ReadPackets(buf []byte) (int, int, error) {
 	// Poll first: a queued packet — one that raced with Close included —
 	// is taken without the two-channel select.
 	select {
 	case pkt := <-l.in:
-		return takePacket(pkt, buf), nil
+		return takePacket(pkt, buf), 0, nil
 	default:
 	}
 	select {
 	case pkt := <-l.in:
-		return takePacket(pkt, buf), nil
+		return takePacket(pkt, buf), 0, nil
 	case <-l.closed:
-		return 0, errClosed
+		return 0, 0, errClosed
 	}
 }
 

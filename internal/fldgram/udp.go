@@ -5,21 +5,82 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// udpLink is the dialer-side carrier: a connected UDP socket.
-type udpLink struct {
-	uc *net.UDPConn
+// perPacket, set only by tests, makes every run a run of one and keeps
+// segmentation offload off, so the links move one datagram per syscall.
+var perPacket bool
+
+// oobLen is room for the control message of a coalesced read.
+const oobLen = 64
+
+// udpSocket is a UDP socket with its segmentation-offload state: seg is the
+// packet size the kernel splits one send at (UDP_SEGMENT), 0 while offload
+// is off.
+type udpSocket struct {
+	*net.UDPConn
+	seg atomic.Int32
 }
 
-func (l *udpLink) WritePacket(p []byte) error {
-	_, err := l.uc.Write(p)
+// newUDPSocket turns offload on where the kernel takes it: sends split at
+// mtu, and receives coalesced.
+func newUDPSocket(uc *net.UDPConn, mtu int) *udpSocket {
+	s := &udpSocket{UDPConn: uc}
+	if !perPacket {
+		if setSegment(uc, mtu) {
+			s.seg.Store(int32(mtu))
+		}
+		setGRO(uc)
+	}
+	return s
+}
+
+// writePackets sends run as packets of size bytes to to (the connected peer
+// when to is the zero value): with one send while the socket splits at
+// size, otherwise with one send per packet. A send the kernel refuses for
+// the segment size turns offload off for the socket and goes again packet
+// by packet.
+func (s *udpSocket) writePackets(run []byte, size int, to netip.AddrPort) (err error) {
+	if seg := int(s.seg.Load()); seg != 0 && (seg == size || len(run) <= size) {
+		if err = s.send(run, to); !gsoRefused(err) {
+			return err
+		}
+		if s.seg.Swap(0) != 0 {
+			setSegment(s.UDPConn, 0)
+		}
+	}
+	for p, rest := segment(run, size); p != nil; p, rest = segment(rest, size) {
+		err = s.send(p, to)
+	}
 	return err
 }
 
-func (l *udpLink) ReadPacket(buf []byte) (int, error) {
-	return l.uc.Read(buf)
+func (s *udpSocket) send(p []byte, to netip.AddrPort) (err error) {
+	if to.IsValid() {
+		_, err = s.WriteToUDPAddrPort(p, to)
+	} else {
+		_, err = s.Write(p)
+	}
+	return err
+}
+
+// udpLink is the dialer-side carrier: a connected UDP socket.
+type udpLink struct {
+	uc  *udpSocket
+	oob [oobLen]byte
+}
+
+func (l *udpLink) WritePackets(run []byte, size int) error {
+	return l.uc.writePackets(run, size, netip.AddrPort{})
+}
+
+// ReadPackets reads straight into the caller's buffer: a coalesced run
+// needs no second buffer and no copy.
+func (l *udpLink) ReadPackets(buf []byte) (int, int, error) {
+	n, oobn, _, _, err := l.uc.ReadMsgUDPAddrPort(buf, l.oob[:])
+	return n, groSize(l.oob[:oobn]), err
 }
 
 func (l *udpLink) Close() error         { return l.uc.Close() }
@@ -49,7 +110,7 @@ func Dialer(cfg Config) (func(addr string, timeout time.Duration) (net.Conn, err
 		idx := next
 		next++
 		mu.Unlock()
-		return newConn(&udpLink{uc: uc}, cfg, idx), nil
+		return newConn(&udpLink{uc: newUDPSocket(uc, cfg.withDefaults().MTU)}, cfg, idx), nil
 	}, nil
 }
 
@@ -67,19 +128,18 @@ type muxLink struct {
 // (datagram semantics — the peer's ARQ retransmits).
 const muxQueueLen = 512
 
-func (ml *muxLink) WritePacket(p []byte) error {
-	_, err := ml.l.pc.WriteToUDPAddrPort(p, ml.remote)
-	return err
+func (ml *muxLink) WritePackets(run []byte, size int) error {
+	return ml.l.pc.writePackets(run, size, ml.remote)
 }
 
-func (ml *muxLink) ReadPacket(buf []byte) (int, error) {
+func (ml *muxLink) ReadPackets(buf []byte) (int, int, error) {
 	select {
 	case pkt := <-ml.in:
-		return takePacket(pkt, buf), nil
+		return takePacket(pkt, buf), 0, nil
 	case <-ml.closed:
-		return 0, errClosed
+		return 0, 0, errClosed
 	case <-ml.l.done:
-		return 0, errClosed
+		return 0, 0, errClosed
 	}
 }
 
@@ -101,7 +161,7 @@ func (ml *muxLink) RemoteAddr() net.Addr { return net.UDPAddrFromAddrPort(ml.rem
 // subsequent datagram from the same address would open a fresh Conn —
 // which is how flnet redials land on a new connection).
 type Listener struct {
-	pc  *net.UDPConn
+	pc  *udpSocket
 	cfg Config
 
 	mu    sync.Mutex
@@ -136,7 +196,7 @@ func Listen(addr string, cfg Config) (*Listener, error) {
 		return nil, err
 	}
 	l := &Listener{
-		pc:       pc,
+		pc:       newUDPSocket(pc, cfg.withDefaults().MTU),
 		cfg:      cfg,
 		peers:    make(map[netip.AddrPort]*muxLink),
 		acceptCh: make(chan *Conn, acceptBacklog),
@@ -150,17 +210,19 @@ func Listen(addr string, cfg Config) (*Listener, error) {
 }
 
 // readLoop demultiplexes the socket into per-peer queues, spawning a Conn
-// for each new source address whose datagram opens a stream: a valid data
-// packet with sequence 0. Anything else from an unknown address (garbage,
-// or an ACK or FIN from a peer already forgotten, as Conn.Close's second
-// FIN is) is dropped before it costs a Conn or a conn index. It reads into
-// one scratch of its own and queues a right-sized copy, so a queued
-// datagram costs its size, not the largest one the socket could have
-// delivered.
+// for each new source address whose datagram opens a stream: its first
+// packet is a valid data packet with sequence 0. A new peer's first flight
+// may arrive coalesced, so only that packet is checked. Anything else from
+// an unknown address (garbage, or an ACK or FIN from a peer already
+// forgotten, as Conn.Close's second FIN is) is dropped before it costs a
+// Conn or a conn index. It reads into one scratch of its own and queues a
+// right-sized copy of each packet, so a queued packet costs its size, not
+// the largest datagram the socket could have delivered.
 func (l *Listener) readLoop() {
 	buf := make([]byte, maxMTU+1)
+	var oob [oobLen]byte
 	for {
-		n, raddr, err := l.pc.ReadFromUDPAddrPort(buf)
+		n, oobn, _, raddr, err := l.pc.ReadMsgUDPAddrPort(buf, oob[:])
 		if err != nil {
 			select {
 			case <-l.done:
@@ -169,11 +231,13 @@ func (l *Listener) readLoop() {
 			}
 			return
 		}
+		run, size := buf[:n], groSize(oob[:oobn])
 		var rejected *Conn
 		l.mu.Lock()
 		ml, ok := l.peers[raddr]
 		if !ok {
-			if typ, _, seq, _, _, valid := decodePacket(buf[:n]); !valid || typ != pktData || seq != 0 {
+			first, _ := segment(run, size)
+			if typ, _, seq, _, _, valid := decodePacket(first); !valid || typ != pktData || seq != 0 {
 				l.mu.Unlock()
 				continue
 			}
@@ -204,11 +268,13 @@ func (l *Listener) readLoop() {
 		if ml == nil {
 			continue
 		}
-		pkt := queuedPacket(buf[:n])
-		select {
-		case ml.in <- pkt:
-		default:
-			takePacket(pkt, nil) // queue full: carrier drop
+		for p, rest := segment(run, size); p != nil; p, rest = segment(rest, size) {
+			pkt := queuedPacket(p)
+			select {
+			case ml.in <- pkt:
+			default:
+				takePacket(pkt, nil) // queue full: carrier drop
+			}
 		}
 	}
 }

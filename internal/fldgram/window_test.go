@@ -12,36 +12,52 @@ import (
 	"time"
 )
 
-// scriptedLink loses the datagrams a script names on their way out — the
+// dropFunc is asked about the nth (from 0) outgoing packet of each type,
+// which is packet i of a run of runLen.
+type dropFunc func(typ byte, nth, i, runLen int) bool
+
+// scriptedLink loses the packets a script names on their way out — the
 // carrier loss the seeded injector never produces, since its drops are
-// decided before the packet reaches the link.
+// decided before the packet reaches the link — and passes the rest on as
+// one run.
 type scriptedLink struct {
 	PacketLink
-	// drop is asked about the nth (from 0) outgoing packet of each type.
-	drop func(typ byte, nth int) bool
+	drop dropFunc
 
 	mu   sync.Mutex
 	seen map[byte]int
 }
 
-func (l *scriptedLink) WritePacket(p []byte) error {
+func (l *scriptedLink) WritePackets(run []byte, size int) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.seen == nil {
 		l.seen = make(map[byte]int)
 	}
-	nth := l.seen[p[0]]
-	l.seen[p[0]]++
-	l.mu.Unlock()
-	if l.drop(p[0], nth) {
+	runLen := 1
+	if size > 0 {
+		runLen = (len(run) + size - 1) / size
+	}
+	var kept []byte
+	i := 0
+	for p, rest := segment(run, size); p != nil; p, rest = segment(rest, size) {
+		nth := l.seen[p[0]]
+		l.seen[p[0]]++
+		if !l.drop(p[0], nth, i, runLen) {
+			kept = append(kept, p...)
+		}
+		i++
+	}
+	if kept == nil {
 		return nil
 	}
-	return l.PacketLink.WritePacket(p)
+	return l.PacketLink.WritePackets(kept, size)
 }
 
 // scriptedPipe is Pipe with end a's outgoing packets filtered by dropA and
 // end b's by dropB (nil: lossless).
-func scriptedPipe(cfg Config, dropA, dropB func(typ byte, nth int) bool) (*Conn, *Conn) {
-	keep := func(byte, int) bool { return false }
+func scriptedPipe(cfg Config, dropA, dropB dropFunc) (*Conn, *Conn) {
+	keep := func(byte, int, int, int) bool { return false }
 	if dropA == nil {
 		dropA = keep
 	}
@@ -85,26 +101,46 @@ func wantAcks(size int) int64 {
 }
 
 // TestWindowCarrierLoss scripts genuine carrier loss — a data packet in the
-// middle of a frame, the last one, a cumulative ACK, the final ACK — and
-// pins how each is repaired: a gap the receiver can see costs one round
-// trip and one go-back, a loss at the tail costs one RTO, a lost mid-frame
-// ACK costs nothing because the next one is cumulative.
+// middle of a frame, inside a run or at its end, the last one, a cumulative
+// ACK, the final ACK — and pins how each is repaired: a gap the receiver
+// can see costs one round trip and one go-back, a loss at the tail costs one
+// RTO, a lost mid-frame ACK costs nothing because the next one is
+// cumulative.
 func TestWindowCarrierLoss(t *testing.T) {
 	const size = 200 << 10
 	n := fragments(size)
 	lastAck := int(wantAcks(size)) - 1
-	first := func(typ byte, k int) func(byte, int) bool {
-		return func(got byte, nth int) bool { return got == typ && nth == k }
+	first := func(typ byte, k int) dropFunc {
+		return func(got byte, nth, _, _ int) bool { return got == typ && nth == k }
 	}
+	// once drops the first data packet, the nth sent and packet i of a run
+	// of runLen, for which at holds; a case that never sees one finds no
+	// go-back.
+	once := func(at func(nth, i, runLen int) bool) dropFunc {
+		done := false
+		return func(typ byte, nth, i, runLen int) bool {
+			if done || typ != pktData || !at(nth, i, runLen) {
+				return false
+			}
+			done = true
+			return true
+		}
+	}
+	midRun := once(func(_, i, runLen int) bool { return i > 0 && i < runLen-1 })
+	// The first run is the whole first window, whose last packet "data at
+	// window edge" drops already: take the end of a later one.
+	endOfRun := once(func(nth, i, runLen int) bool { return nth > i && runLen > 1 && i == runLen-1 })
 	cases := []struct {
 		name         string
 		rto          time.Duration
-		dropA, dropB func(byte, int) bool
+		dropA, dropB dropFunc
 		slow         bool // Write must have waited out the RTO
 		goBacks      int64
 	}{
 		{"data mid-frame", 2 * time.Second, first(pktData, 20), nil, false, 1},
 		{"data at window edge", 2 * time.Second, first(pktData, window-1), nil, false, 1},
+		{"data mid-run", 2 * time.Second, midRun, nil, false, 1},
+		{"data last of run", 2 * time.Second, endOfRun, nil, false, 1},
 		{"last data packet", 50 * time.Millisecond, first(pktData, n-1), nil, true, 1},
 		{"cumulative ack", 2 * time.Second, nil, first(pktAck, 5), false, 0},
 		{"final ack", 50 * time.Millisecond, nil, first(pktAck, lastAck), true, 1},
@@ -217,14 +253,15 @@ func TestAckBeyondSentIgnored(t *testing.T) {
 			}()
 			buf := make([]byte, DefaultMTU)
 			for i := 0; i < 2; i++ { // both fragments are on the carrier
-				if _, err := lb.ReadPacket(buf); err != nil {
+				if _, _, err := lb.ReadPackets(buf); err != nil {
 					t.Fatalf("read fragment %d: %v", i, err)
 				}
 			}
-			lb.WritePacket(encodePacket(nil, pktAck, tc.flags, tc.seq, 0, nil))
+			ack := encodePacket(nil, pktAck, tc.flags, tc.seq, 0, nil)
+			lb.WritePackets(ack, len(ack))
 			// An ACK the sender takes is visible in its counters at once; wait
 			// for this one to be processed by sending a marker after it.
-			lb.WritePacket([]byte("not a packet"))
+			lb.WritePackets([]byte("not a packet"), 0)
 			deadline := time.Now().Add(5 * time.Second)
 			for a.Stats().RxInvalidPackets < tc.invalid+1 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
@@ -298,99 +335,102 @@ func TestCloseReleasesConn(t *testing.T) {
 // sends into one socket, so fleet × window datagrams must fit its receive
 // buffer or injected loss turns into real loss (and same-seed runs stop
 // being identical). Eight dialers write 64 KiB frames at the same moment,
-// fifty times; no sender may go back and no receiver may see a stray.
+// fifty times, in runs and packet by packet; no sender may go back and no
+// receiver may see a stray or a duplicate.
 func TestUDPFleetNoCarrierLoss(t *testing.T) {
 	const fleet, rounds, size = 8, 50, 64 << 10
-	ln, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	dial, err := Dialer(Config{})
-	if err != nil {
-		t.Fatalf("dialer: %v", err)
-	}
-
-	var all []*Conn
-	edges := make([]net.Conn, fleet)
-	for i := range edges {
-		c, err := dial(ln.Addr().String(), time.Second)
+	bothWays(t, func(t *testing.T) {
+		ln, err := Listen("127.0.0.1:0", Config{})
 		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
+			t.Fatalf("listen: %v", err)
 		}
-		defer c.Close()
-		// The listener learns of a peer from its first datagram.
-		if _, err := c.Write([]byte{byte(i)}); err != nil {
-			t.Fatalf("hello %d: %v", i, err)
-		}
-		c.SetDeadline(time.Now().Add(time.Minute)) // a failure must not hang the test
-		edges[i] = c
-		all = append(all, c.(*Conn))
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < fleet; i++ {
-		s, err := ln.Accept()
+		defer ln.Close()
+		dial, err := Dialer(Config{})
 		if err != nil {
-			t.Fatalf("accept %d: %v", i, err)
+			t.Fatalf("dialer: %v", err)
 		}
-		defer s.Close()
-		s.SetDeadline(time.Now().Add(time.Minute))
-		all = append(all, s.(*Conn))
-		wg.Add(1)
-		go func() { // drain the hello and every round's frame, answer each round
-			defer wg.Done()
-			buf := make([]byte, size)
-			if _, err := io.ReadFull(s, buf[:1]); err != nil {
-				t.Errorf("server hello: %v", err)
-				return
-			}
-			for r := 0; r < rounds; r++ {
-				if _, err := io.ReadFull(s, buf); err != nil {
-					t.Errorf("server read round %d: %v", r, err)
-					return
-				}
-				if _, err := s.Write(buf[:1]); err != nil {
-					t.Errorf("server write round %d: %v", r, err)
-					return
-				}
-			}
-		}()
-	}
 
-	frame := fill(size, 4)
-	for r := 0; r < rounds; r++ {
-		var round sync.WaitGroup
-		start := make(chan struct{})
-		for _, c := range edges {
-			round.Add(1)
-			go func() {
-				defer round.Done()
-				<-start
-				if _, err := c.Write(frame); err != nil {
-					t.Errorf("round %d write: %v", r, err)
+		var all []*Conn
+		edges := make([]net.Conn, fleet)
+		for i := range edges {
+			c, err := dial(ln.Addr().String(), time.Second)
+			if err != nil {
+				t.Fatalf("dial %d: %v", i, err)
+			}
+			defer c.Close()
+			// The listener learns of a peer from its first datagram.
+			if _, err := c.Write([]byte{byte(i)}); err != nil {
+				t.Fatalf("hello %d: %v", i, err)
+			}
+			c.SetDeadline(time.Now().Add(time.Minute)) // a failure must not hang the test
+			edges[i] = c
+			all = append(all, c.(*Conn))
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < fleet; i++ {
+			s, err := ln.Accept()
+			if err != nil {
+				t.Fatalf("accept %d: %v", i, err)
+			}
+			defer s.Close()
+			s.SetDeadline(time.Now().Add(time.Minute))
+			all = append(all, s.(*Conn))
+			wg.Add(1)
+			go func() { // drain the hello and every round's frame, answer each round
+				defer wg.Done()
+				buf := make([]byte, size)
+				if _, err := io.ReadFull(s, buf[:1]); err != nil {
+					t.Errorf("server hello: %v", err)
 					return
 				}
-				if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
-					t.Errorf("round %d reply: %v", r, err)
+				for r := 0; r < rounds; r++ {
+					if _, err := io.ReadFull(s, buf); err != nil {
+						t.Errorf("server read round %d: %v", r, err)
+						return
+					}
+					if _, err := s.Write(buf[:1]); err != nil {
+						t.Errorf("server write round %d: %v", r, err)
+						return
+					}
 				}
 			}()
 		}
-		close(start)
-		round.Wait()
-		if t.Failed() {
-			return
-		}
-	}
-	wg.Wait()
 
-	var goBacks, ahead, dup int64
-	for _, c := range all {
-		s := c.Stats()
-		goBacks += s.GoBacks
-		ahead += s.RxAheadPackets
-		dup += s.RxDupPackets
-	}
-	if goBacks != 0 || ahead != 0 || dup != 0 {
-		t.Fatalf("carrier loss on loopback: %d go-backs, %d strays, %d duplicates — fleet × window overflowed the socket buffer", goBacks, ahead, dup)
-	}
+		frame := fill(size, 4)
+		for r := 0; r < rounds; r++ {
+			var round sync.WaitGroup
+			start := make(chan struct{})
+			for _, c := range edges {
+				round.Add(1)
+				go func() {
+					defer round.Done()
+					<-start
+					if _, err := c.Write(frame); err != nil {
+						t.Errorf("round %d write: %v", r, err)
+						return
+					}
+					if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
+						t.Errorf("round %d reply: %v", r, err)
+					}
+				}()
+			}
+			close(start)
+			round.Wait()
+			if t.Failed() {
+				return
+			}
+		}
+		wg.Wait()
+
+		var goBacks, ahead, dup int64
+		for _, c := range all {
+			s := c.Stats()
+			goBacks += s.GoBacks
+			ahead += s.RxAheadPackets
+			dup += s.RxDupPackets
+		}
+		if goBacks != 0 || ahead != 0 || dup != 0 {
+			t.Fatalf("carrier loss on loopback: %d go-backs, %d strays, %d duplicates — fleet × window overflowed the socket buffer", goBacks, ahead, dup)
+		}
+	})
 }

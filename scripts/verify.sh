@@ -142,7 +142,22 @@ echo "== bench module =="
 # within 2 % of 1/p and every datagram must validate. A window that
 # overflows the listener's socket buffer turns injected loss into real loss
 # and fails all three, which -smoke's 10 % tolerance would not notice.
+# The kernel counts such overflows too: on Linux, Udp RcvbufErrors in
+# /proc/net/snmp (per network namespace) must not move across the run.
+rcvbuf_errors() {
+    awk '$1 == "Udp:" { if (!col) { for (i = 2; i <= NF; i++) if ($i == "RcvbufErrors") col = i } else { print $col; exit } }' /proc/net/snmp
+}
+[ -r /proc/net/snmp ] && rcvbuf_before=$(rcvbuf_errors)
 go run -C bench . -workload wire_dgram_loss10 -trace 0 -runs 3
+if [ -r /proc/net/snmp ]; then
+    rcvbuf_after=$(rcvbuf_errors)
+    if [ "$rcvbuf_before" != "$rcvbuf_after" ]; then
+        echo "Udp RcvbufErrors moved across wire_dgram_loss10: $rcvbuf_before before, $rcvbuf_after after (a socket receive buffer overflowed)"; exit 1
+    fi
+    echo "Udp RcvbufErrors: $rcvbuf_before before, $rcvbuf_after after"
+else
+    echo "no /proc/net/snmp: socket-overflow guard skipped"
+fi
 # The in-process fleet trains on row views of one training set
 # (dataset.EqualShards): two episodes must reach ε and agree on the digest,
 # so a shard that aliased the wrong rows, or was written through, fails here.
@@ -153,6 +168,12 @@ echo "== reassembly fuzzer (smoke) =="
 # `go test` replays): hostile fragment streams must never panic nor deliver
 # corrupted bytes. Longer runs: go test -fuzz FuzzReassembly ./internal/fldgram
 go test -run='^$' -fuzz 'FuzzReassembly' -fuzztime 5s ./internal/fldgram
+
+echo "== coalesced-datagram fuzzer (smoke) =="
+# The same for the split of a coalesced datagram at its declared packet size
+# and for the UDP_GRO control-message parser: any run, size or control
+# buffer must never panic nor deliver anything but a prefix of the stream.
+go test -run='^$' -fuzz '^FuzzCoalesced$' -fuzztime 5s ./internal/fldgram
 
 echo "== delta decoder fuzzer (smoke) =="
 # The same for the lossless delta decoder, which parses a peer's bit-packed
