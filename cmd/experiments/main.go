@@ -9,15 +9,15 @@
 // constants, calibrate.
 //
 // -sweep switches to the (K, E) sweep subsystem instead of the figure
-// harnesses (checkpointed, resumable, parallel; see DESIGN.md §7
-// "Full-scale sweeps"):
+// harnesses (checkpointed, resumable, trained across GOMAXPROCS; see
+// DESIGN.md §7 "Full-scale sweeps"). -trace holds the per-round records of
+// the cells one invocation trains, one cell after another in grid order:
 //
 //	experiments -scale full -sweep "K=1,5,10,50,100;E=1,5,20" -out results/
 //	experiments -scale full -sweep "K=1..100;E=1,5,20" -resume results/sweep.jsonl -out results/
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +29,6 @@ import (
 
 	"eefei/internal/core"
 	"eefei/internal/experiments"
-	"eefei/internal/fl"
 	"eefei/internal/ml"
 )
 
@@ -172,10 +171,9 @@ func run(args []string, out io.Writer) error {
 
 		sweepGrid   = fs.String("sweep", "", `run a (K,E) sweep over this grid instead of the figure harnesses, e.g. "K=1,5,10,50,100;E=1,5,20" (ranges: K=1..100)`)
 		sweepRounds = fs.Int("sweep-rounds", 0, "per-cell round cap override for -sweep (0: scale default)")
-		workers     = fs.Int("workers", 0, "sweep worker pool size (0: GOMAXPROCS; every value is bit-identical)")
 		resumePath  = fs.String("resume", "", "resume the sweep from this checkpoint JSONL (must match the grid and seed)")
 		outDir      = fs.String("out", "", "write the sweep checkpoint (sweep.jsonl) and frontier (frontier.csv) into this directory")
-		tracePath   = fs.String("trace", "", "append per-round JSONL observability records to this file during the sweep")
+		tracePath   = fs.String("trace", "", "write the per-round JSONL records of the cells this sweep trains to this file, cell after cell in grid order")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -187,7 +185,7 @@ func run(args []string, out io.Writer) error {
 
 	if *sweepGrid != "" {
 		return runSweep(out, scale, *sweepGrid, *resumePath, *outDir, *tracePath,
-			*sweepRounds, *workers, *seed)
+			*sweepRounds, *seed)
 	}
 
 	want := map[string]bool{}
@@ -284,10 +282,10 @@ aggregated (α0=α1=α2=1): A0=%.6g A1=%.6g A2=%.6g
 }
 
 // runSweep drives the (K, E) sweep subsystem: parse the grid, optionally
-// load a resume checkpoint, execute the remaining cells on the worker pool,
-// and record the frontier artifacts. Progress goes to stderr so stdout
-// stays the rendered frontier alone.
-func runSweep(out io.Writer, scale experiments.Scale, grid, resumePath, outDir, tracePath string, rounds, workers int, seed uint64) error {
+// load a resume checkpoint, train the remaining cells, and record the
+// frontier artifacts. Progress goes to stderr so stdout stays the rendered
+// frontier alone.
+func runSweep(out io.Writer, scale experiments.Scale, grid, resumePath, outDir, tracePath string, rounds int, seed uint64) error {
 	spec, err := experiments.ParseSweepGrid(grid)
 	if err != nil {
 		return err
@@ -295,7 +293,7 @@ func runSweep(out io.Writer, scale experiments.Scale, grid, resumePath, outDir, 
 	spec.Seed = seed
 	spec.RoundCap = rounds
 
-	opts := experiments.SweepOptions{Workers: workers}
+	var opts experiments.SweepOptions
 	if resumePath != "" {
 		f, err := os.Open(resumePath)
 		if err != nil {
@@ -324,46 +322,46 @@ func runSweep(out io.Writer, scale experiments.Scale, grid, resumePath, outDir, 
 		defer ckpt.Close()
 		opts.Checkpoint = ckpt
 	}
-	var trace *fl.TraceWriter
+	var trace *os.File
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
+		if trace, err = os.Create(tracePath); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		defer f.Close()
-		trace = fl.NewTraceWriter(f)
-		opts.RoundObserver = trace
+		defer trace.Close()
+		opts.Trace = trace
 	}
-	opts.Observer = experiments.SweepObserverFunc(func(p experiments.SweepProgress) {
-		fmt.Fprintf(os.Stderr, "sweep %d/%d: K=%d E=%d rounds=%d acc=%.4f %.1f J (elapsed %s, ETA %s)\n",
-			p.Done, p.Total, p.Cell.K, p.Cell.E, p.Cell.Rounds, p.Cell.FinalAccuracy,
-			p.Cell.TotalJoules, p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
-	})
 
 	setupStart := time.Now()
 	setup, err := experiments.NewSetup(scale)
 	if err != nil {
 		return err
 	}
+	total := len(spec.Ks) * len(spec.Es)
 	fmt.Fprintf(os.Stderr, "sweep: %v setup ready in %.1fs (%d servers × %d samples), grid %d×%d = %d cells\n",
 		scale, time.Since(setupStart).Seconds(), setup.Servers, setup.SamplesPerServer(),
-		len(spec.Ks), len(spec.Es), len(spec.Ks)*len(spec.Es))
+		len(spec.Ks), len(spec.Es), total)
 
-	res, err := experiments.RunSweep(context.Background(), setup, spec, opts)
+	start := time.Now()
+	opts.Progress = func(done int, c experiments.CellResult) {
+		// Resumed cells took no time here: the rate counts trained ones.
+		elapsed := time.Since(start)
+		eta := elapsed / time.Duration(done-len(opts.Resume)) * time.Duration(total-done)
+		fmt.Fprintf(os.Stderr, "sweep %d/%d: K=%d E=%d rounds=%d acc=%.4f %.1f J (elapsed %s, ETA %s)\n",
+			done, total, c.K, c.E, c.Rounds, c.FinalAccuracy, c.TotalJoules,
+			elapsed.Round(time.Second), eta.Round(time.Second))
+	}
+	cells, err := experiments.RunSweep(setup, spec, opts)
 	if err != nil {
 		return err
 	}
-	if ckpt != nil {
-		if err := ckpt.Close(); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
+	for _, f := range []*os.File{ckpt, trace} {
+		if f != nil {
+			if err := f.Close(); err != nil {
+				return err
+			}
 		}
 	}
-	if trace != nil {
-		if err := trace.Err(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
-	frontier, err := experiments.ComputeFrontier(res.Cells)
+	frontier, err := experiments.ComputeFrontier(cells)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -71,6 +72,32 @@ func TestRunSweepWritesArtifacts(t *testing.T) {
 	}
 	if fi, err := os.Stat(trace); err != nil || fi.Size() == 0 {
 		t.Errorf("trace missing (%v)", err)
+	}
+}
+
+// TestRunSweepTraceInGridOrder pins -trace's layout: each cell's rounds in
+// one run, cell after cell in grid order, even while cells train
+// concurrently.
+func TestRunSweepTraceInGridOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := run([]string{"-sweep", "K=1,2;E=1,2", "-sweep-rounds", "2", "-trace", trace}, io.Discard); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds []int
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var rec struct{ Round int }
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		rounds = append(rounds, rec.Round)
+	}
+	if want := []int{0, 1, 0, 1, 0, 1, 0, 1}; !slices.Equal(rounds, want) {
+		t.Errorf("trace rounds %v, want %v", rounds, want)
 	}
 }
 

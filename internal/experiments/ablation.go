@@ -43,47 +43,44 @@ func LabelSkewAblation(setup *Setup, seed uint64, alphas []float64, ks []int, pi
 	if err != nil {
 		return nil, err
 	}
-	var out []SkewPoint
-	for _, alpha := range alphas {
-		var shards []*dataset.Dataset
-		if alpha == 0 {
-			shards = setup.Shards
-		} else {
-			shards, err = dataset.LabelSkewPartitioner{Alpha: alpha, Seed: seed}.Partition(union, setup.Servers)
-			if err != nil {
+	parts := make([][]*dataset.Dataset, len(alphas))
+	for a, alpha := range alphas {
+		parts[a] = setup.Shards
+		if alpha != 0 {
+			if parts[a], err = (dataset.LabelSkewPartitioner{Alpha: alpha, Seed: seed}).Partition(union, setup.Servers); err != nil {
 				return nil, fmt.Errorf("skew %.2f: %w", alpha, err)
 			}
 		}
+	}
+	// Cell i trains ks[i%len(ks)] clients on partition i/len(ks).
+	runs := make([]*sim.Result, len(alphas)*len(ks))
+	if err := inOrder(len(runs), func(i int) (err error) {
+		a := i / len(ks)
+		if runs[i], err = setup.trainOn(parts[a], ks[i%len(ks)], pinnedE, seed, 0, nil); err != nil {
+			return fmt.Errorf("skew %.2f: %w", alphas[a], err)
+		}
+		return nil
+	}, nil); err != nil {
+		return nil, err
+	}
+	out := make([]SkewPoint, len(alphas))
+	for a, alpha := range alphas {
 		pt := SkewPoint{
 			Alpha:     alpha,
 			RoundsByK: make(map[int]int),
 			EnergyByK: make(map[int]float64),
 		}
 		best := math.Inf(1)
-		for _, k := range ks {
-			cfg := setup.simConfig(k, pinnedE, seed)
-			system, err := sim.New(cfg, shards, setup.Test)
-			if err != nil {
-				return nil, fmt.Errorf("skew %.2f K=%d: %w", alpha, k, err)
-			}
-			res, err := system.Run(fl.AnyOf(
-				fl.TargetAccuracy(setup.AccuracyTarget), fl.MaxRounds(setup.RoundCap)))
-			if err != nil {
-				return nil, fmt.Errorf("skew %.2f K=%d run: %w", alpha, k, err)
-			}
-			pt.RoundsByK[k] = RoundsToAccuracy(res.History, setup.AccuracyTarget)
-			pt.EnergyByK[k] = res.TotalJoules()
+		for j, k := range ks {
+			res := runs[a*len(ks)+j]
+			rounds, joules := RoundsToAccuracy(res.History, setup.AccuracyTarget), res.TotalJoules()
+			pt.RoundsByK[k], pt.EnergyByK[k] = rounds, joules
 			// Runs that never hit the target lose to any run that did.
-			effective := pt.EnergyByK[k]
-			if pt.RoundsByK[k] < 0 {
-				effective = math.Inf(1)
-			}
-			if effective < best {
-				best = effective
-				pt.BestK = k
+			if rounds >= 0 && joules < best {
+				best, pt.BestK = joules, k
 			}
 		}
-		out = append(out, pt)
+		out[a] = pt
 	}
 	return out, nil
 }
@@ -186,14 +183,21 @@ func RenderQuant(w io.Writer, points []QuantPoint) error {
 // n), and summarizes the energy, quantifying how much of a measured curve
 // is seed noise.
 func SeedStability(setup *Setup, seed uint64, k, e, n int) (stats.Summary, error) {
-	return stats.Repeat(stats.Seeds(seed, n), func(seed uint64) (float64, error) {
-		res, err := setup.RunTraining(k, e, seed, 0, nil)
-		if err != nil {
-			return 0, err
-		}
+	seeds := stats.Seeds(seed, n)
+	cells := make([]cell, n)
+	for i, s := range seeds {
+		cells[i] = cell{k, e, s}
+	}
+	runs, err := setup.train(cells)
+	if err != nil {
+		return stats.Summary{}, err
+	}
+	joules := make([]float64, n)
+	for i, res := range runs {
 		if RoundsToAccuracy(res.History, setup.AccuracyTarget) < 0 {
-			return 0, fmt.Errorf("seed %d never reached the target", seed)
+			return stats.Summary{}, fmt.Errorf("seed %d never reached the target", seeds[i])
 		}
-		return res.TotalJoules(), nil
-	})
+		joules[i] = res.TotalJoules()
+	}
+	return stats.Summarize(joules)
 }

@@ -143,7 +143,7 @@ func calibrate(setup *Setup) (core.Problem, error) {
 	grid := [][2]int{{1, 1}, {1, 8}, {1, 64}, {4, 1}, {4, 8}, {4, 32}, {16, 3}}
 	const calibrationRounds = 12
 	runs := make([]*sim.Result, len(grid))
-	if err := onPool(len(grid), func(i int) error {
+	if err := inOrder(len(grid), func(i int) error {
 		k, e := grid[i][0], grid[i][1]
 		system, err := sim.New(setup.simConfig(k, e, calibrationSeed), setup.Shards, setup.Test)
 		if err != nil {
@@ -153,7 +153,7 @@ func calibrate(setup *Setup) (core.Problem, error) {
 			return fmt.Errorf("calibrate run (K=%d,E=%d): %w", k, e, err)
 		}
 		return nil
-	}); err != nil {
+	}, nil); err != nil {
 		return core.Problem{}, err
 	}
 	var obs []core.GapObservation

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,11 +42,11 @@ func TestFullScaleSweepSmoke(t *testing.T) {
 	// acceptance smoke for "a ≥60k-sample, K=100 cell end-to-end".
 	spec := SweepSpec{Ks: []int{100}, Es: []int{1}, Seed: 1, RoundCap: 2}
 	var ckpt bytes.Buffer
-	res, err := RunSweep(context.Background(), setup, spec, SweepOptions{Checkpoint: &ckpt})
+	results, err := RunSweep(setup, spec, SweepOptions{Checkpoint: &ckpt})
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
-	cell := res.Cells[0]
+	cell := results[0]
 	if cell.K != 100 || cell.Rounds != 2 {
 		t.Fatalf("cell ran (K=%d, rounds=%d), want (100, 2)", cell.K, cell.Rounds)
 	}
@@ -58,7 +57,7 @@ func TestFullScaleSweepSmoke(t *testing.T) {
 		t.Errorf("accuracy %v after 2 rounds of K=100 — below the 10-class chance floor", cell.FinalAccuracy)
 	}
 
-	frontier, err := ComputeFrontier(res.Cells)
+	frontier, err := ComputeFrontier(results)
 	if err != nil {
 		t.Fatalf("ComputeFrontier: %v", err)
 	}

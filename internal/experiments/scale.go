@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"eefei/internal/core"
 	"eefei/internal/dataset"
@@ -210,9 +211,14 @@ func (s *Setup) simConfig(k, e int, seed uint64) sim.Config {
 // accuracy target or roundCap rounds (≤ 0: the setup's RoundCap), with obs
 // receiving per-round records (nil keeps the engine's no-observer path).
 func (s *Setup) RunTraining(k, e int, seed uint64, roundCap int, obs fl.RoundObserver) (*sim.Result, error) {
+	return s.trainOn(s.Shards, k, e, seed, roundCap, obs)
+}
+
+// trainOn is RunTraining on the given shards in place of the setup's.
+func (s *Setup) trainOn(shards []*dataset.Dataset, k, e int, seed uint64, roundCap int, obs fl.RoundObserver) (*sim.Result, error) {
 	cfg := s.simConfig(k, e, seed)
 	cfg.Observer = obs
-	system, err := sim.New(cfg, s.Shards, s.Test)
+	system, err := sim.New(cfg, shards, s.Test)
 	if err != nil {
 		return nil, fmt.Errorf("K=%d E=%d: %w", k, e, err)
 	}
@@ -234,7 +240,7 @@ type cell struct {
 
 // train returns the to-target run of each cell, in the order asked. A
 // distinct cell trains at most once per Setup: the missing ones run on
-// par.Do across GOMAXPROCS and later asks read the cached result. Runs are
+// inOrder's pool and later asks read the cached result. Runs are
 // independent, so no result depends on the pool size.
 func (s *Setup) train(cells []cell) ([]*sim.Result, error) {
 	var missing []cell
@@ -244,11 +250,11 @@ func (s *Setup) train(cells []cell) ([]*sim.Result, error) {
 		}
 	}
 	runs := make([]*sim.Result, len(missing))
-	if err := onPool(len(missing), func(i int) (err error) {
+	if err := inOrder(len(missing), func(i int) (err error) {
 		c := missing[i]
 		runs[i], err = s.RunTraining(c.k, c.e, c.seed, 0, nil)
 		return err
-	}); err != nil {
+	}, nil); err != nil {
 		return nil, err
 	}
 	if s.runs == nil {
@@ -264,17 +270,53 @@ func (s *Setup) train(cells []cell) ([]*sim.Result, error) {
 	return out, nil
 }
 
-// onPool runs f(0) … f(n−1) on par.Do across GOMAXPROCS and returns the
-// error of the lowest index that failed.
-func onPool(n int, f func(i int) error) error {
-	errs := make([]error, n)
-	par.Do(n, runtime.GOMAXPROCS(0), par.Func(func(_, i int) { errs[i] = f(i) }))
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+// inOrder runs run(0) … run(n−1) on the shared pool (internal/par) across
+// GOMAXPROCS in the background and, on the calling goroutine, commit(i) in
+// index order as soon as run(0) … run(i) have returned (a nil commit does
+// nothing). Every experiment cell trains here. After the first failure, of
+// a run or a commit, no new index starts; inOrder returns the lowest-index
+// error once every started run has returned. Indices are claimed in order,
+// so every index below a failed one has started: the error returned does
+// not depend on the schedule.
+func inOrder(n int, run, commit func(i int) error) error {
+	done := make([]chan error, n)
+	for i := range done {
+		done[i] = make(chan error, 1)
 	}
-	return nil
+	// stop is an index that failed (n while none has). Every index up to it
+	// was claimed before it was stored, so any later claim lies above it.
+	var stop atomic.Int64
+	stop.Store(int64(n))
+	pool := make(chan struct{})
+	go func() {
+		defer close(pool)
+		par.Do(n, runtime.GOMAXPROCS(0), par.Func(func(_, i int) {
+			var err error
+			if int64(i) <= stop.Load() {
+				if err = run(i); err != nil {
+					stop.Store(int64(i))
+				}
+			}
+			done[i] <- err
+		}))
+	}()
+	var first error
+	for i, c := range done {
+		// An index that was skipped sends nil, but only after a lower one
+		// failed, so first is set by then.
+		err := <-c
+		if first != nil {
+			continue
+		}
+		if err == nil && commit != nil {
+			if err = commit(i); err != nil {
+				stop.Store(int64(i))
+			}
+		}
+		first = err
+	}
+	<-pool
+	return first
 }
 
 // RoundsToAccuracy extracts the first round index (1-based count) at which

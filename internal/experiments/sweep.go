@@ -2,33 +2,30 @@ package experiments
 
 import (
 	"bufio"
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"eefei/internal/energy"
 	"eefei/internal/fl"
-	"eefei/internal/par"
 )
 
-// The (K, E) sweep subsystem: a grid of federated training cells executed on
-// a bounded worker pool, checkpointed to JSONL after every completed cell,
-// and reduced to an energy/accuracy Pareto frontier (frontier.go). Three
+// The (K, E) sweep subsystem: a grid of federated training cells trained on
+// inOrder's pool, checkpointed to JSONL after every completed cell, and
+// reduced to an energy/accuracy Pareto frontier (frontier.go). Three
 // contracts, all pinned by tests:
 //
 //   - Bit-identity: every cell trains from a seed derived only from
-//     (SweepSpec.Seed, K, E), so any worker count — including 1 — produces
+//     (SweepSpec.Seed, K, E), so any GOMAXPROCS — including 1 — produces
 //     byte-identical checkpoints and frontiers (the same contract
 //     fl.Engine.Round honors for its training pool).
-//   - Grid-order checkpoints: cells are flushed in grid order (K-major),
-//     regardless of completion order, so the checkpoint file is itself
-//     deterministic and any prefix of it is a valid resume point.
+//   - Grid-order checkpoints: cells are committed in grid order (K-major),
+//     regardless of completion order, one Write per line, so the checkpoint
+//     file is itself deterministic and any prefix of it is a valid resume
+//     point.
 //   - Resume: a sweep restarted from a checkpoint prefix recomputes only the
 //     missing cells and reproduces the uninterrupted artifacts
 //     byte-for-byte.
@@ -243,167 +240,89 @@ type CellResult struct {
 	WallClockSeconds float64 `json:"wall_clock_seconds"`
 }
 
-// SweepProgress is one progress report: cell Done-1 just committed.
-type SweepProgress struct {
-	// Done / Total count committed vs. grid cells (resumed cells included).
-	Done, Total int
-	// Cell is the result that just committed (grid order).
-	Cell CellResult
-	// Elapsed is real time since RunSweep started; ETA extrapolates it over
-	// the remaining cells (resumed cells excluded from the rate).
-	Elapsed, ETA time.Duration
-}
-
-// SweepObserver watches a sweep complete cell by cell — the hook that makes
-// multi-hour full-scale runs watchable. Observers are called in grid order
-// under the sweep's commit lock: a slow observer delays checkpointing but
-// never the training workers' determinism.
-type SweepObserver interface {
-	ObserveCell(SweepProgress)
-}
-
-// SweepObserverFunc adapts a function to SweepObserver.
-type SweepObserverFunc func(SweepProgress)
-
-// ObserveCell implements SweepObserver.
-func (f SweepObserverFunc) ObserveCell(p SweepProgress) { f(p) }
-
 // SweepOptions configures RunSweep beyond the spec.
 type SweepOptions struct {
-	// Workers bounds the cell pool (<= 0: GOMAXPROCS). Any value produces
-	// byte-identical artifacts.
-	Workers int
 	// Checkpoint, when non-nil, receives one JSON line per cell in grid
-	// order — resumed cells are re-emitted first, so the sink always holds
-	// a complete prefix of the grid and an interrupted sweep can resume
-	// from it without recomputation.
+	// order, each in one Write — resumed cells are re-emitted first, so the
+	// sink always holds a complete prefix of the grid and an interrupted
+	// sweep can resume from it without recomputation.
 	Checkpoint io.Writer
 	// Resume is a previously checkpointed prefix (ReadSweepCheckpoint);
 	// those cells are trusted and skipped. It must match this spec's grid
 	// exactly or RunSweep errors.
 	Resume []CellResult
-	// Observer receives per-cell progress.
-	Observer SweepObserver
-	// RoundObserver is attached to every cell's engine (per-round phase
-	// timings; a fl.TraceWriter makes the sweep traceable). With Workers >
-	// 1 cells run concurrently, so it must be safe for concurrent use.
-	RoundObserver fl.RoundObserver
+	// Trace, when non-nil, receives the per-round JSONL records
+	// (fl.TraceWriter's) of every cell this run trains, cell after cell in
+	// grid order.
+	Trace io.Writer
+	// Progress, when non-nil, is called in grid order as each trained cell
+	// commits; done counts the committed cells, resumed ones included.
+	Progress func(done int, c CellResult)
 }
 
-// SweepResult is a completed sweep.
-type SweepResult struct {
-	Spec SweepSpec
-	// Cells holds every cell result in grid order.
-	Cells []CellResult
-}
-
-// RunSweep executes the spec's grid over the setup. Cells run on a bounded
-// worker pool; results commit (checkpoint + observer) strictly in grid
-// order. Cancelling ctx stops the sweep at the next cell boundary with an
-// error wrapping ctx.Err(); everything committed by then remains valid for
-// resumption.
-func RunSweep(ctx context.Context, setup *Setup, spec SweepSpec, opts SweepOptions) (*SweepResult, error) {
+// RunSweep trains the spec's grid over the setup and returns every cell's
+// result in grid order. Cells train on inOrder's pool and commit
+// (checkpoint line, trace, progress) in grid order; on an error everything
+// committed so far remains valid for resumption.
+func RunSweep(setup *Setup, spec SweepSpec, opts SweepOptions) ([]CellResult, error) {
 	if setup == nil {
 		return nil, fmt.Errorf("sweep: nil setup: %w", ErrExperiment)
 	}
 	if err := spec.Validate(setup.Servers); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cells := spec.Cells()
 	if err := validateResume(cells, opts.Resume); err != nil {
 		return nil, err
 	}
-	total := len(cells)
-	results := make([]*CellResult, total)
+	results := make([]CellResult, len(cells))
+	copy(results, opts.Resume)
 	var enc *json.Encoder
 	if opts.Checkpoint != nil {
 		enc = json.NewEncoder(opts.Checkpoint)
-	}
-	resumed := len(opts.Resume)
-	for i := range opts.Resume {
-		r := opts.Resume[i]
-		results[i] = &r
-		if enc != nil {
-			if err := enc.Encode(&r); err != nil {
+		for i := range opts.Resume {
+			if err := enc.Encode(&results[i]); err != nil {
 				return nil, fmt.Errorf("sweep: checkpoint resumed cell %d: %w", i, err)
 			}
 		}
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	start := time.Now()
-	var (
-		mu          sync.Mutex
-		next        = resumed // next grid index to flush
-		firstErr    error
-		firstErrIdx = total + 1
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if i < firstErrIdx {
-			firstErrIdx, firstErr = i, err
+	fresh := cells[len(opts.Resume):]
+	traces := make([][]byte, len(fresh))
+	err := inOrder(len(fresh), func(j int) error {
+		c := fresh[j]
+		var trace bytes.Buffer
+		var obs fl.RoundObserver
+		if opts.Trace != nil {
+			obs = fl.NewTraceWriter(&trace)
 		}
-		cancel()
-	}
-	commit := func(i int, r *CellResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		results[i] = r
-		for next < total && results[next] != nil {
-			if enc != nil {
-				if err := enc.Encode(results[next]); err != nil {
-					if next < firstErrIdx {
-						firstErrIdx = next
-						firstErr = fmt.Errorf("sweep: checkpoint cell %d: %w", next, err)
-					}
-					cancel()
-					return
-				}
-			}
-			cell := *results[next]
-			next++
-			if opts.Observer != nil {
-				p := SweepProgress{Done: next, Total: total, Cell: cell, Elapsed: time.Since(start)}
-				if fresh := next - resumed; fresh > 0 && next < total {
-					p.ETA = p.Elapsed / time.Duration(fresh) * time.Duration(total-next)
-				}
-				opts.Observer.ObserveCell(p)
-			}
-		}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Cells past a failure or cancellation are claimed but skipped.
-	par.Do(total-resumed, workers, par.Func(func(_, j int) {
-		if runCtx.Err() != nil {
-			return
-		}
-		i := resumed + j
-		r, err := runSweepCell(setup, spec, cells[i], opts.RoundObserver)
+		r, err := runSweepCell(setup, spec, c, obs)
 		if err != nil {
-			fail(i, fmt.Errorf("sweep cell %d (K=%d,E=%d): %w", i, cells[i].K, cells[i].E, err))
-			return
+			return fmt.Errorf("sweep cell %d (K=%d,E=%d): %w", c.Index, c.K, c.E, err)
 		}
-		commit(i, r)
-	}))
-	if firstErr != nil {
-		return nil, firstErr
+		results[c.Index], traces[j] = *r, trace.Bytes()
+		return nil
+	}, func(j int) error {
+		i := fresh[j].Index
+		if enc != nil {
+			if err := enc.Encode(&results[i]); err != nil {
+				return fmt.Errorf("sweep: checkpoint cell %d: %w", i, err)
+			}
+		}
+		if opts.Trace != nil {
+			if _, err := opts.Trace.Write(traces[j]); err != nil {
+				return fmt.Errorf("sweep: trace cell %d: %w", i, err)
+			}
+			traces[j] = nil
+		}
+		if opts.Progress != nil {
+			opts.Progress(i+1, results[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if next < total {
-		return nil, fmt.Errorf("sweep interrupted after %d/%d cells: %w", next, total, ctx.Err())
-	}
-	out := make([]CellResult, total)
-	for i, r := range results {
-		out[i] = *r
-	}
-	return &SweepResult{Spec: spec, Cells: out}, nil
+	return results, nil
 }
 
 // runSweepCell trains one cell and reduces the run to its checkpoint record.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"flag"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"eefei/internal/fl"
@@ -29,18 +27,17 @@ func goldenSweepSpec() SweepSpec {
 
 // runGoldenSweep executes the golden spec and returns (checkpoint JSONL,
 // frontier CSV) bytes.
-func runGoldenSweep(t *testing.T, workers int, resume []CellResult) ([]byte, []byte, *SweepResult) {
+func runGoldenSweep(t *testing.T, resume []CellResult) ([]byte, []byte, []CellResult) {
 	t.Helper()
 	var ckpt bytes.Buffer
-	res, err := RunSweep(context.Background(), quickSetup(t), goldenSweepSpec(), SweepOptions{
-		Workers:    workers,
+	cells, err := RunSweep(quickSetup(t), goldenSweepSpec(), SweepOptions{
 		Checkpoint: &ckpt,
 		Resume:     resume,
 	})
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
-	frontier, err := ComputeFrontier(res.Cells)
+	frontier, err := ComputeFrontier(cells)
 	if err != nil {
 		t.Fatalf("ComputeFrontier: %v", err)
 	}
@@ -48,97 +45,106 @@ func runGoldenSweep(t *testing.T, workers int, resume []CellResult) ([]byte, []b
 	if err := WriteFrontierCSV(&csv, frontier); err != nil {
 		t.Fatalf("WriteFrontierCSV: %v", err)
 	}
-	return ckpt.Bytes(), csv.Bytes(), res
+	return ckpt.Bytes(), csv.Bytes(), cells
+}
+
+// readGolden returns the checked-in 3×3 checkpoint and frontier CSV.
+func readGolden(t *testing.T) (ckpt, csv []byte) {
+	t.Helper()
+	ckpt, err := os.ReadFile(filepath.Join("testdata", "sweep_quick_3x3.golden.jsonl"))
+	if err != nil {
+		t.Fatalf("golden checkpoint: %v (regenerate with -update)", err)
+	}
+	csv, err = os.ReadFile(filepath.Join("testdata", "frontier_quick_3x3.golden.csv"))
+	if err != nil {
+		t.Fatalf("golden frontier: %v (regenerate with -update)", err)
+	}
+	return ckpt, csv
 }
 
 func TestSweepGolden(t *testing.T) {
-	ckpt, csv, res := runGoldenSweep(t, 2, nil)
-	if len(res.Cells) != 9 {
-		t.Fatalf("cells = %d, want 9", len(res.Cells))
+	ckpt, csv, cells := runGoldenSweep(t, nil)
+	if len(cells) != 9 {
+		t.Fatalf("cells = %d, want 9", len(cells))
 	}
-	ckptPath := filepath.Join("testdata", "sweep_quick_3x3.golden.jsonl")
-	csvPath := filepath.Join("testdata", "frontier_quick_3x3.golden.csv")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(ckptPath, ckpt, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", "sweep_quick_3x3.golden.jsonl"), ckpt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(csvPath, csv, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", "frontier_quick_3x3.golden.csv"), csv, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantCkpt, err := os.ReadFile(ckptPath)
-	if err != nil {
-		t.Fatalf("golden checkpoint: %v (regenerate with -update)", err)
-	}
+	wantCkpt, wantCSV := readGolden(t)
 	if !bytes.Equal(ckpt, wantCkpt) {
 		t.Errorf("checkpoint differs from golden\ngot:\n%s\nwant:\n%s", ckpt, wantCkpt)
-	}
-	wantCSV, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatalf("golden frontier: %v (regenerate with -update)", err)
 	}
 	if !bytes.Equal(csv, wantCSV) {
 		t.Errorf("frontier csv differs from golden\ngot:\n%s\nwant:\n%s", csv, wantCSV)
 	}
 	// The golden checkpoint must round-trip through the reader.
-	cells, err := ReadSweepCheckpoint(bytes.NewReader(ckpt))
+	read, err := ReadSweepCheckpoint(bytes.NewReader(ckpt))
 	if err != nil {
 		t.Fatalf("ReadSweepCheckpoint: %v", err)
 	}
-	if !reflect.DeepEqual(cells, res.Cells) {
+	if !reflect.DeepEqual(read, cells) {
 		t.Error("checkpoint round-trip lost information")
 	}
 }
 
-func TestSweepWorkerCountBitIdentical(t *testing.T) {
+// TestSweepPoolSizeBitIdentical pins the golden at every pool size: the
+// sweep trains across GOMAXPROCS, and 1, 2 and 4 give the same bytes.
+func TestSweepPoolSizeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated sweep runs")
 	}
-	baseCkpt, baseCSV, _ := runGoldenSweep(t, 1, nil)
-	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		ckpt, csv, _ := runGoldenSweep(t, w, nil)
-		if !bytes.Equal(ckpt, baseCkpt) {
-			t.Errorf("workers=%d checkpoint differs from sequential", w)
+	wantCkpt, wantCSV := readGolden(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		ckpt, csv, _ := runGoldenSweep(t, nil)
+		if !bytes.Equal(ckpt, wantCkpt) {
+			t.Errorf("GOMAXPROCS=%d checkpoint differs from golden", procs)
 		}
-		if !bytes.Equal(csv, baseCSV) {
-			t.Errorf("workers=%d frontier differs from sequential", w)
+		if !bytes.Equal(csv, wantCSV) {
+			t.Errorf("GOMAXPROCS=%d frontier differs from golden", procs)
 		}
 	}
 }
 
-// TestSweepResumeBitIdentical kills a sequential sweep after cell 4 commits
-// and asserts the resumed run reproduces the uninterrupted checkpoint and
-// frontier byte-for-byte.
-func TestSweepResumeBitIdentical(t *testing.T) {
-	fullCkpt, fullCSV, _ := runGoldenSweep(t, 1, nil)
+// failingWriter accepts n writes, then fails every later one.
+type failingWriter struct {
+	bytes.Buffer
+	n int
+}
 
-	// Interrupted run: cancel from the observer once 4 cells have
-	// committed. With workers=1 the cancellation point is deterministic —
-	// the worker checks the context before claiming cell 5.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var partial bytes.Buffer
-	_, err := RunSweep(ctx, quickSetup(t), goldenSweepSpec(), SweepOptions{
-		Workers:    1,
-		Checkpoint: &partial,
-		Observer: SweepObserverFunc(func(p SweepProgress) {
-			if p.Done == 4 {
-				cancel()
-			}
-		}),
-	})
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted sweep error = %v, want context.Canceled", err)
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errDiskFull
 	}
-	if got := strings.Count(partial.String(), "\n"); got != 4 {
-		t.Fatalf("interrupted checkpoint has %d cells, want 4", got)
+	w.n--
+	return w.Buffer.Write(p)
+}
+
+// TestSweepResumeBitIdentical breaks the checkpoint sink on its 5th write and
+// asserts the sweep stops with the sink's error after exactly 4 grid-order
+// lines, and that resuming from them reproduces the golden byte-for-byte.
+func TestSweepResumeBitIdentical(t *testing.T) {
+	fullCkpt, fullCSV := readGolden(t)
+
+	partial := &failingWriter{n: 4}
+	_, err := RunSweep(quickSetup(t), goldenSweepSpec(), SweepOptions{Checkpoint: partial})
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("interrupted sweep error = %v, want one wrapping %v", err, errDiskFull)
 	}
 	wantPrefix := bytes.Join(bytes.SplitAfterN(fullCkpt, []byte("\n"), 5)[:4], nil)
 	if !bytes.Equal(partial.Bytes(), wantPrefix) {
-		t.Fatalf("interrupted checkpoint is not a prefix of the full one\ngot:\n%s\nwant:\n%s",
+		t.Fatalf("interrupted checkpoint is not the golden's first 4 lines\ngot:\n%s\nwant:\n%s",
 			partial.Bytes(), wantPrefix)
 	}
 
@@ -151,7 +157,7 @@ func TestSweepResumeBitIdentical(t *testing.T) {
 	if len(resume) != 4 {
 		t.Fatalf("resume cells = %d, want 4", len(resume))
 	}
-	ckpt, csv, _ := runGoldenSweep(t, 2, resume)
+	ckpt, csv, _ := runGoldenSweep(t, resume)
 	if !bytes.Equal(ckpt, fullCkpt) {
 		t.Errorf("resumed checkpoint differs from uninterrupted run\ngot:\n%s\nwant:\n%s", ckpt, fullCkpt)
 	}
@@ -164,28 +170,28 @@ func TestSweepResumeEveryPrefix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("9 resumed sweeps")
 	}
-	fullCkpt, _, full := runGoldenSweep(t, 1, nil)
-	for n := 0; n <= len(full.Cells); n++ {
-		ckpt, _, res := runGoldenSweep(t, 2, full.Cells[:n])
+	fullCkpt, _, full := runGoldenSweep(t, nil)
+	for n := 0; n <= len(full); n++ {
+		ckpt, _, cells := runGoldenSweep(t, full[:n])
 		if !bytes.Equal(ckpt, fullCkpt) {
 			t.Errorf("resume from prefix %d: checkpoint differs", n)
 		}
-		if !reflect.DeepEqual(res.Cells, full.Cells) {
+		if !reflect.DeepEqual(cells, full) {
 			t.Errorf("resume from prefix %d: cells differ", n)
 		}
 	}
 }
 
 func TestSweepResumeMismatchRejected(t *testing.T) {
-	_, _, full := runGoldenSweep(t, 2, nil)
-	bad := full.Cells[:2]
+	_, _, full := runGoldenSweep(t, nil)
+	bad := full[:2]
 	bad[1].Seed++
-	_, err := RunSweep(context.Background(), quickSetup(t), goldenSweepSpec(), SweepOptions{Resume: bad})
+	_, err := RunSweep(quickSetup(t), goldenSweepSpec(), SweepOptions{Resume: bad})
 	if !errors.Is(err, ErrExperiment) {
 		t.Errorf("mismatched resume error = %v, want ErrExperiment", err)
 	}
 	tooMany := make([]CellResult, 10)
-	_, err = RunSweep(context.Background(), quickSetup(t), goldenSweepSpec(), SweepOptions{Resume: tooMany})
+	_, err = RunSweep(quickSetup(t), goldenSweepSpec(), SweepOptions{Resume: tooMany})
 	if !errors.Is(err, ErrExperiment) {
 		t.Errorf("oversized resume error = %v, want ErrExperiment", err)
 	}
@@ -193,45 +199,41 @@ func TestSweepResumeMismatchRejected(t *testing.T) {
 
 func TestSweepObserverProgress(t *testing.T) {
 	var dones []int
-	var lastTotal int
 	spec := SweepSpec{Ks: []int{1, 2}, Es: []int{1}, Seed: 3, RoundCap: 2}
-	res, err := RunSweep(context.Background(), quickSetup(t), spec, SweepOptions{
-		Workers: 2,
-		Observer: SweepObserverFunc(func(p SweepProgress) {
-			dones = append(dones, p.Done)
-			lastTotal = p.Total
-			if p.Elapsed < 0 || p.ETA < 0 {
-				t.Errorf("negative timing: elapsed %v eta %v", p.Elapsed, p.ETA)
+	cells, err := RunSweep(quickSetup(t), spec, SweepOptions{
+		Progress: func(done int, c CellResult) {
+			dones = append(dones, done)
+			if c.Index != done-1 {
+				t.Errorf("progress %d carried cell %d", done, c.Index)
 			}
-		}),
+		},
 	})
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
-	if len(res.Cells) != 2 {
-		t.Fatalf("cells = %d, want 2", len(res.Cells))
+	if len(cells) != 2 {
+		t.Fatalf("cells = %d, want 2", len(cells))
 	}
-	if !reflect.DeepEqual(dones, []int{1, 2}) || lastTotal != 2 {
-		t.Errorf("observer saw dones=%v total=%d, want [1 2] / 2", dones, lastTotal)
+	if !reflect.DeepEqual(dones, []int{1, 2}) {
+		t.Errorf("progress saw dones=%v, want [1 2]", dones)
 	}
 }
 
+// TestSweepRoundObserverThreaded pins the trace: one record per round of
+// every cell, so Σ Rounds lines.
 func TestSweepRoundObserverThreaded(t *testing.T) {
-	var rounds atomic.Int64
+	var trace bytes.Buffer
 	spec := SweepSpec{Ks: []int{1, 2}, Es: []int{1}, Seed: 3, RoundCap: 3}
-	res, err := RunSweep(context.Background(), quickSetup(t), spec, SweepOptions{
-		Workers:       2,
-		RoundObserver: fl.FuncObserver(func(fl.RoundStats) { rounds.Add(1) }),
-	})
+	cells, err := RunSweep(quickSetup(t), spec, SweepOptions{Trace: &trace})
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
 	want := 0
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		want += c.Rounds
 	}
-	if got := int(rounds.Load()); got != want {
-		t.Errorf("round observer saw %d rounds, cells ran %d", got, want)
+	if got := bytes.Count(trace.Bytes(), []byte("\n")); got != want {
+		t.Errorf("trace has %d lines, cells ran %d rounds", got, want)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the experiment harness uses
 // when repeating stochastic runs across seeds: means, standard deviations,
-// order statistics, and a generic multi-seed repetition helper.
+// order statistics, and the seeds to repeat at.
 package stats
 
 import (
@@ -81,23 +81,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g ±%.4g [%.4g, %.4g] median=%.4g",
 		s.N, s.Mean, s.StdDev, s.Min, s.Max, s.Median)
-}
-
-// Repeat runs f once per seed and summarizes the returned metric. Any run
-// error aborts the repetition.
-func Repeat(seeds []uint64, f func(seed uint64) (float64, error)) (Summary, error) {
-	if len(seeds) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	out := make([]float64, 0, len(seeds))
-	for _, seed := range seeds {
-		v, err := f(seed)
-		if err != nil {
-			return Summary{}, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		out = append(out, v)
-	}
-	return Summarize(out)
 }
 
 // Seeds returns n deterministic, well-spread seeds starting at base.

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -80,29 +79,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Error("Quantile must not sort the caller's slice")
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	calls := 0
-	s, err := Repeat(Seeds(1, 5), func(seed uint64) (float64, error) {
-		calls++
-		return float64(seed % 10), nil
-	})
-	if err != nil {
-		t.Fatalf("Repeat: %v", err)
-	}
-	if calls != 5 || s.N != 5 {
-		t.Errorf("calls=%d N=%d, want 5", calls, s.N)
-	}
-	// Error propagation.
-	if _, err := Repeat(Seeds(1, 3), func(seed uint64) (float64, error) {
-		return 0, fmt.Errorf("boom")
-	}); err == nil {
-		t.Error("run error must propagate")
-	}
-	if _, err := Repeat(nil, nil); !errors.Is(err, ErrEmpty) {
-		t.Error("no seeds must error")
 	}
 }
 

@@ -31,6 +31,13 @@ echo "== one pool =="
 if git grep -nE 'cursor\.Add\(1\)|sync\.WaitGroup' -- internal/fl internal/ml internal/dataset internal/experiments ':!*_test.go'; then
     echo "hand-rolled worker pool found: use par.Do"; exit 1
 fi
+# Every experiment cell trains through internal/experiments' inOrder: its
+# par.Do call is the package's only one, so no second cell runner grows back.
+pardo=$({ git grep -c 'par\.Do' -- internal/experiments ':!*_test.go' || true; } | awk -F: '{ n += $2 } END { print n + 0 }')
+inorder=$(awk '/^func inOrder\(/{p=1} p{print} p&&/^}/{exit}' internal/experiments/scale.go | grep -c 'par\.Do' || true)
+if [ "$pardo" != 1 ] || [ "$inorder" != 1 ]; then
+    echo "internal/experiments: $pardo par.Do calls, $inorder in inOrder; want one, inside inOrder"; exit 1
+fi
 
 echo "== one predictor =="
 # Both ends of a link form the lossless wire codec's prediction from models
