@@ -11,7 +11,9 @@
 // down when training completes.
 //
 // With -transport dgram it listens on a UDP socket and speaks the fldgram
-// sliding-window ARQ instead of TCP; -mtu bounds the datagram size, and
+// sliding-window ARQ instead of TCP, giving each edge a socket of its own on
+// the listen address (SO_REUSEPORT; where the system has none it exits at
+// start-up with the listen error); -mtu bounds the datagram size, and
 // -loss (or equivalently -success-prob) injects seeded per-attempt packet
 // loss so retransmission energy is measurable on a loopback bench. Round
 // lines then also report attempted vs delivered bytes — the measured 1/p of
@@ -20,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -141,7 +144,9 @@ func run(args []string) error {
 		if err == nil {
 			break
 		}
-		if attempt >= *retries {
+		// A datagram listener this system or configuration cannot have
+		// (ErrTransport: an invalid -mtu, or no SO_REUSEPORT) is not retried.
+		if attempt >= *retries || errors.Is(err, fldgram.ErrTransport) {
 			return fmt.Errorf("listen %s (after %d attempts): %w", *listen, attempt+1, err)
 		}
 		fmt.Printf("fedcoord: listen %s failed (%v), retrying…\n", *listen, err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -129,5 +130,20 @@ func TestTransportFlagRejections(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v must be rejected", args)
 		}
+	}
+}
+
+// TestDgramListenErrorExitsAtStartup: a datagram listener that cannot be
+// had (here an invalid -mtu; likewise a system without SO_REUSEPORT) fails
+// run at once with fldgram.ErrTransport instead of spending -retries on
+// backoff.
+func TestDgramListenErrorExitsAtStartup(t *testing.T) {
+	start := time.Now()
+	err := run([]string{"-transport", "dgram", "-listen", "127.0.0.1:0", "-mtu", "10"})
+	if !errors.Is(err, fldgram.ErrTransport) {
+		t.Fatalf("run = %v, want an fldgram.ErrTransport listen error", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("run took %v to fail: the listen error was retried", took)
 	}
 }

@@ -18,12 +18,12 @@ var errPeerClosed = fmt.Errorf("peer closed: %w", ErrTransport)
 // buffer was the only copy of its unacknowledged fragments.
 var errBrokenStream = fmt.Errorf("stream broken by a failed write: %w", ErrTransport)
 
-// window is the number of data packets a Write keeps unacknowledged. Every
-// peer of a Listener sends into one socket, so the bound that matters is
-// fleet × window × skb truesize (2304 B for a 1200-byte datagram) below the
-// socket's receive buffer: 8 × 8 × 2304 B = 147 kB fits the stock 212992 B;
-// 16 overflows it and turns injected loss into real carrier loss.
-const window = 8
+// window is the number of data packets a Write keeps unacknowledged, and how
+// far ahead of a hole the receiver holds packets. Each peer of a Listener
+// has a socket of its own, so the bound that matters is window × skb
+// truesize (2304 B for a 1200-byte datagram) below one socket's receive
+// buffer: 32 × 2304 B = 74 kB fits the stock 212992 B whatever the fleet.
+const window = 32
 
 // Stats is a snapshot of one Conn's packet accounting. The Tx side counts
 // data packets only (ACKs and FINs ride for free in the energy model — the
@@ -41,7 +41,8 @@ type Stats struct {
 	TxDeliveredBytes int64
 	// Rx counters mirror the receive side: unique in-order data packets
 	// delivered to Read, duplicates re-acknowledged, strays ahead of the
-	// in-order frontier, and datagrams that failed validation.
+	// in-order frontier (held, or dropped when window or more ahead), and
+	// datagrams that failed validation.
 	RxDelivered      int64
 	RxDeliveredBytes int64
 	RxDupPackets     int64
@@ -50,9 +51,9 @@ type Stats struct {
 	// AckPackets counts acknowledgments sent (including injected-dropped
 	// ones).
 	AckPackets int64
-	// GoBacks counts returns of the sender to the ACK frontier, on an RTO
-	// or a gap ACK: the carrier, not the injector, lost or reordered
-	// something. 0 on a healthy link whatever the injected loss.
+	// GoBacks counts recoveries: one hole resent on a gap ACK, or an RTO
+	// go-back to the ACK frontier. The carrier, not the injector, lost or
+	// reordered something; 0 on a healthy link whatever the injected loss.
 	GoBacks int64
 	// PeerAttemptBytes is the peer's cumulative attempted data bytes as
 	// last reported in a packet header.
@@ -60,9 +61,10 @@ type Stats struct {
 }
 
 // Conn is a reliable net.Conn over an unreliable PacketLink: MTU
-// fragmentation, CRC-validated reassembly, and a go-back-N ARQ with a fixed
-// window of unacknowledged packets, count-based cumulative ACKs and
-// per-attempt accounting. One goroutine owns the link's receive side; Write
+// fragmentation, CRC-validated reassembly, and a sliding-window ARQ with a
+// fixed window of unacknowledged packets, count-based cumulative ACKs, a
+// receiver that holds what arrives past a hole, and per-attempt
+// accounting. One goroutine owns the link's receive side; Write
 // calls are serialized internally. Read supports a single reader at a time
 // (concurrent readers would race for the same in-order stream anyway).
 type Conn struct {
@@ -186,8 +188,9 @@ func (c *Conn) recvLoop() {
 // The ACK policy lives here and counts packets, never time, so AckPackets is
 // a function of the byte stream: one cumulative ACK when a frame ends, one
 // every window/2 in-order packets (the sender's window reopens before it
-// drains), one for any duplicate (its ACK was lost), and one flagged
-// flagGap for a packet past the frontier (the carrier lost its predecessor).
+// drains), one for any duplicate (its ACK was lost), one for a packet past
+// the frontier (the carrier lost its predecessor), and one when a hole
+// fills. An ACK is flagged flagGap while a hole remains.
 func (c *Conn) process(pkt []byte) {
 	if len(pkt) > 0 && pkt[0] == pktAck {
 		c.processAck(pkt)
@@ -196,15 +199,18 @@ func (c *Conn) process(pkt []byte) {
 	var flags byte
 	ack := false
 	c.mu.Lock()
-	next, ahead := c.ra.next, c.ra.aheadPackets
+	next, ahead, held := c.ra.next, c.ra.aheadPackets, c.ra.held
 	switch _, owed := c.ra.absorb(pkt); {
 	case c.ra.next != next: // in order (and CRC-valid, so its flags are the sender's)
-		c.unacked++
-		ack = pkt[1]&flagFrameEnd != 0 || c.unacked >= window/2
+		c.unacked += int(c.ra.next - next)
+		ack = pkt[1]&flagFrameEnd != 0 || c.unacked >= window/2 || held > 0
 	case owed: // duplicate
 		ack = true
 	case c.ra.aheadPackets != ahead:
-		ack, flags = true, flagGap
+		ack = true
+	}
+	if c.ra.held > 0 || c.ra.aheadPackets != ahead {
+		flags = flagGap
 	}
 	// The in-order frontier, carrying this side's cumulative attempted
 	// bytes so the peer can meter our spend. next−1 wraps for an empty
@@ -228,8 +234,8 @@ func (c *Conn) process(pkt []byte) {
 // processAck advances the ACK frontier. An ACK for a fragment never sent is
 // garbage however valid its CRC: believing it would complete a Write whose
 // bytes the peer never absorbed. A gap ACK for the current frontier, with
-// something beyond it sent, is recorded for Write to go back on; the plain
-// re-ACK a duplicate earns never is.
+// something beyond it sent, is recorded for Write to resend the hole on;
+// the plain re-ACK a duplicate earns never is.
 func (c *Conn) processAck(pkt []byte) {
 	_, flags, seq, attemptBytes, _, ok := decodePacket(pkt)
 	acked := seq + 1
@@ -284,8 +290,10 @@ func (c *Conn) sendData(run []byte, fate faultnet.PacketFate) {
 // already happened on "the radio" and no ACK can come. Attempt counters are
 // therefore a pure function of (seed, byte stream), and the last fragment's
 // header carries the final cumulative attempted bytes. Only genuine carrier
-// loss goes back to the frontier: after one round trip when the receiver
-// saw the gap, after an RTO without progress when the loss was at the tail.
+// loss is resent: when the receiver reports a gap, the one fragment at the
+// frontier, once per frontier, after one round trip (the receiver holds
+// what came after it); when the loss was at the tail, everything from the
+// frontier, after an RTO without progress.
 //
 // The packets transmitted between two waits leave as one run, a flight the
 // UDP carrier sends with one syscall. A run ends before Write waits (which
@@ -293,7 +301,7 @@ func (c *Conn) sendData(run []byte, fate faultnet.PacketFate) {
 // maxMTU bytes; window ≤ 64, the kernel's segment cap, bounds its count. A
 // packet fated to be duplicated or held back, and every packet while one is
 // held, goes as a run of its own, so the carrier sees the order it would
-// one packet at a time.
+// one packet at a time; so does a resent hole.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -309,7 +317,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 		next     int                                    // fragment to transmit next
 		attempts [window]int                            // transmissions of in-flight fragment i, at i%window
 		rtoAt    time.Time                              // zero until a wait begins; any progress clears it
-		recover  int                                    // gap ACKs are ignored until the frontier reaches it
+		hole     = -1                                   // fragment a gap ACK asked for, until it is resent; -1: none
+		repaired = -1                                   // the frontier last resent or gone back to
 		holding  bool                                   // the carrier holds a packet back until the next send
 	)
 	fragment := func(i int) []byte { return p[i*c.payload : min((i+1)*c.payload, len(p))] }
@@ -349,16 +358,23 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		next = max(next, acked)
 		full := next == n || next-acked == window
-		if (c.gapAt == uint64(c.txAcked)+1 && acked >= recover) ||
-			(full && !rtoAt.IsZero() && !now.Before(rtoAt)) {
-			// The carrier lost something: the receiver saw a gap, or nothing
-			// came back for an RTO. Go back to the frontier — and, as in
-			// NewReno, ignore further gap reports until the frontier passes
-			// everything sent so far: they are echoes of the same flight.
-			next, recover, rtoAt, full = acked, int(c.txSeq-base), time.Time{}, false
+		switch {
+		case c.gapAt == uint64(c.txAcked)+1 && acked != repaired:
+			// The carrier lost the frontier fragment and the receiver holds
+			// what came after it: resend that one. Further gap reports for
+			// the same frontier are echoes of the same hole.
+			hole, repaired = acked, acked
+			c.stats.GoBacks++
+		case full && !rtoAt.IsZero() && !now.Before(rtoAt):
+			// Nothing came back for an RTO: a loss at the tail, or a lost
+			// resend. Go back to the frontier.
+			next, hole, repaired, rtoAt, full = acked, -1, acked, time.Time{}, false
 			c.stats.GoBacks++
 		}
-		if full {
+		if hole < acked {
+			hole = -1 // the frontier passed it
+		}
+		if full && hole < 0 {
 			if len(c.txScratch) > 0 {
 				flush(faultnet.PacketFate{})
 				continue
@@ -377,12 +393,16 @@ func (c *Conn) Write(p []byte) (int, error) {
 			continue
 		}
 
-		seq := base + uint32(next)
-		if attempts[next%window] == c.cfg.MaxAttempts {
+		i := next
+		if hole >= 0 {
+			i = hole
+		}
+		seq := base + uint32(i)
+		if attempts[i%window] == c.cfg.MaxAttempts {
 			return acked * c.payload, fmt.Errorf("fragment %d after %d attempts: %w", seq, c.cfg.MaxAttempts, errAttempts)
 		}
-		frag, flags := fragment(next), byte(0)
-		if next == n-1 {
+		frag, flags := fragment(i), byte(0)
+		if i == n-1 {
 			flags = flagFrameEnd
 		}
 		size := headerLen + len(frag)
@@ -390,7 +410,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			flush(faultnet.PacketFate{})
 			continue
 		}
-		attempts[next%window]++
+		attempts[i%window]++
 		if seq == c.txSeq {
 			c.txSeq++
 		}
@@ -405,12 +425,18 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if fate.Drop {
 			continue
 		}
-		alone := fate.Dup || fate.Hold || holding || perPacket
+		alone := fate.Dup || fate.Hold || holding || perPacket || i != next
 		if alone {
 			flush(faultnet.PacketFate{})
 		}
 		c.txScratch = encodePacket(c.txScratch, pktData, flags, seq, cum, frag)
-		next, rtoAt = next+1, time.Time{}
+		if i == next {
+			next++
+		}
+		if i == hole {
+			hole = -1
+		}
+		rtoAt = time.Time{}
 		if alone {
 			flush(fate)
 			holding = fate.Hold

@@ -11,13 +11,13 @@
 //   - Every Write is one frame, fragmented into MTU-sized datagrams with a
 //     20-byte header (type, flags, length, sequence number, the sender's
 //     cumulative attempted-byte counter, and a CRC-32C over the packet).
-//   - A go-back-N ARQ with a fixed window of 8 packets delivers fragments
-//     in order: the receiver acknowledges cumulatively, by packet count
-//     (every fourth in-order packet and every frame end), and each data
-//     packet is retransmitted until an ACK covers it, so with a per-attempt
-//     delivery probability p the attempt count per fragment is exactly the
-//     geometric distribution of iot.Unlicensed, and attempted/delivered
-//     bytes converge to 1/p.
+//   - A sliding-window ARQ with a fixed window of 32 packets delivers
+//     fragments in order: the receiver acknowledges cumulatively, by packet
+//     count (every sixteenth in-order packet and every frame end), and each
+//     data packet is retransmitted until an ACK covers it, so with a
+//     per-attempt delivery probability p the attempt count per fragment is
+//     exactly the geometric distribution of iot.Unlicensed, and
+//     attempted/delivered bytes converge to 1/p.
 //   - Loss, duplication, and reordering are injected deterministically by
 //     seeded faultnet.PacketInjector streams owned by each Conn. An
 //     injected drop is decided at the sender before the packet touches the
@@ -26,8 +26,10 @@
 //     immediately. Attempt counts are therefore a pure function of the
 //     seed and the byte stream, independent of timing, and tests run at
 //     memory speed. Genuine carrier loss is what the receiver's gap ACK
-//     (one round trip) and the RTO (a loss at the tail) repair, by going
-//     back to the ACK frontier; Stats.GoBacks counts it.
+//     and the RTO repair: the receiver holds up to a window of packets past
+//     a hole, so a gap ACK costs one round trip and the resend of the hole
+//     alone, and only a loss at the tail waits the RTO and goes back to the
+//     ACK frontier; Stats.GoBacks counts both.
 //   - Both ends count attempted and delivered bytes, and every packet
 //     header carries the sender's cumulative attempted bytes, so a
 //     receiver knows the peer's spend without touching the payload
@@ -35,8 +37,10 @@
 //     surface attempted-vs-delivered bytes in round records and traces.
 //
 // Carriers: Pipe wires two Conns through in-memory channels (deterministic
-// tests), and Listen/Dialer run the same Conn over a UDP socket (the
-// cmd/fedcoord and cmd/fededge `-transport dgram` path). A Conn hands its
+// tests), and Listen/Dialer run the same Conn over a connected UDP socket
+// (the cmd/fedcoord and cmd/fededge `-transport dgram` path): the Listener
+// opens one per peer on its own address with SO_REUSEPORT, so each peer's
+// window lands in a receive buffer of its own. A Conn hands its
 // carrier flights, not datagrams: the packets a Write transmits between two
 // waits go down as one run, which the UDP carrier sends with one syscall
 // under Linux segmentation offload (UDP_SEGMENT) and reads back with one

@@ -15,7 +15,7 @@ import (
 //  1. absorb never panics, whatever the datagram;
 //  2. the delivered stream is always an exact prefix of the true in-order
 //     stream — no corrupted, duplicated, or reordered byte is ever handed
-//     to Read;
+//     to Read, though a fragment that runs ahead of a hole is held for it;
 //  3. the in-order frontier only advances on valid in-sequence fragments,
 //     and the delivered byte count matches it exactly.
 //
@@ -30,6 +30,9 @@ func FuzzReassembly(f *testing.F) {
 	f.Add([]byte{2, 9, 0, 0, 2, 33, 0, 1, 2, 250})                // bit flips
 	f.Add([]byte{4, 0, 0, 0, 4, 3, 0, 1, 4, 255})                 // overlapping
 	f.Add([]byte{3, 200, 3, 0, 3, 7, 0, 0, 3, 19, 0, 1})          // raw garbage
+	f.Add([]byte{0, 7, 0, 5, 0, 6, 0, 3, 0, 1, 0, 2, 0, 0, 0, 4}) // all held, then released
+	f.Add([]byte{0, 2, 0, 4, 0, 2, 0, 0, 0, 4, 0, 1, 0, 3, 0, 2}) // dups of held packets
+	f.Add([]byte{0, 1, 1, 9, 0, 0, 2, 17, 0, 2, 0, 3})            // held, hole filled past garbage
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		// Ground truth: 8 fragments of varied sizes from a fixed RNG.

@@ -48,9 +48,9 @@ func (a pipeAddr) String() string  { return a.name }
 // datagram at the default MTU. A larger datagram gets a buffer of its own.
 const pktBufCap = 2048
 
-// pktPool recycles the buffers datagrams wait in on a carrier's queue (a
-// Pipe direction, or one peer of a Listener), sized to the datagram rather
-// than to the largest one a socket could deliver.
+// pktPool recycles the buffers datagrams wait in on a Pipe direction's
+// queue, sized to the datagram rather than to the largest one a socket
+// could deliver.
 var pktPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, pktBufCap)
 	return &b

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"net"
-	"net/netip"
 	"runtime"
 	"sync"
 	"testing"
@@ -178,7 +177,7 @@ func TestUDPCoalescedFirstFlight(t *testing.T) {
 	}
 	// One send: coalesced on the wire where the kernel takes UDP_SEGMENT
 	// (and kept so by the listener's UDP_GRO), four datagrams elsewhere.
-	if err := newUDPSocket(uc, size).writePackets(run, size, netip.AddrPort{}); err != nil {
+	if err := newUDPSocket(uc, size).writePackets(run, size); err != nil {
 		t.Fatalf("send run: %v", err)
 	}
 	accepted := make(chan net.Conn, 1)
@@ -234,8 +233,8 @@ func TestUDPOffloadFallback(t *testing.T) {
 	if seg := a.link.(*udpLink).uc.seg.Load(); seg != 0 {
 		t.Errorf("dialer still segments at %d after a refused send", seg)
 	}
-	if seg := b.link.(*muxLink).l.pc.seg.Load(); seg != 0 {
-		t.Errorf("listener still segments at %d after a refused send", seg)
+	if seg := b.link.(*udpLink).uc.seg.Load(); seg != 0 {
+		t.Errorf("listener's peer socket still segments at %d after a refused send", seg)
 	}
 }
 

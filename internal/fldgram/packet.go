@@ -80,20 +80,25 @@ func decodePacket(pkt []byte) (typ, flags byte, seq uint32, attemptBytes uint64,
 }
 
 // reassembler is the receive half of one Conn: it accepts raw datagrams in
-// any order and exposes a strictly in-order byte stream. The sender keeps up
-// to window fragments in flight, but the receiver stays go-back-N: it only
-// ever appends (seq == next), recognises a duplicate (seq < next), or
-// rejects (seq ahead, corrupt, truncated). Injected drops never reach the
-// carrier, so fragments arrive in order unless the carrier itself lost or
-// reordered one; buffering strays for that rare case would buy one saved
-// go-back at the price of per-slot state on every Conn. It never delivers
-// bytes from a packet that fails the CRC, and it never delivers a fragment
-// twice.
+// any order and exposes a strictly in-order byte stream. It appends a
+// fragment at the frontier (seq == next), recognises a duplicate (seq <
+// next, or one already held), holds a fragment up to window ahead in a slot
+// ring it allocates on first use, and drops anything further ahead, corrupt
+// or truncated. A held fragment is delivered once the hole before it fills.
+// Injected drops never reach the carrier, so fragments arrive in order
+// unless the carrier itself lost or reordered one; holding the rest means
+// the sender resends the hole alone, not the flight behind it. It never
+// delivers bytes from a packet that fails the CRC, and it never delivers a
+// fragment twice.
 type reassembler struct {
 	// next is the next in-order data sequence number expected.
 	next uint32
 	// buf holds delivered in-order stream bytes awaiting Read.
 	buf []byte
+	// ring holds validated packets ahead of next at seq%window, an empty
+	// slot meaning none; held counts the full ones.
+	ring [][]byte
+	held int
 	// finSeen is set when a FIN packet arrives: the peer is gone.
 	finSeen bool
 	// peerAttemptBytes is the highest cumulative attempted-byte counter
@@ -103,7 +108,7 @@ type reassembler struct {
 	// Counters (all monotone):
 	deliveredPackets int64 // unique data packets delivered in order
 	deliveredBytes   int64 // their wire size, headers included
-	dupPackets       int64 // retransmissions/duplicates of delivered data
+	dupPackets       int64 // retransmissions/duplicates of delivered or held data
 	aheadPackets     int64 // data ahead of next (the carrier lost or reordered one)
 	invalidPackets   int64 // short/corrupt/unknown datagrams
 }
@@ -132,23 +137,41 @@ func (ra *reassembler) absorb(pkt []byte) (ackSeq uint32, ack bool) {
 	}
 	switch {
 	case seq == ra.next:
-		ra.buf = append(ra.buf, payload...)
-		ra.next++
-		ra.deliveredPackets++
-		ra.deliveredBytes += int64(len(pkt))
-		return seq, true
-	case seq < ra.next:
-		// Duplicate of an already-delivered fragment: its ACK was lost or
+		ra.deliver(pkt, payload)
+		// The hole is filled: deliver what was held behind it.
+		for ra.held > 0 && len(ra.ring[ra.next%window]) > 0 {
+			i := ra.next % window
+			ra.deliver(ra.ring[i], ra.ring[i][headerLen:])
+			ra.ring[i], ra.held = ra.ring[i][:0], ra.held-1
+		}
+		return ra.next - 1, true
+	case seq < ra.next || (seq-ra.next < window && len(ra.ring) > 0 && len(ra.ring[seq%window]) > 0):
+		// Duplicate of a delivered or held fragment: its ACK was lost or
 		// slow. Re-acknowledge the current in-order frontier.
 		ra.dupPackets++
 		return ra.next - 1, true
 	default:
 		// Ahead of the in-order frontier: the carrier lost or reordered
-		// what came before. Dropped; the Conn answers with a gap ACK and
-		// the sender goes back to the frontier.
+		// what came before. Held when it fits the ring, else dropped; the
+		// Conn answers with a gap ACK either way.
 		ra.aheadPackets++
+		if seq-ra.next < window {
+			if ra.ring == nil {
+				ra.ring = make([][]byte, window)
+			}
+			ra.ring[seq%window] = append(ra.ring[seq%window], pkt...)
+			ra.held++
+		}
 		return 0, false
 	}
+}
+
+// deliver appends one in-order fragment to the stream.
+func (ra *reassembler) deliver(pkt, payload []byte) {
+	ra.buf = append(ra.buf, payload...)
+	ra.next++
+	ra.deliveredPackets++
+	ra.deliveredBytes += int64(len(pkt))
 }
 
 // read moves up to len(p) delivered bytes into p.

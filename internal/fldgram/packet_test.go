@@ -72,35 +72,65 @@ func TestReassemblerInOrder(t *testing.T) {
 	}
 }
 
+// TestReassemblerDupAndAhead pins the hold: a packet ahead of the frontier
+// is held and not acknowledged, and delivered exactly once when the hole
+// before it fills; one window or more ahead is dropped; a duplicate of a
+// held or a delivered packet is counted and re-acknowledged at the
+// frontier, never delivered twice.
 func TestReassemblerDupAndAhead(t *testing.T) {
 	var ra reassembler
-	p0 := encodePacket(nil, pktData, 0, 0, 0, []byte("one"))
-	p1 := encodePacket(nil, pktData, 0, 1, 0, []byte("two"))
-	p2 := encodePacket(nil, pktData, 0, 2, 0, []byte("three"))
+	pkt := func(seq uint32, s string) []byte { return encodePacket(nil, pktData, 0, seq, 0, []byte(s)) }
+	p0, p1, p2 := pkt(0, "one"), pkt(1, "two"), pkt(2, "three")
 
-	// Ahead of the frontier: rejected, no ack.
-	if _, ack := ra.absorb(p1); ack {
+	// Ahead of the frontier: held, no ack, nothing delivered.
+	if _, ack := ra.absorb(p2); ack {
 		t.Fatal("acked a packet ahead of the frontier")
 	}
-	if _, ack := ra.absorb(p0); !ack {
-		t.Fatal("in-order packet not acked")
+	if ra.held != 1 || ra.next != 0 || len(ra.buf) != 0 {
+		t.Fatalf("ahead packet: held %d next %d buffered %d, want 1 0 0", ra.held, ra.next, len(ra.buf))
 	}
-	// Duplicate: re-acked at the frontier, not delivered twice.
-	if ackSeq, ack := ra.absorb(p0); !ack || ackSeq != 0 {
+	// Duplicate of a held packet: a dup, re-acked at the empty frontier.
+	if ackSeq, ack := ra.absorb(p2); !ack || ackSeq != ^uint32(0) || ra.dupPackets != 1 || ra.held != 1 {
+		t.Fatalf("dup of held: ack=%v seq=%d dup=%d held=%d", ack, ackSeq, ra.dupPackets, ra.held)
+	}
+	// In order, but the hole at 1 remains: p2 stays held.
+	if ackSeq, ack := ra.absorb(p0); !ack || ackSeq != 0 || ra.held != 1 {
+		t.Fatalf("in order: ack=%v seq=%d held=%d", ack, ackSeq, ra.held)
+	}
+	// With next = 1, seq window is the last a slot holds; window+1 is dropped.
+	edge, far := pkt(window, "edge"), pkt(window+1, "far")
+	for _, p := range [][]byte{edge, far} {
+		if _, ack := ra.absorb(p); ack {
+			t.Fatal("acked a packet ahead of the frontier")
+		}
+	}
+	if ra.held != 2 {
+		t.Fatalf("held %d, want 2: p2 and the packet window−1 ahead", ra.held)
+	}
+	// The hole fills: p1 and the held p2 are delivered, once each.
+	if ackSeq, ack := ra.absorb(p1); !ack || ackSeq != 2 {
+		t.Fatalf("hole filled: ack=%v seq=%d, want the frontier past p2", ack, ackSeq)
+	}
+	// Duplicate of a delivered packet: re-acked at the frontier.
+	if ackSeq, ack := ra.absorb(p2); !ack || ackSeq != 2 {
 		t.Fatalf("dup: ack=%v seq=%d", ack, ackSeq)
 	}
-	if _, ack := ra.absorb(p1); !ack {
-		t.Fatal("in-order packet not acked")
+	// Filling every later hole releases the edge packet, never the far one.
+	want := "onetwothree"
+	for seq := uint32(3); seq < window; seq++ {
+		ra.absorb(pkt(seq, "x"))
+		want += "x"
 	}
-	if _, ack := ra.absorb(p2); !ack {
-		t.Fatal("in-order packet not acked")
-	}
-	buf := make([]byte, 64)
+	want += "edge"
+	buf := make([]byte, 2*len(want))
 	n := ra.read(buf)
-	if got, want := string(buf[:n]), "onetwothree"; got != want {
+	if got := string(buf[:n]); got != want {
 		t.Fatalf("stream %q, want %q", got, want)
 	}
-	if ra.dupPackets != 1 || ra.aheadPackets != 1 || ra.deliveredPackets != 3 {
+	if ra.next != window+1 || ra.held != 0 {
+		t.Fatalf("next %d held %d, want %d and 0: the packet window ahead was held", ra.next, ra.held, window+1)
+	}
+	if ra.dupPackets != 2 || ra.aheadPackets != 3 || ra.deliveredPackets != window+1 {
 		t.Fatalf("dup=%d ahead=%d delivered=%d", ra.dupPackets, ra.aheadPackets, ra.deliveredPackets)
 	}
 }

@@ -1,6 +1,7 @@
 package fldgram
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/netip"
@@ -37,14 +38,13 @@ func newUDPSocket(uc *net.UDPConn, mtu int) *udpSocket {
 	return s
 }
 
-// writePackets sends run as packets of size bytes to to (the connected peer
-// when to is the zero value): with one send while the socket splits at
-// size, otherwise with one send per packet. A send the kernel refuses for
-// the segment size turns offload off for the socket and goes again packet
-// by packet.
-func (s *udpSocket) writePackets(run []byte, size int, to netip.AddrPort) (err error) {
+// writePackets sends run to the connected peer as packets of size bytes:
+// with one send while the socket splits at size, otherwise with one send
+// per packet. A send the kernel refuses for the segment size turns offload
+// off for the socket and goes again packet by packet.
+func (s *udpSocket) writePackets(run []byte, size int) (err error) {
 	if seg := int(s.seg.Load()); seg != 0 && (seg == size || len(run) <= size) {
-		if err = s.send(run, to); !gsoRefused(err) {
+		if _, err = s.Write(run); !gsoRefused(err) {
 			return err
 		}
 		if s.seg.Swap(0) != 0 {
@@ -52,38 +52,48 @@ func (s *udpSocket) writePackets(run []byte, size int, to netip.AddrPort) (err e
 		}
 	}
 	for p, rest := segment(run, size); p != nil; p, rest = segment(rest, size) {
-		err = s.send(p, to)
-	}
-	return err
-}
-
-func (s *udpSocket) send(p []byte, to netip.AddrPort) (err error) {
-	if to.IsValid() {
-		_, err = s.WriteToUDPAddrPort(p, to)
-	} else {
 		_, err = s.Write(p)
 	}
 	return err
 }
 
-// udpLink is the dialer-side carrier: a connected UDP socket.
+// udpLink is a carrier on a connected UDP socket: a dialer's, or one a
+// Listener opened for a peer. A listener's peer socket is bound before it
+// is connected, and in between the kernel may queue another source's
+// datagram on it; l and peer are set there, so that such a datagram goes
+// back to the listener's dispatch instead of into this peer's stream.
 type udpLink struct {
-	uc  *udpSocket
-	oob [oobLen]byte
+	uc   *udpSocket
+	oob  [oobLen]byte
+	l    *Listener
+	peer netip.AddrPort
 }
 
 func (l *udpLink) WritePackets(run []byte, size int) error {
-	return l.uc.writePackets(run, size, netip.AddrPort{})
+	return l.uc.writePackets(run, size)
 }
 
 // ReadPackets reads straight into the caller's buffer: a coalesced run
 // needs no second buffer and no copy.
 func (l *udpLink) ReadPackets(buf []byte) (int, int, error) {
-	n, oobn, _, _, err := l.uc.ReadMsgUDPAddrPort(buf, l.oob[:])
-	return n, groSize(l.oob[:oobn]), err
+	for {
+		n, oobn, _, from, err := l.uc.ReadMsgUDPAddrPort(buf, l.oob[:])
+		size := groSize(l.oob[:oobn])
+		if err != nil || l.l == nil || from == l.peer {
+			return n, size, err
+		}
+		l.l.dispatch(buf[:n], size, from)
+	}
 }
 
-func (l *udpLink) Close() error         { return l.uc.Close() }
+// Close closes the socket; a Listener's peer is forgotten with it.
+func (l *udpLink) Close() error {
+	if l.l != nil {
+		l.l.forget(l.peer)
+	}
+	return l.uc.Close()
+}
+
 func (l *udpLink) LocalAddr() net.Addr  { return l.uc.LocalAddr() }
 func (l *udpLink) RemoteAddr() net.Addr { return l.uc.RemoteAddr() }
 
@@ -114,58 +124,21 @@ func Dialer(cfg Config) (func(addr string, timeout time.Duration) (net.Conn, err
 	}, nil
 }
 
-// muxLink is one peer's receive queue on a shared listener socket; writes
-// go straight out the socket to the peer's address.
-type muxLink struct {
-	l      *Listener
-	remote netip.AddrPort
-	in     chan *[]byte
-	once   sync.Once
-	closed chan struct{}
-}
-
-// muxQueueLen bounds one peer's inbound queue; overflow drops packets
-// (datagram semantics — the peer's ARQ retransmits).
-const muxQueueLen = 512
-
-func (ml *muxLink) WritePackets(run []byte, size int) error {
-	return ml.l.pc.writePackets(run, size, ml.remote)
-}
-
-func (ml *muxLink) ReadPackets(buf []byte) (int, int, error) {
-	select {
-	case pkt := <-ml.in:
-		return takePacket(pkt, buf), 0, nil
-	case <-ml.closed:
-		return 0, 0, errClosed
-	case <-ml.l.done:
-		return 0, 0, errClosed
-	}
-}
-
-// Close detaches this peer from the mux; the shared socket stays open.
-func (ml *muxLink) Close() error {
-	ml.once.Do(func() {
-		close(ml.closed)
-		ml.l.forget(ml.remote)
-	})
-	return nil
-}
-
-func (ml *muxLink) LocalAddr() net.Addr  { return ml.l.pc.LocalAddr() }
-func (ml *muxLink) RemoteAddr() net.Addr { return net.UDPAddrFromAddrPort(ml.remote) }
-
-// Listener is a net.Listener over one UDP socket: inbound datagrams are
-// demultiplexed by source address, and each new source becomes a pending
-// Conn for Accept. Closing an accepted Conn detaches that peer (a
-// subsequent datagram from the same address would open a fresh Conn —
-// which is how flnet redials land on a new connection).
+// Listener is a net.Listener over UDP. A new source address whose datagram
+// opens a stream gets a socket of its own, bound to the listener's address
+// beside it (SO_REUSEPORT) and connected to that source, under a Conn for
+// Accept; the listener's socket then sees only new peers and a peer's
+// datagrams that reached it before its own socket was connected. Closing
+// an accepted Conn closes its socket and forgets the peer (a later
+// datagram from the same address would open a fresh Conn — which is how
+// flnet redials land on a new connection). Closing the Listener leaves
+// accepted Conns open, as net.TCPListener does; their owner closes them.
 type Listener struct {
-	pc  *udpSocket
+	pc  *net.UDPConn // reads only: every peer's Conn sends on its own socket
 	cfg Config
 
 	mu    sync.Mutex
-	peers map[netip.AddrPort]*muxLink
+	peers map[netip.AddrPort]*Conn
 	next  int // conn creation index, seeds chaos streams
 
 	acceptCh chan *Conn
@@ -176,110 +149,105 @@ type Listener struct {
 // acceptBacklog bounds conns awaiting Accept.
 const acceptBacklog = 128
 
-// listenRcvBuf is the receive buffer Listen asks the kernel for. Every peer
-// sends into this one socket, so it must hold fleet × window datagrams at
-// their skb truesize (2304 B each at the default MTU): the stock 212992 B
-// holds 92, enough for 8 peers; the paper's 20 need 160 (369 kB).
-const listenRcvBuf = 4 << 20
-
-// Listen opens a datagram listener on the given UDP address.
+// Listen opens a datagram listener on the given UDP address. It needs
+// SO_REUSEPORT, and fails with ErrTransport where the system has none.
 func Listen(addr string, cfg Config) (*Listener, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	laddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("resolve %s: %w", addr, err)
+	if errNoReusePort != nil {
+		return nil, errNoReusePort
 	}
-	pc, err := net.ListenUDP("udp", laddr)
+	lc := net.ListenConfig{Control: reusePort}
+	pc, err := lc.ListenPacket(context.Background(), "udp", addr)
 	if err != nil {
 		return nil, err
 	}
 	l := &Listener{
-		pc:       newUDPSocket(pc, cfg.withDefaults().MTU),
+		pc:       pc.(*net.UDPConn),
 		cfg:      cfg,
-		peers:    make(map[netip.AddrPort]*muxLink),
+		peers:    make(map[netip.AddrPort]*Conn),
 		acceptCh: make(chan *Conn, acceptBacklog),
 		done:     make(chan struct{}),
 	}
-	// Best effort: the kernel clamps the request to rmem_max, and window is
-	// sized so that a refusal costs nothing at the benchmarked fleet.
-	_ = pc.SetReadBuffer(listenRcvBuf)
+	if !perPacket {
+		setGRO(l.pc)
+	}
 	go l.readLoop()
 	return l, nil
 }
 
-// readLoop demultiplexes the socket into per-peer queues, spawning a Conn
-// for each new source address whose datagram opens a stream: its first
-// packet is a valid data packet with sequence 0. A new peer's first flight
-// may arrive coalesced, so only that packet is checked. Anything else from
-// an unknown address (garbage, or an ACK or FIN from a peer already
-// forgotten, as Conn.Close's second FIN is) is dropped before it costs a
-// Conn or a conn index. It reads into one scratch of its own and queues a
-// right-sized copy of each packet, so a queued packet costs its size, not
-// the largest datagram the socket could have delivered.
+// readLoop dispatches what the listener's socket receives.
 func (l *Listener) readLoop() {
 	buf := make([]byte, maxMTU+1)
 	var oob [oobLen]byte
 	for {
 		n, oobn, _, raddr, err := l.pc.ReadMsgUDPAddrPort(buf, oob[:])
 		if err != nil {
-			select {
-			case <-l.done:
-			default:
-				l.Close()
-			}
+			l.Close()
 			return
 		}
-		run, size := buf[:n], groSize(oob[:oobn])
-		var rejected *Conn
-		l.mu.Lock()
-		ml, ok := l.peers[raddr]
-		if !ok {
-			first, _ := segment(run, size)
-			if typ, _, seq, _, _, valid := decodePacket(first); !valid || typ != pktData || seq != 0 {
-				l.mu.Unlock()
-				continue
-			}
-			ml = &muxLink{
-				l:      l,
-				remote: raddr,
-				in:     make(chan *[]byte, muxQueueLen),
-				closed: make(chan struct{}),
-			}
-			idx := l.next
-			l.next++
-			conn := newConn(ml, l.cfg, idx)
-			select {
-			case l.acceptCh <- conn:
-				l.peers[raddr] = ml
-			default:
-				// Accept backlog full: refuse by dropping both the conn and
-				// the packet; the peer's ARQ will retry. Close outside l.mu
-				// — it re-enters via forget.
-				rejected = conn
-				ml = nil
-			}
-		}
-		l.mu.Unlock()
-		if rejected != nil {
-			rejected.Close()
-		}
-		if ml == nil {
-			continue
-		}
-		for p, rest := segment(run, size); p != nil; p, rest = segment(rest, size) {
-			pkt := queuedPacket(p)
-			select {
-			case ml.in <- pkt:
-			default:
-				takePacket(pkt, nil) // queue full: carrier drop
-			}
-		}
+		l.dispatch(buf[:n], groSize(oob[:oobn]), raddr)
 	}
 }
 
-// forget detaches a peer address from the mux.
+// dispatch hands a run from raddr to its peer's Conn in place, opening a
+// Conn for a new source address whose datagram opens a stream: its first
+// packet is a valid data packet with sequence 0. A new peer's first flight
+// may arrive coalesced, so only that packet is checked. Anything else from
+// an unknown address (garbage, or an ACK or FIN from a peer already
+// forgotten, as Conn.Close's second FIN is) is dropped before it costs a
+// Conn, a socket or a conn index.
+func (l *Listener) dispatch(run []byte, size int, raddr netip.AddrPort) {
+	var rejected *Conn
+	l.mu.Lock()
+	c, ok := l.peers[raddr]
+	if !ok {
+		c, rejected = l.open(run, size, raddr)
+	}
+	l.mu.Unlock()
+	if rejected != nil {
+		rejected.Close() // outside l.mu: it re-enters via forget
+	}
+	if c == nil {
+		return
+	}
+	for p, rest := segment(run, size); p != nil; p, rest = segment(rest, size) {
+		c.process(p)
+	}
+}
+
+// open makes the Conn for a new peer under l.mu, or nil for a datagram that
+// opens no stream, a closed listener, or a socket the system refused. A
+// full Accept backlog refuses the peer: the Conn is returned as rejected
+// and the packet dropped, and the peer's ARQ will retry.
+func (l *Listener) open(run []byte, size int, raddr netip.AddrPort) (c, rejected *Conn) {
+	first, _ := segment(run, size)
+	if typ, _, seq, _, _, valid := decodePacket(first); !valid || typ != pktData || seq != 0 {
+		return nil, nil
+	}
+	select {
+	case <-l.done:
+		return nil, nil
+	default:
+	}
+	d := net.Dialer{LocalAddr: l.pc.LocalAddr(), Control: reusePort}
+	uc, err := d.Dial("udp", raddr.String())
+	if err != nil {
+		return nil, nil
+	}
+	c = newConn(&udpLink{uc: newUDPSocket(uc.(*net.UDPConn), l.cfg.withDefaults().MTU), l: l, peer: raddr}, l.cfg, l.next)
+	l.next++
+	select {
+	case l.acceptCh <- c:
+		l.peers[raddr] = c
+		return c, nil
+	default:
+		return nil, c
+	}
+}
+
+// forget detaches a peer address from the listener.
 func (l *Listener) forget(key netip.AddrPort) {
 	l.mu.Lock()
 	delete(l.peers, key)
@@ -296,12 +264,14 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 }
 
-// Close implements net.Listener: the socket closes and every peer Conn's
-// receive side fails.
+// Close implements net.Listener: the listener's socket closes, and Conns
+// not yet accepted close with it. Accepted Conns stay open.
 func (l *Listener) Close() error {
 	var err error
 	l.once.Do(func() {
+		l.mu.Lock() // open checks done under l.mu: no Conn is queued after the drain
 		close(l.done)
+		l.mu.Unlock()
 		err = l.pc.Close()
 		// Drain conns never accepted so their recv loops exit.
 		for {

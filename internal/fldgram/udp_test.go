@@ -1,6 +1,7 @@
 package fldgram
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"sync"
@@ -138,4 +139,98 @@ func TestUDPListenerAcceptsEachDialerOnce(t *testing.T) {
 	if created, peers := listenerState(ln); created != fleet || peers != 0 || len(ln.acceptCh) != 0 {
 		t.Fatalf("%d dialers: listener created %d conns, holds %d peers, %d await Accept", fleet, created, peers, len(ln.acceptCh))
 	}
+}
+
+// TestUDPPeerSocketHandsBackForeignDatagrams: a listener's peer socket is
+// bound before it is connected, and the kernel may queue another source's
+// datagram on it in between. The link must hand that datagram to the
+// listener's dispatch, where a first packet opens its source's Conn, and
+// return only its own peer's. An unconnected socket stands in for one
+// caught between bind and connect.
+func TestUDPPeerSocketHandsBackForeignDatagrams(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	uc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatalf("peer socket: %v", err)
+	}
+	var peer, foreign *net.UDPConn
+	for _, c := range []**net.UDPConn{&peer, &foreign} {
+		if *c, err = net.DialUDP("udp", nil, uc.LocalAddr().(*net.UDPAddr)); err != nil {
+			t.Fatalf("raw socket: %v", err)
+		}
+		defer (*c).Close()
+	}
+	link := &udpLink{uc: newUDPSocket(uc, DefaultMTU), l: ln, peer: peer.LocalAddr().(*net.UDPAddr).AddrPort()}
+	defer link.Close()
+
+	hello := encodePacket(nil, pktData, flagFrameEnd, 0, 25, []byte("hello"))
+	mine := encodePacket(nil, pktData, flagFrameEnd, 0, 24, []byte("mine"))
+	if _, err := foreign.Write(hello); err != nil {
+		t.Fatalf("foreign send: %v", err)
+	}
+	if _, err := peer.Write(mine); err != nil {
+		t.Fatalf("peer send: %v", err)
+	}
+	link.uc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, maxMTU+1)
+	n, _, err := link.ReadPackets(buf)
+	if err != nil || !bytes.Equal(buf[:n], mine) {
+		t.Fatalf("peer link read %q (%v), want its own peer's packet", buf[:n], err)
+	}
+	if created, peers := listenerState(ln); created != 1 || peers != 1 || len(ln.acceptCh) != 1 {
+		t.Fatalf("the foreign datagram opened %d conns (%d peers, %d awaiting Accept), want 1", created, peers, len(ln.acceptCh))
+	}
+	s, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer s.Close()
+	if got, want := s.RemoteAddr().String(), foreign.LocalAddr().String(); got != want {
+		t.Fatalf("accepted a conn from %s, want the foreign source %s", got, want)
+	}
+	s.SetDeadline(time.Now().Add(5 * time.Second))
+	got := make([]byte, 5)
+	if _, err := io.ReadFull(s, got); err != nil || string(got) != "hello" {
+		t.Fatalf("foreign source's conn read %q (%v), want its datagram", got, err)
+	}
+}
+
+// TestUDPListenerCloseKeepsAcceptedConns: as with net.TCPListener, closing
+// the Listener stops Accept but leaves the Conns it accepted working; their
+// owner closes them.
+func TestUDPListenerCloseKeepsAcceptedConns(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	dial, err := Dialer(Config{})
+	if err != nil {
+		t.Fatalf("dialer: %v", err)
+	}
+	c, err := dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(time.Minute)) // a failure must not hang the test
+	if _, err := c.Write([]byte{1}); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	s, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer s.Close()
+	s.SetDeadline(time.Now().Add(time.Minute))
+	if _, err := io.ReadFull(s, make([]byte, 1)); err != nil {
+		t.Fatalf("read hello: %v", err)
+	}
+	if err := ln.Close(); err != nil {
+		t.Fatalf("close listener: %v", err)
+	}
+	testRoundTrip(t, c, s, 64<<10, 3)
 }

@@ -19,6 +19,15 @@ echo "== portable path =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/mat ./internal/ml
 
+echo "== other systems =="
+# internal/fldgram splits by OS: segmentation offload is Linux's (a stub
+# elsewhere), and SO_REUSEPORT comes from syscall, or from the asm-generic
+# value where syscall's tables predate it, or is missing and Listen fails.
+# A Linux build compiles one side of each split only.
+for goos in darwin freebsd windows; do
+    GOOS=$goos go build ./...
+done
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
