@@ -11,20 +11,14 @@
 package eefei
 
 import (
-	"context"
 	"io"
-	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"eefei/internal/core"
-	"eefei/internal/dataset"
 	"eefei/internal/energy"
 	"eefei/internal/experiments"
-	"eefei/internal/faultnet"
 	"eefei/internal/fl"
-	"eefei/internal/flnet"
 	"eefei/internal/mat"
 	"eefei/internal/ml"
 	"eefei/internal/optim"
@@ -294,84 +288,4 @@ func BenchmarkParetoFrontier(b *testing.B) {
 			b.Fatalf("ParetoFrontier: %v", err)
 		}
 	}
-}
-
-// BenchmarkRoundWithFaults measures the per-round cost of routing edge
-// connections through faultnet wrappers configured to inject nothing (0%
-// fault rate) against bare TCP: the wrapper's bookkeeping overhead, which
-// should be noise next to local training.
-func BenchmarkRoundWithFaults(b *testing.B) {
-	dcfg := dataset.QuickSyntheticConfig()
-	dcfg.Samples = 200
-	train, test, err := dataset.SynthesizePair(dcfg, dcfg)
-	if err != nil {
-		b.Fatalf("SynthesizePair: %v", err)
-	}
-	shards, err := dataset.IIDPartitioner{Seed: 1}.Partition(train, 2)
-	if err != nil {
-		b.Fatalf("Partition: %v", err)
-	}
-
-	runCluster := func(b *testing.B, dial func(string, time.Duration) (net.Conn, error)) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatalf("listen: %v", err)
-		}
-		coord, err := flnet.NewCoordinator(flnet.CoordinatorConfig{
-			FL: fl.Config{
-				ClientsPerRound: 2,
-				LocalEpochs:     1,
-				LearningRate:    0.5,
-				Seed:            1,
-			},
-			Classes:      train.Classes,
-			Features:     train.Dim(),
-			RoundTimeout: 30 * time.Second,
-			JoinTimeout:  10 * time.Second,
-		}, ln, test)
-		if err != nil {
-			b.Fatalf("NewCoordinator: %v", err)
-		}
-		defer coord.Shutdown()
-
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		defer cancel()
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_ = flnet.RunEdgeServer(context.Background(), flnet.EdgeConfig{
-					Addr:  coord.Addr().String(),
-					Shard: shards[i],
-					Seed:  uint64(i + 1),
-					Dial:  dial,
-				})
-			}(i)
-		}
-		if err := coord.WaitForClients(ctx, 2); err != nil {
-			b.Fatalf("WaitForClients: %v", err)
-		}
-		if _, err := coord.Round(ctx); err != nil { // warmup: steady-state allocs
-			b.Fatalf("warmup Round: %v", err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := coord.Round(ctx); err != nil {
-				b.Fatalf("Round: %v", err)
-			}
-		}
-		b.StopTimer()
-		// Shutdown must precede waiting on the edges: they exit only after
-		// the coordinator's farewell (or the listener closing).
-		coord.Shutdown()
-		wg.Wait()
-	}
-
-	b.Run("direct", func(b *testing.B) {
-		runCluster(b, nil)
-	})
-	b.Run("faultnet-0pct", func(b *testing.B) {
-		runCluster(b, faultnet.New(faultnet.Config{Seed: 1}).TCPDialer())
-	})
 }

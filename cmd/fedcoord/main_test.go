@@ -126,6 +126,8 @@ func TestTransportFlagRejections(t *testing.T) {
 		{"-transport", "dgram", "-loss", "1.0"},                         // loss must be < 1
 		{"-transport", "dgram", "-success-prob", "1.5"},                 // p must be <= 1
 		{"-transport", "dgram", "-loss", "0.1", "-success-prob", "0.9"}, // contradictory
+		{"-transport", "dgram", "-loss", "NaN"},                         // NaN passes no bound
+		{"-transport", "dgram", "-success-prob", "NaN"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v must be rejected", args)

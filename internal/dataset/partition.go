@@ -7,16 +7,12 @@ import (
 	"eefei/internal/mat"
 )
 
-// A Partitioner splits a dataset across edge servers. The paper uniformly
+// The partitioners split a dataset across edge servers. The paper uniformly
 // allocates 60 000 samples to 20 servers (3 000 each, IID); the label-skew
 // partitioner is the standard non-IID extension we use for the ablation in
-// EXPERIMENTS.md.
-type Partitioner interface {
-	// Partition returns one shard per server. Every sample is assigned to
-	// exactly one shard. The shards are copies: d is left unchanged, and a
-	// caller may keep one shard and let d and the others go.
-	Partition(d *Dataset, servers int) ([]*Dataset, error)
-}
+// EXPERIMENTS.md. Each Partition returns one shard per server, and every
+// sample is assigned to exactly one shard. The shards are copies: d is left
+// unchanged, and a caller may keep one shard and let d and the others go.
 
 // IIDPartitioner deals samples round-robin after a seeded shuffle, producing
 // shards with near-identical class distributions (the paper's setting).
@@ -25,9 +21,7 @@ type IIDPartitioner struct {
 	Seed uint64
 }
 
-var _ Partitioner = IIDPartitioner{}
-
-// Partition implements Partitioner.
+// Partition splits d into servers IID shards.
 func (p IIDPartitioner) Partition(d *Dataset, servers int) ([]*Dataset, error) {
 	if err := checkPartitionArgs(d, servers); err != nil {
 		return nil, err
@@ -52,9 +46,7 @@ type LabelSkewPartitioner struct {
 	Seed uint64
 }
 
-var _ Partitioner = LabelSkewPartitioner{}
-
-// Partition implements Partitioner.
+// Partition splits d into servers label-skewed shards.
 func (p LabelSkewPartitioner) Partition(d *Dataset, servers int) ([]*Dataset, error) {
 	if err := checkPartitionArgs(d, servers); err != nil {
 		return nil, err
@@ -128,7 +120,7 @@ func nextNonEmptyClass(byClass [][]int, cursor []int, preferred int) (int, bool)
 // shards' storage and no longer holds its original row order. Its first
 // servers·(Len/servers) rows are the shards back to back, the truncated
 // remainder follows. Each shard's Labels is capacity-limited, so an append
-// reallocates instead of spilling into the next shard. Use a Partitioner
+// reallocates instead of spilling into the next shard. Use a partitioner
 // where the shards must be independent of d.
 func EqualShards(d *Dataset, servers int, seed uint64) ([]*Dataset, error) {
 	if err := checkPartitionArgs(d, servers); err != nil {

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"eefei/internal/faultnet"
+	"eefei/internal/mat"
 )
 
 // errPeerClosed reports a write against a peer that sent FIN.
@@ -52,7 +52,7 @@ type Stats struct {
 	// ones).
 	AckPackets int64
 	// GoBacks counts recoveries: one hole resent on a gap ACK, or an RTO
-	// go-back to the ACK frontier. The carrier, not the injector, lost or
+	// go-back to the ACK frontier. The carrier, not an injected fate, lost or
 	// reordered something; 0 on a healthy link whatever the injected loss.
 	GoBacks int64
 	// PeerAttemptBytes is the peer's cumulative attempted data bytes as
@@ -72,8 +72,8 @@ type Conn struct {
 	cfg  Config
 	// payload is the data capacity of one fragment.
 	payload   int
-	dataChaos *faultnet.PacketInjector
-	ackChaos  *faultnet.PacketInjector
+	dataFates *fates // drawn by Write under mu
+	ackFates  *fates // drawn by process under mu
 	meter     *Meter
 
 	// writeMu serializes Write calls (one window in flight at a time);
@@ -106,7 +106,7 @@ type Conn struct {
 }
 
 // newConn wraps a PacketLink. idx distinguishes sibling conns of one
-// endpoint so each draws independent chaos streams from cfg.Seed. cfg must
+// endpoint so each draws independent fate streams from cfg.Seed. cfg must
 // already be validated.
 func newConn(link PacketLink, cfg Config, idx int) *Conn {
 	cfg = cfg.withDefaults()
@@ -114,38 +114,67 @@ func newConn(link PacketLink, cfg Config, idx int) *Conn {
 	c.cond = sync.NewCond(&c.mu)
 	c.ackTimer = stoppedTimer(c.wakeAll)
 	c.rdTimer = stoppedTimer(c.wakeAll)
-	if p := lossProb(cfg.SuccessProb); p > 0 || cfg.DupProb > 0 || cfg.ReorderProb > 0 {
-		c.dataChaos = mustPacketInjector(faultnet.PacketConfig{
-			Seed:        mixSeed(cfg.Seed, idx, 1),
-			LossProb:    p,
-			DupProb:     cfg.DupProb,
-			ReorderProb: cfg.ReorderProb,
-		})
-	}
-	if p := lossProb(cfg.AckSuccessProb); p > 0 {
-		c.ackChaos = mustPacketInjector(faultnet.PacketConfig{
-			Seed:     mixSeed(cfg.Seed, idx, 2),
-			LossProb: p,
-		})
-	}
+	c.dataFates = newFates(mixSeed(cfg.Seed, idx, 1), lossProb(cfg.SuccessProb), cfg.DupProb, cfg.ReorderProb)
+	c.ackFates = newFates(mixSeed(cfg.Seed, idx, 2), lossProb(cfg.AckSuccessProb), 0, 0)
 	go c.recvLoop()
 	return c
 }
 
-// mixSeed derives an uncorrelated stream seed per (conn, direction),
-// following faultnet's splitmix-style mixer.
+// mixSeed derives an uncorrelated seed per (index, stream) from seed with a
+// splitmix-style mixer: per (conn, direction) from Config.Seed, then per
+// fate stream from that.
 func mixSeed(seed uint64, idx int, stream uint64) uint64 {
 	z := seed + uint64(idx+1)*0x9e3779b97f4a7c15 + stream*0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 30)) * 0x94d049bb133111eb
 	return z ^ (z >> 27)
 }
 
-func mustPacketInjector(cfg faultnet.PacketConfig) *faultnet.PacketInjector {
-	pi, err := faultnet.NewPacketInjector(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("fldgram: %v", err)) // Config.Validate bounds the probabilities
+// packetFate is the injected decision for one packet: lose it, deliver it
+// twice, or hold it back and release it after the next one.
+type packetFate struct{ drop, dup, hold bool }
+
+// chance is one seeded Bernoulli stream; the zero value never fires.
+type chance struct {
+	rng *mat.RNG
+	p   float64
+}
+
+func (c chance) draw() bool { return c.rng != nil && c.rng.Bernoulli(c.p) }
+
+// fates draws the packet fates of one direction of one Conn. Loss,
+// duplication and reordering each consume their own seeded stream, once per
+// packet whatever the other outcomes, so a fate is a pure function of the
+// seed and the packet index, and carrier timing cannot shift where an
+// injected fault lands. A nil *fates injects nothing. It has no lock: the
+// Conn draws under its state lock.
+type fates struct{ loss, dup, reorder chance }
+
+// newFates seeds the streams of the nonzero probabilities, or returns nil
+// when all three are zero.
+func newFates(seed uint64, loss, dup, reorder float64) *fates {
+	if loss <= 0 && dup <= 0 && reorder <= 0 {
+		return nil
 	}
-	return pi
+	stream := func(p float64, tag uint64) chance {
+		if p <= 0 {
+			return chance{}
+		}
+		return chance{mat.NewRNG(mixSeed(seed, 0, tag)), p}
+	}
+	return &fates{stream(loss, 5), stream(dup, 6), stream(reorder, 7)}
+}
+
+// next draws the next packet's fate. A drop clears dup and hold (nothing is
+// left to duplicate or hold), but their streams still advance.
+func (f *fates) next() packetFate {
+	if f == nil {
+		return packetFate{}
+	}
+	pf := packetFate{f.loss.draw(), f.dup.draw(), f.reorder.draw()}
+	if pf.drop {
+		pf.dup, pf.hold = false, false
+	}
+	return pf
 }
 
 // stoppedTimer returns a disarmed timer firing f when Reset.
@@ -218,11 +247,12 @@ func (c *Conn) process(pkt []byte) {
 	seq, cum := c.ra.next-1, uint64(c.stats.TxAttemptBytes)
 	if ack {
 		c.unacked = 0
-		c.stats.AckPackets++
+		c.stats.AckPackets++ // sent, though its injected fate may drop it
+		ack = !c.ackFates.next().drop
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if !ack || (c.ackChaos != nil && c.ackChaos.Next().Drop) {
+	if !ack {
 		return
 	}
 	c.sendMu.Lock()
@@ -260,16 +290,16 @@ func (c *Conn) processAck(pkt []byte) {
 // sendData puts a run of data packets on the carrier, applying the
 // injected duplication/reorder fate of its only packet when that fate is
 // not the plain one. A held packet is released by the next send.
-func (c *Conn) sendData(run []byte, fate faultnet.PacketFate) {
+func (c *Conn) sendData(run []byte, fate packetFate) {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if fate.Hold {
+	if fate.hold {
 		c.held = append(c.held[:0], run...)
 		c.heldValid = true
 		return
 	}
 	c.link.WritePackets(run, c.cfg.MTU)
-	if fate.Dup {
+	if fate.dup {
 		c.link.WritePackets(run, c.cfg.MTU)
 	}
 	if c.heldValid {
@@ -284,7 +314,7 @@ func (c *Conn) sendData(run []byte, fate faultnet.PacketFate) {
 // sequencing holds unchanged over a lossy carrier — and p itself is the
 // retransmission buffer: a fragment is re-encoded from it, never copied.
 //
-// Every transmission draws its fate from the seeded injector at the moment
+// Every transmission draws its fate from the seeded data fates at the moment
 // it is made, fragments in sequence order, and an injected drop is retried
 // at once — counted, priced, never sent, never waited for, since the drop
 // already happened on "the radio" and no ACK can come. Attempt counters are
@@ -324,7 +354,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	fragment := func(i int) []byte { return p[i*c.payload : min((i+1)*c.payload, len(p))] }
 	// flush puts the run laid out in txScratch on the carrier under fate,
 	// outside the state lock.
-	flush := func(fate faultnet.PacketFate) {
+	flush := func(fate packetFate) {
 		if len(c.txScratch) == 0 {
 			return
 		}
@@ -333,7 +363,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.mu.Lock()
 		c.txScratch = c.txScratch[:0]
 	}
-	defer flush(faultnet.PacketFate{}) // a failed Write still sends what it transmitted
+	defer flush(packetFate{}) // a failed Write still sends what it transmitted
 	for {
 		for ; acked < int(c.txAcked-base); acked++ {
 			size := headerLen + len(fragment(acked))
@@ -376,7 +406,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		if full && hole < 0 {
 			if len(c.txScratch) > 0 {
-				flush(faultnet.PacketFate{})
+				flush(packetFate{})
 				continue
 			}
 			// Everything is sent or the window is full: wait for the
@@ -407,7 +437,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		size := headerLen + len(frag)
 		if len(c.txScratch)+size > maxMTU {
-			flush(faultnet.PacketFate{})
+			flush(packetFate{})
 			continue
 		}
 		attempts[i%window]++
@@ -418,16 +448,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.stats.TxAttemptBytes += int64(size)
 		cum := uint64(c.stats.TxAttemptBytes)
 		c.meter.addAttempt(size)
-		var fate faultnet.PacketFate
-		if c.dataChaos != nil {
-			fate = c.dataChaos.Next()
-		}
-		if fate.Drop {
+		fate := c.dataFates.next()
+		if fate.drop {
 			continue
 		}
-		alone := fate.Dup || fate.Hold || holding || perPacket || i != next
+		alone := fate.dup || fate.hold || holding || perPacket || i != next
 		if alone {
-			flush(faultnet.PacketFate{})
+			flush(packetFate{})
 		}
 		c.txScratch = encodePacket(c.txScratch, pktData, flags, seq, cum, frag)
 		if i == next {
@@ -439,7 +466,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		rtoAt = time.Time{}
 		if alone {
 			flush(fate)
-			holding = fate.Hold
+			holding = fate.hold
 		}
 	}
 }

@@ -2,6 +2,8 @@ package fldgram
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -291,6 +293,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative success prob", Config{SuccessProb: -0.1}, false},
 		{"dup prob 1", Config{DupProb: 1}, false},
 		{"reorder prob 1", Config{ReorderProb: 1}, false},
+		{"NaN success prob", Config{SuccessProb: math.NaN()}, false},
+		{"NaN ack success prob", Config{AckSuccessProb: math.NaN()}, false},
+		{"NaN dup prob", Config{DupProb: math.NaN()}, false},
+		{"NaN reorder prob", Config{ReorderProb: math.NaN()}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,6 +309,42 @@ func TestConfigValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFatesStreams pins the first 2 000 fates of two streams, one byte
+// (drop | dup<<1 | hold<<2) per packet, to digests taken from the packet
+// injector these fates were moved out of: a full (loss, dup, reorder)
+// stream, and the loss-only data stream of conn 0 at seed 1 and p = 0.9.
+func TestFatesStreams(t *testing.T) {
+	for _, tc := range []struct {
+		f    *fates
+		want string
+	}{
+		{newFates(77, 0.2, 0.1, 0.05), "b30f3a4c0a68a6fcdaedf492cc65f8976ca36fd4e7e0e85e50c33e145af67ed6"},
+		{newFates(mixSeed(1, 0, 1), 0.1, 0, 0), "11c1356747ddd9148193519adf6c500b335f1b7cddcb9acbba65556068b30907"},
+	} {
+		h := sha256.New()
+		for range 2000 {
+			f := tc.f.next()
+			if f.drop && (f.dup || f.hold) {
+				t.Fatal("a dropped packet is also duplicated or held")
+			}
+			h.Write([]byte{b2u(f.drop) | b2u(f.dup)<<1 | b2u(f.hold)<<2})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("fates digest %s, want %s", got, tc.want)
+		}
+	}
+	if f := newFates(5, 0, 0, 0); f != nil || f.next() != (packetFate{}) {
+		t.Error("all-zero probabilities must inject nothing")
+	}
+}
+
+func b2u(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestUDPListenerDialerRoundTrip(t *testing.T) {

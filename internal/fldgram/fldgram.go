@@ -19,7 +19,7 @@
 //     exactly the geometric distribution of iot.Unlicensed, and
 //     attempted/delivered bytes converge to 1/p.
 //   - Loss, duplication, and reordering are injected deterministically by
-//     seeded faultnet.PacketInjector streams owned by each Conn. An
+//     seeded per-direction fate streams owned by each Conn. An
 //     injected drop is decided at the sender before the packet touches the
 //     carrier: the attempt is counted (and priced — the radio transmitted),
 //     the send and the RTO wait are both skipped, and the ARQ retransmits
@@ -102,7 +102,7 @@ type Config struct {
 	Seed uint64
 	// SuccessProb, when in (0,1), is the per-attempt delivery probability
 	// for data packets: each attempt is dropped with probability
-	// 1−SuccessProb by a seeded faultnet.PacketInjector. 0 or 1 = reliable.
+	// 1−SuccessProb by the Conn's seeded data fates. 0 or 1 = reliable.
 	SuccessProb float64
 	// AckSuccessProb is the same for ACK packets. ACK loss costs extra
 	// data retransmissions, inflating measured attempts/delivered above
@@ -150,7 +150,7 @@ func (cfg Config) Validate() error {
 		name string
 		v    float64
 	}{{"success", cfg.SuccessProb}, {"ack success", cfg.AckSuccessProb}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails too
 			return fmt.Errorf("%s probability %v outside [0,1]: %w", p.name, p.v, ErrTransport)
 		}
 	}
@@ -158,7 +158,7 @@ func (cfg Config) Validate() error {
 		name string
 		v    float64
 	}{{"dup", cfg.DupProb}, {"reorder", cfg.ReorderProb}} {
-		if p.v < 0 || p.v >= 1 {
+		if !(p.v >= 0 && p.v < 1) {
 			return fmt.Errorf("%s probability %v outside [0,1): %w", p.name, p.v, ErrTransport)
 		}
 	}
@@ -184,10 +184,10 @@ func ResolveSuccessProb(transport string, loss, successProb float64) (float64, e
 	if loss != 0 && successProb != 0 {
 		return 1, fmt.Errorf("set -loss or -success-prob, not both: %w", ErrTransport)
 	}
-	if loss < 0 || loss >= 1 {
+	if !(loss >= 0 && loss < 1) { // NaN fails too
 		return 1, fmt.Errorf("-loss %v outside [0,1): %w", loss, ErrTransport)
 	}
-	if successProb < 0 || successProb > 1 {
+	if !(successProb >= 0 && successProb <= 1) {
 		return 1, fmt.Errorf("-success-prob %v outside (0,1]: %w", successProb, ErrTransport)
 	}
 	if successProb != 0 {

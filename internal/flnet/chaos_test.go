@@ -1,18 +1,160 @@
 package flnet
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"eefei/internal/dataset"
-	"eefei/internal/faultnet"
 	"eefei/internal/fl"
+	"eefei/internal/mat"
 	"eefei/internal/ml"
 )
+
+// errSevered is what a severed connection returns.
+var errSevered = errors.New("connection severed by the test dialer")
+
+// severingDialer dials TCP with EdgeConfig.Dial's signature and severs its
+// i-th connection after plan[i] bytes, or, off the plan, after an
+// exponential budget of mean meanBytes drawn from seed (0: never). Bytes
+// count in either direction, and a budget is a position in the connection's
+// byte stream, so TCP segmentation and the size of reads and writes cannot
+// move a cut: the same seed over the same bytes severs the same
+// connections at the same offsets.
+type severingDialer struct {
+	seed      uint64
+	meanBytes float64
+	plan      map[int]int64
+
+	conns, dropped atomic.Int64 // connections dialled (failed dials too); cuts made
+}
+
+// dial numbers the connection before dialling, so a refused dial still
+// consumes its budget and later connections keep theirs.
+func (d *severingDialer) dial(addr string, timeout time.Duration) (net.Conn, error) {
+	idx := int(d.conns.Add(1) - 1)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return d.sever(conn, idx), nil
+}
+
+// sever wraps conn as connection idx.
+func (d *severingDialer) sever(conn net.Conn, idx int) net.Conn {
+	left := int64(math.MaxInt64)
+	if n, ok := d.plan[idx]; ok {
+		left = n
+	} else if d.meanBytes > 0 {
+		left = int64(mat.NewRNG(chaosSeed(d.seed, idx, 2)).Exponential(1/d.meanBytes)) + 1
+	}
+	return &severedConn{Conn: conn, d: d, left: left}
+}
+
+// chaosSeed is fldgram's splitmix-style seed mixer.
+func chaosSeed(seed uint64, idx int, stream uint64) uint64 {
+	z := seed + uint64(idx+1)*0x9e3779b97f4a7c15 + stream*0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 30)) * 0x94d049bb133111eb
+	return z ^ (z >> 27)
+}
+
+// severedConn moves the prefix of the call that crosses its budget, then
+// closes the connection and fails every later call.
+type severedConn struct {
+	net.Conn
+	d *severingDialer
+
+	mu   sync.Mutex
+	left int64 // bytes still allowed
+	cut  bool
+}
+
+// allow returns how many of want bytes may move.
+func (c *severedConn) allow(want int) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cut {
+		return 0, errSevered
+	}
+	return int(min(int64(want), c.left)), nil
+}
+
+// spend charges n moved bytes and cuts the connection at its budget.
+func (c *severedConn) spend(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.left -= int64(n)
+	if c.left <= 0 && !c.cut {
+		c.cut = true
+		c.Conn.Close()
+		c.d.dropped.Add(1)
+	}
+}
+
+func (c *severedConn) Read(p []byte) (int, error) {
+	n, err := c.allow(len(p))
+	if err != nil {
+		return 0, err
+	}
+	n, err = c.Conn.Read(p[:n])
+	c.spend(n)
+	return n, err
+}
+
+func (c *severedConn) Write(p []byte) (int, error) {
+	allowed, err := c.allow(len(p))
+	if err != nil {
+		return 0, err
+	}
+	n, err := c.Conn.Write(p[:allowed])
+	c.spend(n)
+	if err == nil && n < len(p) {
+		err = errSevered // the prefix used up the budget: spend cut
+	}
+	return n, err
+}
+
+// TestSeverIndependentOfChunking: a planned cut lands after exactly its byte
+// count however the writes are sliced, which the chaos tests' same-seed
+// comparisons rely on.
+func TestSeverIndependentOfChunking(t *testing.T) {
+	const cutAt = 1000
+	for _, chunk := range []int{1, 7, 64, 999, 5000} {
+		cli, srv := net.Pipe()
+		d := &severingDialer{plan: map[int]int64{0: cutAt}}
+		conn := d.sever(cli, 0)
+		var got bytes.Buffer
+		done := make(chan struct{})
+		go func() {
+			io.Copy(&got, srv) // until the cut closes the pipe
+			close(done)
+		}()
+		total := 0
+		var err error
+		buf := bytes.Repeat([]byte{1}, chunk)
+		for err == nil {
+			var n int
+			n, err = conn.Write(buf)
+			total += n
+		}
+		srv.Close()
+		<-done
+		if !errors.Is(err, errSevered) {
+			t.Fatalf("chunk %d: err = %v, want errSevered", chunk, err)
+		}
+		if total != cutAt || got.Len() != cutAt || d.dropped.Load() != 1 {
+			t.Errorf("chunk %d: wrote %d / delivered %d bytes with %d cuts, want %d and 1",
+				chunk, total, got.Len(), d.dropped.Load(), cutAt)
+		}
+	}
+}
 
 // chaosRetry is tuned for loopback tests: generous attempt budget, tiny
 // delays, so a dropped edge rejoins within a few milliseconds.
@@ -34,7 +176,7 @@ func edgeExitOK(err error) bool {
 }
 
 // runChaosTraining trains a 5-edge cluster to `rounds` completed rounds with
-// every edge connection routed through a seeded faultnet injector that
+// every edge connection dialled through a seeded severingDialer that
 // severs connections at exponentially distributed byte positions. Edges are
 // registered sequentially so the id↔shard mapping is identical across runs,
 // and the coordinator's RejoinGrace lets every mid-round casualty repair
@@ -43,8 +185,8 @@ func edgeExitOK(err error) bool {
 // missed) are tolerated and retried; only committed rounds enter the
 // history. A non-nil mutate hook adjusts the coordinator config (e.g. the
 // residual-quantized downlink) before the cluster starts. Returns the
-// history plus the per-edge injector fault counters.
-func runChaosTraining(t *testing.T, seed uint64, rounds int, dropMeanBytes float64, mutate func(*CoordinatorConfig)) ([]fl.RoundRecord, []faultnet.Stats) {
+// history plus the per-edge dialers, which count connections and cuts.
+func runChaosTraining(t *testing.T, seed uint64, rounds int, dropMeanBytes float64, mutate func(*CoordinatorConfig)) ([]fl.RoundRecord, []*severingDialer) {
 	t.Helper()
 	const servers, k = 5, 3
 
@@ -97,14 +239,10 @@ func runChaosTraining(t *testing.T, seed uint64, rounds int, dropMeanBytes float
 	// Sequential registration pins client id i to shard i in every run:
 	// determinism of the round histories depends on it.
 	errs := make([]error, servers)
-	injectors := make([]*faultnet.Injector, servers)
+	dialers := make([]*severingDialer, servers)
 	var wg sync.WaitGroup
 	for i := 0; i < servers; i++ {
-		inj := faultnet.New(faultnet.Config{
-			Seed:          seed + uint64(i)*1000003,
-			DropMeanBytes: dropMeanBytes,
-		})
-		injectors[i] = inj
+		dialers[i] = &severingDialer{seed: seed + uint64(i)*1000003, meanBytes: dropMeanBytes}
 		wg.Add(1)
 		go func(i int, dial func(string, time.Duration) (net.Conn, error)) {
 			defer wg.Done()
@@ -115,7 +253,7 @@ func runChaosTraining(t *testing.T, seed uint64, rounds int, dropMeanBytes float
 				Retry: chaosRetry(),
 				Dial:  dial,
 			})
-		}(i, inj.TCPDialer())
+		}(i, dialers[i].dial)
 		if err := coord.AwaitRoster(ctx, i+1, 10*time.Second); err != nil {
 			t.Fatalf("edge %d never registered: %v", i, err)
 		}
@@ -143,11 +281,7 @@ func runChaosTraining(t *testing.T, seed uint64, rounds int, dropMeanBytes float
 			t.Errorf("edge %d exited with %v", i, err)
 		}
 	}
-	stats := make([]faultnet.Stats, servers)
-	for i, inj := range injectors {
-		stats[i] = inj.Stats()
-	}
-	return coord.History(), stats
+	return coord.History(), dialers
 }
 
 // TestChaosTrainingConvergesUnderFaults is the headline resilience test:
@@ -156,7 +290,7 @@ func runChaosTraining(t *testing.T, seed uint64, rounds int, dropMeanBytes float
 // because every casualty rejoins (and the round repairs itself within the
 // grace window or falls back to the quorum of survivors).
 func TestChaosTrainingConvergesUnderFaults(t *testing.T) {
-	history, stats := runChaosTraining(t, 42, 12, 30_000, nil)
+	history, dialers := runChaosTraining(t, 42, 12, 30_000, nil)
 	last := history[len(history)-1]
 	if last.TestAccuracy < 0.5 {
 		t.Errorf("accuracy under faults = %v after %d rounds, want >= 0.5",
@@ -169,13 +303,10 @@ func TestChaosTrainingConvergesUnderFaults(t *testing.T) {
 		rejoins += rec.Rejoins
 		retries += rec.Retries
 	}
-	// The injected fault rate is counted at the injectors (byte-position
+	// The injected fault rate is counted at the dialers (byte-position
 	// keyed, so deterministic): severed connections per client-round
 	// participation.
-	drops := 0
-	for _, s := range stats {
-		drops += s.Dropped
-	}
+	drops := countCuts(dialers)
 	rate := float64(drops) / float64(participations)
 	t.Logf("injected drops: %d/%d participations = %.2f, rejoins: %d, in-round retries: %d",
 		drops, participations, rate, rejoins, retries)
@@ -197,14 +328,29 @@ func TestChaosTrainingConvergesUnderFaults(t *testing.T) {
 // be counted in either neighbouring round, or repair a round on its first
 // rather than second attempt) and are documented as such.
 func TestChaosDeterministicHistories(t *testing.T) {
-	a, statsA := runChaosTraining(t, 42, 8, 30_000, nil)
-	b, statsB := runChaosTraining(t, 42, 8, 30_000, nil)
-	for i := range statsA {
-		if statsA[i].Dropped != statsB[i].Dropped || statsA[i].Conns != statsB[i].Conns {
-			t.Errorf("edge %d: injector saw %+v vs %+v", i, statsA[i], statsB[i])
+	a, dialersA := runChaosTraining(t, 42, 8, 30_000, nil)
+	b, dialersB := runChaosTraining(t, 42, 8, 30_000, nil)
+	assertSameCuts(t, dialersA, dialersB)
+	assertIdenticalHistories(t, a, b)
+}
+
+func countCuts(dialers []*severingDialer) int {
+	n := 0
+	for _, d := range dialers {
+		n += int(d.dropped.Load())
+	}
+	return n
+}
+
+// assertSameCuts demands that each edge dialled and severed alike.
+func assertSameCuts(t *testing.T, a, b []*severingDialer) {
+	t.Helper()
+	for i := range a {
+		if a[i].conns.Load() != b[i].conns.Load() || a[i].dropped.Load() != b[i].dropped.Load() {
+			t.Errorf("edge %d: %d conns %d cuts vs %d conns %d cuts", i,
+				a[i].conns.Load(), a[i].dropped.Load(), b[i].conns.Load(), b[i].dropped.Load())
 		}
 	}
-	assertIdenticalHistories(t, a, b)
 }
 
 // assertIdenticalHistories demands bit-identical training outcomes per
@@ -250,7 +396,7 @@ func quant8Downlink(cfg *CoordinatorConfig) { cfg.DownloadQuantBits = ml.Quant8 
 // chain to a full send, so this exercises exactly the downlink-state commit
 // and base-round tracking that faults can desynchronize.
 func TestChaosQuantizedDownlinkConvergesUnderFaults(t *testing.T) {
-	history, stats := runChaosTraining(t, 42, 12, 30_000, quant8Downlink)
+	history, dialers := runChaosTraining(t, 42, 12, 30_000, quant8Downlink)
 	last := history[len(history)-1]
 	if last.TestAccuracy < 0.5 {
 		t.Errorf("accuracy with Quant8 downlink under faults = %v after %d rounds, want >= 0.5",
@@ -261,10 +407,7 @@ func TestChaosQuantizedDownlinkConvergesUnderFaults(t *testing.T) {
 		participations += len(rec.Selected) + len(rec.Dropped)
 		rejoins += rec.Rejoins
 	}
-	drops := 0
-	for _, s := range stats {
-		drops += s.Dropped
-	}
+	drops := countCuts(dialers)
 	rate := float64(drops) / float64(participations)
 	t.Logf("quant8 chaos: injected drops %d/%d participations = %.2f, rejoins %d",
 		drops, participations, rate, rejoins)
@@ -281,13 +424,9 @@ func TestChaosQuantizedDownlinkConvergesUnderFaults(t *testing.T) {
 // quantization error feedback accumulates state per connection, and a
 // divergent reset after any rejoin would show up here.
 func TestChaosQuantizedDownlinkDeterministicHistories(t *testing.T) {
-	a, statsA := runChaosTraining(t, 42, 8, 30_000, quant8Downlink)
-	b, statsB := runChaosTraining(t, 42, 8, 30_000, quant8Downlink)
-	for i := range statsA {
-		if statsA[i].Dropped != statsB[i].Dropped || statsA[i].Conns != statsB[i].Conns {
-			t.Errorf("edge %d: injector saw %+v vs %+v", i, statsA[i], statsB[i])
-		}
-	}
+	a, dialersA := runChaosTraining(t, 42, 8, 30_000, quant8Downlink)
+	b, dialersB := runChaosTraining(t, 42, 8, 30_000, quant8Downlink)
+	assertSameCuts(t, dialersA, dialersB)
 	assertIdenticalHistories(t, a, b)
 }
 
@@ -371,11 +510,7 @@ func TestRejoinRestoresClientAfterMidRoundDrop(t *testing.T) {
 			Retry: chaosRetry(),
 		}
 		if i == 1 {
-			inj := faultnet.New(faultnet.Config{
-				Seed: 7,
-				Plan: map[int]faultnet.ConnPlan{0: {DropAfterBytes: 2000}},
-			})
-			cfg.Dial = inj.TCPDialer()
+			cfg.Dial = (&severingDialer{plan: map[int]int64{0: 2000}}).dial
 		}
 		wg.Add(1)
 		go func(cfg EdgeConfig, i int) {

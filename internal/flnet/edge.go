@@ -97,14 +97,10 @@ type EdgeServer struct {
 	workRound            int
 }
 
-// Dial connects to the coordinator and performs the Join/Welcome handshake.
-func Dial(cfg EdgeConfig) (*EdgeServer, error) {
-	return dialAs(cfg, -1)
-}
-
-// dialAs performs one connection attempt. rejoinID < 0 registers fresh
-// (MsgJoin); otherwise the edge re-registers its previous id (MsgRejoin)
-// and the coordinator must echo it back.
+// dialAs connects to the coordinator and performs one Join/Welcome
+// handshake. rejoinID < 0 registers fresh (MsgJoin); otherwise the edge
+// re-registers its previous id (MsgRejoin) and the coordinator must echo it
+// back.
 func dialAs(cfg EdgeConfig, rejoinID int) (*EdgeServer, error) {
 	if cfg.Shard == nil || cfg.Shard.Len() == 0 {
 		return nil, fmt.Errorf("empty shard: %w", ErrEdge)

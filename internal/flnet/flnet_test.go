@@ -468,7 +468,7 @@ func TestRoundWithoutEnoughClients(t *testing.T) {
 
 func TestDialFailsFast(t *testing.T) {
 	shard := &dataset.Dataset{}
-	if _, err := Dial(EdgeConfig{Addr: "127.0.0.1:1", Shard: shard}); !errors.Is(err, ErrEdge) {
+	if _, err := dialAs(EdgeConfig{Addr: "127.0.0.1:1", Shard: shard}, -1); !errors.Is(err, ErrEdge) {
 		t.Errorf("empty shard = %v, want ErrEdge", err)
 	}
 	cfg := dataset.QuickSyntheticConfig()
@@ -477,7 +477,7 @@ func TestDialFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if _, err := Dial(EdgeConfig{Addr: "127.0.0.1:1", Shard: d, DialTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := dialAs(EdgeConfig{Addr: "127.0.0.1:1", Shard: d, DialTimeout: 200 * time.Millisecond}, -1); err == nil {
 		t.Error("dialing a dead port must fail")
 	}
 }

@@ -143,11 +143,11 @@ func TestJoinAfterShutdownRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if _, err := Dial(EdgeConfig{
+	if _, err := dialAs(EdgeConfig{
 		Addr:        coord.Addr().String(),
 		Shard:       shard,
 		DialTimeout: 2 * time.Second,
-	}); err == nil {
+	}, -1); err == nil {
 		t.Error("Dial against a shut-down coordinator must fail")
 	}
 }

@@ -422,8 +422,8 @@ func scriptedEdge(t *testing.T) (net.Conn, <-chan error) {
 			_ = writeFrame(server, MsgWelcome, encodeWelcome(0))
 		}
 	}()
-	edge, err := Dial(EdgeConfig{Addr: "scripted", Shard: d, DialTimeout: 5 * time.Second,
-		Dial: func(string, time.Duration) (net.Conn, error) { return client, nil }})
+	edge, err := dialAs(EdgeConfig{Addr: "scripted", Shard: d, DialTimeout: 5 * time.Second,
+		Dial: func(string, time.Duration) (net.Conn, error) { return client, nil }}, -1)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

@@ -411,7 +411,7 @@ func TestEdgeRejectsProtocolMismatches(t *testing.T) {
 			}()
 			return client, nil
 		}
-		_, err := Dial(EdgeConfig{Addr: "scripted", Shard: d, Dial: dial, DialTimeout: 2 * time.Second})
+		_, err := dialAs(EdgeConfig{Addr: "scripted", Shard: d, Dial: dial, DialTimeout: 2 * time.Second}, -1)
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s = %v, want ErrProtocol", tc.name, err)
 		} else if tc.wantV1 && !strings.Contains(err.Error(), v1Refusal) {

@@ -68,7 +68,7 @@ func TestStragglerToleranceDropsDeadClient(t *testing.T) {
 	deadIDCh := make(chan int, 1)
 	dialErr := make(chan error, 1)
 	go func() {
-		dying, err := Dial(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[servers-1], Seed: 99})
+		dying, err := dialAs(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[servers-1], Seed: 99}, -1)
 		if err != nil {
 			dialErr <- err
 			return
@@ -155,7 +155,7 @@ func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 			dialErrs := make(chan error, 2)
 			go func() {
 				for i := 0; i < 2; i++ {
-					cl, err := Dial(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[i], Seed: uint64(i)})
+					cl, err := dialAs(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[i], Seed: uint64(i)}, -1)
 					if err != nil {
 						dialErrs <- err
 						return

@@ -75,23 +75,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
 // ArgMax returns the index of the largest element of x (-1 for empty x).
 // Ties resolve to the lowest index.
 func ArgMax(x []float64) int {

@@ -95,19 +95,6 @@ func TestNorm2Overflow(t *testing.T) {
 	}
 }
 
-func TestSumMean(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if got := Sum(x); got != 10 {
-		t.Errorf("Sum = %v, want 10", got)
-	}
-	if got := Mean(x); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if Mean(nil) != 0 {
-		t.Error("degenerate Mean must be 0")
-	}
-}
-
 func TestArgMax(t *testing.T) {
 	tests := []struct {
 		name string

@@ -87,34 +87,7 @@ if grep -nE 'V?(ADD|SUB|MUL|DIV|SQRT)(P|S)D|VFM' internal/ml/*.s; then
     echo "internal/ml: floating-point arithmetic in the integer-only codec"; exit 1
 fi
 
-echo "== no test-only exports =="
-# Every package-level exported function in internal/ must be named by a
-# non-comment line of some non-test Go file under internal/, cmd/ or bench/
-# other than its own declaration and `var _ … =` lines. The root package
-# does not count: it re-exports only what README and its Examples name (the
-# next step), so it cannot keep an internal export alive on its own. An
-# export only tests call is API nobody uses: delete it with its tests, or
-# move it into the _test.go beside its users. The names below stay, each
-# for the reason given; an entry that stops being a test-only export must
-# leave the list.
-allow='
-MaxQuantError      # the quantization error bound tests in ml and flnet assert against
-SubVec             # named by tests in mat and dataset
-NewDenseData       # builds literal fixtures for tests in mat, ml and dataset
-GoldenSection      # the minimizer core tests run their numeric reference planner on; optim tests it too
-FitBoundConstants  # the online (A0, A1, A2) fit on ROADMAP.md will call it on the loss history of a live run
-'
-exported=$(git grep -hE '^func [A-Z]' -- 'internal/*.go' ':!*_test.go' | sed -E 's/^func ([A-Za-z0-9_]+).*/\1/' | sort -u)
-named=$(git grep -hvE '^\s*//|^var _ ' -- 'internal/*.go' 'cmd/*.go' 'bench/*.go' ':!*_test.go' | sed -E 's/^func [A-Za-z0-9_]+//' | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
-test_only=$(comm -23 <(echo "$exported") <(echo "$named"))
-allowed=$(sed -E 's/#.*//; s/[[:space:]]//g; /^$/d' <<<"$allow" | sort -u)
-if orphans=$(comm -23 <(echo "$test_only") <(echo "$allowed")) && [ -n "$orphans" ]; then
-    echo "exported from internal/ but named only by tests:"; echo "$orphans"; exit 1
-fi
-if stale=$(comm -13 <(echo "$test_only") <(echo "$allowed")) && [ -n "$stale" ]; then
-    echo "allowlisted but no longer a test-only export (drop from the list):"; echo "$stale"; exit 1
-fi
-
+echo "== no plug-ins =="
 # The paper selects K_t uniformly and averages per Eq. (2); fl.Engine
 # hard-codes both, as the networked coordinator does, and trains plain
 # FedAvg locally.
@@ -143,6 +116,8 @@ if unnamed=$(comm -23 <(echo "$root_exported") <(echo "$root_named")) && [ -n "$
 fi
 
 echo "== tests =="
+# Among them the root package's TestNoTestOnlyExports: no export under
+# internal/ may be named by tests alone.
 go test ./...
 
 echo "== tests (race detector) =="
