@@ -311,11 +311,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestFatesStreams pins the first 2 000 fates of two streams, one byte
+// TestFatesDeterministic pins the first 2 000 fates of two streams, one byte
 // (drop | dup<<1 | hold<<2) per packet, to digests taken from the packet
 // injector these fates were moved out of: a full (loss, dup, reorder)
 // stream, and the loss-only data stream of conn 0 at seed 1 and p = 0.9.
-func TestFatesStreams(t *testing.T) {
+func TestFatesDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		f    *fates
 		want string
@@ -326,17 +326,53 @@ func TestFatesStreams(t *testing.T) {
 		h := sha256.New()
 		for range 2000 {
 			f := tc.f.next()
-			if f.drop && (f.dup || f.hold) {
-				t.Fatal("a dropped packet is also duplicated or held")
-			}
 			h.Write([]byte{b2u(f.drop) | b2u(f.dup)<<1 | b2u(f.hold)<<2})
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("fates digest %s, want %s", got, tc.want)
 		}
 	}
-	if f := newFates(5, 0, 0, 0); f != nil || f.next() != (packetFate{}) {
-		t.Error("all-zero probabilities must inject nothing")
+}
+
+// TestFatesRates checks each stream's rate. A drop clears dup and hold, so
+// their marginal rates are p·(1−loss).
+func TestFatesRates(t *testing.T) {
+	const n = 20000
+	loss, dup, reorder := 0.3, 0.15, 0.1
+	fs := newFates(3, loss, dup, reorder)
+	var drops, dups, holds int
+	for range n {
+		f := fs.next()
+		if f.drop && (f.dup || f.hold) {
+			t.Fatal("a dropped packet is also duplicated or held")
+		}
+		drops += int(b2u(f.drop))
+		dups += int(b2u(f.dup))
+		holds += int(b2u(f.hold))
+	}
+	for _, r := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"drop", float64(drops) / n, loss},
+		{"dup", float64(dups) / n, dup * (1 - loss)},
+		{"hold", float64(holds) / n, reorder * (1 - loss)},
+	} {
+		if math.Abs(r.got-r.want) > 0.02 {
+			t.Errorf("%s rate %.3f, want ≈ %.3f", r.name, r.got, r.want)
+		}
+	}
+}
+
+func TestFatesZeroConfigInert(t *testing.T) {
+	f := newFates(5, 0, 0, 0)
+	if f != nil {
+		t.Fatal("all-zero probabilities must give a nil *fates")
+	}
+	for i := range 1000 {
+		if pf := f.next(); pf != (packetFate{}) {
+			t.Fatalf("packet %d: zero config injected %+v", i, pf)
+		}
 	}
 }
 
