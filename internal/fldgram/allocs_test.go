@@ -2,7 +2,10 @@
 
 package fldgram
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The pins below lean on sync.Pool keeping its buffers, which it does not
 // under the race detector; hence the build tag on the file.
@@ -25,18 +28,23 @@ func TestPacketCodecAllocationFree(t *testing.T) {
 	t.Logf("encodePacket+decodePacket allocate %v per packet", allocs)
 }
 
-// TestPipeFrameAllocationFree pins the warm ARQ path end to end: an 8 KiB
-// frame written into one end of a lossless Pipe and echoed back by the other
-// — fragmentation, the window, cumulative ACKs, reassembly, both directions —
-// allocates nothing once the queue buffers are pooled.
+// TestPipeFrameAllocationFree pins the warm ARQ path end to end: a frame
+// written into one end of a lossless Pipe and echoed back by the other —
+// fragmentation, the window, cumulative ACKs, reassembly, both directions —
+// allocates nothing once the queue buffers are pooled. The sizes are 8 KiB
+// and the paper's raw model, one flight of 54 fragments.
 func TestPipeFrameAllocationFree(t *testing.T) {
-	echo := echoPipe(t, 8192)
-	for i := 0; i < 3; i++ {
-		echo()
+	for _, size := range []int{8192, 62816} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			echo := echoPipe(t, size)
+			for i := 0; i < 3; i++ {
+				echo()
+			}
+			allocs := testing.AllocsPerRun(100, echo)
+			if allocs != 0 {
+				t.Errorf("one echoed %d B frame allocates %v objects, want 0", size, allocs)
+			}
+			t.Logf("one echoed %d B frame allocates %v objects", size, allocs)
+		})
 	}
-	allocs := testing.AllocsPerRun(100, echo)
-	if allocs != 0 {
-		t.Errorf("one echoed 8 KiB frame allocates %v objects, want 0", allocs)
-	}
-	t.Logf("one echoed 8 KiB frame allocates %v objects", allocs)
 }

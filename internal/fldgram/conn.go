@@ -22,8 +22,10 @@ var errBrokenStream = fmt.Errorf("stream broken by a failed write: %w", ErrTrans
 // far ahead of a hole the receiver holds packets. Each peer of a Listener
 // has a socket of its own, so the bound that matters is window × skb
 // truesize (2304 B for a 1200-byte datagram) below one socket's receive
-// buffer: 32 × 2304 B = 74 kB fits the stock 212992 B whatever the fleet.
-const window = 32
+// buffer: 64 × 2304 B = 147 kB fits the stock 212992 B whatever the fleet.
+// 64 is also the kernel's segment cap, and a window holds the paper's
+// 54-fragment raw model, so every model frame leaves in one flight.
+const window = 64
 
 // Stats is a snapshot of one Conn's packet accounting. The Tx side counts
 // data packets only (ACKs and FINs ride for free in the energy model — the
@@ -192,7 +194,8 @@ func (c *Conn) wakeAll() {
 	c.mu.Unlock()
 }
 
-// recvLoop owns the link's receive side until the link dies.
+// recvLoop owns the link's receive side until the link dies, and wakes the
+// waiters once per carrier read, not once per packet.
 func (c *Conn) recvLoop() {
 	buf := make([]byte, maxMTU+1)
 	for {
@@ -209,6 +212,7 @@ func (c *Conn) recvLoop() {
 		for pkt, rest := segment(buf[:n], size); pkt != nil; pkt, rest = segment(rest, size) {
 			c.process(pkt)
 		}
+		c.wakeAll()
 	}
 }
 
@@ -219,7 +223,8 @@ func (c *Conn) recvLoop() {
 // every window/2 in-order packets (the sender's window reopens before it
 // drains), one for any duplicate (its ACK was lost), one for a packet past
 // the frontier (the carrier lost its predecessor), and one when a hole
-// fills. An ACK is flagged flagGap while a hole remains.
+// fills. An ACK is flagged flagGap while a hole remains. It wakes no
+// waiter: its caller does once the run it came in is processed.
 func (c *Conn) process(pkt []byte) {
 	if len(pkt) > 0 && pkt[0] == pktAck {
 		c.processAck(pkt)
@@ -250,7 +255,6 @@ func (c *Conn) process(pkt []byte) {
 		c.stats.AckPackets++ // sent, though its injected fate may drop it
 		ack = !c.ackFates.next().drop
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	if !ack {
 		return
@@ -284,7 +288,6 @@ func (c *Conn) processAck(pkt []byte) {
 	if flags&flagGap != 0 && acked == c.txAcked && acked < c.txSeq {
 		c.gapAt = uint64(acked) + 1
 	}
-	c.cond.Broadcast()
 }
 
 // sendData puts a run of data packets on the carrier, applying the
@@ -328,10 +331,10 @@ func (c *Conn) sendData(run []byte, fate packetFate) {
 // The packets transmitted between two waits leave as one run, a flight the
 // UDP carrier sends with one syscall. A run ends before Write waits (which
 // covers the frame's one short packet, its last) and before it would pass
-// maxMTU bytes; window ≤ 64, the kernel's segment cap, bounds its count. A
-// packet fated to be duplicated or held back, and every packet while one is
-// held, goes as a run of its own, so the carrier sees the order it would
-// one packet at a time; so does a resent hole.
+// maxMTU bytes; window, at most the kernel's 64-segment cap, bounds its
+// count. A packet fated to be duplicated or held back, and every packet
+// while one is held, goes as a run of its own, so the carrier sees the
+// order it would one packet at a time; so does a resent hole.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -350,6 +353,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 		hole     = -1                                   // fragment a gap ACK asked for, until it is resent; -1: none
 		repaired = -1                                   // the frontier last resent or gone back to
 		holding  bool                                   // the carrier holds a packet back until the next send
+		now      time.Time                              // the clock as last read
+		stale    = true                                 // a flush, a wait or an injected drop since then
 	)
 	fragment := func(i int) []byte { return p[i*c.payload : min((i+1)*c.payload, len(p))] }
 	// flush puts the run laid out in txScratch on the carrier under fate,
@@ -361,7 +366,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.mu.Unlock()
 		c.sendData(c.txScratch, fate)
 		c.mu.Lock()
-		c.txScratch = c.txScratch[:0]
+		c.txScratch, stale = c.txScratch[:0], true
 	}
 	defer flush(packetFate{}) // a failed Write still sends what it transmitted
 	for {
@@ -375,7 +380,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if acked == n {
 			return len(p), nil
 		}
-		now := time.Now()
+		// The clock is read once per flush, wait or injected drop, not once
+		// per packet: between two of those Write only lays out one run, and
+		// a streak of drops, which neither sends nor waits, still meets the
+		// deadline at every attempt.
+		if stale {
+			now, stale = time.Now(), false
+		}
 		switch {
 		case c.closed:
 			return acked * c.payload, errClosed
@@ -420,6 +431,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			}
 			c.ackTimer.Reset(wake.Sub(now))
 			c.cond.Wait()
+			stale = true
 			continue
 		}
 
@@ -450,13 +462,14 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.meter.addAttempt(size)
 		fate := c.dataFates.next()
 		if fate.drop {
+			stale = true
 			continue
 		}
 		alone := fate.dup || fate.hold || holding || perPacket || i != next
 		if alone {
 			flush(packetFate{})
 		}
-		c.txScratch = encodePacket(c.txScratch, pktData, flags, seq, cum, frag)
+		c.txScratch = encodePacket(roomFor(c.txScratch, size), pktData, flags, seq, cum, frag)
 		if i == next {
 			next++
 		}
@@ -476,7 +489,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if len(c.ra.buf) > 0 {
+		if len(c.ra.unread()) > 0 {
 			if len(p) == 0 {
 				return 0, nil
 			}

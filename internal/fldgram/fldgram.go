@@ -11,9 +11,9 @@
 //   - Every Write is one frame, fragmented into MTU-sized datagrams with a
 //     20-byte header (type, flags, length, sequence number, the sender's
 //     cumulative attempted-byte counter, and a CRC-32C over the packet).
-//   - A sliding-window ARQ with a fixed window of 32 packets delivers
+//   - A sliding-window ARQ with a fixed window of 64 packets delivers
 //     fragments in order: the receiver acknowledges cumulatively, by packet
-//     count (every sixteenth in-order packet and every frame end), and each
+//     count (every thirty-second in-order packet and every frame end), and each
 //     data packet is retransmitted until an ACK covers it, so with a
 //     per-attempt delivery probability p the attempt count per fragment is
 //     exactly the geometric distribution of iot.Unlicensed, and

@@ -19,6 +19,10 @@ import (
 //  3. the in-order frontier only advances on valid in-sequence fragments,
 //     and the delivered byte count matches it exactly.
 //
+// Reads are script ops too: 1–4 bytes (flnet reads a 4-byte length, then
+// the body) or the rest, so partial reads, and the compaction a delivery
+// makes behind them, are fuzzed; whatever is left is read at the end.
+//
 // The checked-in seed corpus (testdata/fuzz/FuzzReassembly) covers each
 // mutation class; `go test` replays it on every run, and verify.sh runs a
 // short live fuzz on top.
@@ -33,6 +37,11 @@ func FuzzReassembly(f *testing.F) {
 	f.Add([]byte{0, 7, 0, 5, 0, 6, 0, 3, 0, 1, 0, 2, 0, 0, 0, 4}) // all held, then released
 	f.Add([]byte{0, 2, 0, 4, 0, 2, 0, 0, 0, 4, 0, 1, 0, 3, 0, 2}) // dups of held packets
 	f.Add([]byte{0, 1, 1, 9, 0, 0, 2, 17, 0, 2, 0, 3})            // held, hole filled past garbage
+
+	// flnet's pattern: a 4-byte header read, then the body.
+	f.Add([]byte{0, 0, 0, 1, 5, 4, 5, 0, 0, 2, 0, 3, 5, 4, 5, 0})
+	// Partial reads between deliveries, so deliver compacts.
+	f.Add([]byte{0, 0, 5, 1, 0, 1, 5, 2, 0, 2, 5, 3, 0, 3, 5, 4, 0, 4, 5, 1, 0, 5, 0, 6, 0, 7})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		// Ground truth: 8 fragments of varied sizes from a fixed RNG.
@@ -53,10 +62,14 @@ func FuzzReassembly(f *testing.F) {
 
 		var ra reassembler
 		var delivered []byte
+		read := func(n int) {
+			tmp := make([]byte, n)
+			delivered = append(delivered, tmp[:ra.read(tmp)]...)
+		}
 		for pos := 0; pos+1 < len(script); pos += 2 {
 			op, arg := script[pos], script[pos+1]
 			var pkt []byte
-			switch op % 5 {
+			switch op % 6 {
 			case 0: // a valid fragment, possibly out of order or duplicated
 				pkt = packets[int(arg)%frags]
 			case 1: // truncated at an arbitrary point
@@ -75,14 +88,17 @@ func FuzzReassembly(f *testing.F) {
 			case 4: // two fragments glued into one datagram (overlap)
 				pkt = append(append([]byte(nil), packets[int(arg)%frags]...),
 					packets[(int(arg)+1)%frags]...)
+			case 5: // a Read of 1–4 bytes, or of the rest
+				if n := int(arg) % 5; n > 0 {
+					read(n)
+				} else {
+					read(len(ra.unread()))
+				}
+				continue
 			}
 			ra.absorb(pkt)
-			if n := len(ra.buf); n > 0 {
-				tmp := make([]byte, n)
-				ra.read(tmp)
-				delivered = append(delivered, tmp...)
-			}
 		}
+		read(len(ra.unread()))
 
 		if !bytes.HasPrefix(want, delivered) {
 			t.Fatalf("delivered %d bytes that are not a prefix of the true stream", len(delivered))
@@ -158,8 +174,8 @@ func FuzzCoalesced(f *testing.F) {
 		for pkt, rest := segment(run, size); pkt != nil; pkt, rest = segment(rest, size) {
 			ra.absorb(pkt)
 		}
-		if !bytes.HasPrefix(want, ra.buf) {
-			t.Fatalf("delivered %d bytes that are not a prefix of the true stream", len(ra.buf))
+		if got := ra.unread(); !bytes.HasPrefix(want, got) {
+			t.Fatalf("delivered %d bytes that are not a prefix of the true stream", len(got))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package fldgram
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 )
 
 // Packet layout (big-endian), headerLen = 20 bytes:
@@ -93,8 +94,9 @@ func decodePacket(pkt []byte) (typ, flags byte, seq uint32, attemptBytes uint64,
 type reassembler struct {
 	// next is the next in-order data sequence number expected.
 	next uint32
-	// buf holds delivered in-order stream bytes awaiting Read.
+	// buf[off:] holds delivered in-order stream bytes awaiting Read.
 	buf []byte
+	off int
 	// ring holds validated packets ahead of next at seq%window, an empty
 	// slot meaning none; held counts the full ones.
 	ring [][]byte
@@ -166,20 +168,40 @@ func (ra *reassembler) absorb(pkt []byte) (ackSeq uint32, ack bool) {
 	}
 }
 
-// deliver appends one in-order fragment to the stream.
+// deliver appends one in-order fragment to the stream, moving the unread
+// bytes to the front of buf first if the append would outgrow it.
 func (ra *reassembler) deliver(pkt, payload []byte) {
-	ra.buf = append(ra.buf, payload...)
+	if ra.off > 0 && len(ra.buf)+len(payload) > cap(ra.buf) {
+		ra.buf, ra.off = ra.buf[:copy(ra.buf, ra.buf[ra.off:])], 0
+	}
+	ra.buf = append(roomFor(ra.buf, len(payload)), payload...)
 	ra.next++
 	ra.deliveredPackets++
 	ra.deliveredBytes += int64(len(pkt))
 }
 
-// read moves up to len(p) delivered bytes into p.
+// roomFor returns buf with room for n more bytes. A buffer that must grow
+// while it already holds a packet (a run or a frame spans packets) grows
+// to maxMTU at once, room for a whole run or model frame, instead of by
+// doubling: a Conn allocates each of its buffers at full size once, and
+// never at that size while it carries only single-packet frames.
+func roomFor(buf []byte, n int) []byte {
+	if len(buf) == 0 || len(buf)+n <= cap(buf) {
+		return buf
+	}
+	return slices.Grow(buf, max(n, maxMTU-len(buf)))
+}
+
+// unread returns the delivered bytes awaiting Read.
+func (ra *reassembler) unread() []byte { return ra.buf[ra.off:] }
+
+// read moves up to len(p) delivered bytes into p, advancing past them
+// rather than shifting the rest down.
 func (ra *reassembler) read(p []byte) int {
-	n := copy(p, ra.buf)
-	if n > 0 {
-		rest := copy(ra.buf, ra.buf[n:])
-		ra.buf = ra.buf[:rest]
+	n := copy(p, ra.unread())
+	ra.off += n
+	if ra.off == len(ra.buf) {
+		ra.buf, ra.off = ra.buf[:0], 0
 	}
 	return n
 }

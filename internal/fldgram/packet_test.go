@@ -86,8 +86,8 @@ func TestReassemblerDupAndAhead(t *testing.T) {
 	if _, ack := ra.absorb(p2); ack {
 		t.Fatal("acked a packet ahead of the frontier")
 	}
-	if ra.held != 1 || ra.next != 0 || len(ra.buf) != 0 {
-		t.Fatalf("ahead packet: held %d next %d buffered %d, want 1 0 0", ra.held, ra.next, len(ra.buf))
+	if ra.held != 1 || ra.next != 0 || len(ra.unread()) != 0 {
+		t.Fatalf("ahead packet: held %d next %d buffered %d, want 1 0 0", ra.held, ra.next, len(ra.unread()))
 	}
 	// Duplicate of a held packet: a dup, re-acked at the empty frontier.
 	if ackSeq, ack := ra.absorb(p2); !ack || ackSeq != ^uint32(0) || ra.dupPackets != 1 || ra.held != 1 {

@@ -215,6 +215,7 @@ func (l *Listener) dispatch(run []byte, size int, raddr netip.AddrPort) {
 	for p, rest := segment(run, size); p != nil; p, rest = segment(rest, size) {
 		c.process(p)
 	}
+	c.wakeAll()
 }
 
 // open makes the Conn for a new peer under l.mu, or nil for a datagram that

@@ -102,9 +102,9 @@ func wantAcks(size int) int64 {
 
 // TestWindowCarrierLoss scripts genuine carrier loss — a data packet in the
 // middle of a frame, inside a run or at its end, the last one, a cumulative
-// ACK, the final ACK — and pins how each is repaired: a gap the receiver
-// can see costs one round trip and one go-back, a loss at the tail costs one
-// RTO, a lost mid-frame ACK costs nothing because the next one is
+// ACK mid-frame, the final ACK — and pins how each is repaired: a gap the
+// receiver can see costs one round trip and one go-back, a loss at the tail
+// costs one RTO, a lost mid-frame ACK costs nothing because the next one is
 // cumulative.
 func TestWindowCarrierLoss(t *testing.T) {
 	const size = 200 << 10
@@ -142,7 +142,7 @@ func TestWindowCarrierLoss(t *testing.T) {
 		{"data mid-run", 2 * time.Second, midRun, nil, false, 1},
 		{"data last of run", 2 * time.Second, endOfRun, nil, false, 1},
 		{"last data packet", 50 * time.Millisecond, first(pktData, n-1), nil, true, 1},
-		{"cumulative ack", 2 * time.Second, nil, first(pktAck, 5), false, 0},
+		{"cumulative ack", 2 * time.Second, nil, first(pktAck, lastAck/2), false, 0},
 		{"final ack", 50 * time.Millisecond, nil, first(pktAck, lastAck), true, 1},
 	}
 	for _, tc := range cases {
@@ -199,6 +199,49 @@ func TestWindowAckPolicy(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestModelFrameOneFlight: the paper's raw model, a 62 816-byte frame of 54
+// fragments, fits one window and one run, so it reaches the carrier as one
+// data run and costs two ACKs (one at half a window, one at the frame end).
+// Under 10 % injected loss it is still one run: an injected drop never
+// reaches the carrier, and its resend takes its place inside the run.
+func TestModelFrameOneFlight(t *testing.T) {
+	const size = 62816
+	for _, p := range []float64{1, 0.9} {
+		t.Run(fmt.Sprintf("p=%v", p), func(t *testing.T) {
+			la, lb := pipeLinks()
+			rec := &recordingLink{PacketLink: la}
+			a, b := newConn(rec, Config{Seed: 1, SuccessProb: p}, 0), newConn(lb, Config{}, 1)
+			defer a.Close()
+			defer b.Close()
+			writeAndDrain(t, a, b, fill(size, 5))
+			sa, sb := a.Stats(), b.Stats()
+			rec.mu.Lock()
+			runs, sent := rec.runs, len(rec.data)
+			rec.mu.Unlock()
+			if runs != 1 || sent != size+fragments(size)*headerLen {
+				t.Errorf("%d data runs of %d bytes in all, want one of %d", runs, sent, size+fragments(size)*headerLen)
+			}
+			if sb.AckPackets != 2 {
+				t.Errorf("AckPackets = %d, want 2", sb.AckPackets)
+			}
+			if sa.TxDelivered != int64(fragments(size)) || (p < 1) != (sa.TxAttempts > sa.TxDelivered) {
+				t.Errorf("%d attempts for %d of %d fragments at p=%v", sa.TxAttempts, sa.TxDelivered, fragments(size), p)
+			}
+		})
+	}
+}
+
+// TestWindowFitsSocket checks the budget stated at window's declaration: a
+// window of datagrams at the default MTU (a 2304-byte skb each) fits one
+// peer socket's stock 212 992-byte receive buffer, and a flight of them
+// stays within the kernel's 64-segment cap on one UDP_SEGMENT send.
+func TestWindowFitsSocket(t *testing.T) {
+	const truesize, rcvbuf, segCap = 2304, 212992, 64
+	if window > segCap || window*truesize >= rcvbuf {
+		t.Fatalf("window %d: want at most %d segments and %d×%d B < %d B", window, segCap, window, truesize, rcvbuf)
 	}
 }
 
