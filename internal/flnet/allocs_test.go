@@ -18,14 +18,16 @@ import (
 // does not under the race detector; hence the build tag on the file.
 
 // TestWarmRoundAllocations pins what a warm networked round allocates, both
-// ends counted: the round itself, one goroutine per exchange, the selection
-// draw and the record's two slices, and nothing per parameter — frames are
-// pooled, requests are encoded once and shared, replies decode in place, the
-// per-connection link state advances by pointer, and the round's target,
-// frame and update lists are scratch the coordinator keeps. Over loopback TCP
-// a K = 8 round measures 20; the pin leaves one for the history slice
-// growing. Through the fldgram link a K = 10 round measures 27 with and
-// without injected loss: nothing per packet.
+// ends counted: the round itself, one per exchange goroutine (the closure its
+// go statement carries), the selection draw and the record's two slices, and
+// nothing per parameter — frames are pooled, requests are encoded once and
+// shared, replies decode in place, the per-connection link state advances by
+// pointer, and the round's target, frame and update lists and its replies
+// channel are scratch the coordinator keeps. Over loopback TCP a K = 8 round
+// measures 12 (20 while each exchange goroutine cost two); the pin was set at
+// 20 plus one for the history slice growing. Through the fldgram link a
+// K = 10 round measures 17 with and without injected loss: nothing per
+// packet.
 func TestWarmRoundAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name        string

@@ -110,8 +110,9 @@ type clientConn struct {
 	// request is a full model).
 	base, prev *snapshot
 	upRound    int
-	// readBuf and repModel are the slot's reply-decode scratch, touched
-	// only by the active round's goroutine for this slot (rounds are
+	// readBuf and repModel are the slot's reply scratch: the active round's
+	// exchange goroutine for this slot reads into readBuf, and the round
+	// goroutine decodes into repModel once that goroutine posts (rounds are
 	// serial, and each round selects a client at most once).
 	readBuf  []byte
 	repModel *ml.Model
@@ -125,6 +126,7 @@ type Coordinator struct {
 	cfg      CoordinatorConfig
 	ln       net.Listener
 	repLimit int // largest reply payload a model of the global's shape can need
+	sendBuf  int // a stream connection's send buffer: two full-model requests (see register)
 	test     *dataset.Dataset
 	testEval *ml.Evaluator // owns the batched-forward scratch reused across rounds
 	rng      *mat.RNG
@@ -146,6 +148,10 @@ type Coordinator struct {
 	targets []target
 	frames  []*[]byte
 	updates []fl.Update
+	// replies carries a slot index from its exchange goroutine to the round
+	// goroutine (see exchangeAll). It holds K, one per target, so no
+	// goroutine waits to post.
+	replies chan int
 
 	mu sync.Mutex
 	// global is the current round's model, replaced (never written) at
@@ -205,6 +211,8 @@ func NewCoordinator(cfg CoordinatorConfig, ln net.Listener, test *dataset.Datase
 		global:   &snapshot{m: global, refs: 1},
 		spare:    &snapshot{m: global.Clone()},
 		repLimit: trainRepHeaderLen + modelBodyLimit(global),
+		sendBuf:  2 * (frameHeaderLen + trainReqHeaderLen + modelBodyLimit(global)),
+		replies:  make(chan int, cfg.FL.ClientsPerRound),
 		test:     test,
 		testEval: ml.NewEvaluator(1),
 		rng:      mat.NewRNG(cfg.FL.Seed),
@@ -359,6 +367,15 @@ func (c *Coordinator) register(conn net.Conn) error {
 	}
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return fmt.Errorf("handshake deadline: %w", err)
+	}
+	// A round writes every stream request before it reads any reply. Only
+	// the previous round's frame can still be queued ahead of this one (a
+	// failed exchange closes its connection), so room for two full models
+	// keeps that write from waiting on the peer.
+	if tc, ok := conn.(*net.TCPConn); ok {
+		if err := tc.SetWriteBuffer(c.sendBuf); err != nil {
+			return fmt.Errorf("send buffer: %w", err)
+		}
 	}
 	t, payload, err := readFrame(conn, handshakeLimit)
 	if err != nil {

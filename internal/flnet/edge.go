@@ -69,8 +69,6 @@ type EdgeServer struct {
 	cfg  EdgeConfig
 	conn net.Conn
 	id   int
-	// roundsServed counts completed local-training requests.
-	roundsServed int
 
 	// Per-connection scratch for the zero-copy round path. readBuf is the
 	// frame read scratch and reqLimit the largest request payload a model of
@@ -177,9 +175,6 @@ func handshake(conn net.Conn, cfg EdgeConfig, rejoinID int, timeout time.Duratio
 
 // ID returns the coordinator-assigned client id.
 func (e *EdgeServer) ID() int { return e.id }
-
-// RoundsServed returns how many training requests this server has completed.
-func (e *EdgeServer) RoundsServed() int { return e.roundsServed }
 
 // Close tears down the connection.
 func (e *EdgeServer) Close() error { return e.conn.Close() }
@@ -347,7 +342,6 @@ func (e *EdgeServer) handleTrain(payload []byte) error {
 		e.work, e.prevWork, e.workRound = e.prevWork, e.work, req.Round
 	}
 	e.cfg.Counters.AddTx(n)
-	e.roundsServed++
 	return nil
 }
 

@@ -269,3 +269,107 @@ func TestHandshakesBounded(t *testing.T) {
 		t.Fatalf("real edge behind %d silent dialers: %v", stalled, err)
 	}
 }
+
+// TestNoGoroutineOutlivesARound: every goroutine a round starts has exited
+// once Round returns — after a successful round, after an aborted one, and
+// after a Shutdown that catches a round in flight (which also ends the accept
+// loop). A goroutine may still be between its last post and its exit when
+// Round returns, so the count is polled briefly.
+func TestNoGoroutineOutlivesARound(t *testing.T) {
+	// steady waits for the goroutine count to stop moving (handshakes and
+	// earlier tests winding down) and returns it.
+	steady := func() int {
+		n := runtime.NumGoroutine()
+		for end := time.Now().Add(time.Second); time.Now().Before(end); {
+			time.Sleep(20 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	settled := func(t *testing.T, before int) {
+		t.Helper()
+		n := runtime.NumGoroutine()
+		for end := time.Now().Add(2 * time.Second); n > before && time.Now().Before(end); n = runtime.NumGoroutine() {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n > before {
+			t.Errorf("%d goroutines after the round, %d before it", n, before)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	dcfg := dataset.QuickSyntheticConfig()
+	dcfg.Samples = 80
+	train, err := dataset.Synthesize(dcfg)
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	shards, err := dataset.IIDPartitioner{Seed: 1}.Partition(train, 4)
+	if err != nil {
+		t.Fatalf("Partition: %v", err)
+	}
+
+	t.Run("success", func(t *testing.T) {
+		coord, cleanup := benchCluster(t, shards, nil, CoordinatorConfig{
+			FL:           fl.Config{ClientsPerRound: 4, LocalEpochs: 1, LearningRate: 0.1, Seed: 1},
+			Classes:      train.Classes,
+			Features:     train.Dim(),
+			RoundTimeout: 5 * time.Second,
+			JoinTimeout:  5 * time.Second,
+		})
+		defer cleanup()
+		if _, err := coord.Round(ctx); err != nil {
+			t.Fatalf("warm-up round: %v", err)
+		}
+		before := steady()
+		if _, err := coord.Round(ctx); err != nil {
+			t.Fatalf("round: %v", err)
+		}
+		settled(t, before)
+	})
+
+	t.Run("aborted", func(t *testing.T) {
+		// A client joins, then dies: the quorum of one is missed.
+		coord := lifecycleCoordinator(t, 1)
+		if err := coord.AwaitRoster(ctx, 0, time.Second); err != nil {
+			t.Fatalf("start accept loop: %v", err)
+		}
+		rawJoin(t, coord.Addr().String()).Close()
+		if err := coord.AwaitRoster(ctx, 1, 5*time.Second); err != nil {
+			t.Fatalf("AwaitRoster: %v", err)
+		}
+		before := steady()
+		if _, err := coord.Round(ctx); err == nil {
+			t.Fatal("round with zero replies must fail")
+		}
+		settled(t, before)
+	})
+
+	t.Run("shutdown", func(t *testing.T) {
+		coord := lifecycleCoordinator(t, 0)
+		if err := coord.AwaitRoster(ctx, 0, time.Second); err != nil {
+			t.Fatalf("start accept loop: %v", err)
+		}
+		conn := rawJoin(t, coord.Addr().String())
+		defer conn.Close()
+		if err := coord.AwaitRoster(ctx, 1, 5*time.Second); err != nil {
+			t.Fatalf("AwaitRoster: %v", err)
+		}
+		before := steady()
+		done := make(chan error, 1)
+		go func() {
+			_, err := coord.Round(ctx)
+			done <- err
+		}()
+		time.Sleep(50 * time.Millisecond) // round is now blocked on the mute client
+		coord.Shutdown()
+		if err := <-done; err == nil {
+			t.Error("round over a shutdown coordinator reported success")
+		}
+		settled(t, before-1) // the accept loop ended with the coordinator
+	})
+}

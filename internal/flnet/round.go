@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,9 +14,10 @@ import (
 )
 
 // target is one selected roster slot: what the round sends it, the
-// connection it is reached on, and what came back. After selection each
-// target is touched only by its own exchange goroutine until exchangeAll
-// returns.
+// connection it is reached on, and what came back. During exchangeAll a
+// target passes between the round goroutine and its own exchange goroutine:
+// the go statement hands it over, and posting its slot index on the
+// coordinator's replies channel hands it back.
 type target struct {
 	cl *clientConn
 	id int
@@ -41,10 +41,12 @@ type target struct {
 	prevSent         *ml.Model
 	// frame is the sealed request frame, shared between the targets whose
 	// connections hold the same rounds; retry is the pooled buffer behind a
-	// repair's re-sealed frame.
+	// repair's re-sealed frame. sent marks frame written on conn.
 	frame []byte
 	retry *[]byte
+	sent  bool
 
+	reply   []byte // the reply payload, in cl.readBuf until decoded
 	rep     TrainReply
 	retries int
 	err     error
@@ -64,7 +66,6 @@ type round struct {
 	targets  []target
 	frames   []*[]byte // pooled request buffers, released when the round returns
 	deadline time.Time
-	wg       sync.WaitGroup
 	// tx/rx are the downlink (coordinator→client) and uplink frame bytes
 	// actually exchanged this round — the measured volume the radio energy
 	// model prices. Datagram transports additionally count packet attempts
@@ -251,32 +252,73 @@ func (r *round) unstage(tg *target) {
 	tg.next, tg.staged = r.global, false
 }
 
-// exchangeAll runs every target's request/reply exchange concurrently, each
-// to its final outcome, bounded by the round timeout and ctx's deadline.
+// exchangeAll runs every target's request/reply exchange to its final
+// outcome, bounded by the round timeout and ctx's deadline. The round
+// goroutine writes every stream request itself, in slot order, before it
+// awaits any reply: the write lands in the send buffer register sized for it.
+// A datagram Write returns only once the peer acknowledges the frame, so such
+// a target sends from its own goroutine. One goroutine per target reads the
+// reply frame and posts the slot index on c.replies, and the round goroutine
+// decodes each reply as its index arrives. A failed send, read or decode is
+// repaired in the target's goroutine, which posts again.
 func (r *round) exchangeAll(ctx context.Context) {
 	r.deadline = time.Now().Add(r.c.cfg.RoundTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(r.deadline) {
 		r.deadline = d
 	}
 	for i := range r.targets {
-		r.wg.Add(1)
-		go func(tg *target) {
-			defer r.wg.Done()
-			for {
-				tg.rep, tg.err = r.exchange(tg)
-				if tg.err == nil || !r.repair(tg) {
-					return
-				}
-			}
-		}(&r.targets[i])
+		if _, dgram := r.targets[i].conn.(dgramMetered); !dgram {
+			r.targets[i].err = r.send(&r.targets[i])
+		}
 	}
-	r.wg.Wait()
+	for i := range r.targets {
+		go r.await(i)
+	}
+	for pending := len(r.targets); pending > 0; pending-- {
+		i := <-r.c.replies
+		tg := &r.targets[i]
+		if tg.err != nil {
+			continue // final: no rejoin came in time
+		}
+		if tg.rep, tg.err = r.decode(tg); tg.err != nil {
+			pending++
+			go r.await(i)
+		}
+	}
 }
 
-// exchange sends tg's request frame on its current connection and reads and
-// decodes the reply.
-func (r *round) exchange(tg *target) (TrainReply, error) {
-	conn, cl := tg.conn, tg.cl
+// await is a target's exchange goroutine. Handed a failed send or decode
+// (tg.err set), it repairs first; then it exchanges, repairing after each
+// failure, until a reply is read or no rejoin comes. Either way it posts the
+// slot index on c.replies.
+func (r *round) await(i int) {
+	tg := &r.targets[i]
+	for tg.err == nil || r.repair(tg) {
+		if tg.reply, tg.err = r.exchange(tg); tg.err == nil {
+			break
+		}
+	}
+	r.c.replies <- i
+}
+
+// send sets tg's deadline and writes its request frame on its current
+// connection.
+func (r *round) send(tg *target) error {
+	if err := tg.conn.SetDeadline(r.deadline); err != nil {
+		return fmt.Errorf("client %d deadline: %w", tg.id, err)
+	}
+	if _, err := tg.conn.Write(tg.frame); err != nil {
+		return fmt.Errorf("client %d request: %w", tg.id, err)
+	}
+	r.tx.Add(int64(len(tg.frame)))
+	tg.sent = true
+	return nil
+}
+
+// exchange sends tg's request frame unless that is done, and reads the reply
+// frame into the slot's scratch.
+func (r *round) exchange(tg *target) ([]byte, error) {
+	conn := tg.conn
 	if m, metered := conn.(dgramMetered); metered {
 		// Delta the conn's lifetime counters around this exchange —
 		// success or failure, the attempted bytes were spent.
@@ -289,22 +331,26 @@ func (r *round) exchange(tg *target) (TrainReply, error) {
 			r.upDelivered.Add(r1 - r0)
 		}()
 	}
-	if err := conn.SetDeadline(r.deadline); err != nil {
-		return TrainReply{}, fmt.Errorf("client %d deadline: %w", tg.id, err)
+	if !tg.sent {
+		if err := r.send(tg); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := conn.Write(tg.frame); err != nil {
-		return TrainReply{}, fmt.Errorf("client %d request: %w", tg.id, err)
-	}
-	r.tx.Add(int64(len(tg.frame)))
-	payload, err := expectFrameInto(conn, MsgTrainReply, &cl.readBuf, r.c.repLimit)
+	payload, err := expectFrameInto(conn, MsgTrainReply, &tg.cl.readBuf, r.c.repLimit)
 	if err != nil {
-		return TrainReply{}, fmt.Errorf("client %d reply: %w", tg.id, err)
+		return nil, fmt.Errorf("client %d reply: %w", tg.id, err)
 	}
 	r.rx.Add(int64(frameHeaderLen + len(payload)))
+	return payload, nil
+}
+
+// decode decodes tg's reply in place over the slot's previous one.
+func (r *round) decode(tg *target) (TrainReply, error) {
+	cl := tg.cl
 	if cl.repModel == nil {
 		cl.repModel = &ml.Model{}
 	}
-	rep, err := decodeTrainReplyInto(payload, cl.repModel, tg.next.m, tg.prevSent)
+	rep, err := decodeTrainReplyInto(tg.reply, cl.repModel, tg.next.m, tg.prevSent)
 	if err != nil {
 		return TrainReply{}, fmt.Errorf("client %d reply body: %w", tg.id, err)
 	}
@@ -325,7 +371,7 @@ func (r *round) repair(tg *target) bool {
 	if !ok {
 		return false
 	}
-	tg.conn, tg.gen = conn, gen
+	tg.conn, tg.gen, tg.sent = conn, gen, false
 	tg.retries++
 	tg.base, tg.prev, tg.prevSent = nil, nil, nil
 	if tg.staged {

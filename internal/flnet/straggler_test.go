@@ -11,11 +11,12 @@ import (
 
 	"eefei/internal/dataset"
 	"eefei/internal/fl"
+	"eefei/internal/fldgram"
 )
 
-// TestStragglerToleranceDropsDeadClient verifies that with MinReplies set,
-// a client that dies after joining does not kill the run: the round
-// completes on the survivors and the dead client never gets selected again.
+// TestStragglerToleranceDropsDeadClient verifies, over each transport, that
+// with MinReplies set a client that dies after joining does not kill the run:
+// the round completes on the survivors and lists the dead client as dropped.
 func TestStragglerToleranceDropsDeadClient(t *testing.T) {
 	const servers = 4
 	dcfg := dataset.QuickSyntheticConfig()
@@ -28,83 +29,116 @@ func TestStragglerToleranceDropsDeadClient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
+	for _, tt := range []struct {
+		name   string
+		listen func() (net.Listener, error)
+		// dialer returns edge i's dialer; nil is plain TCP.
+		dialer func(i int) (func(string, time.Duration) (net.Conn, error), error)
+	}{
+		{"tcp", func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }, nil},
+		{"fldgram",
+			func() (net.Listener, error) {
+				return fldgram.Listen("127.0.0.1:0", fldgram.Config{Seed: 1, SuccessProb: 1})
+			},
+			func(i int) (func(string, time.Duration) (net.Conn, error), error) {
+				return fldgram.Dialer(fldgram.Config{Seed: uint64(i + 2), SuccessProb: 1})
+			}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ln, err := tt.listen()
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			coord, err := NewCoordinator(CoordinatorConfig{
+				FL: fl.Config{
+					// Select everyone each round so the dead client is hit round 0.
+					ClientsPerRound: servers,
+					LocalEpochs:     2,
+					LearningRate:    0.2,
+					Seed:            1,
+				},
+				Classes:      train.Classes,
+				Features:     train.Dim(),
+				RoundTimeout: 5 * time.Second,
+				JoinTimeout:  10 * time.Second,
+				MinReplies:   servers - 1,
+			}, ln, test)
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			defer coord.Shutdown()
+			edge := func(i int, seed uint64) EdgeConfig {
+				cfg := EdgeConfig{Addr: coord.Addr().String(), Shard: shards[i], Seed: seed}
+				if tt.dialer != nil {
+					dial, err := tt.dialer(i)
+					if err != nil {
+						t.Fatalf("dialer: %v", err)
+					}
+					cfg.Dial = dial
+				}
+				return cfg
+			}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		FL: fl.Config{
-			// Select everyone each round so the dead client is hit round 0.
-			ClientsPerRound: servers,
-			LocalEpochs:     2,
-			LearningRate:    0.2,
-			Seed:            1,
-		},
-		Classes:      train.Classes,
-		Features:     train.Dim(),
-		RoundTimeout: 5 * time.Second,
-		JoinTimeout:  10 * time.Second,
-		MinReplies:   servers - 1,
-	}, ln, test)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer coord.Shutdown()
+			// Three healthy edge servers…
+			var wg sync.WaitGroup
+			for i := 0; i < servers-1; i++ {
+				cfg := edge(i, uint64(i+1))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = RunEdgeServer(context.Background(), cfg)
+				}()
+			}
+			// …and one that joins, then dies before serving any request. The
+			// dial must run concurrently with WaitForClients, which serves the
+			// handshake.
+			deadIDCh := make(chan int, 1)
+			dialErr := make(chan error, 1)
+			dyingCfg := edge(servers-1, 99)
+			go func() {
+				dying, err := dialAs(dyingCfg, -1)
+				if err != nil {
+					dialErr <- err
+					return
+				}
+				deadIDCh <- dying.ID()
+				dying.Close()
+				dialErr <- nil
+			}()
 
-	// Three healthy edge servers…
-	var wg sync.WaitGroup
-	for i := 0; i < servers-1; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_ = RunEdgeServer(context.Background(), EdgeConfig{
-				Addr: coord.Addr().String(), Shard: shards[i], Seed: uint64(i + 1),
-			})
-		}(i)
-	}
-	// …and one that joins, then dies before serving any request. The dial
-	// must run concurrently with WaitForClients, which serves the handshake.
-	deadIDCh := make(chan int, 1)
-	dialErr := make(chan error, 1)
-	go func() {
-		dying, err := dialAs(EdgeConfig{Addr: coord.Addr().String(), Shard: shards[servers-1], Seed: 99}, -1)
-		if err != nil {
-			dialErr <- err
-			return
-		}
-		deadIDCh <- dying.ID()
-		dying.Close()
-		dialErr <- nil
-	}()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := coord.WaitForClients(ctx, servers); err != nil {
+				t.Fatalf("WaitForClients: %v", err)
+			}
+			if err := <-dialErr; err != nil {
+				t.Fatalf("Dial dying client: %v", err)
+			}
+			deadID := <-deadIDCh
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := coord.WaitForClients(ctx, servers); err != nil {
-		t.Fatalf("WaitForClients: %v", err)
-	}
-	if err := <-dialErr; err != nil {
-		t.Fatalf("Dial dying client: %v", err)
-	}
-	deadID := <-deadIDCh
+			// The config asks for K=4 but only 3 are alive after the drop. Run
+			// one full-fleet round that hits the dead client and survives on 3
+			// replies.
+			rec, err := coord.Round(ctx)
+			if err != nil {
+				t.Fatalf("first round with a dead client: %v", err)
+			}
+			if len(rec.Selected) != servers-1 {
+				t.Errorf("survivors = %v, want %d of them", rec.Selected, servers-1)
+			}
+			for _, id := range rec.Selected {
+				if id == deadID {
+					t.Errorf("dead client %d listed among survivors %v", deadID, rec.Selected)
+				}
+			}
+			if len(rec.Dropped) != 1 || rec.Dropped[0] != deadID {
+				t.Errorf("dropped = %v, want [%d]", rec.Dropped, deadID)
+			}
 
-	// The config asks for K=4 but only 3 are alive after the drop. Run one
-	// full-fleet round that hits the dead client and survives on 3 replies.
-	rec, err := coord.Round(ctx)
-	if err != nil {
-		t.Fatalf("first round with a dead client: %v", err)
+			coord.Shutdown()
+			wg.Wait()
+		})
 	}
-	if len(rec.Selected) != servers-1 {
-		t.Errorf("survivors = %v, want %d of them", rec.Selected, servers-1)
-	}
-	for _, id := range rec.Selected {
-		if id == deadID {
-			t.Errorf("dead client %d listed among survivors %v", deadID, rec.Selected)
-		}
-	}
-
-	coord.Shutdown()
-	wg.Wait()
 }
 
 // TestStragglerToleranceMinRepliesEnforced verifies that a round still fails

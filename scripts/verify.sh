@@ -122,6 +122,9 @@ go test ./...
 
 echo "== tests (race detector) =="
 go test -race ./...
+# The round's fan-in (replies posted on one channel, repairs in their own
+# goroutines) must be race-free every run, not most runs.
+go test -race -count=5 -run 'Straggler|Chaos|Rejoin|Shutdown|NeverReads' ./internal/flnet
 
 echo "== bench module =="
 # bench/ is its own module (eefei/bench, replace eefei => ../), so the
