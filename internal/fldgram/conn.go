@@ -66,21 +66,24 @@ type Stats struct {
 // fragmentation, CRC-validated reassembly, and a sliding-window ARQ with a
 // fixed window of unacknowledged packets, count-based cumulative ACKs, a
 // receiver that holds what arrives past a hole, and per-attempt
-// accounting. One goroutine owns the link's receive side; Write
-// calls are serialized internally. Read supports a single reader at a time
-// (concurrent readers would race for the same in-order stream anyway).
+// accounting. One goroutine owns the link's receive side; frames (a Write,
+// or a Send to its Flush) are serialized internally. Read supports a single
+// reader at a time (concurrent readers would race for the same in-order
+// stream anyway).
 type Conn struct {
 	link PacketLink
 	cfg  Config
 	// payload is the data capacity of one fragment.
 	payload   int
-	dataFates *fates // drawn by Write under mu
+	dataFates *fates // drawn by the writer under mu
 	ackFates  *fates // drawn by process under mu
 	meter     *Meter
 
-	// writeMu serializes Write calls (one window in flight at a time);
-	// txScratch holds the run a Write lays out, at most window packets.
+	// writeMu serializes frames (one window in flight at a time), from a
+	// Write's or Send's start to its end; out is the frame in flight, and
+	// txScratch holds the run it lays out, at most window packets.
 	writeMu   sync.Mutex
+	out       outFrame
 	txScratch []byte
 
 	// sendMu serializes link.WritePackets across the writer goroutine and
@@ -311,11 +314,30 @@ func (c *Conn) sendData(run []byte, fate packetFate) {
 	}
 }
 
-// Write fragments p into MTU-sized data packets and keeps up to window of
-// them unacknowledged. It returns only when every byte is acknowledged (or
-// the conn fails), so the flnet frame protocol's write-then-await-reply
-// sequencing holds unchanged over a lossy carrier — and p itself is the
-// retransmission buffer: a fragment is re-encoded from it, never copied.
+// outFrame is the frame a Send put in flight and the ARQ state Flush carries
+// on from. The write lock, not the state lock, guards it: only the writer
+// that holds writeMu reads or writes it.
+type outFrame struct {
+	p        []byte      // the frame, and its retransmission buffer
+	base     uint32      // sequence number of p's first fragment
+	n        int         // fragments in p
+	acked    int         // fragments the ACK frontier has passed
+	next     int         // fragment to transmit next
+	attempts [window]int // transmissions of in-flight fragment i, at i%window
+	rtoAt    time.Time   // zero until a wait begins; any progress clears it
+	hole     int         // fragment a gap ACK asked for, until it is resent; -1: none
+	repaired int         // the frontier last resent or gone back to
+	holding  bool        // the carrier holds a packet back until the next send
+	now      time.Time   // the clock as last read
+	stale    bool        // a flush, a wait or an injected drop since then
+}
+
+// Write is Send then Flush: it fragments p into MTU-sized data packets,
+// keeps up to window of them unacknowledged, and returns only when every
+// byte is acknowledged (or the conn fails), so the flnet frame protocol's
+// write-then-await-reply sequencing holds unchanged over a lossy carrier —
+// and p itself is the retransmission buffer: a fragment is re-encoded from
+// it, never copied.
 //
 // Every transmission draws its fate from the seeded data fates at the moment
 // it is made, fragments in sequence order, and an injected drop is retried
@@ -336,123 +358,169 @@ func (c *Conn) sendData(run []byte, fate packetFate) {
 // while one is held, goes as a run of its own, so the carrier sees the
 // order it would one packet at a time; so does a resent hole.
 func (c *Conn) Write(p []byte) (int, error) {
+	if n, err := c.send(p); err != nil {
+		return n, err
+	}
+	return c.Flush()
+}
+
+// Send starts p as the next frame: it transmits every fragment the window
+// admits, as Write does, and returns without waiting for the peer. A frame
+// of up to window fragments is then wholly on the carrier. Send keeps the
+// write lock, so another Write or Send waits, until Flush, which must follow
+// every Send that returns nil; p must not change until Flush returns. A
+// failed Send is over: it needs no Flush.
+func (c *Conn) Send(p []byte) error {
+	_, err := c.send(p)
+	return err
+}
+
+// send is Send, returning on failure the bytes acknowledged, as Write does.
+func (c *Conn) send(p []byte) (int, error) {
 	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.txAcked != c.txSeq {
+		c.writeMu.Unlock()
 		return 0, errBrokenStream
 	}
-	var (
-		base     = c.txSeq                              // sequence number of p's first fragment
-		n        = (len(p) + c.payload - 1) / c.payload // fragments in p
-		acked    int                                    // fragments the ACK frontier has passed
-		next     int                                    // fragment to transmit next
-		attempts [window]int                            // transmissions of in-flight fragment i, at i%window
-		rtoAt    time.Time                              // zero until a wait begins; any progress clears it
-		hole     = -1                                   // fragment a gap ACK asked for, until it is resent; -1: none
-		repaired = -1                                   // the frontier last resent or gone back to
-		holding  bool                                   // the carrier holds a packet back until the next send
-		now      time.Time                              // the clock as last read
-		stale    = true                                 // a flush, a wait or an injected drop since then
-	)
-	fragment := func(i int) []byte { return p[i*c.payload : min((i+1)*c.payload, len(p))] }
-	// flush puts the run laid out in txScratch on the carrier under fate,
-	// outside the state lock.
-	flush := func(fate packetFate) {
-		if len(c.txScratch) == 0 {
-			return
-		}
-		c.mu.Unlock()
-		c.sendData(c.txScratch, fate)
-		c.mu.Lock()
-		c.txScratch, stale = c.txScratch[:0], true
+	c.out = outFrame{p: p, base: c.txSeq, n: (len(p) + c.payload - 1) / c.payload, hole: -1, repaired: -1, stale: true}
+	n, _, err := c.pump()
+	if err != nil {
+		c.out.p = nil
+		c.writeMu.Unlock()
 	}
-	defer flush(packetFate{}) // a failed Write still sends what it transmitted
+	return n, err
+}
+
+// Flush carries the frame of the last Send to its end: it waits for the ACK
+// frontier, resends a hole on a gap ACK, goes back to the frontier after an
+// RTO without progress, and fails at the write deadline or after
+// MaxAttempts transmissions of one fragment. It returns what Write would,
+// and releases the write lock.
+func (c *Conn) Flush() (int, error) {
+	defer c.writeMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o := &c.out
 	for {
-		for ; acked < int(c.txAcked-base); acked++ {
-			size := headerLen + len(fragment(acked))
+		o.stale = true // the clock was last read by Send, or before the wait
+		n, idle, err := c.pump()
+		if !idle {
+			o.p = nil
+			return n, err
+		}
+		// Wait for the frontier to move, a gap ACK, the RTO or the deadline.
+		wake := o.rtoAt
+		if !c.writeDL.IsZero() && c.writeDL.Before(wake) {
+			wake = c.writeDL
+		}
+		c.ackTimer.Reset(wake.Sub(o.now))
+		c.cond.Wait()
+	}
+}
+
+// fragment is fragment i of the frame in flight.
+func (c *Conn) fragment(i int) []byte {
+	return c.out.p[i*c.payload : min((i+1)*c.payload, len(c.out.p))]
+}
+
+// flushRun puts the run laid out in txScratch on the carrier under fate,
+// outside the state lock.
+func (c *Conn) flushRun(fate packetFate) {
+	if len(c.txScratch) == 0 {
+		return
+	}
+	c.mu.Unlock()
+	c.sendData(c.txScratch, fate)
+	c.mu.Lock()
+	c.txScratch, c.out.stale = c.txScratch[:0], true
+}
+
+// pump advances the frame in flight under the state lock as far as it can
+// without waiting. It reports idle, with the RTO armed, once all it may
+// transmit is on the carrier and only the peer can move the frame on;
+// otherwise it returns the frame's outcome.
+func (c *Conn) pump() (n int, idle bool, err error) {
+	o := &c.out
+	defer c.flushRun(packetFate{}) // a failed frame still sends what it transmitted
+	for {
+		for ; o.acked < int(c.txAcked-o.base); o.acked++ {
+			size := headerLen + len(c.fragment(o.acked))
 			c.stats.TxDelivered++
 			c.stats.TxDeliveredBytes += int64(size)
 			c.meter.addDelivered(size)
-			attempts[acked%window], rtoAt = 0, time.Time{}
+			o.attempts[o.acked%window], o.rtoAt = 0, time.Time{}
 		}
-		if acked == n {
-			return len(p), nil
+		if o.acked == o.n {
+			return len(o.p), false, nil
 		}
 		// The clock is read once per flush, wait or injected drop, not once
-		// per packet: between two of those Write only lays out one run, and
-		// a streak of drops, which neither sends nor waits, still meets the
-		// deadline at every attempt.
-		if stale {
-			now, stale = time.Now(), false
+		// per packet: between two of those the loop only lays out one run,
+		// and a streak of drops, which neither sends nor waits, still meets
+		// the deadline at every attempt.
+		if o.stale {
+			o.now, o.stale = time.Now(), false
 		}
+		sent := o.acked * c.payload
 		switch {
 		case c.closed:
-			return acked * c.payload, errClosed
+			return sent, false, errClosed
 		case c.err != nil:
-			return acked * c.payload, c.err
+			return sent, false, c.err
 		case c.ra.finSeen:
-			return acked * c.payload, errPeerClosed
-		case !c.writeDL.IsZero() && !now.Before(c.writeDL):
-			return acked * c.payload, os.ErrDeadlineExceeded
+			return sent, false, errPeerClosed
+		case !c.writeDL.IsZero() && !o.now.Before(c.writeDL):
+			return sent, false, os.ErrDeadlineExceeded
 		}
-		next = max(next, acked)
-		full := next == n || next-acked == window
+		o.next = max(o.next, o.acked)
+		full := o.next == o.n || o.next-o.acked == window
 		switch {
-		case c.gapAt == uint64(c.txAcked)+1 && acked != repaired:
+		case c.gapAt == uint64(c.txAcked)+1 && o.acked != o.repaired:
 			// The carrier lost the frontier fragment and the receiver holds
 			// what came after it: resend that one. Further gap reports for
 			// the same frontier are echoes of the same hole.
-			hole, repaired = acked, acked
+			o.hole, o.repaired = o.acked, o.acked
 			c.stats.GoBacks++
-		case full && !rtoAt.IsZero() && !now.Before(rtoAt):
+		case full && !o.rtoAt.IsZero() && !o.now.Before(o.rtoAt):
 			// Nothing came back for an RTO: a loss at the tail, or a lost
 			// resend. Go back to the frontier.
-			next, hole, repaired, rtoAt, full = acked, -1, acked, time.Time{}, false
+			o.next, o.hole, o.repaired, o.rtoAt, full = o.acked, -1, o.acked, time.Time{}, false
 			c.stats.GoBacks++
 		}
-		if hole < acked {
-			hole = -1 // the frontier passed it
+		if o.hole < o.acked {
+			o.hole = -1 // the frontier passed it
 		}
-		if full && hole < 0 {
+		if full && o.hole < 0 {
 			if len(c.txScratch) > 0 {
-				flush(packetFate{})
+				c.flushRun(packetFate{})
 				continue
 			}
-			// Everything is sent or the window is full: wait for the
-			// frontier to move, a gap ACK, or the RTO.
-			if rtoAt.IsZero() {
-				rtoAt = now.Add(c.cfg.RTO)
+			// Everything is sent or the window is full.
+			if o.rtoAt.IsZero() {
+				o.rtoAt = o.now.Add(c.cfg.RTO)
 			}
-			wake := rtoAt
-			if !c.writeDL.IsZero() && c.writeDL.Before(wake) {
-				wake = c.writeDL
-			}
-			c.ackTimer.Reset(wake.Sub(now))
-			c.cond.Wait()
-			stale = true
-			continue
+			return 0, true, nil
 		}
 
-		i := next
-		if hole >= 0 {
-			i = hole
+		i := o.next
+		if o.hole >= 0 {
+			i = o.hole
 		}
-		seq := base + uint32(i)
-		if attempts[i%window] == c.cfg.MaxAttempts {
-			return acked * c.payload, fmt.Errorf("fragment %d after %d attempts: %w", seq, c.cfg.MaxAttempts, errAttempts)
+		seq := o.base + uint32(i)
+		if o.attempts[i%window] == c.cfg.MaxAttempts {
+			return sent, false, fmt.Errorf("fragment %d after %d attempts: %w", seq, c.cfg.MaxAttempts, errAttempts)
 		}
-		frag, flags := fragment(i), byte(0)
-		if i == n-1 {
+		frag, flags := c.fragment(i), byte(0)
+		if i == o.n-1 {
 			flags = flagFrameEnd
 		}
 		size := headerLen + len(frag)
 		if len(c.txScratch)+size > maxMTU {
-			flush(packetFate{})
+			c.flushRun(packetFate{})
 			continue
 		}
-		attempts[i%window]++
+		o.attempts[i%window]++
 		if seq == c.txSeq {
 			c.txSeq++
 		}
@@ -462,24 +530,24 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.meter.addAttempt(size)
 		fate := c.dataFates.next()
 		if fate.drop {
-			stale = true
+			o.stale = true
 			continue
 		}
-		alone := fate.dup || fate.hold || holding || perPacket || i != next
+		alone := fate.dup || fate.hold || o.holding || perPacket || i != o.next
 		if alone {
-			flush(packetFate{})
+			c.flushRun(packetFate{})
 		}
 		c.txScratch = encodePacket(roomFor(c.txScratch, size), pktData, flags, seq, cum, frag)
-		if i == next {
-			next++
+		if i == o.next {
+			o.next++
 		}
-		if i == hole {
-			hole = -1
+		if i == o.hole {
+			o.hole = -1
 		}
-		rtoAt = time.Time{}
+		o.rtoAt = time.Time{}
 		if alone {
-			flush(fate)
-			holding = fate.hold
+			c.flushRun(fate)
+			o.holding = fate.hold
 		}
 	}
 }

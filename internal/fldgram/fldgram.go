@@ -11,6 +11,10 @@
 //   - Every Write is one frame, fragmented into MTU-sized datagrams with a
 //     20-byte header (type, flags, length, sequence number, the sender's
 //     cumulative attempted-byte counter, and a CRC-32C over the packet).
+//     Write is Send then Flush: Send puts the frame's first window on the
+//     carrier and returns without waiting for the peer, and Flush waits for
+//     the ACKs and repairs losses. The caller keeps the frame unchanged
+//     until Flush returns, and no other frame starts in between.
 //   - A sliding-window ARQ with a fixed window of 64 packets delivers
 //     fragments in order: the receiver acknowledges cumulatively, by packet
 //     count (every thirty-second in-order packet and every frame end), and each

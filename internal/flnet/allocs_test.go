@@ -24,10 +24,10 @@ import (
 // shared, replies decode in place, the per-connection link state advances by
 // pointer, and the round's target, frame and update lists and its replies
 // channel are scratch the coordinator keeps. Over loopback TCP a K = 8 round
-// measures 12 (20 while each exchange goroutine cost two); the pin was set at
-// 20 plus one for the history slice growing. Through the fldgram link a
-// K = 10 round measures 17 with and without injected loss: nothing per
-// packet.
+// measures 12, and through the fldgram link a K = 10 round measures 17 with
+// and without injected loss: nothing per packet, and nothing for a datagram
+// request sent on the round goroutine and flushed on the target's. Each pin
+// is the measurement plus one for the history slice growing.
 func TestWarmRoundAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -35,9 +35,9 @@ func TestWarmRoundAllocations(t *testing.T) {
 		successProb float64 // 0: loopback TCP
 		max         float64
 	}{
-		{"tcp", 8, 0, 21},
-		{"dgram/loss=0", 10, 1, 28},
-		{"dgram/loss=10%", 10, 0.9, 28},
+		{"tcp", 8, 0, 13},
+		{"dgram/loss=0", 10, 1, 18},
+		{"dgram/loss=10%", 10, 0.9, 18},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dcfg := dataset.QuickSyntheticConfig()

@@ -41,10 +41,12 @@ type target struct {
 	prevSent         *ml.Model
 	// frame is the sealed request frame, shared between the targets whose
 	// connections hold the same rounds; retry is the pooled buffer behind a
-	// repair's re-sealed frame. sent marks frame written on conn.
-	frame []byte
-	retry *[]byte
-	sent  bool
+	// repair's re-sealed frame. sent marks frame written on conn (sent, on a
+	// flusher); dgram0 holds a datagram conn's counters from before it.
+	frame  []byte
+	retry  *[]byte
+	sent   bool
+	dgram0 [4]int64
 
 	reply   []byte // the reply payload, in cl.readBuf until decoded
 	rep     TrainReply
@@ -254,22 +256,21 @@ func (r *round) unstage(tg *target) {
 
 // exchangeAll runs every target's request/reply exchange to its final
 // outcome, bounded by the round timeout and ctx's deadline. The round
-// goroutine writes every stream request itself, in slot order, before it
-// awaits any reply: the write lands in the send buffer register sized for it.
-// A datagram Write returns only once the peer acknowledges the frame, so such
-// a target sends from its own goroutine. One goroutine per target reads the
-// reply frame and posts the slot index on c.replies, and the round goroutine
-// decodes each reply as its index arrives. A failed send, read or decode is
-// repaired in the target's goroutine, which posts again.
+// goroutine sends every request itself, in slot order, before it awaits any
+// reply: a stream request lands in the send buffer register sized for it, and
+// a datagram request goes out as one flight, whose ACKs the target's
+// goroutine awaits (see flusher), so no peer's pace holds a later request.
+// One goroutine per target reads the reply frame and posts the slot index on
+// c.replies, and the round goroutine decodes each reply as its index arrives.
+// A failed send, read or decode is repaired in the target's goroutine, which
+// posts again.
 func (r *round) exchangeAll(ctx context.Context) {
 	r.deadline = time.Now().Add(r.c.cfg.RoundTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(r.deadline) {
 		r.deadline = d
 	}
 	for i := range r.targets {
-		if _, dgram := r.targets[i].conn.(dgramMetered); !dgram {
-			r.targets[i].err = r.send(&r.targets[i])
-		}
+		r.targets[i].err = r.send(&r.targets[i])
 	}
 	for i := range r.targets {
 		go r.await(i)
@@ -301,13 +302,25 @@ func (r *round) await(i int) {
 	r.c.replies <- i
 }
 
-// send sets tg's deadline and writes its request frame on its current
-// connection.
+// send sets tg's deadline and puts its request frame on its current
+// connection: written whole, or on a flusher sent for exchange to flush. A
+// datagram connection's counters are read first, so the round meters the
+// first flight.
 func (r *round) send(tg *target) error {
 	if err := tg.conn.SetDeadline(r.deadline); err != nil {
 		return fmt.Errorf("client %d deadline: %w", tg.id, err)
 	}
-	if _, err := tg.conn.Write(tg.frame); err != nil {
+	if m, ok := tg.conn.(dgramMetered); ok {
+		tg.dgram0[0], tg.dgram0[1], tg.dgram0[2], tg.dgram0[3] = m.DgramCounters()
+	}
+	var err error
+	if f, ok := tg.conn.(flusher); ok {
+		err = f.Send(tg.frame)
+	} else {
+		_, err = tg.conn.Write(tg.frame)
+	}
+	if err != nil {
+		r.meter(tg)
 		return fmt.Errorf("client %d request: %w", tg.id, err)
 	}
 	r.tx.Add(int64(len(tg.frame)))
@@ -315,28 +328,33 @@ func (r *round) send(tg *target) error {
 	return nil
 }
 
-// exchange sends tg's request frame unless that is done, and reads the reply
-// frame into the slot's scratch.
-func (r *round) exchange(tg *target) ([]byte, error) {
-	conn := tg.conn
-	if m, metered := conn.(dgramMetered); metered {
-		// Delta the conn's lifetime counters around this exchange —
-		// success or failure, the attempted bytes were spent.
-		a0, d0, p0, r0 := m.DgramCounters()
-		defer func() {
-			a1, d1, p1, r1 := m.DgramCounters()
-			r.downAttempt.Add(a1 - a0)
-			r.downDelivered.Add(d1 - d0)
-			r.upAttempt.Add(p1 - p0)
-			r.upDelivered.Add(r1 - r0)
-		}()
+// meter adds what tg's datagram connection spent since send read its
+// counters — success or failure, the attempted bytes were spent.
+func (r *round) meter(tg *target) {
+	if m, ok := tg.conn.(dgramMetered); ok {
+		a, d, p, rx := m.DgramCounters()
+		r.downAttempt.Add(a - tg.dgram0[0])
+		r.downDelivered.Add(d - tg.dgram0[1])
+		r.upAttempt.Add(p - tg.dgram0[2])
+		r.upDelivered.Add(rx - tg.dgram0[3])
 	}
+}
+
+// exchange sends tg's request frame unless that is done, flushes it on a
+// flusher, and reads the reply frame into the slot's scratch.
+func (r *round) exchange(tg *target) ([]byte, error) {
 	if !tg.sent {
 		if err := r.send(tg); err != nil {
 			return nil, err
 		}
 	}
-	payload, err := expectFrameInto(conn, MsgTrainReply, &tg.cl.readBuf, r.c.repLimit)
+	defer r.meter(tg)
+	if f, ok := tg.conn.(flusher); ok {
+		if _, err := f.Flush(); err != nil {
+			return nil, fmt.Errorf("client %d request: %w", tg.id, err)
+		}
+	}
+	payload, err := expectFrameInto(tg.conn, MsgTrainReply, &tg.cl.readBuf, r.c.repLimit)
 	if err != nil {
 		return nil, fmt.Errorf("client %d reply: %w", tg.id, err)
 	}

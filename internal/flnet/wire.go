@@ -54,3 +54,12 @@ func (w *WireCounters) Rx() int64 {
 type dgramMetered interface {
 	DgramCounters() (txAttemptBytes, txDeliveredBytes, peerAttemptBytes, rxDeliveredBytes int64)
 }
+
+// flusher is implemented by transports whose Write returns only once the
+// peer acknowledges the frame (fldgram.Conn). Send puts a frame's first
+// flight on the wire without waiting for the peer; Flush, which must follow
+// a successful Send, waits for the acknowledgments and repairs losses.
+type flusher interface {
+	Send(p []byte) error
+	Flush() (int, error)
+}
