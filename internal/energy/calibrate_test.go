@@ -98,9 +98,9 @@ func TestCalibratorClosedLoop(t *testing.T) {
 	}
 
 	// The measured coefficients must land on the model-implied (c0, c1).
-	c0, c1, err := c.FitMeasuredCoefficients()
+	c0, c1, err := FitCoefficients(c.obs)
 	if err != nil {
-		t.Fatalf("FitMeasuredCoefficients: %v", err)
+		t.Fatalf("FitCoefficients: %v", err)
 	}
 	wc0, wc1 := dm.Coefficients()
 	if math.Abs(c0-wc0)/wc0 > 0.01 || math.Abs(c1-wc1)/wc1 > 0.01 {
@@ -154,8 +154,7 @@ func TestCalibratorReplayMatchesLive(t *testing.T) {
 
 // TestCalibratorUniformShapeFallback: with every round at one (E, n) the
 // two-coefficient training fit is unidentifiable, so Refit attributes the
-// mean training duration to the per-sample term and the coefficient fit
-// refuses.
+// mean training duration to the per-sample term.
 func TestCalibratorUniformShapeFallback(t *testing.T) {
 	dm := DefaultPiDeviceModel()
 	c, err := NewCalibrator(dm.Power, 40, 2000)
@@ -173,9 +172,6 @@ func TestCalibratorUniformShapeFallback(t *testing.T) {
 	if refit.TrainPerEpoch != 0 || refit.TrainPerSample != wantPerSample {
 		t.Errorf("uniform-shape refit (a0=%v, a1=%v), want (a0=%v, a1=0)",
 			refit.TrainPerSample, refit.TrainPerEpoch, wantPerSample)
-	}
-	if _, _, err := c.FitMeasuredCoefficients(); !errors.Is(err, ErrCalibrate) {
-		t.Errorf("uniform-shape coefficient fit = %v, want ErrCalibrate", err)
 	}
 }
 
@@ -227,7 +223,7 @@ func TestCalibratorObservationWindow(t *testing.T) {
 		}
 		c.ObserveRound(roundStatsFor(dm.Time, r, sh[0], sh[1]))
 	}
-	obs := c.Observations()
+	obs := c.obs
 	if len(obs) != observationWindow {
 		t.Fatalf("window holds %d observations, want %d", len(obs), observationWindow)
 	}

@@ -165,14 +165,6 @@ func (l *Ledger) Total() float64 {
 	return t
 }
 
-// Merge adds every entry of other into l.
-func (l *Ledger) Merge(other *Ledger) {
-	for p, j := range other.joules {
-		l.joules[p] += j
-	}
-	l.rounds += other.rounds
-}
-
 // String summarizes the ledger.
 func (l *Ledger) String() string {
 	return fmt.Sprintf("Ledger{rounds=%d wait=%.2fJ down=%.2fJ train=%.2fJ up=%.2fJ total=%.2fJ}",

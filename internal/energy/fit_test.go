@@ -129,14 +129,6 @@ func TestLedger(t *testing.T) {
 	if l.Rounds() != 1 {
 		t.Errorf("rounds = %d, want 1", l.Rounds())
 	}
-
-	other := NewLedger()
-	other.Add(PhaseWaiting, 4)
-	other.AddRound()
-	l.Merge(other)
-	if l.Total() != 10 || l.Rounds() != 2 {
-		t.Errorf("after merge: total=%v rounds=%d", l.Total(), l.Rounds())
-	}
 	if l.String() == "" {
 		t.Error("String must render")
 	}

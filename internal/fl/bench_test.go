@@ -91,8 +91,8 @@ func BenchmarkGlobalLoss(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.GlobalLoss(); err != nil {
-					b.Fatalf("GlobalLoss: %v", err)
+				if _, err := globalLoss(engine); err != nil {
+					b.Fatalf("globalLoss: %v", err)
 				}
 			}
 		})

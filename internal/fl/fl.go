@@ -263,14 +263,8 @@ func NewEngine(cfg Config, shards []*dataset.Dataset, opts ...Option) (*Engine, 
 // mutate it mid-run).
 func (e *Engine) Global() *ml.Model { return e.global }
 
-// Rounds returns how many rounds have completed.
-func (e *Engine) Rounds() int { return e.round }
-
 // History returns the accumulated round records.
 func (e *Engine) History() []RoundRecord { return e.history }
-
-// Shards returns the number of edge servers.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Round performs one full FedAvg round: select K_t, broadcast ω_t, train E
 // local epochs on each selected shard, aggregate per Eq. (2), evaluate.
@@ -344,12 +338,6 @@ func (j *roundJob) Run(w, slot int) {
 		e.errs[slot] = fmt.Errorf("round %d client %d: %w", e.round, client, err)
 	}
 	e.updates[slot] = Update{Client: client, Model: local}
-}
-
-// GlobalLoss evaluates the global objective F(ω) = Σ_k (n_k/n)·F_k(ω) over
-// all shards.
-func (e *Engine) GlobalLoss() (float64, error) {
-	return e.shardLoss.lossOf(e.global, e.shards, e.totalSamples, e.evalParallel)
 }
 
 // StopCondition inspects the history after each round and reports whether

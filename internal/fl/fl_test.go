@@ -123,7 +123,7 @@ func TestRoundBasics(t *testing.T) {
 	if rec.LearningRate != 0.5 {
 		t.Errorf("round-0 lr = %v, want 0.5", rec.LearningRate)
 	}
-	if e.Rounds() != 1 || len(e.History()) != 1 {
+	if e.round != 1 || len(e.History()) != 1 {
 		t.Error("history bookkeeping wrong")
 	}
 }
@@ -270,6 +270,12 @@ func TestRoundParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// globalLoss evaluates the global objective F(ω) = Σ_k (n_k/n)·F_k(ω) of
+// e's global model over all its shards, as Round evaluates the aggregate.
+func globalLoss(e *Engine) (float64, error) {
+	return e.shardLoss.lossOf(e.global, e.shards, e.totalSamples, e.evalParallel)
+}
+
 // TestGlobalLossParallelBitIdentical pins the shard map-reduce: the same
 // trained model must evaluate to the exact same float for every eval worker
 // count.
@@ -283,16 +289,16 @@ func TestGlobalLossParallelBitIdentical(t *testing.T) {
 		if _, err := e.Run(MaxRounds(2)); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		l, err := e.GlobalLoss()
+		l, err := globalLoss(e)
 		if err != nil {
-			t.Fatalf("GlobalLoss: %v", err)
+			t.Fatalf("globalLoss: %v", err)
 		}
 		return l
 	}
 	want := lossWith(1)
 	for _, eval := range []int{2, 3, 16} {
 		if got := lossWith(eval); got != want {
-			t.Errorf("GlobalLoss(eval=%d) = %v, want bit-identical %v", eval, got, want)
+			t.Errorf("globalLoss(eval=%d) = %v, want bit-identical %v", eval, got, want)
 		}
 	}
 }
@@ -321,8 +327,8 @@ func TestRoundCommitsAtomically(t *testing.T) {
 	if d := e.Global().ParamDistance(before); d != 0 {
 		t.Errorf("failed round moved the global model by %v, want 0", d)
 	}
-	if e.Rounds() != 2 || len(e.History()) != 2 {
-		t.Errorf("failed round advanced bookkeeping: rounds=%d history=%d, want 2/2", e.Rounds(), len(e.History()))
+	if e.round != 2 || len(e.History()) != 2 {
+		t.Errorf("failed round advanced bookkeeping: rounds=%d history=%d, want 2/2", e.round, len(e.History()))
 	}
 
 	// The engine must still be able to complete rounds afterwards.
@@ -331,8 +337,8 @@ func TestRoundCommitsAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Round after recovery: %v", err)
 	}
-	if rec.Round != 2 || e.Rounds() != 3 {
-		t.Errorf("recovered round index = %d (rounds=%d), want 2 (3)", rec.Round, e.Rounds())
+	if rec.Round != 2 || e.round != 3 {
+		t.Errorf("recovered round index = %d (rounds=%d), want 2 (3)", rec.Round, e.round)
 	}
 }
 
@@ -441,12 +447,12 @@ func TestWarmRoundAllocations(t *testing.T) {
 		t.Logf("%s: a warm round allocates %v objects", tc.name, allocs)
 
 		allocs = testing.AllocsPerRun(20, func() {
-			if _, err := e.GlobalLoss(); err != nil {
+			if _, err := globalLoss(e); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: GlobalLoss allocates %v objects, want 0", tc.name, allocs)
+			t.Errorf("%s: globalLoss allocates %v objects, want 0", tc.name, allocs)
 		}
 	}
 }

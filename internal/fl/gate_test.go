@@ -8,9 +8,8 @@ import (
 	"eefei/internal/ml"
 )
 
-// TestGlobalLossSpawnGate pins satellite #1 of the observability PR: the
-// min-work spawn gate in globalLossOf (ml.GatedWorkers over totalSamples)
-// only changes scheduling. At tiny shard counts/sizes — where the gate
+// TestGlobalLossSpawnGate: the min-work spawn gate in shardLossMap.lossOf
+// (ml.GatedWorkers over totalSamples) only changes scheduling. At tiny shard counts/sizes — where the gate
 // forces the map-reduce sequential — the global loss must be bit-identical
 // to an engine configured with explicit sequential evaluation, and to one
 // requesting far more workers than the gate will grant.
@@ -48,9 +47,9 @@ func TestGlobalLossSpawnGate(t *testing.T) {
 				if _, err := engine.Run(MaxRounds(2)); err != nil {
 					t.Fatalf("Run: %v", err)
 				}
-				loss, err := engine.GlobalLoss()
+				loss, err := globalLoss(engine)
 				if err != nil {
-					t.Fatalf("GlobalLoss: %v", err)
+					t.Fatalf("globalLoss: %v", err)
 				}
 				return loss
 			}

@@ -19,8 +19,7 @@ import (
 //
 // The in-flight pass state (model, shards) lives on the struct rather than in
 // closures — the map itself is the par.Job — so the sequential path, the one
-// TestWarmRoundAllocations pins through GlobalLoss, performs no heap
-// allocations after warm-up.
+// TestWarmRoundAllocations pins, performs no heap allocations after warm-up.
 type shardLossMap struct {
 	evals  []*ml.Evaluator
 	losses []float64

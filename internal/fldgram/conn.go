@@ -342,13 +342,15 @@ type outFrame struct {
 // Every transmission draws its fate from the seeded data fates at the moment
 // it is made, fragments in sequence order, and an injected drop is retried
 // at once — counted, priced, never sent, never waited for, since the drop
-// already happened on "the radio" and no ACK can come. Attempt counters are
-// therefore a pure function of (seed, byte stream), and the last fragment's
-// header carries the final cumulative attempted bytes. Only genuine carrier
-// loss is resent: when the receiver reports a gap, the one fragment at the
-// frontier, once per frontier, after one round trip (the receiver holds
-// what came after it); when the loss was at the tail, everything from the
-// frontier, after an RTO without progress.
+// already happened on "the radio" and no ACK can come. Without injected
+// reordering, attempt counters are therefore a pure function of (seed, byte
+// stream); with it, whether a held-back fragment's gap ACK beats its late
+// arrival, and so whether the hole is resent, depends on scheduling. The last
+// fragment's header carries the final cumulative attempted bytes. Only
+// genuine carrier loss is resent: when the receiver reports a gap, the one
+// fragment at the frontier, once per frontier, after one round trip (the
+// receiver holds what came after it); when the loss was at the tail,
+// everything from the frontier, after an RTO without progress.
 //
 // The packets transmitted between two waits leave as one run, a flight the
 // UDP carrier sends with one syscall. A run ends before Write waits (which

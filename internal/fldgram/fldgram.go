@@ -27,13 +27,17 @@
 //     injected drop is decided at the sender before the packet touches the
 //     carrier: the attempt is counted (and priced — the radio transmitted),
 //     the send and the RTO wait are both skipped, and the ARQ retransmits
-//     immediately. Attempt counts are therefore a pure function of the
-//     seed and the byte stream, independent of timing, and tests run at
-//     memory speed. Genuine carrier loss is what the receiver's gap ACK
-//     and the RTO repair: the receiver holds up to a window of packets past
-//     a hole, so a gap ACK costs one round trip and the resend of the hole
-//     alone, and only a loss at the tail waits the RTO and goes back to the
-//     ACK frontier; Stats.GoBacks counts both.
+//     immediately. With no injected reordering, attempt counts are
+//     therefore a pure function of the seed and the byte stream,
+//     independent of timing, and tests run at memory speed. Injected
+//     reordering breaks that: a held-back packet opens a hole whose gap ACK
+//     races the packet's late arrival, so whether the hole is resent (a
+//     GoBack, one more attempt) depends on scheduling. Genuine carrier loss
+//     is what the receiver's gap ACK and the RTO repair: the receiver holds
+//     up to a window of packets past a hole, so a gap ACK costs one round
+//     trip and the resend of the hole alone, and only a loss at the tail
+//     waits the RTO and goes back to the ACK frontier; Stats.GoBacks counts
+//     both.
 //   - Both ends count attempted and delivered bytes, and every packet
 //     header carries the sender's cumulative attempted bytes, so a
 //     receiver knows the peer's spend without touching the payload

@@ -53,9 +53,19 @@ func (d *severingDialer) sever(conn net.Conn, idx int) net.Conn {
 	if n, ok := d.plan[idx]; ok {
 		left = n
 	} else if d.meanBytes > 0 {
-		left = int64(mat.NewRNG(chaosSeed(d.seed, idx, 2)).Exponential(1/d.meanBytes)) + 1
+		left = int64(exponential(mat.NewRNG(chaosSeed(d.seed, idx, 2)), 1/d.meanBytes)) + 1
 	}
 	return &severedConn{Conn: conn, d: d, left: left}
+}
+
+// exponential draws an exponentially distributed sample with the given rate
+// (mean 1/rate) from r.
+func exponential(r *mat.RNG, rate float64) float64 {
+	var u float64
+	for u == 0 {
+		u = r.Float64()
+	}
+	return -math.Log(u) / rate
 }
 
 // chaosSeed is fldgram's splitmix-style seed mixer.

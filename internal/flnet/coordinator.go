@@ -303,13 +303,6 @@ func (c *Coordinator) SetMemSampling(on bool) {
 	c.sampleMem = on
 }
 
-// Connected returns how many roster slots currently hold a live connection.
-func (c *Coordinator) Connected() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.connectedLocked()
-}
-
 func (c *Coordinator) connectedLocked() int {
 	n := 0
 	for _, cl := range c.clients {
@@ -594,23 +587,6 @@ func (r *round) buildResidualFrame(tg *target, bits ml.QuantBits) (*[]byte, []by
 		return nil, nil, err
 	}
 	return bp, frame, nil
-}
-
-// Run drives rounds until stop fires, then broadcasts shutdown.
-func (c *Coordinator) Run(ctx context.Context, stop fl.StopCondition) ([]fl.RoundRecord, error) {
-	if stop == nil {
-		return nil, fmt.Errorf("nil stop condition: %w", ErrCoordinator)
-	}
-	for !stop(c.History()) {
-		if err := ctx.Err(); err != nil {
-			return c.History(), fmt.Errorf("run: %w", err)
-		}
-		if _, err := c.Round(ctx); err != nil {
-			return c.History(), err
-		}
-	}
-	c.Shutdown()
-	return c.History(), nil
 }
 
 // Shutdown notifies every client and closes all connections plus the

@@ -12,6 +12,7 @@ import (
 
 	"eefei/internal/dataset"
 	"eefei/internal/fl"
+	"eefei/internal/mat"
 	"eefei/internal/ml"
 )
 
@@ -165,10 +166,10 @@ func TestTrainReplyRoundTrip(t *testing.T) {
 // form.
 func TestLosslessReplyRoundTrip(t *testing.T) {
 	sent, prevSent := randomWireModel(1), randomWireModel(1)
-	prevSent.W.Scale(1 - 1e-6)
+	mat.Scale(prevSent.W.RawData(), 1-1e-6)
 	prevLocal, local := sent.Clone(), sent.Clone()
-	prevLocal.W.Scale(1 + 1e-6)
-	local.W.Scale(1 + 2e-6)
+	mat.Scale(prevLocal.W.RawData(), 1+1e-6)
+	mat.Scale(local.W.RawData(), 1+2e-6)
 	rep := TrainReply{Round: 4, Loss: 0.5, Samples: 40, Model: local}
 
 	first, err := appendTrainReply(nil, rep, sent)
@@ -302,6 +303,25 @@ func startCluster(t *testing.T, servers, k, epochs int) (*Coordinator, func() []
 	return coord, wait
 }
 
+// runRounds drives coord's rounds until stop fires, then shuts it down, as
+// cmd/fedcoord does.
+func runRounds(ctx context.Context, coord *Coordinator, stop fl.StopCondition) ([]fl.RoundRecord, error) {
+	for !stop(coord.History()) {
+		if _, err := coord.Round(ctx); err != nil {
+			return coord.History(), err
+		}
+	}
+	coord.Shutdown()
+	return coord.History(), nil
+}
+
+// connected counts the roster slots that hold a live connection.
+func connected(c *Coordinator) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.connectedLocked()
+}
+
 func TestNetworkedTrainingEndToEnd(t *testing.T) {
 	coord, wait := startCluster(t, 5, 3, 5)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -309,7 +329,7 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 	if err := coord.WaitForClients(ctx, 5); err != nil {
 		t.Fatalf("WaitForClients: %v", err)
 	}
-	history, err := coord.Run(ctx, fl.MaxRounds(8))
+	history, err := runRounds(ctx, coord, fl.MaxRounds(8))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -390,7 +410,7 @@ func TestNetworkedMatchesInProcess(t *testing.T) {
 	if err := coord.WaitForClients(ctx, servers); err != nil {
 		t.Fatalf("WaitForClients: %v", err)
 	}
-	history, err := coord.Run(ctx, fl.MaxRounds(4))
+	history, err := runRounds(ctx, coord, fl.MaxRounds(4))
 	if err != nil {
 		t.Fatalf("coordinator Run: %v", err)
 	}

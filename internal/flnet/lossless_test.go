@@ -441,7 +441,7 @@ func TestEdgeRefusesUnformablePredictions(t *testing.T) {
 	g := []*ml.Model{randomWireModel(1), nil, nil, nil} // 10×64: QuickSyntheticConfig's task
 	for i := 1; i < len(g); i++ {
 		g[i] = g[i-1].Clone()
-		g[i].W.Scale(1 + 1e-6)
+		mat.Scale(g[i].W.RawData(), 1+1e-6)
 	}
 	raw := func(round int) []byte {
 		return appendLosslessRequest(nil, TrainRequest{Round: round, Epochs: 1, LearningRate: 0.1}, g[round])

@@ -31,7 +31,7 @@ func TestCoordinatorObserver(t *testing.T) {
 		t.Fatalf("WaitForClients: %v", err)
 	}
 	const rounds = 3
-	history, err := coord.Run(ctx, fl.MaxRounds(rounds))
+	history, err := runRounds(ctx, coord, fl.MaxRounds(rounds))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

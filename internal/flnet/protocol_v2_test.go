@@ -13,6 +13,7 @@ import (
 
 	"eefei/internal/dataset"
 	"eefei/internal/fl"
+	"eefei/internal/mat"
 	"eefei/internal/ml"
 )
 
@@ -164,8 +165,8 @@ func TestSlotConnectsOnlyOnceWelcomed(t *testing.T) {
 		slots = len(c.clients)
 		c.mu.Unlock()
 	}
-	if n := c.Connected(); n != 0 {
-		t.Errorf("Connected() = %d with the Welcome still undelivered, want 0", n)
+	if n := connected(c); n != 0 {
+		t.Errorf("connected = %d with the Welcome still undelivered, want 0", n)
 	}
 	if _, err := expectFrame(client, MsgWelcome, handshakeLimit); err != nil {
 		t.Fatalf("welcome: %v", err)
@@ -173,8 +174,8 @@ func TestSlotConnectsOnlyOnceWelcomed(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	if n := c.Connected(); n != 1 {
-		t.Errorf("Connected() = %d after the Welcome, want 1", n)
+	if n := connected(c); n != 1 {
+		t.Errorf("connected = %d after the Welcome, want 1", n)
 	}
 }
 
@@ -216,7 +217,7 @@ func TestRegisterRejectsV1WithoutGhostSlot(t *testing.T) {
 			t.Errorf("%s: roster len %d gen %d, want 1 and %d", tc.name, len(c.clients), c.clients[0].gen, gen)
 		}
 		c.mu.Unlock()
-		if n := c.Connected(); n != 0 {
+		if n := connected(c); n != 0 {
 			t.Errorf("%s: Connected() = %d, want 0", tc.name, n)
 		}
 	}
@@ -262,8 +263,8 @@ func TestTrainRequestV2RoundTrip(t *testing.T) {
 	// prediction that does not help, the body falls back to the full model
 	// and the header says so.
 	g6, g5, g4 := randomWireModel(3), randomWireModel(3), randomWireModel(3)
-	g5.W.Scale(1 - 1e-6)
-	g4.W.Scale(1 - 2e-6)
+	mat.Scale(g5.W.RawData(), 1-1e-6)
+	mat.Scale(g4.W.RawData(), 1-2e-6)
 	for _, tc := range []struct {
 		name      string
 		pred      []*ml.Model
@@ -568,7 +569,7 @@ func residualCluster(t *testing.T, servers int, downBits ml.QuantBits, rounds in
 	if stop == nil {
 		stop = fl.MaxRounds(rounds)
 	}
-	history, err := coord.Run(ctx, stop)
+	history, err := runRounds(ctx, coord, stop)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -117,7 +117,7 @@ func TestQuantizedNetworkedTraining(t *testing.T) {
 	if err := coord.WaitForClients(ctx, servers); err != nil {
 		t.Fatalf("WaitForClients: %v", err)
 	}
-	history, err := coord.Run(ctx, fl.MaxRounds(6))
+	history, err := runRounds(ctx, coord, fl.MaxRounds(6))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

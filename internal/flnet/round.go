@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"eefei/internal/fl"
@@ -47,6 +46,12 @@ type target struct {
 	retry  *[]byte
 	sent   bool
 	dgram0 [4]int64
+	// tx/rx are the request (coordinator→client) and reply frame bytes this
+	// target exchanged, and dgram what its datagram connections spent:
+	// attempted and delivered bytes down, then up (see dgramMetered). The
+	// goroutine that owns the target adds to them; evaluate sums them.
+	tx, rx int64
+	dgram  [4]int64
 
 	reply   []byte // the reply payload, in cl.readBuf until decoded
 	rep     TrainReply
@@ -68,15 +73,7 @@ type round struct {
 	targets  []target
 	frames   []*[]byte // pooled request buffers, released when the round returns
 	deadline time.Time
-	// tx/rx are the downlink (coordinator→client) and uplink frame bytes
-	// actually exchanged this round — the measured volume the radio energy
-	// model prices. Datagram transports additionally count packet attempts
-	// and deliveries per direction (see dgramMetered); snapshot deltas
-	// around each exchange accumulate in the other four.
-	tx, rx                     atomic.Int64
-	downAttempt, downDelivered atomic.Int64
-	upAttempt, upDelivered     atomic.Int64
-	rec                        fl.RoundRecord
+	rec      fl.RoundRecord
 }
 
 // Round runs one synchronous FedAvg round over the network. With MinReplies
@@ -323,7 +320,7 @@ func (r *round) send(tg *target) error {
 		r.meter(tg)
 		return fmt.Errorf("client %d request: %w", tg.id, err)
 	}
-	r.tx.Add(int64(len(tg.frame)))
+	tg.tx += int64(len(tg.frame))
 	tg.sent = true
 	return nil
 }
@@ -333,10 +330,10 @@ func (r *round) send(tg *target) error {
 func (r *round) meter(tg *target) {
 	if m, ok := tg.conn.(dgramMetered); ok {
 		a, d, p, rx := m.DgramCounters()
-		r.downAttempt.Add(a - tg.dgram0[0])
-		r.downDelivered.Add(d - tg.dgram0[1])
-		r.upAttempt.Add(p - tg.dgram0[2])
-		r.upDelivered.Add(rx - tg.dgram0[3])
+		tg.dgram[0] += a - tg.dgram0[0]
+		tg.dgram[1] += d - tg.dgram0[1]
+		tg.dgram[2] += p - tg.dgram0[2]
+		tg.dgram[3] += rx - tg.dgram0[3]
 	}
 }
 
@@ -358,7 +355,7 @@ func (r *round) exchange(tg *target) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client %d reply: %w", tg.id, err)
 	}
-	r.rx.Add(int64(frameHeaderLen + len(payload)))
+	tg.rx += int64(frameHeaderLen + len(payload))
 	return payload, nil
 }
 
@@ -496,24 +493,23 @@ func (r *round) aggregate() error {
 func (r *round) evaluate() error {
 	c := r.c
 	r.rec = fl.RoundRecord{
-		Round:         r.t,
-		LearningRate:  r.req.LearningRate,
-		TestAccuracy:  math.NaN(),
-		Selected:      make([]int, 0, len(r.targets)),
-		LocalLosses:   make([]float64, 0, len(r.targets)),
-		DownlinkBytes: r.tx.Load(),
-		UplinkBytes:   r.rx.Load(),
-		DgramBytes: fl.DgramBytes{
-			DownlinkAttemptBytes:   r.downAttempt.Load(),
-			DownlinkDeliveredBytes: r.downDelivered.Load(),
-			UplinkAttemptBytes:     r.upAttempt.Load(),
-			UplinkDeliveredBytes:   r.upDelivered.Load(),
-		},
+		Round:        r.t,
+		LearningRate: r.req.LearningRate,
+		TestAccuracy: math.NaN(),
+		Selected:     make([]int, 0, len(r.targets)),
+		LocalLosses:  make([]float64, 0, len(r.targets)),
 	}
 	rec := &r.rec
 	var lossSum float64
 	for i := range r.targets {
 		tg := &r.targets[i]
+		rec.DownlinkBytes += tg.tx
+		rec.UplinkBytes += tg.rx
+		d := &rec.DgramBytes
+		d.DownlinkAttemptBytes += tg.dgram[0]
+		d.DownlinkDeliveredBytes += tg.dgram[1]
+		d.UplinkAttemptBytes += tg.dgram[2]
+		d.UplinkDeliveredBytes += tg.dgram[3]
 		rec.Retries += tg.retries
 		if tg.err != nil {
 			rec.Dropped = append(rec.Dropped, tg.id)

@@ -221,8 +221,8 @@ func TestStragglerToleranceMinRepliesEnforced(t *testing.T) {
 			if tt.minReplies > 0 && !errors.Is(err, ErrCoordinator) {
 				t.Errorf("quorum abort = %v, want it to wrap ErrCoordinator", err)
 			}
-			if n := coord.Connected(); n != 0 {
-				t.Errorf("Connected() = %d after the aborted round, want 0", n)
+			if n := connected(coord); n != 0 {
+				t.Errorf("connected = %d after the aborted round, want 0", n)
 			}
 			if err := coord.AwaitRoster(ctx, 2, 50*time.Millisecond); err == nil {
 				t.Error("AwaitRoster found two connected clients; both are dead")

@@ -109,34 +109,21 @@ func (c UplinkConfig) CollectionEnergy(samples int) float64 {
 	return c.Rho() * float64(samples)
 }
 
-// Fleet is a concrete collection of devices attached to one edge server; it
-// simulates the stochastic attempt process so experiments can verify that
-// the constant-ρ abstraction matches the simulated mean.
+// Fleet is the devices attached to one edge server; it simulates the
+// stochastic attempt process so experiments can verify that the constant-ρ
+// abstraction matches the simulated mean.
 type Fleet struct {
-	cfg     UplinkConfig
-	devices int
-	rng     *mat.RNG
-
-	attempts  int64
-	delivered int64
+	cfg UplinkConfig
+	rng *mat.RNG
 }
 
-// NewFleet returns a fleet of the given size.
-func NewFleet(cfg UplinkConfig, devices int, seed uint64) (*Fleet, error) {
+// NewFleet returns a fleet whose uplinks follow cfg.
+func NewFleet(cfg UplinkConfig, seed uint64) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if devices <= 0 {
-		return nil, fmt.Errorf("fleet of %d devices: %w", devices, ErrUplink)
-	}
-	return &Fleet{cfg: cfg, devices: devices, rng: mat.NewRNG(seed)}, nil
+	return &Fleet{cfg: cfg, rng: mat.NewRNG(seed)}, nil
 }
-
-// Devices returns the fleet size.
-func (f *Fleet) Devices() int { return f.devices }
-
-// Config returns the uplink configuration.
-func (f *Fleet) Config() UplinkConfig { return f.cfg }
 
 // Collect simulates delivering n samples: each sample is retried until an
 // attempt succeeds (licensed band always succeeds on the first attempt).
@@ -149,28 +136,11 @@ func (f *Fleet) Collect(samples int) (joules float64, err error) {
 	perAttempt := float64(f.cfg.SampleBytes) * f.cfg.JoulesPerByte
 	for i := 0; i < samples; i++ {
 		for {
-			f.attempts++
 			joules += perAttempt
 			if f.cfg.Band == Licensed || f.rng.Bernoulli(f.cfg.SuccessProb) {
-				f.delivered++
 				break
 			}
 		}
 	}
 	return joules, nil
-}
-
-// Stats reports the lifetime attempt and delivery counters, from which the
-// empirical delivery probability can be computed.
-func (f *Fleet) Stats() (attempts, delivered int64) {
-	return f.attempts, f.delivered
-}
-
-// EmpiricalSuccessProb returns delivered/attempts, or 1 when no attempts
-// have been made.
-func (f *Fleet) EmpiricalSuccessProb() float64 {
-	if f.attempts == 0 {
-		return 1
-	}
-	return float64(f.delivered) / float64(f.attempts)
 }

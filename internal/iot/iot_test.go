@@ -76,17 +76,14 @@ func TestCollectionEnergyLinear(t *testing.T) {
 
 func TestNewFleetValidation(t *testing.T) {
 	cfg := DefaultNBIoTConfig()
-	if _, err := NewFleet(cfg, 0, 1); !errors.Is(err, ErrUplink) {
-		t.Errorf("0 devices = %v, want ErrUplink", err)
-	}
 	cfg.SampleBytes = 0
-	if _, err := NewFleet(cfg, 5, 1); err == nil {
+	if _, err := NewFleet(cfg, 1); err == nil {
 		t.Error("bad config must be rejected")
 	}
 }
 
 func TestFleetCollectLicensedIsExact(t *testing.T) {
-	fleet, err := NewFleet(DefaultNBIoTConfig(), 10, 1)
+	fleet, err := NewFleet(DefaultNBIoTConfig(), 1)
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
@@ -94,16 +91,13 @@ func TestFleetCollectLicensedIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	want := fleet.Config().CollectionEnergy(100)
+	cfg := DefaultNBIoTConfig()
+	want := cfg.CollectionEnergy(100)
 	if math.Abs(j-want) > 1e-9 {
 		t.Errorf("licensed Collect = %v, want %v exactly", j, want)
 	}
-	attempts, delivered := fleet.Stats()
-	if attempts != 100 || delivered != 100 {
-		t.Errorf("stats = %d/%d, want 100/100", attempts, delivered)
-	}
-	if fleet.EmpiricalSuccessProb() != 1 {
-		t.Error("licensed success prob must be 1")
+	if a := attempts(cfg, j); a != 100 {
+		t.Errorf("%d attempts, want 100", a)
 	}
 }
 
@@ -111,7 +105,7 @@ func TestFleetCollectUnlicensedMeanMatchesRho(t *testing.T) {
 	cfg := DefaultNBIoTConfig()
 	cfg.Band = Unlicensed
 	cfg.SuccessProb = 0.6
-	fleet, err := NewFleet(cfg, 10, 2)
+	fleet, err := NewFleet(cfg, 2)
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
@@ -124,13 +118,13 @@ func TestFleetCollectUnlicensedMeanMatchesRho(t *testing.T) {
 	if math.Abs(j-want)/want > 0.02 {
 		t.Errorf("unlicensed mean energy = %v, want ≈%v", j, want)
 	}
-	if p := fleet.EmpiricalSuccessProb(); math.Abs(p-0.6) > 0.02 {
+	if p := float64(n) / float64(attempts(cfg, j)); math.Abs(p-0.6) > 0.02 {
 		t.Errorf("empirical success prob = %v, want ≈0.6", p)
 	}
 }
 
 func TestFleetCollectNegative(t *testing.T) {
-	fleet, err := NewFleet(DefaultNBIoTConfig(), 1, 1)
+	fleet, err := NewFleet(DefaultNBIoTConfig(), 1)
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
@@ -139,17 +133,10 @@ func TestFleetCollectNegative(t *testing.T) {
 	}
 }
 
-func TestFleetEmptyStats(t *testing.T) {
-	fleet, err := NewFleet(DefaultNBIoTConfig(), 1, 1)
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
-	}
-	if fleet.EmpiricalSuccessProb() != 1 {
-		t.Error("no attempts must report probability 1")
-	}
-	if fleet.Devices() != 1 {
-		t.Error("Devices wrong")
-	}
+// attempts recovers how many uplink attempts a Collect made from the joules
+// it spent: every attempt costs SampleBytes·JoulesPerByte.
+func attempts(cfg UplinkConfig, joules float64) int64 {
+	return int64(math.Round(joules / (float64(cfg.SampleBytes) * cfg.JoulesPerByte)))
 }
 
 // Property: collection energy is monotone in n and exactly linear.

@@ -40,9 +40,6 @@ func NewDenseData(r, c int, data []float64) (*Dense, error) {
 	return &Dense{rows: r, cols: c, data: data}, nil
 }
 
-// Dims returns the matrix dimensions (rows, cols).
-func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -113,13 +110,6 @@ func (m *Dense) Fill(v float64) {
 	}
 }
 
-// Scale multiplies every element by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-}
-
 // AddScaled adds s*other to the receiver in place (receiver += s·other).
 // Unlike Axpy it has no zero skip: s == 0 still adds 0·other, so a NaN or Inf
 // in other shows and −0 + 0 is +0.
@@ -133,19 +123,6 @@ func (m *Dense) AddScaled(s float64, other *Dense) error {
 		dst[i] += s * v
 	}
 	return nil
-}
-
-// Add adds other to the receiver in place.
-func (m *Dense) Add(other *Dense) error { return m.AddScaled(1, other) }
-
-// Sub subtracts other from the receiver in place.
-func (m *Dense) Sub(other *Dense) error { return m.AddScaled(-1, other) }
-
-// Apply replaces each element x with f(x).
-func (m *Dense) Apply(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
 }
 
 // MulVec computes dst = M·x. dst must have length Rows and x length Cols;
@@ -173,18 +150,6 @@ func (m *Dense) MulVecT(dst, x []float64) error {
 		Axpy(dst, x[i], m.Row(i))
 	}
 	return nil
-}
-
-// Transpose returns a newly allocated transpose of m.
-func (m *Dense) Transpose() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.data[j*out.cols+i] = v
-		}
-	}
-	return out
 }
 
 // FrobeniusNorm returns the Frobenius norm sqrt(Σ m_ij²).

@@ -10,9 +10,8 @@ import (
 
 func TestNewDenseZeroed(t *testing.T) {
 	m := NewDense(3, 4)
-	r, c := m.Dims()
-	if r != 3 || c != 4 {
-		t.Fatalf("Dims() = %d,%d, want 3,4", r, c)
+	if m.Rows() != 3 || m.Cols() != 4 {
+		t.Fatalf("shape %dx%d, want 3x4", m.Rows(), m.Cols())
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
@@ -99,33 +98,21 @@ func TestScaleAddSub(t *testing.T) {
 	a.Fill(2)
 	b := NewDense(2, 2)
 	b.Fill(1)
-	a.Scale(3) // 6
-	if err := a.Add(b); err != nil {
-		t.Fatalf("Add: %v", err)
+	Scale(a.RawData(), 3) // 6
+	if err := a.AddScaled(1, b); err != nil {
+		t.Fatalf("AddScaled: %v", err)
 	}
 	if a.At(0, 0) != 7 {
 		t.Errorf("after scale+add got %v, want 7", a.At(0, 0))
 	}
-	if err := a.Sub(b); err != nil {
-		t.Fatalf("Sub: %v", err)
+	if err := a.AddScaled(-1, b); err != nil {
+		t.Fatalf("AddScaled: %v", err)
 	}
 	if a.At(1, 1) != 6 {
 		t.Errorf("after sub got %v, want 6", a.At(1, 1))
 	}
 	if err := a.AddScaled(1, NewDense(1, 1)); !errors.Is(err, ErrShape) {
 		t.Errorf("AddScaled mismatched = %v, want ErrShape", err)
-	}
-}
-
-func TestApply(t *testing.T) {
-	m := NewDense(1, 3)
-	m.SetRow(0, []float64{1, 2, 3})
-	m.Apply(func(x float64) float64 { return x * x })
-	want := []float64{1, 4, 9}
-	for j, w := range want {
-		if m.At(0, j) != w {
-			t.Errorf("At(0,%d) = %v, want %v", j, m.At(0, j), w)
-		}
 	}
 }
 
@@ -189,7 +176,7 @@ func TestMulTMatchesExplicitTranspose(t *testing.T) {
 		t.Fatalf("MulT: %v", err)
 	}
 	want := NewDense(4, 5)
-	if err := mul(want, a, b.Transpose()); err != nil {
+	if err := mul(want, a, transpose(b)); err != nil {
 		t.Fatalf("mul: %v", err)
 	}
 	if !got.Equal(want, 1e-12) {
@@ -200,9 +187,21 @@ func TestMulTMatchesExplicitTranspose(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	rng := NewRNG(9)
 	m := randomDense(rng, 3, 7)
-	if !m.Transpose().Transpose().Equal(m, 0) {
+	if !transpose(transpose(m)).Equal(m, 0) {
 		t.Error("transpose twice must be identity")
 	}
+}
+
+// transpose returns a new matrix holding mᵀ: the explicit reference MulT's
+// fused transposed product is checked against.
+func transpose(m *Dense) *Dense {
+	out := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.Row(i) {
+			out.data[j*out.cols+i] = v
+		}
+	}
+	return out
 }
 
 func TestFrobeniusNorm(t *testing.T) {

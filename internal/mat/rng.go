@@ -161,16 +161,3 @@ func (r *RNG) Sample(n, k int) []int {
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
-
-// Exponential returns an exponentially distributed sample with the given
-// rate (mean 1/rate). It panics when rate <= 0.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("mat: Exponential with non-positive rate")
-	}
-	var u float64
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}

@@ -175,31 +175,6 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(11)
-	n := 30000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.Exponential(2)
-		if v < 0 {
-			t.Fatalf("Exponential < 0: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / float64(n); math.Abs(mean-0.5) > 0.02 {
-		t.Errorf("Exponential(2) mean = %v, want ≈0.5", mean)
-	}
-}
-
-func TestExponentialPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Exponential(0) must panic")
-		}
-	}()
-	NewRNG(1).Exponential(0)
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := NewRNG(12)
 	child := parent.Split()

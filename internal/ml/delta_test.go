@@ -119,7 +119,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 	negated := func(m *Model) *Model {
 		out := m.Clone()
-		out.Scale(-1)
+		mat.Scale(out.W.RawData(), -1)
+		mat.Scale(out.B, -1)
 		return out
 	}
 	filled := func(classes, features int, v float64) *Model {

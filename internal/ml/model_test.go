@@ -55,10 +55,6 @@ func TestCopyFromAndScale(t *testing.T) {
 	if dst.Act != Sigmoid || dst.W.At(1, 2) != 2 || dst.B[1] != 4 {
 		t.Error("CopyFrom incomplete")
 	}
-	dst.Scale(0.5)
-	if dst.W.At(0, 0) != 1 || dst.B[1] != 2 {
-		t.Error("Scale wrong")
-	}
 	bad := NewModel(3, 3, Softmax)
 	if err := bad.CopyFrom(src); err == nil {
 		t.Error("shape mismatch must error")

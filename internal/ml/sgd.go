@@ -30,7 +30,6 @@ type SGDConfig struct {
 type SGD struct {
 	cfg  SGDConfig
 	lr   float64
-	step int // epochs performed so far
 	rng  *mat.RNG
 	grad *Model     // reusable gradient accumulator
 	fwd  fwdScratch // reusable batched-forward chunk scratch
@@ -65,7 +64,6 @@ func (s *SGD) Reset(cfg SGDConfig) error {
 	}
 	s.cfg = cfg
 	s.lr = cfg.LearningRate
-	s.step = 0
 	if s.rng == nil {
 		s.rng = mat.NewRNG(cfg.Seed)
 	} else {
@@ -73,12 +71,6 @@ func (s *SGD) Reset(cfg SGDConfig) error {
 	}
 	return nil
 }
-
-// LearningRate returns the current (decayed) step size.
-func (s *SGD) LearningRate() float64 { return s.lr }
-
-// EpochsRun returns how many epochs this optimizer has performed.
-func (s *SGD) EpochsRun() int { return s.step }
 
 // Epoch performs one pass over d, updating m in place, and returns the mean
 // loss measured at the start of the pass.
@@ -133,7 +125,6 @@ func (s *SGD) Epoch(m *Model, d *dataset.Dataset) (float64, error) {
 		loss = lossSum / batches
 	}
 
-	s.step++
 	if s.cfg.Decay > 0 {
 		s.lr *= s.cfg.Decay
 	}

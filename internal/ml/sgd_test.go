@@ -84,11 +84,8 @@ func TestSGDDecaySchedule(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	want := 0.01 * math.Pow(0.99, 10)
-	if math.Abs(sgd.LearningRate()-want) > 1e-15 {
-		t.Errorf("lr after 10 epochs = %v, want %v", sgd.LearningRate(), want)
-	}
-	if sgd.EpochsRun() != 10 {
-		t.Errorf("EpochsRun = %d, want 10", sgd.EpochsRun())
+	if math.Abs(sgd.lr-want) > 1e-15 {
+		t.Errorf("lr after 10 epochs = %v, want %v", sgd.lr, want)
 	}
 }
 

@@ -128,7 +128,7 @@ func New(cfg Config, shards []*dataset.Dataset, test *dataset.Dataset) (*System,
 	fleets := make([]*iot.Fleet, len(shards))
 	samples := make([]int, len(shards))
 	for i, s := range shards {
-		fleet, err := iot.NewFleet(cfg.Uplink, 1+s.Len()/10, cfg.Seed+uint64(i)*7919)
+		fleet, err := iot.NewFleet(cfg.Uplink, cfg.Seed+uint64(i)*7919)
 		if err != nil {
 			return nil, fmt.Errorf("fleet %d: %w", i, err)
 		}
@@ -254,20 +254,4 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// AnalyticRoundJoules returns the deterministic per-round energy of one
-// selected server under this config — the quantity Eq. (12)'s B0·E + B1
-// approximates (plus the waiting/download overheads the paper folds into
-// its baseline).
-func (s *System) AnalyticRoundJoules() float64 {
-	n := 0
-	if len(s.samples) > 0 {
-		n = s.samples[0]
-	}
-	j := s.cfg.Device.RoundEnergy(s.cfg.FL.LocalEpochs, n)
-	if !s.cfg.Preloaded {
-		j += s.cfg.Uplink.CollectionEnergy(n)
-	}
-	return j
 }

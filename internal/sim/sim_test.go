@@ -227,19 +227,6 @@ func TestRunNilStop(t *testing.T) {
 	}
 }
 
-func TestAnalyticRoundJoules(t *testing.T) {
-	sys, _ := quickSystem(t, nil)
-	want := sys.cfg.Device.RoundEnergy(5, 100)
-	if got := sys.AnalyticRoundJoules(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("AnalyticRoundJoules = %v, want %v", got, want)
-	}
-	sysC, _ := quickSystem(t, func(c *Config) { c.Preloaded = false })
-	wantC := want + sysC.cfg.Uplink.CollectionEnergy(100)
-	if got := sysC.AnalyticRoundJoules(); math.Abs(got-wantC) > 1e-9 {
-		t.Errorf("with collection = %v, want %v", got, wantC)
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	run := func() float64 {
 		sys, _ := quickSystem(t, nil)

@@ -87,37 +87,10 @@ if grep -nE 'V?(ADD|SUB|MUL|DIV|SQRT)(P|S)D|VFM' internal/ml/*.s; then
     echo "internal/ml: floating-point arithmetic in the integer-only codec"; exit 1
 fi
 
-echo "== no plug-ins =="
-# The paper selects K_t uniformly and averages per Eq. (2); fl.Engine
-# hard-codes both, as the networked coordinator does, and trains plain
-# FedAvg locally.
-if git grep -nE '^type +[A-Za-z_]*(Selector|Aggregator)\b|^\s+[A-Za-z_]*(Selector|Aggregator) +(interface|struct)\b' -- internal/fl; then
-    echo "internal/fl: selection and aggregation are not plug-ins"; exit 1
-fi
-if git grep -nE 'ProximalMu|SetProximalRef|applyProximal|DecayEvery' -- '*.go'; then
-    echo "FedProx or epoch-interval decay is back"; exit 1
-fi
-
-echo "== one public surface =="
-# Every exported name of the root package (a func, a type, or an entry of a
-# type/var/const block) must be named by README.md or by a non-comment line
-# of example_test.go, whose Examples go test runs and checks. A type alias
-# may instead be named by the signature of a root func, which needs it.
-root_src=$(git ls-files -- ':(glob)*.go' ':!:*_test.go')
-root_exported=$(awk '
-    /^(type|var|const) \($/ { blk = 1; next }
-    blk && /^\)/ { blk = 0 }
-    blk && match($0, /^\t[A-Z][A-Za-z0-9_]*/) { print substr($0, 2, RLENGTH - 1) }
-    /^(func|type|var|const) [A-Z]/ { sub(/^[a-z]+ /, ""); sub(/[^A-Za-z0-9_].*/, ""); print }
-' $root_src | sort -u)
-root_named=$({ cat README.md; grep -vhE '^\s*//' example_test.go; grep -hE '^func ' $root_src | sed -E 's/^func [A-Za-z0-9_]+//'; } | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
-if unnamed=$(comm -23 <(echo "$root_exported") <(echo "$root_named")) && [ -n "$unnamed" ]; then
-    echo "exported from the root package but named by neither README.md nor an Example:"; echo "$unnamed"; exit 1
-fi
-
 echo "== tests =="
-# Among them the root package's TestNoTestOnlyExports: no export under
-# internal/ may be named by tests alone.
+# Among them the root package's TestNoTestOnlyExports (no export or method
+# under internal/ may be used by tests alone) and TestHouseRules (no
+# selection or aggregation plug-ins, one public surface).
 go test ./...
 
 echo "== tests (race detector) =="
