@@ -259,14 +259,19 @@ func BenchmarkQuantizeModel8(b *testing.B) {
 	for i := range m.W.RawData() {
 		m.W.RawData()[i] = rng.Norm()
 	}
+	var (
+		data []byte
+		back ml.Model
+		err  error
+	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := ml.QuantizeModel(m, ml.Quant8)
+		data, err = ml.AppendQuantized(data[:0], m, ml.Quant8)
 		if err != nil {
-			b.Fatalf("QuantizeModel: %v", err)
+			b.Fatalf("AppendQuantized: %v", err)
 		}
-		if _, err := ml.DequantizeModel(data); err != nil {
-			b.Fatalf("DequantizeModel: %v", err)
+		if err := back.DequantizeInto(data); err != nil {
+			b.Fatalf("DequantizeInto: %v", err)
 		}
 	}
 }

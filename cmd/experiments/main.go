@@ -260,7 +260,7 @@ func constants(s *experiments.Setup, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if _, err := sgd.Train(reference, union, 800); err != nil {
+	if _, err := sgd.TrainFinal(reference, union, 800); err != nil {
 		return err
 	}
 	phys, err := core.EstimatePhysical(reference, s.Shards, s.LearningRate, 1, 1, 1,

@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -118,25 +119,39 @@ func run(args []string) error {
 			JitterFrac:  0.2,
 		},
 	}
-	var meter *fldgram.Meter
+	// Every Conn this edge dials (a reconnect dials a fresh one), so their
+	// packet counters can be summed at exit. RunEdgeServer dials on this
+	// goroutine.
+	var conns []*fldgram.Conn
 	if *transport == "dgram" {
-		meter = &fldgram.Meter{}
 		dial, err := fldgram.Dialer(fldgram.Config{
 			MTU:         *mtu,
 			Seed:        *seed + uint64(*id)*65537,
 			SuccessProb: p,
-			Meter:       meter,
 		})
 		if err != nil {
 			return err
 		}
-		ecfg.Dial = dial
+		ecfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+			c, err := dial(addr, timeout)
+			if err == nil {
+				conns = append(conns, c.(*fldgram.Conn))
+			}
+			return c, err
+		}
 	}
 	err = flnet.RunEdgeServer(ctx, ecfg)
 	fmt.Printf("fededge %d/%d: wire bytes rx %d (downlink) tx %d (uplink)\n",
 		*id, *of, wire.Rx(), wire.Tx())
-	if meter != nil {
-		attempts, attemptBytes, delivered, deliveredBytes := meter.Totals()
+	if *transport == "dgram" {
+		var attempts, attemptBytes, delivered, deliveredBytes int64
+		for _, c := range conns {
+			s := c.Stats()
+			attempts += s.TxAttempts
+			attemptBytes += s.TxAttemptBytes
+			delivered += s.TxDelivered
+			deliveredBytes += s.TxDeliveredBytes
+		}
 		fmt.Printf("fededge %d/%d: dgram uplink %d/%d packets, %dB/%dB attempted/delivered\n",
 			*id, *of, attempts, delivered, attemptBytes, deliveredBytes)
 		if deliveredBytes > 0 {

@@ -106,7 +106,8 @@ func PlanGrid(p Problem, eMax int) (Plan, error) {
 	return core.SolveGrid(p, eMax)
 }
 
-// SynthesizePair generates a train/test split sharing class prototypes.
+// SynthesizePair generates a train/test split sharing class prototypes. Both
+// sets derive from train.Seed; test.Seed is ignored.
 func SynthesizePair(train, test SyntheticConfig) (*Dataset, *Dataset, error) {
 	return dataset.SynthesizePair(train, test)
 }

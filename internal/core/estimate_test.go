@@ -28,7 +28,7 @@ func estimateFixture(t *testing.T) (*ml.Model, []*dataset.Dataset) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	if _, err := sgd.Train(model, d, 300); err != nil {
+	if _, err := sgd.TrainFinal(model, d, 300); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	return model, shards

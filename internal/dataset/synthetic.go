@@ -64,94 +64,25 @@ func QuickSyntheticConfig() SyntheticConfig {
 // Synthesize generates a dataset according to cfg. Identical configs produce
 // identical datasets.
 func Synthesize(cfg SyntheticConfig) (*Dataset, error) {
-	if cfg.Samples <= 0 || cfg.Classes <= 0 || cfg.Side <= 0 {
-		return nil, fmt.Errorf("dataset: invalid synthetic config %+v", cfg)
-	}
-	if cfg.BlobsPerClass <= 0 {
-		cfg.BlobsPerClass = 3
-	}
-	dim := cfg.Side * cfg.Side
-	protoRNG := mat.NewRNG(cfg.Seed)
-	prototypes := make([]*mat.Dense, cfg.Classes)
-	for c := range prototypes {
-		prototypes[c] = classPrototype(protoRNG, cfg.Side, cfg.BlobsPerClass)
-	}
-
-	sampleRNG := protoRNG.Split()
-	out := &Dataset{
-		X:       mat.NewDense(cfg.Samples, dim),
-		Labels:  make([]int, cfg.Samples),
-		Classes: cfg.Classes,
-	}
-	for i := 0; i < cfg.Samples; i++ {
-		c := i % cfg.Classes // perfectly balanced classes, like MNIST approximately is
-		out.Labels[i] = c
-		row := out.X.Row(i)
-		proto := prototypes[c].RawData()
-		for j := range row {
-			row[j] = mat.Clamp(proto[j]+sampleRNG.NormScaled(0, cfg.Noise), 0, 1)
-		}
-	}
-	// Shuffle so that class order carries no information for partitioners.
-	out.Shuffle(sampleRNG.Split())
-	return out, nil
+	return synthesize(cfg, cfg.Seed, 1, oneStream((*mat.RNG).Split))
 }
 
 // SynthesizePair generates a train/test split the way the paper uses MNIST
 // (60k train, 10k test): the test set comes from the same prototypes with an
-// independent noise stream.
+// independent noise stream. Both streams derive from train.Seed, so test.Seed
+// is ignored: only test's size, shape and noise level are read.
 func SynthesizePair(train, test SyntheticConfig) (*Dataset, *Dataset, error) {
-	if train.Seed == test.Seed {
-		// Same seed would reuse the sample noise stream; the prototypes must
-		// match but the noise must not, so nudge the test stream.
-		test.Seed = train.Seed
-	}
 	tr, err := Synthesize(train)
 	if err != nil {
 		return nil, nil, fmt.Errorf("synthesize train: %w", err)
 	}
-	// The test set must share prototypes: regenerate with the same seed and
-	// discard the train-noise prefix by drawing a fresh split stream.
-	te, err := synthesizeWithOffset(test, train.Seed, 1)
+	te, err := synthesize(test, train.Seed, 1, oneStream(func(*mat.RNG) *mat.RNG {
+		return mat.NewRNG(train.Seed ^ (0xabcdef<<8 + 1))
+	}))
 	if err != nil {
 		return nil, nil, fmt.Errorf("synthesize test: %w", err)
 	}
 	return tr, te, nil
-}
-
-// synthesizeWithOffset is Synthesize with the same prototypes as seed but an
-// offset noise stream, so train and test sets are i.i.d. draws from the same
-// class-conditional distribution.
-func synthesizeWithOffset(cfg SyntheticConfig, protoSeed uint64, offset uint64) (*Dataset, error) {
-	if cfg.Samples <= 0 || cfg.Classes <= 0 || cfg.Side <= 0 {
-		return nil, fmt.Errorf("dataset: invalid synthetic config %+v", cfg)
-	}
-	if cfg.BlobsPerClass <= 0 {
-		cfg.BlobsPerClass = 3
-	}
-	dim := cfg.Side * cfg.Side
-	protoRNG := mat.NewRNG(protoSeed)
-	prototypes := make([]*mat.Dense, cfg.Classes)
-	for c := range prototypes {
-		prototypes[c] = classPrototype(protoRNG, cfg.Side, cfg.BlobsPerClass)
-	}
-	sampleRNG := mat.NewRNG(protoSeed ^ (0xabcdef<<8 + offset))
-	out := &Dataset{
-		X:       mat.NewDense(cfg.Samples, dim),
-		Labels:  make([]int, cfg.Samples),
-		Classes: cfg.Classes,
-	}
-	for i := 0; i < cfg.Samples; i++ {
-		c := i % cfg.Classes
-		out.Labels[i] = c
-		row := out.X.Row(i)
-		proto := prototypes[c].RawData()
-		for j := range row {
-			row[j] = mat.Clamp(proto[j]+sampleRNG.NormScaled(0, cfg.Noise), 0, 1)
-		}
-	}
-	out.Shuffle(sampleRNG.Split())
-	return out, nil
 }
 
 // SynthesizeParallel generates the same class-conditional distribution as
@@ -164,22 +95,48 @@ func synthesizeWithOffset(cfg SyntheticConfig, protoSeed uint64, offset uint64) 
 // use this path, the committed quick/paper artifacts keep the original.
 // workers <= 0 selects GOMAXPROCS.
 func SynthesizeParallel(cfg SyntheticConfig, workers int) (*Dataset, error) {
-	return synthesizeRowStreams(cfg, cfg.Seed, 0, workers)
+	return synthesize(cfg, cfg.Seed, workers, rowStreams(cfg.Seed, 0, cfg.Samples))
 }
 
 // SynthesizePairParallel mirrors SynthesizePair for the per-row-stream
-// generator: train and test share prototypes (both derive them from
-// train.Seed) but draw disjoint noise streams.
+// generator: train and test share prototypes but draw disjoint noise
+// streams. As in SynthesizePair, both derive from train.Seed and test.Seed
+// is ignored.
 func SynthesizePairParallel(train, test SyntheticConfig, workers int) (*Dataset, *Dataset, error) {
-	tr, err := synthesizeRowStreams(train, train.Seed, 0, workers)
+	tr, err := SynthesizeParallel(train, workers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("synthesize train: %w", err)
 	}
-	te, err := synthesizeRowStreams(test, train.Seed, 1, workers)
+	te, err := synthesize(test, train.Seed, workers, rowStreams(train.Seed, 1, test.Samples))
 	if err != nil {
 		return nil, nil, fmt.Errorf("synthesize test: %w", err)
 	}
 	return tr, te, nil
+}
+
+// A layout places a generator's randomness. Given the prototype stream as the
+// prototypes left it, it returns row i's pixel-noise stream and a func that,
+// called once every row is filled, returns the stream that shuffles them.
+type layout func(proto *mat.RNG) (noise func(row int) *mat.RNG, shuffle func() *mat.RNG)
+
+// oneStream draws every row's noise, in row order, from the one stream start
+// returns, and shuffles with a split of it taken after the last row. Rows
+// sharing a stream must be filled by one worker.
+func oneStream(start func(proto *mat.RNG) *mat.RNG) layout {
+	return func(proto *mat.RNG) (func(int) *mat.RNG, func() *mat.RNG) {
+		rng := start(proto)
+		return func(int) *mat.RNG { return rng }, rng.Split
+	}
+}
+
+// rowStreams gives each row a private noise stream seeded from (seed,
+// stream, row), and the shuffle one seeded past the last row, so rows can be
+// filled in any order by any number of workers.
+func rowStreams(seed, stream uint64, samples int) layout {
+	return func(*mat.RNG) (func(int) *mat.RNG, func() *mat.RNG) {
+		return func(i int) *mat.RNG { return mat.NewRNG(rowStreamSeed(seed, stream, uint64(i))) },
+			func() *mat.RNG { return mat.NewRNG(rowStreamSeed(seed, stream, uint64(samples)+0x5157)) }
+	}
 }
 
 // rowStreamSeed hashes (seed, stream, row) into the seed of that row's
@@ -192,24 +149,27 @@ func rowStreamSeed(seed, stream, row uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// synthesizeRowStreams fills every row from its own derived RNG; rows are
-// claimed in fixed-size chunks off the shared pool (par.Do) so any pool size
-// writes exactly the same bytes.
-func synthesizeRowStreams(cfg SyntheticConfig, protoSeed, stream uint64, workers int) (*Dataset, error) {
+// synthesize is the one generator body: it draws cfg.Classes prototypes from
+// protoSeed, fills row i with prototype i mod Classes plus noise from the
+// layout's stream for that row, and shuffles the rows. Rows are claimed in
+// fixed-size chunks off the shared pool (par.Do), so with per-row streams any
+// pool size writes exactly the same bytes; one worker fills them in order.
+// workers <= 0 selects GOMAXPROCS.
+func synthesize(cfg SyntheticConfig, protoSeed uint64, workers int, streams layout) (*Dataset, error) {
 	if cfg.Samples <= 0 || cfg.Classes <= 0 || cfg.Side <= 0 {
 		return nil, fmt.Errorf("dataset: invalid synthetic config %+v", cfg)
 	}
 	if cfg.BlobsPerClass <= 0 {
 		cfg.BlobsPerClass = 3
 	}
-	dim := cfg.Side * cfg.Side
 	protoRNG := mat.NewRNG(protoSeed)
 	prototypes := make([]*mat.Dense, cfg.Classes)
 	for c := range prototypes {
 		prototypes[c] = classPrototype(protoRNG, cfg.Side, cfg.BlobsPerClass)
 	}
+	noise, shuffle := streams(protoRNG)
 	out := &Dataset{
-		X:       mat.NewDense(cfg.Samples, dim),
+		X:       mat.NewDense(cfg.Samples, cfg.Side*cfg.Side),
 		Labels:  make([]int, cfg.Samples),
 		Classes: cfg.Classes,
 	}
@@ -220,8 +180,8 @@ func synthesizeRowStreams(cfg SyntheticConfig, protoSeed, stream uint64, workers
 	par.Do((cfg.Samples+chunk-1)/chunk, workers, par.Func(func(_, ci int) {
 		hi := min((ci+1)*chunk, cfg.Samples)
 		for i := ci * chunk; i < hi; i++ {
-			rng := mat.NewRNG(rowStreamSeed(protoSeed, stream, uint64(i)))
-			c := i % cfg.Classes
+			rng := noise(i)
+			c := i % cfg.Classes // perfectly balanced classes, like MNIST approximately is
 			out.Labels[i] = c
 			row := out.X.Row(i)
 			proto := prototypes[c].RawData()
@@ -230,7 +190,8 @@ func synthesizeRowStreams(cfg SyntheticConfig, protoSeed, stream uint64, workers
 			}
 		}
 	}))
-	out.Shuffle(mat.NewRNG(rowStreamSeed(protoSeed, stream, uint64(cfg.Samples)+0x5157)))
+	// Shuffle so that class order carries no information for partitioners.
+	out.Shuffle(shuffle())
 	return out, nil
 }
 

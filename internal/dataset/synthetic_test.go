@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -153,6 +156,35 @@ func TestSynthesizePairSharesPrototypes(t *testing.T) {
 	}
 }
 
+// TestSynthesizePairIgnoresTestSeed: both pair generators derive the test
+// set from train.Seed, so test.Seed changes nothing.
+func TestSynthesizePairIgnoresTestSeed(t *testing.T) {
+	train := QuickSyntheticConfig()
+	train.Samples = 300
+	test := train
+	test.Samples = 100
+	other := test
+	other.Seed = train.Seed + 41
+	for name, pair := range map[string]func(train, test SyntheticConfig) (*Dataset, *Dataset, error){
+		"SynthesizePair": SynthesizePair,
+		"SynthesizePairParallel": func(train, test SyntheticConfig) (*Dataset, *Dataset, error) {
+			return SynthesizePairParallel(train, test, 2)
+		},
+	} {
+		_, want, err := pair(train, test)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, got, err := pair(train, other)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if digest(got) != digest(want) {
+			t.Errorf("%s: test.Seed %d and %d yield different test sets", name, test.Seed, other.Seed)
+		}
+	}
+}
+
 func TestSynthesizeParallelBitIdenticalAcrossWorkers(t *testing.T) {
 	cfg := QuickSyntheticConfig()
 	cfg.Samples = 1003 // not a multiple of the chunk size, to cover the tail
@@ -261,4 +293,66 @@ func classMean(d *Dataset, class int) []float64 {
 		mat.Scale(mean, 1/n)
 	}
 	return mean
+}
+
+// digest is a SHA-256 over d's pixel bits and labels, little-endian.
+func digest(d *Dataset) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range d.X.RawData() {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, y := range d.Labels {
+		binary.LittleEndian.PutUint64(b[:], uint64(y))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSynthesizeGoldenDigests pins every generator entry point's output bit
+// for bit, so a refactor of the generator cannot move a dataset (and with it
+// every trained weight and quoted figure) unnoticed. The train set spans two
+// row chunks and BlobsPerClass is left to its default.
+func TestSynthesizeGoldenDigests(t *testing.T) {
+	train := SyntheticConfig{Samples: 300, Classes: 10, Side: 5, Noise: 0.3, Seed: 11}
+	test := train
+	test.Samples, test.Seed = 70, 12
+	seqTrain, seqTest, err := SynthesizePair(train, test)
+	if err != nil {
+		t.Fatalf("SynthesizePair: %v", err)
+	}
+	parTrain, parTest, err := SynthesizePairParallel(train, test, 3)
+	if err != nil {
+		t.Fatalf("SynthesizePairParallel: %v", err)
+	}
+	seq, err := Synthesize(train)
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	par1, err := SynthesizeParallel(train, 1)
+	if err != nil {
+		t.Fatalf("SynthesizeParallel(1): %v", err)
+	}
+	par3, err := SynthesizeParallel(train, 3)
+	if err != nil {
+		t.Fatalf("SynthesizeParallel(3): %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		d    *Dataset
+		want string
+	}{
+		{"Synthesize", seq, "7e6780a51988b44744198eb14e53c6d980788206b6edc0e0a3358c7d818abfc4"},
+		{"SynthesizePair train", seqTrain, "7e6780a51988b44744198eb14e53c6d980788206b6edc0e0a3358c7d818abfc4"},
+		{"SynthesizePair test", seqTest, "9d73870c904114b8f49a282e8430a9fcc8b5b7a59ba2e1d928ed367896cf15d7"},
+		{"SynthesizeParallel workers=1", par1, "eded43905ea4c7d13bf4431419d93ed42d78687019884a3e5ecfed7e6283054f"},
+		{"SynthesizeParallel workers=3", par3, "eded43905ea4c7d13bf4431419d93ed42d78687019884a3e5ecfed7e6283054f"},
+		{"SynthesizePairParallel train", parTrain, "eded43905ea4c7d13bf4431419d93ed42d78687019884a3e5ecfed7e6283054f"},
+		{"SynthesizePairParallel test", parTest, "1d1020ec8301940a903eef708e90390ea70ad9003127a8e05a27c10fcccd4f75"},
+	} {
+		if got := digest(c.d); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
 }

@@ -134,7 +134,8 @@ func QuantizationAblation(setup *Setup, seed uint64) ([]QuantPoint, error) {
 	dm := energy.DefaultPiDeviceModel()
 	fullBytes := 4 + 12 + model.ParamCount()*8
 	fullUpload := dm.UploadEnergy()
-	fullAcc, err := ml.Accuracy(model, setup.Test)
+	ev := ml.NewEvaluator(1)
+	fullAcc, err := ev.Accuracy(model, setup.Test)
 	if err != nil {
 		return nil, err
 	}
@@ -145,15 +146,15 @@ func QuantizationAblation(setup *Setup, seed uint64) ([]QuantPoint, error) {
 		Accuracy:     fullAcc,
 	}}
 	for _, bits := range []ml.QuantBits{ml.Quant16, ml.Quant8} {
-		data, err := ml.QuantizeModel(model, bits)
+		data, err := ml.AppendQuantized(nil, model, bits)
 		if err != nil {
 			return nil, fmt.Errorf("quantize %d: %w", bits, err)
 		}
-		back, err := ml.DequantizeModel(data)
-		if err != nil {
+		var back ml.Model
+		if err := back.DequantizeInto(data); err != nil {
 			return nil, fmt.Errorf("dequantize %d: %w", bits, err)
 		}
-		acc, err := ml.Accuracy(back, setup.Test)
+		acc, err := ev.Accuracy(&back, setup.Test)
 		if err != nil {
 			return nil, err
 		}

@@ -301,7 +301,7 @@ func TestSetupUnionMatchesConcatenatedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sgd.Train(model, want, 2000); err != nil {
+	if _, err := sgd.TrainFinal(model, want, 2000); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := ml.Loss(model, want)

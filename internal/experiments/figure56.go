@@ -95,7 +95,7 @@ func FStar(setup *Setup) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("f* sgd: %w", err)
 	}
-	if _, err := sgd.Train(model, union, 2000); err != nil {
+	if _, err := sgd.TrainFinal(model, union, 2000); err != nil {
 		return 0, fmt.Errorf("f* training: %w", err)
 	}
 	loss, err := ml.Loss(model, union)

@@ -77,7 +77,6 @@ type Conn struct {
 	payload   int
 	dataFates *fates // drawn by the writer under mu
 	ackFates  *fates // drawn by process under mu
-	meter     *Meter
 
 	// writeMu serializes frames (one window in flight at a time), from a
 	// Write's or Send's start to its end; out is the frame in flight, and
@@ -115,7 +114,7 @@ type Conn struct {
 // already be validated.
 func newConn(link PacketLink, cfg Config, idx int) *Conn {
 	cfg = cfg.withDefaults()
-	c := &Conn{link: link, cfg: cfg, payload: cfg.MTU - headerLen, meter: cfg.Meter}
+	c := &Conn{link: link, cfg: cfg, payload: cfg.MTU - headerLen}
 	c.cond = sync.NewCond(&c.mu)
 	c.ackTimer = stoppedTimer(c.wakeAll)
 	c.rdTimer = stoppedTimer(c.wakeAll)
@@ -451,7 +450,6 @@ func (c *Conn) pump() (n int, idle bool, err error) {
 			size := headerLen + len(c.fragment(o.acked))
 			c.stats.TxDelivered++
 			c.stats.TxDeliveredBytes += int64(size)
-			c.meter.addDelivered(size)
 			o.attempts[o.acked%window], o.rtoAt = 0, time.Time{}
 		}
 		if o.acked == o.n {
@@ -529,7 +527,6 @@ func (c *Conn) pump() (n int, idle bool, err error) {
 		c.stats.TxAttempts++
 		c.stats.TxAttemptBytes += int64(size)
 		cum := uint64(c.stats.TxAttemptBytes)
-		c.meter.addAttempt(size)
 		fate := c.dataFates.next()
 		if fate.drop {
 			o.stale = true

@@ -187,28 +187,6 @@ func TestConnPeerAttemptCounter(t *testing.T) {
 	}
 }
 
-func TestConnMeterAggregates(t *testing.T) {
-	m := &Meter{}
-	cfg := Config{Seed: 21, SuccessProb: 0.8, Meter: m}
-	a, b := Pipe(cfg, Config{})
-	defer a.Close()
-	defer b.Close()
-	testRoundTrip(t, a, b, 8<<10, 3)
-	s := a.Stats()
-	attempts, attemptBytes, delivered, deliveredBytes := m.Totals()
-	if attempts != s.TxAttempts || attemptBytes != s.TxAttemptBytes ||
-		delivered != s.TxDelivered || deliveredBytes != s.TxDeliveredBytes {
-		t.Fatalf("meter %d/%d/%d/%d != conn stats %+v", attempts, attemptBytes, delivered, deliveredBytes, s)
-	}
-	// Nil meter must be inert.
-	var nilMeter *Meter
-	nilMeter.addAttempt(1)
-	nilMeter.addDelivered(1)
-	if a, ab, d, db := nilMeter.Totals(); a+ab+d+db != 0 {
-		t.Fatal("nil meter reported totals")
-	}
-}
-
 func TestConnCloseUnblocksPeerRead(t *testing.T) {
 	a, b := Pipe(Config{}, Config{})
 	defer b.Close()

@@ -60,7 +60,6 @@ package fldgram
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -122,10 +121,6 @@ type Config struct {
 	// ReorderProb holds a data packet back one slot (swapped with its
 	// successor) with the given probability.
 	ReorderProb float64
-	// Meter, when non-nil, accumulates attempt/delivery totals across
-	// every Conn of this endpoint (all conns of a Listener, or all conns
-	// made by a Dialer).
-	Meter *Meter
 }
 
 // withDefaults fills zero fields.
@@ -211,43 +206,4 @@ func lossProb(successProb float64) float64 {
 		return 0
 	}
 	return 1 - successProb
-}
-
-// Meter accumulates data-packet attempt/delivery totals across the Conns of
-// one endpoint. All methods are safe for concurrent use and tolerate a nil
-// receiver, mirroring flnet.WireCounters.
-type Meter struct {
-	txAttempts      atomic.Int64
-	txAttemptBytes  atomic.Int64
-	txDelivered     atomic.Int64
-	txDeliveredByte atomic.Int64
-}
-
-// addAttempt records one transmitted data packet of n bytes.
-func (m *Meter) addAttempt(n int) {
-	if m == nil {
-		return
-	}
-	m.txAttempts.Add(1)
-	m.txAttemptBytes.Add(int64(n))
-}
-
-// addDelivered records one acknowledged data packet of n bytes.
-func (m *Meter) addDelivered(n int) {
-	if m == nil {
-		return
-	}
-	m.txDelivered.Add(1)
-	m.txDeliveredByte.Add(int64(n))
-}
-
-// Totals reports packets and bytes attempted (every transmission, injected
-// drops included) and delivered (unique acknowledged packets). Zero on a
-// nil receiver.
-func (m *Meter) Totals() (attempts, attemptBytes, delivered, deliveredBytes int64) {
-	if m == nil {
-		return 0, 0, 0, 0
-	}
-	return m.txAttempts.Load(), m.txAttemptBytes.Load(),
-		m.txDelivered.Load(), m.txDeliveredByte.Load()
 }

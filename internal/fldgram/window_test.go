@@ -337,15 +337,17 @@ func TestAckBeyondSentIgnored(t *testing.T) {
 // receive buffer and its reassembly buffer — reachable from the runtime's
 // timer heap until it fires, which for flnet is the round timeout. A Conn
 // points at itself (cond.L, the timer callbacks), so a finalizer on it would
-// never run; one on the Meter only it references stands in.
+// never run; one on a link wrapper only the Conn references stands in.
 func TestCloseReleasesConn(t *testing.T) {
 	const conns = 8
+	type trackedLink struct{ PacketLink }
 	var freed atomic.Int32
 	for i := 0; i < conns; i++ {
-		ma, mb := &Meter{}, &Meter{}
-		runtime.SetFinalizer(ma, func(*Meter) { freed.Add(1) })
-		runtime.SetFinalizer(mb, func(*Meter) { freed.Add(1) })
-		a, b := Pipe(Config{Meter: ma}, Config{Meter: mb})
+		la, lb := pipeLinks()
+		ta, tb := &trackedLink{la}, &trackedLink{lb}
+		runtime.SetFinalizer(ta, func(*trackedLink) { freed.Add(1) })
+		runtime.SetFinalizer(tb, func(*trackedLink) { freed.Add(1) })
+		a, b := newConn(ta, Config{}, 0), newConn(tb, Config{}, 1)
 		// A Read that waits once under a far deadline arms rdTimer; a Write
 		// that waits for its ACK arms ackTimer.
 		a.SetDeadline(time.Now().Add(time.Hour))

@@ -17,11 +17,11 @@ import (
 
 // dgramRun is one training run over the datagram transport: the committed
 // round history, the per-round byte-exact global model snapshots, and the
-// aggregated edge-side uplink meter.
+// packet counters of every edge-side conn, summed.
 type dgramRun struct {
 	history []fl.RoundRecord
 	weights [][]byte
-	meter   *fldgram.Meter
+	edges   fldgram.Stats
 }
 
 // runDgramTraining trains a 5-edge cluster (K=3) to `rounds` committed
@@ -81,15 +81,14 @@ func runDgramTraining(t *testing.T, seed uint64, rounds int, successProb float64
 		t.Fatalf("start accept loop: %v", err)
 	}
 
-	meter := &fldgram.Meter{}
 	errs := make([]error, servers)
+	conns := make([][]*fldgram.Conn, servers) // every conn edge i dialed
 	var wg sync.WaitGroup
 	for i := 0; i < servers; i++ {
 		dial, err := fldgram.Dialer(fldgram.Config{
 			MTU:         mtu,
 			Seed:        seed + uint64(i)*1000003 + 1,
 			SuccessProb: successProb,
-			Meter:       meter,
 		})
 		if err != nil {
 			t.Fatalf("fldgram.Dialer: %v", err)
@@ -102,7 +101,13 @@ func runDgramTraining(t *testing.T, seed uint64, rounds int, successProb float64
 				Shard: shards[i],
 				Seed:  uint64(i + 1),
 				Retry: chaosRetry(),
-				Dial:  dial,
+				Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+					c, err := dial(addr, timeout)
+					if err == nil {
+						conns[i] = append(conns[i], c.(*fldgram.Conn))
+					}
+					return c, err
+				},
 			})
 		}(i, dial)
 		if err := coord.AwaitRoster(ctx, i+1, 10*time.Second); err != nil {
@@ -115,11 +120,7 @@ func runDgramTraining(t *testing.T, seed uint64, rounds int, successProb float64
 		if _, err := coord.Round(ctx); err != nil {
 			t.Fatalf("round failed over dgram transport: %v", err)
 		}
-		w, err := coord.Global().MarshalBinary()
-		if err != nil {
-			t.Fatalf("MarshalBinary: %v", err)
-		}
-		weights = append(weights, w)
+		weights = append(weights, coord.Global().AppendBinary(nil))
 	}
 	coord.Shutdown()
 	wg.Wait()
@@ -128,7 +129,17 @@ func runDgramTraining(t *testing.T, seed uint64, rounds int, successProb float64
 			t.Errorf("edge %d exited with %v", i, err)
 		}
 	}
-	return dgramRun{history: coord.History(), weights: weights, meter: meter}
+	var edges fldgram.Stats
+	for _, cs := range conns {
+		for _, c := range cs {
+			s := c.Stats()
+			edges.TxAttempts += s.TxAttempts
+			edges.TxAttemptBytes += s.TxAttemptBytes
+			edges.TxDelivered += s.TxDelivered
+			edges.TxDeliveredBytes += s.TxDeliveredBytes
+		}
+	}
+	return dgramRun{history: coord.History(), weights: weights, edges: edges}
 }
 
 // TestDgramTrainingMatchesStream is the transport-equivalence check: with
@@ -219,15 +230,15 @@ func TestDgramMeasuredEnergyMatchesAnalyticRho(t *testing.T) {
 			measured, analytic, 100*rel)
 	}
 
-	// The edge-side Meter must tell the same story from the other end of the
-	// link: it aggregates every dialer conn's uplink attempts.
-	attempts, attemptBytes, deliv, delivBytes := run.meter.Totals()
-	if deliv == 0 || attemptBytes <= delivBytes {
-		t.Fatalf("edge meter %d/%d attempts, %d/%d bytes: loss not visible", attempts, deliv, attemptBytes, delivBytes)
+	// The edges' own conn counters must tell the same story from the other
+	// end of the link: summed over every dialed conn, their uplink attempts.
+	e := run.edges
+	if e.TxDelivered == 0 || e.TxAttemptBytes <= e.TxDeliveredBytes {
+		t.Fatalf("edge conns %d/%d attempts, %d/%d bytes: loss not visible", e.TxAttempts, e.TxDelivered, e.TxAttemptBytes, e.TxDeliveredBytes)
 	}
-	meterMeasured := rho * float64(attemptBytes) / float64(delivBytes)
-	if rel := math.Abs(meterMeasured-analytic) / analytic; rel > 0.05 {
-		t.Errorf("edge meter energy per delivered byte %.6g J vs analytic %.6g J: off by %.2f%%",
-			meterMeasured, analytic, 100*rel)
+	edgeMeasured := rho * float64(e.TxAttemptBytes) / float64(e.TxDeliveredBytes)
+	if rel := math.Abs(edgeMeasured-analytic) / analytic; rel > 0.05 {
+		t.Errorf("edge conns' energy per delivered byte %.6g J vs analytic %.6g J: off by %.2f%%",
+			edgeMeasured, analytic, 100*rel)
 	}
 }

@@ -131,7 +131,7 @@ func TestTrainRequestRoundTrip(t *testing.T) {
 		t.Errorf("header lost: %+v, want %+v", back, req)
 	}
 	var got ml.Model
-	if err := got.UnmarshalBinary(body); err != nil {
+	if err := got.UnmarshalBinaryReuse(body); err != nil {
 		t.Fatalf("decode model: %v", err)
 	}
 	if got.ParamDistance(m) != 0 {

@@ -212,6 +212,7 @@ func directFedAvg(t *testing.T, servers, k, rounds, abortedAt int) (global *ml.M
 	shards, test, cfg := clusterFixture(t, servers)
 	global = ml.NewModel(test.Classes, test.Dim(), ml.Softmax)
 	rng := mat.NewRNG(cfg.Seed)
+	ev := ml.NewEvaluator(1)
 	for round := 0; round < rounds; round++ {
 		lr := cfg.LearningRate * math.Pow(cfg.Decay, float64(round))
 		agg := ml.NewModel(test.Classes, test.Dim(), ml.Softmax)
@@ -234,7 +235,7 @@ func directFedAvg(t *testing.T, servers, k, rounds, abortedAt int) (global *ml.M
 			}
 			lossSum += loss
 		}
-		acc, err := ml.Accuracy(agg, test)
+		acc, err := ev.Accuracy(agg, test)
 		if err != nil {
 			t.Fatalf("round %d accuracy: %v", round, err)
 		}

@@ -251,7 +251,7 @@ func TestTrainRequestV2RoundTrip(t *testing.T) {
 		t.Errorf("full v2 header lost: %+v", back)
 	}
 	var got ml.Model
-	if err := got.UnmarshalBinary(body); err != nil {
+	if err := got.UnmarshalBinaryReuse(body); err != nil {
 		t.Fatalf("body: %v", err)
 	}
 	if got.ParamDistance(m) != 0 {

@@ -522,9 +522,8 @@ func (r *round) evaluate() error {
 	rec.TrainLoss = lossSum / float64(len(rec.Selected))
 	if c.test != nil {
 		// The evaluator reuses its chunk scratch round over round, keeping
-		// warm rounds allocation-free where ml.Accuracy would allocate a
-		// predictions slice and logits block per call. Bit-identical: hit
-		// counts are integers, reduced in chunk order.
+		// warm rounds allocation-free. Bit-identical for any worker count:
+		// hit counts are integers, reduced in chunk order.
 		acc, err := c.testEval.Accuracy(c.spare.m, c.test)
 		if err != nil {
 			return fmt.Errorf("round %d accuracy: %w", r.t, err)

@@ -2,25 +2,31 @@ package ml
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
 
-// The zero-copy codec paths (AppendBinary / UnmarshalBinaryReuse /
-// AppendQuantized / DequantizeInto) exist so the wire protocol can encode
-// into pooled frame buffers and decode into long-lived scratch models. They
-// must stay byte-identical to the allocating paths and allocation-free once
-// the scratch has warmed up.
+// The model codecs (AppendBinary / UnmarshalBinaryReuse, AppendQuantized /
+// DequantizeInto) exist so the wire protocol can encode into pooled frame
+// buffers and decode into long-lived scratch models. They must keep their
+// documented layouts and be allocation-free once the scratch has warmed up.
 
+// TestAppendBinaryMatchesMarshal holds AppendBinary to the documented layout
+// marshalled field by field through encoding/binary's reflection path:
+// magic, activation, classes, features, W row-major, B.
 func TestAppendBinaryMatchesMarshal(t *testing.T) {
 	m := randomModel(3, 7, 13)
-	want, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
+	var ref bytes.Buffer
+	for _, v := range []any{modelMagic, []uint32{uint32(m.Act), 7, 13}, m.W.RawData(), m.B} {
+		if err := binary.Write(&ref, binary.LittleEndian, v); err != nil {
+			t.Fatalf("binary.Write: %v", err)
+		}
 	}
+	want := ref.Bytes()
 	got := m.AppendBinary(nil)
 	if !bytes.Equal(got, want) {
-		t.Fatal("AppendBinary diverges from MarshalBinary")
+		t.Fatal("AppendBinary diverges from the documented layout")
 	}
 	if len(got) != m.EncodedSize() {
 		t.Errorf("EncodedSize = %d, encoded %d bytes", m.EncodedSize(), len(got))
@@ -79,6 +85,7 @@ func TestUnmarshalBinaryReuseRoundTrip(t *testing.T) {
 func TestUnmarshalBinaryReuseRejectsGarbage(t *testing.T) {
 	good := randomModel(1, 2, 3).AppendBinary(nil)
 	cases := map[string][]byte{
+		"nonsense":   []byte("nonsense data here"),
 		"empty":      {},
 		"short":      good[:10],
 		"bad magic":  append([]byte{1, 2, 3, 4}, good[4:]...),
@@ -86,6 +93,7 @@ func TestUnmarshalBinaryReuseRejectsGarbage(t *testing.T) {
 		"trailing":   append(bytes.Clone(good), 0),
 		"zero shape": {'E', 'F', 'M', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		"huge shape": {'E', 'F', 'M', 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f},
+		"huge×zero":  {'E', 'F', 'M', 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
 	}
 	for name, data := range cases {
 		var m Model
@@ -95,19 +103,17 @@ func TestUnmarshalBinaryReuseRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestAppendQuantizedMatchesQuantizeModel(t *testing.T) {
+// TestAppendQuantizedKeepsPrefix: appending after a prefix writes the same
+// payload as appending to nil, and leaves the prefix alone.
+func TestAppendQuantizedKeepsPrefix(t *testing.T) {
 	m := randomModel(5, 6, 8)
 	for _, bits := range []QuantBits{Quant8, Quant16} {
-		want, err := QuantizeModel(m, bits)
-		if err != nil {
-			t.Fatalf("QuantizeModel(%d): %v", bits, err)
-		}
-		got, err := AppendQuantized(nil, m, bits)
+		want, err := AppendQuantized(nil, m, bits)
 		if err != nil {
 			t.Fatalf("AppendQuantized(%d): %v", bits, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("AppendQuantized(%d) diverges from QuantizeModel", bits)
+		if len(want) != QuantizedSize(6, 8, bits) {
+			t.Errorf("AppendQuantized(%d) wrote %d bytes, QuantizedSize says %d", bits, len(want), QuantizedSize(6, 8, bits))
 		}
 		pre := []byte{7}
 		full, err := AppendQuantized(pre, m, bits)
@@ -125,21 +131,21 @@ func TestAppendQuantizedMatchesQuantizeModel(t *testing.T) {
 
 func TestDequantizeIntoReuse(t *testing.T) {
 	m := randomModel(9, 4, 6)
-	data, err := QuantizeModel(m, Quant16)
+	data, err := AppendQuantized(nil, m, Quant16)
 	if err != nil {
-		t.Fatalf("QuantizeModel: %v", err)
+		t.Fatalf("AppendQuantized: %v", err)
 	}
-	ref, err := DequantizeModel(data)
-	if err != nil {
-		t.Fatalf("DequantizeModel: %v", err)
+	var ref Model // a zero Model: fresh storage
+	if err := ref.DequantizeInto(data); err != nil {
+		t.Fatalf("DequantizeInto(zero Model): %v", err)
 	}
 	scratch := NewModel(4, 6, Softmax)
 	w0 := &scratch.W.RawData()[0]
 	if err := scratch.DequantizeInto(data); err != nil {
 		t.Fatalf("DequantizeInto: %v", err)
 	}
-	if scratch.ParamDistance(ref) != 0 {
-		t.Fatal("DequantizeInto diverges from DequantizeModel")
+	if scratch.ParamDistance(&ref) != 0 {
+		t.Fatal("DequantizeInto into scratch diverges from a fresh decode")
 	}
 	if w0 != &scratch.W.RawData()[0] {
 		t.Fatal("matching-shape dequantize reallocated the storage")

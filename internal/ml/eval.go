@@ -154,9 +154,9 @@ func (ev *Evaluator) Loss(m *Model, d *dataset.Dataset) (float64, error) {
 	return total / float64(d.Len()), nil
 }
 
-// Accuracy computes the fraction of rows of d that m classifies correctly —
-// the same metric as the package-level Accuracy, without materializing the
-// prediction slice.
+// Accuracy computes the fraction of rows of d that m classifies correctly:
+// the rows whose Model.Predict equals the label, counted chunk by chunk on
+// the batched logits without materializing a prediction slice.
 func (ev *Evaluator) Accuracy(m *Model, d *dataset.Dataset) (float64, error) {
 	if _, err := ev.prepare(m, d); err != nil {
 		return 0, err

@@ -48,19 +48,30 @@ func TestEvaluatorLossMatchesSequentialBitIdentical(t *testing.T) {
 	}
 }
 
-func TestEvaluatorAccuracyMatchesPackageFunc(t *testing.T) {
-	m, d := evalFixture(t, Softmax)
-	want, err := Accuracy(m, d)
-	if err != nil {
-		t.Fatalf("Accuracy: %v", err)
-	}
-	for _, workers := range []int{1, 2, 7} {
-		got, err := NewEvaluator(workers).Accuracy(m, d)
-		if err != nil {
-			t.Fatalf("Evaluator.Accuracy(workers=%d): %v", workers, err)
+// TestEvaluatorAccuracyMatchesPerRowPredict: the chunked hit count equals the
+// rows whose Model.Predict, one sample at a time, returns the label.
+func TestEvaluatorAccuracyMatchesPerRowPredict(t *testing.T) {
+	for _, act := range []Activation{Softmax, Sigmoid} {
+		m, d := evalFixture(t, act)
+		hits := 0
+		for i := 0; i < d.Len(); i++ {
+			p, err := m.Predict(d.X.Row(i))
+			if err != nil {
+				t.Fatalf("Predict(%d): %v", i, err)
+			}
+			if p == d.Labels[i] {
+				hits++
+			}
 		}
-		if got != want {
-			t.Errorf("workers=%d: accuracy %v != package Accuracy %v", workers, got, want)
+		want := float64(hits) / float64(d.Len())
+		for _, workers := range []int{1, 2, 7} {
+			got, err := NewEvaluator(workers).Accuracy(m, d)
+			if err != nil {
+				t.Fatalf("Evaluator.Accuracy(workers=%d): %v", workers, err)
+			}
+			if got != want {
+				t.Errorf("%v workers=%d: accuracy %v != per-row Predict %v", act, workers, got, want)
+			}
 		}
 	}
 }
@@ -109,11 +120,7 @@ func TestSGDResetReproducesFreshOptimizer(t *testing.T) {
 
 	train := func(s *SGD) []float64 {
 		m := NewModel(d.Classes, d.Dim(), Softmax)
-		losses, err := s.Train(m, d, 3)
-		if err != nil {
-			t.Fatalf("Train: %v", err)
-		}
-		return losses
+		return epochLosses(t, s, m, d, 3)
 	}
 
 	fresh, err := NewSGD(sgdCfg)

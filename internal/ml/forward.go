@@ -18,7 +18,7 @@ import (
 // X block + logits block stay cache-resident.
 
 // fwdScratch owns the reusable buffers of one batched forward stream. Each
-// owner (an Evaluator worker, an SGD, a PredictBatch call) holds its own, so
+// owner (an Evaluator worker, an SGD, a one-shot Loss call) holds its own, so
 // warm passes perform zero heap allocations. The zero value is ready to use;
 // buffers are sized lazily on first use and re-sized only when the model
 // shape changes.
@@ -116,27 +116,4 @@ func softmaxLogitsLoss(z []float64, y int) float64 {
 	var total float64
 	total -= math.Log(math.Max(ey/sum, epsLog))
 	return total
-}
-
-// predictRowRange writes the argmax class of every row in [lo, hi) of d into
-// out[lo:hi] using the batched forward pass.
-func predictRowRange(m *Model, d *dataset.Dataset, lo, hi int, sc *fwdScratch, out []int) error {
-	logits := sc.ensureLogits(m.Classes())
-	for blo := lo; blo < hi; blo += evalChunk {
-		bhi := blo + evalChunk
-		if bhi > hi {
-			bhi = hi
-		}
-		x := d.X.SliceRows(blo, bhi)
-		lg := logits.SliceRows(0, bhi-blo)
-		if err := mat.MulT(&lg, &x, m.W); err != nil {
-			return fmt.Errorf("batched logits: %w", err)
-		}
-		for r := 0; r < lg.Rows(); r++ {
-			row := lg.Row(r)
-			mat.Axpy(row, 1, m.B)
-			out[blo+r] = mat.ArgMax(row)
-		}
-	}
-	return nil
 }

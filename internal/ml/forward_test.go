@@ -181,25 +181,6 @@ func TestEvaluatorMetricsErrors(t *testing.T) {
 	}
 }
 
-func TestPredictBatchBitIdenticalToPerSamplePredict(t *testing.T) {
-	for _, samples := range forwardShapes {
-		m, d := forwardFixture(t, samples, Softmax)
-		got, err := m.PredictBatch(d)
-		if err != nil {
-			t.Fatalf("PredictBatch(%d): %v", samples, err)
-		}
-		for i := 0; i < d.Len(); i++ {
-			want, err := m.Predict(d.X.Row(i))
-			if err != nil {
-				t.Fatalf("Predict(%d): %v", i, err)
-			}
-			if got[i] != want {
-				t.Fatalf("samples=%d row %d: PredictBatch = %d, Predict = %d", samples, i, got[i], want)
-			}
-		}
-	}
-}
-
 // TestLogitsBatchBitIdenticalToLogits: the batched forward pass's logits
 // block, x·Wᵀ through mat.MulT plus the bias on each row, is bit-identical
 // to Logits on each sample.

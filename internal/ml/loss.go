@@ -154,19 +154,3 @@ func GradientNorm(m *Model, d *dataset.Dataset) (float64, error) {
 	zero := NewModel(m.Classes(), m.Features(), m.Act)
 	return grad.ParamDistance(zero), nil
 }
-
-// Accuracy returns the fraction of samples in d the model classifies
-// correctly.
-func Accuracy(m *Model, d *dataset.Dataset) (float64, error) {
-	preds, err := m.PredictBatch(d)
-	if err != nil {
-		return 0, err
-	}
-	correct := 0
-	for i, p := range preds {
-		if p == d.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(preds)), nil
-}

@@ -137,7 +137,7 @@ func TestAccuracy(t *testing.T) {
 	// A classifier aligned with the clusters: class 0 has positive coords.
 	m.W.SetRow(0, []float64{1, 1})
 	m.W.SetRow(1, []float64{-1, -1})
-	acc, err := Accuracy(m, d)
+	acc, err := NewEvaluator(1).Accuracy(m, d)
 	if err != nil {
 		t.Fatalf("Accuracy: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestGradientNormDecreasesNearOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	if _, err := sgd.Train(m, d, 200); err != nil {
+	if _, err := sgd.TrainFinal(m, d, 200); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	after, err := GradientNorm(m, d)

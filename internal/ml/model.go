@@ -10,11 +10,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
-	"eefei/internal/dataset"
 	"eefei/internal/mat"
 )
 
@@ -167,20 +165,6 @@ func (m *Model) Predict(x []float64) (int, error) {
 	return mat.ArgMax(scores), nil
 }
 
-// PredictBatch classifies every row of d and returns the predicted labels,
-// scoring evalChunk-row blocks through the batched forward pass.
-func (m *Model) PredictBatch(d *dataset.Dataset) ([]int, error) {
-	if d.Dim() != m.Features() {
-		return nil, fmt.Errorf("predict %d-dim data with %d-dim model: %w", d.Dim(), m.Features(), ErrModelShape)
-	}
-	out := make([]int, d.Len())
-	var sc fwdScratch
-	if err := predictRowRange(m, d, 0, d.Len(), &sc, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // softmaxInPlace converts logits to a probability simplex with the usual
 // max-shift for numerical stability.
 func softmaxInPlace(z []float64) {
@@ -216,68 +200,6 @@ func sigmoid(z float64) float64 {
 // changes.
 var modelMagic = [4]byte{'E', 'F', 'M', 1}
 
-// WriteTo serializes the model in a deterministic little-endian binary
-// layout: magic, activation, classes, features, W row-major, B.
-func (m *Model) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(modelMagic); err != nil {
-		return n, fmt.Errorf("write magic: %w", err)
-	}
-	header := []uint32{uint32(m.Act), uint32(m.Classes()), uint32(m.Features())}
-	if err := write(header); err != nil {
-		return n, fmt.Errorf("write header: %w", err)
-	}
-	if err := write(m.W.RawData()); err != nil {
-		return n, fmt.Errorf("write weights: %w", err)
-	}
-	if err := write(m.B); err != nil {
-		return n, fmt.Errorf("write biases: %w", err)
-	}
-	return n, nil
-}
-
-// ReadModel deserializes a model written by WriteTo.
-func ReadModel(r io.Reader) (*Model, error) {
-	var magic [4]byte
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("read magic: %w", err)
-	}
-	if magic != modelMagic {
-		return nil, fmt.Errorf("ml: bad model magic %x", magic)
-	}
-	var header [3]uint32
-	if err := binary.Read(r, binary.LittleEndian, &header); err != nil {
-		return nil, fmt.Errorf("read header: %w", err)
-	}
-	act, classes, features := Activation(header[0]), int(header[1]), int(header[2])
-	const maxParams = 1 << 26 // 512 MiB of float64: cap against corrupt headers
-	// Bound each dimension before multiplying so the product cannot overflow.
-	if classes <= 0 || features <= 0 || classes > maxParams || features > maxParams ||
-		classes*features > maxParams {
-		return nil, fmt.Errorf("ml: implausible model shape %dx%d", classes, features)
-	}
-	m := NewModel(classes, features, act)
-	if err := binary.Read(r, binary.LittleEndian, m.W.RawData()); err != nil {
-		return nil, fmt.Errorf("read weights: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, m.B); err != nil {
-		return nil, fmt.Errorf("read biases: %w", err)
-	}
-	return m, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	return m.AppendBinary(make([]byte, 0, m.EncodedSize())), nil
-}
-
 // EncodedSize returns the exact byte length of the model's binary
 // serialization: magic + header + parameters.
 func (m *Model) EncodedSize() int {
@@ -285,9 +207,10 @@ func (m *Model) EncodedSize() int {
 }
 
 // AppendBinary appends the model's serialization to dst and returns the
-// extended slice, byte-identical to MarshalBinary/WriteTo. It is the
-// zero-copy encode path: the network layer appends directly into a pooled
-// frame buffer instead of marshalling into an intermediate slice.
+// extended slice, in a deterministic little-endian layout: magic, activation,
+// classes, features, W row-major, B. It is the zero-copy encode path: the
+// network layer appends directly into a pooled frame buffer instead of
+// marshalling into an intermediate slice.
 func (m *Model) AppendBinary(dst []byte) []byte {
 	dst = slices.Grow(dst, m.EncodedSize())
 	dst = append(dst, modelMagic[:]...)
@@ -311,11 +234,11 @@ func appendFloat64s(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// UnmarshalBinaryReuse decodes data into m like UnmarshalBinary, but reuses
-// m's existing parameter storage when the encoded shape matches — the decode
-// path engines call round after round with a long-lived scratch model, so
-// steady-state decoding allocates nothing. On a shape change it falls back
-// to a fresh allocation.
+// UnmarshalBinaryReuse decodes a model written by AppendBinary into m,
+// reusing m's existing parameter storage when the encoded shape matches — the
+// decode path engines call round after round with a long-lived scratch
+// model, so steady-state decoding allocates nothing. On a shape change (or
+// into a zero Model) it allocates fresh storage.
 func (m *Model) UnmarshalBinaryReuse(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("ml: model payload of %d bytes", len(data))
@@ -328,7 +251,8 @@ func (m *Model) UnmarshalBinaryReuse(data []byte) error {
 	act := Activation(binary.LittleEndian.Uint32(data[4:8]))
 	classes := int(binary.LittleEndian.Uint32(data[8:12]))
 	features := int(binary.LittleEndian.Uint32(data[12:16]))
-	const maxParams = 1 << 26
+	const maxParams = 1 << 26 // 512 MiB of float64: cap against corrupt headers
+	// Bound each dimension before multiplying so the product cannot overflow.
 	if classes <= 0 || features <= 0 || classes > maxParams || features > maxParams ||
 		classes*features > maxParams {
 		return fmt.Errorf("ml: implausible model shape %dx%d", classes, features)
@@ -352,28 +276,4 @@ func readFloat64s(dst []float64, data []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 	}
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Model) UnmarshalBinary(data []byte) error {
-	got, err := ReadModel(byteSliceReader{data: data, pos: new(int)})
-	if err != nil {
-		return err
-	}
-	*m = *got
-	return nil
-}
-
-type byteSliceReader struct {
-	data []byte
-	pos  *int
-}
-
-func (r byteSliceReader) Read(p []byte) (int, error) {
-	if *r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[*r.pos:])
-	*r.pos += n
-	return n, nil
 }

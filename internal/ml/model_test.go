@@ -2,12 +2,10 @@ package ml
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
-	"eefei/internal/dataset"
 	"eefei/internal/mat"
 )
 
@@ -173,14 +171,6 @@ func TestSigmoidProbabilities(t *testing.T) {
 	}
 }
 
-func TestPredictBatchShapeError(t *testing.T) {
-	m := NewModel(2, 3, Softmax)
-	d := &dataset.Dataset{X: mat.NewDense(2, 4), Labels: []int{0, 1}, Classes: 2}
-	if _, err := m.PredictBatch(d); !errors.Is(err, ErrModelShape) {
-		t.Errorf("PredictBatch mismatch = %v, want ErrModelShape", err)
-	}
-}
-
 func TestModelSerializationRoundTrip(t *testing.T) {
 	rng := mat.NewRNG(13)
 	m := NewModel(4, 7, Sigmoid)
@@ -190,52 +180,41 @@ func TestModelSerializationRoundTrip(t *testing.T) {
 	for i := range m.B {
 		m.B[i] = rng.Norm()
 	}
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	back, err := ReadModel(&buf)
-	if err != nil {
-		t.Fatalf("ReadModel: %v", err)
+	var back Model
+	if err := back.UnmarshalBinaryReuse(m.AppendBinary(nil)); err != nil {
+		t.Fatalf("UnmarshalBinaryReuse: %v", err)
 	}
 	if back.Act != Sigmoid || back.Classes() != 4 || back.Features() != 7 {
 		t.Fatalf("shape/activation lost: %v %dx%d", back.Act, back.Classes(), back.Features())
 	}
-	if m.ParamDistance(back) != 0 {
+	if m.ParamDistance(&back) != 0 {
 		t.Error("round-trip must be exact")
 	}
 }
 
+// TestModelBinaryMarshaler pins the wire bytes of a 1×2 model: a change to
+// the layout must bump modelMagic's version byte, not slip through.
 func TestModelBinaryMarshaler(t *testing.T) {
-	m := NewModel(2, 2, Softmax)
+	m := NewModel(1, 2, Softmax)
 	m.W.Set(0, 1, 3.25)
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
+	m.B[0] = -1
+	want := []byte{
+		'E', 'F', 'M', 1, // magic, version
+		1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, // softmax, 1 class, 2 features
+		0, 0, 0, 0, 0, 0, 0, 0, // W[0][0] = 0
+		0, 0, 0, 0, 0, 0, 0x0a, 0x40, // W[0][1] = 3.25
+		0, 0, 0, 0, 0, 0, 0xf0, 0xbf, // B[0] = -1
+	}
+	data := m.AppendBinary(nil)
+	if !bytes.Equal(data, want) {
+		t.Fatalf("encoded % x\nwant    % x", data, want)
 	}
 	var back Model
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
+	if err := back.UnmarshalBinaryReuse(data); err != nil {
+		t.Fatalf("UnmarshalBinaryReuse: %v", err)
 	}
-	if back.W.At(0, 1) != 3.25 {
+	if back.W.At(0, 1) != 3.25 || back.B[0] != -1 {
 		t.Error("binary round-trip lost data")
-	}
-}
-
-func TestReadModelRejectsGarbage(t *testing.T) {
-	if _, err := ReadModel(bytes.NewReader([]byte("nonsense data here"))); err == nil {
-		t.Error("garbage must be rejected")
-	}
-	// Correct magic but absurd shape.
-	var buf bytes.Buffer
-	buf.Write(modelMagic[:])
-	buf.Write([]byte{1, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0})
-	if _, err := ReadModel(&buf); err == nil {
-		t.Error("absurd shape must be rejected")
 	}
 }
 
@@ -249,12 +228,8 @@ func TestSerializationRoundTripProperty(t *testing.T) {
 		for i := range m.W.RawData() {
 			m.W.RawData()[i] = rng.Norm()
 		}
-		data, err := m.MarshalBinary()
-		if err != nil {
-			return false
-		}
 		var back Model
-		if err := back.UnmarshalBinary(data); err != nil {
+		if err := back.UnmarshalBinaryReuse(m.AppendBinary(nil)); err != nil {
 			return false
 		}
 		return m.ParamDistance(&back) == 0

@@ -32,17 +32,12 @@ const (
 // quantMagic guards the quantized wire format.
 var quantMagic = [4]byte{'E', 'F', 'Q', 1}
 
-// QuantizeModel encodes m into a compact lossy representation: a header
-// (shape, activation, bits), one scale per tensor (weights, biases), and
-// the linearly quantized values. Decoding with DequantizeModel yields a
-// model whose per-parameter error is at most MaxQuantError(m, bits).
-func QuantizeModel(m *Model, bits QuantBits) ([]byte, error) {
-	return AppendQuantized(nil, m, bits)
-}
-
-// AppendQuantized appends the quantized encoding of m to dst and returns the
-// extended slice — byte-identical to QuantizeModel's output, but writing
-// directly into a caller-owned (e.g. pooled frame) buffer.
+// AppendQuantized appends a compact lossy encoding of m to dst and returns
+// the extended slice: a header (shape, activation, bits), one scale per
+// tensor (weights, biases), and the linearly quantized values. It writes
+// directly into a caller-owned (e.g. pooled frame) buffer, or a fresh one
+// for dst == nil. Decoding with DequantizeInto yields a model whose
+// per-parameter error is at most MaxQuantError(m, bits).
 func AppendQuantized(dst []byte, m *Model, bits QuantBits) ([]byte, error) {
 	if bits != Quant8 && bits != Quant16 {
 		return nil, fmt.Errorf("width %d bits: %w", bits, ErrQuantize)
@@ -104,19 +99,11 @@ func appendQuantTensor(dst []byte, vals []float64, bits QuantBits) ([]byte, erro
 	return dst, nil
 }
 
-// DequantizeModel decodes a payload produced by QuantizeModel.
-func DequantizeModel(data []byte) (*Model, error) {
-	var m Model
-	if err := m.DequantizeInto(data); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// DequantizeInto decodes a payload produced by QuantizeModel into m, reusing
-// m's existing parameter storage when the encoded shape matches. Like
-// Model.UnmarshalBinaryReuse it is the steady-state decode path: a long-lived
-// scratch model makes repeated dequantization allocation-free.
+// DequantizeInto decodes a payload produced by AppendQuantized into m,
+// reusing m's existing parameter storage when the encoded shape matches (a
+// zero Model gets fresh storage). Like Model.UnmarshalBinaryReuse it is the
+// steady-state decode path: a long-lived scratch model makes repeated
+// dequantization allocation-free.
 func (m *Model) DequantizeInto(data []byte) error {
 	if len(data) < 20 {
 		return fmt.Errorf("payload of %d bytes: %w", len(data), ErrQuantize)

@@ -24,12 +24,12 @@ func randomModel(seed uint64, classes, features int) *Model {
 func TestQuantizeRoundTripWithinBound(t *testing.T) {
 	for _, bits := range []QuantBits{Quant8, Quant16} {
 		m := randomModel(1, 10, 64)
-		data, err := QuantizeModel(m, bits)
+		data, err := AppendQuantized(nil, m, bits)
 		if err != nil {
 			t.Fatalf("Quantize(%d): %v", bits, err)
 		}
-		back, err := DequantizeModel(data)
-		if err != nil {
+		back := new(Model)
+		if err := back.DequantizeInto(data); err != nil {
 			t.Fatalf("Dequantize(%d): %v", bits, err)
 		}
 		if back.Classes() != 10 || back.Features() != 64 || back.Act != Softmax {
@@ -60,12 +60,12 @@ func TestQuantize16TighterThan8(t *testing.T) {
 	}
 	// Actual errors follow the same ordering.
 	dist := func(bits QuantBits) float64 {
-		data, err := QuantizeModel(m, bits)
+		data, err := AppendQuantized(nil, m, bits)
 		if err != nil {
 			t.Fatalf("Quantize: %v", err)
 		}
-		back, err := DequantizeModel(data)
-		if err != nil {
+		back := new(Model)
+		if err := back.DequantizeInto(data); err != nil {
 			t.Fatalf("Dequantize: %v", err)
 		}
 		return m.ParamDistance(back)
@@ -77,12 +77,12 @@ func TestQuantize16TighterThan8(t *testing.T) {
 
 func TestQuantizeZeroModel(t *testing.T) {
 	m := NewModel(3, 4, Sigmoid)
-	data, err := QuantizeModel(m, Quant8)
+	data, err := AppendQuantized(nil, m, Quant8)
 	if err != nil {
 		t.Fatalf("Quantize: %v", err)
 	}
-	back, err := DequantizeModel(data)
-	if err != nil {
+	back := new(Model)
+	if err := back.DequantizeInto(data); err != nil {
 		t.Fatalf("Dequantize: %v", err)
 	}
 	if back.ParamDistance(m) != 0 {
@@ -95,11 +95,11 @@ func TestQuantizeZeroModel(t *testing.T) {
 
 func TestQuantizeRejectsBadInput(t *testing.T) {
 	m := randomModel(3, 2, 2)
-	if _, err := QuantizeModel(m, QuantBits(12)); !errors.Is(err, ErrQuantize) {
+	if _, err := AppendQuantized(nil, m, QuantBits(12)); !errors.Is(err, ErrQuantize) {
 		t.Errorf("bad width = %v, want ErrQuantize", err)
 	}
 	m.W.Set(0, 0, math.NaN())
-	if _, err := QuantizeModel(m, Quant8); !errors.Is(err, ErrQuantize) {
+	if _, err := AppendQuantized(nil, m, Quant8); !errors.Is(err, ErrQuantize) {
 		t.Errorf("NaN = %v, want ErrQuantize", err)
 	}
 }
@@ -110,28 +110,28 @@ func TestDequantizeRejectsGarbage(t *testing.T) {
 		"bad magic": append([]byte("XXXX"), make([]byte, 30)...),
 	}
 	for name, data := range cases {
-		if _, err := DequantizeModel(data); !errors.Is(err, ErrQuantize) {
+		if err := new(Model).DequantizeInto(data); !errors.Is(err, ErrQuantize) {
 			t.Errorf("%s = %v, want ErrQuantize", name, err)
 		}
 	}
 	// Valid header, truncated body.
 	m := randomModel(4, 2, 3)
-	data, err := QuantizeModel(m, Quant8)
+	data, err := AppendQuantized(nil, m, Quant8)
 	if err != nil {
 		t.Fatalf("Quantize: %v", err)
 	}
-	if _, err := DequantizeModel(data[:len(data)-2]); !errors.Is(err, ErrQuantize) {
+	if err := new(Model).DequantizeInto(data[:len(data)-2]); !errors.Is(err, ErrQuantize) {
 		t.Errorf("truncated = %v, want ErrQuantize", err)
 	}
 	// Trailing junk.
-	if _, err := DequantizeModel(append(data, 0)); !errors.Is(err, ErrQuantize) {
+	if err := new(Model).DequantizeInto(append(data, 0)); !errors.Is(err, ErrQuantize) {
 		t.Errorf("trailing = %v, want ErrQuantize", err)
 	}
 }
 
 func TestQuantizedSizeMatchesPayload(t *testing.T) {
 	m := NewModel(10, 784, Softmax)
-	data, err := QuantizeModel(m, Quant8)
+	data, err := AppendQuantized(nil, m, Quant8)
 	if err != nil {
 		t.Fatalf("Quantize: %v", err)
 	}
@@ -150,22 +150,22 @@ func TestQuantizedModelStillAccurate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	if _, err := sgd.Train(m, d, 100); err != nil {
+	if _, err := sgd.TrainFinal(m, d, 100); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	data, err := QuantizeModel(m, Quant8)
+	data, err := AppendQuantized(nil, m, Quant8)
 	if err != nil {
 		t.Fatalf("Quantize: %v", err)
 	}
-	back, err := DequantizeModel(data)
-	if err != nil {
+	back := new(Model)
+	if err := back.DequantizeInto(data); err != nil {
 		t.Fatalf("Dequantize: %v", err)
 	}
-	accFull, err := Accuracy(m, d)
+	accFull, err := NewEvaluator(1).Accuracy(m, d)
 	if err != nil {
 		t.Fatalf("Accuracy: %v", err)
 	}
-	accQuant, err := Accuracy(back, d)
+	accQuant, err := NewEvaluator(1).Accuracy(back, d)
 	if err != nil {
 		t.Fatalf("Accuracy: %v", err)
 	}
@@ -184,12 +184,12 @@ func TestQuantErrorBoundProperty(t *testing.T) {
 		}
 		rng := mat.NewRNG(seed)
 		m := randomModel(seed, 1+rng.Intn(6), 1+rng.Intn(30))
-		data, err := QuantizeModel(m, bits)
+		data, err := AppendQuantized(nil, m, bits)
 		if err != nil {
 			return false
 		}
-		back, err := DequantizeModel(data)
-		if err != nil {
+		back := new(Model)
+		if err := back.DequantizeInto(data); err != nil {
 			return false
 		}
 		bound := MaxQuantError(m, bits) * 1.01

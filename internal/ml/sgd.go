@@ -131,26 +131,10 @@ func (s *SGD) Epoch(m *Model, d *dataset.Dataset) (float64, error) {
 	return loss, nil
 }
 
-// Train runs epochs passes over d and returns the loss trajectory (one entry
-// per epoch, measured at the start of each pass).
-func (s *SGD) Train(m *Model, d *dataset.Dataset, epochs int) ([]float64, error) {
-	if epochs <= 0 {
-		return nil, fmt.Errorf("ml: epochs %d must be positive", epochs)
-	}
-	losses := make([]float64, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		l, err := s.Epoch(m, d)
-		if err != nil {
-			return losses, fmt.Errorf("epoch %d: %w", e, err)
-		}
-		losses = append(losses, l)
-	}
-	return losses, nil
-}
-
-// TrainFinal runs epochs passes over d like Train but returns only the final
-// epoch's loss, allocating nothing. Hot loops (the federated engine trains
-// K clients per round) use this to skip the trajectory slice.
+// TrainFinal runs epochs passes over d and returns the final epoch's loss
+// (measured at the start of that pass), allocating nothing: the federated
+// engine trains K clients per round through it. A caller that wants the
+// whole loss trajectory calls Epoch in its own loop.
 func (s *SGD) TrainFinal(m *Model, d *dataset.Dataset, epochs int) (float64, error) {
 	if epochs <= 0 {
 		return 0, fmt.Errorf("ml: epochs %d must be positive", epochs)

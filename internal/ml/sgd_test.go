@@ -8,6 +8,21 @@ import (
 	"eefei/internal/dataset"
 )
 
+// epochLosses runs epochs passes of s over d and returns each pass's loss,
+// measured at its start.
+func epochLosses(t testing.TB, s *SGD, m *Model, d *dataset.Dataset, epochs int) []float64 {
+	t.Helper()
+	losses := make([]float64, epochs)
+	for e := range losses {
+		l, err := s.Epoch(m, d)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		losses[e] = l
+	}
+	return losses
+}
+
 func TestNewSGDValidation(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -38,14 +53,11 @@ func TestSGDReducesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	losses, err := sgd.Train(m, d, 50)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
+	losses := epochLosses(t, sgd, m, d, 50)
 	if losses[len(losses)-1] >= losses[0] {
 		t.Errorf("loss did not decrease: first %v, last %v", losses[0], losses[len(losses)-1])
 	}
-	acc, err := Accuracy(m, d)
+	acc, err := NewEvaluator(1).Accuracy(m, d)
 	if err != nil {
 		t.Fatalf("Accuracy: %v", err)
 	}
@@ -62,10 +74,7 @@ func TestSGDMonotoneOnConvexFullBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	losses, err := sgd.Train(m, d, 100)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
+	losses := epochLosses(t, sgd, m, d, 100)
 	for i := 1; i < len(losses); i++ {
 		if losses[i] > losses[i-1]+1e-12 {
 			t.Fatalf("loss increased at epoch %d: %v -> %v", i, losses[i-1], losses[i])
@@ -80,7 +89,7 @@ func TestSGDDecaySchedule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	if _, err := sgd.Train(m, d, 10); err != nil {
+	if _, err := sgd.TrainFinal(m, d, 10); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	want := 0.01 * math.Pow(0.99, 10)
@@ -96,10 +105,7 @@ func TestSGDMiniBatchTrains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	losses, err := sgd.Train(m, d, 40)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
+	losses := epochLosses(t, sgd, m, d, 40)
 	if losses[len(losses)-1] >= losses[0] {
 		t.Errorf("mini-batch loss did not decrease: %v -> %v", losses[0], losses[len(losses)-1])
 	}
@@ -141,7 +147,7 @@ func TestSGDDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSGD: %v", err)
 		}
-		if _, err := sgd.Train(m, d, 10); err != nil {
+		if _, err := sgd.TrainFinal(m, d, 10); err != nil {
 			t.Fatalf("Train: %v", err)
 		}
 		return m
@@ -167,7 +173,7 @@ func TestSGDTrainBadEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	if _, err := sgd.Train(NewModel(2, 2, Softmax), twoClassToy(t), 0); err == nil {
+	if _, err := sgd.TrainFinal(NewModel(2, 2, Softmax), twoClassToy(t), 0); err == nil {
 		t.Error("0 epochs must error")
 	}
 }
@@ -186,10 +192,10 @@ func TestTrainOnSyntheticDigits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSGD: %v", err)
 	}
-	if _, err := sgd.Train(m, train, 150); err != nil {
+	if _, err := sgd.TrainFinal(m, train, 150); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	acc, err := Accuracy(m, test)
+	acc, err := NewEvaluator(1).Accuracy(m, test)
 	if err != nil {
 		t.Fatalf("Accuracy: %v", err)
 	}

@@ -28,69 +28,12 @@ for goos in darwin freebsd windows; do
     GOOS=$goos go build ./...
 done
 
-echo "== gofmt =="
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-    echo "gofmt needed on:"; echo "$unformatted"; exit 1
-fi
-
-echo "== one pool =="
-# internal/par is the only worker pool (DESIGN.md §7 "Round core"); a fifth
-# hand-rolled one must not reappear in the packages it replaced them in.
-if git grep -nE 'cursor\.Add\(1\)|sync\.WaitGroup' -- internal/fl internal/ml internal/dataset internal/experiments ':!*_test.go'; then
-    echo "hand-rolled worker pool found: use par.Do"; exit 1
-fi
-# Every experiment cell trains through internal/experiments' inOrder: its
-# par.Do call is the package's only one, so no second cell runner grows back.
-pardo=$({ git grep -c 'par\.Do' -- internal/experiments ':!*_test.go' || true; } | awk -F: '{ n += $2 } END { print n + 0 }')
-inorder=$(awk '/^func inOrder\(/{p=1} p{print} p&&/^}/{exit}' internal/experiments/scale.go | grep -c 'par\.Do' || true)
-if [ "$pardo" != 1 ] || [ "$inorder" != 1 ]; then
-    echo "internal/experiments: $pardo par.Do calls, $inorder in inOrder; want one, inside inOrder"; exit 1
-fi
-
-echo "== one predictor =="
-# Both ends of a link form the lossless wire codec's prediction from models
-# they hold, and must arrive at the same bits on any pair of architectures.
-# internal/ml/delta.go's predict does, because it is wrapping integer + and −
-# on bit patterns. A float64 rewrite would round; 2*a − c would round
-# differently; and Go fuses x*y + z into one rounding (math.FMA) on arm64,
-# ppc64 and s390x but not on amd64 — a prediction off by one bit on one end
-# silently desynchronises the pair. So: no multiplication inside predict, no
-# fused multiply-add anywhere in the file.
-predict_src=$(awk '/^func predict\(/{p=1} p{print} p&&/}[[:space:]]*$/{exit}' internal/ml/delta.go)
-if [ -z "$predict_src" ]; then
-    echo "internal/ml/delta.go: func predict not found"; exit 1
-fi
-if grep -n '\*' <<<"$predict_src"; then
-    echo "internal/ml/delta.go: predict multiplies"; exit 1
-fi
-if git grep -nE 'math\.FMA|FMA\(' -- internal/ml/delta.go; then
-    echo "internal/ml/delta.go: fused multiply-add in the wire codec"; exit 1
-fi
-
-echo "== no fused multiply-add in kernels =="
-# The vector kernels are bit-identical to the portable ones only because each
-# lane multiplies, rounds, then adds and rounds again, as Go does on amd64. A
-# fused multiply-add rounds once, so one VFMADD in internal/mat's assembly
-# moves weights, digests and every bit-identity reference.
-if grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' internal/mat/*.s internal/ml/*.s; then
-    echo "fused multiply-add in a kernel"; exit 1
-fi
-
-echo "== integer-only codec =="
-# internal/ml's vector delta coder is bit-identical to the portable one by
-# construction: it is integer arithmetic on bit patterns (wrapping adds and
-# subtracts, shifts, compares, byte shuffles), with no rounding to agree on.
-# One floating-point add, subtract, multiply, divide or square root there
-# would round, and break that across the two ends of a link.
-if grep -nE 'V?(ADD|SUB|MUL|DIV|SQRT)(P|S)D|VFM' internal/ml/*.s; then
-    echo "internal/ml: floating-point arithmetic in the integer-only codec"; exit 1
-fi
-
 echo "== tests =="
 # Among them the root package's TestNoTestOnlyExports (no export or method
 # under internal/ may be used by tests alone) and TestHouseRules (no
-# selection or aggregation plug-ins, one public surface).
+# selection or aggregation plug-ins, gofmt, one worker pool, one integer-only
+# wire predictor, no fused multiply-add in the kernels, an integer-only
+# vector codec, one public surface).
 go test ./...
 
 echo "== tests (race detector) =="
