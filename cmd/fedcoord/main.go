@@ -14,8 +14,7 @@
 // sliding-window ARQ instead of TCP, giving each edge a socket of its own on
 // the listen address (SO_REUSEPORT; where the system has none it exits at
 // start-up with the listen error); -mtu bounds the datagram size, and
-// -loss (or equivalently -success-prob) injects seeded per-attempt packet
-// loss so retransmission energy is measurable on a loopback bench. Round
+// -loss injects seeded per-attempt packet loss (p = 1-loss) so retransmission energy is measurable on a loopback bench. Round
 // lines then also report attempted vs delivered bytes — the measured 1/p of
 // the paper's Eq. 4.
 package main
@@ -77,10 +76,9 @@ func run(args []string) error {
 		downBits     = fs.Int("down-bits", 0, "quantize the broadcast global as a residual with this many bits per weight (8 or 16; 0 = lossless predictive delta, the raw model only on a cold start or when coding would not be smaller)")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
-		transport   = fs.String("transport", "stream", "wire transport: stream (TCP) or dgram (UDP + sliding-window ARQ)")
-		mtu         = fs.Int("mtu", fldgram.DefaultMTU, "dgram only: maximum datagram size in bytes")
-		loss        = fs.Float64("loss", 0, "dgram only: injected per-attempt data-packet loss probability in [0,1)")
-		successProb = fs.Float64("success-prob", 0, "dgram only: per-attempt delivery probability p in (0,1]; alternative to -loss (p = 1-loss)")
+		transport = fs.String("transport", "stream", "wire transport: stream (TCP) or dgram (UDP + sliding-window ARQ)")
+		mtu       = fs.Int("mtu", fldgram.DefaultMTU, "dgram only: maximum datagram size in bytes")
+		loss      = fs.Float64("loss", 0, "dgram only: injected per-attempt data-packet loss probability in [0,1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,7 +86,7 @@ func run(args []string) error {
 	if *traceMem && *trace == "" {
 		return fmt.Errorf("-trace-mem requires -trace")
 	}
-	p, err := fldgram.ResolveSuccessProb(*transport, *loss, *successProb)
+	p, err := fldgram.ResolveSuccessProb(*transport, *loss)
 	if err != nil {
 		return err
 	}

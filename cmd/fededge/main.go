@@ -10,8 +10,8 @@
 // All edges of one experiment must share -of, -samples, -side and -seed so
 // their shards partition the same synthetic universe the coordinator's test
 // set is drawn from. With -transport dgram the edge dials the coordinator's
-// UDP socket and speaks the fldgram sliding-window ARQ; -mtu, -loss and
-// -success-prob mirror the coordinator's knobs, and at exit the edge prints
+// UDP socket and speaks the fldgram sliding-window ARQ; -mtu and -loss
+// mirror the coordinator's knobs, and at exit the edge prints
 // its uplink attempted-vs-delivered bytes plus the measured expected energy
 // per delivered byte against the analytic ρ/p of the paper's Eq. 4.
 package main
@@ -55,10 +55,9 @@ func run(args []string) error {
 		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "initial reconnect backoff")
 		retryMax    = fs.Duration("retry-max", 2*time.Second, "reconnect backoff cap")
 
-		transport   = fs.String("transport", "stream", "wire transport: stream (TCP) or dgram (UDP + sliding-window ARQ)")
-		mtu         = fs.Int("mtu", fldgram.DefaultMTU, "dgram only: maximum datagram size in bytes")
-		loss        = fs.Float64("loss", 0, "dgram only: injected per-attempt data-packet loss probability in [0,1)")
-		successProb = fs.Float64("success-prob", 0, "dgram only: per-attempt delivery probability p in (0,1]; alternative to -loss (p = 1-loss)")
+		transport = fs.String("transport", "stream", "wire transport: stream (TCP) or dgram (UDP + sliding-window ARQ)")
+		mtu       = fs.Int("mtu", fldgram.DefaultMTU, "dgram only: maximum datagram size in bytes")
+		loss      = fs.Float64("loss", 0, "dgram only: injected per-attempt data-packet loss probability in [0,1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -66,7 +65,7 @@ func run(args []string) error {
 	if *id < 0 || *id >= *of {
 		return fmt.Errorf("id %d outside fleet of %d", *id, *of)
 	}
-	p, err := fldgram.ResolveSuccessProb(*transport, *loss, *successProb)
+	p, err := fldgram.ResolveSuccessProb(*transport, *loss)
 	if err != nil {
 		return err
 	}

@@ -70,11 +70,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 // TestNoTestOnlyExportsSeesMethods plants a module in which two methods only
 // a test calls and another is allowlisted although cmd/ calls it; the audit
 // must name all three, and exempt the String method fmt.Stringer reaches. One
-// of the two is a MarshalBinary: encoding.BinaryMarshaler is a conventional
-// interface, not one the program reaches, so it exempts nothing.
+// of the two is a MarshalBinary: no package this module imports reaches
+// encoding, so encoding.BinaryMarshaler exempts nothing. A second module
+// reaches encoding only through flag's export data, which names
+// TextMarshaler and not BinaryMarshaler: a test-only MarshalText and
+// MarshalBinary must get the same verdict there, since encoding's whole
+// scope counts once it is reached.
 func TestNoTestOnlyExportsSeesMethods(t *testing.T) {
-	root := t.TempDir()
-	for name, src := range map[string]string{
+	root := plantModule(t, map[string]string{
 		"internal/p/p.go": `package p
 
 type T struct{}
@@ -107,7 +110,59 @@ func main() {
 	fmt.Println(t)
 }
 `,
-	} {
+	})
+	orphans, stale := auditExports(t, loadProgram(t, root), map[string]string{"p.T.Used": "planted"})
+	if want := []string{"p.T.MarshalBinary", "p.T.Planted"}; !slices.Equal(orphans, want) {
+		t.Errorf("test-only exports %q, want %q", orphans, want)
+	}
+	if !slices.Equal(stale, []string{"p.T.Used"}) {
+		t.Errorf("stale allowlist entries %q, want [p.T.Used]", stale)
+	}
+
+	root = plantModule(t, map[string]string{
+		"internal/q/q.go": `package q
+
+type U struct{}
+
+func New() U                             { return U{} }
+func (U) MarshalText() ([]byte, error)   { return nil, nil }
+func (U) MarshalBinary() ([]byte, error) { return nil, nil }
+`,
+		"internal/q/q_test.go": `package q
+
+import "testing"
+
+func TestMarshal(t *testing.T) {
+	U{}.MarshalText()
+	U{}.MarshalBinary()
+}
+`,
+		"cmd/d/main.go": `package main
+
+import (
+	"flag"
+
+	"eefei/internal/q"
+)
+
+func main() {
+	q.New()
+	flag.Parse()
+}
+`,
+	})
+	orphans, _ = auditExports(t, loadProgram(t, root), nil)
+	if text, binary := slices.Contains(orphans, "q.U.MarshalText"), slices.Contains(orphans, "q.U.MarshalBinary"); text != binary {
+		t.Errorf("test-only exports %q: MarshalText reported %v, MarshalBinary %v; encoding is reached, so want the same verdict", orphans, text, binary)
+	}
+}
+
+// plantModule writes files (slash-separated path → source) under a fresh
+// directory and returns it.
+func plantModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -116,13 +171,7 @@ func main() {
 			t.Fatal(err)
 		}
 	}
-	orphans, stale := auditExports(t, loadProgram(t, root), map[string]string{"p.T.Used": "planted"})
-	if want := []string{"p.T.MarshalBinary", "p.T.Planted"}; !slices.Equal(orphans, want) {
-		t.Errorf("test-only exports %q, want %q", orphans, want)
-	}
-	if !slices.Equal(stale, []string{"p.T.Used"}) {
-		t.Errorf("stale allowlist entries %q, want [p.T.Used]", stale)
-	}
+	return root
 }
 
 // auditExports returns, sorted, the test-only exports under internal/ that
@@ -163,13 +212,22 @@ func auditExports(t *testing.T, prog *program, allow map[string]string) (orphans
 			}
 		}
 	}
-	seen := map[*types.Package]bool{}
+	seen := map[string]bool{}
 	var visit func(*types.Package)
 	visit = func(p *types.Package) {
-		if seen[p] {
+		if seen[p.Path()] {
 			return
 		}
-		seen[p] = true
+		seen[p.Path()] = true
+		if _, own := prog.files[p.Path()]; !own {
+			// Reached through an importer's export data, p holds only the
+			// objects that importer used; its own export data holds all.
+			full, err := prog.std.Import(p.Path())
+			if err != nil {
+				t.Fatalf("load %s: %v", p.Path(), err)
+			}
+			p = full
+		}
 		for _, name := range p.Scope().Names() {
 			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
 				addIface(tn.Type())
@@ -260,8 +318,8 @@ type checkedPackage struct {
 
 // loadProgram parses every package of the repository at root, then
 // type-checks each one against the standard library's export data, which one
-// `go list -export` call finds (importer.Default runs go list once per
-// package).
+// `go list -export -deps` call finds for every package they reach, directly
+// or not (importer.Default runs go list once per package).
 func loadProgram(t *testing.T, root string) *program {
 	t.Helper()
 	prog := &program{fset: token.NewFileSet(), files: map[string][]*ast.File{}, pkgs: map[string]*checkedPackage{}, elsewhere: map[string]bool{}}
@@ -311,7 +369,7 @@ func loadProgram(t *testing.T, root string) *program {
 
 	sort.Strings(std)
 	out, err := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"),
-		append([]string{"list", "-export", "-f", "{{.ImportPath}}={{.Export}}"}, slices.Compact(std)...)...).Output()
+		append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}, slices.Compact(std)...)...).Output()
 	if err != nil {
 		t.Fatalf("go list -export: %v", err)
 	}

@@ -117,24 +117,29 @@ func SynthesizePairParallel(train, test SyntheticConfig, workers int) (*Dataset,
 // A layout places a generator's randomness. Given the prototype stream as the
 // prototypes left it, it returns row i's pixel-noise stream and a func that,
 // called once every row is filled, returns the stream that shuffles them.
-type layout func(proto *mat.RNG) (noise func(row int) *mat.RNG, shuffle func() *mat.RNG)
+// noise may return rng, the filling worker's own RNG, reseeded for the row.
+type layout func(proto *mat.RNG) (noise func(rng *mat.RNG, row int) *mat.RNG, shuffle func() *mat.RNG)
 
 // oneStream draws every row's noise, in row order, from the one stream start
 // returns, and shuffles with a split of it taken after the last row. Rows
 // sharing a stream must be filled by one worker.
 func oneStream(start func(proto *mat.RNG) *mat.RNG) layout {
-	return func(proto *mat.RNG) (func(int) *mat.RNG, func() *mat.RNG) {
+	return func(proto *mat.RNG) (func(*mat.RNG, int) *mat.RNG, func() *mat.RNG) {
 		rng := start(proto)
-		return func(int) *mat.RNG { return rng }, rng.Split
+		return func(*mat.RNG, int) *mat.RNG { return rng }, rng.Split
 	}
 }
 
 // rowStreams gives each row a private noise stream seeded from (seed,
 // stream, row), and the shuffle one seeded past the last row, so rows can be
-// filled in any order by any number of workers.
+// filled in any order by any number of workers. A row's stream is the
+// worker's RNG reseeded (NewRNG's stream, without an allocation per row).
 func rowStreams(seed, stream uint64, samples int) layout {
-	return func(*mat.RNG) (func(int) *mat.RNG, func() *mat.RNG) {
-		return func(i int) *mat.RNG { return mat.NewRNG(rowStreamSeed(seed, stream, uint64(i))) },
+	return func(*mat.RNG) (func(*mat.RNG, int) *mat.RNG, func() *mat.RNG) {
+		return func(rng *mat.RNG, i int) *mat.RNG {
+				rng.Reseed(rowStreamSeed(seed, stream, uint64(i)))
+				return rng
+			},
 			func() *mat.RNG { return mat.NewRNG(rowStreamSeed(seed, stream, uint64(samples)+0x5157)) }
 	}
 }
@@ -154,7 +159,8 @@ func rowStreamSeed(seed, stream, row uint64) uint64 {
 // layout's stream for that row, and shuffles the rows. Rows are claimed in
 // fixed-size chunks off the shared pool (par.Do), so with per-row streams any
 // pool size writes exactly the same bytes; one worker fills them in order.
-// workers <= 0 selects GOMAXPROCS.
+// Each worker owns one RNG for the layout to reseed, so the allocations do
+// not grow with the rows. workers <= 0 selects GOMAXPROCS.
 func synthesize(cfg SyntheticConfig, protoSeed uint64, workers int, streams layout) (*Dataset, error) {
 	if cfg.Samples <= 0 || cfg.Classes <= 0 || cfg.Side <= 0 {
 		return nil, fmt.Errorf("dataset: invalid synthetic config %+v", cfg)
@@ -177,10 +183,16 @@ func synthesize(cfg SyntheticConfig, protoSeed uint64, workers int, streams layo
 		workers = runtime.GOMAXPROCS(0)
 	}
 	const chunk = 256
-	par.Do((cfg.Samples+chunk-1)/chunk, workers, par.Func(func(_, ci int) {
+	chunks := (cfg.Samples + chunk - 1) / chunk
+	// A cache line apart: every noise draw writes its worker's RNG.
+	rngs := make([]struct {
+		mat.RNG
+		_ [64]byte
+	}, min(workers, chunks))
+	par.Do(chunks, workers, par.Func(func(w, ci int) {
 		hi := min((ci+1)*chunk, cfg.Samples)
 		for i := ci * chunk; i < hi; i++ {
-			rng := noise(i)
+			rng := noise(&rngs[w].RNG, i)
 			c := i % cfg.Classes // perfectly balanced classes, like MNIST approximately is
 			out.Labels[i] = c
 			row := out.X.Row(i)

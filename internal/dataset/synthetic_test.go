@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -354,5 +355,28 @@ func TestSynthesizeGoldenDigests(t *testing.T) {
 		if got := digest(c.d); got != c.want {
 			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestSynthesizeParallelAllocationsFlat: the per-row noise streams reuse one
+// RNG per worker, so generating four times the rows allocates no more
+// objects — the buffers grow, their count does not.
+func TestSynthesizeParallelAllocationsFlat(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			allocs := func(samples int) float64 {
+				cfg := SyntheticConfig{Samples: samples, Classes: 10, Side: 5, Noise: 0.3, Seed: 11}
+				return testing.AllocsPerRun(20, func() {
+					if _, err := SynthesizeParallel(cfg, workers); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			small, large := allocs(1000), allocs(4000)
+			t.Logf("%v allocations for 1000 rows, %v for 4000", small, large)
+			if large > small {
+				t.Errorf("%v allocations for 4000 rows, %v for 1000: allocations grow with the rows", large, small)
+			}
+		})
 	}
 }

@@ -27,48 +27,41 @@ type TrainObservation struct {
 // energies by least squares on the model e = c0·E·n + c1·E. This is the fit
 // that produced c0 = 7.79e-5 and c1 = 3.34e-3 in Section VI-B.
 func FitCoefficients(obs []TrainObservation) (c0, c1 float64, err error) {
-	if len(obs) < 2 {
-		return 0, 0, fmt.Errorf("%d observations, need >= 2: %w", len(obs), ErrFit)
-	}
-	design := mat.NewDense(len(obs), 2)
-	y := make([]float64, len(obs))
-	for i, o := range obs {
-		if o.Epochs <= 0 {
-			return 0, 0, fmt.Errorf("observation %d has E=%d: %w", i, o.Epochs, ErrFit)
-		}
-		design.Set(i, 0, float64(o.Epochs)*float64(o.Samples))
-		design.Set(i, 1, float64(o.Epochs))
-		y[i] = o.Joules
-	}
-	coef, err := mat.QRLeastSquares(design, y)
-	if err != nil {
-		return 0, 0, fmt.Errorf("coefficient fit: %w", err)
-	}
-	return coef[0], coef[1], nil
+	return fitTableI(obs, "coefficient", func(o TrainObservation) float64 { return o.Joules })
 }
 
 // FitDurations recovers the duration law t = a0·E·n + a1·E from measured
 // step-(3) durations, exactly the Table-I fit.
 func FitDurations(obs []TrainObservation) (perSample, perEpoch time.Duration, err error) {
+	a0, a1, err := fitTableI(obs, "duration", func(o TrainObservation) float64 { return o.Duration.Seconds() })
+	if err != nil {
+		return 0, 0, err
+	}
+	return time.Duration(a0 * float64(time.Second)), time.Duration(a1 * float64(time.Second)), nil
+}
+
+// fitTableI is the one least-squares fit of the Table-I law y = a0·E·n + a1·E,
+// with y the observed column of each observation; what names the fit in its
+// errors.
+func fitTableI(obs []TrainObservation, what string, y func(TrainObservation) float64) (a0, a1 float64, err error) {
 	if len(obs) < 2 {
 		return 0, 0, fmt.Errorf("%d observations, need >= 2: %w", len(obs), ErrFit)
 	}
 	design := mat.NewDense(len(obs), 2)
-	y := make([]float64, len(obs))
+	ys := make([]float64, len(obs))
 	for i, o := range obs {
 		if o.Epochs <= 0 {
 			return 0, 0, fmt.Errorf("observation %d has E=%d: %w", i, o.Epochs, ErrFit)
 		}
 		design.Set(i, 0, float64(o.Epochs)*float64(o.Samples))
 		design.Set(i, 1, float64(o.Epochs))
-		y[i] = o.Duration.Seconds()
+		ys[i] = y(o)
 	}
-	coef, err := mat.QRLeastSquares(design, y)
+	coef, err := mat.QRLeastSquares(design, ys)
 	if err != nil {
-		return 0, 0, fmt.Errorf("duration fit: %w", err)
+		return 0, 0, fmt.Errorf("%s fit: %w", what, err)
 	}
-	return time.Duration(coef[0] * float64(time.Second)),
-		time.Duration(coef[1] * float64(time.Second)), nil
+	return coef[0], coef[1], nil
 }
 
 // MeasureTraining generates a measured-style observation by recording a

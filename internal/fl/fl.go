@@ -99,8 +99,11 @@ type RoundRecord struct {
 	Round int
 	// Selected are the participating client indices K_t.
 	Selected []int
-	// TrainLoss is the global loss F(ω_{t+1}) over the union of all shards,
-	// measured after aggregation.
+	// TrainLoss is what a round's loss target is judged on. Engine records
+	// the global loss F(ω_{t+1}) over the union of all shards, measured
+	// after aggregation. flnet.Coordinator holds no shards: it records the
+	// mean of the surviving clients' final local losses (LocalLosses), taken
+	// before aggregation. The two are not interchangeable for one ε.
 	TrainLoss float64
 	// TestAccuracy is the post-aggregation accuracy on the test set, or NaN
 	// when no test set is attached.

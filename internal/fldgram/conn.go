@@ -50,11 +50,10 @@ type Stats struct {
 	RxDupPackets     int64
 	RxAheadPackets   int64
 	RxInvalidPackets int64
-	// AckPackets counts acknowledgments sent (including injected-dropped
-	// ones).
+	// AckPackets counts acknowledgments sent.
 	AckPackets int64
 	// GoBacks counts recoveries: one hole resent on a gap ACK, or an RTO
-	// go-back to the ACK frontier. The carrier, not an injected fate, lost or
+	// go-back to the ACK frontier. The carrier, not an injected drop, lost or
 	// reordered something; 0 on a healthy link whatever the injected loss.
 	GoBacks int64
 	// PeerAttemptBytes is the peer's cumulative attempted data bytes as
@@ -74,9 +73,8 @@ type Conn struct {
 	link PacketLink
 	cfg  Config
 	// payload is the data capacity of one fragment.
-	payload   int
-	dataFates *fates // drawn by the writer under mu
-	ackFates  *fates // drawn by process under mu
+	payload int
+	loss    chance // the injected data-packet loss, drawn by the writer under mu
 
 	// writeMu serializes frames (one window in flight at a time), from a
 	// Write's or Send's start to its end; out is the frame in flight, and
@@ -85,12 +83,11 @@ type Conn struct {
 	out       outFrame
 	txScratch []byte
 
-	// sendMu serializes link.WritePackets across the writer goroutine and
-	// the receive loop's ACKs, and guards the reorder hold-back slot.
+	// sendMu serializes link.WritePackets across the writer goroutine, the
+	// receive loop's ACKs and Close's FINs, and guards ackScratch, the
+	// buffer the receive loop lays its ACKs out in.
 	sendMu     sync.Mutex
 	ackScratch []byte
-	held       []byte
-	heldValid  bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -110,7 +107,7 @@ type Conn struct {
 }
 
 // newConn wraps a PacketLink. idx distinguishes sibling conns of one
-// endpoint so each draws independent fate streams from cfg.Seed. cfg must
+// endpoint so each draws an independent loss stream from cfg.Seed. cfg must
 // already be validated.
 func newConn(link PacketLink, cfg Config, idx int) *Conn {
 	cfg = cfg.withDefaults()
@@ -118,68 +115,39 @@ func newConn(link PacketLink, cfg Config, idx int) *Conn {
 	c.cond = sync.NewCond(&c.mu)
 	c.ackTimer = stoppedTimer(c.wakeAll)
 	c.rdTimer = stoppedTimer(c.wakeAll)
-	c.dataFates = newFates(mixSeed(cfg.Seed, idx, 1), lossProb(cfg.SuccessProb), cfg.DupProb, cfg.ReorderProb)
-	c.ackFates = newFates(mixSeed(cfg.Seed, idx, 2), lossProb(cfg.AckSuccessProb), 0, 0)
+	c.loss = newChance(mixSeed(mixSeed(cfg.Seed, idx, 1), 0, 5), lossProb(cfg.SuccessProb))
 	go c.recvLoop()
 	return c
 }
 
 // mixSeed derives an uncorrelated seed per (index, stream) from seed with a
 // splitmix-style mixer: per (conn, direction) from Config.Seed, then per
-// fate stream from that.
+// stream from that.
 func mixSeed(seed uint64, idx int, stream uint64) uint64 {
 	z := seed + uint64(idx+1)*0x9e3779b97f4a7c15 + stream*0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 30)) * 0x94d049bb133111eb
 	return z ^ (z >> 27)
 }
 
-// packetFate is the injected decision for one packet: lose it, deliver it
-// twice, or hold it back and release it after the next one.
-type packetFate struct{ drop, dup, hold bool }
-
-// chance is one seeded Bernoulli stream; the zero value never fires.
+// chance is one seeded Bernoulli stream, drawn once per packet whatever the
+// outcome, so where an injected fault lands is a pure function of the seed
+// and the packet index, never of carrier timing. The zero value never fires.
+// It has no lock: the Conn draws under its state lock.
 type chance struct {
 	rng *mat.RNG
 	p   float64
 }
 
+// newChance seeds a stream firing with probability p, or returns the zero
+// value for p <= 0.
+func newChance(seed uint64, p float64) chance {
+	if p <= 0 {
+		return chance{}
+	}
+	return chance{mat.NewRNG(seed), p}
+}
+
 func (c chance) draw() bool { return c.rng != nil && c.rng.Bernoulli(c.p) }
-
-// fates draws the packet fates of one direction of one Conn. Loss,
-// duplication and reordering each consume their own seeded stream, once per
-// packet whatever the other outcomes, so a fate is a pure function of the
-// seed and the packet index, and carrier timing cannot shift where an
-// injected fault lands. A nil *fates injects nothing. It has no lock: the
-// Conn draws under its state lock.
-type fates struct{ loss, dup, reorder chance }
-
-// newFates seeds the streams of the nonzero probabilities, or returns nil
-// when all three are zero.
-func newFates(seed uint64, loss, dup, reorder float64) *fates {
-	if loss <= 0 && dup <= 0 && reorder <= 0 {
-		return nil
-	}
-	stream := func(p float64, tag uint64) chance {
-		if p <= 0 {
-			return chance{}
-		}
-		return chance{mat.NewRNG(mixSeed(seed, 0, tag)), p}
-	}
-	return &fates{stream(loss, 5), stream(dup, 6), stream(reorder, 7)}
-}
-
-// next draws the next packet's fate. A drop clears dup and hold (nothing is
-// left to duplicate or hold), but their streams still advance.
-func (f *fates) next() packetFate {
-	if f == nil {
-		return packetFate{}
-	}
-	pf := packetFate{f.loss.draw(), f.dup.draw(), f.reorder.draw()}
-	if pf.drop {
-		pf.dup, pf.hold = false, false
-	}
-	return pf
-}
 
 // stoppedTimer returns a disarmed timer firing f when Reset.
 func stoppedTimer(f func()) *time.Timer {
@@ -254,8 +222,7 @@ func (c *Conn) process(pkt []byte) {
 	seq, cum := c.ra.next-1, uint64(c.stats.TxAttemptBytes)
 	if ack {
 		c.unacked = 0
-		c.stats.AckPackets++ // sent, though its injected fate may drop it
-		ack = !c.ackFates.next().drop
+		c.stats.AckPackets++
 	}
 	c.mu.Unlock()
 	if !ack {
@@ -292,27 +259,6 @@ func (c *Conn) processAck(pkt []byte) {
 	}
 }
 
-// sendData puts a run of data packets on the carrier, applying the
-// injected duplication/reorder fate of its only packet when that fate is
-// not the plain one. A held packet is released by the next send.
-func (c *Conn) sendData(run []byte, fate packetFate) {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if fate.hold {
-		c.held = append(c.held[:0], run...)
-		c.heldValid = true
-		return
-	}
-	c.link.WritePackets(run, c.cfg.MTU)
-	if fate.dup {
-		c.link.WritePackets(run, c.cfg.MTU)
-	}
-	if c.heldValid {
-		c.heldValid = false
-		c.link.WritePackets(c.held, len(c.held))
-	}
-}
-
 // outFrame is the frame a Send put in flight and the ARQ state Flush carries
 // on from. The write lock, not the state lock, guards it: only the writer
 // that holds writeMu reads or writes it.
@@ -326,7 +272,6 @@ type outFrame struct {
 	rtoAt    time.Time   // zero until a wait begins; any progress clears it
 	hole     int         // fragment a gap ACK asked for, until it is resent; -1: none
 	repaired int         // the frontier last resent or gone back to
-	holding  bool        // the carrier holds a packet back until the next send
 	now      time.Time   // the clock as last read
 	stale    bool        // a flush, a wait or an injected drop since then
 }
@@ -338,14 +283,12 @@ type outFrame struct {
 // and p itself is the retransmission buffer: a fragment is re-encoded from
 // it, never copied.
 //
-// Every transmission draws its fate from the seeded data fates at the moment
-// it is made, fragments in sequence order, and an injected drop is retried
-// at once — counted, priced, never sent, never waited for, since the drop
-// already happened on "the radio" and no ACK can come. Without injected
-// reordering, attempt counters are therefore a pure function of (seed, byte
-// stream); with it, whether a held-back fragment's gap ACK beats its late
-// arrival, and so whether the hole is resent, depends on scheduling. The last
-// fragment's header carries the final cumulative attempted bytes. Only
+// Every transmission draws from the seeded loss stream at the moment it is
+// made, fragments in sequence order, and an injected drop is retried at
+// once — counted, priced, never sent, never waited for, since the drop
+// already happened on "the radio" and no ACK can come. Attempt counters are
+// therefore a pure function of (seed, byte stream). The last fragment's
+// header carries the final cumulative attempted bytes. Only
 // genuine carrier loss is resent: when the receiver reports a gap, the one
 // fragment at the frontier, once per frontier, after one round trip (the
 // receiver holds what came after it); when the loss was at the tail,
@@ -355,9 +298,7 @@ type outFrame struct {
 // UDP carrier sends with one syscall. A run ends before Write waits (which
 // covers the frame's one short packet, its last) and before it would pass
 // maxMTU bytes; window, at most the kernel's 64-segment cap, bounds its
-// count. A packet fated to be duplicated or held back, and every packet
-// while one is held, goes as a run of its own, so the carrier sees the
-// order it would one packet at a time; so does a resent hole.
+// count. A resent hole goes as a run of its own.
 func (c *Conn) Write(p []byte) (int, error) {
 	if n, err := c.send(p); err != nil {
 		return n, err
@@ -426,14 +367,16 @@ func (c *Conn) fragment(i int) []byte {
 	return c.out.p[i*c.payload : min((i+1)*c.payload, len(c.out.p))]
 }
 
-// flushRun puts the run laid out in txScratch on the carrier under fate,
-// outside the state lock.
-func (c *Conn) flushRun(fate packetFate) {
+// flushRun puts the run laid out in txScratch on the carrier, outside the
+// state lock.
+func (c *Conn) flushRun() {
 	if len(c.txScratch) == 0 {
 		return
 	}
 	c.mu.Unlock()
-	c.sendData(c.txScratch, fate)
+	c.sendMu.Lock()
+	c.link.WritePackets(c.txScratch, c.cfg.MTU)
+	c.sendMu.Unlock()
 	c.mu.Lock()
 	c.txScratch, c.out.stale = c.txScratch[:0], true
 }
@@ -444,7 +387,7 @@ func (c *Conn) flushRun(fate packetFate) {
 // otherwise it returns the frame's outcome.
 func (c *Conn) pump() (n int, idle bool, err error) {
 	o := &c.out
-	defer c.flushRun(packetFate{}) // a failed frame still sends what it transmitted
+	defer c.flushRun() // a failed frame still sends what it transmitted
 	for {
 		for ; o.acked < int(c.txAcked-o.base); o.acked++ {
 			size := headerLen + len(c.fragment(o.acked))
@@ -493,7 +436,7 @@ func (c *Conn) pump() (n int, idle bool, err error) {
 		}
 		if full && o.hole < 0 {
 			if len(c.txScratch) > 0 {
-				c.flushRun(packetFate{})
+				c.flushRun()
 				continue
 			}
 			// Everything is sent or the window is full.
@@ -517,7 +460,7 @@ func (c *Conn) pump() (n int, idle bool, err error) {
 		}
 		size := headerLen + len(frag)
 		if len(c.txScratch)+size > maxMTU {
-			c.flushRun(packetFate{})
+			c.flushRun()
 			continue
 		}
 		o.attempts[i%window]++
@@ -527,14 +470,13 @@ func (c *Conn) pump() (n int, idle bool, err error) {
 		c.stats.TxAttempts++
 		c.stats.TxAttemptBytes += int64(size)
 		cum := uint64(c.stats.TxAttemptBytes)
-		fate := c.dataFates.next()
-		if fate.drop {
+		if c.loss.draw() {
 			o.stale = true
 			continue
 		}
-		alone := fate.dup || fate.hold || o.holding || perPacket || i != o.next
+		alone := perPacket || i != o.next
 		if alone {
-			c.flushRun(packetFate{})
+			c.flushRun()
 		}
 		c.txScratch = encodePacket(roomFor(c.txScratch, size), pktData, flags, seq, cum, frag)
 		if i == o.next {
@@ -545,8 +487,7 @@ func (c *Conn) pump() (n int, idle bool, err error) {
 		}
 		o.rtoAt = time.Time{}
 		if alone {
-			c.flushRun(fate)
-			o.holding = fate.hold
+			c.flushRun()
 		}
 	}
 }
@@ -603,10 +544,6 @@ func (c *Conn) Close() error {
 	c.mu.Unlock()
 
 	c.sendMu.Lock()
-	if c.heldValid {
-		c.heldValid = false
-		c.link.WritePackets(c.held, len(c.held))
-	}
 	fin := encodePacket(nil, pktFin, 0, seq, cum, nil)
 	c.link.WritePackets(fin, len(fin))
 	c.link.WritePackets(fin, len(fin))

@@ -109,16 +109,17 @@ func TestConnLossyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConnDupAndReorder: over a carrier that duplicates and reorders, the
+// stream arrives intact.
 func TestConnDupAndReorder(t *testing.T) {
-	cfg := Config{Seed: 5, DupProb: 0.2, ReorderProb: 0.1, RTO: 20 * time.Millisecond}
-	a, b := Pipe(cfg, cfg)
+	a, b := faultPipe(Config{Seed: 5, RTO: 20 * time.Millisecond}, faults{dup: 0.2, reorder: 0.1})
 	defer a.Close()
 	defer b.Close()
 	testRoundTrip(t, a, b, 8<<10, 6)
 
 	sa, sb := a.Stats(), b.Stats()
 	if sa.RxDupPackets+sb.RxDupPackets == 0 {
-		t.Error("expected duplicate deliveries with DupProb=0.2")
+		t.Error("expected duplicate deliveries with dup=0.2")
 	}
 	// Reordering must never corrupt or reorder the stream (asserted by
 	// testRoundTrip); strays ahead of the frontier are dropped and retried.
@@ -128,9 +129,10 @@ func TestConnDupAndReorder(t *testing.T) {
 	}
 }
 
+// TestConnAckLossRecovers: over a carrier that loses ACKs, the stream
+// arrives intact.
 func TestConnAckLossRecovers(t *testing.T) {
-	cfg := Config{Seed: 3, AckSuccessProb: 0.6, RTO: 10 * time.Millisecond}
-	a, b := Pipe(cfg, cfg)
+	a, b := faultPipe(Config{Seed: 3, RTO: 10 * time.Millisecond}, faults{ackLoss: 0.4})
 	defer a.Close()
 	defer b.Close()
 	testRoundTrip(t, a, b, 4<<10, 4)
@@ -262,19 +264,14 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value", Config{}, true},
 		{"explicit defaults", Config{MTU: DefaultMTU, RTO: DefaultRTO, MaxAttempts: DefaultMaxAttempts}, true},
-		{"lossy", Config{SuccessProb: 0.9, DupProb: 0.1, ReorderProb: 0.1}, true},
+		{"lossy", Config{SuccessProb: 0.9}, true},
 		{"mtu too small", Config{MTU: 63}, false},
 		{"mtu too large", Config{MTU: maxMTU + 1}, false},
 		{"negative rto", Config{RTO: -time.Second}, false},
 		{"negative attempts", Config{MaxAttempts: -1}, false},
 		{"success prob > 1", Config{SuccessProb: 1.5}, false},
 		{"negative success prob", Config{SuccessProb: -0.1}, false},
-		{"dup prob 1", Config{DupProb: 1}, false},
-		{"reorder prob 1", Config{ReorderProb: 1}, false},
 		{"NaN success prob", Config{SuccessProb: math.NaN()}, false},
-		{"NaN ack success prob", Config{AckSuccessProb: math.NaN()}, false},
-		{"NaN dup prob", Config{DupProb: math.NaN()}, false},
-		{"NaN reorder prob", Config{ReorderProb: math.NaN()}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,22 +286,28 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestFatesDeterministic pins the first 2 000 fates of two streams, one byte
-// (drop | dup<<1 | hold<<2) per packet, to digests taken from the packet
-// injector these fates were moved out of: a full (loss, dup, reorder)
-// stream, and the loss-only data stream of conn 0 at seed 1 and p = 0.9.
+// TestFatesDeterministic pins the first 2 000 draws of two sets of seeded
+// streams, one byte (drop | dup<<1 | hold<<2) per packet with a drop
+// clearing dup and hold, to digests taken from the packet injector these
+// streams were moved out of: loss, dup and reorder streams under the tags a
+// Conn and a faultLink seed them with, and the loss stream of conn 0 at
+// seed 1 and p = 0.9, as the Conn draws it.
 func TestFatesDeterministic(t *testing.T) {
+	a, b := Pipe(Config{Seed: 1, SuccessProb: 0.9}, Config{})
+	defer a.Close()
+	defer b.Close()
 	for _, tc := range []struct {
-		f    *fates
-		want string
+		loss, dup, hold chance
+		want            string
 	}{
-		{newFates(77, 0.2, 0.1, 0.05), "b30f3a4c0a68a6fcdaedf492cc65f8976ca36fd4e7e0e85e50c33e145af67ed6"},
-		{newFates(mixSeed(1, 0, 1), 0.1, 0, 0), "11c1356747ddd9148193519adf6c500b335f1b7cddcb9acbba65556068b30907"},
+		{newChance(mixSeed(77, 0, 5), 0.2), newChance(mixSeed(77, 0, 6), 0.1), newChance(mixSeed(77, 0, 7), 0.05),
+			"b30f3a4c0a68a6fcdaedf492cc65f8976ca36fd4e7e0e85e50c33e145af67ed6"},
+		{a.loss, chance{}, chance{}, "11c1356747ddd9148193519adf6c500b335f1b7cddcb9acbba65556068b30907"},
 	} {
 		h := sha256.New()
 		for range 2000 {
-			f := tc.f.next()
-			h.Write([]byte{b2u(f.drop) | b2u(f.dup)<<1 | b2u(f.hold)<<2})
+			drop, dup, hold := tc.loss.draw(), tc.dup.draw(), tc.hold.draw()
+			h.Write([]byte{b2u(drop) | b2u(dup && !drop)<<1 | b2u(hold && !drop)<<2})
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("fates digest %s, want %s", got, tc.want)
@@ -312,44 +315,36 @@ func TestFatesDeterministic(t *testing.T) {
 	}
 }
 
-// TestFatesRates checks each stream's rate. A drop clears dup and hold, so
-// their marginal rates are p·(1−loss).
+// TestFatesRates checks each stream's rate.
 func TestFatesRates(t *testing.T) {
 	const n = 20000
-	loss, dup, reorder := 0.3, 0.15, 0.1
-	fs := newFates(3, loss, dup, reorder)
-	var drops, dups, holds int
-	for range n {
-		f := fs.next()
-		if f.drop && (f.dup || f.hold) {
-			t.Fatal("a dropped packet is also duplicated or held")
+	for tag, p := range []float64{0.3, 0.15, 0.1} {
+		c, hits := newChance(mixSeed(3, 0, uint64(tag)), p), 0
+		for range n {
+			hits += int(b2u(c.draw()))
 		}
-		drops += int(b2u(f.drop))
-		dups += int(b2u(f.dup))
-		holds += int(b2u(f.hold))
-	}
-	for _, r := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"drop", float64(drops) / n, loss},
-		{"dup", float64(dups) / n, dup * (1 - loss)},
-		{"hold", float64(holds) / n, reorder * (1 - loss)},
-	} {
-		if math.Abs(r.got-r.want) > 0.02 {
-			t.Errorf("%s rate %.3f, want ≈ %.3f", r.name, r.got, r.want)
+		if got := float64(hits) / n; math.Abs(got-p) > 0.02 {
+			t.Errorf("p=%v: rate %.3f", p, got)
 		}
 	}
 }
 
+// TestFatesZeroConfigInert: a reliable Config (SuccessProb 0 or 1) gives
+// its Conns no loss stream, and a stream that is not there never fires.
 func TestFatesZeroConfigInert(t *testing.T) {
-	f := newFates(5, 0, 0, 0)
-	if f != nil {
-		t.Fatal("all-zero probabilities must give a nil *fates")
+	for _, p := range []float64{0, 1} {
+		a, b := Pipe(Config{Seed: 5, SuccessProb: p}, Config{Seed: 5, SuccessProb: p})
+		a.Close()
+		b.Close()
+		if a.loss != (chance{}) || b.loss != (chance{}) {
+			t.Errorf("SuccessProb %v: a loss stream was seeded", p)
+		}
 	}
-	for i := range 1000 {
-		if pf := f.next(); pf != (packetFate{}) {
-			t.Fatalf("packet %d: zero config injected %+v", i, pf)
+	for i, c := range []chance{{}, newChance(5, 0)} {
+		for range 1000 {
+			if c.draw() {
+				t.Fatalf("stream %d fired at probability 0", i)
+			}
 		}
 	}
 }

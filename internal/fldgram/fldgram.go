@@ -22,18 +22,15 @@
 //     per-attempt delivery probability p the attempt count per fragment is
 //     exactly the geometric distribution of iot.Unlicensed, and
 //     attempted/delivered bytes converge to 1/p.
-//   - Loss, duplication, and reordering are injected deterministically by
-//     seeded per-direction fate streams owned by each Conn. An
-//     injected drop is decided at the sender before the packet touches the
-//     carrier: the attempt is counted (and priced — the radio transmitted),
-//     the send and the RTO wait are both skipped, and the ARQ retransmits
-//     immediately. With no injected reordering, attempt counts are
-//     therefore a pure function of the seed and the byte stream,
-//     independent of timing, and tests run at memory speed. Injected
-//     reordering breaks that: a held-back packet opens a hole whose gap ACK
-//     races the packet's late arrival, so whether the hole is resent (a
-//     GoBack, one more attempt) depends on scheduling. Genuine carrier loss
-//     is what the receiver's gap ACK and the RTO repair: the receiver holds
+//   - The one injected fault is the paper's: each data-packet attempt is
+//     lost with probability 1−p, drawn from a seeded stream each Conn owns.
+//     An injected drop is decided at the sender before the packet touches
+//     the carrier: the attempt is counted (and priced — the radio
+//     transmitted), the send and the RTO wait are both skipped, and the ARQ
+//     retransmits immediately. Attempt counts are therefore a pure function
+//     of the seed and the byte stream, independent of timing, and tests run
+//     at memory speed. Genuine carrier loss, duplication and reordering are
+//     what the receiver's gap ACK and the RTO repair: the receiver holds
 //     up to a window of packets past a hole, so a gap ACK costs one round
 //     trip and the resend of the hole alone, and only a loss at the tail
 //     waits the RTO and goes back to the ACK frontier; Stats.GoBacks counts
@@ -53,8 +50,8 @@
 // waits go down as one run, which the UDP carrier sends with one syscall
 // under Linux segmentation offload (UDP_SEGMENT) and reads back with one
 // (UDP_GRO), and loops over packet by packet where the kernel has neither.
-// Which packets go, in which order and with which fates, is the same
-// either way; only the kernel crossings per packet change.
+// Which packets go, in which order and which of them are dropped, is the
+// same either way; only the kernel crossings per packet change.
 package fldgram
 
 import (
@@ -92,7 +89,9 @@ var errClosed = fmt.Errorf("connection closed: %w", ErrTransport)
 var errAttempts = fmt.Errorf("max attempts exhausted: %w", ErrTransport)
 
 // Config describes one endpoint of a datagram transport. The zero value is
-// a reliable link at the defaults above.
+// a reliable link at the defaults above. The one fault a Config injects is
+// the paper's per-attempt data-packet loss (SuccessProb); ACKs and FINs are
+// never dropped by it.
 type Config struct {
 	// MTU caps each datagram, header included. 0 = DefaultMTU; otherwise
 	// it must lie in [64, 65507]. The two ends of a link may differ: a
@@ -104,23 +103,13 @@ type Config struct {
 	// MaxAttempts caps transmissions per fragment; exceeding it fails the
 	// connection. 0 = DefaultMaxAttempts.
 	MaxAttempts int
-	// Seed drives the injected-fault decisions. Each Conn derives
-	// independent per-direction streams from it and its creation index.
+	// Seed drives the injected drops. Each Conn derives an independent
+	// loss stream from it and its creation index.
 	Seed uint64
 	// SuccessProb, when in (0,1), is the per-attempt delivery probability
 	// for data packets: each attempt is dropped with probability
-	// 1−SuccessProb by the Conn's seeded data fates. 0 or 1 = reliable.
+	// 1−SuccessProb by the Conn's seeded loss stream. 0 or 1 = reliable.
 	SuccessProb float64
-	// AckSuccessProb is the same for ACK packets. ACK loss costs extra
-	// data retransmissions, inflating measured attempts/delivered above
-	// the 1/p of data loss alone — keep it at 1 (the default) when
-	// validating Eq. 4, which models data-attempt loss only.
-	AckSuccessProb float64
-	// DupProb duplicates data packets with the given probability.
-	DupProb float64
-	// ReorderProb holds a data packet back one slot (swapped with its
-	// successor) with the given probability.
-	ReorderProb float64
 }
 
 // withDefaults fills zero fields.
@@ -149,58 +138,35 @@ func (cfg Config) Validate() error {
 	if cfg.MaxAttempts < 1 {
 		return fmt.Errorf("max attempts %d < 1: %w", cfg.MaxAttempts, ErrTransport)
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"success", cfg.SuccessProb}, {"ack success", cfg.AckSuccessProb}} {
-		if !(p.v >= 0 && p.v <= 1) { // NaN fails too
-			return fmt.Errorf("%s probability %v outside [0,1]: %w", p.name, p.v, ErrTransport)
-		}
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"dup", cfg.DupProb}, {"reorder", cfg.ReorderProb}} {
-		if !(p.v >= 0 && p.v < 1) {
-			return fmt.Errorf("%s probability %v outside [0,1): %w", p.name, p.v, ErrTransport)
-		}
+	if !(cfg.SuccessProb >= 0 && cfg.SuccessProb <= 1) { // NaN fails too
+		return fmt.Errorf("success probability %v outside [0,1]: %w", cfg.SuccessProb, ErrTransport)
 	}
 	return nil
 }
 
-// ResolveSuccessProb resolves the CLI-level -transport/-loss/-success-prob
-// triple shared by fedcoord and fededge to the effective per-attempt
-// delivery probability: 1 on the stream transport (where the datagram knobs
-// are rejected as meaningless), and p = 1-loss or the explicit success
-// probability on dgram. Setting both contradictory knobs is an error.
-func ResolveSuccessProb(transport string, loss, successProb float64) (float64, error) {
+// ResolveSuccessProb resolves the CLI-level -transport/-loss pair shared by
+// fedcoord and fededge to the effective per-attempt delivery probability: 1
+// on the stream transport (where -loss is rejected as meaningless), and
+// p = 1-loss on dgram.
+func ResolveSuccessProb(transport string, loss float64) (float64, error) {
 	switch transport {
 	case "stream":
-		if loss != 0 || successProb != 0 {
-			return 1, fmt.Errorf("-loss/-success-prob require -transport dgram: %w", ErrTransport)
+		if loss != 0 {
+			return 1, fmt.Errorf("-loss requires -transport dgram: %w", ErrTransport)
 		}
 		return 1, nil
 	case "dgram":
 	default:
 		return 1, fmt.Errorf("unknown -transport %q (stream or dgram): %w", transport, ErrTransport)
 	}
-	if loss != 0 && successProb != 0 {
-		return 1, fmt.Errorf("set -loss or -success-prob, not both: %w", ErrTransport)
-	}
 	if !(loss >= 0 && loss < 1) { // NaN fails too
 		return 1, fmt.Errorf("-loss %v outside [0,1): %w", loss, ErrTransport)
-	}
-	if !(successProb >= 0 && successProb <= 1) {
-		return 1, fmt.Errorf("-success-prob %v outside (0,1]: %w", successProb, ErrTransport)
-	}
-	if successProb != 0 {
-		return successProb, nil
 	}
 	return 1 - loss, nil
 }
 
-// lossProb converts a success probability knob to an injected loss
-// probability (0 and 1 both mean reliable).
+// lossProb converts a success probability to an injected loss probability
+// (0 and 1 both mean reliable).
 func lossProb(successProb float64) float64 {
 	if successProb <= 0 || successProb >= 1 {
 		return 0

@@ -94,7 +94,7 @@ type chanLink struct {
 const pipeQueueLen = 512
 
 // Pipe returns two connected datagram endpoints running entirely in
-// memory, with each side configured independently (MTU, chaos).
+// memory, with each side configured independently (MTU, loss).
 // Both configs are validated; Pipe panics on an invalid one, as this is a
 // test/bench constructor.
 func Pipe(cfgA, cfgB Config) (*Conn, *Conn) {

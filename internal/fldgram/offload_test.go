@@ -62,27 +62,30 @@ func udpPair(t *testing.T, addr string, cfg Config) (a, b *Conn) {
 }
 
 // TestUDPOffloadMatchesPerPacket: runs change how many syscalls carry the
-// packets, never which packets go. Over real UDP at 10 % loss, with
-// duplication, the same seed and frames give identical counters with runs
-// and packet by packet. With reordering too, only the delivery counters
-// must agree: the go-back a held packet provokes lands wherever the sender
-// has got to when the gap ACK arrives, which is timing, not seed, in either
-// mode.
+// packets, never which packets go. Over real UDP at 10 % loss, with a
+// carrier that duplicates, the same seed and frames give identical counters
+// with runs and packet by packet. With reordering too, only the delivery
+// counters must agree: the go-back a held packet provokes lands wherever
+// the sender has got to when the gap ACK arrives, which is timing, not
+// seed, in either mode.
 func TestUDPOffloadMatchesPerPacket(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		f    faults
 	}{
-		{"dup", Config{Seed: 13, SuccessProb: 0.9, DupProb: 0.05}},
-		{"dup+reorder", Config{Seed: 13, SuccessProb: 0.9, DupProb: 0.05, ReorderProb: 0.05, RTO: 20 * time.Millisecond}},
+		{"dup", Config{Seed: 13, SuccessProb: 0.9}, faults{dup: 0.05}},
+		{"dup+reorder", Config{Seed: 13, SuccessProb: 0.9, RTO: 20 * time.Millisecond}, faults{dup: 0.05, reorder: 0.05}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []Stats
 			bothWays(t, func(t *testing.T) {
-				a, b := udpPair(t, "127.0.0.1:0", tc.cfg)
+				a, b := udpFaultPair(t, tc.cfg, tc.f)
+				a.SetDeadline(time.Now().Add(time.Minute)) // a failure must not hang the test
+				b.SetDeadline(time.Now().Add(time.Minute))
 				testRoundTrip(t, a, b, 64<<10, 5)
 				sa, sb := a.Stats(), b.Stats()
-				if tc.cfg.ReorderProb > 0 { // keep what timing cannot move
+				if tc.f.reorder > 0 { // keep what timing cannot move
 					sa = Stats{TxDelivered: sa.TxDelivered, TxDeliveredBytes: sa.TxDeliveredBytes, RxDelivered: sa.RxDelivered, RxDeliveredBytes: sa.RxDeliveredBytes}
 					sb = Stats{TxDelivered: sb.TxDelivered, TxDeliveredBytes: sb.TxDeliveredBytes, RxDelivered: sb.RxDelivered, RxDeliveredBytes: sb.RxDeliveredBytes}
 				} else if sa.GoBacks+sb.GoBacks+sa.RxAheadPackets+sb.RxAheadPackets != 0 {
@@ -117,18 +120,18 @@ func (l *recordingLink) WritePackets(run []byte, size int) error {
 	return l.PacketLink.WritePackets(run, size)
 }
 
-// TestPipeRunsMatchPerPacket: through a Pipe at 10 % loss with
-// duplication, the data packets one end puts on the carrier are the same
+// TestPipeRunsMatchPerPacket: through a Pipe at 10 % loss whose carrier
+// duplicates, the data packets one end puts on the carrier are the same
 // bytes in the same order whether Write hands them over in runs or one by
 // one — and in runs it needs fewer hand-overs.
 func TestPipeRunsMatchPerPacket(t *testing.T) {
-	cfg := Config{Seed: 8, SuccessProb: 0.9, DupProb: 0.1}
+	cfg, f := Config{Seed: 8, SuccessProb: 0.9}, faults{dup: 0.1}
 	var sent [][]byte
 	var runs []int
 	bothWays(t, func(t *testing.T) {
 		la, lb := pipeLinks()
 		rec := &recordingLink{PacketLink: la}
-		a, b := newConn(rec, cfg, 0), newConn(lb, cfg, 1)
+		a, b := newConn(newFaultLink(rec, cfg.Seed, 0, f), cfg, 0), newConn(newFaultLink(lb, cfg.Seed, 1, f), cfg, 1)
 		defer a.Close()
 		defer b.Close()
 		testRoundTrip(t, a, b, 100<<10, 4)

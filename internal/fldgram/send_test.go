@@ -9,20 +9,20 @@ import (
 	"time"
 )
 
-// TestSendFlushMatchesWrite: Send then Flush is Write. Over a lossy pipe that
-// also duplicates, the same frames sent either way deliver the same bytes and
-// leave the same Stats on both ends. With reordering added they deliver the
-// same bytes as often; attempts and go-backs are not compared there, because
-// a held-back packet opens a hole whose repair races its late arrival, so
-// they vary between two runs of Write alike.
+// TestSendFlushMatchesWrite: Send then Flush is Write. Over a lossy pipe
+// whose carrier also duplicates, the same frames sent either way deliver the
+// same bytes and leave the same Stats on both ends. With reordering added
+// they deliver the same bytes as often; attempts and go-backs are not
+// compared there, because a held-back packet opens a hole whose repair races
+// its late arrival, so they vary between two runs of Write alike.
 func TestSendFlushMatchesWrite(t *testing.T) {
 	sizes := []int{100, 8 << 10, 62816, 200 << 10}
 	var stream []byte
 	for i, n := range sizes {
 		stream = append(stream, fill(n, uint64(i+1))...)
 	}
-	run := func(t *testing.T, cfg Config, split bool) (Stats, Stats) {
-		a, b := Pipe(cfg, cfg)
+	run := func(t *testing.T, f faults, split bool) (Stats, Stats) {
+		a, b := faultPipe(Config{Seed: 5, SuccessProb: 0.9, RTO: 20 * time.Millisecond}, f)
 		defer a.Close()
 		defer b.Close()
 		got := make([]byte, len(stream))
@@ -59,9 +59,9 @@ func TestSendFlushMatchesWrite(t *testing.T) {
 		reorder float64
 	}{{"loss+dup", 0}, {"loss+dup+reorder", 0.05}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Seed: 5, SuccessProb: 0.9, DupProb: 0.1, ReorderProb: tc.reorder, RTO: 20 * time.Millisecond}
-			aW, bW := run(t, cfg, false)
-			aS, bS := run(t, cfg, true)
+			f := faults{dup: 0.1, reorder: tc.reorder}
+			aW, bW := run(t, f, false)
+			aS, bS := run(t, f, true)
 			if aW.TxAttempts == aW.TxDelivered || bW.RxDupPackets == 0 {
 				t.Errorf("injected loss or duplication not engaged: %+v / %+v", aW, bW)
 			}
@@ -116,10 +116,10 @@ func gatedPipe(t *testing.T, cfgA, cfgB Config) (a, b *Conn, open func()) {
 }
 
 // TestSendDoesNotWaitForAcks: Send returns with the first flight on the
-// carrier while every ACK from the peer is lost; Flush then waits, and fails
-// at the write deadline.
+// carrier while the carrier loses every ACK from the peer; Flush then waits,
+// and fails at the write deadline.
 func TestSendDoesNotWaitForAcks(t *testing.T) {
-	a, b := Pipe(Config{}, Config{Seed: 1, AckSuccessProb: 1e-12})
+	a, b := faultPipe(Config{Seed: 1}, faults{ackLoss: 1})
 	defer a.Close()
 	defer b.Close()
 	frame := fill(62816, 3)

@@ -98,9 +98,9 @@ func (l *udpLink) LocalAddr() net.Addr  { return l.uc.LocalAddr() }
 func (l *udpLink) RemoteAddr() net.Addr { return l.uc.RemoteAddr() }
 
 // Dialer returns a dial function in the shape flnet.EdgeConfig.Dial
-// expects, producing datagram Conns over UDP. Conns draw chaos streams
+// expects, producing datagram Conns over UDP. Conns draw loss streams
 // from cfg.Seed and a per-dial index, so redials (flnet's reconnect loop)
-// see fresh, still-deterministic fault sequences.
+// see fresh, still-deterministic drop sequences.
 func Dialer(cfg Config) (func(addr string, timeout time.Duration) (net.Conn, error), error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ type Listener struct {
 
 	mu    sync.Mutex
 	peers map[netip.AddrPort]*Conn
-	next  int // conn creation index, seeds chaos streams
+	next  int // conn creation index, seeds loss streams
 
 	acceptCh chan *Conn
 	done     chan struct{}

@@ -249,14 +249,13 @@ func TestWindowFitsSocket(t *testing.T) {
 // never send the sender back, and a reordered pair costs at most one
 // go-back of its flight — so retransmissions stay a fraction of the stream.
 func TestWindowDupReorderNoStorm(t *testing.T) {
-	cfg := Config{Seed: 5, DupProb: 0.2, ReorderProb: 0.1, RTO: 20 * time.Millisecond}
-	a, b := Pipe(cfg, cfg)
+	a, b := faultPipe(Config{Seed: 5, RTO: 20 * time.Millisecond}, faults{dup: 0.2, reorder: 0.1})
 	defer a.Close()
 	defer b.Close()
 	testRoundTrip(t, a, b, 64<<10, 6)
 	for name, s := range map[string]Stats{"a": a.Stats(), "b": b.Stats()} {
 		if s.RxDupPackets == 0 {
-			t.Errorf("%s: no duplicates seen with DupProb=0.2", name)
+			t.Errorf("%s: no duplicates seen with dup=0.2", name)
 		}
 		if s.TxAttempts > 2*s.TxDelivered {
 			t.Errorf("%s: %d attempts for %d fragments (%d go-backs): go-back storm", name, s.TxAttempts, s.TxDelivered, s.GoBacks)

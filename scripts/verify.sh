@@ -41,8 +41,9 @@ go test -race ./...
 # The round's fan-in (replies posted on one channel, repairs in their own
 # goroutines) must be race-free every run, not most runs.
 go test -race -count=5 -run 'Straggler|Chaos|Rejoin|Shutdown|NeverReads|SilentDatagramPeer' ./internal/flnet
-# So must a datagram frame that one goroutine sends and another flushes.
-go test -race -count=5 -run '^TestSend' ./internal/fldgram
+# So must a datagram frame that one goroutine sends and another flushes, and
+# the ARQ over the test carrier that duplicates, reorders and loses ACKs.
+go test -race -count=5 -run '^Test(Send|ConnDupAndReorder|ConnAckLossRecovers|WindowDupReorderNoStorm|UDPOffloadMatchesPerPacket|PipeRunsMatchPerPacket)' ./internal/fldgram
 
 echo "== bench module =="
 # bench/ is its own module (eefei/bench, replace eefei => ../), so the
