@@ -100,14 +100,12 @@ func run(args []string) error {
 		}()
 	}
 
-	// The coordinator regenerates the same synthetic universe the edges use
-	// so its test set matches their shards' distribution.
-	dcfg := dataset.SyntheticConfig{
-		Samples: *samples, Classes: 10, Side: *side, Noise: 0.3, BlobsPerClass: 3, Seed: *seed,
-	}
-	testCfg := dcfg
-	testCfg.Samples = *samples / 6
-	_, test, err := dataset.SynthesizePair(dcfg, testCfg)
+	// The coordinator generates the test half of the synthetic universe the
+	// edges draw their shards from (-seed), so its test set matches their
+	// shards' distribution; the training half is the edges' alone.
+	test, err := dataset.SynthesizeTest(*seed, dataset.SyntheticConfig{
+		Samples: *samples / 6, Classes: 10, Side: *side, Noise: 0.3, BlobsPerClass: 3, Seed: *seed,
+	})
 	if err != nil {
 		return fmt.Errorf("synthesize test set: %w", err)
 	}

@@ -76,13 +76,24 @@ func SynthesizePair(train, test SyntheticConfig) (*Dataset, *Dataset, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("synthesize train: %w", err)
 	}
-	te, err := synthesize(test, train.Seed, 1, oneStream(func(*mat.RNG) *mat.RNG {
-		return mat.NewRNG(train.Seed ^ (0xabcdef<<8 + 1))
-	}))
+	te, err := SynthesizeTest(train.Seed, test)
 	if err != nil {
-		return nil, nil, fmt.Errorf("synthesize test: %w", err)
+		return nil, nil, err
 	}
 	return tr, te, nil
+}
+
+// SynthesizeTest generates SynthesizePair's test set alone: it equals the
+// pair's second result for a train config with seed trainSeed, without
+// generating the training set.
+func SynthesizeTest(trainSeed uint64, test SyntheticConfig) (*Dataset, error) {
+	te, err := synthesize(test, trainSeed, 1, oneStream(func(*mat.RNG) *mat.RNG {
+		return mat.NewRNG(trainSeed ^ (0xabcdef<<8 + 1))
+	}))
+	if err != nil {
+		return nil, fmt.Errorf("synthesize test: %w", err)
+	}
+	return te, nil
 }
 
 // SynthesizeParallel generates the same class-conditional distribution as

@@ -327,6 +327,10 @@ func TestSynthesizeGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SynthesizePairParallel: %v", err)
 	}
+	seqTestAlone, err := SynthesizeTest(train.Seed, test)
+	if err != nil {
+		t.Fatalf("SynthesizeTest: %v", err)
+	}
 	seq, err := Synthesize(train)
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
@@ -347,6 +351,7 @@ func TestSynthesizeGoldenDigests(t *testing.T) {
 		{"Synthesize", seq, "7e6780a51988b44744198eb14e53c6d980788206b6edc0e0a3358c7d818abfc4"},
 		{"SynthesizePair train", seqTrain, "7e6780a51988b44744198eb14e53c6d980788206b6edc0e0a3358c7d818abfc4"},
 		{"SynthesizePair test", seqTest, "9d73870c904114b8f49a282e8430a9fcc8b5b7a59ba2e1d928ed367896cf15d7"},
+		{"SynthesizeTest", seqTestAlone, "9d73870c904114b8f49a282e8430a9fcc8b5b7a59ba2e1d928ed367896cf15d7"},
 		{"SynthesizeParallel workers=1", par1, "eded43905ea4c7d13bf4431419d93ed42d78687019884a3e5ecfed7e6283054f"},
 		{"SynthesizeParallel workers=3", par3, "eded43905ea4c7d13bf4431419d93ed42d78687019884a3e5ecfed7e6283054f"},
 		{"SynthesizePairParallel train", parTrain, "eded43905ea4c7d13bf4431419d93ed42d78687019884a3e5ecfed7e6283054f"},

@@ -1,43 +1,12 @@
 package energy
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
 
 	"eefei/internal/mat"
 )
-
-// Fuzzer for the trace decoder: corrupt captures must error, never panic.
-func FuzzReadTrace(f *testing.F) {
-	pm := DefaultPiPowerModel()
-	pm.NoiseStdDev = 0
-	m, err := NewMeter(pm, 200, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	trace, err := m.Record(RoundSchedule(DefaultPiTimeModel(), 2, 50, 1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var good bytes.Buffer
-	if _, err := trace.WriteTo(&good); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	f.Add([]byte("EFT\x01junk"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := ReadTrace(bytes.NewReader(data))
-		if err == nil {
-			// A successful read must satisfy the trace invariants.
-			if err := back.Validate(); err != nil {
-				t.Fatalf("decoder accepted an invalid trace: %v", err)
-			}
-		}
-	})
-}
 
 // refEnergyBetween is an independent reference for the trapezoid window
 // integral: per overlapped segment it sums 64 midpoint sub-intervals of the

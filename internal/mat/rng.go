@@ -97,9 +97,10 @@ func (r *RNG) Norm() float64 {
 	}
 	v := r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
-	r.spare = mag * math.Sin(2*math.Pi*v)
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	r.spare = mag * sin
 	r.hasSpare = true
-	return mag * math.Cos(2*math.Pi*v)
+	return mag * cos
 }
 
 // NormScaled returns mean + stddev·Norm().

@@ -9,6 +9,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"eefei/internal/dataset"
@@ -219,22 +220,21 @@ func (s *System) TraceServer(history []fl.RoundRecord, server, rounds int, meter
 	e := s.cfg.FL.LocalEpochs
 	n := s.samples[server]
 	roundDur := tm.RoundDuration(e, n)
+	active := energy.RoundSchedule(tm, e, n, 1)
 
 	var schedule []energy.Interval
 	var cursor time.Duration
 	for r := 0; r < rounds; r++ {
-		if containsInt(history[r].Selected, server) {
-			for _, p := range energy.Phases {
-				d := tm.PhaseDuration(p, e, n)
-				schedule = append(schedule, energy.Interval{Phase: p, Start: cursor, End: cursor + d})
-				cursor += d
+		if slices.Contains(history[r].Selected, server) {
+			for _, iv := range active {
+				schedule = append(schedule, energy.Interval{Phase: iv.Phase, Start: cursor + iv.Start, End: cursor + iv.End})
 			}
 		} else {
 			schedule = append(schedule, energy.Interval{
 				Phase: energy.PhaseWaiting, Start: cursor, End: cursor + roundDur,
 			})
-			cursor += roundDur
 		}
+		cursor += roundDur
 	}
 	meter, err := energy.NewMeter(s.cfg.Device.Power, 1000, meterSeed)
 	if err != nil {
@@ -245,13 +245,4 @@ func (s *System) TraceServer(history []fl.RoundRecord, server, rounds int, meter
 		return nil, fmt.Errorf("trace server %d: %w", server, err)
 	}
 	return trace, nil
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -201,7 +201,7 @@ func TestTraceServerIdleWhenNotSelected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TraceServer: %v", err)
 	}
-	if mp := trace.MeanPower(); math.Abs(mp-sys.cfg.Device.Power.Waiting) > 0.05 {
+	if mp := trace.MeanPowerBetween(0, trace.Duration()); math.Abs(mp-sys.cfg.Device.Power.Waiting) > 0.05 {
 		t.Errorf("idle server mean power = %v, want ≈%v", mp, sys.cfg.Device.Power.Waiting)
 	}
 }

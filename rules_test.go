@@ -73,15 +73,14 @@ func TestHouseRules(t *testing.T) {
 		}
 	})
 
-	// internal/par is the only worker pool (DESIGN.md §7 "Round core"); a
-	// fifth hand-rolled one must not reappear in the packages it replaced
-	// them in. Every experiment cell trains through internal/experiments'
-	// inOrder: its par.Do call is the package's only one, so no second cell
-	// runner grows back.
+	// internal/par is the only worker pool (DESIGN.md §7 "Round core"): no
+	// other internal package hand-rolls one. Every experiment cell trains
+	// through internal/experiments' inOrder: its par.Do call is the
+	// package's only one, so no second cell runner grows back.
 	t.Run("one pool", func(t *testing.T) {
 		pool := regexp.MustCompile(`cursor\.Add\(1\)|sync\.WaitGroup`)
-		for _, dir := range []string{"internal/fl", "internal/ml", "internal/dataset", "internal/experiments"} {
-			for _, hit := range grep(t, pool, goFiles(t, dir, false)) {
+		for _, hit := range grep(t, pool, goFiles(t, "internal", false)) {
+			if !strings.HasPrefix(hit, filepath.Join("internal", "par")+string(filepath.Separator)) {
 				t.Errorf("%s: hand-rolled worker pool: use par.Do", hit)
 			}
 		}
